@@ -2,8 +2,8 @@
 
 Observability is off-by-default-cheap: a switch built with the default
 :data:`~repro.obs.NULL_OBS` must process packets at the same rate as
-before the observability plane existed.  This guard measures the fast
-engine's packets/sec with a *null-registry* Observability handle
+before the observability plane existed.  This guard measures the
+codegen engine's packets/sec with a *null-registry* Observability handle
 explicitly attached and compares it against a baseline:
 
 * default — regenerate the baseline on this machine first
@@ -15,12 +15,7 @@ explicitly attached and compares it against a baseline:
 Exit code 0 if the attached run is within ``--tolerance`` (default 10%)
 of the baseline, 1 otherwise.
 
-A second mode, ``--codegen``, guards the engine ladder instead: the
-codegen engine must process at least as many packets/sec as the fast
-engine on the bench program (re-measured on this machine, so the
-comparison never crosses hardware).
-
-A third mode, ``--net``, guards the traffic plane: the network's batch
+A second mode, ``--net``, guards the traffic plane: the network's batch
 hot loop must replay a fig12-style campus trace strictly faster than
 the event-per-packet path (both re-measured here on a short slice), and
 both modes must produce identical delivery counts, bytes, and final
@@ -28,7 +23,7 @@ arrival time.  ``--net-floor-pps`` optionally also enforces an absolute
 batched rate (off by default: CI machines are too variable for the
 paper's 350K pps target, which ``python -m repro bench --net`` checks).
 
-A fourth mode, ``--aether``, guards the control-plane scale path: a
+A third mode, ``--aether``, guards the control-plane scale path: a
 scaled-down Aether soak (bulk attach, churn, traffic with checkers
 live) must clear modest attach/s and replay-pps floors, raise zero
 Hydra reports on allowed traffic, and keep per-packet cost flat
@@ -38,7 +33,7 @@ machines are too variable for the committed BENCH_aether.json numbers,
 which ``python -m repro aether`` reproduces.
 
 Usage: ``PYTHONPATH=src python benchmarks/bench_guard.py
-[--codegen | --net | --aether]``
+[--net | --aether]``
 """
 
 from __future__ import annotations
@@ -54,9 +49,9 @@ import time
 
 
 def measure_null_obs_pps(packets: int, repeats: int = 3) -> float:
-    """Fast-engine pps with a null Observability handle attached —
+    """Codegen-engine pps with a null Observability handle attached —
     the instrumented construction path, the uninstrumented hot path."""
-    sw = _build_switch("fast", obs=NULL_OBS)
+    sw = _build_switch("codegen", obs=NULL_OBS)
     assert not sw.obs.live
     packet = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)
     for _ in range(packets // 10):
@@ -70,25 +65,6 @@ def measure_null_obs_pps(packets: int, repeats: int = 3) -> float:
         if elapsed > 0:
             best = max(best, packets / elapsed)
     return best
-
-
-def guard_codegen(packets: int, tolerance: float) -> int:
-    """The engine-ladder guard: codegen pps must not fall below fast
-    pps (both re-measured here, best-of-N, same program)."""
-    fast_pps = measure_pps("fast", packets=packets)
-    codegen_pps = measure_pps("codegen", packets=packets)
-    ratio = codegen_pps / fast_pps
-    floor = 1.0 - tolerance
-    verdict = "OK" if ratio >= floor else "REGRESSION"
-    print(f"bench guard (codegen): fast {fast_pps:.0f} pps, "
-          f"codegen {codegen_pps:.0f} pps, ratio {ratio:.3f} "
-          f"(floor {floor:.2f}) -> {verdict}")
-    if ratio < floor:
-        print("the codegen engine fell below the fast engine on the "
-              "bench program; see docs/INTERNALS.md (engines)",
-              file=sys.stderr)
-        return 1
-    return 0
 
 
 def guard_net(rate_pps: float, duration_s: float,
@@ -169,9 +145,6 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", default="",
                         help="compare against this BENCH_throughput.json "
                              "instead of re-measuring on this machine")
-    parser.add_argument("--codegen", action="store_true",
-                        help="guard the engine ladder instead: codegen "
-                             "pps must be >= fast pps on this machine")
     parser.add_argument("--net", action="store_true",
                         help="guard the traffic plane instead: batched "
                              "replay must beat event replay and match "
@@ -206,15 +179,13 @@ def main(argv=None) -> int:
     if args.net:
         return guard_net(args.net_rate, args.net_duration,
                          args.net_floor_pps)
-    if args.codegen:
-        return guard_codegen(args.packets, args.tolerance)
 
     if args.baseline:
         with open(args.baseline) as handle:
-            baseline_pps = json.load(handle)["engines"]["fast"]["pps"]
+            baseline_pps = json.load(handle)["engines"]["codegen"]["pps"]
         source = args.baseline
     else:
-        baseline_pps = measure_pps("fast", packets=args.packets)
+        baseline_pps = measure_pps("codegen", packets=args.packets)
         source = "same-machine remeasure"
 
     guarded_pps = measure_null_obs_pps(args.packets)

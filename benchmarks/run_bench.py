@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Emit BENCH_throughput.json: packets/sec for interp vs fast engines.
+"""Emit BENCH_throughput.json: packets/sec for interp vs codegen engines.
 
 Standalone entry point (no pytest needed):
 

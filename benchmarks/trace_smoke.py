@@ -65,7 +65,7 @@ def main() -> int:
         return sum(s.get("value", s.get("count", 0)) for s in series)
 
     for name in ("switch_packets_total", "table_lookups_total",
-                 "packets_delivered_total", "fastpath_ns_per_packet",
+                 "packets_delivered_total", "codegen_ns_per_packet",
                  "phase_seconds"):
         if total(name) <= 0:
             failures.append(f"metric {name} is zero")

@@ -70,7 +70,7 @@ class AetherTestbed:
 
     def __init__(self,
                  capacity: Optional[Union[AetherCapacity, int]] = None,
-                 engine: str = "fast",
+                 engine: str = "codegen",
                  batched: bool = False,
                  obs: Optional[Observability] = None):
         if isinstance(capacity, int):

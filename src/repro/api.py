@@ -13,7 +13,7 @@ behind a small set of verbs with uniform keyword arguments:
 * :func:`run_scenario` — one differential-oracle scenario, end to end;
 * :func:`difftest`     — a whole oracle campaign, serial or sharded;
 * :func:`bench`        — the benchmark dispatcher:
-  ``kind="engine"`` (interp/fast/codegen pps), ``kind="net"``
+  ``kind="engine"`` (interp/codegen pps), ``kind="net"``
   (paper-rate traffic-plane replay), ``kind="aether"`` (the
   million-subscriber soak);
 * :func:`aether`       — the Aether soak with full control over scale,
@@ -31,8 +31,9 @@ modules.
 
 Uniform keywords across the verbs, always keyword-only:
 
-* ``engine=``  — switch execution engine: ``"fast"``, ``"interp"``, or
-  ``"codegen"`` (the generated-source batch engine);
+* ``engine=``  — switch execution engine, one of
+  :data:`repro.p4.ENGINES`: ``"codegen"`` (generated source; the
+  default) or ``"interp"`` (the reference tree-walker);
 * ``obs=``     — an :class:`~repro.obs.Observability` handle (metrics
   registry + tracer) threaded through every layer; fleet runs merge
   worker registries into it;
@@ -45,9 +46,7 @@ Uniform keywords across the verbs, always keyword-only:
 Stability promise: these signatures are the compatibility surface
 the CLI, the experiment harnesses, and the tests are written against.
 Internal modules (``repro.difftest.harness``, ``repro.parallel.runner``,
-…) may reshuffle between releases; this module will not, short of a
-deprecation cycle (see the shims in :mod:`repro.difftest.harness` for
-the pattern).
+…) may reshuffle between releases; this module will not.
 
 Heavyweight subsystems are imported lazily inside each function so that
 ``import repro`` stays cheap and cycle-free.
@@ -57,7 +56,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from typing import Any, Callable, Dict, List, Optional, Union
 
 __all__ = ["BenchResult", "DifftestSummary", "SoakResult", "aether",
@@ -229,7 +227,7 @@ def lint(program: Any, *, name: Optional[str] = None,
 
 
 def deploy(compiled: Any, *, scenario: Any = None, topology: Any = None,
-           forwarding: Any = None, engine: str = "fast",
+           forwarding: Any = None, engine: str = "codegen",
            obs: Any = None) -> Any:
     """Stand up a running deployment of a compiled checker.
 
@@ -266,9 +264,9 @@ def run_scenario(scenario: Union[int, Any] = None, *,
     compare all three.
 
     Pass a :class:`~repro.difftest.scenario.Scenario` (or its seed as a
-    plain int), or ``seed=`` alone.  ``engines`` widens the engine set
-    the oracle cross-checks (default ``("interp", "fast")``; add
-    ``"codegen"`` for the generated-source engine).  Returns the
+    plain int), or ``seed=`` alone.  ``engines`` names the engines
+    the oracle cross-checks, anchor first (default
+    :data:`repro.p4.ENGINES`).  Returns the
     :class:`~repro.difftest.harness.ScenarioResult`; ``result.ok`` is
     the oracle verdict.
     """
@@ -302,8 +300,8 @@ def difftest(*, seed: int = 0, iters: int = 100, workers: int = 1,
     kill, crashed-worker respawn, and quarantine of seeds that take
     down their worker (reproducer bundles land in ``quarantine_dir``).
     For a fixed seed the verdict *set* is identical for any worker
-    count.  ``engines`` widens the engine set each scenario
-    cross-checks (default interp vs fast; add ``"codegen"``).
+    count.  ``engines`` names the engines each scenario
+    cross-checks (default :data:`repro.p4.ENGINES`).
     Returns the :class:`~repro.difftest.DifftestSummary`.
     """
     from .difftest import run_difftest
@@ -319,7 +317,7 @@ def difftest(*, seed: int = 0, iters: int = 100, workers: int = 1,
 def bench(*, kind: str = "engine", packets: int = 5000,
           replay: bool = True, workers: int = 1,
           out: Optional[str] = None, optimize: bool = False,
-          engines: Any = None, net: bool = False,
+          engines: Any = None,
           rate_pps: Optional[float] = None,
           duration_s: Optional[float] = None,
           seed: int = 5, sessions: Optional[int] = None,
@@ -327,9 +325,9 @@ def bench(*, kind: str = "engine", packets: int = 5000,
           flatness: bool = True) -> "BenchResult":
     """Benchmark dispatcher — ``kind`` selects what is measured:
 
-    * ``"engine"`` (default) — interp vs fast vs codegen packets/sec
-      (plus the codegen engine's batch entry point), a campus-replay
-      goodput parity check, and a metered metrics snapshot.  The timed
+    * ``"engine"`` (default) — interp vs codegen packets/sec, a
+      campus-replay goodput parity check, and a metered metrics
+      snapshot.  The timed
       pps measurement always runs serially in this process —
       co-scheduling would distort it; ``workers > 1`` offloads the side
       tasks (replay parity, metered snapshot) to a process pool.
@@ -352,15 +350,7 @@ def bench(*, kind: str = "engine", packets: int = 5000,
     aether kind) — the report dict with typed accessors.  Writing to
     ``out`` appends the run to the report's ``history`` list so the
     trajectory across commits is preserved.
-
-    ``net=True`` is the deprecated spelling of ``kind="net"`` and
-    routes identically.
     """
-    if net:
-        warnings.warn(
-            "bench(net=True) is deprecated; use bench(kind='net')",
-            DeprecationWarning, stacklevel=2)
-        kind = "net"
     if kind not in BENCH_KINDS:
         raise ValueError(f"unknown bench kind {kind!r}; "
                          f"valid: {', '.join(BENCH_KINDS)}")
@@ -427,8 +417,8 @@ def generated_source(program: Union[int, str, Any], *,
     already-compiled checker — plus a plain int, which is taken as a
     difftest scenario seed (the reproducer-bundle workflow: seeing the
     exact straight-line code an oracle divergence executed).  Returns
-    the module source as emitted (one ``_process`` and one
-    ``_process_batch`` function, specialized to the program).
+    the module source as emitted (one ``_process`` function,
+    specialized to the program).
     """
     from .compiler import standalone_program
     from .compiler.codegen import CompiledChecker

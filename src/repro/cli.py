@@ -8,7 +8,7 @@ Commands:
 * ``properties``               — list the bundled property library
 * ``table1``                   — reproduce Table 1
 * ``fig12``                    — run the Figure 12 RTT experiment
-* ``bench``                    — benchmark the interp/fast/codegen engines
+* ``bench``                    — benchmark the interp and codegen engines
   (``--net``: paper-rate traffic-plane replay; ``--aether``: bench-scale
   Aether soak)
 * ``aether``                   — million-subscriber Aether soak (bulk
@@ -27,6 +27,8 @@ import argparse
 import os
 import sys
 from typing import List, Optional
+
+from .p4 import ENGINES
 
 from .indus import IndusError, check, parse
 
@@ -191,11 +193,10 @@ def _parse_engines(text: str) -> Optional[List[str]]:
     if not text:
         return None
     engines = [e.strip() for e in text.split(",") if e.strip()]
-    valid = ("interp", "fast", "codegen")
     for engine in engines:
-        if engine not in valid:
+        if engine not in ENGINES:
             raise SystemExit(f"error: unknown engine {engine!r}; "
-                             f"valid: {', '.join(valid)}")
+                             f"valid: {', '.join(ENGINES)}")
     return engines or None
 
 
@@ -239,7 +240,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"wrote {out}")
         return 0 if result["sustained"] and result["equivalence"]["ok"] \
             else 1
-    label = ", ".join(engines) if engines else "interp, fast, codegen"
+    label = ", ".join(engines or ENGINES)
     print(f"benchmarking {label} engines "
           f"({args.packets} packets per run"
           + (f", {args.workers} workers for side tasks"
@@ -574,9 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkers", default="",
                    help="comma-separated checker subset "
                         "(default: all eleven Table-1 checkers)")
-    p.add_argument("--engine", default="fast",
-                   choices=["fast", "interp", "codegen"],
-                   help="switch execution engine (default fast)")
+    p.add_argument("--engine", default="codegen", choices=ENGINES,
+                   help="switch execution engine (default codegen)")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="run the two arms in a process pool "
                         "(default 1 = serial; results are identical)")
@@ -586,13 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="benchmark the behavioral model: interp/fast/codegen "
-             "packets/sec (plus codegen batch mode)")
+        help="benchmark the behavioral model: interp/codegen "
+             "packets/sec")
     p.add_argument("--packets", type=_positive_int, default=5000,
                    help="packets per timing run (default 5000)")
     p.add_argument("--engine", default="",
                    help="comma-separated engines to time (default "
-                        "interp,fast,codegen)")
+                        + ",".join(ENGINES) + ")")
     p.add_argument("--no-replay", action="store_true",
                    help="skip the campus-replay goodput parity check")
     p.add_argument("-o", "--out", default="BENCH_throughput.json",
@@ -634,8 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions", type=_positive_int, default=1_000_000,
                    help="concurrent sessions to sustain "
                         "(default 1000000)")
-    p.add_argument("--engine", default="codegen",
-                   choices=["fast", "interp", "codegen"],
+    p.add_argument("--engine", default="codegen", choices=ENGINES,
                    help="switch execution engine (default codegen)")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="shard the UE range over N worker processes "
@@ -663,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "difftest",
         help="three-level differential oracle: Indus interpreter vs "
-             "compiled P4 interp vs fastpath, over random scenarios")
+             "compiled P4 interp vs codegen, over random scenarios")
     p.add_argument("--seed", type=int, default=0,
                    help="first scenario seed (default 0)")
     p.add_argument("--iters", type=_positive_int, default=100,
@@ -673,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "quarantine bundles (default difftest_failures)")
     p.add_argument("--engine", default="",
                    help="comma-separated engine set the oracle "
-                        "cross-checks (default interp,fast; e.g. "
-                        "--engine interp,fast,codegen)")
+                        "cross-checks, anchor first (default "
+                        + ",".join(ENGINES) + ")")
     p.add_argument("--inject-bug", action="store_true",
                    help="mutate the compiled checker each iteration and "
                         "verify the oracle catches it")
@@ -724,9 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--duration", type=float, default=0.02,
                        help="simulated seconds for the fig12 scenario "
                             "(default 0.02)")
-        p.add_argument("--engine", default="fast",
-                       choices=["fast", "interp", "codegen"],
-                       help="switch execution engine (default fast)")
+        p.add_argument("--engine", default="codegen", choices=ENGINES,
+                       help="switch execution engine (default codegen)")
 
     p = sub.add_parser(
         "metrics",

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .genprog import GenProgram, gen_oracle_program
 from .harness import (DiffFailure, ScenarioResult, build_packet,
-                      build_scenario_deployment, deploy_scenario,
+                      build_scenario_deployment,
                       inject_mutation, kill_register_write, orphan_table,
                       run_scenario)
 from .minimize import Minimizer, dump_reproducer
@@ -35,7 +35,7 @@ from .scenario import PacketSpec, Scenario, gen_scenario
 __all__ = [
     "DiffFailure", "DifftestSummary", "GenProgram", "Minimizer",
     "PacketSpec", "Scenario", "ScenarioResult", "SeedOutcome",
-    "build_packet", "build_scenario_deployment", "deploy_scenario",
+    "build_packet", "build_scenario_deployment",
     "dump_reproducer", "gen_oracle_program", "gen_scenario",
     "inject_mutation", "kill_register_write", "orphan_table",
     "run_difftest", "run_scenario", "run_seed",
@@ -74,8 +74,8 @@ def run_seed(seed: int, inject_bug: bool = False,
              engines: Any = None) -> SeedOutcome:
     """Run the oracle on one seed — the shared per-iteration step of the
     serial loop and every fleet worker, so both paths compute literally
-    the same thing for a given seed.  ``engines`` widens the engine set
-    the oracle cross-checks (default interp vs fast)."""
+    the same thing for a given seed.  ``engines`` names the engines
+    the oracle cross-checks (default :data:`repro.p4.ENGINES`)."""
     scenario = gen_scenario(seed)
     outcome = SeedOutcome(seed=seed)
     if inject_bug:
@@ -169,9 +169,8 @@ def run_difftest(seed: int = 0, iters: int = 100,
     parallel path merges per-worker registries into it
     (:meth:`~repro.obs.metrics.MetricsRegistry.merge`).
 
-    ``engines`` widens the engine set each scenario cross-checks
-    (default ``("interp", "fast")``; add ``"codegen"`` to validate the
-    generated-source engine under the same oracle).
+    ``engines`` names the engines each scenario cross-checks, anchor
+    first (default :data:`repro.p4.ENGINES`: interp, then codegen).
 
     ``workers > 1`` shards the seed range across that many processes
     (:func:`repro.parallel.run_fleet`): same per-seed computation,

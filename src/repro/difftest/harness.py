@@ -25,7 +25,6 @@ deployment saw.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -34,17 +33,11 @@ from ..compiler.codegen import CompiledChecker
 from ..indus import ast
 from ..net.packet import Packet, ip, make_tcp, make_udp
 from ..obs import Observability, Tracer
-from ..p4 import ir
+from ..p4 import ENGINES, ir
 from ..p4.programs import l2_port_forwarding
 from ..runtime.deployment import HydraDeployment
 from ..runtime.tracecheck import run_trace
 from .scenario import Scenario, compute_path, forwarding_entries
-
-#: Default engine pair the oracle cross-checks; campaigns can widen it
-#: (e.g. ``("interp", "fast", "codegen")``) via the ``engines=`` knob on
-#: :func:`run_scenario` / :func:`repro.difftest.run_difftest`.
-ENGINES = ("interp", "fast")
-
 
 @dataclass
 class DiffFailure:
@@ -202,7 +195,7 @@ def _serialize_headers(packet: Packet) -> list:
 
 def build_scenario_deployment(scenario: Scenario,
                               compiled: CompiledChecker,
-                              engine: str = "fast",
+                              engine: str = "codegen",
                               obs: Optional[Observability] = None,
                               ) -> HydraDeployment:
     """Build the deployment a scenario describes: topology, forwarding
@@ -224,22 +217,6 @@ def build_scenario_deployment(scenario: Scenario,
     for name, value in scenario.controls.items():
         dep.set_control(name, value)
     return dep
-
-
-def deploy_scenario(scenario: Scenario, compiled: CompiledChecker,
-                    engine: str = "fast",
-                    obs: Optional[Observability] = None) -> HydraDeployment:
-    """Deprecated alias of :func:`build_scenario_deployment`.
-
-    Use :func:`repro.api.deploy` (``deploy(compiled,
-    scenario=scenario)``) — the stable facade — instead.
-    """
-    warnings.warn(
-        "repro.difftest.harness.deploy_scenario is deprecated; use "
-        "repro.api.deploy(compiled, scenario=scenario) instead",
-        DeprecationWarning, stacklevel=2)
-    return build_scenario_deployment(scenario, compiled, engine=engine,
-                                     obs=obs)
 
 
 def _run_engine(scenario: Scenario, compiled: CompiledChecker,
@@ -342,9 +319,9 @@ def run_scenario(scenario: Scenario,
     verdicts must be identical with or without it).  ``optimize`` runs
     the dataflow optimizer on the compiled checker before deployment —
     the campaign knob used to validate that optimization changes
-    nothing observable.  ``engines`` widens (or narrows) the engine set
-    the oracle cross-checks; the first engine is the comparison anchor
-    and every other engine must agree with it byte-for-byte.
+    nothing observable.  ``engines`` names the engines the oracle
+    cross-checks (default :data:`repro.p4.ENGINES`); the first is the
+    comparison anchor and every other must agree with it byte-for-byte.
     """
     engines = tuple(engines) if engines else ENGINES
     if len(engines) < 2:

@@ -3,7 +3,7 @@
 * :mod:`repro.experiments.table1` — LoC / stages / PHV for every checker;
 * :mod:`repro.experiments.fig12` — RTT overhead (series, CDF, t-test);
 * :mod:`repro.experiments.throughput` — replay throughput parity;
-* :mod:`repro.experiments.bench` — interp-vs-fast engine benchmark;
+* :mod:`repro.experiments.bench` — interp-vs-codegen engine benchmark;
 * :mod:`repro.experiments.netbench` — paper-rate traffic-plane replay
   benchmark (``python -m repro bench --net``);
 * :mod:`repro.experiments.aetherbench` — million-subscriber Aether

@@ -1,9 +1,8 @@
-"""Engine benchmark: packets/sec for interp/fast/codegen, goodput parity.
+"""Engine benchmark: packets/sec for interp and codegen, goodput parity.
 
 Measures the raw ``Bmv2Switch.process`` forwarding rate of a single
 linked switch (the same setup as ``benchmarks/test_throughput.py``'s
-``test_switch_processing_rate``) under every execution engine — plus
-the codegen engine's vectorized ``process_batch`` entry point — and the
+``test_switch_processing_rate``) under both execution engines, and the
 campus-replay goodput under each engine as a parity check.  Results are
 written as ``BENCH_throughput.json``; every write appends the run's
 summary to the report's ``history`` list (keyed by commit + timestamp)
@@ -25,12 +24,10 @@ from typing import Any, Dict, Optional, Sequence
 from ..compiler import compile_program, standalone_program
 from ..net.packet import ip, make_udp
 from ..obs import MetricsRegistry, Observability
+from ..p4 import ENGINES
 from ..p4.bmv2 import Bmv2Switch
 from ..properties import load_source
 from .throughput import run_replay
-
-ENGINES = ("interp", "fast", "codegen")
-
 
 def _build_switch(engine: str,
                   obs: Optional[Observability] = None,
@@ -66,12 +63,12 @@ def bench_meta() -> Dict[str, Any]:
 
 
 def metered_snapshot(packets: int = 2000) -> Dict[str, Any]:
-    """A short metered run of the fast engine with a *live* registry:
+    """A short metered run of the codegen engine with a *live* registry:
     the metrics snapshot stamped into the benchmark report.  The timed
     measurement itself always runs with the null registry — this run is
     separate, so observability cost never leaks into the pps numbers."""
     registry = MetricsRegistry()
-    sw = _build_switch("fast", obs=Observability(registry=registry))
+    sw = _build_switch("codegen", obs=Observability(registry=registry))
     packet = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)
     for _ in range(packets):
         sw.process(packet, 1)
@@ -80,12 +77,12 @@ def metered_snapshot(packets: int = 2000) -> Dict[str, Any]:
     hits = sum(s["value"] for s in series
                if s["labels"].get("result") == "hit")
     total = sum(s["value"] for s in series)
-    ns_series = dump.get("fastpath_ns_per_packet", {}).get("series", [])
+    ns_series = dump.get("codegen_ns_per_packet", {}).get("series", [])
     return {
         "packets": packets,
         "table_lookups_total": total,
         "table_hit_ratio": round(hits / total, 4) if total else None,
-        "fastpath_ns_per_packet_mean":
+        "codegen_ns_per_packet_mean":
             round(ns_series[0]["mean"], 1) if ns_series else None,
         "switch_packets_dropped_total": sum(
             s["value"] for s in
@@ -113,27 +110,6 @@ def measure_pps(engine: str, packets: int = 5000, warmup: int = 500,
     return best
 
 
-def measure_batch_pps(engine: str = "codegen", packets: int = 5000,
-                      warmup: int = 500, repeats: int = 3,
-                      optimize: bool = False) -> float:
-    """Best-of-N packets/sec through ``process_batch`` — one call per
-    timing run, so per-packet Python call overhead is amortized."""
-    if packets < 1:
-        raise ValueError("packets must be >= 1, got %d" % packets)
-    sw = _build_switch(engine, optimize=optimize)
-    packet = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)
-    items = [(packet, 1)] * packets
-    sw.process_batch([(packet, 1)] * warmup)
-    best = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        sw.process_batch(items)
-        elapsed = time.perf_counter() - start
-        if elapsed > 0:
-            best = max(best, packets / elapsed)
-    return best
-
-
 def _replay_goodput(engine: str) -> Dict[str, Any]:
     """One engine's campus-replay goodput entry (module-level so the
     worker-pool path can pickle it)."""
@@ -145,7 +121,7 @@ def _replay_goodput(engine: str) -> Dict[str, Any]:
 
 def _history_entry(result: Dict[str, Any]) -> Dict[str, Any]:
     """The compact per-run record appended to the report's history."""
-    entry: Dict[str, Any] = {
+    return {
         "commit": result["meta"].get("commit"),
         "timestamp": result["meta"].get("timestamp"),
         "optimize": result.get("optimize", False),
@@ -153,10 +129,6 @@ def _history_entry(result: Dict[str, Any]) -> Dict[str, Any]:
                     for name, stats in result["engines"].items()},
         "speedups": dict(result.get("speedups", {})),
     }
-    batch = result.get("codegen_batch")
-    if batch:
-        entry["codegen_batch_pps"] = batch["pps"]
-    return entry
 
 
 def load_history(out_path: str) -> list:
@@ -194,7 +166,7 @@ def run_bench(packets: int = 5000, replay: bool = True,
     defends.  The replay and snapshot are deterministic-in-content, so
     the report is the same either way (timing fields aside).
 
-    ``engines`` restricts which engines are timed (default all three).
+    ``engines`` restricts which engines are timed (default both).
     Writing to ``out_path`` appends this run to the report's
     ``history`` list (prior runs are carried over from the existing
     file), so overwriting the report never loses the pps trajectory.
@@ -229,12 +201,6 @@ def run_bench(packets: int = 5000, replay: bool = True,
             result["engines"][engine] = {
                 "pps": round(pps, 1),
                 "us_per_packet": round(1e6 / pps, 2)}
-        if "codegen" in engines:
-            batch_pps = measure_batch_pps("codegen", packets=packets,
-                                          optimize=optimize)
-            result["codegen_batch"] = {
-                "pps": round(batch_pps, 1),
-                "us_per_packet": round(1e6 / batch_pps, 2)}
         if snapshot_async is not None:
             result["metrics_snapshot"] = snapshot_async.get()
         else:
@@ -246,13 +212,7 @@ def run_bench(packets: int = 5000, replay: bool = True,
                 if engine != "interp":
                     speedups[engine] = round(
                         result["engines"][engine]["pps"] / interp_pps, 2)
-            if "codegen_batch" in result:
-                speedups["codegen_batch"] = round(
-                    result["codegen_batch"]["pps"] / interp_pps, 2)
         result["speedups"] = speedups
-        if "fast" in speedups:
-            # Backwards-compatible scalar older tooling reads.
-            result["speedup"] = speedups["fast"]
         if replay:
             goodput: Dict[str, Any] = {}
             for engine in engines:
@@ -282,10 +242,6 @@ def format_bench(result: Dict[str, Any]) -> str:
     for engine, stats in result["engines"].items():
         lines.append(f"  {engine:13s} {stats['pps']:10.0f} pps  "
                      f"({stats['us_per_packet']:.1f} us/pkt)")
-    batch = result.get("codegen_batch")
-    if batch:
-        lines.append(f"  codegen batch {batch['pps']:10.0f} pps  "
-                     f"({batch['us_per_packet']:.1f} us/pkt)")
     for engine, ratio in result.get("speedups", {}).items():
         lines.append(f"  speedup {ratio:6.2f}x ({engine} vs interp)")
     goodput = result.get("replay_goodput")

@@ -46,7 +46,7 @@ class Fig12Config:
     duration_s: float = 0.4
     ping_interval_s: float = 0.002
     seed: int = 11
-    engine: str = "fast"  # Bmv2Switch execution engine for every switch
+    engine: str = "codegen"  # Bmv2Switch execution engine for every switch
     optimize: bool = False  # run the dataflow optimizer on every checker
     batched: bool = False  # Network batch hot loop (timing-identical)
 

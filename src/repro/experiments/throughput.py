@@ -109,7 +109,7 @@ class ReplayFeed:
 
 def run_replay(checkers: Optional[List[str]], label: str,
                rate_pps: float = 20_000, duration_s: float = 0.1,
-               seed: int = 5, engine: str = "fast",
+               seed: int = 5, engine: str = "codegen",
                batched: bool = False,
                config: Optional[Fig12Config] = None) -> ThroughputResult:
     """Replay a synthetic campus trace from h1 toward h3 (cross-fabric).

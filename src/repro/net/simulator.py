@@ -53,6 +53,12 @@ DEFAULT_STAGES = 12               # the Aether fabric-upf baseline
 #: Largest number of due emissions a batched source drains per wakeup.
 BURST_LIMIT = 512
 
+#: Transit-cache generations for every :class:`Network` in the process.
+#: A template packet carries its memo (``packet._ff``) from network to
+#: network, so a generation must never repeat across networks: drawing
+#: them all from one counter keeps the memo check a single int compare.
+_GENERATIONS = itertools.count(1)
+
 
 def _noop() -> None:
     """Sentinel event body: marks a virtual time the batched drain
@@ -370,9 +376,9 @@ class Network:
         self._sources: List[_LazySource] = []
         #: Flow transit cache: (host, payload_len, header ids) -> legs.
         self._flow_cache: Dict[tuple, list] = {}
-        # Bumped on every control-plane change; in-flight recordings
+        # Redrawn on every control-plane change; in-flight recordings
         # and parked replays from an older generation are discarded.
-        self._cache_gen = 0
+        self._cache_gen = next(_GENERATIONS)
         self._stateless: Optional[bool] = None  # computed lazily
         if batched:
             for device in self.switches.values():
@@ -595,9 +601,9 @@ class Network:
     def _on_switch_config(self, *_args: Any) -> None:
         """Any control-plane change invalidates cached transit records
         (routes may differ); program structure is immutable, so the
-        statelessness verdict stands.  The generation bump also voids
+        statelessness verdict stands.  The new generation also voids
         in-flight recordings and parked replay continuations."""
-        self._cache_gen += 1
+        self._cache_gen = next(_GENERATIONS)
         if self._flow_cache:
             self._flow_cache.clear()
 

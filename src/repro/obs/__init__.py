@@ -2,7 +2,7 @@
 
 One :class:`Observability` handle bundles a metrics registry and a
 trace-event stream and threads through every runtime layer —
-:class:`~repro.p4.bmv2.Bmv2Switch`, the fastpath engine,
+:class:`~repro.p4.bmv2.Bmv2Switch`, the codegen engine,
 :class:`~repro.net.simulator.Network`,
 :class:`~repro.runtime.deployment.HydraDeployment`, and the reference
 monitor (:func:`repro.runtime.tracecheck.run_trace`).

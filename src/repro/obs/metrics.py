@@ -10,7 +10,7 @@ Two registry implementations share one interface:
   format; ``to_dict()`` a JSON-safe dump.
 * :class:`NullRegistry` — the default everywhere.  Every method returns
   a shared no-op instrument, so instrumented call sites cost one method
-  call at most — and the hot paths (``repro.p4.fastpath``) specialize
+  call at most — and the hot paths (``repro.p4.codegen``) specialize
   at compile time on ``registry.live`` and pay **nothing** when
   observability is off.  The bench guard
   (``benchmarks/bench_guard.py``) holds that line.

@@ -6,11 +6,12 @@ and digests, and exposes a P4Runtime-like control API (table entry
 insert/delete, register access, digest subscription).
 
 Two execution engines share this front door (``engine=`` on the
-constructor): the tree-walking interpreter in this module is the
-reference semantics, and :mod:`repro.p4.fastpath` compiles the program
-to closures for roughly an order of magnitude more packets/sec.  The
-differential suite (``tests/test_engine_differential.py``) pins the two
-to identical observable behavior.
+constructor, one of :data:`ENGINES`): the tree-walking interpreter in
+this module is the reference semantics, and :mod:`repro.p4.codegen`
+compiles the program to generated Python source for roughly an order of
+magnitude more packets/sec.  The differential suite
+(``tests/test_engine_differential.py``) pins the two to identical
+observable behavior.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ class P4RuntimeError(Exception):
 
 
 DROP_PORT = 511
+
+#: Every accepted ``engine=`` value: the readable reference and the
+#: compiled engine it is checked against.  The one place that knows.
+ENGINES = ("interp", "codegen")
 
 #: Default ring size for bounded message logs (digests, network reports).
 #: Large enough that tests and short replays see every message; long
@@ -216,10 +221,10 @@ def drop_reason(packet: Packet) -> str:
 class Bmv2Switch:
     """Executes a P4 program; holds runtime table/register state.
 
-    ``engine`` selects how packets are executed: ``"fast"`` (default)
-    compiles the program once to Python closures with indexed table
-    lookup (:mod:`repro.p4.fastpath`); ``"interp"`` walks the IR tree
-    per packet and serves as the reference semantics.
+    ``engine`` selects how packets are executed: ``"codegen"`` (default)
+    compiles the program once to generated Python source with indexed
+    table lookup (:mod:`repro.p4.codegen`); ``"interp"`` walks the IR
+    tree per packet and serves as the reference semantics.
 
     ``obs`` attaches the observability plane (:mod:`repro.obs`); the
     default :data:`~repro.obs.NULL_OBS` keeps packet processing exactly
@@ -227,12 +232,12 @@ class Bmv2Switch:
     """
 
     def __init__(self, program: ir.P4Program, name: str = "s1",
-                 switch_id: int = 0, engine: str = "fast",
+                 switch_id: int = 0, engine: str = "codegen",
                  digest_capacity: int = DEFAULT_LOG_CAPACITY,
                  obs: Optional[Observability] = None):
-        if engine not in ("fast", "interp", "codegen"):
+        if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r} "
-                             "(expected 'fast', 'interp' or 'codegen')")
+                             f"(expected one of {ENGINES})")
         self.program = program
         self.name = name
         self.switch_id = switch_id
@@ -273,12 +278,12 @@ class Bmv2Switch:
         if obs is not None:
             self._bind_observability(obs)
         self._fast = None
-        if engine == "fast":
-            from .fastpath import FastPath  # deferred: fastpath imports us
-            self._fast = FastPath(program, self)
-        elif engine == "codegen":
+        self._build_engine()
+
+    def _build_engine(self) -> None:
+        if self.engine == "codegen":
             from .codegen import CodegenEngine  # deferred: codegen imports us
-            self._fast = CodegenEngine(program, self)
+            self._fast = CodegenEngine(self.program, self)
 
     # ==================================================================
     # Observability
@@ -300,29 +305,22 @@ class Bmv2Switch:
         self._m_table = registry.counter(
             "table_lookups_total", "table applies by outcome",
             labels=("switch", "table", "result"))
-        name = {"fast": "fastpath_ns_per_packet",
-                "codegen": "codegen_ns_per_packet"}.get(
-                    self.engine, "interp_ns_per_packet")
         self._m_ns = registry.histogram(
-            name, f"{self.engine} engine nanoseconds per packet",
+            f"{self.engine}_ns_per_packet",
+            f"{self.engine} engine nanoseconds per packet",
             buckets=DEFAULT_NS_BUCKETS)
 
     def attach_observability(self, obs: Observability) -> None:
         """Attach (or detach, with :data:`~repro.obs.NULL_OBS`) the
         observability plane.
 
-        The fast engine recompiles so instrumentation is specialized at
-        compile time — with a null handle the generated closures are
-        byte-for-byte the uninstrumented ones and the hot path pays
+        The codegen engine recompiles so instrumentation is specialized
+        at compile time — with a null handle the generated source is
+        byte-for-byte the uninstrumented one and the hot path pays
         nothing.
         """
         self._bind_observability(obs)
-        if self.engine == "fast":
-            from .fastpath import FastPath
-            self._fast = FastPath(self.program, self)
-        elif self.engine == "codegen":
-            from .codegen import CodegenEngine
-            self._fast = CodegenEngine(self.program, self)
+        self._build_engine()
 
     def _on_digest_evict(self, count: int) -> None:
         # Rare (ring overflow only): route through whatever registry is
@@ -395,11 +393,7 @@ class Bmv2Switch:
                                          args=args, priority=priority))
         self.entries[table_name].extend(created)
         if self._fast is not None:
-            hook = getattr(self._fast, "entries_inserted", None)
-            if hook is not None:
-                hook(table_name, created)
-            else:
-                self._fast.invalidate_table(table_name)
+            self._fast.entries_inserted(table_name, created)
         self._notify_config(table_name)
         return created
 
@@ -428,11 +422,7 @@ class Bmv2Switch:
             raise P4RuntimeError("entry not installed")
         installed[:] = kept
         if self._fast is not None:
-            hook = getattr(self._fast, "entries_removed", None)
-            if hook is not None:
-                hook(table_name, list(ids.values()))
-            else:
-                self._fast.invalidate_table(table_name)
+            self._fast.entries_removed(table_name, list(ids.values()))
         self._notify_config(table_name)
 
     def clear_table(self, table_name: str) -> None:
@@ -455,11 +445,9 @@ class Bmv2Switch:
             )
         self.default_actions[table_name] = (action, args)
         # The codegen engine bakes default-action facts into generated
-        # source; give it a chance to recompile.  FastPath re-binds
-        # defaults lazily and has no such hook.
-        notify = getattr(self._fast, "on_default_change", None)
-        if notify is not None:
-            notify(table_name)
+        # source; give it a chance to recompile.
+        if self._fast is not None:
+            self._fast.on_default_change(table_name)
         self._notify_config(table_name)
 
     # Control-plane register access validates its operands and raises
@@ -526,13 +514,12 @@ class Bmv2Switch:
     def process_batch(self, items) -> List[List[Tuple[int, Packet]]]:
         """Run a vector of ``(packet, ingress_port)`` pairs.
 
-        The codegen engine executes the whole vector inside one
-        generated loop; other engines fall back to per-packet
-        :meth:`process` calls with identical observable behavior.
+        Equal by construction to one :meth:`process` call per pair: the
+        codegen engine loops over the same per-packet callable, so a
+        batch is one call (and one trace span) at this level.
         """
-        batch = getattr(self._fast, "process_batch", None)
-        if batch is not None:
-            return batch(items)
+        if self._fast is not None:
+            return self._fast.process_batch(items)
         return [self.process(packet, port) for packet, port in items]
 
     def _process_interp_obs(self, packet: Packet,

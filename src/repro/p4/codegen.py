@@ -1,41 +1,40 @@
 """Codegen execution engine: a P4 program compiled to generated source.
 
-The fast engine (:mod:`repro.p4.fastpath`) lowers the IR to nested
-Python closures — every statement still costs at least one indirect
-call per packet.  This module goes one step further: it emits one
-straight-line Python function per pipeline, ``compile()``s the source,
-and ``exec``s it, so the whole parse → ingress → egress → deparse walk
-runs in a single stack frame with flat local variables:
+The reference engine in :mod:`repro.p4.bmv2` walks the IR tree for every
+packet.  This module emits one straight-line Python function per
+program, ``compile()``s the source, and ``exec``s it, so the whole
+parse → ingress → egress → deparse walk runs in a single stack frame
+with flat local variables:
 
 * **Metadata and standard metadata** become locals (``m3_counter``,
   ``sm_egress_spec``) instead of dict/attribute accesses.
 * **Header fields** read and write through hoisted ``values`` dict
   locals; validity checks are plain attribute loads.
-* **Tables** reuse the fast engine's :class:`_TableIndex`, but the
-  bound payload is ``(action_id, args)`` and the action body is inlined
-  at every apply site behind an ``if action_id == …`` dispatch that is
+* **Tables** are indexed at entry-install time
+  (:class:`~repro.p4.tableindex._TableIndex`); the bound payload is
+  ``(action_id, args)`` and the action body is inlined at every apply
+  site behind an ``if action_id == …`` dispatch that is
   specialized to the actions this program (plus any runtime-installed
   entries) can dispatch to.  Exact-match lookups inline the index's
   hash probe directly.
 * **The pipelines are SSA-optimized first** (:mod:`repro.p4.ssa`) with
   the switch's *runtime* default actions as known facts, so dead
   branches and copy chains vanish from the generated source.
-* A **batch entry point** (``_process_batch``) runs the same body
-  inside a single loop so replay and the bench harness amortize the
-  per-packet dispatch layers.
 
-Observability is a compile-time specialization exactly like the fast
-engine's: with the null handle the generated source carries zero
-instrumentation; with a live handle the apply/digest sites emit
-counters and trace events and ``process`` is swapped for the metered
-wrapper.
+The pipeline is emitted exactly once: ``process_batch`` is a loop over
+the same per-packet callable ``process`` is bound to.
+
+Observability is a compile-time specialization: with the null handle
+the generated source carries zero instrumentation; with a live handle
+the apply/digest sites emit counters and trace events and ``process``
+is swapped for the metered wrapper.
 
 Control-plane interplay: the generated dispatch assumes a fixed action
 set per table and bakes the SSA facts derived from the defaults at
 build time.  ``Bmv2Switch`` notifies the engine on entry inserts and
 default-action changes; the engine recompiles when an assumption no
 longer covers the installed state.  Externs receive a full
-:class:`~repro.p4.fastpath._FastContext` built from the flat locals and
+:class:`~repro.p4.tableindex._FastContext` built from the flat locals and
 synced back afterwards (externs may mutate fields and rebind headers;
 adding *new* bind names from an extern is not supported by any engine's
 deparse contract and is not resynced here).
@@ -53,7 +52,7 @@ from ..obs.profile import profiled
 from . import ir
 from .bmv2 import (DROP_PORT, DigestMessage, P4RuntimeError, StandardMetadata,
                    drop_reason)
-from .fastpath import _FastContext, _TableIndex, _writable_binds
+from .tableindex import _FastContext, _TableIndex, _writable_binds
 
 __all__ = ["CodegenEngine"]
 
@@ -145,9 +144,8 @@ _TOP = _Actx({}, None)
 class CodegenEngine:
     """One program compiled to generated Python source, for one switch.
 
-    Duck-type compatible with :class:`~repro.p4.fastpath.FastPath` where
-    ``Bmv2Switch`` touches it: ``process``, ``invalidate_table``, plus
-    the extra ``process_batch``, ``on_default_change`` and ``source``.
+    ``Bmv2Switch`` drives it through ``process``, ``process_batch`` and
+    the control-plane hooks below; ``source`` is the generated text.
     """
 
     def __init__(self, program: ir.P4Program, switch):
@@ -232,13 +230,7 @@ class CodegenEngine:
                            f"<codegen:{self.program.name}>", "exec")
             exec(code, self._globals)
             self._run = self._globals["_process"]
-            self._run_batch = self._globals["_process_batch"]
-        if self._instrumented:
-            self.process = self._process_obs
-            self.process_batch = self._process_batch_obs
-        else:
-            self.process = self._run
-            self.process_batch = self._run_batch
+        self.process = self._process_obs if self._instrumented else self._run
 
     def _specialize(self) -> Tuple[List[ir.P4Stmt], List[ir.P4Stmt]]:
         """SSA-optimize private copies of the pipelines under the
@@ -361,8 +353,7 @@ class CodegenEngine:
         # source-route pop rewriting headers in place), the packet shell
         # is cloned with copy_shared() and only writable binds are
         # copied at their extraction site — untouched headers ride
-        # through shared, like the fast engine's whole-packet sharing
-        # but per header.
+        # through shared.
         has_pop = any(isinstance(s, ir.PopSourceRoute) for s in all_stmts)
         self._cow = (not switch._share_headers and not self._has_extern
                      and not has_pop)
@@ -382,16 +373,7 @@ class CodegenEngine:
             "def _process(packet, ingress_port):",
         ]
         self._site = 0
-        self._emit_pipeline(lines, 1, False, ingress, egress)
-        lines.append("")
-        lines.append("")
-        lines.append("def _process_batch(items):")
-        lines.append("    _results = []")
-        lines.append("    _append = _results.append")
-        lines.append("    for packet, ingress_port in items:")
-        self._site = 0
-        self._emit_pipeline(lines, 2, True, ingress, egress)
-        lines.append("    return _results")
+        self._emit_pipeline(lines, ingress, egress)
         lines.append("")
         return "\n".join(lines)
 
@@ -464,12 +446,13 @@ class CodegenEngine:
 
     # -- pipeline body -------------------------------------------------------
 
-    def _emit_pipeline(self, lines: List[str], ind: int, batch: bool,
+    def _emit_pipeline(self, lines: List[str],
                        ingress: List[ir.P4Stmt],
                        egress: List[ir.P4Stmt]) -> None:
+        """The body of ``_process``: one packet, parse to deparse."""
+        ind = 1
         pad = "    " * ind
         emit = lines.append
-        drop_exit = ("_append([])" + "; continue") if batch else "return []"
         emit(f"{pad}SW.packets_processed += 1")
         copy_call = ("packet.copy_shared()"
                      if self.switch._share_headers or self._cow
@@ -496,12 +479,12 @@ class CodegenEngine:
         self._emit_body(ingress, lines, ind, _TOP)
         emit(f"{pad}if sm_drop or sm_egress_spec == {DROP_PORT}:")
         emit(f"{pad}    SW.packets_dropped += 1")
-        emit(f"{pad}    {drop_exit}")
+        emit(f"{pad}    return []")
         emit(f"{pad}sm_egress_port = sm_egress_spec")
         self._emit_body(egress, lines, ind, _TOP)
         emit(f"{pad}if sm_drop:")
         emit(f"{pad}    SW.packets_dropped += 1")
-        emit(f"{pad}    {drop_exit}")
+        emit(f"{pad}    return []")
         emit(f"{pad}_emit = []")
         order = self.program.emit_order or list(self._bind_types)
         for bind in order:
@@ -512,10 +495,7 @@ class CodegenEngine:
             emit(f"{pad}    _emit.append({local})")
         emit(f"{pad}_emit.extend(_tail)")
         emit(f"{pad}work.headers = _emit")
-        if batch:
-            emit(f"{pad}_append([(sm_egress_port, work)])")
-        else:
-            emit(f"{pad}return [(sm_egress_port, work)]")
+        emit(f"{pad}return [(sm_egress_port, work)]")
 
     # -- parser --------------------------------------------------------------
 
@@ -973,7 +953,7 @@ class CodegenEngine:
 
     def _cond(self, cond: ir.P4Expr, actx: _Actx) -> str:
         """Emit an expression used only for its truthiness (skips the
-        1/0 boxing — mirrors FastPath._compile_cond)."""
+        1/0 boxing)."""
         if isinstance(cond, ir.UnExpr) and cond.op == "!":
             return f"(not {self._cond(cond.operand, actx)})"
         if isinstance(cond, ir.BinExpr):
@@ -990,7 +970,7 @@ class CodegenEngine:
         return self._expr(cond, actx)
 
     # ==================================================================
-    # Metered wrappers (installed only when the obs handle is live)
+    # Packet entry points (``process`` is bound per build in _build)
     # ==================================================================
 
     def _process_obs(self, packet: Packet,
@@ -1018,5 +998,7 @@ class CodegenEngine:
                             port=egress_port, egress_port=egress_port)
         return outputs
 
-    def _process_batch_obs(self, items) -> List[List[Tuple[int, Packet]]]:
-        return [self._process_obs(packet, port) for packet, port in items]
+    def process_batch(self, items) -> List[List[Tuple[int, Packet]]]:
+        # ``self.process`` is read per packet: a digest listener may make
+        # a control-plane change mid-batch that rebuilds and rebinds it.
+        return [self.process(packet, port) for packet, port in items]

@@ -61,7 +61,7 @@ class HydraDeployment:
                  stage_counts: Optional[Dict[str, int]] = None,
                  check_mode: str = "last_hop",
                  serialize_on_wire: bool = False,
-                 engine: str = "fast",
+                 engine: str = "codegen",
                  obs: Optional[Observability] = None,
                  max_queue_delay_s: Optional[float] = None,
                  batched: bool = False):

@@ -11,7 +11,7 @@ from repro.experiments.aetherbench import (_weighted_percentile,
                                            run_soak)
 from repro.obs import MetricsRegistry
 
-SMALL = dict(sessions=1200, engine="fast", batched=False, batch_size=400,
+SMALL = dict(sessions=1200, engine="codegen", batched=False, batch_size=400,
              churn_every=10, replay_ues=60, replay_repeats=2,
              flatness=False)
 
@@ -54,7 +54,7 @@ def test_soak_deterministic_across_worker_counts():
 
 
 def test_soak_flatness_probe():
-    result = run_soak(sessions=600, engine="fast", batched=False,
+    result = run_soak(sessions=600, engine="codegen", batched=False,
                       batch_size=200, replay_ues=30, replay_repeats=1,
                       flatness=True, baseline_sessions=200)
     flat = result["flatness"]

@@ -1,10 +1,10 @@
-"""The repro.api facade: the stable public surface and its shims.
+"""The repro.api facade: the stable public surface.
 
 The facade is a compatibility contract: five verbs with uniform
 keyword-only ``engine=`` / ``obs=`` / ``seed=`` / ``workers=``
 arguments, re-exported from the top-level package.  These tests pin
 the surface (so an accidental rename breaks loudly here, not in user
-code) and the deprecation path for the pre-facade entry points.
+code).
 """
 
 import warnings
@@ -135,31 +135,18 @@ def test_bench_verb_smoke(tmp_path):
     out = tmp_path / "bench.json"
     result = api.bench(packets=50, replay=False, out=str(out))
     assert out.exists()
-    assert set(result["engines"]) == {"interp", "fast", "codegen"}
-    assert set(result["speedups"]) == {"fast", "codegen", "codegen_batch"}
+    assert set(result["engines"]) == {"interp", "codegen"}
+    assert set(result["speedups"]) == {"codegen"}
     assert result["workers"] == 1
     assert len(result["history"]) == 1
     # restricted engine set, and a second write extends the history
     result = api.bench(packets=50, replay=False, out=str(out),
-                       engines=("interp", "codegen"))
-    assert set(result["engines"]) == {"interp", "codegen"}
+                       engines=("codegen",))
+    assert set(result["engines"]) == {"codegen"}
     assert len(result["history"]) == 2
 
 
-# -- deprecation shims ------------------------------------------------------
-
-def test_deploy_scenario_shim_warns_and_works():
-    scenario = gen_scenario(3)
-    compiled = api.compile_indus(scenario.source(), name="dt3")
-    from repro.difftest.harness import (build_scenario_deployment,
-                                        deploy_scenario)
-
-    with pytest.warns(DeprecationWarning, match="repro.api.deploy"):
-        shimmed = deploy_scenario(scenario, compiled)
-    fresh = build_scenario_deployment(scenario, compiled)
-    assert type(shimmed) is type(fresh)
-    assert sorted(shimmed.switches) == sorted(fresh.switches)
-
+# -- the facade spellings never warn ----------------------------------------
 
 def test_new_names_do_not_warn():
     scenario = gen_scenario(3)
@@ -184,28 +171,6 @@ def test_bench_kind_signature():
     assert api.BENCH_KINDS == ("engine", "net", "aether")
     with pytest.raises(ValueError):
         api.bench(kind="bogus")
-
-
-def test_bench_net_shim_warns_and_routes_identically(monkeypatch):
-    from repro.experiments import netbench
-
-    calls = []
-
-    def fake_run_net_bench(**kwargs):
-        calls.append(kwargs)
-        return {"benchmark": "net_replay", "sustained": True}
-
-    monkeypatch.setattr(netbench, "run_net_bench", fake_run_net_bench)
-    with pytest.warns(DeprecationWarning, match="kind='net'"):
-        shimmed = api.bench(net=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        fresh = api.bench(kind="net")
-    assert calls[0] == calls[1]
-    assert dict(shimmed) == dict(fresh)
-    assert isinstance(shimmed, api.BenchResult)
-    assert shimmed.kind == fresh.kind == "net"
-    assert shimmed.sustained is True
 
 
 def test_aether_verb_routes_to_run_soak(monkeypatch):
@@ -243,17 +208,17 @@ def test_bench_result_json_roundtrip():
     assert again.history == [{"speedup": 2.0}]
     engine = api.BenchResult.from_json(json.dumps(
         {"benchmark": "switch_processing_rate",
-         "engines": {"fast": {"pps": 1.0}}}))
+         "engines": {"codegen": {"pps": 1.0}}}))
     assert engine.kind == "engine"
-    assert engine.engines == {"fast": {"pps": 1.0}}
-    assert engine["engines"]["fast"]["pps"] == 1.0  # dict access intact
+    assert engine.engines == {"codegen": {"pps": 1.0}}
+    assert engine["engines"]["codegen"]["pps"] == 1.0  # dict access intact
 
 
 def test_soak_result_json_roundtrip():
     from repro.experiments.aetherbench import run_soak
 
     result = api.SoakResult(run_soak(
-        sessions=300, engine="fast", batched=False, batch_size=100,
+        sessions=300, engine="codegen", batched=False, batch_size=100,
         replay_ues=20, replay_repeats=1, flatness=False))
     again = api.SoakResult.from_json(result.to_json())
     assert again == result and again.kind == "aether"

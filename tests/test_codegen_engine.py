@@ -4,7 +4,7 @@ The codegen engine (:mod:`repro.p4.codegen`) compiles each pipeline to
 one straight-line generated-source function, specializing on
 control-plane facts (assumed action sets, baked default bindings) and
 on observability (instrumentation is emitted or absent at build time).
-Three-engine byte-equality over the corpus lives in
+Byte-equality with the interpreter over the corpus lives in
 ``tests/test_engine_differential.py``; this suite pins the engine's own
 mechanics — batch-vs-single equality, recompilation exactly when a
 baked fact is invalidated, obs specialization, and the ``dump-src`` /
@@ -21,8 +21,7 @@ from repro.compiler import compile_program, standalone_program
 from repro.obs import Observability
 from repro.p4.bmv2 import Bmv2Switch
 from repro.properties import load_source
-from tests.test_engine_differential import (build_pair, random_packet,
-                                            serialize_outputs)
+from tests.test_engine_differential import random_packet, serialize_outputs
 
 BATCH_PROPS = ("loops", "valley_free", "stateful_firewall",
                "source_routing_validation", "load_balance_arrays")
@@ -49,21 +48,87 @@ def build_switch(name="loops", engine="codegen", optimize=False,
 # Batch execution
 # ---------------------------------------------------------------------------
 
+def top_level_defs(source):
+    return [line for line in source.splitlines() if line.startswith("def ")]
+
+
+#: Instruments whose values are wall-clock timings, not packet totals.
+TIMING_METRICS = {"codegen_ns_per_packet", "phase_seconds"}
+
+
 @pytest.mark.parametrize("name", BATCH_PROPS)
 def test_batch_matches_single(name):
-    """process_batch on one switch must equal sequential process calls
-    on an identically configured twin — including register effects."""
-    single = build_switch(name)
-    batched = build_switch(name)
+    """``process_batch(items)`` is ``[process(p, port) ...]``: a switch
+    fed the batch and an identically configured twin fed packet by
+    packet agree on outputs, registers and digests under the null
+    handle, and on metric totals and trace-event kinds under a live
+    one."""
     rng = random.Random(hash(name) & 0xFFFF)
     items = [(random_packet(rng), 1) for _ in range(25)]
-    expected = [serialize_outputs(single.process(p.copy(), port))
-                for p, port in items]
-    got = [serialize_outputs(out) for out in batched.process_batch(items)]
-    assert got == expected
-    assert single.registers == batched.registers
-    assert single.packets_processed == batched.packets_processed
-    assert single.packets_dropped == batched.packets_dropped
+    for live in (False, True):
+        handles = [Observability.enabled() if live else None
+                   for _ in range(2)]
+        single, batched = (build_switch(name, obs=obs) for obs in handles)
+        expected = [serialize_outputs(single.process(p.copy(), port))
+                    for p, port in items]
+        got = [serialize_outputs(out)
+               for out in batched.process_batch(items)]
+        assert got == expected
+        assert single.registers == batched.registers
+        assert list(single.digests) == list(batched.digests)
+        assert single.digests.total == batched.digests.total
+        assert single.packets_processed == batched.packets_processed
+        assert single.packets_dropped == batched.packets_dropped
+        if not live:
+            continue
+        dumps = [obs.registry.to_dict() for obs in handles]
+        assert dumps[0].keys() == dumps[1].keys()
+        assert "switch_packets_total" in dumps[0]
+        for metric in dumps[0].keys() - TIMING_METRICS:
+            assert dumps[0][metric] == dumps[1][metric], metric
+        counts = [obs.registry.value("codegen_ns_per_packet").count
+                  for obs in handles]
+        assert counts == [len(items)] * 2
+        kinds = [[event.kind for event in obs.tracer] for obs in handles]
+        assert kinds[0] == kinds[1]
+        assert "parse" in kinds[0]
+
+
+def test_batch_follows_a_mid_batch_recompile():
+    """A digest listener that swaps a baked default while a batch is in
+    flight: the rest of the batch must run the rebuilt module, exactly
+    as packet-by-packet calls would."""
+    from repro.net.packet import HeaderType, Packet
+    from repro.p4 import ir
+
+    htype = HeaderType("h", [("a", 32)])
+    program = ir.P4Program(
+        name="rebind",
+        parser=ir.ParserSpec(states=[
+            ir.ParserState("start", extracts=[ir.Extract("h", htype)],
+                           transitions=[ir.Transition(ir.ACCEPT)])]),
+        emit_order=["h"])
+    program.add_action(ir.Action("set_out", params=[("v", 32)], body=[
+        ir.AssignStmt("standard_metadata.egress_spec",
+                      ir.FieldRef("param.v"))]))
+    program.add_table(ir.Table(
+        "t", keys=[ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)],
+        actions=["set_out"], default_action=("set_out", [1])))
+    program.ingress = [ir.ApplyTable("t"),
+                       ir.Digest("seen", [ir.FieldRef("hdr.h.a")])]
+
+    def ports(engine, batch):
+        sw = Bmv2Switch(program, engine=engine)
+        sw.on_digest(lambda _msg: sw.set_default_action("t", "set_out", [2]))
+        items = [(Packet(headers=[htype(a=i)], payload_len=4), 1)
+                 for i in range(4)]
+        outs = (sw.process_batch(items) if batch
+                else [sw.process(p, port) for p, port in items])
+        return [out[0][0] for out in outs]
+
+    assert ports("interp", batch=False) == [1, 2, 2, 2]
+    assert ports("codegen", batch=False) == [1, 2, 2, 2]
+    assert ports("codegen", batch=True) == [1, 2, 2, 2]
 
 
 @pytest.mark.parametrize("name", ("loops", "valley_free"))
@@ -140,16 +205,15 @@ def test_default_change_recompiles_only_on_real_change():
 
 def test_null_obs_leaves_no_residue():
     source = build_switch()._fast.source
-    assert "def _process(" in source
-    assert "def _process_batch(" in source
+    assert top_level_defs(source) == ["def _process(packet, ingress_port):"]
     assert "TR." not in source      # no tracer calls
     assert ".inc()" not in source   # no metrics counters
 
 
-def test_live_obs_instruments_and_matches_fast():
+def test_live_obs_instruments_and_matches_interp():
     traffic = [(random_packet(random.Random(11)), 1) for _ in range(10)]
     dumps = {}
-    for engine in ("fast", "codegen"):
+    for engine in ("interp", "codegen"):
         obs = Observability.enabled()
         sw = build_switch(engine=engine, obs=obs)
         for packet, port in traffic:
@@ -160,13 +224,19 @@ def test_live_obs_instruments_and_matches_fast():
     lookups = dumps["codegen"]["table_lookups_total"]["series"]
     assert sum(s["value"] for s in lookups) > 0
     # Packet-path metrics agree; only the engine-specific build/latency
-    # instruments (fastpath_ns vs codegen_ns, phase timings) differ.
-    skip = {"fastpath_ns_per_packet", "codegen_ns_per_packet",
-            "phase_seconds"}
-    shared = set(dumps["fast"]) & set(dumps["codegen"]) - skip
+    # instruments (interp_ns vs codegen_ns, phase timings) differ.
+    # Codegen registers every hit/miss series at build time, interp on
+    # first observation, so compare the non-zero series.
+    def totals(metric):
+        return {tuple(sorted(s["labels"].items())): s["value"]
+                for s in metric["series"] if s["value"]}
+
+    skip = {"interp_ns_per_packet"} | TIMING_METRICS
+    shared = set(dumps["interp"]) & set(dumps["codegen"]) - skip
     assert "switch_packets_total" in shared
     for metric in shared:
-        assert dumps["codegen"][metric] == dumps["fast"][metric], metric
+        assert totals(dumps["codegen"][metric]) == \
+            totals(dumps["interp"][metric]), metric
 
 
 def test_attach_observability_rebuilds():
@@ -189,7 +259,7 @@ def test_attach_observability_rebuilds():
 
 def test_generated_source_api_accepts_every_program_form(tmp_path):
     by_name = repro.api.generated_source("loops")
-    assert "def _process(" in by_name and "def _process_batch(" in by_name
+    assert top_level_defs(by_name) == ["def _process(packet, ingress_port):"]
     compiled = repro.compile_indus("loops")
     assert repro.api.generated_source(compiled) == by_name
 

@@ -1,8 +1,8 @@
-"""Differential tests: every engine vs the reference interpreter.
+"""Differential tests: the codegen engine vs the reference interpreter.
 
-The fast engine (:mod:`repro.p4.fastpath`) and the generated-source
-codegen engine (:mod:`repro.p4.codegen`) must be observationally
-identical to the tree-walking interpreter for every program and packet:
+The generated-source codegen engine (:mod:`repro.p4.codegen`) must be
+observationally identical to the tree-walking interpreter for every
+program and packet:
 byte-identical output packets, the same digests, and the same register
 state.  This suite holds that line over the full properties corpus,
 fuzz-generated Indus programs, and multi-hop telemetry chains.
@@ -14,11 +14,10 @@ import pytest
 
 from repro.compiler import compile_program, standalone_program
 from repro.net.packet import ip, make_tcp, make_udp
+from repro.p4 import ENGINES
 from repro.p4.bmv2 import Bmv2Switch
 from repro.properties import PROPERTIES, load_source
 from tests.genprog import gen_multihop_program, gen_program
-
-ENGINES = ("interp", "fast", "codegen")
 
 
 def serialize_outputs(outputs):

@@ -1,14 +1,12 @@
-"""Fast-path engine unit tests: UnExpr width regression, bounded digest
-logs, and copy elision for non-mutating programs."""
+"""Engine unit tests: UnExpr width regression, bounded digest logs,
+and copy elision for non-mutating programs, on both engines."""
 
 import pytest
 
 from repro.net.packet import HeaderType, Packet, ip, make_udp
-from repro.p4 import ir
+from repro.p4 import ENGINES, ir
 from repro.p4.bmv2 import BoundedLog, Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
-
-ENGINES = ("interp", "fast")
 
 H = HeaderType("h", [("a", 32), ("b", 16)])
 
@@ -153,5 +151,8 @@ class TestCopyElision:
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        Bmv2Switch(l2_port_forwarding(), engine="turbo")
+    for engine in ("turbo", "fast"):
+        with pytest.raises(ValueError) as excinfo:
+            Bmv2Switch(l2_port_forwarding(), engine=engine)
+        for valid in ENGINES:
+            assert valid in str(excinfo.value)

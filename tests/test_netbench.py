@@ -12,6 +12,7 @@ import pytest
 
 from repro import api
 from repro.cli import main
+from repro.p4 import ENGINES
 from repro.experiments.netbench import (
     NET_TARGET_PPS,
     check_equivalence,
@@ -59,7 +60,7 @@ def test_check_equivalence_ok():
     assert checks["offered_packets_equal"]
 
 
-@pytest.mark.parametrize("engine", ["fast", "codegen"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_check_equivalence_across_engines(engine):
     assert check_equivalence(rate_pps=RATE, duration_s=DURATION,
                              engine=engine)["ok"]

@@ -18,7 +18,7 @@ from repro.p4.bmv2 import Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
 
 
-def _switches(topology, engine="fast", obs=None):
+def _switches(topology, engine="codegen", obs=None):
     return {
         name: Bmv2Switch(l2_port_forwarding(f"l2_{name}"), name=name,
                          switch_id=spec.switch_id, engine=engine, obs=obs)
@@ -34,7 +34,7 @@ def _packet():
 # Lifecycle ordering across a 3-hop path
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["fast", "interp"])
+@pytest.mark.parametrize("engine", ["codegen", "interp"])
 def test_three_hop_lifecycle_event_ordering(engine):
     topo = linear(3)                       # h1 - s1 - s2 - s3 - h2
     obs = Observability.enabled()
@@ -124,7 +124,7 @@ def test_no_route_drop_is_counted_and_traced():
     assert drops[0].port == 9
 
 
-@pytest.mark.parametrize("engine", ["fast", "interp"])
+@pytest.mark.parametrize("engine", ["codegen", "interp"])
 def test_pipeline_and_ttl_drop_reasons(engine):
     topo = single_switch(2)
     obs = Observability.enabled()
@@ -137,14 +137,13 @@ def test_pipeline_and_ttl_drop_reasons(engine):
     assert net.packets_delivered == 0
     reasons = [e.detail["reason"] for e in obs.tracer.events(kind="drop")]
     assert reasons == ["pipeline", "ttl"]
-    name = "fastpath" if engine == "fast" else "interp"
     dropped = obs.registry.value("switch_packets_dropped_total",
                                  "s1", "pipeline")
     assert dropped == 1
     assert obs.registry.value("switch_packets_dropped_total",
                               "s1", "ttl") == 1
     # The latency histogram saw both packets.
-    hist = obs.registry.value(f"{name}_ns_per_packet")
+    hist = obs.registry.value(f"{engine}_ns_per_packet")
     assert hist.count == 2
 
 
@@ -152,7 +151,7 @@ def test_pipeline_and_ttl_drop_reasons(engine):
 # Off-by-default: instrumented and plain engines agree byte-for-byte
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["fast", "interp"])
+@pytest.mark.parametrize("engine", ["codegen", "interp"])
 def test_instrumented_engine_outputs_match_plain(engine):
     from repro.experiments.bench import _build_switch
 
@@ -175,7 +174,7 @@ def test_instrumented_engine_outputs_match_plain(engine):
 def test_attach_observability_rebuilds_fastpath():
     from repro.experiments.bench import _build_switch
 
-    sw = _build_switch("fast")
+    sw = _build_switch("codegen")
     out_before = sw.process(_packet(), 1)
     obs = Observability.enabled()
     sw.attach_observability(obs)

@@ -278,6 +278,30 @@ def test_same_template_from_two_hosts_replays_each_hosts_path():
     assert snap["hosts"]["h2"]["tx"] == 50
 
 
+def test_template_memo_does_not_leak_across_networks():
+    """A template's transit memo is validated by generation: the same
+    template objects fed to a second fresh network must be routed by
+    that network, not replayed into the first network's hosts."""
+    topo = single_switch(3)
+    template = make_udp(topo.hosts["h1"].ipv4, topo.hosts["h2"].ipv4,
+                        1111, 2222, payload_len=100)
+    emissions = [(i * 2e-6, template) for i in range(50)]
+    networks = {}
+    for label, out_port in (("a", 2), ("b", 3)):
+        bmv2 = Bmv2Switch(l2_port_forwarding(), name="s1")
+        bmv2.insert_entry("fwd_table", [1], "fwd_set_egress", [out_port])
+        network = Network(single_switch(3), {"s1": bmv2}, batched=True)
+        network.attach_source("h1", iter(emissions))
+        network.run()
+        networks[label] = network
+    a, b = networks["a"], networks["b"]
+    assert a.hosts["h2"].rx_count == 50
+    assert a.packets_delivered == 50
+    assert b.hosts["h3"].rx_count == 50
+    assert b.hosts["h2"].rx_count == 0
+    assert b.packets_delivered == 50
+
+
 def test_fig12_rtt_series_bit_identical_under_batched_mode():
     """The paper experiment itself: RTT series with a checker deployed
     must be bit-identical between the two network modes."""

@@ -1,7 +1,8 @@
 """Table-index unit tests: insert/delete/priority/LPM tie-break order.
 
-The fast engine indexes entries (exact hash map, LPM prefix-length
-buckets, sorted scan); the interpreter scans linearly with ``_beats``.
+The codegen engine indexes entries (exact hash map, LPM prefix-length
+buckets, sorted scan; :mod:`repro.p4.tableindex`); the interpreter
+scans linearly with ``_beats``.
 Every scenario here runs on both engines and asserts the same winning
 entry — plus the explicitly expected one — including churn that forces
 index invalidation and rebuild.
@@ -10,12 +11,10 @@ index invalidation and rebuild.
 import pytest
 
 from repro.net.packet import HeaderType
-from repro.p4 import ir
+from repro.p4 import ENGINES, ir
 from repro.p4.bmv2 import Bmv2Switch
 
 H = HeaderType("h", [("a", 32), ("b", 32)])
-
-ENGINES = ("interp", "fast")
 
 
 def make_program(keys):
@@ -150,15 +149,12 @@ def test_default_action_used_on_miss_and_tracks_changes():
 # live index instead of invalidating it.  Same win-order contract.
 # ---------------------------------------------------------------------------
 
-ALL_ENGINES = ("interp", "fast", "codegen")
-
-
 def winners_bulk(program, entries, probes, deletions=()):
     """Like :func:`winners` but installing through ``insert_entries``,
-    across all three engines, with optional bulk deletions (indexes into
+    across both engines, with optional bulk deletions (indexes into
     ``entries``) applied after a first lookup warmed the index."""
     results = []
-    for engine in ALL_ENGINES:
+    for engine in ENGINES:
         sw = Bmv2Switch(program, engine=engine)
         created = sw.insert_entries(
             "t", [(match, "set_out", args, priority)
@@ -171,7 +167,7 @@ def winners_bulk(program, entries, probes, deletions=()):
             packet_out = sw.process(_packet(a, b), 1)
             row.append(packet_out[0][0] if packet_out else None)
         results.append(row)
-    assert results[0] == results[1] == results[2], "engines disagree"
+    assert all(row == results[0] for row in results), "engines disagree"
     return results[0]
 
 
@@ -195,7 +191,7 @@ def test_bulk_delete_reexposes_shadowed_entry():
 
 def test_bulk_fold_after_warm_index_keeps_order():
     program = make_program([ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)])
-    for engine in ALL_ENGINES:
+    for engine in ENGINES:
         sw = Bmv2Switch(program, engine=engine)
         first = sw.insert_entries("t", [([5], "set_out", [100], 0)])
         assert sw.process(_packet(5, 0), 1)[0][0] == 100
@@ -213,7 +209,7 @@ def test_range_buckets_engage_and_preserve_win_order():
     """Above _RBUCKET_MIN entries with a degenerate range column the
     index switches to hashed range buckets; residual wide-range entries
     must still win by priority."""
-    from repro.p4.fastpath import _RBUCKET_MIN
+    from repro.p4.tableindex import _RBUCKET_MIN
 
     program = make_program([
         ir.TableKey("hdr.h.a", ir.MatchKind.RANGE),
@@ -236,8 +232,8 @@ def test_range_buckets_engage_and_preserve_win_order():
             expected.append(8)
     got = winners_bulk(program, entries, probes)
     assert got == expected
-    # White box: the fast engine actually chose the bucket layout.
-    sw = Bmv2Switch(program, engine="fast")
+    # White box: the codegen engine actually chose the bucket layout.
+    sw = Bmv2Switch(program, engine="codegen")
     sw.insert_entries("t", [(m, "set_out", a, p) for m, a, p in entries])
     sw.process(_packet(0, 0), 1)
     index = sw._fast.tables["t"]
@@ -248,10 +244,10 @@ def test_range_buckets_engage_and_preserve_win_order():
 
 def test_range_bucket_fold_churn_randomized_parity():
     """Randomized bulk insert/delete churn on a bucketed range table:
-    fast and codegen stay packet-for-packet equal to the interpreter."""
+    codegen stays packet-for-packet equal to the interpreter."""
     import random
 
-    from repro.p4.fastpath import _RBUCKET_MIN
+    from repro.p4.tableindex import _RBUCKET_MIN
 
     program = make_program([
         ir.TableKey("hdr.h.a", ir.MatchKind.RANGE),
@@ -274,7 +270,7 @@ def test_range_bucket_fold_churn_randomized_parity():
                         rng.randrange(5)))
         return out
 
-    switches = {e: Bmv2Switch(program, engine=e) for e in ALL_ENGINES}
+    switches = {e: Bmv2Switch(program, engine=e) for e in ENGINES}
     state = rng.getstate()
     installed = {}
     for engine, sw in switches.items():
@@ -294,7 +290,7 @@ def test_range_bucket_fold_churn_randomized_parity():
                 out = sw.process(_packet(a, b), 1)
                 row.append(out[0][0] if out else None)
             rows_out.append(row)
-        assert rows_out[0] == rows_out[1] == rows_out[2], \
+        assert all(row == rows_out[0] for row in rows_out), \
             f"engines diverged in round {round_no}"
 
     assert_parity(0)
