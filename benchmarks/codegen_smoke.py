@@ -9,6 +9,13 @@ and batch entry points.  Any program whose generated source fails to
 compile, or whose codegen output diverges from the interp engine on the
 smoke packet, fails the run.
 
+Then the paper's deployment — the fabric-upf leaf with all 11 Table-1
+checkers linked in — is emitted and its generated source checked for
+the shape the engine promises: one function, no per-packet header
+allocation, a loop-free parser, and no more ``Header.copy`` calls on a
+mid-path packet than the binds that packet writes (an exact count, so
+this stays threshold-free).
+
 Usage: ``PYTHONPATH=src python benchmarks/codegen_smoke.py``
 """
 
@@ -21,10 +28,18 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
+from repro.aether.upf import upf_program                        # noqa: E402
 from repro.compiler import compile_program, standalone_program  # noqa: E402
-from repro.net.packet import ip, make_udp                       # noqa: E402
-from repro.p4.bmv2 import Bmv2Switch                            # noqa: E402
-from repro.properties import PROPERTIES, load_source            # noqa: E402
+from repro.experiments.fig12 import (ALL_CHECKERS,              # noqa: E402
+                                     configure_checker_controls,
+                                     install_fabric_routes)
+from repro.net.packet import Header, ip, make_udp               # noqa: E402
+from repro.net.topology import leaf_spine                       # noqa: E402
+from repro.p4 import ir                                         # noqa: E402
+from repro.p4.bmv2 import Bmv2Switch, PacketContext             # noqa: E402
+from repro.properties import (PROPERTIES, compile_suite,        # noqa: E402
+                              load_source)
+from repro.runtime.deployment import HydraDeployment            # noqa: E402
 
 
 def _targets():
@@ -41,6 +56,75 @@ def _serialize(outputs):
     return [(port, [(h.htype.name, h.valid, h.to_bits())
                     for h in pkt.headers], pkt.payload_len)
             for port, pkt in outputs]
+
+
+def _fabric(topology, compiled, engine):
+    forwarding = {name: upf_program(f"fabric_upf_{name}")
+                  for name in topology.switches}
+    deployment = HydraDeployment(topology, compiled, forwarding,
+                                 engine=engine)
+    install_fabric_routes(topology, deployment.switches)
+    configure_checker_controls(deployment, topology)
+    return deployment
+
+
+def _spy(cls, name, run):
+    """``run()`` with method ``cls.name`` wrapped: the result and the
+    positional arguments of every call made to it."""
+    original = getattr(cls, name)
+    calls = []
+
+    def wrapper(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    setattr(cls, name, wrapper)
+    try:
+        return run(), calls
+    finally:
+        setattr(cls, name, original)
+
+
+def check_all_checkers_leaf() -> None:
+    """Shape of the generated all-checkers pipeline (see module doc)."""
+    topology = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
+    # One compile: the parser matches header types by identity.
+    compiled = compile_suite(ALL_CHECKERS)
+    codegen = _fabric(topology, compiled, "codegen")
+    interp = _fabric(topology, compiled, "interp")
+    source = codegen.switches["leaf1"]._fast.source
+    defs = [line for line in source.splitlines() if line.startswith("def ")]
+    assert defs == ["def _process(packet, ingress_port):"], defs
+    assert "_blank(" not in source, "per-packet header allocation"
+    assert "while True" not in source, "acyclic parser emitted a loop"
+    # h1 -> h3 crosses leaf1, a spine, leaf2: the spine sees it mid-path.
+    hosts = topology.hosts
+    packet = make_udp(hosts["h1"].ipv4, hosts["h3"].ipv4, 4000, 9)
+    entry = topology.host_attachment("h1")
+    # Both deployments see the first hop: its digests program every
+    # switch's firewall state.
+    interp.switches[entry.node].process(packet, entry.port)
+    (port, mid), = codegen.switches[entry.node].process(packet, entry.port)
+    hop = topology.link_at(entry.node, port).other(
+        type(entry)(entry.node, port))
+    out, copies = _spy(
+        Header, "copy",
+        lambda: codegen.switches[hop.node].process(mid, hop.port))
+    # What the reference engine writes: header-field destinations and
+    # validity statements it executes for this packet.
+    (want, stmts), writes = _spy(
+        PacketContext, "write", lambda: _spy(
+            Bmv2Switch, "_exec",
+            lambda: interp.switches[hop.node].process(mid, hop.port)))
+    assert _serialize(out) == _serialize(want), "mid-path output diverges"
+    binds = {path.split(".")[1] for path, _ in writes
+             if path.startswith("hdr.")}
+    binds |= {stmt.header for stmt, _ in stmts
+              if isinstance(stmt, (ir.SetValid, ir.SetInvalid))}
+    assert 0 < len(copies) <= len(binds), (
+        f"{len(copies)} Header.copy calls for {len(binds)} binds written")
+    print(f"ok   all-checkers leaf: {source.count(chr(10))} lines, "
+          f"{len(copies)} copies for {len(binds)} binds written mid-path")
 
 
 def main() -> int:
@@ -75,6 +159,11 @@ def main() -> int:
                 print(f"FAIL {label}: {type(exc).__name__}: {exc}")
                 continue
             print(f"ok   {label}")
+    try:
+        check_all_checkers_leaf()
+    except AssertionError as exc:
+        failures += 1
+        print(f"FAIL all-checkers leaf: {exc}")
     if failures:
         print(f"{failures} program(s) failed", file=sys.stderr)
         return 1

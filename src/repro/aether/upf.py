@@ -22,6 +22,7 @@ filtering checker (Figure 9) observe the forwarding decision through its
 
 from __future__ import annotations
 
+import zlib
 from typing import Optional
 
 from ..net.packet import (ETH_TYPE_IPV4, ETHERNET, GTPU, IP_PROTO_TCP,
@@ -34,24 +35,11 @@ DIRECTION_UPLINK = 1
 DIRECTION_DOWNLINK = 2
 
 
-def _upf_ecmp_hash(ctx) -> None:
+def _upf_ecmp_hash(route_dst: int, app_addr: int, app_port: int,
+                   app_proto: int, ecmp_width: int) -> int:
     """Flow hash extern for ECMP uplink selection (deterministic)."""
-    import zlib
-
-    parts = (
-        ctx.meta.get("route_dst", 0),
-        ctx.meta.get("app_addr", 0),
-        ctx.meta.get("app_port", 0),
-        ctx.meta.get("app_proto", 0),
-    )
-    blob = ",".join(str(p) for p in parts).encode()
-    width = ctx.meta.get("ecmp_width", 1) or 1
-    ctx.write("meta.ecmp_select", zlib.crc32(blob) % width)
-
-
-# Deterministic function of parser-derived metadata with no side
-# effects: eligible for flow-level fast-forwarding (repro.net).
-_upf_ecmp_hash.pure = True
+    blob = f"{route_dst},{app_addr},{app_port},{app_proto}".encode()
+    return zlib.crc32(blob) % (ecmp_width or 1)
 
 
 def upf_program(name: str = "fabric_upf",
@@ -342,7 +330,14 @@ def upf_program(name: str = "fabric_upf",
             cond=ir.BinExpr(">", ir.FieldRef("meta.ecmp_width"),
                             ir.Const(0, 8)),
             then_body=[
-                ir.ExternCall("upf_ecmp_hash", _upf_ecmp_hash),
+                ir.ExternCall(
+                    "upf_ecmp_hash", _upf_ecmp_hash,
+                    args=[ir.FieldRef("meta.route_dst"),
+                          ir.FieldRef("meta.app_addr"),
+                          ir.FieldRef("meta.app_port"),
+                          ir.FieldRef("meta.app_proto"),
+                          ir.FieldRef("meta.ecmp_width")],
+                    dests=["meta.ecmp_select"]),
                 ir.ApplyTable("upf_ecmp_table"),
             ],
         ),

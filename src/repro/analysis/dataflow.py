@@ -56,7 +56,7 @@ class Effects:
     ``defs`` are may-defs; ``must_defs`` additionally hold on every
     execution of the node.  ``side_effects`` marks work that is
     observable beyond the tracked metadata (register writes, digests,
-    header/validity mutation, drops, externs) — a node with side
+    header/validity mutation, drops) — a node with side
     effects is never a dead-code candidate no matter how dead its
     written fields are.
     """
@@ -166,7 +166,14 @@ def stmt_effects(stmt: ir.P4Stmt, tables: Dict[str, ir.Table],
         return Effects(defs=frozenset({"standard_metadata.$drop"}),
                        must_defs=frozenset({"standard_metadata.$drop"}),
                        side_effects=True)
-    # PopSourceRoute / ExternCall: opaque header/world mutation.
+    if isinstance(stmt, ir.ExternCall):
+        uses = set()
+        for expr in stmt.args:
+            uses |= expr_uses(expr)
+        dests = frozenset(stmt.dests)
+        return Effects(uses=frozenset(uses), defs=dests, must_defs=dests,
+                       side_effects=any(map(_is_observable_dest, dests)))
+    # PopSourceRoute: opaque header mutation.
     return Effects(side_effects=True)
 
 

@@ -9,9 +9,9 @@ replay with pure float arithmetic — no pipeline execution at all.
 This module holds the admission rule: a switch program may be skipped
 on cache hits only when re-running it could not observe or produce
 anything a skipped run would miss.  That means no register reads or
-writes, no digests, and no extern calls — except externs explicitly
-marked pure (``fn.pure = True``), which declares that the extern is a
-deterministic function of the packet context with no side effects
+writes and no digests.  Extern calls qualify: an
+:class:`~repro.p4.ir.ExternCall` sees only its declared arguments, so
+it is a deterministic function of the packet with no side effects
 (e.g. the fabric-upf ECMP flow hash).
 
 The check is structural over the IR: it walks the ingress/egress
@@ -25,8 +25,6 @@ a stateless program stateful.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 from ..p4 import ir
 
 #: Flow caches are bounded: traffic that never reuses template packets
@@ -38,30 +36,6 @@ from ..p4 import ir
 FLOW_CACHE_MAX = 131_072
 
 
-def extern_is_pure(stmt: ir.ExternCall) -> bool:
-    """An extern may be fast-forwarded iff its fn self-declares purity."""
-    return bool(getattr(stmt.fn, "pure", False))
-
-
-def _stmts_stateless(stmts: Iterable[ir.P4Stmt]) -> bool:
-    for stmt in stmts:
-        if isinstance(stmt, (ir.RegisterRead, ir.RegisterWrite, ir.Digest)):
-            return False
-        if isinstance(stmt, ir.ExternCall) and not extern_is_pure(stmt):
-            return False
-        if isinstance(stmt, ir.IfStmt):
-            if not _stmts_stateless(stmt.then_body):
-                return False
-            if not _stmts_stateless(stmt.else_body):
-                return False
-        elif isinstance(stmt, ir.ApplyTable):
-            if not _stmts_stateless(stmt.hit_body):
-                return False
-            if not _stmts_stateless(stmt.miss_body):
-                return False
-    return True
-
-
 def stateless_program(program: ir.P4Program) -> bool:
     """True iff every statement reachable in ``program`` is stateless.
 
@@ -69,6 +43,7 @@ def stateless_program(program: ir.P4Program) -> bool:
     only other statement containers, and which ones run depends on
     runtime table entries, so all of them must qualify.
     """
-    bodies: List[List[ir.P4Stmt]] = [program.ingress, program.egress]
-    bodies.extend(action.body for action in program.actions.values())
-    return all(_stmts_stateless(body) for body in bodies)
+    return not any(
+        isinstance(stmt, (ir.RegisterRead, ir.RegisterWrite, ir.Digest))
+        for body in ir.program_bodies(program)
+        for stmt in ir.walk_stmts(body))

@@ -405,7 +405,8 @@ class Network:
     def _send_over(self, link: Link, src: Endpoint, packet: Packet) -> None:
         """Serialize + propagate a packet from ``src`` over ``link``."""
         dst = link.other(src)
-        tx_time = packet.length * 8 / link.bandwidth_bps
+        length = packet.length
+        tx_time = length * 8 / link.bandwidth_bps
         # Serialization queueing at the sending side.
         if src.node in self.switches:
             device = self.switches[src.node]
@@ -427,7 +428,7 @@ class Network:
         if src.node in self.switches:
             device = self.switches[src.node]
             device.port_busy_until[src.port] = start + tx_time
-            device.bytes_forwarded += packet.length
+            device.bytes_forwarded += length
         else:
             # The packet is actually going onto the wire: this — not
             # Host.send scheduling time — is when it counts as sent.
@@ -447,7 +448,7 @@ class Network:
             packet = self._wire_roundtrip(packet)
         arrival_delay = (ready - self.sim.now) + link.latency_s
         self.sim.schedule(arrival_delay,
-                          lambda: self._arrive(dst, packet))
+                          lambda: self._arrive(dst, packet, length))
 
     def _drop(self, node: str, packet: Packet, reason: str,
               port: Optional[int] = None, **detail: float) -> None:
@@ -1528,7 +1529,8 @@ class Network:
                     self._defer_walk("wire", node, egress_port, out_packet,
                                      t_fwd)
                     continue
-                tx_time = out_packet.length * 8 / out_link.bandwidth_bps
+                length = out_packet.length
+                tx_time = length * 8 / out_link.bandwidth_bps
                 start = max(t_fwd,
                             device.port_busy_until.get(egress_port, 0.0))
                 queue_wait = start - t_fwd
@@ -1537,7 +1539,7 @@ class Network:
                                port=egress_port, queue_wait_s=queue_wait)
                     continue
                 device.port_busy_until[egress_port] = start + tx_time
-                device.bytes_forwarded += out_packet.length
+                device.bytes_forwarded += length
                 if self.serialize_on_wire:
                     out_packet = self._wire_roundtrip(out_packet)
                 arrival = ((start + tx_time - t_fwd)
@@ -1549,8 +1551,9 @@ class Network:
                     # transit times inverted their emission order.
                     end = dst
                     pkt = out_packet
-                    sim.schedule_at(arrival,
-                                    lambda e=end, p=pkt: self._arrive(e, p))
+                    sim.schedule_at(
+                        arrival,
+                        lambda e=end, p=pkt, n=length: self._arrive(e, p, n))
                     continue
                 onward.append((arrival, out_packet, dst.port, dst.node))
             if not onward:

@@ -26,11 +26,7 @@ from ..net.packet import Header, Packet
 from ..obs import NULL_OBS, Observability
 from ..obs.metrics import DEFAULT_NS_BUCKETS
 from . import ir
-
-
-class P4RuntimeError(Exception):
-    """Raised on malformed control-plane operations or broken programs."""
-
+from .ir import P4RuntimeError
 
 DROP_PORT = 511
 
@@ -187,21 +183,21 @@ class PacketContext:
         return header is not None and header.valid
 
 
-def _pop_source_route(ctx: "PacketContext") -> None:
-    """Shift the source-route stack down by one slot (both engines)."""
+def _pop_source_route(hdr: Dict[str, Header]) -> None:
+    """Shift the source-route stack down by one slot (both engines):
+    over the ``srcRoute<i>`` binds of ``hdr``, each valid slot takes the
+    next one's values and the last valid slot becomes invalid."""
     binds = sorted(
-        (b for b in ctx.hdr if b.startswith("srcRoute") and
+        (b for b in hdr if b.startswith("srcRoute") and
          b[len("srcRoute"):].isdigit()),
         key=lambda b: int(b[len("srcRoute"):]),
     )
-    valid = [b for b in binds if ctx.hdr[b].valid]
+    valid = [b for b in binds if hdr[b].valid]
     if not valid:
         return
     for i in range(len(valid) - 1):
-        src = ctx.hdr[valid[i + 1]]
-        dst = ctx.hdr[valid[i]]
-        dst.values.update(src.values)
-    ctx.hdr[valid[-1]].valid = False
+        hdr[valid[i]].values.update(hdr[valid[i + 1]].values)
+    hdr[valid[-1]].valid = False
 
 
 def drop_reason(packet: Packet) -> str:
@@ -238,6 +234,7 @@ class Bmv2Switch:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r} "
                              f"(expected one of {ENGINES})")
+        ir.check_externs(program)
         self.program = program
         self.name = name
         self.switch_id = switch_id
@@ -270,8 +267,9 @@ class Bmv2Switch:
         # Statistics for the evaluation harness.
         self.packets_processed = 0
         self.packets_dropped = 0
-        # Copy elision: a program that provably never mutates headers can
-        # run on a packet shell sharing the original Header instances.
+        # Copy elision for the interpreter: a program that provably never
+        # mutates headers can run on a packet shell sharing the original
+        # Header instances (the codegen engine copies on first write).
         self._share_headers = not ir.mutates_headers(program)
         self.obs = NULL_OBS
         self._obs_live = False
@@ -701,16 +699,14 @@ class Bmv2Switch:
             ctx.standard.drop = True
             return
         if isinstance(stmt, ir.PopSourceRoute):
-            self._pop_source_route(ctx)
+            _pop_source_route(ctx.hdr)
             return
         if isinstance(stmt, ir.ExternCall):
-            if stmt.fn is not None:
-                stmt.fn(ctx)
+            results = stmt.call(*[self._eval(arg, ctx) for arg in stmt.args])
+            for dest, value in zip(stmt.dests, results):
+                ctx.write(dest, value)
             return
         raise P4RuntimeError(f"unknown statement {type(stmt).__name__}")
-
-    def _pop_source_route(self, ctx: PacketContext) -> None:
-        _pop_source_route(ctx)
 
     # -- tables --------------------------------------------------------------------
 

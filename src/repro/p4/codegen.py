@@ -10,6 +10,13 @@ with flat local variables:
   ``sm_egress_spec``) instead of dict/attribute accesses.
 * **Header fields** read and write through hoisted ``values`` dict
   locals; validity checks are plain attribute loads.
+* **Headers are copied on first write.**  A bind's ``Header`` is
+  shared — with the input packet when extracted, with a per-bind
+  invalid blank otherwise — until the first statement that writes it
+  in this packet takes ownership with a copy.  A packet pays for the
+  headers it changes, not for the ones the program could change.
+* **The parser is one pass** over the parse graph in topological order;
+  only a back edge (a cyclic graph) re-enters it.
 * **Tables** are indexed at entry-install time
   (:class:`~repro.p4.tableindex._TableIndex`); the bound payload is
   ``(action_id, args)`` and the action body is inlined at every apply
@@ -33,16 +40,13 @@ Control-plane interplay: the generated dispatch assumes a fixed action
 set per table and bakes the SSA facts derived from the defaults at
 build time.  ``Bmv2Switch`` notifies the engine on entry inserts and
 default-action changes; the engine recompiles when an assumption no
-longer covers the installed state.  Externs receive a full
-:class:`~repro.p4.tableindex._FastContext` built from the flat locals and
-synced back afterwards (externs may mutate fields and rebind headers;
-adding *new* bind names from an extern is not supported by any engine's
-deparse contract and is not resynced here).
+longer covers the installed state.  Externs are value-in/value-out
+(:class:`~repro.p4.ir.ExternCall`): the call site passes the evaluated
+arguments and writes the results like any other assignment.
 """
 
 from __future__ import annotations
 
-import copy
 import re
 import time
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -51,8 +55,9 @@ from ..net.packet import Header, Packet
 from ..obs.profile import profiled
 from . import ir
 from .bmv2 import (DROP_PORT, DigestMessage, P4RuntimeError, StandardMetadata,
-                   drop_reason)
-from .tableindex import _FastContext, _TableIndex, _writable_binds
+                   _pop_source_route, drop_reason)
+from .ssa import _stmt_exprs, optimize_pipeline
+from .tableindex import _TableIndex
 
 __all__ = ["CodegenEngine"]
 
@@ -95,50 +100,20 @@ def _absdiff(left: int, right: int, mask: int) -> int:
     return min(diff, (-diff) & mask)
 
 
-def _blank(htype, template) -> Header:
-    header = Header.__new__(Header)
-    object.__setattr__(header, "htype", htype)
-    object.__setattr__(header, "values", dict(template))
-    object.__setattr__(header, "valid", False)
+def _blank(htype) -> Header:
+    """An invalid all-zero header: the shared stand-in for a bind the
+    parser did not extract (built once per engine build, never written)."""
+    header = Header(htype)
+    header.valid = False
     return header
-
-
-def _pop_sr(hdrs: Dict[str, Header]) -> None:
-    """PopSourceRoute over the srcRoute* slice of the bind map (same
-    shift-down semantics as :func:`repro.p4.bmv2._pop_source_route`)."""
-    binds = sorted(
-        (b for b in hdrs if b.startswith("srcRoute") and
-         b[len("srcRoute"):].isdigit()),
-        key=lambda b: int(b[len("srcRoute"):]),
-    )
-    valid = [b for b in binds if hdrs[b].valid]
-    if not valid:
-        return
-    for i in range(len(valid) - 1):
-        hdrs[valid[i]].values.update(hdrs[valid[i + 1]].values)
-    hdrs[valid[-1]].valid = False
 
 
 def _sanitize(name: str) -> str:
     return re.sub(r"\W", "_", name)
 
 
-class _Actx:
-    """Emission context for one lexical action scope.
-
-    ``params`` maps parameter names to source expressions; ``args_expr``
-    is the source expression for the live ``action_args`` dict handed
-    to externs (None when the scope provably contains no extern).
-    """
-
-    __slots__ = ("params", "args_expr")
-
-    def __init__(self, params: Dict[str, str], args_expr: Optional[str]):
-        self.params = params
-        self.args_expr = args_expr
-
-
-_TOP = _Actx({}, None)
+#: ``param.*`` bindings outside any action: none.
+_NO_PARAMS: Dict[str, str] = {}
 
 
 class CodegenEngine:
@@ -236,7 +211,6 @@ class CodegenEngine:
         """SSA-optimize private copies of the pipelines under the
         switch's live control-plane state (runtime defaults + any
         installed entries whose actions go beyond the declaration)."""
-        from .ssa import optimize_pipeline
         program = self.program
         switch = self.switch
         self._assumed = {}
@@ -266,8 +240,8 @@ class CodegenEngine:
             name=program.name, parser=program.parser,
             metadata=list(program.metadata), registers=program.registers,
             actions=program.actions, tables=tables,
-            ingress=copy.deepcopy(program.ingress),
-            egress=copy.deepcopy(program.egress),
+            ingress=ir.clone_stmts(program.ingress),
+            egress=ir.clone_stmts(program.egress),
             emit_order=program.emit_order)
         self.ssa_counts = optimize_pipeline(
             clone, defaults=dict(switch.default_actions))
@@ -310,6 +284,9 @@ class CodegenEngine:
             bind: f"hv{i}_{_sanitize(bind)}"
             for i, bind in enumerate(self._bind_types)
         }
+        self._own_names = {
+            bind: f"o{i}" for i, bind in enumerate(self._bind_types)
+        }
         self._reg_names = {}
         for i, reg in enumerate(program.registers):
             gname = self._g(f"RG{i}_{_sanitize(reg.name)}",
@@ -317,14 +294,10 @@ class CodegenEngine:
             self._reg_names[reg.name] = gname
         # Baseline globals.
         self._g("SW", switch)
-        self._g("PROG", program)
-        self._g("MW", self._meta_width)
-        self._g("_SM", StandardMetadata)
-        self._g("_CTX", _FastContext)
         self._g("_DM", DigestMessage)
+        self._g("_PKT", Packet.shell)
         self._g("_os", object.__setattr__)
-        self._g("_blank", _blank)
-        self._g("_pop_sr", _pop_sr)
+        self._g("_pop_sr", _pop_source_route)
         self._g("_raise_p4", _raise_p4)
         self._g("_raise_key", _raise_key)
         self._g("_div", _div)
@@ -335,36 +308,26 @@ class CodegenEngine:
         if self._instrumented:
             self._g("TR", self._obs.tracer)
         # Usage scans over pipelines + every program action (superset of
-        # anything the dispatch can inline).
+        # anything the dispatch can inline) + the parser's select fields.
         bodies = [ingress, egress]
         bodies.extend(action.body for action in program.actions.values())
         all_stmts = [s for body in bodies for s in ir.walk_stmts(body)]
-        self._has_extern = any(isinstance(s, ir.ExternCall) and s.fn is not None
-                               for s in all_stmts)
-        self._top_extern = any(
-            isinstance(s, ir.ExternCall) and s.fn is not None
-            for body in (ingress, egress) for s in ir.walk_stmts(body))
-        self._used_meta = self._scan_meta(all_stmts)
-        self._hoisted = self._scan_hdr_binds(all_stmts)
+        paths = [p for s in all_stmts for p in self._paths_of(s)]
+        # Binds with field access outside the parser get a hoisted local
+        # for their values dict.
+        self._hoisted = ({p.split(".")[1] for p in paths
+                          if p.startswith("hdr.")} & set(self._bind_types))
+        paths.extend(tr.field_path for state in program.parser.states
+                     for tr in state.transitions
+                     if tr.field_path is not None)
+        self._used_meta = ({p[len("meta."):] for p in paths
+                            if p.startswith("meta.")}
+                           & set(self._meta_width))
         self._dyn_std = self._scan_dyn_std(all_stmts)
-        self._writable = _writable_binds(program, self._bind_types)
-        # Per-bind copy-on-extract: when the program provably mutates
-        # only a known set of binds (no raw extern context access, no
-        # source-route pop rewriting headers in place), the packet shell
-        # is cloned with copy_shared() and only writable binds are
-        # copied at their extraction site — untouched headers ride
-        # through shared.
-        has_pop = any(isinstance(s, ir.PopSourceRoute) for s in all_stmts)
-        self._cow = (not switch._share_headers and not self._has_extern
-                     and not has_pop)
         # packet_length is only materialized when something touches it.
-        all_paths = [p for s in all_stmts for p in self._paths_of(s)]
-        for state in program.parser.states:
-            for tr in state.transitions:
-                if tr.field_path is not None:
-                    all_paths.append(tr.field_path)
-        self._needs_length = (self._has_extern or
-                              "standard_metadata.packet_length" in all_paths)
+        self._needs_length = "standard_metadata.packet_length" in paths
+        #: Binds some statement writes: each gets an ownership flag.
+        self._written: Set[str] = set()
 
         lines: List[str] = [
             f"# generated by repro.p4.codegen for program "
@@ -380,57 +343,21 @@ class CodegenEngine:
     # -- usage scans ---------------------------------------------------------
 
     def _paths_of(self, stmt: ir.P4Stmt) -> List[str]:
+        """Every field path a statement names (shallow, like the
+        expressions :func:`~repro.p4.ssa._stmt_exprs` lists for it)."""
         paths: List[str] = []
-        exprs: List[ir.P4Expr] = []
-        if isinstance(stmt, ir.AssignStmt):
+        if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
             paths.append(stmt.dest)
-            exprs.append(stmt.value)
-        elif isinstance(stmt, ir.IfStmt):
-            exprs.append(stmt.cond)
-        elif isinstance(stmt, ir.RegisterRead):
-            paths.append(stmt.dest)
-            exprs.append(stmt.index)
-        elif isinstance(stmt, ir.RegisterWrite):
-            exprs.extend((stmt.index, stmt.value))
-        elif isinstance(stmt, ir.Digest):
-            exprs.extend(stmt.fields)
+        elif isinstance(stmt, ir.ExternCall):
+            paths.extend(stmt.dests)
         elif isinstance(stmt, ir.ApplyTable):
             table = self.program.tables.get(stmt.table)
             if table is not None:
                 paths.extend(k.path for k in table.keys)
-        for expr in exprs:
-            for sub in ir.walk_exprs(expr):
-                if isinstance(sub, ir.FieldRef):
-                    paths.append(sub.path)
+        paths.extend(sub.path for expr in _stmt_exprs(stmt)
+                     for sub in ir.walk_exprs(expr)
+                     if isinstance(sub, ir.FieldRef))
         return paths
-
-    def _scan_meta(self, stmts: Sequence[ir.P4Stmt]) -> Set[str]:
-        if self._has_extern:
-            return set(self._meta_width)  # extern sync needs the full dict
-        used: Set[str] = set()
-        paths = [p for s in stmts for p in self._paths_of(s)]
-        for state in self.program.parser.states:
-            for tr in state.transitions:
-                if tr.field_path is not None:
-                    paths.append(tr.field_path)
-        for path in paths:
-            root, _, rest = path.partition(".")
-            if root == "meta" and rest in self._meta_width:
-                used.add(rest)
-        return used
-
-    def _scan_hdr_binds(self, stmts: Sequence[ir.P4Stmt]) -> Set[str]:
-        """Binds whose values dict gets a hoisted local (field access
-        outside the parser)."""
-        binds: Set[str] = set()
-        for stmt in stmts:
-            for path in self._paths_of(stmt):
-                root, _, rest = path.partition(".")
-                if root == "hdr":
-                    bind = rest.partition(".")[0]
-                    if bind in self._bind_types:
-                        binds.add(bind)
-        return binds
 
     def _scan_dyn_std(self, stmts: Sequence[ir.P4Stmt]) -> Set[str]:
         """Std-metadata fields outside the dataclass that the program
@@ -449,39 +376,39 @@ class CodegenEngine:
     def _emit_pipeline(self, lines: List[str],
                        ingress: List[ir.P4Stmt],
                        egress: List[ir.P4Stmt]) -> None:
-        """The body of ``_process``: one packet, parse to deparse."""
+        """The body of ``_process``: one packet, parse to deparse.
+
+        The input packet and its headers are only read; the output is a
+        fresh shell over the (shared or owned) headers that survive.
+        """
         ind = 1
         pad = "    " * ind
         emit = lines.append
         emit(f"{pad}SW.packets_processed += 1")
-        copy_call = ("packet.copy_shared()"
-                     if self.switch._share_headers or self._cow
-                     else "packet.copy()")
-        emit(f"{pad}work = {copy_call}")
         emit(f"{pad}sm_ingress_port = ingress_port")
         emit(f"{pad}sm_egress_spec = 0")
         emit(f"{pad}sm_egress_port = 0")
         if self._needs_length:
-            emit(f"{pad}sm_packet_length = work.length")
+            emit(f"{pad}sm_packet_length = packet.length")
         emit(f"{pad}sm_drop = False")
         for name in self._dyn_std:
             emit(f"{pad}sx_{_sanitize(name)} = _UNSET")
         for name in self._meta_names:
             if name in self._used_meta:
                 emit(f"{pad}{self._meta_names[name]} = 0")
-        if self._top_extern:
-            emit(f"{pad}_pa0 = {{}}")
+        flags_at = len(lines)
         self._emit_parser(lines, ind)
         for bind in self._bind_types:
             if bind in self._hoisted:
                 emit(f"{pad}{self._vals_names[bind]} = "
                      f"{self._bind_names[bind]}.values")
-        self._emit_body(ingress, lines, ind, _TOP)
+        owned: Set[str] = set()
+        self._emit_body(ingress, lines, ind, _NO_PARAMS, owned)
         emit(f"{pad}if sm_drop or sm_egress_spec == {DROP_PORT}:")
         emit(f"{pad}    SW.packets_dropped += 1")
         emit(f"{pad}    return []")
         emit(f"{pad}sm_egress_port = sm_egress_spec")
-        self._emit_body(egress, lines, ind, _TOP)
+        self._emit_body(egress, lines, ind, _NO_PARAMS, owned)
         emit(f"{pad}if sm_drop:")
         emit(f"{pad}    SW.packets_dropped += 1")
         emit(f"{pad}    return []")
@@ -494,146 +421,210 @@ class CodegenEngine:
             emit(f"{pad}if {local}.valid:")
             emit(f"{pad}    _emit.append({local})")
         emit(f"{pad}_emit.extend(_tail)")
-        emit(f"{pad}work.headers = _emit")
-        emit(f"{pad}return [(sm_egress_port, work)]")
+        emit(f"{pad}return [(sm_egress_port, _PKT(_emit, packet.payload_len, "
+             f"packet.packet_id, dict(packet.meta)))]")
+        if self._written:
+            flags = " = ".join(self._own_names[bind]
+                               for bind in self._bind_types
+                               if bind in self._written)
+            lines.insert(flags_at, f"{pad}{flags} = False")
+
+    # -- ownership -----------------------------------------------------------
+
+    def _take(self, bind: str) -> str:
+        """Statements (one line) that make this packet the owner of
+        ``bind``'s Header: copy it, re-hoist its values, raise the flag."""
+        self._written.add(bind)
+        local = self._bind_names[bind]
+        hoist = (f"{self._vals_names[bind]} = {local}.values; "
+                 if bind in self._hoisted else "")
+        return (f"{local} = {local}.copy(); {hoist}"
+                f"{self._own_names[bind]} = True")
+
+    def _emit_own(self, bind: str, lines: List[str], ind: int,
+                  owned: Set[str]) -> None:
+        """Copy-on-first-write guard, before a write to ``bind``.
+
+        ``owned`` holds the binds every path to this point already
+        owns, so a run of writes to one header pays for one guard.
+        """
+        if bind not in owned:
+            owned.add(bind)
+            lines.append(f"{'    ' * ind}if not {self._own_names[bind]}: "
+                         f"{self._take(bind)}")
 
     # -- parser --------------------------------------------------------------
 
     def _emit_parser(self, lines: List[str], ind: int) -> None:
+        """One pass over the parse graph.
+
+        States are numbered and emitted in topological order as a run
+        of ``if _st == k:`` blocks, so a forward edge just falls through
+        to a later block; ``-1`` is accept/reject.  Only a graph with a
+        back edge gets the enclosing loop, and only then (or with more
+        than 64 states) the reference engine's 64-visit guard.
+        """
         pad = "    " * ind
         emit = lines.append
         parser = self.program.parser
-        writable = self._writable
+        self._type_names: Dict[str, str] = {}
         for i, (bind, htype) in enumerate(self._bind_types.items()):
-            local = self._bind_names[bind]
-            template = {f.name: 0 for f in htype.fields}
-            ht = self._g(f"HT{i}_{_sanitize(bind)}", htype)
-            if bind in writable:
-                tpl = self._g(f"TPL{i}_{_sanitize(bind)}", template)
-                emit(f"{pad}{local} = _blank({ht}, {tpl})")
-            else:
-                shared = self._g(f"SH{i}_{_sanitize(bind)}",
-                                 _blank(htype, template))
-                emit(f"{pad}{local} = {shared}")
-        emit(f"{pad}_hdrs = work.headers")
+            tag = f"{i}_{_sanitize(bind)}"
+            self._type_names[bind] = self._g(f"HT{tag}", htype)
+            shared = self._g(f"SH{tag}", _blank(htype))
+            emit(f"{pad}{self._bind_names[bind]} = {shared}")
+        emit(f"{pad}_hdrs = packet.headers")
         emit(f"{pad}_nh = len(_hdrs)")
         emit(f"{pad}_cur = 0")
-        states = {state.name: i for i, state in enumerate(parser.states)}
-        start = parser.start
-        if start in (ir.ACCEPT, ir.REJECT_STATE):
-            emit(f"{pad}_tail = _hdrs[_cur:]")
-            return
-        if start not in states:
-            emit(f"{pad}_raise_key({('no parser state ' + repr(start))!r})")
-            emit(f"{pad}_tail = _hdrs[_cur:]")
-            return
-        emit(f"{pad}_st = {states[start]}")
-        emit(f"{pad}_guard = 0")
-        emit(f"{pad}while True:")
-        body = "    " * (ind + 1)
-        emit(f"{body}_guard += 1")
-        emit(f"{body}if _guard > 64:")
-        emit(f"{body}    _raise_p4('parser did not terminate')")
-        for idx, state in enumerate(parser.states):
-            kw = "if" if idx == 0 else "elif"
-            emit(f"{body}{kw} _st == {states[state.name]}:")
-            inner = ind + 2
-            self._emit_state(state, states, lines, inner)
-        emit(f"{body}else:")
-        emit(f"{body}    break")
+        by_name: Dict[str, ir.ParserState] = {}
+        for state in parser.states:
+            by_name.setdefault(state.name, state)
+        # Reverse postorder from the start state.  A name no state
+        # carries is kept as a leaf: entering it raises, as it does in
+        # the reference engine.
+        order: List[str] = []
+        seen = {ir.ACCEPT, ir.REJECT_STATE}
+
+        def visit(name: str) -> None:
+            seen.add(name)
+            state = by_name.get(name)
+            for tr in (state.transitions if state is not None else ()):
+                if tr.next_state not in seen:
+                    visit(tr.next_state)
+            order.append(name)
+
+        if parser.start not in seen:
+            visit(parser.start)
+        order.reverse()
+        index = {name: i for i, name in enumerate(order)}
+        cyclic = any(tr.next_state in index
+                     and index[tr.next_state] <= index[name]
+                     for name in order if name in by_name
+                     for tr in by_name[name].transitions)
+        guarded = cyclic or len(order) > 64
+        if order:
+            emit(f"{pad}_st = 0")
+        if guarded:
+            emit(f"{pad}_guard = 0")
+        if cyclic:
+            emit(f"{pad}while True:")
+            ind += 1
+        body = "    " * ind
+        for pos, name in enumerate(order):
+            emit(f"{body}if _st == {pos}:")
+            if guarded:
+                emit(f"{body}    _guard += 1")
+                emit(f"{body}    if _guard > 64:")
+                emit(f"{body}        _raise_p4('parser did not terminate')")
+            if name in by_name:
+                self._emit_state(by_name[name], pos, index, lines, ind + 1)
+            else:
+                emit(f"{body}    _raise_key("
+                     f"{('no parser state ' + repr(name))!r})")
+        if cyclic:
+            emit(f"{body}break")
         emit(f"{pad}_tail = _hdrs[_cur:]")
 
-    def _emit_state(self, state: ir.ParserState, states: Dict[str, int],
-                    lines: List[str], ind: int) -> None:
-        pad = "    " * ind
+    def _emit_state(self, state: ir.ParserState, pos: int,
+                    index: Dict[str, int], lines: List[str],
+                    ind: int) -> None:
         emit = lines.append
+        rejecting = any(isinstance(ex, ir.Extract) for ex in state.extracts)
+        if rejecting:  # unless every extract below succeeds
+            emit(f"{'    ' * ind}_st = -1")
         for ex in state.extracts:
+            pad = "    " * ind
             if isinstance(ex, ir.Extract):
-                local = self._bind_names[ex.bind]
-                ht = self._g(
-                    f"HT{list(self._bind_types).index(ex.bind)}_"
-                    f"{_sanitize(ex.bind)}", ex.htype)
-                emit(f"{pad}if _cur >= _nh or _hdrs[_cur].htype is not {ht}:")
-                emit(f"{pad}    break")
-                if self._cow and ex.bind in self._writable:
-                    emit(f"{pad}{local} = _hdrs[_cur].copy()")
-                    emit(f"{pad}_hdrs[_cur] = {local}")
-                else:
-                    emit(f"{pad}{local} = _hdrs[_cur]")
+                emit(f"{pad}if _cur < _nh and _hdrs[_cur].htype is "
+                     f"{self._type_names[ex.bind]}:")
+                ind += 1
+                pad = "    " * ind
+                emit(f"{pad}{self._bind_names[ex.bind]} = _hdrs[_cur]")
                 emit(f"{pad}_cur += 1")
             else:  # ExtractStack
-                slot0 = f"{ex.bind}0"
-                ht = self._g(
-                    f"HT{list(self._bind_types).index(slot0)}_"
-                    f"{_sanitize(slot0)}", ex.htype)
                 emit(f"{pad}_depth = 0")
                 emit(f"{pad}while _depth < {ex.max_depth} and _cur < _nh "
-                     f"and _hdrs[_cur].htype is {ht}:")
+                     f"and _hdrs[_cur].htype is "
+                     f"{self._type_names[ex.bind + '0']}:")
                 inner = pad + "    "
                 emit(f"{inner}_hx = _hdrs[_cur]")
                 for depth in range(ex.max_depth):
                     kw = "if" if depth == 0 else "elif"
                     local = self._bind_names[f"{ex.bind}{depth}"]
                     emit(f"{inner}{kw} _depth == {depth}:")
-                    if self._cow and f"{ex.bind}{depth}" in self._writable:
-                        emit(f"{inner}    {local} = _hx.copy()")
-                        emit(f"{inner}    _hdrs[_cur] = {local}")
-                    else:
-                        emit(f"{inner}    {local} = _hx")
+                    emit(f"{inner}    {local} = _hx")
                 emit(f"{inner}_stop = _hx.values[{ex.loop_field!r}] != 0")
                 emit(f"{inner}_cur += 1")
                 emit(f"{inner}_depth += 1")
                 emit(f"{inner}if _stop:")
                 emit(f"{inner}    break")
+        pad = "    " * ind
+        # The select: first listed match wins, else the last default.
         default = ir.ACCEPT
+        cases: List[Tuple[str, Optional[int], int]] = []
         for tr in state.transitions:
             if tr.field_path is None:
                 default = tr.next_state
             else:
-                read = self._read(tr.field_path, _TOP, hoisted=False)
-                emit(f"{pad}if {read} == {tr.value!r}:")
-                self._emit_goto(tr.next_state, states, lines, ind + 1)
-        self._emit_goto(default, states, lines, ind)
-
-    def _emit_goto(self, target: str, states: Dict[str, int],
-                   lines: List[str], ind: int) -> None:
-        pad = "    " * ind
-        if target in (ir.ACCEPT, ir.REJECT_STATE):
-            lines.append(f"{pad}break")
-        elif target in states:
-            lines.append(f"{pad}_st = {states[target]}")
-            lines.append(f"{pad}continue")
+                cases.append((tr.field_path, tr.value,
+                              index.get(tr.next_state, -1)))
+        fallback = index.get(default, -1)
+        fields = {path for path, _, _ in cases}
+        if not cases:
+            if not (rejecting and fallback == -1):
+                emit(f"{pad}_st = {fallback}")
+        elif len(fields) == 1:
+            table: Dict[Optional[int], int] = {}
+            for _, value, target in cases:
+                table.setdefault(value, target)
+            sel = self._g(f"SEL{pos}", table)
+            read = self._read(cases[0][0], _NO_PARAMS, hoisted=False)
+            emit(f"{pad}_st = {sel}.get({read}, {fallback})")
         else:
-            lines.append(
-                f"{pad}_raise_key({('no parser state ' + repr(target))!r})")
+            for i, (path, value, target) in enumerate(cases):
+                read = self._read(path, _NO_PARAMS, hoisted=False)
+                emit(f"{pad}{'if' if i == 0 else 'elif'} {read} == {value!r}:")
+                emit(f"{pad}    _st = {target}")
+            emit(f"{pad}else:")
+            emit(f"{pad}    _st = {fallback}")
+        if any(0 <= target <= pos
+               for target in [fallback] + [c[2] for c in cases]):
+            emit(f"{pad}if 0 <= _st <= {pos}:")  # a back edge was taken
+            emit(f"{pad}    continue")
 
     # -- statements ----------------------------------------------------------
 
     def _emit_body(self, stmts: Sequence[ir.P4Stmt], lines: List[str],
-                   ind: int, actx: _Actx) -> None:
+                   ind: int, params: Dict[str, str],
+                   owned: Set[str]) -> None:
         if not stmts:
             lines.append("    " * ind + "pass")
             return
         for stmt in stmts:
-            self._emit_stmt(stmt, lines, ind, actx)
+            self._emit_stmt(stmt, lines, ind, params, owned)
 
     def _emit_stmt(self, stmt: ir.P4Stmt, lines: List[str], ind: int,
-                   actx: _Actx) -> None:
+                   params: Dict[str, str], owned: Set[str]) -> None:
         pad = "    " * ind
         emit = lines.append
         if isinstance(stmt, ir.AssignStmt):
-            self._emit_write(stmt.dest, self._expr(stmt.value, actx),
-                             lines, ind)
+            self._emit_write(stmt.dest, self._expr(stmt.value, params),
+                             lines, ind, owned)
         elif isinstance(stmt, ir.IfStmt):
-            emit(f"{pad}if {self._cond(stmt.cond, actx)}:")
-            self._emit_body(stmt.then_body, lines, ind + 1, actx)
+            emit(f"{pad}if {self._cond(stmt.cond, params)}:")
+            then_owned = set(owned)
+            self._emit_body(stmt.then_body, lines, ind + 1, params,
+                            then_owned)
+            else_owned = set(owned)
             if stmt.else_body:
                 emit(f"{pad}else:")
-                self._emit_body(stmt.else_body, lines, ind + 1, actx)
+                self._emit_body(stmt.else_body, lines, ind + 1, params,
+                                else_owned)
+            owned |= then_owned & else_owned
         elif isinstance(stmt, ir.ApplyTable):
-            self._emit_apply(stmt, lines, ind, actx)
+            self._emit_apply(stmt, lines, ind, params, owned)
         elif isinstance(stmt, ir.RegisterRead):
-            emit(f"{pad}_ri = {self._expr(stmt.index, actx)}")
+            emit(f"{pad}_ri = {self._expr(stmt.index, params)}")
             reg = self._reg_names.get(stmt.register)
             if reg is None:
                 emit(f"{pad}_raise_key({stmt.register!r})")
@@ -641,9 +632,9 @@ class CodegenEngine:
             size = len(self.switch.registers[stmt.register])
             self._emit_write(stmt.dest,
                              f"({reg}[_ri] if 0 <= _ri < {size} else 0)",
-                             lines, ind)
+                             lines, ind, owned)
         elif isinstance(stmt, ir.RegisterWrite):
-            emit(f"{pad}_ri = {self._expr(stmt.index, actx)}")
+            emit(f"{pad}_ri = {self._expr(stmt.index, params)}")
             reg = self._reg_names.get(stmt.register)
             if reg is None:
                 emit(f"{pad}_raise_key({stmt.register!r})")
@@ -652,51 +643,56 @@ class CodegenEngine:
             mask = (1 << self.switch._register_width[stmt.register]) - 1
             emit(f"{pad}if 0 <= _ri < {size}:")
             emit(f"{pad}    {reg}[_ri] = "
-                 f"({self._expr(stmt.value, actx)}) & {mask}")
+                 f"({self._expr(stmt.value, params)}) & {mask}")
         elif isinstance(stmt, ir.Digest):
-            values = ", ".join(self._expr(e, actx) for e in stmt.fields)
+            values = ", ".join(self._expr(e, params) for e in stmt.fields)
             emit(f"{pad}_dg = _DM(name={stmt.name!r}, values=[{values}], "
                  f"switch_name=SW.name)")
             emit(f"{pad}SW.digests.append(_dg)")
             if self._instrumented:
                 emit(f"{pad}if TR.live:")
                 emit(f"{pad}    TR.emit('digest', node=SW.name, "
-                     f"packet_id=work.packet_id, digest={stmt.name!r})")
+                     f"packet_id=packet.packet_id, digest={stmt.name!r})")
             emit(f"{pad}for _ls in SW.digest_listeners:")
             emit(f"{pad}    _ls(_dg)")
-        elif isinstance(stmt, ir.SetValid):
+        elif isinstance(stmt, (ir.SetValid, ir.SetInvalid)):
+            valid = isinstance(stmt, ir.SetValid)
             local = self._bind_names.get(stmt.header)
             if local is None:
+                verb = "setValid" if valid else "setInvalid"
                 emit(f"{pad}_raise_p4("
-                     f"{f'setValid on unknown header {stmt.header!r}'!r})")
+                     f"{f'{verb} on unknown header {stmt.header!r}'!r})")
             else:
-                emit(f"{pad}_os({local}, 'valid', True)")
-        elif isinstance(stmt, ir.SetInvalid):
-            local = self._bind_names.get(stmt.header)
-            if local is None:
-                emit(f"{pad}_raise_p4("
-                     f"{f'setInvalid on unknown header {stmt.header!r}'!r})")
-            else:
-                emit(f"{pad}_os({local}, 'valid', False)")
+                self._emit_own(stmt.header, lines, ind, owned)
+                emit(f"{pad}_os({local}, 'valid', {valid})")
         elif isinstance(stmt, ir.MarkToDrop):
             emit(f"{pad}sm_drop = True")
         elif isinstance(stmt, ir.PopSourceRoute):
             sr_binds = [b for b in self._bind_types
                         if b.startswith("srcRoute")
                         and b[len("srcRoute"):].isdigit()]
+            # The pop rewrites exactly the valid slots: own those.
+            for bind in sr_binds:
+                if bind not in owned:
+                    emit(f"{pad}if {self._bind_names[bind]}.valid and not "
+                         f"{self._own_names[bind]}: {self._take(bind)}")
             if sr_binds:
                 entries = ", ".join(f"{b!r}: {self._bind_names[b]}"
                                     for b in sr_binds)
                 emit(f"{pad}_pop_sr({{{entries}}})")
         elif isinstance(stmt, ir.ExternCall):
-            if stmt.fn is not None:
-                self._emit_extern(stmt, lines, ind, actx)
+            fn = self._g(f"EX{self._site}", stmt.call)
+            self._site += 1
+            args = ", ".join(self._expr(e, params) for e in stmt.args)
+            emit(f"{pad}_x = {fn}({args})")
+            for i, dest in enumerate(stmt.dests):
+                self._emit_write(dest, f"_x[{i}]", lines, ind, owned)
         else:
             emit(f"{pad}_raise_p4("
                  f"{f'unknown statement {type(stmt).__name__}'!r})")
 
     def _emit_apply(self, stmt: ir.ApplyTable, lines: List[str], ind: int,
-                    actx: _Actx) -> None:
+                    params: Dict[str, str], owned: Set[str]) -> None:
         pad = "    " * ind
         emit = lines.append
         table = self.program.tables.get(stmt.table)
@@ -706,7 +702,7 @@ class CodegenEngine:
         site = self._site
         self._site += 1
         gname, index = self._table_global(stmt.table)
-        key = ", ".join(self._read(k.path, actx) for k in table.keys)
+        key = ", ".join(self._read(k.path, params) for k in table.keys)
         key_tuple = f"({key},)" if len(table.keys) == 1 else f"({key})"
         if index._mode == "exact":
             emit(f"{pad}if {gname}._dirty:")
@@ -730,13 +726,13 @@ class CodegenEngine:
             emit(f"{pad}    {hc}.inc()")
             emit(f"{pad}    if TR.live:")
             emit(f"{pad}        TR.emit('apply', node=SW.name, "
-                 f"packet_id=work.packet_id, table={stmt.table!r}, "
+                 f"packet_id=packet.packet_id, table={stmt.table!r}, "
                  f"result='hit')")
             emit(f"{pad}else:")
             emit(f"{pad}    {mc}.inc()")
             emit(f"{pad}    if TR.live:")
             emit(f"{pad}        TR.emit('apply', node=SW.name, "
-                 f"packet_id=work.packet_id, table={stmt.table!r}, "
+                 f"packet_id=packet.packet_id, table={stmt.table!r}, "
                  f"result='miss')")
             emit(f"{pad}    _b{site} = {db}")
         else:
@@ -750,79 +746,31 @@ class CodegenEngine:
             emit(f"{inner}_a{site}, _aa{site} = _b{site}")
             for j, name in enumerate(assumed):
                 kw = "if" if j == 0 else "elif"
+                action = self.program.actions[name]
                 emit(f"{inner}{kw} _a{site} == {self._action_ids[name]}:")
-                self._emit_action_inline(site, self.program.actions[name],
-                                         lines, ind + 2)
+                # Inlined with the entry's action data as its params; what
+                # one arm owns, the code after the apply may not assume.
+                self._emit_body(
+                    action.body, lines, ind + 2,
+                    {p: f"_aa{site}[{i}]"
+                     for i, (p, _) in enumerate(action.params)},
+                    set(owned))
             emit(f"{inner}else:")
             emit(f"{inner}    _raise_p4('codegen dispatch missed an action; "
                  f"control-plane hook failed to recompile')")
         if stmt.hit_body or stmt.miss_body:
             emit(f"{pad}if _h{site}:")
-            self._emit_body(stmt.hit_body, lines, ind + 1, actx)
+            self._emit_body(stmt.hit_body, lines, ind + 1, params,
+                            set(owned))
             if stmt.miss_body:
                 emit(f"{pad}else:")
-                self._emit_body(stmt.miss_body, lines, ind + 1, actx)
-
-    def _emit_action_inline(self, site: int, action: ir.Action,
-                            lines: List[str], ind: int) -> None:
-        pad = "    " * ind
-        has_extern = any(
-            isinstance(s, ir.ExternCall) and s.fn is not None
-            for s in ir.walk_stmts(action.body))
-        if has_extern:
-            entries = ", ".join(f"{p!r}: _aa{site}[{i}]"
-                                for i, (p, _) in enumerate(action.params))
-            lines.append(f"{pad}_pa{site} = {{{entries}}}")
-            params = {p: f"_pa{site}[{p!r}]" for p, _ in action.params}
-            actx = _Actx(params, f"_pa{site}")
-        else:
-            params = {p: f"_aa{site}[{i}]"
-                      for i, (p, _) in enumerate(action.params)}
-            actx = _Actx(params, None)
-        self._emit_body(action.body, lines, ind, actx)
-
-    def _emit_extern(self, stmt: ir.ExternCall, lines: List[str], ind: int,
-                     actx: _Actx) -> None:
-        pad = "    " * ind
-        emit = lines.append
-        fn = self._g(f"EX{self._site}", stmt.fn)
-        self._site += 1
-        emit(f"{pad}_std = _SM(ingress_port=sm_ingress_port, "
-             f"egress_spec=sm_egress_spec, egress_port=sm_egress_port, "
-             f"packet_length=sm_packet_length, drop=sm_drop)")
-        meta_entries = ", ".join(
-            f"{name!r}: {self._meta_names[name]}"
-            for name in self._meta_names if name in self._used_meta)
-        emit(f"{pad}_meta = {{{meta_entries}}}")
-        emit(f"{pad}_ctx = _CTX(PROG, work, _std, _meta, MW)")
-        hdr_entries = ", ".join(f"{b!r}: {self._bind_names[b]}"
-                                for b in self._bind_types)
-        emit(f"{pad}_ctx.hdr = {{{hdr_entries}}}")
-        emit(f"{pad}_ctx.tail = _tail")
-        args_expr = actx.args_expr or ("_pa0" if self._top_extern else "{}")
-        emit(f"{pad}_ctx.action_args = {args_expr}")
-        emit(f"{pad}{fn}(_ctx)")
-        # Sync the flat locals back from the context.
-        emit(f"{pad}sm_ingress_port = _std.ingress_port")
-        emit(f"{pad}sm_egress_spec = _std.egress_spec")
-        emit(f"{pad}sm_egress_port = _std.egress_port")
-        emit(f"{pad}sm_packet_length = _std.packet_length")
-        emit(f"{pad}sm_drop = _std.drop")
-        for name in self._meta_names:
-            if name in self._used_meta:
-                emit(f"{pad}{self._meta_names[name]} = _meta[{name!r}]")
-        for bind in self._bind_types:
-            emit(f"{pad}{self._bind_names[bind]} = _ctx.hdr[{bind!r}]")
-            if bind in self._hoisted:
-                emit(f"{pad}{self._vals_names[bind]} = "
-                     f"{self._bind_names[bind]}.values")
-        emit(f"{pad}_tail = _ctx.tail")
-        if actx.args_expr is not None:
-            emit(f"{pad}{actx.args_expr} = _ctx.action_args")
+                self._emit_body(stmt.miss_body, lines, ind + 1, params,
+                                set(owned))
 
     # -- field access --------------------------------------------------------
 
-    def _read(self, path: str, actx: _Actx, hoisted: bool = True) -> str:
+    def _read(self, path: str, params: Dict[str, str],
+              hoisted: bool = True) -> str:
         root, _, rest = path.partition(".")
         if root == "hdr":
             bind, _, fname = rest.partition(".")
@@ -850,7 +798,7 @@ class CodegenEngine:
                         f"if {local} is _UNSET else {local})")
             return f"int(getattr(_STD0, {rest!r}))"
         if root == "param":
-            expr = actx.params.get(rest)
+            expr = params.get(rest)
             if expr is None:
                 return self._raise_expr(
                     f"unbound action parameter {rest!r}")
@@ -858,7 +806,7 @@ class CodegenEngine:
         return self._raise_expr(f"bad field path {path!r}")
 
     def _emit_write(self, path: str, value: str, lines: List[str],
-                    ind: int) -> None:
+                    ind: int, owned: Set[str]) -> None:
         pad = "    " * ind
         emit = lines.append
         root, _, rest = path.partition(".")
@@ -877,6 +825,9 @@ class CodegenEngine:
                 values = self._vals_names[bind]
             else:
                 values = f"{self._bind_names[bind]}.values"
+            # The copy holds the same values, so the right-hand side may
+            # read this header on either side of the guard.
+            self._emit_own(bind, lines, ind, owned)
             emit(f"{pad}{values}[{fname!r}] = ({value}) & {mask}")
             return
         if root == "meta":
@@ -901,18 +852,18 @@ class CodegenEngine:
 
     # -- expressions ---------------------------------------------------------
 
-    def _expr(self, expr: ir.P4Expr, actx: _Actx) -> str:
+    def _expr(self, expr: ir.P4Expr, params: Dict[str, str]) -> str:
         if isinstance(expr, ir.Const):
             return str(expr.value & ((1 << expr.width) - 1))
         if isinstance(expr, ir.FieldRef):
-            return self._read(expr.path, actx)
+            return self._read(expr.path, params)
         if isinstance(expr, ir.ValidRef):
             local = self._bind_names.get(expr.header)
             if local is None:
                 return "0"
             return f"(1 if {local}.valid else 0)"
         if isinstance(expr, ir.UnExpr):
-            operand = self._expr(expr.operand, actx)
+            operand = self._expr(expr.operand, params)
             if expr.op == "!":
                 return f"(0 if {operand} else 1)"
             mask = (1 << ir.unexpr_width(expr)) - 1
@@ -922,14 +873,14 @@ class CodegenEngine:
                 return f"(-{operand} & {mask})"
             return self._raise_expr(f"unknown unary op {expr.op!r}")
         if isinstance(expr, ir.BinExpr):
-            return self._bin(expr, actx)
+            return self._bin(expr, params)
         return self._raise_expr(
             f"unknown expression {type(expr).__name__}")
 
-    def _bin(self, expr: ir.BinExpr, actx: _Actx) -> str:
+    def _bin(self, expr: ir.BinExpr, params: Dict[str, str]) -> str:
         op = expr.op
-        left = self._expr(expr.left, actx)
-        right = self._expr(expr.right, actx)
+        left = self._expr(expr.left, params)
+        right = self._expr(expr.right, params)
         if op == "&&":
             return f"(1 if {left} and {right} else 0)"
         if op == "||":
@@ -951,23 +902,23 @@ class CodegenEngine:
             return f"{op}({left}, {right})"
         return self._raise_expr(f"unknown binary op {op!r}")
 
-    def _cond(self, cond: ir.P4Expr, actx: _Actx) -> str:
+    def _cond(self, cond: ir.P4Expr, params: Dict[str, str]) -> str:
         """Emit an expression used only for its truthiness (skips the
         1/0 boxing)."""
         if isinstance(cond, ir.UnExpr) and cond.op == "!":
-            return f"(not {self._cond(cond.operand, actx)})"
+            return f"(not {self._cond(cond.operand, params)})"
         if isinstance(cond, ir.BinExpr):
             if cond.op in ("==", "!=", "<", "<=", ">", ">="):
-                left = self._expr(cond.left, actx)
-                right = self._expr(cond.right, actx)
+                left = self._expr(cond.left, params)
+                right = self._expr(cond.right, params)
                 return f"({left} {cond.op} {right})"
             if cond.op == "&&":
-                return (f"({self._cond(cond.left, actx)} and "
-                        f"{self._cond(cond.right, actx)})")
+                return (f"({self._cond(cond.left, params)} and "
+                        f"{self._cond(cond.right, params)})")
             if cond.op == "||":
-                return (f"({self._cond(cond.left, actx)} or "
-                        f"{self._cond(cond.right, actx)})")
-        return self._expr(cond, actx)
+                return (f"({self._cond(cond.left, params)} or "
+                        f"{self._cond(cond.right, params)})")
+        return self._expr(cond, params)
 
     # ==================================================================
     # Packet entry points (``process`` is bound per build in _build)

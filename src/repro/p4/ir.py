@@ -21,12 +21,17 @@ Conventions:
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..indus.errors import SourceSpan, UNKNOWN_SPAN
 from ..net.packet import HeaderType
+
+
+class P4RuntimeError(Exception):
+    """Raised on malformed control-plane operations or broken programs."""
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +205,30 @@ class PopSourceRoute(P4Stmt):
 
 @dataclass
 class ExternCall(P4Stmt):
-    """Escape hatch for substrate-specific primitives.
+    """A substrate-specific primitive, value-in/value-out.
 
-    ``fn(ctx)`` receives the executing :class:`~repro.p4.bmv2.PacketContext`.
-    The pretty-printer renders it as an extern invocation.
+    ``fn(*values)`` receives the evaluated ``args`` and returns one
+    ``int`` per entry of ``dests`` (a bare ``int`` for a single dest,
+    a tuple otherwise); each result is written to its dest with the
+    usual width mask.  ``fn`` sees nothing but its arguments, so every
+    extern is a pure function of the declared reads: the engines, the
+    SSA passes and flow fast-forwarding rely on that.
     """
 
     name: str
-    fn: Optional[Callable[[Any], None]] = None
+    fn: Callable[..., Union[int, Tuple[int, ...]]]
+    args: List[P4Expr] = field(default_factory=list)
+    dests: List[str] = field(default_factory=list)
+
+    def call(self, *values: int) -> Tuple[int, ...]:
+        """Run ``fn`` and return one result per dest (both engines)."""
+        result = self.fn(*values)
+        results = result if isinstance(result, tuple) else (result,)
+        if len(results) != len(self.dests):
+            raise P4RuntimeError(
+                f"extern {self.name!r} returned {len(results)} value(s) "
+                f"for {len(self.dests)} dest(s)")
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +456,101 @@ def walk_exprs(expr: P4Expr):
         yield from walk_exprs(expr.right)
 
 
+def clone_stmts(stmts: Sequence[P4Stmt]) -> List[P4Stmt]:
+    """A private copy of a statement body: fresh statement nodes and
+    fresh lists all the way down, expressions shared.
+
+    Expressions are frozen, and every rewrite (the SSA passes, the
+    linker) replaces a statement's expression attribute rather than
+    editing the expression, so sharing them is safe and the clone costs
+    one shallow copy per statement.
+    """
+    out: List[P4Stmt] = []
+    for stmt in stmts:
+        twin = copy.copy(stmt)
+        for name, value in vars(stmt).items():
+            if isinstance(value, list):  # a nested body, or operands
+                nested = value and isinstance(value[0], P4Stmt)
+                setattr(twin, name,
+                        clone_stmts(value) if nested else list(value))
+        out.append(twin)
+    return out
+
+
+def program_bodies(program: P4Program) -> List[List[P4Stmt]]:
+    """Every statement container of a program: the two pipelines plus
+    all action bodies (tables dispatch only into actions)."""
+    bodies = [program.ingress, program.egress]
+    bodies.extend(action.body for action in program.actions.values())
+    return bodies
+
+
+def check_externs(program: P4Program) -> None:
+    """Reject a wrong extern declaration when a switch is built.
+
+    Every ``dest`` must be a ``meta.*`` or ``hdr.*`` field the program
+    declares (so its write mask is known) and every ``arg`` a
+    well-formed expression over declared paths.  Other broken paths
+    fail when executed; an extern's footprint is a contract the engines
+    and analyses compile against, so it fails here.
+    """
+    meta = {name for name, _ in program.metadata}
+    binds = program.bind_types()
+
+    def declared(path: object) -> bool:
+        if not isinstance(path, str):
+            return False
+        root, _, rest = path.partition(".")
+        if root == "hdr":
+            bind, _, fname = rest.partition(".")
+            return bind in binds and binds[bind].has_field(fname)
+        return root == "meta" and rest in meta
+
+    def well_formed(node: object) -> bool:
+        if isinstance(node, FieldRef):
+            return (declared(node.path) or node.path.startswith(
+                ("standard_metadata.", "param.")))
+        if isinstance(node, ValidRef):
+            return node.header in binds
+        return isinstance(node, (Const, UnExpr, BinExpr))
+
+    for body in program_bodies(program):
+        for stmt in walk_stmts(body):
+            if not isinstance(stmt, ExternCall):
+                continue
+            if not callable(stmt.fn):
+                raise P4RuntimeError(
+                    f"extern {stmt.name!r}: fn is not callable")
+            for dest in stmt.dests:
+                if not declared(dest):
+                    raise P4RuntimeError(
+                        f"extern {stmt.name!r}: dest {dest!r} is not a "
+                        f"declared meta or header field")
+            for arg in stmt.args:
+                nodes = walk_exprs(arg) if isinstance(arg, P4Expr) else [arg]
+                for node in nodes:
+                    if not well_formed(node):
+                        raise P4RuntimeError(
+                            f"extern {stmt.name!r}: malformed argument "
+                            f"{node!r}")
+
+
 def _stmt_mutates_headers(stmt: P4Stmt) -> bool:
-    if isinstance(stmt, AssignStmt):
+    if isinstance(stmt, (AssignStmt, RegisterRead)):
         return stmt.dest.startswith("hdr.")
-    if isinstance(stmt, RegisterRead):
-        return stmt.dest.startswith("hdr.")
-    if isinstance(stmt, (SetValid, SetInvalid, PopSourceRoute)):
-        return True
     if isinstance(stmt, ExternCall):
-        return True  # externs get the raw context; assume the worst
-    return False
+        return any(dest.startswith("hdr.") for dest in stmt.dests)
+    return isinstance(stmt, (SetValid, SetInvalid, PopSourceRoute))
 
 
 def mutates_headers(program: P4Program) -> bool:
     """Whether any reachable statement can modify a header instance.
 
-    Used for copy elision: a program that provably never writes header
-    fields or validity bits can process a packet that *shares* its
-    ``Header`` objects with the original (only the packet shell is
-    copied), skipping the per-header deep copy on the hot path.
+    Used for copy elision in the reference engine: a program that
+    provably never writes header fields or validity bits can process a
+    packet that *shares* its ``Header`` objects with the original (only
+    the packet shell is copied), skipping the per-header deep copy.
     """
-    bodies = [program.ingress, program.egress]
-    bodies.extend(action.body for action in program.actions.values())
     return any(_stmt_mutates_headers(stmt)
-               for body in bodies for stmt in walk_stmts(body))
+               for body in program_bodies(program)
+               for stmt in walk_stmts(body))

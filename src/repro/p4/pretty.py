@@ -107,7 +107,8 @@ def _format_stmt(w: _Writer, stmt: ir.P4Stmt) -> None:
     elif isinstance(stmt, ir.PopSourceRoute):
         w.line("pop_source_route();")
     elif isinstance(stmt, ir.ExternCall):
-        w.line(f"{stmt.name}();")
+        operands = list(stmt.dests) + [format_expr(e) for e in stmt.args]
+        w.line(f"{stmt.name}({', '.join(operands)});")
     else:
         raise ValueError(f"cannot format {stmt!r}")
 

@@ -175,20 +175,14 @@ def source_routing(name: str = "srcroute",
     return program
 
 
-def _ecmp_hash(ctx) -> None:
+def _ecmp_hash(src_addr: int, dst_addr: int, protocol: int, is_udp: int,
+               udp_sport: int, tcp_sport: int, udp_dport: int,
+               tcp_dport: int, ecmp_width: int) -> int:
     """5-tuple CRC32 hash extern for ECMP selection (deterministic)."""
-    parts = (
-        ctx.read("hdr.ipv4.src_addr"),
-        ctx.read("hdr.ipv4.dst_addr"),
-        ctx.read("hdr.ipv4.protocol"),
-        ctx.read("hdr.udp.src_port") if ctx.is_valid("udp")
-        else ctx.read("hdr.tcp.src_port"),
-        ctx.read("hdr.udp.dst_port") if ctx.is_valid("udp")
-        else ctx.read("hdr.tcp.dst_port"),
-    )
-    blob = ",".join(str(p) for p in parts).encode()
-    width = ctx.meta.get("ecmp_width", 1) or 1
-    ctx.write("meta.ecmp_select", zlib.crc32(blob) % width)
+    sport, dport = ((udp_sport, udp_dport) if is_udp
+                    else (tcp_sport, tcp_dport))
+    blob = f"{src_addr},{dst_addr},{protocol},{sport},{dport}".encode()
+    return zlib.crc32(blob) % (ecmp_width or 1)
 
 
 def ecmp_fabric(name: str = "fabric") -> ir.P4Program:
@@ -256,7 +250,18 @@ def ecmp_fabric(name: str = "fabric") -> ir.P4Program:
                     cond=ir.BinExpr(">", ir.FieldRef("meta.ecmp_width"),
                                     ir.Const(0, 8)),
                     then_body=[
-                        ir.ExternCall("ecmp_hash", _ecmp_hash),
+                        ir.ExternCall(
+                            "ecmp_hash", _ecmp_hash,
+                            args=[ir.FieldRef("hdr.ipv4.src_addr"),
+                                  ir.FieldRef("hdr.ipv4.dst_addr"),
+                                  ir.FieldRef("hdr.ipv4.protocol"),
+                                  ir.ValidRef("udp"),
+                                  ir.FieldRef("hdr.udp.src_port"),
+                                  ir.FieldRef("hdr.tcp.src_port"),
+                                  ir.FieldRef("hdr.udp.dst_port"),
+                                  ir.FieldRef("hdr.tcp.dst_port"),
+                                  ir.FieldRef("meta.ecmp_width")],
+                            dests=["meta.ecmp_select"]),
                         ir.ApplyTable("ecmp_table"),
                     ],
                 ),

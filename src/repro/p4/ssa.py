@@ -213,10 +213,6 @@ class SSAInfo:
             return None
 
         for stmt in action.body:
-            if isinstance(stmt, ir.ExternCall):
-                for var in self.universe():
-                    writes[var] = None
-                continue
             for var in self._stmt_writes(stmt):
                 value: Optional[int] = None
                 if isinstance(stmt, ir.AssignStmt):
@@ -242,8 +238,6 @@ class SSAInfo:
         self._reads_stack.add(id(action))
         reads: Set[str] = set()
         for stmt in ir.walk_stmts(action.body):
-            if isinstance(stmt, ir.ExternCall):
-                reads.update(self.universe())
             for expr in _stmt_exprs(stmt):
                 for node in ir.walk_exprs(expr):
                     if isinstance(node, ir.FieldRef) and \
@@ -275,7 +269,7 @@ class SSAInfo:
         if isinstance(stmt, ir.MarkToDrop):
             return ["standard_metadata.drop"]
         if isinstance(stmt, ir.ExternCall):
-            return self.universe()
+            return [dest for dest in stmt.dests if self.tracked(dest)]
         return []
 
 
@@ -292,6 +286,8 @@ def _stmt_exprs(stmt: ir.P4Stmt) -> List[ir.P4Expr]:
         return [stmt.index, stmt.value]
     if isinstance(stmt, ir.Digest):
         return list(stmt.fields)
+    if isinstance(stmt, ir.ExternCall):
+        return list(stmt.args)
     return []
 
 
@@ -480,7 +476,8 @@ class RegReadOp(SSAOp):
 
 
 class ExternOp(SSAOp):
-    """Clobber by an extern call (raw context access)."""
+    """Definition by an extern call (one of its declared ``dests``), or
+    the clobber of a :class:`StdBarrier`."""
 
     __slots__ = ("stmt",)
 
@@ -690,12 +687,11 @@ class SSAFunction:
                                        1, stmt, idx)
             return out
         if isinstance(stmt, ir.ExternCall):
-            # Raw context access: reads and may write everything tracked.
-            for var in info.universe():
-                env[var].uses.append((stmt, idx))
-            out = {}
+            # Value-in/value-out: reads its args, defines its dests.
+            self._record_uses(stmt.args, env, stmt, idx)
+            out = dict(env)
             op = ExternOp(stmt)
-            for var in info.universe():
+            for var in info._stmt_writes(stmt):
                 out[var] = self._new_value(var, op, None, None, idx)
             return out
         if isinstance(stmt, StdBarrier):
@@ -1081,6 +1077,10 @@ def _rewrite_stmt(stmt: ir.P4Stmt, mapping: Dict[str, ir.P4Expr],
         fields = [_rewrite_expr(e, mapping) for e in stmt.fields]
         changed = any(n is not o for n, o in zip(fields, stmt.fields))
         stmt.fields = fields
+    elif isinstance(stmt, ir.ExternCall):
+        args = [_rewrite_expr(e, mapping) for e in stmt.args]
+        changed = any(n is not o for n, o in zip(args, stmt.args))
+        stmt.args = args
     if changed:
         counts["copyprop"] += 1
 

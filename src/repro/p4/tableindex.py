@@ -1,11 +1,12 @@
-"""Indexed table lookup and per-packet context shared by the codegen engine.
+"""Indexed table lookup for the codegen engine.
 
 The reference engine in :mod:`repro.p4.bmv2` scans every installed entry
 per table apply.  :class:`_TableIndex` does that work at entry-install
 time instead: exact-match tables become hash lookups keyed on the value
 tuple, LPM tables become per-prefix-length buckets probed longest-first,
 and ternary/range/priority tables stay a small list pre-sorted in win
-order (hashed on one column once large, see ``_RBUCKET_MIN``).  Entry
+order (hashed on one column once large, see ``_RBUCKET_MIN``) and tested
+with a matcher compiled once per tuple of match kinds.  Entry
 insert/delete invalidates only that table's index, which is rebuilt
 lazily on the next apply; the bulk control-plane path folds batches in
 incrementally (``fold_inserts`` / ``fold_deletes``).
@@ -21,14 +22,11 @@ Control-plane state must be mutated through the ``Bmv2Switch`` API
 from __future__ import annotations
 
 import bisect
+import functools
 import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..net.packet import Packet
 from . import ir
-from .bmv2 import PacketContext, StandardMetadata
-
-_EMPTY_ARGS: Dict[str, int] = {}
 
 _LPM_WIDTH = 32  # the reference engine's fixed LPM key width
 
@@ -42,65 +40,29 @@ _LPM_WIDTH = 32  # the reference engine's fixed LPM key width
 _RBUCKET_MIN = 64
 
 
-class _FastContext(PacketContext):
-    """Per-packet state handed to externs by the codegen engine.
+@functools.lru_cache(maxsize=None)
+def _matcher(kinds: Tuple[ir.MatchKind, ...]) -> Callable[[Sequence, Tuple],
+                                                         bool]:
+    """``match(entry.match, key_values)`` for one tuple of match kinds,
+    compiled to a single boolean expression.
 
-    Subclasses :class:`PacketContext` so extern functions keep the full
-    duck-typed API (``read``/``write``/``is_valid``/``meta``), but skips
-    the parent's per-packet template construction — the engine hands in
-    a pre-copied metadata dict and the shared width map.
+    Equal to :meth:`~repro.p4.ir.TableEntry.matches` (the interpreter's
+    reference, and the oracle for this function in the tests) without
+    the per-key ``zip`` and kind dispatch.  Cached per kinds tuple, so
+    the many short-lived indexes of an oracle campaign share it.
     """
-
-    def __init__(self, program: ir.P4Program, packet: Packet,
-                 standard: StandardMetadata, meta: Dict[str, int],
-                 meta_width: Dict[str, int]):
-        self.program = program
-        self.packet = packet
-        self.standard = standard
-        self.hdr = {}
-        self.tail = []
-        self.meta = meta
-        self._meta_width = meta_width
-        self.action_args = _EMPTY_ARGS
-
-
-def _writable_binds(program: ir.P4Program, binds: Dict[str, Any]) -> set:
-    """Bind names whose Header instance the program may mutate.
-
-    Anything else can be pre-bound to a single shared invalid blank
-    instead of a fresh one per packet: reads of an invalid header yield
-    0 without touching values, and deparse skips invalid headers, so an
-    unwritten blank never escapes or changes.
-    """
-    out: set = set()
-    bodies = [program.ingress, program.egress]
-    bodies.extend(action.body for action in program.actions.values())
-    for body in bodies:
-        for stmt in ir.walk_stmts(body):
-            if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
-                if stmt.dest.startswith("hdr."):
-                    out.add(stmt.dest.split(".")[1])
-            elif isinstance(stmt, (ir.SetValid, ir.SetInvalid)):
-                out.add(stmt.header)
-            elif isinstance(stmt, ir.PopSourceRoute):
-                out.update(b for b in binds if b.startswith("srcRoute"))
-            elif isinstance(stmt, ir.ExternCall):
-                return set(binds)  # raw context access; assume the worst
-    return out
-
-
-def _raiser(exc: BaseException) -> Callable:
-    """A callable that raises ``exc`` when invoked (any call shape).
-
-    Used for constructs whose reference semantics fail at *execution*
-    time (unknown paths, unknown tables, bad ops): compiling them must
-    not fail early, or dead code would change program acceptance.
-    """
-
-    def raise_(*_args, **_kwargs):
-        raise exc
-
-    return raise_
+    terms = []
+    for i, kind in enumerate(kinds):
+        if kind is ir.MatchKind.EXACT:
+            terms.append(f"k[{i}] == s[{i}]")
+        elif kind is ir.MatchKind.TERNARY:
+            terms.append(f"not (k[{i}] ^ s[{i}][0]) & s[{i}][1]")
+        elif kind is ir.MatchKind.RANGE:
+            terms.append(f"s[{i}][0] <= k[{i}] <= s[{i}][1]")
+        else:  # LPM: plen 0 masks to nothing and matches anything
+            terms.append(f"not (k[{i}] ^ s[{i}][0]) & (((1 << s[{i}][1]) - 1)"
+                         f" << ({_LPM_WIDTH} - s[{i}][1]))")
+    return eval(f"lambda s, k: {' and '.join(terms) or 'True'}")
 
 
 class _TableIndex:
@@ -114,9 +76,9 @@ class _TableIndex:
     def __init__(self, engine, name: str, table: ir.Table):
         self.engine = engine
         self.name = name
-        self.table = table
         kinds = [k.kind for k in table.keys]
         self._kinds = kinds
+        self._match = _matcher(tuple(kinds))
         lpm_indexes = [i for i, k in enumerate(kinds)
                        if k is ir.MatchKind.LPM]
         self._lpm_index: Optional[int] = (
@@ -151,7 +113,7 @@ class _TableIndex:
         # Default action: bound lazily and re-bound whenever this
         # switch's default-action tuple changes identity (the control
         # plane may swap it at any time via set_default_action).
-        self._default_src: Any = _raiser  # sentinel, never a valid value
+        self._default_src: Any = None
         self._default_bound: Optional[Callable] = None
 
     def invalidate(self) -> None:
@@ -277,14 +239,14 @@ class _TableIndex:
                 if bound is not None:
                     return bound
             return None
-        table = self.table
+        match = self._match
         if self._rb_col is not None:
             best_rank: Optional[Tuple] = None
             best_bound: Optional[Callable] = None
             bucket = self._rb_buckets.get(key_values[self._rb_col])
             if bucket is not None:
                 for rank, entry, bound in bucket:
-                    if entry.matches(table, key_values):
+                    if match(entry.match, key_values):
                         best_rank = rank
                         best_bound = bound
                         break
@@ -294,11 +256,11 @@ class _TableIndex:
             for rank, entry, bound in self._rb_residual:
                 if best_rank is not None and rank > best_rank:
                     break
-                if entry.matches(table, key_values):
+                if match(entry.match, key_values):
                     return bound
             return best_bound
         for _rank, entry, bound in self._scan:
-            if entry.matches(table, key_values):
+            if match(entry.match, key_values):
                 return bound
         return None
 

@@ -59,6 +59,11 @@ def _action_ops(program: ir.P4Program, name: str,
             reads |= _expr_reads(stmt.cond)
         elif isinstance(stmt, ir.MarkToDrop):
             writes.add("standard_metadata.$drop")
+        elif isinstance(stmt, ir.ExternCall):
+            writes.update(stmt.dests)
+            for expr in stmt.args:
+                reads |= {r for r in _expr_reads(expr)
+                          if not r.startswith("param.")}
     reads |= extra_reads
     return reads, writes
 
@@ -116,7 +121,10 @@ def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
             touched = {f"hdr.srcRoute{i}.$all" for i in range(8)}
             ops.append(_Op(reads=touched | control_reads, writes=touched))
         elif isinstance(stmt, ir.ExternCall):
-            ops.append(_Op(reads=set(control_reads), writes={"$extern"}))
+            reads = set(control_reads)
+            for expr in stmt.args:
+                reads |= _expr_reads(expr)
+            ops.append(_Op(reads=reads, writes=set(stmt.dests)))
     return ops
 
 

@@ -1,0 +1,444 @@
+"""Properties of the generated pipeline: the extern contract, header
+ownership (no write-through) and the one-pass parser.
+
+The codegen engine shares every ``Header`` with its input until the
+first write and walks the parse graph once, where the interpreter
+deep-copies the packet and re-dispatches per state.  These tests pin
+the two to the same observable behaviour on exactly the inputs where
+the shortcuts could show: a packet object processed twice and
+interleaved with another, header stacks that are truncated, over-long,
+out of order or carry unknown select values, a cyclic parse graph, a
+header stack, and an extern whose declaration is wrong.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.aether.upf import upf_program
+from repro.compiler import compile_program, standalone_program
+from repro.experiments.fig12 import (ALL_CHECKERS, configure_checker_controls,
+                                     install_fabric_routes)
+from repro.net.packet import (ETHERNET, HeaderType, Packet, ip,
+                              make_gtpu_encapsulated, make_source_routed,
+                              make_tcp, make_udp)
+from repro.net.topology import Endpoint, leaf_spine
+from repro.p4 import ENGINES, ir
+from repro.p4.bmv2 import Bmv2Switch, P4RuntimeError
+from repro.p4.programs import (ecmp_fabric, l2_port_forwarding,
+                               source_routing, vlan_l2_forwarding)
+from repro.properties import PROPERTIES, compile_suite, load_source
+from repro.runtime.deployment import HydraDeployment
+from tests.test_engine_differential import serialize_outputs
+
+
+def snapshot(packet):
+    """Everything a pipeline could write through to, bit for bit, plus
+    the identity of the header objects."""
+    return ([(id(h), h.htype.name, h.valid, dict(h.values))
+             for h in packet.headers], packet.payload_len, dict(packet.meta))
+
+
+def shared_blanks(switch):
+    return [value for name, value in switch._fast._globals.items()
+            if name.startswith("SH")]
+
+
+def assert_blanks_untouched(switch):
+    blanks = shared_blanks(switch)
+    assert blanks
+    for blank in blanks:
+        assert blank.valid is False
+        assert not any(blank.values.values()), blank
+
+
+@pytest.fixture(scope="module")
+def fabrics():
+    """The paper's deployment (fabric-upf + all 11 Table-1 checkers),
+    once per engine from one compile."""
+    topology = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
+    compiled = compile_suite(ALL_CHECKERS)
+    out = {}
+    for engine in ENGINES:
+        forwarding = {name: upf_program(f"fabric_upf_{name}")
+                      for name in topology.switches}
+        deployment = HydraDeployment(topology, compiled, forwarding,
+                                     engine=engine)
+        install_fabric_routes(topology, deployment.switches)
+        configure_checker_controls(deployment, topology)
+        out[engine] = deployment
+    return topology, out
+
+
+# ---------------------------------------------------------------------------
+# Externs: value-in/value-out, declared footprint
+# ---------------------------------------------------------------------------
+
+def extern_program(fn, args=(), dests=("meta.out",)):
+    program = ir.P4Program(
+        name="ext",
+        parser=ir.ParserSpec(states=[ir.ParserState(
+            "start", extracts=[ir.Extract("ethernet", ETHERNET)])]),
+        metadata=[("out", 9), ("wide", 32)],
+        emit_order=["ethernet"])
+    program.ingress = [
+        ir.ExternCall("probe", fn, args=list(args), dests=list(dests)),
+        ir.AssignStmt("standard_metadata.egress_spec",
+                      ir.FieldRef("meta.out")),
+    ]
+    return program
+
+
+def ether_packet(eth_type=0x0800):
+    return Packet(headers=[ETHERNET(dst_addr=1, src_addr=2,
+                                    eth_type=eth_type)], payload_len=10)
+
+
+def test_extern_results_are_written_with_the_dest_masks():
+    program = extern_program(
+        lambda eth, port: (eth + 0x10000, port | 0x200),
+        args=[ir.FieldRef("hdr.ethernet.eth_type"),
+              ir.FieldRef("standard_metadata.ingress_port")],
+        dests=["hdr.ethernet.eth_type", "meta.out"])
+    packet = ether_packet(0x1234)
+    before = snapshot(packet)
+    outs = [Bmv2Switch(program, engine=engine).process(packet, 5)
+            for engine in ENGINES]
+    assert serialize_outputs(outs[0]) == serialize_outputs(outs[1])
+    (port, out), = outs[1]
+    assert port == 5                        # 0x205 masked to 9 bits
+    assert out.headers[0].eth_type == 0x1234  # 0x11234 masked to 16
+    assert snapshot(packet) == before
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("dest", [
+    "meta.nope", "hdr.ghost.eth_type", "hdr.ethernet.nope",
+    "standard_metadata.egress_spec", "param.port", "out", 7])
+def test_extern_bad_dest_fails_when_the_switch_is_built(engine, dest):
+    program = extern_program(lambda: 1, dests=[dest])
+    with pytest.raises(P4RuntimeError, match=r"extern 'probe'.*dest"):
+        Bmv2Switch(program, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("arg", [
+    ir.FieldRef("meta.nope"), ir.FieldRef("hdr.ghost.f"),
+    ir.FieldRef("hdr.ethernet.nope"), ir.FieldRef("bogus"),
+    ir.ValidRef("ghost"), "meta.out",
+    ir.BinExpr("+", ir.Const(1, 8), ir.FieldRef("meta.nope"), 8)])
+def test_extern_malformed_arg_fails_when_the_switch_is_built(engine, arg):
+    program = extern_program(lambda value: 1, args=[arg])
+    with pytest.raises(P4RuntimeError, match=r"extern 'probe'.*argument"):
+        Bmv2Switch(program, engine=engine)
+
+
+@pytest.mark.parametrize("fn, dests", [
+    (lambda: (1, 2), ["meta.out"]),
+    (lambda: 1, ["meta.out", "meta.wide"]),
+    (lambda: (), ["meta.out"]),
+])
+def test_extern_wrong_arity_raises_the_same_error_under_both_engines(
+        fn, dests):
+    messages = []
+    for engine in ENGINES:
+        switch = Bmv2Switch(extern_program(fn, dests=dests), engine=engine)
+        with pytest.raises(P4RuntimeError, match="extern 'probe'") as info:
+            switch.process(ether_packet(), 1)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_the_two_ecmp_hashes_are_functions_of_their_arguments():
+    """Bit-identical to the hashes the context-reading externs computed
+    (pinned values: ECMP choices must not move)."""
+    from repro.aether.upf import _upf_ecmp_hash
+    from repro.p4.programs import _ecmp_hash
+
+    # Values computed with the context-reading externs of the parent.
+    assert _upf_ecmp_hash(ip(10, 0, 2, 1), ip(10, 0, 1, 1), 4000, 17, 2) \
+        == 1
+    assert _upf_ecmp_hash(1, 2, 3, 4, 0) == 0  # width 0 hashes as 1
+    assert _upf_ecmp_hash(1, 2, 3, 4, 7) == 2
+    assert _ecmp_hash(1, 2, 17, 1, 1000, 7, 2000, 8, 4) == 3   # udp ports
+    assert _ecmp_hash(1, 2, 6, 0, 7, 1000, 8, 2000, 5) == 0    # tcp ports
+
+
+# ---------------------------------------------------------------------------
+# Ownership: a bind's Header is shared until its first write
+# ---------------------------------------------------------------------------
+
+def run_interleaved(switches, first, second, port):
+    """``first`` twice, ``second``, ``first`` again on every switch.
+    Inputs stay bit-identical and the same objects, every engine gives
+    the anchor's outputs, and no output changes once it was handed out.
+    Returns the codegen outputs for ``first`` and ``second``."""
+    before = snapshot(first), snapshot(second)
+    handed_out = []
+    latest = {}
+    for packet in (first, first, second, first):
+        outs = [sw.process(packet, port) for sw in switches]
+        want = serialize_outputs(outs[0])
+        for sw, out in zip(switches[1:], outs[1:]):
+            assert serialize_outputs(out) == want, sw.engine
+        handed_out.extend((out, want) for out in outs[1:])
+        latest[id(packet)] = outs[-1]
+        assert (snapshot(first), snapshot(second)) == before
+    for out, want in handed_out:
+        assert serialize_outputs(out) == want
+    for sw in switches[1:]:
+        assert_blanks_untouched(sw)
+    return latest[id(first)], latest[id(second)]
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
+def test_corpus_programs_never_write_through(name):
+    """Each corpus checker as first hop (telemetry injected), mid-path
+    (telemetry carried and updated) and last hop (checked, stripped)."""
+    compiled = compile_program(load_source(name), name=name)
+    program = standalone_program(compiled)
+    first = make_udp(ip(10, 0, 0, 1), ip(10, 0, 1, 2), 4000, 53, ttl=9)
+    second = make_tcp(ip(10, 1, 0, 7), ip(10, 0, 0, 1), 80, 4000, ttl=3)
+    for role in ("first", "mid", "last"):
+        switches = []
+        for engine in ENGINES:
+            sw = Bmv2Switch(program, name=role, switch_id=3, engine=engine)
+            sw.insert_entry("fwd_table", [1], "fwd_set_egress", [2])
+            if role == "first":
+                sw.insert_entry(compiled.inject_table, [1],
+                                compiled.mark_first_action)
+            if role == "last":
+                sw.insert_entry(compiled.strip_table, [2],
+                                compiled.mark_last_action)
+            switches.append(sw)
+        carried = run_interleaved(switches, first, second, port=1)
+        if not all(carried):
+            break  # the checker rejected: nothing travels on
+        ((_, first),), ((_, second),) = carried
+    else:
+        assert len(first.headers) == 3  # telemetry stripped again
+
+
+def test_all_checkers_fabric_never_writes_through(fabrics):
+    """First hop, mid-path and last hop of h1 -> h3, and a GTP-U packet
+    through the same leaf, on the paper's deployment."""
+    topology, deployments = fabrics
+    hosts = topology.hosts
+    first = make_udp(hosts["h1"].ipv4, hosts["h3"].ipv4, 4000, 9)
+    second = make_gtpu_encapsulated(
+        hosts["h1"].ipv4, hosts["h3"].ipv4, 77,
+        make_tcp(ip(172, 16, 0, 9), ip(8, 8, 8, 8), 5000, 443))
+    end = topology.host_attachment("h1")
+    while end.node not in hosts:
+        switches = [deployments[engine].switches[end.node]
+                    for engine in ENGINES]
+        outputs, others = run_interleaved(switches, first, second, end.port)
+        (port, first), = outputs
+        if others:
+            second = others[0][1]
+        end = topology.link_at(end.node, port).other(
+            Endpoint(end.node, port))
+    assert end.node == "h3"
+
+
+def test_source_route_pop_owns_the_slots_it_rewrites():
+    program = source_routing()
+    switches = [Bmv2Switch(program, engine=engine) for engine in ENGINES]
+    inner = make_udp(ip(10, 0, 0, 1), ip(10, 0, 0, 2), 1, 2)
+    first = make_source_routed([2, 3, 4], inner)
+    second = make_source_routed([7], inner)
+    run_interleaved(switches, first, second, port=1)
+    source = switches[1]._fast.source
+    assert "packet.copy()" not in source and ".copy()" in source
+
+
+# ---------------------------------------------------------------------------
+# Parser equivalence (the two engines accept, reject and extract alike)
+# ---------------------------------------------------------------------------
+
+ALIEN = HeaderType("alien", [("x", 8)])
+
+
+def parse_probe(parser):
+    """``parser`` in front of a pipeline that forwards everything: the
+    output is exactly the valid binds, in bind order, plus the tail."""
+    return ir.P4Program(
+        name="probe", parser=parser,
+        ingress=[ir.AssignStmt("standard_metadata.egress_spec",
+                               ir.Const(1, 9))])
+
+
+def select_values(parser):
+    values = {tr.value for state in parser.states
+              for tr in state.transitions if tr.value is not None}
+    return sorted(values)
+
+
+def draw_stack(data, parser):
+    """A header stack the parser accepts along some drawn path, then
+    damaged: truncated, extended, reordered, a header doubled, a select
+    field or a validity bit changed."""
+    by_name = {state.name: state for state in parser.states}
+    pool = [ex.htype for state in parser.states for ex in state.extracts]
+    pool.append(ALIEN)
+    headers = []
+    name = parser.start
+    for _ in range(24):
+        state = by_name.get(name)
+        if state is None:
+            break
+        made = {}
+        for ex in state.extracts:
+            if isinstance(ex, ir.Extract):
+                made[ex.bind] = ex.htype()
+                headers.append(made[ex.bind])
+            else:
+                depth = data.draw(st.integers(0, ex.max_depth + 2))
+                closed = data.draw(st.booleans())
+                for i in range(depth):
+                    last = closed and i == depth - 1
+                    headers.append(ex.htype(**{ex.loop_field: int(last)}))
+        if not state.transitions:
+            break
+        tr = data.draw(st.sampled_from(state.transitions))
+        if tr.field_path is not None:
+            _, bind, fname = tr.field_path.split(".")
+            if bind in made:
+                made[bind].set(fname, tr.value)
+        name = tr.next_state
+    values = select_values(parser) + [0, 1, 0xFFFF]
+    for op in data.draw(st.lists(st.sampled_from(
+            ["truncate", "extend", "swap", "double", "select", "invalid"]),
+            max_size=3)):
+        if op == "extend":
+            headers.extend(data.draw(st.sampled_from(pool))() for _ in
+                           range(data.draw(st.integers(1, 3))))
+        if not headers:
+            continue
+        at = data.draw(st.integers(0, len(headers) - 1))
+        if op == "truncate":
+            del headers[at:]
+        elif op == "swap":
+            other = data.draw(st.integers(0, len(headers) - 1))
+            headers[at], headers[other] = headers[other], headers[at]
+        elif op == "double":
+            headers.insert(at, headers[at].copy())
+        elif op == "select":
+            fname = data.draw(st.sampled_from(
+                [f.name for f in headers[at].htype.fields]))
+            headers[at].set(fname, data.draw(st.sampled_from(values)))
+        elif op == "invalid":
+            headers[at].valid = False
+    return Packet(headers=headers, payload_len=20)
+
+
+def assert_engines_agree(switches, packet, port=1):
+    before = snapshot(packet)
+    results = []
+    for sw in switches:
+        try:
+            results.append(serialize_outputs(sw.process(packet, port)))
+        except P4RuntimeError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+    assert snapshot(packet) == before
+
+
+PARSERS = {
+    "ipv4": lambda: l2_port_forwarding().parser,
+    "vlan": lambda: vlan_l2_forwarding().parser,
+    "ecmp": lambda: ecmp_fabric().parser,
+    "source_routing": lambda: source_routing().parser,
+    "upf": lambda: upf_program().parser,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_program_parsers_extract_alike(name, data):
+    parser = PARSERS[name]()
+    switches = [Bmv2Switch(parse_probe(parser), engine=engine)
+                for engine in ENGINES]
+    assert_engines_agree(switches, draw_stack(data, parser))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_all_checkers_parser_extracts_and_forwards_alike(fabrics, data):
+    """The UPF + 11-checker parser on damaged stacks: first through a
+    forward-everything probe (which binds are valid, their values, the
+    tail), then through the deployed leaf (drop or forward)."""
+    _, deployments = fabrics
+    leaves = [deployments[engine].switches["leaf1"] for engine in ENGINES]
+    parser = leaves[0].program.parser
+    probes = [Bmv2Switch(parse_probe(parser), engine=engine)
+              for engine in ENGINES]
+    packet = draw_stack(data, parser)
+    assert_engines_agree(probes, packet)
+    assert_engines_agree(leaves, packet, port=1)
+    assert "while True" not in leaves[1]._fast.source
+
+
+X = HeaderType("x", [("next", 8)])
+Y = HeaderType("y", [("next", 8)])
+
+
+def cyclic_program():
+    """x* (y x*)*: ``next == 1`` loops on x, ``next == 2`` goes to y,
+    which falls forward to x again — one self edge, one back edge."""
+    return parse_probe(ir.ParserSpec(states=[
+        ir.ParserState("start", extracts=[ir.Extract("x", X)], transitions=[
+            ir.Transition("start", "hdr.x.next", 1),
+            ir.Transition("more", "hdr.x.next", 2)]),
+        ir.ParserState("more", extracts=[ir.Extract("y", Y)], transitions=[
+            ir.Transition("start")]),
+    ]))
+
+
+@pytest.mark.parametrize("visits, terminates", [(64, True), (65, False)])
+@pytest.mark.parametrize("shape", ["self_loop", "two_states"])
+def test_cyclic_parse_graph_keeps_the_64_visit_guard(shape, visits,
+                                                     terminates):
+    if shape == "self_loop":
+        headers = [X(next=1) for _ in range(visits - 1)] + [X(next=0)]
+    else:  # x y x y ... x: forward edge and back edge, a visit a header
+        pairs = (visits - 1) // 2
+        headers = [X(next=2), Y()] * pairs
+        headers += [X(next=1)] * (visits - 2 * pairs - 1) + [X(next=0)]
+    packet = Packet(headers=headers, payload_len=0)
+    program = cyclic_program()
+    for engine in ENGINES:
+        switch = Bmv2Switch(program, engine=engine)
+        if terminates:
+            (_, out), = switch.process(packet, 1)
+            # Each bind keeps the last header extracted into it; nothing
+            # is left for the tail.
+            assert len(out.headers) == (1 if shape == "self_loop" else 2)
+        else:
+            with pytest.raises(P4RuntimeError,
+                               match="parser did not terminate"):
+                switch.process(packet, 1)
+    assert "while True" in switch._fast.source
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cyclic_parser_extracts_alike(data):
+    program = cyclic_program()
+    switches = [Bmv2Switch(program, engine=engine) for engine in ENGINES]
+    assert_engines_agree(switches, draw_stack(data, program.parser))
+
+
+@pytest.mark.parametrize("hops", [1, 2, 8, 9, 11])
+def test_header_stack_extracts_alike(hops):
+    """ExtractStack (source routing): up to, at and past max depth."""
+    program = source_routing()
+    inner = make_udp(ip(10, 0, 0, 1), ip(10, 0, 0, 2), 1, 2)
+    packet = make_source_routed(list(range(1, hops + 1)), inner)
+    switches = [Bmv2Switch(program, engine=engine) for engine in ENGINES]
+    for _ in range(hops + 1):
+        assert_engines_agree(switches, packet)
+        outputs = switches[0].process(packet, 1)
+        if not outputs:
+            break
+        (_, packet), = outputs

@@ -10,8 +10,8 @@ expected SSA shape is known exactly.
 """
 
 from repro.p4 import ir
-from repro.p4.ssa import (CopyOp, EntryOp, ExprOp, PhiOp, SSAFunction,
-                          SSAInfo, TableOp, apply_proposals,
+from repro.p4.ssa import (CopyOp, EntryOp, ExprOp, ExternOp, PhiOp,
+                          SSAFunction, SSAInfo, TableOp, apply_proposals,
                           merge_proposals, optimize_pipeline, propose)
 
 IP = "standard_metadata.ingress_port"
@@ -314,3 +314,51 @@ def test_apply_proposals_prunes_decided_branch():
     counts = apply_proposals([body], propose(fn))
     assert counts["branch"] == 1
     assert dead_if not in body and taken in body
+
+
+# ---------------------------------------------------------------------------
+# Externs: precise uses and defs
+# ---------------------------------------------------------------------------
+
+def hash_extern(args, dests):
+    return ir.ExternCall("hash", lambda *values: sum(values),
+                         args=list(args), dests=list(dests))
+
+
+def test_constant_propagates_across_an_extern():
+    """An extern defines only its dests, so a constant assigned before
+    the hash is still known after it — and propagates into its args."""
+    extern = hash_extern([ir.FieldRef("meta.k"), ir.FieldRef(IP)],
+                         ["meta.h"])
+    read = assign("meta.out", ir.FieldRef("meta.k"))
+    body = [assign("meta.k", 5), extern, read]
+    props = propose(SSAFunction.lift(body, info_for(k=32, h=32, out=32)))
+    assert props.subst[(id(read), "meta.k")] == ("const", 5)
+    assert props.subst[(id(extern), "meta.k")] == ("const", 5)
+    program = ir.P4Program(
+        name="tiny", metadata=[("k", 32), ("h", 32), ("out", 32)],
+        ingress=body + [ir.Digest("d", [ir.FieldRef("meta.out"),
+                                        ir.FieldRef("meta.h")])])
+    optimize_pipeline(program)
+    assert [type(s) for s in program.ingress] == [ir.ExternCall, ir.Digest]
+    assert program.ingress[0].args[0] == ir.Const(5, 3)
+
+
+def test_extern_dest_write_kills_exactly_that_variable():
+    extern = hash_extern([ir.FieldRef("meta.a")], ["meta.h"])
+    body = [assign("meta.a", 1), assign("meta.h", 2), assign("meta.b", 3),
+            extern]
+    fn = SSAFunction.lift(body, info_for(a=32, h=32, b=32))
+    before = fn.envs[node_of(fn, extern).index]
+    after = dict(before)
+    for value in fn.values:
+        if value.def_node == node_of(fn, extern).index:
+            after[value.var] = value
+    changed = {var for var in before if after[var] is not before[var]}
+    assert changed == {"meta.h"}
+    assert isinstance(after["meta.h"].op, ExternOp)
+    assert after["meta.h"].const is None
+    # ...and it uses exactly its declared reads.
+    users = {var for var, value in before.items()
+             if any(consumer is extern for consumer, _ in value.uses)}
+    assert users == {"meta.a"}

@@ -346,3 +346,119 @@ def test_insert_delete_churn_invalidates_index(kind):
         assert sw.process(_packet(5, 0), 1)[0][0] == 200
         sw.clear_table("t")
         assert sw.process(_packet(5, 0), 1)[0][0] == 0  # miss, no default
+
+
+# ---------------------------------------------------------------------------
+# Compiled scan matchers
+# ---------------------------------------------------------------------------
+
+def _kinds_tuples(max_keys=4):
+    import itertools
+
+    kinds = (ir.MatchKind.EXACT, ir.MatchKind.TERNARY, ir.MatchKind.RANGE)
+    for n in range(1, max_keys + 1):
+        yield from itertools.product(kinds, repeat=n)
+
+
+def _random_spec(rng, kind, wide=0.3):
+    """A match spec over a small domain, so probes hit and miss."""
+    if kind is ir.MatchKind.EXACT:
+        return rng.randrange(12)
+    if kind is ir.MatchKind.TERNARY:
+        return (rng.randrange(16), rng.randrange(16))
+    if kind is ir.MatchKind.LPM:
+        return (rng.randrange(1 << 32), rng.choice([0, 8, 24, 32]))
+    lo = rng.randrange(12)
+    return (lo, lo + rng.randrange(1, 6)) if rng.random() < wide else (lo, lo)
+
+
+def _probe(rng, kind, spec):
+    """A key component that matches ``spec`` four times in five."""
+    if rng.random() < 0.2:
+        return rng.randrange(1 << 32 if kind is ir.MatchKind.LPM else 12)
+    if kind is ir.MatchKind.EXACT:
+        return spec
+    if kind is ir.MatchKind.TERNARY:
+        value, mask = spec
+        return (value & mask) | (rng.randrange(16) & ~mask)
+    if kind is ir.MatchKind.LPM:
+        prefix, plen = spec
+        return prefix ^ rng.randrange(1 << (32 - plen))
+    return rng.randint(*spec)
+
+
+def test_compiled_matcher_equals_reference_for_every_kinds_tuple():
+    """The compiled matcher is ``TableEntry.matches`` for every tuple
+    of match kinds up to four keys (plus the LPM term)."""
+    import random
+
+    from repro.p4.tableindex import _matcher
+
+    rng = random.Random(7)
+    tuples = list(_kinds_tuples()) + [
+        (ir.MatchKind.LPM,), (ir.MatchKind.RANGE, ir.MatchKind.LPM),
+        (ir.MatchKind.LPM, ir.MatchKind.TERNARY, ir.MatchKind.EXACT)]
+    for kinds in tuples:
+        table = ir.Table("t", keys=[ir.TableKey(f"meta.k{i}", kind)
+                                    for i, kind in enumerate(kinds)])
+        match = _matcher(kinds)
+        assert _matcher(tuple(kinds)) is match  # one per kinds tuple
+        verdicts = set()
+        for _ in range(150):
+            entry = ir.TableEntry(
+                match=[_random_spec(rng, kind) for kind in kinds],
+                action="a")
+            key = tuple(_probe(rng, kind, spec)
+                        for kind, spec in zip(kinds, entry.match))
+            want = entry.matches(table, list(key))
+            assert bool(match(entry.match, key)) is want, (kinds, entry, key)
+            verdicts.add(want)
+        assert verdicts == {True, False}, kinds
+
+
+class _StubEngine:
+    """The two things a _TableIndex asks of its engine."""
+
+    def __init__(self, entries):
+        from types import SimpleNamespace
+
+        self.switch = SimpleNamespace(entries={"t": entries})
+
+    def _bind_action(self, name, args):
+        return (name, tuple(args))
+
+
+def test_compiled_matcher_in_every_scan_layout():
+    """Plain scan, range buckets and the residual list all pick the
+    entry the reference scan picks, for every kinds tuple."""
+    import random
+
+    from repro.p4.bmv2 import Bmv2Switch as Reference
+    from repro.p4.tableindex import _RBUCKET_MIN, _TableIndex
+
+    rng = random.Random(11)
+    layouts = set()
+    for kinds in _kinds_tuples():
+        table = ir.Table("t", keys=[ir.TableKey(f"meta.k{i}", kind)
+                                    for i, kind in enumerate(kinds)])
+        for n in (5, _RBUCKET_MIN + 16):
+            entries = [ir.TableEntry(
+                match=[_random_spec(rng, kind) for kind in kinds],
+                action=f"a{i}", priority=rng.randrange(3))
+                for i in range(n)]
+            index = _TableIndex(_StubEngine(entries), "t", table)
+            for _ in range(25):
+                key = tuple(rng.randrange(12) for _ in kinds)
+                best = None
+                for entry in entries:
+                    if entry.matches(table, list(key)) and (
+                            best is None
+                            or Reference._beats(table, entry, best)):
+                        best = entry
+                want = None if best is None else (best.action, ())
+                assert index.lookup(key) == want, (kinds, n, key)
+            if index._mode == "scan":
+                layouts.add("plain" if index._rb_col is None else "buckets")
+                if index._rb_residual:
+                    layouts.add("residual")
+    assert layouts == {"plain", "buckets", "residual"}
