@@ -2,12 +2,13 @@
 
 The batched :class:`~repro.net.simulator.Network` skips per-hop events
 for uncontended traffic by walking a packet's whole path eagerly (see
-``Network._walk``) and, when the fabric is *stateless*, by caching the
-resulting transit record per source template packet so repeat emissions
-replay with pure float arithmetic — no pipeline execution at all.
+``Network._walk``) and, when the fabric is *stateless*, by memoizing
+the resulting transit record on the source template packet so repeat
+emissions replay with pure float arithmetic — no pipeline execution at
+all (``Network._drain``).
 
 This module holds the admission rule: a switch program may be skipped
-on cache hits only when re-running it could not observe or produce
+on replay only when re-running it could not observe or produce
 anything a skipped run would miss.  That means no register reads or
 writes and no digests.  Extern calls qualify: an
 :class:`~repro.p4.ir.ExternCall` sees only its declared arguments, so
@@ -18,22 +19,14 @@ The check is structural over the IR: it walks the ingress/egress
 bodies and every action body (tables dispatch only into actions, so
 that covers all reachable statements regardless of which entries are
 installed).  Control-plane *table* changes do not affect the verdict —
-they change which cached routes are valid, which the network handles
-by flushing its flow cache on any config change — but they never make
-a stateless program stateful.
+they change which memoized routes are valid, which the network handles
+by drawing a new memo generation on any config change — but they never
+make a stateless program stateful.
 """
 
 from __future__ import annotations
 
 from ..p4 import ir
-
-#: Flow caches are bounded: traffic that never reuses template packets
-#: (one-off pings, echo replies) would otherwise grow the cache without
-#: bound.  Crossing the ceiling clears the cache — it is a cache.  The
-#: ceiling is sized for paper-rate campus replay, where heavy-tailed
-#: flow churn creates tens of thousands of (flow, size) templates per
-#: simulated second.
-FLOW_CACHE_MAX = 131_072
 
 
 def stateless_program(program: ir.P4Program) -> bool:

@@ -15,15 +15,19 @@ Figure 12 finds no significant RTT difference.
 Two execution modes share one timing model:
 
 * **event mode** (default) — one scheduler event per enqueue / arrival /
-  forward, exactly the historical behaviour;
+  forward, exactly the historical behaviour.  It is the reference every
+  equivalence test compares batched mode against, so it stays a
+  separate, plain implementation (``_send_over``/``_arrive``/
+  ``_forward``) rather than a setting of the batched loop;
 * **batched mode** (``Network(batched=True)``) — the hot loop for
-  paper-rate replay.  Packets walk their whole path eagerly inside one
-  event under the *horizon invariant* (every eagerly executed step must
-  predate the next pending scheduler event, else the walk parks itself
-  as a continuation event), stateless fabrics fast-forward repeat
-  template emissions through cached per-flow transit records, and
-  stateful fabrics drain bursts through ``Bmv2Switch.process_batch``
-  one switch at a time.  See ``docs/INTERNALS.md`` for the invariants.
+  paper-rate replay, in two tiers.  Every packet walks its whole path
+  eagerly inside one event under the *horizon invariant* (every eagerly
+  executed step must predate the next pending scheduler event, else the
+  walk parks itself as a continuation event); on a stateless fabric a
+  walk also memoizes its transit record on the template packet, and
+  repeat emissions of that template fast-forward through the record
+  without running a pipeline.  See ``docs/INTERNALS.md`` §5 for the
+  invariants.
 
 The scheduler itself is a slotted timing wheel (per-slot min-heaps keep
 the exact ``(time, seq)`` FIFO order of the old global heap) with a
@@ -36,22 +40,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
 from ..obs import NULL_OBS, Observability
 from ..p4.bmv2 import (DEFAULT_LOG_CAPACITY, Bmv2Switch, BoundedLog,
                        DigestMessage)
-from .fastforward import FLOW_CACHE_MAX, stateless_program
+from .fastforward import stateless_program
 from .packet import Packet
 from .topology import Endpoint, Link, Topology
 
 DEFAULT_STAGE_DELAY_S = 40e-9     # per-pipeline-stage latency
 DEFAULT_STAGES = 12               # the Aether fabric-upf baseline
-
-#: Largest number of due emissions a batched source drains per wakeup.
-BURST_LIMIT = 512
 
 #: Transit-cache generations for every :class:`Network` in the process.
 #: A template packet carries its memo (``packet._ff``) from network to
@@ -63,13 +63,6 @@ _GENERATIONS = itertools.count(1)
 def _noop() -> None:
     """Sentinel event body: marks a virtual time the batched drain
     already executed work at, so the clock ends where event mode's."""
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
 
 
 class Simulator:
@@ -302,6 +295,10 @@ class _LazySource:
         return head
 
 
+#: The source of a drain that has only parked replays to finish.
+_EXHAUSTED = _LazySource("", ())
+
+
 class Network:
     """Hosts + switches wired per a :class:`Topology`, with a scheduler.
 
@@ -313,10 +310,10 @@ class Network:
     lengths.)
 
     With ``batched=True`` the network runs the batch hot loop (eager
-    path walks + flow fast-forwarding + burst pipeline draining) with
-    timing identical to event mode; a live tracer disables the eager
-    machinery (trace consumers want one event per hop) and falls back
-    to event mode transparently.
+    path walks, plus flow fast-forwarding where every switch program
+    is stateless) with timing identical to event mode; a live tracer
+    disables the eager machinery (trace consumers want one event per
+    hop) and falls back to event mode transparently.
     """
 
     def __init__(self, topology: Topology,
@@ -373,14 +370,14 @@ class Network:
         self.packets_delivered = 0
         self.packets_lost = 0
         # -- batched-mode state --------------------------------------------
-        self._sources: List[_LazySource] = []
-        #: Flow transit cache: (host, payload_len, header ids) -> legs.
-        self._flow_cache: Dict[tuple, list] = {}
-        # Redrawn on every control-plane change; in-flight recordings
-        # and parked replays from an older generation are discarded.
+        #: Whether the eager machinery runs at all (see class docstring).
+        self._eager = batched and not self._trace
+        # Redrawn on every control-plane change; template memos,
+        # in-flight recordings and parked replays from an older
+        # generation are discarded.
         self._cache_gen = next(_GENERATIONS)
         self._stateless: Optional[bool] = None  # computed lazily
-        if batched:
+        if self._eager:
             for device in self.switches.values():
                 device.bmv2.on_config_change(self._on_switch_config)
 
@@ -394,7 +391,7 @@ class Network:
     # -- transmission ------------------------------------------------------------
 
     def transmit_from_host(self, host_name: str, packet: Packet) -> None:
-        if self.batched and not self._trace:
+        if self._eager:
             self._walk_from_host(host_name, packet, self.sim.now)
             return
         attach = self.topology.host_attachment(host_name)
@@ -519,7 +516,7 @@ class Network:
                             out_packet)
 
     # ==================================================================
-    # Batched mode: eager walks, flow fast-forwarding, burst draining
+    # Batched mode: the eager walk and flow fast-forwarding
     # ==================================================================
     #
     # Exactness rests on the horizon invariant: simulated work at
@@ -527,9 +524,15 @@ class Network:
     # both the earliest pending scheduler event and the attached
     # source's next emission time (the "cap") — anything at or beyond
     # that horizon parks itself as a continuation event and the
-    # scheduler takes over.  All timing arithmetic below replicates
-    # ``_send_over``/``_arrive`` float-expression-for-float-expression,
-    # so both modes produce bit-identical timestamps.
+    # scheduler takes over.  One tie rule goes with it: the event the
+    # scheduler just popped owns its instant (every pending event at
+    # the same time has a larger seq and serializes after it), so a
+    # step at that instant runs rather than parks — re-parking would
+    # ping-pong forever against another continuation doing the same.
+    # ``_pump``, ``_walk`` and ``_drain`` each apply it.  All timing
+    # arithmetic below replicates ``_send_over``/``_arrive``
+    # float-expression-for-float-expression, so both modes produce
+    # bit-identical timestamps.
 
     def attach_source(self, host_name: str,
                       emissions: Iterable[Tuple[float, Packet]]) -> None:
@@ -545,11 +548,10 @@ class Network:
         source = _LazySource(host_name, emissions)
         if source.head is None:
             return
-        self._sources.append(source)
         self.sim.schedule_at(source.head[0], lambda: self._pump(source))
 
     def _pump(self, source: _LazySource) -> None:
-        if not (self.batched and not self._trace):
+        if not self._eager:
             # Event mode: transmit the head emission, reschedule for
             # the next — one event per emission, nothing materialized.
             when, packet = source.pop()
@@ -561,32 +563,24 @@ class Network:
         if self._ff_ready():
             self._drain(source)
             return
+        # Stateful fabric: walk each due emission, capped by the next.
+        # The tie rule: this pump was popped at its head's time, so
+        # that one emission goes out whatever else is pending now.
         sim = self.sim
         until = sim.run_until
-        while source.head is not None:
-            when = source.head[0]
+        while True:
+            when, packet = source.pop()
+            head = source.head
+            self._walk_from_host(source.host, packet, when,
+                                 head[0] if head is not None else None)
+            if head is None:
+                return
+            when = head[0]
             horizon = sim.peek_next_time()
-            # Park only when the emission is strictly in the future: a
-            # pump popped at its own head time owns this instant (every
-            # pending same-time event has a larger seq and serializes
-            # after it).  Re-parking at ties would ping-pong forever
-            # against another same-instant continuation doing the same.
             if ((until is not None and when > until)
-                    or (horizon is not None and when >= horizon
-                        and when > sim.now)):
+                    or (horizon is not None and when >= horizon)):
                 sim.schedule_at(when, lambda: self._pump(source))
                 return
-            # Stateful fabric: drain every due emission into one burst
-            # and push it through the switches a whole stage at a time.
-            burst: List[Tuple[float, Packet]] = [source.pop()]
-            while (source.head is not None and len(burst) < BURST_LIMIT):
-                when = source.head[0]
-                if ((horizon is not None and when >= horizon)
-                        or (until is not None and when > until)):
-                    break
-                burst.append(source.pop())
-            cap = source.head[0] if source.head is not None else None
-            self._walk_burst(source.host, burst, cap)
 
     def _ff_ready(self) -> bool:
         """Flow fast-forwarding admission: every switch stateless, no
@@ -600,13 +594,11 @@ class Network:
         return self._stateless
 
     def _on_switch_config(self, *_args: Any) -> None:
-        """Any control-plane change invalidates cached transit records
-        (routes may differ); program structure is immutable, so the
-        statelessness verdict stands.  The new generation also voids
-        in-flight recordings and parked replay continuations."""
+        """Any control-plane change voids every transit record (routes
+        may differ): memos, in-flight recordings and parked replays
+        carry the generation they were made under.  Program structure
+        is immutable, so the statelessness verdict stands."""
         self._cache_gen = next(_GENERATIONS)
-        if self._flow_cache:
-            self._flow_cache.clear()
 
     def _host_uplink(self, host_name: str) -> Tuple[Link, Endpoint]:
         attach = self.topology.host_attachment(host_name)
@@ -623,30 +615,20 @@ class Network:
 
     def _walk_from_host(self, host_name: str, packet: Packet, t: float,
                         cap: Optional[float] = None) -> None:
-        if self._ff_ready() and packet.headers:
+        rec = None
+        if self._ff_ready():
             gen = self._cache_gen
-            # Template emissions memoize their own record (validated by
-            # generation); the keyed cache is the fallback for distinct
-            # packet objects sharing Header instances.
             ff = getattr(packet, "_ff", None)
             if ff is not None and ff[0] == gen and ff[2] == host_name:
-                self._replay_record(ff[1], packet, t, cap, 0, gen)
+                # A ``Host.send`` of a memoized template: a drain with
+                # nothing left to emit and this one replay to finish.
+                self._drain(_EXHAUSTED, [(t, 0, ff[1], 0, packet, gen)])
                 return
-            key = (host_name, packet.payload_len) + tuple(
-                map(id, packet.headers))
-            legs = self._flow_cache.get(key)
-            if legs is not None:
-                packet._ff = self._ff_memo(gen, legs, host_name)
-                self._replay_record(legs, packet, t, cap, 0, gen)
-                return
-            self._walk("wire", host_name, 0, packet, t, cap,
-                       [("gen", gen)], key)
-            return
-        self._walk("wire", host_name, 0, packet, t, cap, None, None)
+            rec = [("gen", gen)]
+        self._walk("wire", host_name, 0, packet, t, cap, rec)
 
     def _defer_walk(self, phase: str, node: str, port: int, packet: Packet,
-                    t: float, rec: Optional[list] = None,
-                    key: Optional[tuple] = None) -> None:
+                    t: float, rec: Optional[list] = None) -> None:
         """Park a walk as a continuation event at its virtual time.
 
         An in-flight recording survives the park (the continuation
@@ -654,20 +636,17 @@ class Network:
         at store time if the cache generation moved meanwhile.
         """
         self.sim.schedule_at(
-            t,
-            lambda: self._walk(phase, node, port, packet, t, None,
-                               rec, key))
+            t, lambda: self._walk(phase, node, port, packet, t, None, rec))
 
     def _walk(self, phase: str, node: str, port: int, packet: Packet,
-              t: float, cap: Optional[float], rec: Optional[list],
-              key: Optional[tuple]) -> None:
+              t: float, cap: Optional[float], rec: Optional[list]) -> None:
         """Eagerly execute one packet's path starting at virtual time
         ``t``.
 
         ``phase`` is ``"wire"`` (about to serialize from ``node`` out
         of ``port``; hosts always use port 0) or ``"fw"`` (pipeline
         about to run at switch ``node``, ingress ``port``).  ``rec``
-        accumulates a cacheable transit record; it survives deferrals
+        accumulates a transit record to memoize; it survives deferrals
         (the continuation keeps recording) and is abandoned on
         multicast or routing anomalies — only clean single-path walks
         are worth replaying.
@@ -680,17 +659,12 @@ class Network:
         horizon = self._horizon(cap)
         until = sim.run_until
         while True:
-            # A step at the current instant never parks: when this walk
-            # is the continuation the scheduler just popped, every
-            # pending event at the same time has a larger seq and
-            # serializes after it — deferring again would re-park
-            # behind that event and livelock if it, too, is a parked
-            # continuation at this instant.  Steps that advance past
-            # ``sim.now`` re-check the horizon as usual.
+            # The tie rule: a step at the current instant never parks.
+            # Steps that advance past ``sim.now`` re-check the horizon.
             if ((until is not None and t > until)
                     or (horizon is not None and t >= horizon
                         and t > sim.now)):
-                self._defer_walk(phase, node, port, packet, t, rec, key)
+                self._defer_walk(phase, node, port, packet, t, rec)
                 return
             sim.now = t
             if phase == "wire":
@@ -742,7 +716,7 @@ class Network:
                         rec.append(("dv", dst.node, dst.port, packet, plen,
                                     Endpoint(dst.node, dst.port),
                                     hosts[dst.node]))
-                        self._store_record(key, rec)
+                        self._store_record(rec)
                     self._deliver_walk(dst.node, dst.port, packet, arrival,
                                        horizon, until, plen)
                     return
@@ -762,7 +736,7 @@ class Network:
                 self.packets_lost += 1
                 if rec is not None:
                     rec.append(("dr",))
-                    self._store_record(key, rec)
+                    self._store_record(rec)
                 return
             if len(outputs) > 1:
                 # Multicast: hand every copy to the scheduler at this
@@ -776,46 +750,34 @@ class Network:
             phase = "wire"
             port = egress_port
 
-    def _store_record(self, key: Optional[tuple], legs: list) -> None:
-        if key is None:
-            return
-        # legs[0] is the ("gen", g) sentinel stamped when recording
-        # began; a control-plane change mid-flight voids the record
-        # (its early legs reflect the old routes).
-        if legs[0][1] != self._cache_gen:
-            return
-        if len(self._flow_cache) >= FLOW_CACHE_MAX:
-            self._flow_cache.clear()
-        stored = legs[1:]
-        self._flow_cache[key] = stored
-        # Memoize the record on the source template itself (the packet
-        # recorded at the NIC leg) so repeat emissions of the same
-        # object skip the keyed lookup entirely.
-        first = stored[0]
-        if first[0] == "hw":
-            first[6]._ff = self._ff_memo(self._cache_gen, stored,
-                                         first[1])
+    def _store_record(self, rec: list) -> None:
+        """Memoize a finished recording on the template it was made
+        from (the packet recorded at the NIC leg).
 
-    @staticmethod
-    def _ff_memo(gen: int, legs: list, host_name: str) -> tuple:
-        """Build a template's replay memo (checked in ``_drain`` and
-        :meth:`_walk_from_host`).
-
-        The memo carries the emitting host: the same template sent from
-        a different host takes a different path, so a host mismatch
-        falls through to the keyed cache.  Records with the canonical
-        one-switch shape additionally carry their legs pre-unpacked so
-        the drain's straight-line path pays no per-emission shape test:
+        ``rec[0]`` is the ``("gen", g)`` sentinel stamped when
+        recording began; a control-plane change mid-flight voids the
+        record (its early legs reflect the old routes).  The memo is
 
           ``(gen, legs, host, hw, fw_delay, sw, dv, dv_host)``
 
-        Any other shape stores ``(gen, legs, host, None)``.
+        for the canonical one-switch shape (legs pre-unpacked so the
+        drain's fast tier pays no per-emission shape test) and
+        ``(gen, legs, host, None)`` for any other.  It names the
+        emitting host because the same template sent from another
+        host takes another path: a mismatch re-walks.
         """
+        gen = rec[0][1]
+        if gen != self._cache_gen:
+            return
+        legs = rec[1:]
+        hw = legs[0]
         if (len(legs) == 4 and legs[1][0] == "fw" and legs[2][0] == "sw"
                 and legs[3][0] == "dv"):
-            return (gen, legs, host_name, legs[0], legs[1][3], legs[2],
-                    legs[3], legs[3][6])
-        return (gen, legs, host_name, None)
+            memo = (gen, legs, hw[1], hw, legs[1][3], legs[2], legs[3],
+                    legs[3][6])
+        else:
+            memo = (gen, legs, hw[1], None)
+        hw[6]._ff = memo
 
     def _deliver_walk(self, host_name: str, port: int, packet: Packet,
                       arrival: float, horizon: Optional[float],
@@ -837,81 +799,6 @@ class Network:
         self.sim.now = arrival
         self._arrive(Endpoint(host_name, port), packet, length)
 
-    def _replay_record(self, legs: list, emission: Packet, t: float,
-                       cap: Optional[float], start: int,
-                       gen: int) -> None:
-        """Fast-forward one emission through a cached transit record.
-
-        Pure float arithmetic per leg — no pipeline execution, no
-        per-hop events.  A leg that would cross the horizon parks the
-        replay as a continuation event at its exact virtual time and
-        resumes from that leg; if the cache generation moved while
-        parked (control-plane change — the remaining legs may reflect
-        stale routes), the continuation falls back to a plain walk
-        using the leg's recorded in-flight packet template, which is
-        value-identical for template emissions since pipelines are
-        deterministic functions of the packet.
-        """
-        sim = self.sim
-        maxq = self.max_queue_delay_s
-        horizon = self._horizon(cap)
-        until = sim.run_until
-        index = start
-        while True:
-            leg = legs[index]
-            code = leg[0]
-            if code == "dv":
-                self._deliver_walk(leg[1], leg[2],
-                                   self._replay_out(legs, leg, emission),
-                                   t, horizon, until, leg[4])
-                return
-            if code == "dr":
-                self.packets_lost += 1
-                return
-            # Same tie rule as _walk: a leg at the current instant
-            # belongs to the continuation that was just popped —
-            # re-parking at an equal-time horizon would livelock
-            # against another parked continuation at this instant.
-            if ((until is not None and t > until)
-                    or (horizon is not None and t >= horizon
-                        and t > sim.now)):
-                self.sim.schedule_at(
-                    t,
-                    lambda i=index, tt=t:
-                    self._replay_resume(legs, emission, tt, i, gen))
-                return
-            if code == "hw":
-                host = leg[7]
-                tx_time = leg[3]
-                start = max(t, host.nic_busy_until)
-                queue_wait = start - t
-                if maxq is not None and queue_wait > maxq:
-                    host.nic_drops += 1
-                    self._drop(leg[1], leg[6], "queue_full", port=0,
-                               queue_wait_s=queue_wait)
-                    return
-                host.nic_busy_until = start + tx_time
-                host.tx_count += 1
-                t = (start + tx_time - t) + leg[4] + t
-                index += 1
-            elif code == "sw":
-                device = leg[7]
-                port = leg[2]
-                tx_time = leg[3]
-                start = max(t, device.port_busy_until.get(port, 0.0))
-                queue_wait = start - t
-                if maxq is not None and queue_wait > maxq:
-                    self._drop(leg[1], leg[6], "queue_full", port=port,
-                               queue_wait_s=queue_wait)
-                    return
-                device.port_busy_until[port] = start + tx_time
-                device.bytes_forwarded += leg[5]
-                t = (start + tx_time - t) + leg[4] + t
-                index += 1
-            else:  # "fw": the pipeline is skipped; only its delay counts.
-                t = t + leg[3]
-                index += 1
-
     @staticmethod
     def _replay_out(legs: list, leg: tuple, emission: Packet) -> Packet:
         """The packet a replayed delivery hands the host.
@@ -921,67 +808,69 @@ class Network:
         packet is delivered as-is: it is exactly what the event path
         delivered when the record was made, and repeat traversals of a
         stateless fabric reproduce it bit-for-bit.  A different
-        emission object gets a fresh shell carrying its own id/meta.
+        emission object (a copy that carried the memo along) gets a
+        fresh shell with its own id/meta.
         """
         out = leg[3]
-        first = legs[0]
-        if first[0] == "hw" and emission is first[6]:
+        if emission is legs[0][6]:
             return out
         return Packet.shell(list(out.headers), out.payload_len,
                             emission.packet_id, dict(emission.meta))
 
-    def _replay_resume(self, legs: list, emission: Packet, t: float,
-                       index: int, gen: int) -> None:
-        """Continuation of a parked replay (see :meth:`_replay_record`)."""
-        if gen == self._cache_gen:
-            self._replay_record(legs, emission, t, None, index, gen)
-            return
-        self._replay_stale(legs, t, index, None)
-
     def _replay_stale(self, legs: list, t: float, index: int,
                       cap: Optional[float]) -> None:
-        """The cache generation moved under a parked replay: finish the
-        remainder as a plain walk from the leg's recorded in-flight
-        template (value-identical for template emissions, since
-        stateless pipelines are deterministic functions of the
-        packet)."""
-        leg = legs[index]
-        if leg[0] == "fw":
-            self._walk("fw", leg[1], leg[2], leg[4], t, cap, None, None)
-        else:
-            self._walk("wire", leg[1], leg[2], leg[6], t, cap, None, None)
+        """The cache generation moved under a parked replay: the legs
+        from ``index`` on may follow stale routes, so the rest is a
+        plain walk from the recorded in-flight packet (value-identical
+        for template emissions, since stateless pipelines are
+        deterministic functions of the packet).  A replay parks at
+        forward time, so the walk starts by re-running that pipeline
+        (the ``fw`` leg before ``index``) on the new tables."""
+        leg = legs[index - 1]
+        self._walk("fw", leg[1], leg[2], leg[4], t, cap, None)
 
-    def _drain(self, source: _LazySource) -> None:
-        """The batch hot loop: drain a source through the fabric with a
-        local run queue instead of global scheduler events.
+    def _drain(self, source: _LazySource,
+               heap: Optional[list] = None) -> None:
+        """Flow fast-forwarding: drain a source through a stateless
+        fabric with a local run queue instead of scheduler events.
 
-        A tiny event loop over a local heap merges three item streams
-        in exact virtual-time order — source emissions, parked replay
-        continuations, and pending deliveries — and runs them inline
-        for as long as the next item precedes every *global* scheduler
-        event (the horizon) and the ``run(until)`` bound.  Heap entries
-        are plain tuples, so a park/resume cycle costs two heap ops
-        instead of a closure plus a scheduler round-trip.  The moment
-        the global queue intrudes, every local item is flushed back to
-        the scheduler as ordinary continuation events and the global
-        loop takes over — so the slow path remains the single source of
-        truth for anything the local loop cannot prove safe.
+        A tiny event loop merges two item streams in exact virtual-time
+        order — the source's emissions and parked replays (``heap``) —
+        and runs them inline for as long as the next item precedes
+        every *global* scheduler event (the horizon) and the
+        ``run(until)`` bound.  Heap entries are plain tuples, so a
+        park/resume cycle costs two heap ops instead of a closure plus
+        a scheduler round-trip.  The moment the global queue intrudes,
+        every local item is handed back to the scheduler as a
+        continuation event — a drain seeded with that one item and an
+        exhausted source, which is also what a ``Host.send`` of a
+        memoized template is.
 
-        The loop is two-tiered.  With the local heap empty, emissions
-        whose memoized record has the canonical one-switch shape
-        (``hw``/``fw``/``sw``/``dv`` — see :meth:`_ff_memo`) replay on
-        a straight-line fast path; everything else (longer records,
-        parked continuations, rx callbacks) runs through the generic
-        leg loop.  The fast path keeps mutable endpoint state — the
-        source NIC's FIFO clock and tx count, the last-used switch
-        output port, the last delivery host's rx counters, the global
-        delivered counter, and the simulator clock high-water mark —
-        in locals, written back ("flushed") whenever control can reach
-        code that observes the real attributes: before any walk,
-        delivery callback, stale-replay fallback, the generic leg
-        loop, or any return.
+        An emission whose template carries no valid memo (see
+        :meth:`_store_record`) takes a recording walk; one that does
+        replays its record leg by leg with pure float arithmetic: FIFO
+        waits are recomputed against live ``busy_until`` state, only
+        the path and the per-hop delays are memoized.  Each loop
+        iteration picks the earliest item and takes one *generic
+        step*: it runs that item's legs until the next leg would cross
+        the horizon or reach another local item's time, then parks it.
+        A picked item always runs its first leg, and the first item a
+        call picks is exempt from the global horizon (the tie rule: it
+        is what the scheduler popped this call for), so equal times
+        never re-park forever.
 
-        Unlike the generic loop, the fast path does not park against
+        The *fast tier* is an inner loop ahead of that step.  With
+        nothing parked locally, emissions whose memo has the one-switch
+        shape (``hw``/``fw``/``sw``/``dv``) and whose sink has no rx
+        callbacks replay straight-line.  It loads the mutable endpoint
+        state — the source NIC's FIFO clock and tx count, the egress
+        port's FIFO clock and byte count, the sink's rx counters —
+        into locals once, runs while emissions keep using the same
+        port and sink, and writes everything back in one place when it
+        stops; nothing else runs in between, so nothing can observe
+        the real attributes while they lag.
+
+        Unlike the generic step, the fast tier does not park against
         the source's own next emission time.  That is exact: every
         emission of this source serializes through the same NIC FIFO
         first, so a later emission reaches any switch this record
@@ -991,23 +880,16 @@ class Network:
         claim by another route either.  Per-resource claims therefore
         stay in arrival order without parking.  Anything that could
         break the argument — a packet parked mid-path (non-empty local
-        heap), a global event (horizon), rx callbacks — falls back to
-        the generic loop or parks exactly as before.  Because fused
-        deliveries may thus run ahead of later (earlier-timed)
-        emissions, ``sim.now`` is not written per delivery; the
-        high-water mark is restored at every exit (as a sentinel event
-        when earlier global work is still queued) so the clock ends
-        where event mode would leave it.
+        heap), a global event (horizon), rx callbacks — goes through
+        the generic step.  Because fast-tier deliveries may thus run
+        ahead of later (earlier-timed) emissions, ``sim.now`` is not
+        written per delivery; the high-water mark is restored at exit
+        (as a sentinel event when earlier global work is still queued)
+        so the clock ends where event mode would leave it.
 
-        Exactness elsewhere is unchanged: items execute in ascending
-        ``(time, local seq)`` order, generic replay legs yield to any
-        earlier item before claiming a port, and the strict
-        ``t < horizon`` bound means no local work runs at or past a
-        global event's time.
-
-        Local heap items (fixed arity, compared on ``(t, seq)``):
-          ``(t, seq, 0, legs, index, emission, gen)``  replay continuation
-          ``(t, seq, 1, None, endpoint, packet, length)``  delivery
+        Heap items: ``(t, seq, legs, index, emission, gen)`` — resume
+        ``legs`` at ``index`` at time ``t``; ``gen`` is the generation
+        the replay started under.
         """
         sim = self.sim
         inf = float("inf")
@@ -1015,566 +897,228 @@ class Network:
         stop = until if until is not None else inf
         maxq = self.max_queue_delay_s
         maxq_b = maxq if maxq is not None else inf
-        metrics = self._metrics
-        m_children: dict = {}
-        heap: list = []
+        if heap is None:
+            heap = []
         hpush = heapq.heappush
         hpop = heapq.heappop
         nxt = next
-        seq = 0
-        # The horizon is hoisted out of the loop: mid-drain, global
-        # events are only *added* (by walks, deliveries with callbacks,
-        # and stale-replay fallbacks — all of which re-peek below) and
-        # never consumed, so between those points the cached value is
-        # exact, and the common replay iteration touches no scheduler
-        # state at all.  ``gen`` follows the same discipline (config
-        # changes only happen inside delivery callbacks).
+        seq = len(heap)
+        # The horizon and the generation are read here and again after
+        # each walk and delivery: those (and the callbacks they run)
+        # are all that can add a global event or change a table.
         peek = sim.peek_next_time
         g = peek()
         g_h = g if g is not None else inf
         gen = self._cache_gen
+        # The tie rule: the first item is due at the instant this call
+        # was popped at, and runs even against an equal-time horizon.
+        owner = True
         now_hi = sim.now
         src_name = source.host
-        src_host = self.hosts[src_name]
         src_iter = source._iter
-        # -- fast-path write-back caches (flush discipline above) -----
-        nic_cached = True
-        nic_busy = src_host.nic_busy_until
-        ntx = 0                  # src_host.tx_count delta
-        cdev: Optional[SwitchDevice] = None   # cached output port ...
-        cport = -1
-        pbusy = 0.0
-        dbytes = 0               # cdev.bytes_forwarded delta
-        cdvh: Optional[Host] = None           # cached delivery host ...
-        crxc = 0                 # rx_count / rx_bytes deltas
-        crxb = 0
-        clast: Optional[float] = None
-        cappend = None
-        cmet = None
-        ndeliv = 0               # self.packets_delivered delta
         while True:
-            head = source.head
-            if not heap:
-                # ======== fast tier: nothing parked locally ========
+            # ======== fast tier: nothing parked locally ========
+            dvhost: Optional[Host] = None
+            while not heap:
+                head = source.head
                 if head is None:
-                    # Source exhausted.  Event mode's last event would
-                    # be the latest delivery; restore that time (as a
-                    # sentinel event if the global queue still holds
-                    # earlier work).
                     break
                 t = head[0]
-                if t >= g_h or t > stop:
+                if (t >= g_h and not owner) or t > stop:
                     break
                 emission = head[1]
-                source.head = nxt(src_iter, None)
                 try:
                     ff = emission._ff
                 except AttributeError:
-                    ff = None
-                if ff is not None and ff[0] == gen and ff[2] == src_name:
-                    hw = ff[3]
-                    if hw is not None:
-                        dvhost = ff[7]
-                        if dvhost is not cdvh:
-                            # Switch the delivery cache (callbacks are
-                            # re-checked here; they cannot appear
-                            # between flushes).
-                            if cdvh is not None:
-                                if crxc:
-                                    cdvh.rx_count += crxc
-                                    cdvh.rx_bytes += crxb
-                                    crxc = 0
-                                    crxb = 0
-                                cdvh.last_rx_time = clast
-                                cdvh = None
-                            if not dvhost.rx_callbacks:
-                                cdvh = dvhost
-                                clast = dvhost.last_rx_time
-                                cappend = dvhost.received.append
-                                cmet = (self._m_delivered.labels(
-                                    dvhost.name) if metrics else None)
-                        if dvhost is cdvh:
-                            # ---- straight-line one-switch replay ----
-                            if not nic_cached:
-                                nic_cached = True
-                                nic_busy = src_host.nic_busy_until
-                            start = t if t > nic_busy else nic_busy
-                            if start - t > maxq_b:
-                                src_host.nic_drops += 1
-                                self._drop(hw[1], hw[6], "queue_full",
-                                           port=0,
-                                           queue_wait_s=start - t)
-                                continue
-                            tx_time = hw[3]
-                            nic_busy = start + tx_time
-                            ntx += 1
-                            t = (start + tx_time - t) + hw[4] + t
-                            t = t + ff[4]
-                            if t >= g_h or t > stop:
-                                hpush(heap, (t, seq, 0, ff[1], 2,
-                                             emission, gen))
-                                seq += 1
-                                continue
-                            swleg = ff[5]
-                            device = swleg[7]
-                            port = swleg[2]
-                            if device is not cdev or port != cport:
-                                if cdev is not None:
-                                    cdev.port_busy_until[cport] = pbusy
-                                    if dbytes:
-                                        cdev.bytes_forwarded += dbytes
-                                        dbytes = 0
-                                cdev = device
-                                cport = port
-                                pbusy = device.port_busy_until.get(
-                                    port, 0.0)
-                            start = t if t > pbusy else pbusy
-                            if start - t > maxq_b:
-                                self._drop(swleg[1], swleg[6],
-                                           "queue_full", port=port,
-                                           queue_wait_s=start - t)
-                                continue
-                            tx_time = swleg[3]
-                            pbusy = start + tx_time
-                            dbytes += swleg[5]
-                            t = (start + tx_time - t) + swleg[4] + t
-                            dvleg = ff[6]
-                            if t >= g_h or t > stop:
-                                hpush(heap, (t, seq, 1, None, dvleg[5],
-                                             self._replay_out(
-                                                 ff[1], dvleg, emission),
-                                             dvleg[4]))
-                                seq += 1
-                                continue
-                            if t > now_hi:
-                                now_hi = t
-                            ndeliv += 1
-                            if metrics:
-                                cmet.inc()
-                            crxc += 1
-                            crxb += dvleg[4]
-                            clast = t
-                            out = dvleg[3]
-                            cappend(
-                                (t, out if emission is hw[6]
-                                 else Packet.shell(list(out.headers),
-                                                   out.payload_len,
-                                                   emission.packet_id,
-                                                   dict(emission.meta))))
-                            continue
-                    # Valid record, but not fast-path eligible: flush
-                    # the caches and run the generic leg loop below.
-                    legs = ff[1]
-                    index = 0
-                    wgen = gen
-                else:
-                    # No (valid) record: flush, then run the recording
-                    # walk, capped by whatever is due next here or
-                    # globally.
-                    if nic_cached:
-                        nic_cached = False
-                        src_host.nic_busy_until = nic_busy
-                        if ntx:
-                            src_host.tx_count += ntx
-                            ntx = 0
-                    if cdev is not None:
-                        cdev.port_busy_until[cport] = pbusy
-                        if dbytes:
-                            cdev.bytes_forwarded += dbytes
-                            dbytes = 0
-                        cdev = None
-                    if cdvh is not None:
-                        if crxc:
-                            cdvh.rx_count += crxc
-                            cdvh.rx_bytes += crxb
-                            crxc = 0
-                            crxb = 0
-                        cdvh.last_rx_time = clast
-                        cdvh = None
-                    if ndeliv:
-                        self.packets_delivered += ndeliv
-                        ndeliv = 0
-                    bound = source.head[0] if source.head is not None \
-                        else inf
-                    if g_h < bound:
-                        bound = g_h
-                    self._walk_from_host(src_name, emission, t,
-                                         bound if bound < inf else None)
-                    g = peek()   # the walk may have scheduled events
-                    g_h = g if g is not None else inf
-                    gen = self._cache_gen
-                    continue
-            else:
-                # ======== slow tier: parked items in play ========
-                # Flush the fast-path caches first — every branch here
-                # can observe or mutate the real attributes.  (All
-                # no-ops when already flushed.)
-                if nic_cached:
-                    nic_cached = False
-                    src_host.nic_busy_until = nic_busy
-                    if ntx:
-                        src_host.tx_count += ntx
-                        ntx = 0
-                if cdev is not None:
-                    cdev.port_busy_until[cport] = pbusy
-                    if dbytes:
-                        cdev.bytes_forwarded += dbytes
-                        dbytes = 0
-                    cdev = None
-                if cdvh is not None:
-                    if crxc:
-                        cdvh.rx_count += crxc
-                        cdvh.rx_bytes += crxb
-                        crxc = 0
-                        crxb = 0
-                    cdvh.last_rx_time = clast
-                    cdvh = None
-                if ndeliv:
-                    self.packets_delivered += ndeliv
-                    ndeliv = 0
-                head_t = head[0] if head is not None else inf
-                local_t = heap[0][0]
-                if head_t <= local_t:
-                    t = head_t
-                    from_source = True
-                else:
-                    t = local_t
-                    from_source = False
-                if t >= g_h or t > stop:
                     break
-                if from_source:
-                    emission = head[1]
-                    source.head = nxt(src_iter, None)
-                    try:
-                        ff = emission._ff
-                    except AttributeError:
-                        ff = None
-                    if (ff is None or ff[0] != gen
-                            or ff[2] != src_name):
-                        bound = source.head[0] \
-                            if source.head is not None else inf
-                        if heap[0][0] < bound:
-                            bound = heap[0][0]
-                        if g_h < bound:
-                            bound = g_h
-                        self._walk_from_host(
-                            src_name, emission, t,
-                            bound if bound < inf else None)
-                        g = peek()
-                        g_h = g if g is not None else inf
-                        gen = self._cache_gen
-                        continue
-                    legs = ff[1]
-                    index = 0
-                    wgen = gen
-                else:
-                    item = hpop(heap)
-                    if item[2] == 1:
-                        sim.now = t
-                        self._arrive(item[4], item[5], item[6])
-                        g = peek()   # callbacks may schedule events
-                        g_h = g if g is not None else inf
-                        gen = self._cache_gen
-                        continue
-                    legs, index, emission, wgen = item[3], item[4], \
-                        item[5], item[6]
-                    if wgen != gen:
-                        bound = source.head[0] \
-                            if source.head is not None else inf
-                        if heap and heap[0][0] < bound:
-                            bound = heap[0][0]
-                        if g_h < bound:
-                            bound = g_h
-                        self._replay_stale(legs, t, index,
-                                           bound if bound < inf
-                                           else None)
-                        g = peek()
-                        g_h = g if g is not None else inf
-                        gen = self._cache_gen
-                        continue
-            # ---- generic leg loop: replay inline, yielding to any
-            # earlier item (fast tier jumps here only after flushing
-            # its caches via the walk/slow branches above) ----
-            if nic_cached:
-                nic_cached = False
+                if ff[0] != gen or ff[2] != src_name or ff[3] is None:
+                    break
+                swleg = ff[5]
+                if dvhost is None:
+                    # Load the endpoint state this run works on.
+                    if ff[7].rx_callbacks:
+                        break
+                    dvhost = ff[7]
+                    src_host = self.hosts[src_name]
+                    cdev = swleg[7]
+                    cport = swleg[2]
+                    nic_busy = src_host.nic_busy_until
+                    pbusy = cdev.port_busy_until.get(cport, 0.0)
+                    ntx = fwd_bytes = nrx = rx_bytes = 0
+                    last_rx = dvhost.last_rx_time
+                    received = dvhost.received.append
+                elif (ff[7] is not dvhost or swleg[7] is not cdev
+                      or swleg[2] != cport):
+                    break
+                source.head = nxt(src_iter, None)
+                owner = False
+                hw = ff[3]
+                start = t if t > nic_busy else nic_busy
+                if start - t > maxq_b:
+                    src_host.nic_drops += 1
+                    self._drop(hw[1], hw[6], "queue_full", port=0,
+                               queue_wait_s=start - t)
+                    continue
+                tx_time = hw[3]
+                nic_busy = start + tx_time
+                ntx += 1
+                t = (start + tx_time - t) + hw[4] + t
+                t = t + ff[4]
+                if t >= g_h or t > stop:
+                    hpush(heap, (t, seq, ff[1], 2, emission, gen))
+                    seq += 1
+                    break
+                start = t if t > pbusy else pbusy
+                if start - t > maxq_b:
+                    self._drop(swleg[1], swleg[6], "queue_full",
+                               port=cport, queue_wait_s=start - t)
+                    continue
+                tx_time = swleg[3]
+                pbusy = start + tx_time
+                fwd_bytes += swleg[5]
+                t = (start + tx_time - t) + swleg[4] + t
+                if t >= g_h or t > stop:
+                    hpush(heap, (t, seq, ff[1], 3, emission, gen))
+                    seq += 1
+                    break
+                if t > now_hi:
+                    now_hi = t
+                dvleg = ff[6]
+                nrx += 1
+                rx_bytes += dvleg[4]
+                last_rx = t
+                received((t, dvleg[3] if emission is hw[6] else
+                          self._replay_out(ff[1], dvleg, emission)))
+            if dvhost is not None:
+                # The one write-back of the fast tier's cached state.
                 src_host.nic_busy_until = nic_busy
-                if ntx:
-                    src_host.tx_count += ntx
-                    ntx = 0
-            if cdev is not None:
+                src_host.tx_count += ntx
                 cdev.port_busy_until[cport] = pbusy
-                if dbytes:
-                    cdev.bytes_forwarded += dbytes
-                    dbytes = 0
-                cdev = None
-            if cdvh is not None:
-                if crxc:
-                    cdvh.rx_count += crxc
-                    cdvh.rx_bytes += crxb
-                    crxc = 0
-                    crxb = 0
-                cdvh.last_rx_time = clast
-                cdvh = None
-            if ndeliv:
-                self.packets_delivered += ndeliv
-                ndeliv = 0
-            bound = source.head[0] if source.head is not None else inf
+                cdev.bytes_forwarded += fwd_bytes
+                dvhost.rx_count += nrx
+                dvhost.rx_bytes += rx_bytes
+                dvhost.last_rx_time = last_rx
+                self.packets_delivered += nrx
+                if nrx and self._metrics:
+                    self._m_delivered.labels(dvhost.name).inc(nrx)
+                if not heap:
+                    continue     # another port or sink: reload
+            # ======== one generic step ========
+            head = source.head
+            if heap and (head is None or heap[0][0] < head[0]):
+                t, _, legs, index, emission, wgen = heap[0]
+            elif head is not None:
+                t = head[0]
+                emission = head[1]
+                legs = None
+            else:
+                break
+            if (t >= g_h and not owner) or t > stop:
+                break
+            owner = False
+            if legs is not None:
+                hpop(heap)
+            else:
+                head = source.head = nxt(src_iter, None)
+                ff = getattr(emission, "_ff", None)
+                if ff is not None and ff[0] == gen and ff[2] == src_name:
+                    legs = ff[1]
+                index = 0
+                wgen = gen
+            # Legs yield to the next local item — an emission of this
+            # source or a parked replay — as well as to the horizon.
+            bound = head[0] if head is not None else inf
             if heap and heap[0][0] < bound:
                 bound = heap[0][0]
-            if g_h < bound:
-                bound = g_h
+            if legs is None or (wgen != gen and legs[index][0] != "dv"):
+                # No (valid) record: a recording walk; a stale parked
+                # replay: a plain walk of what remains.  (A parked
+                # delivery has no pipeline ahead of it to go stale.)
+                cap = bound if bound < inf else None
+                if legs is None:
+                    self._walk_from_host(src_name, emission, t, cap)
+                else:
+                    self._replay_stale(legs, t, index, cap)
+                g = peek()
+                g_h = g if g is not None else inf
+                gen = self._cache_gen
+                continue
             while True:
                 leg = legs[index]
                 code = leg[0]
-                if code == "dv":
-                    host = leg[6]
-                    if host.rx_callbacks or t >= bound or t > stop:
-                        hpush(heap, (t, seq, 1, None, leg[5],
-                                     self._replay_out(legs, leg, emission),
-                                     leg[4]))
-                        seq += 1
-                        break
-                    sim.now = t
-                    if t > now_hi:
-                        now_hi = t
-                    self.packets_delivered += 1
-                    if metrics:
-                        child = m_children.get(leg[1])
-                        if child is None:
-                            child = self._m_delivered.labels(leg[1])
-                            m_children[leg[1]] = child
-                        child.inc()
-                    host.rx_count += 1
-                    host.rx_bytes += leg[4]
-                    host.last_rx_time = t
-                    first = legs[0]
-                    out = leg[3]
-                    host.received.append(
-                        (t, out if emission is first[6]
-                            and first[0] == "hw"
-                         else Packet.shell(list(out.headers),
-                                           out.payload_len,
-                                           emission.packet_id,
-                                           dict(emission.meta))))
-                    break
-                if code == "dr":
-                    self.packets_lost += 1
-                    break
-                if t >= bound or t > stop:
-                    hpush(heap, (t, seq, 0, legs, index, emission, wgen))
-                    seq += 1
-                    break
                 if code == "hw":
                     host = leg[7]
                     tx_time = leg[3]
                     busy = host.nic_busy_until
                     start = t if t > busy else busy
-                    queue_wait = start - t
-                    if queue_wait > maxq_b:
+                    if start - t > maxq_b:
                         host.nic_drops += 1
                         self._drop(leg[1], leg[6], "queue_full", port=0,
-                                   queue_wait_s=queue_wait)
+                                   queue_wait_s=start - t)
                         break
                     host.nic_busy_until = start + tx_time
                     host.tx_count += 1
                     t = (start + tx_time - t) + leg[4] + t
-                    index += 1
                 elif code == "sw":
                     device = leg[7]
                     port = leg[2]
                     tx_time = leg[3]
                     busy = device.port_busy_until.get(port, 0.0)
                     start = t if t > busy else busy
-                    queue_wait = start - t
-                    if queue_wait > maxq_b:
+                    if start - t > maxq_b:
                         self._drop(leg[1], leg[6], "queue_full", port=port,
-                                   queue_wait_s=queue_wait)
+                                   queue_wait_s=start - t)
                         break
                     device.port_busy_until[port] = start + tx_time
                     device.bytes_forwarded += leg[5]
                     t = (start + tx_time - t) + leg[4] + t
-                    index += 1
-                else:  # "fw"
+                elif code == "fw":
+                    # The pipeline is skipped; only its delay counts.
                     t = t + leg[3]
-                    index += 1
-        # ---- drain exit: flush caches, hand leftovers back ----------
-        if nic_cached:
-            src_host.nic_busy_until = nic_busy
-            if ntx:
-                src_host.tx_count += ntx
-        if cdev is not None:
-            cdev.port_busy_until[cport] = pbusy
-            if dbytes:
-                cdev.bytes_forwarded += dbytes
-        if cdvh is not None:
-            if crxc:
-                cdvh.rx_count += crxc
-                cdvh.rx_bytes += crxb
-            cdvh.last_rx_time = clast
-        if ndeliv:
-            self.packets_delivered += ndeliv
+                elif code == "dv":
+                    sim.now = t
+                    if t > now_hi:
+                        now_hi = t
+                    self._arrive(leg[5],
+                                 self._replay_out(legs, leg, emission),
+                                 leg[4])
+                    g = peek()
+                    g_h = g if g is not None else inf
+                    gen = self._cache_gen
+                    break
+                else:  # "dr"
+                    self.packets_lost += 1
+                    break
+                index += 1
+                # Arrival at a switch is no scheduling point: a packet
+                # parks at forward time (as ``_walk`` and the fast tier
+                # park it), so equal forward times keep claim order.
+                if legs[index][0] != "fw" and (
+                        t >= bound or t >= g_h or t > stop):
+                    hpush(heap, (t, seq, legs, index, emission, wgen))
+                    seq += 1
+                    break
+        # ---- exit: hand what is left back to the scheduler ----------
         schedule_at = sim.schedule_at
         while heap:
-            # The global queue intrudes: hand everything back as
-            # ordinary continuation events (heap order preserves the
-            # (time, seq) execution order) and bow out.
+            # Heap order preserves the (time, seq) execution order.
             item = hpop(heap)
-            it = item[0]
-            if item[2] == 0:
+            leg = item[2][item[3]]
+            if leg[0] == "dv":
                 schedule_at(
-                    it,
-                    lambda i=item, tt=it: self._replay_resume(
-                        i[3], i[5], tt, i[4], i[6]))
+                    item[0],
+                    lambda i=item, leg=leg: self._arrive(
+                        leg[5], self._replay_out(i[2], leg, i[4]), leg[4]))
             else:
-                schedule_at(
-                    it,
-                    lambda i=item: self._arrive(i[4], i[5], i[6]))
-        head = source.head
-        if head is not None:
-            schedule_at(head[0], lambda: self._pump(source))
+                schedule_at(item[0],
+                            lambda i=item: self._drain(_EXHAUSTED, [i]))
+        if source.head is not None:
+            schedule_at(source.head[0], lambda: self._pump(source))
         if now_hi > sim.now:
             if sim.pending:
                 schedule_at(now_hi, _noop)
             else:
                 sim.now = now_hi
-
-    def _walk_burst(self, host_name: str,
-                    burst: List[Tuple[float, Packet]],
-                    cap: Optional[float]) -> None:
-        """Push a burst of same-host emissions through the fabric one
-        stage at a time (struct-of-arrays transit state), invoking each
-        switch's ``process_batch`` once per stage.
-
-        Used when the fabric is stateful (no flow cache).  The burst
-        stays lockstep only while every member takes the same switch
-        sequence with no revisits — per-switch pipeline order then
-        equals arrival order, exactly as in event mode, because FIFO
-        ports never reorder a shared path.  Members that would split
-        off (ECMP spread, loops) or cross the horizon leave the burst
-        as ordinary scheduler events.
-        """
-        sim = self.sim
-        maxq = self.max_queue_delay_s
-        until = sim.run_until
-        link, src = self._host_uplink(host_name)
-        host = self.hosts[host_name]
-        bandwidth = link.bandwidth_bps
-        latency = link.latency_s
-        entry = link.other(src)
-        # Stage state (struct-of-arrays): parallel arrival times,
-        # packets, and ingress ports, plus the switch they share.
-        times: List[float] = []
-        packets: List[Packet] = []
-        ports: List[int] = []
-        for t, packet in burst:
-            # Host NIC leg; burst emissions are horizon-checked by the
-            # pump, so every member is admissible here.
-            sim.now = t
-            tx_time = packet.length * 8 / bandwidth
-            start = max(t, host.nic_busy_until)
-            queue_wait = start - t
-            if maxq is not None and queue_wait > maxq:
-                host.nic_drops += 1
-                self._drop(host_name, packet, "queue_full", port=0,
-                           queue_wait_s=queue_wait)
-                continue
-            host.nic_busy_until = start + tx_time
-            host.tx_count += 1
-            if self.serialize_on_wire:
-                packet = self._wire_roundtrip(packet)
-            arrival = (start + tx_time - t) + latency + t
-            times.append(arrival)
-            packets.append(packet)
-            ports.append(entry.port)
-        node = entry.node
-        visited = {node}
-        while times:
-            horizon = self._horizon(cap)
-            device = self.switches[node]
-            proc = device.processing_delay_s
-            items: List[Tuple[Packet, int]] = []
-            fwd_times: List[float] = []
-            for i, arrival in enumerate(times):
-                t_fwd = arrival + proc
-                if ((horizon is not None and t_fwd >= horizon)
-                        or (until is not None and t_fwd > until)):
-                    self._defer_walk("fw", node, ports[i], packets[i],
-                                     t_fwd)
-                    continue
-                items.append((packets[i], ports[i]))
-                fwd_times.append(t_fwd)
-            if not items:
-                return
-            results = device.bmv2.process_batch(items)
-            onward: List[Tuple[float, Packet, int, str]] = []
-            for t_fwd, outputs in zip(fwd_times, results):
-                sim.now = t_fwd
-                horizon = self._horizon(cap)
-                if not outputs:
-                    self.packets_lost += 1
-                    continue
-                if len(outputs) > 1:
-                    for egress_port, out_packet in outputs:
-                        self._defer_walk("wire", node, egress_port,
-                                         out_packet, t_fwd)
-                    continue
-                egress_port, out_packet = outputs[0]
-                out_link = self.topology.link_at(node, egress_port)
-                if out_link is None:
-                    self._drop(node, out_packet, "no_route",
-                               port=egress_port)
-                    continue
-                if ((horizon is not None and t_fwd >= horizon)
-                        or (until is not None and t_fwd > until)):
-                    self._defer_walk("wire", node, egress_port, out_packet,
-                                     t_fwd)
-                    continue
-                length = out_packet.length
-                tx_time = length * 8 / out_link.bandwidth_bps
-                start = max(t_fwd,
-                            device.port_busy_until.get(egress_port, 0.0))
-                queue_wait = start - t_fwd
-                if maxq is not None and queue_wait > maxq:
-                    self._drop(node, out_packet, "queue_full",
-                               port=egress_port, queue_wait_s=queue_wait)
-                    continue
-                device.port_busy_until[egress_port] = start + tx_time
-                device.bytes_forwarded += length
-                if self.serialize_on_wire:
-                    out_packet = self._wire_roundtrip(out_packet)
-                arrival = ((start + tx_time - t_fwd)
-                           + out_link.latency_s + t_fwd)
-                dst = out_link.other(Endpoint(node, egress_port))
-                if dst.node in self.hosts:
-                    # Deliveries go through the queue so arrival-time
-                    # order is preserved across burst members whose
-                    # transit times inverted their emission order.
-                    end = dst
-                    pkt = out_packet
-                    sim.schedule_at(
-                        arrival,
-                        lambda e=end, p=pkt, n=length: self._arrive(e, p, n))
-                    continue
-                onward.append((arrival, out_packet, dst.port, dst.node))
-            if not onward:
-                return
-            onward.sort(key=lambda item: item[0])
-            head = onward[0][3]
-            if head in visited or any(item[3] != head for item in onward):
-                # Split paths or a forwarding loop: lockstep order is no
-                # longer provably the event order — hand every member to
-                # the scheduler at its arrival time.
-                for arrival, out_packet, port, nxt in onward:
-                    end = Endpoint(nxt, port)
-                    sim.schedule_at(
-                        arrival,
-                        lambda e=end, p=out_packet: self._arrive(e, p))
-                return
-            visited.add(head)
-            times = [item[0] for item in onward]
-            packets = [item[1] for item in onward]
-            ports = [item[2] for item in onward]
-            node = head
 
     # -- conveniences -----------------------------------------------------------------
 

@@ -512,12 +512,12 @@ class Bmv2Switch:
     def process_batch(self, items) -> List[List[Tuple[int, Packet]]]:
         """Run a vector of ``(packet, ingress_port)`` pairs.
 
-        Equal by construction to one :meth:`process` call per pair: the
-        codegen engine loops over the same per-packet callable, so a
-        batch is one call (and one trace span) at this level.
+        Equal by construction to one :meth:`process` call per pair.
+        ``self.process`` dispatches per packet, so a control-plane
+        change a digest listener makes mid-batch (which may rebuild
+        and rebind the engine) takes effect at the next packet, as it
+        does packet by packet.
         """
-        if self._fast is not None:
-            return self._fast.process_batch(items)
         return [self.process(packet, port) for packet, port in items]
 
     def _process_interp_obs(self, packet: Packet,

@@ -28,8 +28,8 @@ with flat local variables:
   the switch's *runtime* default actions as known facts, so dead
   branches and copy chains vanish from the generated source.
 
-The pipeline is emitted exactly once: ``process_batch`` is a loop over
-the same per-packet callable ``process`` is bound to.
+The pipeline is emitted exactly once; a batch is
+``Bmv2Switch.process_batch`` looping over ``process``.
 
 Observability is a compile-time specialization: with the null handle
 the generated source carries zero instrumentation; with a live handle
@@ -119,8 +119,8 @@ _NO_PARAMS: Dict[str, str] = {}
 class CodegenEngine:
     """One program compiled to generated Python source, for one switch.
 
-    ``Bmv2Switch`` drives it through ``process``, ``process_batch`` and
-    the control-plane hooks below; ``source`` is the generated text.
+    ``Bmv2Switch`` drives it through ``process`` and the control-plane
+    hooks below; ``source`` is the generated text.
     """
 
     def __init__(self, program: ir.P4Program, switch):
@@ -949,7 +949,3 @@ class CodegenEngine:
                             port=egress_port, egress_port=egress_port)
         return outputs
 
-    def process_batch(self, items) -> List[List[Tuple[int, Packet]]]:
-        # ``self.process`` is read per packet: a digest listener may make
-        # a control-plane change mid-batch that rebuilds and rebinds it.
-        return [self.process(packet, port) for packet, port in items]

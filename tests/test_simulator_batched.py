@@ -8,11 +8,12 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.fig12 import Fig12Config, run_rtt_experiment
 from repro.net.packet import ip, make_udp
 from repro.net.simulator import Network, Simulator
-from repro.net.topology import single_switch
+from repro.net.topology import linear, single_switch
 from repro.p4.bmv2 import Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
 from repro.workloads.campus import CampusTraceGenerator
@@ -154,17 +155,37 @@ def _snapshot(network):
             }
             for name, host in network.hosts.items()
         },
+        # A port clock of 0.0 reads the same as a port never claimed.
+        "switches": {
+            name: (device.bytes_forwarded,
+                   {port: busy for port, busy
+                    in sorted(device.port_busy_until.items()) if busy})
+            for name, device in network.switches.items()
+        },
     }
 
 
-def _run_both(attach, hosts=2, until=None, **kwargs):
+def _make_chain(batched, hosts=4, **kwargs):
+    """Two switches: h1..hN on s1, the sink h(N+1) behind s2, so a
+    transit record is longer than the one-switch shape.  Returns s1's
+    pipeline and entries, as :func:`_make_network` does for its s1."""
+    topo = linear(2, hosts_per_end=hosts)
+    s1 = Bmv2Switch(l2_port_forwarding(), name="s1")
+    s2 = Bmv2Switch(l2_port_forwarding(), name="s2")
+    entries = [s1.insert_entry("fwd_table", [port], "fwd_set_egress", [10])
+               for port in range(1, hosts + 1)]
+    s2.insert_entry("fwd_table", [11], "fwd_set_egress", [1])
+    network = Network(topo, {"s1": s1, "s2": s2}, batched=batched, **kwargs)
+    return topo, network, s1, entries
+
+
+def _run_both(attach, hosts=2, until=None, make=_make_network, **kwargs):
     """Run the same emission schedule in event and batched mode and
     demand identical observable outcomes (including timestamps and the
     final simulator clock)."""
     snaps = []
     for batched in (False, True):
-        topo, network, bmv2, entries = _make_network(batched, hosts,
-                                                     **kwargs)
+        topo, network, bmv2, entries = make(batched, hosts, **kwargs)
         attach(topo, network, bmv2, entries)
         if until is not None:
             network.run(until=until)
@@ -252,6 +273,25 @@ def test_batched_mid_run_config_change_matches_event_mode():
     assert snap["hosts"]["h3"]["rx"] == 100
 
 
+def test_reroute_reaches_packets_parked_in_front_of_the_pipeline():
+    """A replay parked at forward time when the tables change has not
+    been through that switch yet: it must re-run the pipeline on the
+    new entries (and land where event mode sends it), not finish along
+    the recorded route."""
+    def attach(topo, network, bmv2, entries):
+        def reroute():
+            bmv2.delete_entry("fwd_table", entries[0])
+            bmv2.insert_entry("fwd_table", [1], "fwd_set_egress", [2])
+
+        network.sim.schedule_at(10.5e-6, reroute)
+        network.attach_source(
+            "h1", iter(_template_stream(topo, 30, 1e-6)))
+
+    snap = _run_both(attach, hosts=3)
+    assert snap["hosts"]["h3"]["rx"] + snap["hosts"]["h2"]["rx"] == 30
+    assert snap["hosts"]["h2"]["rx"] > 15
+
+
 def test_batched_run_until_flushes_and_resumes_exactly():
     snap = _run_both(
         lambda topo, network, bmv2, entries: network.attach_source(
@@ -276,6 +316,97 @@ def test_same_template_from_two_hosts_replays_each_hosts_path():
     assert snap["hosts"]["h3"]["rx"] == 100
     assert snap["hosts"]["h1"]["tx"] == 50
     assert snap["hosts"]["h2"]["tx"] == 50
+
+
+def _cap_scheduler(network, limit):
+    """Fail (rather than hang) if the run schedules more than ``limit``
+    events — a livelocked scheduler re-parks without bound."""
+    schedule_at = network.sim.schedule_at
+    calls = [0]
+
+    def capped(time, callback):
+        calls[0] += 1
+        assert calls[0] <= limit, "scheduler livelock: event cap exceeded"
+        schedule_at(time, callback)
+
+    network.sim.schedule_at = capped
+
+
+def test_same_instant_sources_share_the_instant_without_livelock():
+    """Two pumps popped at the same instant on a stateless fabric: the
+    one popped first owns the instant and must emit rather than re-park
+    behind the other (which would then do the same, forever)."""
+    def attach(topo, network, bmv2, entries):
+        _cap_scheduler(network, 5_000)
+        for name in ("h1", "h2"):
+            packet = make_udp(topo.hosts[name].ipv4, topo.hosts["h3"].ipv4,
+                              1, 2, payload_len=200)
+            network.attach_source(
+                name, iter([(i * 4e-6, packet) for i in range(50)]))
+
+    snap = _run_both(attach, hosts=3)
+    assert snap["delivered"] == 100
+    assert snap["hosts"]["h3"]["rx"] == 100
+    assert snap["now"] == pytest.approx(0.00019906, abs=1e-9)
+
+
+def test_host_send_of_a_memoized_template_replays_its_record():
+    """``Host.send`` outside any source: the first send walks and
+    memoizes, the repeats replay the record — with an rx callback on
+    the sink, so every delivery goes through the scheduler."""
+    snaps = []
+    for batched in (False, True):
+        topo, network, bmv2, _ = _make_network(batched)
+        seen = []
+        network.host("h2").add_rx_callback(
+            lambda t, p: seen.append((t, p.length)))
+        packet = make_udp(topo.hosts["h1"].ipv4, topo.hosts["h2"].ipv4,
+                          1111, 2222, payload_len=100)
+        for delay in (0.0, 2e-5, 5e-5):
+            network.host("h1").send(packet, delay)
+        calls = []
+        process = bmv2.process
+        bmv2.process = lambda p, port: calls.append(port) or process(p, port)
+        network.run()
+        assert len(calls) == (1 if batched else 3)
+        snaps.append((_snapshot(network), seen))
+    assert snaps[0] == snaps[1]
+    assert len(snaps[1][1]) == 3
+
+
+def test_rx_callback_that_sends_and_reroutes_is_seen_by_the_drain():
+    """Whatever an rx callback does mid-drain — inject traffic (a new
+    scheduler event the drain must yield to), change a table (a new
+    generation: later emissions re-walk, a parked delivery still
+    arrives) — lands as in event mode.  Emissions are spaced wider
+    than the path takes, so one drain runs them all inline; the 10th
+    and 11th are 1 us apart, so the 11th is parked in front of its
+    delivery when the 10th's callback moves the route."""
+    times = ([i * 4e-6 for i in range(9)] + [36e-6, 37e-6]
+             + [41e-6 + i * 4e-6 for i in range(5)])
+
+    def attach(topo, network, bmv2, entries):
+        sink = network.host("h3")
+        burst = make_udp(topo.hosts["h2"].ipv4, topo.hosts["h3"].ipv4,
+                         5, 6, payload_len=1400)
+
+        def on_rx(t, p):
+            sink.received.append((t, p))
+            if len(sink.received) == 5:
+                for _ in range(3):
+                    network.host("h2").send(burst)
+            if len(sink.received) == 13:     # 10 from h1 + the burst
+                bmv2.delete_entry("fwd_table", entries[0])
+                bmv2.insert_entry("fwd_table", [1], "fwd_set_egress", [2])
+
+        sink.add_rx_callback(on_rx)
+        packet = make_udp(topo.hosts["h1"].ipv4, topo.hosts["h3"].ipv4,
+                          1, 2, payload_len=200)
+        network.attach_source("h1", iter([(t, packet) for t in times]))
+
+    snap = _run_both(attach, hosts=3)
+    assert snap["hosts"]["h3"]["rx"] == 11 + 3
+    assert snap["hosts"]["h2"]["rx"] == 5
 
 
 def test_template_memo_does_not_leak_across_networks():
@@ -406,3 +537,85 @@ def test_high_rate_replay_accounts_every_packet():
     assert h1["tx"] + h1["nic_drops"] == 400
     assert h2["rx"] == h1["tx"]
     assert snap["lost"] == h1["nic_drops"]
+
+
+# ---------------------------------------------------------------------------
+# Tie-heavy schedules: the one equivalence property
+# ---------------------------------------------------------------------------
+
+_GRID_S = 2e-6
+
+_source_plans = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 30), min_size=1, max_size=25),  # grid times
+        st.sampled_from([0, 64, 700, 1400]),                    # payload
+        st.booleans()),                                         # own template
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plans=_source_plans,
+       chain=st.booleans(),
+       stateful=st.booleans(),
+       sink_callback=st.booleans(),
+       max_queue_delay_s=st.sampled_from([None, 1e-6, 5e-6]),
+       until_tick=st.one_of(st.none(), st.integers(0, 35)),
+       reroute=st.one_of(st.none(), st.tuples(st.integers(0, 24),
+                                              st.integers(0, 3))))
+def test_tie_heavy_schedules_match_event_mode(plans, chain, stateful,
+                                              sink_callback,
+                                              max_queue_delay_s,
+                                              until_tick, reroute):
+    """Emission times drawn from a coarse grid — equal times within a
+    source, across sources, and against the ``run(until)`` bound and a
+    mid-run reroute — leave event and batched mode with the same
+    per-host counters, delivery times and final clock: through one
+    switch and two, on a stateless fabric (fast-forward) and a stateful
+    one (eager walks), into an inert sink and one with an rx callback."""
+    sink_name, detour_port = ("h5", 4) if chain else ("h4", 3)
+
+    def attach(topo, network, bmv2, entries):
+        _cap_scheduler(network, 20_000)
+        def move_h1():
+            # h1's traffic leaves the shared sink for another host (on
+            # the chain: one switch earlier, a shorter path).
+            bmv2.delete_entry("fwd_table", entries[0])
+            bmv2.insert_entry("fwd_table", [1], "fwd_set_egress",
+                              [detour_port])
+
+        sink = network.host(sink_name)
+        if sink_callback:
+            # Deliveries go through the scheduler, and still land in
+            # ``received`` for the snapshot to compare; with a reroute
+            # drawn, the callback makes it, on the nth delivery.
+            def on_rx(t, p):
+                sink.received.append((t, p))
+                if reroute is not None and len(sink.received) == reroute[0]:
+                    move_h1()
+
+            sink.add_rx_callback(on_rx)
+        sink_ip = topo.hosts[sink_name].ipv4
+        shared = make_udp(topo.hosts["h1"].ipv4, sink_ip, 1, 2,
+                          payload_len=200)
+        for index, (ticks, payload_len, own) in enumerate(plans):
+            name = f"h{index + 1}"
+            packet = (make_udp(topo.hosts[name].ipv4, sink_ip, 10 + index,
+                               2, payload_len=payload_len)
+                      if own else shared)
+            network.attach_source(
+                name, iter([(tick * _GRID_S, packet)
+                            for tick in sorted(ticks)]))
+        if reroute is not None and not sink_callback:
+            # Zero to three half-ticks after one of h1's emissions, so
+            # the change finds that packet mid-path.
+            nth, lag = reroute
+            ticks = sorted(plans[0][0])
+            network.sim.schedule_at(
+                (ticks[nth % len(ticks)] + lag / 2) * _GRID_S, move_h1)
+
+    snap = _run_both(
+        attach, hosts=4, make=_make_chain if chain else _make_network,
+        until=None if until_tick is None else until_tick * _GRID_S,
+        serialize_on_wire=stateful, max_queue_delay_s=max_queue_delay_s)
+    offered = sum(len(ticks) for ticks, _, _ in plans)
+    assert snap["delivered"] + snap["lost"] == offered
