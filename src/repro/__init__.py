@@ -48,14 +48,14 @@ __version__ = "1.0.0"
 
 from . import (aether, api, compiler, experiments, indus, ltl, net, p4,
                properties, runtime, tofino, workloads)
-from .api import bench, compile_indus, deploy, lint, run_scenario
+from .api import compile_indus, deploy, lint, run_scenario
 from .indus import Monitor, HopContext, check, parse
 from .compiler import compile_program, link, standalone_program
 from .runtime import HydraDeployment
 
 __all__ = [
-    "HopContext", "HydraDeployment", "Monitor", "aether", "api", "bench",
-    "check", "compile_indus", "compile_program", "compiler", "deploy",
+    "HopContext", "HydraDeployment", "Monitor", "aether", "api", "check",
+    "compile_indus", "compile_program", "compiler", "deploy",
     "experiments", "indus", "link", "lint", "ltl", "net", "p4", "parse",
     "properties", "run_scenario", "runtime", "standalone_program",
     "tofino", "workloads", "__version__",

@@ -109,8 +109,7 @@ class AetherCapacity:
                 + self.max_sessions * _BYTES_PER_SESSION_STATE)
 
     def describe(self) -> Dict[str, Any]:
-        """The capacity model as a JSON-ready dict (stamped into the
-        soak benchmark report)."""
+        """The capacity model as a JSON-ready dict."""
         return {
             "max_sessions": self.max_sessions,
             "rules_per_session": self.rules_per_session,

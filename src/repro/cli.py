@@ -8,11 +8,6 @@ Commands:
 * ``properties``               — list the bundled property library
 * ``table1``                   — reproduce Table 1
 * ``fig12``                    — run the Figure 12 RTT experiment
-* ``bench``                    — benchmark the interp and codegen engines
-  (``--net``: paper-rate traffic-plane replay; ``--aether``: bench-scale
-  Aether soak)
-* ``aether``                   — million-subscriber Aether soak (bulk
-  attach/churn + traffic with live checkers)
 * ``difftest``                 — three-level differential oracle
 * ``dump-src <target>``        — print the codegen engine's generated
   Python source for a pipeline, with line numbers
@@ -200,98 +195,6 @@ def _parse_engines(text: str) -> Optional[List[str]]:
     return engines or None
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .api import bench
-    from .experiments import (format_aether_bench, format_bench,
-                              format_net_bench)
-
-    engines = _parse_engines(args.engine)
-    if args.net and args.aether:
-        raise SystemExit("error: give at most one of --net / --aether")
-    if args.aether:
-        out = args.out if args.out != "BENCH_throughput.json" \
-            else "BENCH_aether.json"
-        engine = engines[0] if engines else "codegen"
-        print(f"aether soak benchmark ({args.sessions:,} sessions, "
-              f"engine {engine}"
-              + (f", {args.workers} workers" if args.workers > 1 else "")
-              + ")...")
-        result = bench(kind="aether", sessions=args.sessions,
-                       workers=args.workers, out=out, engines=engines)
-        print(format_aether_bench(result))
-        if out:
-            print(f"wrote {out}")
-        flat = result.get("flatness", {}).get("flat")
-        if args.workers > 1:
-            flat = None  # advisory under sharding: cores are contended
-        return 0 if result.reports == 0 and flat is not False else 1
-    if args.net:
-        out = args.out if args.out != "BENCH_throughput.json" \
-            else "BENCH_net.json"
-        engine = engines[0] if engines else "codegen"
-        print(f"net-plane replay benchmark (engine {engine}, "
-              f"{args.rate:,.0f} pps offered for {args.duration}s "
-              "simulated)...")
-        result = bench(kind="net", rate_pps=args.rate,
-                       duration_s=args.duration, out=out,
-                       engines=engines)
-        print(format_net_bench(result))
-        if out:
-            print(f"wrote {out}")
-        return 0 if result["sustained"] and result["equivalence"]["ok"] \
-            else 1
-    label = ", ".join(engines or ENGINES)
-    print(f"benchmarking {label} engines "
-          f"({args.packets} packets per run"
-          + (f", {args.workers} workers for side tasks"
-             if args.workers > 1 else "") + ")...")
-    result = bench(packets=args.packets, replay=not args.no_replay,
-                   out=args.out, workers=args.workers,
-                   optimize=args.optimize, engines=engines)
-    print(format_bench(result))
-    if args.out:
-        print(f"wrote {args.out}")
-    return 0
-
-
-def cmd_aether(args: argparse.Namespace) -> int:
-    from .api import aether
-    from .experiments import format_aether_bench
-
-    print(f"aether soak: {args.sessions:,} sessions, engine "
-          f"{args.engine}, churn 1/{args.churn_every}, "
-          f"{args.replay_ues} replay UEs"
-          + (f", {args.workers} workers" if args.workers > 1 else "")
-          + (" (flatness probe off)" if args.no_flatness else "")
-          + "...")
-    result = aether(sessions=args.sessions, engine=args.engine,
-                    batched=not args.event, workers=args.workers,
-                    batch_size=args.batch, churn_every=args.churn_every,
-                    replay_ues=args.replay_ues,
-                    replay_repeats=args.replay_repeats,
-                    flatness=not args.no_flatness,
-                    out=args.out or None)
-    print(format_aether_bench(result))
-    if args.out:
-        print(f"wrote {args.out}")
-    if result.reports:
-        print(f"error: checker raised {result.reports} report(s) on "
-              "allowed traffic", file=sys.stderr)
-        return 1
-    if result.flat is False:
-        if args.workers > 1:
-            # Sharded probes contend for cores, so the wall-clock
-            # ratio is advisory; only serial runs gate the exit code.
-            print("note: flatness probe is advisory with workers > 1 "
-                  "(shards contend for cores); rerun with --workers 1 "
-                  "to gate on it", file=sys.stderr)
-        else:
-            print("error: per-packet cost not flat across session "
-                  "scale", file=sys.stderr)
-            return 1
-    return 0
-
-
 def cmd_difftest(args: argparse.Namespace) -> int:
     from .api import difftest
     from .difftest import Minimizer, dump_reproducer
@@ -402,6 +305,46 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _aether_soak(engine: str, obs) -> None:
+    """A miniature Aether soak wired to ``obs``: one slice, 2,000 bulk
+    attaches, every 10th UE detached and re-attached, then a short
+    paced uplink/downlink/denied replay through the UPF with the
+    application-filtering checker live — each under its
+    ``phase_seconds{phase=...}`` timer."""
+    from .aether import (ALLOW, CELL_HOST, DENY, SERVER_HOST,
+                         AetherTestbed, FilterRule)
+    from .obs import profiled
+
+    tb = AetherTestbed(engine=engine, obs=obs)
+    server_ip = tb.topology.hosts[SERVER_HOST].ipv4
+    tb.provision_slice("slice0", [
+        FilterRule(priority=20, ip_prefix=(server_ip, 32), proto=17,
+                   l4_port=(80, 80), action=ALLOW),
+        FilterRule(priority=1, action=DENY),
+    ])
+    pairs = [(f"imsi{i}", i) for i in range(1, 2_001)]
+    tb.portal.add_members("slice0", [imsi for imsi, _ in pairs])
+    with profiled(obs.registry, "attach"):
+        tb.attach_many(pairs)
+    with profiled(obs.registry, "churn"):
+        churned = pairs[::10]
+        tb.detach_many([imsi for imsi, _ in churned])
+        tb.attach_many(churned)
+    uplink, downlink = [], []
+    for n, (imsi, _) in enumerate(pairs[::20]):
+        uplink.append(tb.uplink_packet(imsi, server_ip, 80))
+        if n % 4 == 0:
+            downlink.append(tb.downlink_packet(server_ip, imsi, 80))
+        if n % 8 == 0:
+            uplink.append(tb.uplink_packet(imsi, server_ip, 9999))
+    with profiled(obs.registry, "replay"):
+        for host, packets in ((CELL_HOST, uplink), (SERVER_HOST, downlink)):
+            tb.network.attach_source(
+                host, ((k * 1e-5, packet)
+                       for k, packet in enumerate(packets)))
+        tb.network.run()
+
+
 def _traced_run(args: argparse.Namespace):
     """Run the scenario named by ``args.scenario`` under a fully live
     Observability handle and return it (registry + tracer populated)."""
@@ -416,15 +359,7 @@ def _traced_run(args: argparse.Namespace):
         run_rtt_experiment(ALL_CHECKERS, "traced", config, obs=obs)
         return obs
     if args.scenario == "aether":
-        # A miniature soak with the live registry: surfaces
-        # phase_seconds{phase="attach"|"churn"|"replay"} and the rest
-        # of the control-plane metrics.
-        from .experiments.aetherbench import run_soak
-
-        run_soak(sessions=2_000, engine=args.engine, batched=False,
-                 workers=1, batch_size=500, replay_ues=100,
-                 replay_repeats=3, flatness=False,
-                 registry=obs.registry)
+        _aether_soak(args.engine, obs)
         return obs
     try:
         seed = int(args.scenario)
@@ -583,81 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize", action="store_true",
                    help="run the dataflow optimizer on every checker")
     p.set_defaults(fn=cmd_fig12)
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark the behavioral model: interp/codegen "
-             "packets/sec")
-    p.add_argument("--packets", type=_positive_int, default=5000,
-                   help="packets per timing run (default 5000)")
-    p.add_argument("--engine", default="",
-                   help="comma-separated engines to time (default "
-                        + ",".join(ENGINES) + ")")
-    p.add_argument("--no-replay", action="store_true",
-                   help="skip the campus-replay goodput parity check")
-    p.add_argument("-o", "--out", default="BENCH_throughput.json",
-                   help="output JSON path (default BENCH_throughput.json)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="offload replay/snapshot side tasks to a "
-                        "process pool; the timed pps loop stays serial "
-                        "(default 1)")
-    p.add_argument("--optimize", action="store_true",
-                   help="benchmark the dataflow-optimized checker")
-    p.add_argument("--net", action="store_true",
-                   help="run the traffic-plane benchmark instead: "
-                        "fig12-style campus replay through the full "
-                        "fabric, batched vs event mode, against the "
-                        "paper's 350K pps mirror rate (writes "
-                        "BENCH_net.json unless -o is given)")
-    p.add_argument("--rate", type=float, default=400_000.0,
-                   help="[--net] offered replay rate in packets/sec "
-                        "(default 400000)")
-    p.add_argument("--duration", type=float, default=1.0,
-                   help="[--net] simulated seconds of trace to replay "
-                        "(default 1.0)")
-    p.add_argument("--aether", action="store_true",
-                   help="run the Aether soak benchmark instead at "
-                        "bench scale: bulk attach, churn, and traffic "
-                        "with checkers live (writes BENCH_aether.json "
-                        "unless -o is given; `repro aether` runs the "
-                        "full-scale campaign)")
-    p.add_argument("--sessions", type=_positive_int, default=50_000,
-                   help="[--aether] concurrent sessions (default 50000)")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
-        "aether",
-        help="million-subscriber Aether soak: bulk PFCP-style attach, "
-             "churn, uplink/downlink traffic through the UPF with the "
-             "application-filtering checker live, and a per-packet "
-             "cost flatness probe")
-    p.add_argument("--sessions", type=_positive_int, default=1_000_000,
-                   help="concurrent sessions to sustain "
-                        "(default 1000000)")
-    p.add_argument("--engine", default="codegen", choices=ENGINES,
-                   help="switch execution engine (default codegen)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="shard the UE range over N worker processes "
-                        "(default 1; deterministic counters are "
-                        "identical for any worker count)")
-    p.add_argument("--batch", type=_positive_int, default=10_000,
-                   help="attach/detach batch size (default 10000)")
-    p.add_argument("--churn-every", type=_positive_int, default=10,
-                   help="detach+reattach every Nth UE (default 10)")
-    p.add_argument("--replay-ues", type=_positive_int, default=2_000,
-                   help="UEs sampled for the traffic phase "
-                        "(default 2000)")
-    p.add_argument("--replay-repeats", type=_positive_int, default=25,
-                   help="packets per sampled UE (default 25)")
-    p.add_argument("--event", action="store_true",
-                   help="event-per-packet network mode instead of the "
-                        "batched hot loop")
-    p.add_argument("--no-flatness", action="store_true",
-                   help="skip the per-packet cost flatness probe")
-    p.add_argument("-o", "--out", default="BENCH_aether.json",
-                   help="output JSON path (default BENCH_aether.json; "
-                        "empty string disables the write)")
-    p.set_defaults(fn=cmd_aether)
 
     p = sub.add_parser(
         "difftest",

@@ -110,18 +110,15 @@ class ReplayFeed:
 def run_replay(checkers: Optional[List[str]], label: str,
                rate_pps: float = 20_000, duration_s: float = 0.1,
                seed: int = 5, engine: str = "codegen",
-               batched: bool = False,
-               config: Optional[Fig12Config] = None) -> ThroughputResult:
+               batched: bool = False) -> ThroughputResult:
     """Replay a synthetic campus trace from h1 toward h3 (cross-fabric).
 
     ``batched=True`` runs the same replay through the network's batch
     hot loop; delivery counts, bytes, and timestamps are identical to
-    the event-per-packet path by construction.  ``config`` overrides
-    the fabric parameters (bandwidth, latency, engine) wholesale.
+    the event-per-packet path by construction.
     """
-    if config is None:
-        config = Fig12Config(link_bandwidth_bps=10e9, engine=engine,
-                             batched=batched)
+    config = Fig12Config(link_bandwidth_bps=10e9, engine=engine,
+                         batched=batched)
     network, _ = build_fabric(checkers, config)
     generator = CampusTraceGenerator(seed=seed, reuse_packets=True)
     feed = ReplayFeed(generator,

@@ -12,8 +12,9 @@ Two registry implementations share one interface:
   a shared no-op instrument, so instrumented call sites cost one method
   call at most — and the hot paths (``repro.p4.codegen``) specialize
   at compile time on ``registry.live`` and pay **nothing** when
-  observability is off.  The bench guard
-  (``benchmarks/bench_guard.py``) holds that line.
+  observability is off.  ``tests/test_codegen_engine.py`` holds that
+  line: the generated source carries no tracer or counter call under
+  the null handle.
 
 Naming conventions (see docs/INTERNALS.md § observability):
 ``<subsystem>_<thing>_total`` for counters, ``<thing>_seconds`` /

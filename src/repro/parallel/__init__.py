@@ -1,8 +1,8 @@
-"""Sharded parallel execution of difftest/bench fleets.
+"""Sharded parallel execution of difftest fleets.
 
-The differential oracle and the throughput sweeps earn confidence
-through volume — thousands of generated programs and scenarios per
-session — and one core caps that.  This package scales the fan-out
+The differential oracle earns confidence through volume — thousands
+of generated programs and scenarios per session — and one core caps
+that.  This package scales the fan-out
 across worker processes while keeping the results bit-identical to the
 serial path:
 

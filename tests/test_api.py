@@ -1,6 +1,6 @@
 """The repro.api facade: the stable public surface.
 
-The facade is a compatibility contract: five verbs with uniform
+The facade is a compatibility contract: six verbs with uniform
 keyword-only ``engine=`` / ``obs=`` / ``seed=`` / ``workers=``
 arguments, re-exported from the top-level package.  These tests pin
 the surface (so an accidental rename breaks loudly here, not in user
@@ -27,9 +27,8 @@ def test_top_level_reexports():
     assert repro.compile_indus is api.compile_indus
     assert repro.deploy is api.deploy
     assert repro.run_scenario is api.run_scenario
-    assert repro.bench is api.bench
     assert repro.lint is api.lint
-    for name in ("api", "bench", "compile_indus", "deploy", "lint",
+    for name in ("api", "compile_indus", "deploy", "lint",
                  "run_scenario"):
         assert name in repro.__all__
     # The campaign verb is deliberately NOT re-exported at top level:
@@ -130,22 +129,6 @@ def test_difftest_verb_matches_run_difftest():
     assert via_api.verdicts == direct.verdicts
 
 
-@pytest.mark.slow
-def test_bench_verb_smoke(tmp_path):
-    out = tmp_path / "bench.json"
-    result = api.bench(packets=50, replay=False, out=str(out))
-    assert out.exists()
-    assert set(result["engines"]) == {"interp", "codegen"}
-    assert set(result["speedups"]) == {"codegen"}
-    assert result["workers"] == 1
-    assert len(result["history"]) == 1
-    # restricted engine set, and a second write extends the history
-    result = api.bench(packets=50, replay=False, out=str(out),
-                       engines=("codegen",))
-    assert set(result["engines"]) == {"codegen"}
-    assert len(result["history"]) == 2
-
-
 # -- the facade spellings never warn ----------------------------------------
 
 def test_new_names_do_not_warn():
@@ -157,75 +140,6 @@ def test_new_names_do_not_warn():
         warnings.simplefilter("error", DeprecationWarning)
         build_scenario_deployment(scenario, compiled)
         api.deploy(compiled, scenario=scenario)
-
-
-# -- bench(kind=...) / aether / typed results -------------------------------
-
-def test_bench_kind_signature():
-    import inspect
-
-    params = inspect.signature(api.bench).parameters
-    assert params["kind"].default == "engine"
-    assert all(p.kind == inspect.Parameter.KEYWORD_ONLY
-               for p in params.values())
-    assert api.BENCH_KINDS == ("engine", "net", "aether")
-    with pytest.raises(ValueError):
-        api.bench(kind="bogus")
-
-
-def test_aether_verb_routes_to_run_soak(monkeypatch):
-    from repro.experiments import aetherbench
-
-    seen = {}
-
-    def fake_run_soak(**kwargs):
-        seen.update(kwargs)
-        return {"benchmark": "aether_soak",
-                "sessions": {"target": kwargs["sessions"]}}
-
-    monkeypatch.setattr(aetherbench, "run_soak", fake_run_soak)
-    result = api.aether(sessions=123, workers=2, flatness=False)
-    assert isinstance(result, api.SoakResult)
-    assert result.sessions == 123
-    assert seen["sessions"] == 123 and seen["workers"] == 2
-    assert seen["flatness"] is False
-    # bench(kind="aether") is the same soak behind the dispatcher.
-    via_bench = api.bench(kind="aether", sessions=456, workers=2)
-    assert isinstance(via_bench, api.SoakResult)
-    assert via_bench.kind == "aether"
-    assert seen["sessions"] == 456
-
-
-def test_bench_result_json_roundtrip():
-    import json
-
-    data = {"benchmark": "net_replay", "meta": {"commit": "abc"},
-            "sustained": True, "history": [{"speedup": 2.0}]}
-    result = api.BenchResult(data, kind="net")
-    again = api.BenchResult.from_json(result.to_json())
-    assert again == result and again.kind == "net"
-    assert again.sustained is True and again.meta == {"commit": "abc"}
-    assert again.history == [{"speedup": 2.0}]
-    engine = api.BenchResult.from_json(json.dumps(
-        {"benchmark": "switch_processing_rate",
-         "engines": {"codegen": {"pps": 1.0}}}))
-    assert engine.kind == "engine"
-    assert engine.engines == {"codegen": {"pps": 1.0}}
-    assert engine["engines"]["codegen"]["pps"] == 1.0  # dict access intact
-
-
-def test_soak_result_json_roundtrip():
-    from repro.experiments.aetherbench import run_soak
-
-    result = api.SoakResult(run_soak(
-        sessions=300, engine="codegen", batched=False, batch_size=100,
-        replay_ues=20, replay_repeats=1, flatness=False))
-    again = api.SoakResult.from_json(result.to_json())
-    assert again == result and again.kind == "aether"
-    assert again.sessions == 300 and again.reports == 0
-    assert again.attach_per_s > 0 and again.peak_rss_bytes > 0
-    assert again.flat is None  # flatness probe was off
-    assert set(again.phase_seconds) == {"attach", "churn", "replay"}
 
 
 def test_difftest_summary_reexport():

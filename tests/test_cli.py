@@ -126,3 +126,40 @@ def test_trace_command_follow_and_export(tmp_path, capsys):
 def test_trace_command_rejects_bad_scenario(capsys):
     with pytest.raises(SystemExit, match="scenario must be"):
         main(["trace", "not-a-seed"])
+
+
+def test_aether_scenario_reaches_switches_tables_and_tracer(capsys):
+    import json
+
+    code, out, _ = run_cli(capsys, "metrics", "aether", "--json")
+    assert code == 0
+    dump = json.loads(out)
+
+    def total(metric, **labels):
+        return sum(s["value"] for s in dump[metric]["series"]
+                   if labels.items() <= s["labels"].items())
+
+    # 100 sampled UEs send allowed uplink, every 4th gets downlink,
+    # every 8th also sends traffic its slice denies: the UPF drops
+    # those and the checker, live after attach + churn, agrees.
+    assert total("packets_delivered_total", host="h2") == 100
+    assert total("packets_delivered_total", host="h1") == 25
+    assert total("switch_packets_dropped_total", reason="pipeline") == 13
+    assert total("switch_packets_total") == 138
+    assert total("table_lookups_total", result="hit") > 0
+    assert total("checker_violations_total") == 0
+    phases = {s["labels"]["phase"]: s["count"]
+              for s in dump["phase_seconds"]["series"]}
+    assert phases["attach"] == phases["churn"] == phases["replay"] == 1
+
+    code, out, _ = run_cli(capsys, "trace", "aether", "--follow")
+    assert code == 0
+    assert out.startswith("packet ") and "parse" in out
+
+
+@pytest.mark.parametrize("verb", ["bench", "aether"])
+def test_retired_benchmark_verbs_are_rejected(verb, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from repro.net.topology import linear, single_switch
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.p4.bmv2 import Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
+from tests.test_codegen_engine import build_switch
 
 
 def _switches(topology, engine="codegen", obs=None):
@@ -153,10 +154,8 @@ def test_pipeline_and_ttl_drop_reasons(engine):
 
 @pytest.mark.parametrize("engine", ["codegen", "interp"])
 def test_instrumented_engine_outputs_match_plain(engine):
-    from repro.experiments.bench import _build_switch
-
-    plain = _build_switch(engine)
-    metered = _build_switch(engine, obs=Observability.enabled())
+    plain = build_switch(engine=engine)
+    metered = build_switch(engine=engine, obs=Observability.enabled())
     assert plain.obs.live is False
     for i in range(20):
         packet_a = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1000 + i, 53)
@@ -172,9 +171,7 @@ def test_instrumented_engine_outputs_match_plain(engine):
 
 
 def test_attach_observability_rebuilds_fastpath():
-    from repro.experiments.bench import _build_switch
-
-    sw = _build_switch("codegen")
+    sw = build_switch()
     out_before = sw.process(_packet(), 1)
     obs = Observability.enabled()
     sw.attach_observability(obs)
