@@ -92,7 +92,7 @@ def check_all_checkers_leaf() -> None:
     compiled = compile_suite(ALL_CHECKERS)
     codegen = _fabric(topology, compiled, "codegen")
     interp = _fabric(topology, compiled, "interp")
-    source = codegen.switches["leaf1"]._fast.source
+    source = codegen.switches["leaf1"]._engine.source
     defs = [line for line in source.splitlines() if line.startswith("def ")]
     assert defs == ["def _process(packet, ingress_port):"], defs
     assert "_blank(" not in source, "per-packet header allocation"
@@ -145,7 +145,7 @@ def main() -> int:
                                     "fwd_set_egress", [2])
                     single = _serialize(sw.process(packet.copy(), 1))
                     if engine == "codegen":
-                        assert sw._fast.source, "empty generated source"
+                        assert sw._engine.source, "empty generated source"
                         batch = sw.process_batch([(packet.copy(), 1)])
                         if [_serialize(o) for o in [batch[0]]][0] != single:
                             raise AssertionError(

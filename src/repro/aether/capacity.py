@@ -24,10 +24,10 @@ UE_PREFIX_LEN = 12                # 172.16.0.0/12 -> 2^20 UE addresses
 MAX_UE_INDEX = (1 << (32 - UE_PREFIX_LEN)) - 1
 
 # Rough per-row resident cost of one installed TableEntry (object +
-# match/args lists) plus its slot in the engine's hash index, measured
+# match/args tuples) plus its slot in the engine's hash index, measured
 # on CPython 3.11.  Used for the estimate only — never enforced.
 _BYTES_PER_ENTRY = 400
-_BYTES_PER_SESSION_STATE = 700    # ClientRecord + handles + portal rows
+_BYTES_PER_SESSION_STATE = 700    # ClientRecord + its rows + portal rows
 
 
 class CapacityError(RuntimeError):

@@ -18,7 +18,6 @@ rule row.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..net.topology import EDGE
@@ -39,8 +38,10 @@ class HydraControlApp:
     Key layout matches Figure 9: (ue_ipv4_addr, app_ip_proto,
     app_ipv4_addr, app_l4_port) -> 1=deny / 2=allow.
 
-    The app owns the rows it installs: per-UE entry handles are kept so
-    detach removes exactly that UE's rows without scanning the table.
+    The app owns the rows it installs: each is built once, installed as
+    the same value on every switch the app programs, and remembered per
+    UE so detach removes exactly that UE's rows without scanning the
+    table.
     ``edge_only=True`` (the scaled deployments) installs rows only on
     edge switches — the checker evaluates at the last hop, which is
     always an edge, so spine copies of the dictionary are dead weight.
@@ -55,18 +56,19 @@ class HydraControlApp:
         self._hit_actions = {table: compiled.dict_hit_action(decl.name,
                                                              table)
                              for table in self._tables}
-        names = [name for name, spec in deployment.topology.switches.items()
-                 if not edge_only or spec.role == EDGE]
-        self._switches = [(name, deployment.switches[name])
-                          for name in names]
-        self._installed: Dict[int, List[Tuple[str, str,
-                                              ir.TableEntry]]] = {}
+        self._switches = [
+            deployment.switches[name]
+            for name, spec in deployment.topology.switches.items()
+            if not edge_only or spec.role == EDGE]
+        # Per UE, its rows table by table (``self._tables`` order, one
+        # per rule within each); every row is on every ``_switches``.
+        self._installed: Dict[int, Tuple[ir.TableEntry, ...]] = {}
 
-    def on_attach(self, ue_ip: int, rules: List[FilterRule]) -> None:
+    def on_attach(self, ue_ip: int, rules: Sequence[FilterRule]) -> None:
         self.on_attach_many([(ue_ip, rules)])
 
     def on_attach_many(self,
-                       items: Sequence[Tuple[int, List[FilterRule]]]
+                       items: Sequence[Tuple[int, Sequence[FilterRule]]]
                        ) -> None:
         """Mirror a batch of clients' rules into ``filtering_actions``,
         one bulk insert per (switch, table)."""
@@ -75,45 +77,40 @@ class HydraControlApp:
             # Replace semantics, as dict_put_ranges had: a re-attach of
             # a live UE address supersedes its previous rows.
             self.on_detach_many(refresh)
-        rows: List[Tuple[list, List[int], int]] = []
-        owners: List[int] = []
+        by_table: List[List[ir.TableEntry]] = [[] for _ in self._tables]
         for ue_ip, rules in items:
-            self._installed.setdefault(ue_ip, [])
-            for rule in rules:
-                value = DENY_ACTION if rule.action == DENY else ALLOW_ACTION
-                match = [
-                    (ue_ip, ue_ip),
-                    rule.proto_range(),
-                    rule.addr_range(),
-                    tuple(rule.l4_port),
-                ]
-                rows.append((match, [value], rule.priority))
-                owners.append(ue_ip)
-        for name, bmv2 in self._switches:
-            for table in self._tables:
+            specs = [(((ue_ip, ue_ip), rule.proto_range(), rule.addr_range(),
+                       tuple(rule.l4_port)),
+                      (DENY_ACTION if rule.action == DENY else ALLOW_ACTION,),
+                      rule.priority) for rule in rules]
+            own: List[ir.TableEntry] = []
+            for table, rows in zip(self._tables, by_table):
                 action = self._hit_actions[table]
-                # match lists are shared across switches (entries are
-                # distinguished by identity, and match specs are never
-                # mutated after install) — halves row memory.
-                created = bmv2.insert_entries(
-                    table, [(match, action, args, priority)
-                            for match, args, priority in rows])
-                installed = self._installed
-                for ue_ip, entry in zip(owners, created):
-                    installed[ue_ip].append((name, table, entry))
+                mine = [ir.TableEntry(match, action, args, priority)
+                        for match, args, priority in specs]
+                rows.extend(mine)
+                own.extend(mine)
+            self._installed[ue_ip] = tuple(own)
+        for bmv2 in self._switches:
+            for table, rows in zip(self._tables, by_table):
+                if rows:
+                    bmv2.insert_entries(table, rows)
 
     def on_detach(self, ue_ip: int) -> None:
         """Remove the client's filtering_actions entries."""
         self.on_detach_many([ue_ip])
 
     def on_detach_many(self, ue_ips: Sequence[int]) -> None:
-        grouped: Dict[Tuple[str, str], List[ir.TableEntry]] = {}
+        by_table: List[List[ir.TableEntry]] = [[] for _ in self._tables]
         for ue_ip in ue_ips:
-            for name, table, entry in self._installed.pop(ue_ip, ()):
-                grouped.setdefault((name, table), []).append(entry)
-        switches = dict(self._switches)
-        for (name, table), entries in grouped.items():
-            switches[name].delete_entries(table, entries)
+            own = self._installed.pop(ue_ip, ())
+            per_table = len(own) // len(by_table)
+            for i, rows in enumerate(by_table):
+                rows.extend(own[i * per_table:(i + 1) * per_table])
+        for bmv2 in self._switches:
+            for table, rows in zip(self._tables, by_table):
+                if rows:
+                    bmv2.delete_entries(table, rows)
 
 
 class MobileCore:
@@ -124,7 +121,7 @@ class MobileCore:
         self.portal = portal
         self.onos = onos
         self.hydra_app = hydra_app
-        self._teids = itertools.count(100)
+        self._next_teid = 100
         self.attachments: Dict[str, ClientRecord] = {}
 
     def attach(self, imsi: str, ue_ip: int) -> ClientRecord:
@@ -140,27 +137,30 @@ class MobileCore:
                     ) -> List[ClientRecord]:
         """Handle a batch of attach requests (bulk PFCP-style churn).
 
-        Semantically a loop of :meth:`attach`; the table programming is
-        batched per switch so the fabric absorbs the whole batch with
-        one control-plane operation per table.
+        Semantically a loop of :meth:`attach`, except that the batch is
+        atomic — one unprovisioned IMSI, or a refusal by ONOS, and
+        nothing has changed; the table programming is batched per
+        switch so the fabric absorbs the whole batch with one
+        control-plane operation per table.
         """
         specs: List[AttachSpec] = []
-        for imsi, ue_ip in requests:
+        for uplink_teid, (imsi, ue_ip) in enumerate(requests,
+                                                    self._next_teid):
             slice_name = self.portal.slice_of(imsi)
             if slice_name is None:
                 raise ValueError(
                     f"IMSI {imsi} is not provisioned in any slice")
-            rules = self.portal.rules_for(imsi)
-            uplink_teid = next(self._teids)
-            downlink_teid = uplink_teid + 1000
             specs.append(AttachSpec(
                 imsi=imsi, slice_name=slice_name, ue_ip=ue_ip,
-                uplink_teid=uplink_teid, downlink_teid=downlink_teid,
-                rules=tuple(rules)))
+                uplink_teid=uplink_teid, downlink_teid=uplink_teid + 1000,
+                rules=tuple(self.portal.rules_for(imsi))))
+        # ONOS validates the whole batch before it changes anything, so
+        # a refused batch has consumed no TEID either.
         records = self.onos.handle_attach_many(specs)
+        self._next_teid += len(specs)
         if self.hydra_app is not None:
             self.hydra_app.on_attach_many(
-                [(spec.ue_ip, list(spec.rules)) for spec in specs])
+                [(spec.ue_ip, spec.rules) for spec in specs])
         for record in records:
             self.attachments[record.imsi] = record
         return records

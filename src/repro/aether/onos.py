@@ -18,10 +18,12 @@ discarded, exactly the behaviour Hydra's checker reports.
 
 Scaling notes (the million-subscriber path):
 
-* Every per-client table row installed at attach time is remembered as
-  ``(switch, table, entry)`` handles on the :class:`ClientRecord`, so
-  detach deletes exactly those rows — O(own rows), never a scan over
-  every subscriber's entries.
+* Every per-client table row is built once, as an immutable
+  :class:`~repro.p4.ir.TableEntry`, installed as that same value on
+  every UPF switch and remembered on the :class:`ClientRecord`, so
+  detach deletes exactly those rows — never a scan over every
+  subscriber's entries — and a session costs the cyclic collector one
+  tracked object per row, not one per row per switch plus its handles.
 * Shared Applications entries are reference-counted per app id and
   released only when the *last* referencing subscriber detaches (the
   interned pattern is forgotten with them, so a later attach
@@ -35,7 +37,7 @@ Scaling notes (the million-subscriber path):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..p4 import ir
@@ -53,18 +55,31 @@ AppKey = Tuple[str, Tuple[int, int], Optional[int], Tuple[int, int], int]
 class ClientRecord:
     """Controller-side state for one attached client."""
 
+    __slots__ = ("client_id", "imsi", "slice_name", "ue_ip", "uplink_teid",
+                 "downlink_teid", "app_ids", "entries")
+
     client_id: int
     imsi: str
     slice_name: str
     ue_ip: int
     uplink_teid: int
     downlink_teid: int
-    app_ids: List[int] = field(default_factory=list)
-    # Handles to every table row installed for this client:
-    # (switch name, table name, entry).  Detach deletes these and only
-    # these — no scan over other subscribers' entries.
-    entries: List[Tuple[str, str, ir.TableEntry]] = \
-        field(default_factory=list, repr=False)
+    app_ids: Tuple[int, ...]  # one per rule, in rule order
+    # The rows installed for this client, each the same value on every
+    # UPF switch: its uplink session, its downlink session, then one
+    # Terminations row per rule (``_rows_by_table`` reads this layout).
+    # Detach deletes these and only these.
+    entries: Tuple[ir.TableEntry, ...]
+
+
+def _rows_by_table(records: Sequence[ClientRecord]
+                   ) -> List[Tuple[str, List[ir.TableEntry]]]:
+    """A batch of clients' rows grouped per UPF table."""
+    return [
+        ("uplink_sessions", [r.entries[0] for r in records]),
+        ("downlink_sessions", [r.entries[1] for r in records]),
+        ("terminations", [e for r in records for e in r.entries[2:]]),
+    ]
 
 
 @dataclass(frozen=True)
@@ -111,32 +126,52 @@ class OnosController:
         return (slice_name, rule.ip_prefix, rule.proto, rule.l4_port,
                 rule.priority)
 
-    def _app_id_for(self, slice_name: str, rule: FilterRule) -> int:
-        """Resolve a rule pattern to an app id, installing a shared
-        Applications entry on first use."""
-        key = self._app_key(slice_name, rule)
-        existing = self._app_ids.get(key)
-        if existing is not None:
-            return existing
-        app_id = self._next_app_id
-        if app_id > MAX_APP_IDS:
-            raise CapacityError(
-                f"app-id space exhausted ({MAX_APP_IDS} distinct "
-                "rule patterns; app_id is an 8-bit field)")
-        self._next_app_id += 1
+    def _plan_app_ids(self, specs: Sequence[AttachSpec]
+                      ) -> Tuple[List[Tuple[int, ...]],
+                                 Dict[AppKey, Tuple[int, FilterRule]]]:
+        """Resolve every rule of every spec to an app id, changing
+        nothing: the ids per spec, and the patterns that need a fresh
+        id (with the rule to install for it).  A batch the 8-bit id
+        space cannot hold is refused here, before anything is
+        installed."""
+        fresh: Dict[AppKey, Tuple[int, FilterRule]] = {}
+        next_id = self._next_app_id
+        planned: List[Tuple[int, ...]] = []
+        for spec in specs:
+            ids = []
+            for rule in spec.rules:
+                key = self._app_key(spec.slice_name, rule)
+                app_id = self._app_ids.get(key)
+                if app_id is None and key in fresh:
+                    app_id = fresh[key][0]
+                if app_id is None:
+                    if next_id > MAX_APP_IDS:
+                        raise CapacityError(
+                            f"app-id space exhausted ({MAX_APP_IDS} "
+                            "distinct rule patterns; app_id is an 8-bit "
+                            "field)")
+                    app_id = next_id
+                    next_id += 1
+                    fresh[key] = (app_id, rule)
+                ids.append(app_id)
+            planned.append(tuple(ids))
+        return planned, fresh
+
+    def _install_app_id(self, key: AppKey, app_id: int,
+                        rule: FilterRule) -> None:
+        """Intern a rule pattern under a fresh app id and install its
+        shared Applications entry."""
+        self._next_app_id = app_id + 1
         self._app_ids[key] = app_id
         self._app_key_of[app_id] = key
         self._app_refs[app_id] = 0
-        sid = self.slice_id(slice_name)
+        sid = self.slice_id(key[0])
         match = [(sid, sid), rule.addr_range(), tuple(rule.l4_port),
                  rule.proto_range()]
-        handles: List[Tuple[str, ir.TableEntry]] = []
-        for name, bmv2 in self.upf_switches.items():
-            entry = bmv2.insert_entry("applications", match, "set_app_id",
-                                      [app_id], priority=rule.priority)
-            handles.append((name, entry))
-        self._app_entries[app_id] = handles
-        return app_id
+        self._app_entries[app_id] = [
+            (name, bmv2.insert_entry("applications", match, "set_app_id",
+                                     [app_id], priority=rule.priority))
+            for name, bmv2 in self.upf_switches.items()]
 
     def _release_app_ids(self, app_ids: Iterable[int]) -> None:
         """Drop one subscriber reference per distinct app id; an id
@@ -178,10 +213,13 @@ class OnosController:
                            ) -> List[ClientRecord]:
         """Install user-plane state for a batch of attaching clients.
 
-        Table inserts are batched per switch: the whole batch costs one
-        ``insert_entries`` call per (switch, table), so the execution
-        engines fold the rows into their live indexes instead of
-        rebuilding once per client.
+        The batch is atomic: it is validated whole — IMSIs, the session
+        budget, the app-id space — before the first change, so a
+        refused batch leaves the controller and the switches as they
+        were.  Table inserts are batched per switch: the whole batch
+        costs one ``insert_entries`` call per (switch, table), so the
+        execution engines fold the rows into their live indexes instead
+        of rebuilding once per client.
         """
         seen = set()
         for spec in specs:
@@ -195,50 +233,37 @@ class OnosController:
                     f"attach of {len(specs)} client(s) exceeds the "
                     f"session budget ({len(self.clients)} attached, "
                     f"capacity {budget})")
+        planned, fresh = self._plan_app_ids(specs)
+        for key, (app_id, rule) in fresh.items():
+            self._install_app_id(key, app_id, rule)
         records: List[ClientRecord] = []
-        session_rows: List[Tuple[list, str, Optional[List[int]], int]] = []
-        downlink_rows: List[Tuple[list, str, Optional[List[int]], int]] = []
-        term_rows: List[Tuple[list, str, Optional[List[int]], int]] = []
-        # Row -> owning record, in emission order (per-switch created
-        # entries come back in the same order).
-        session_owner: List[ClientRecord] = []
-        downlink_owner: List[ClientRecord] = []
-        term_owner: List[ClientRecord] = []
-        for spec in specs:
+        for spec, app_ids in zip(specs, planned):
             client_id = self._next_client_id
             self._next_client_id += 1
-            record = ClientRecord(client_id=client_id, imsi=spec.imsi,
-                                  slice_name=spec.slice_name,
-                                  ue_ip=spec.ue_ip,
-                                  uplink_teid=spec.uplink_teid,
-                                  downlink_teid=spec.downlink_teid)
             sid = self.slice_id(spec.slice_name)
-            session_rows.append(([spec.uplink_teid], "set_session_uplink",
-                                 [client_id, sid], 0))
-            session_owner.append(record)
-            downlink_rows.append(([spec.ue_ip], "set_session_downlink",
-                                  [client_id, sid, spec.downlink_teid], 0))
-            downlink_owner.append(record)
-            for rule in spec.rules:
-                app_id = self._app_id_for(spec.slice_name, rule)
-                record.app_ids.append(app_id)
-                action = ("term_forward" if rule.action == ALLOW
-                          else "term_drop")
-                term_rows.append(([client_id, app_id], action, None, 0))
-                term_owner.append(record)
-            for app_id in set(record.app_ids):
-                self._app_refs[app_id] = self._app_refs.get(app_id, 0) + 1
-            records.append(record)
-        for name, bmv2 in self.upf_switches.items():
-            for table, rows, owners in (
-                    ("uplink_sessions", session_rows, session_owner),
-                    ("downlink_sessions", downlink_rows, downlink_owner),
-                    ("terminations", term_rows, term_owner)):
-                if not rows:
-                    continue
-                created = bmv2.insert_entries(table, rows)
-                for owner, entry in zip(owners, created):
-                    owner.entries.append((name, table, entry))
+            rows = [
+                ir.TableEntry((spec.uplink_teid,), "set_session_uplink",
+                              (client_id, sid)),
+                ir.TableEntry((spec.ue_ip,), "set_session_downlink",
+                              (client_id, sid, spec.downlink_teid)),
+            ]
+            for rule, app_id in zip(spec.rules, app_ids):
+                rows.append(ir.TableEntry(
+                    (client_id, app_id),
+                    "term_forward" if rule.action == ALLOW else "term_drop"))
+            for app_id in set(app_ids):
+                self._app_refs[app_id] += 1
+            records.append(ClientRecord(
+                client_id=client_id, imsi=spec.imsi,
+                slice_name=spec.slice_name, ue_ip=spec.ue_ip,
+                uplink_teid=spec.uplink_teid,
+                downlink_teid=spec.downlink_teid, app_ids=app_ids,
+                entries=tuple(rows)))
+        by_table = _rows_by_table(records)
+        for bmv2 in self.upf_switches.values():
+            for table, rows in by_table:
+                if rows:
+                    bmv2.insert_entries(table, rows)
         for record in records:
             self.clients[record.imsi] = record
         return records
@@ -264,14 +289,13 @@ class OnosController:
             if record is None:
                 raise ValueError(f"IMSI {imsi} is not attached")
             records.append(record)
-        grouped: Dict[Tuple[str, str], List[ir.TableEntry]] = {}
+        by_table = _rows_by_table(records)
+        for bmv2 in self.upf_switches.values():
+            for table, rows in by_table:
+                if rows:
+                    bmv2.delete_entries(table, rows)
         for record in records:
-            for switch_name, table, entry in record.entries:
-                grouped.setdefault((switch_name, table), []).append(entry)
-            record.entries = []
-        for (switch_name, table), entries in grouped.items():
-            self.upf_switches[switch_name].delete_entries(table, entries)
-        for record in records:
+            record.entries = ()
             self._release_app_ids(record.app_ids)
         return records
 

@@ -230,4 +230,4 @@ def generated_source(program: Union[int, str, Any], *,
         compiled = compile_indus(program, name=name, optimize=optimize)
     switch = Bmv2Switch(standalone_program(compiled), name="dump",
                         switch_id=1, engine="codegen")
-    return switch._fast.source
+    return switch._engine.source

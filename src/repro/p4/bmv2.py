@@ -275,13 +275,13 @@ class Bmv2Switch:
         self._obs_live = False
         if obs is not None:
             self._bind_observability(obs)
-        self._fast = None
+        self._engine = None
         self._build_engine()
 
     def _build_engine(self) -> None:
         if self.engine == "codegen":
             from .codegen import CodegenEngine  # deferred: codegen imports us
-            self._fast = CodegenEngine(self.program, self)
+            self._engine = CodegenEngine(self.program, self)
 
     # ==================================================================
     # Observability
@@ -332,66 +332,66 @@ class Bmv2Switch:
     # Control-plane (P4Runtime-like) API
     # ==================================================================
 
-    def insert_entry(self, table_name: str, match: List[ir.MatchSpec],
-                     action: str, args: Optional[List[int]] = None,
+    def _check_entry(self, table: ir.Table, entry: ir.TableEntry) -> None:
+        action = self.program.actions.get(entry.action)
+        if action is None:
+            raise P4RuntimeError(f"unknown action {entry.action!r}")
+        if len(entry.args) != len(action.params):
+            raise P4RuntimeError(
+                f"action {entry.action!r} expects {len(action.params)} "
+                f"args, got {len(entry.args)}"
+            )
+        if len(entry.match) != len(table.keys):
+            raise P4RuntimeError(
+                f"table {table.name!r} has {len(table.keys)} keys, "
+                f"got {len(entry.match)} match specs"
+            )
+
+    def insert_entry(self, table_name: str, match: Sequence[ir.MatchSpec],
+                     action: str, args: Optional[Sequence[int]] = None,
                      priority: int = 0) -> ir.TableEntry:
         table = self._table(table_name)
-        if action not in self.program.actions:
-            raise P4RuntimeError(f"unknown action {action!r}")
-        expected = len(self.program.actions[action].params)
-        args = list(args or [])
-        if len(args) != expected:
-            raise P4RuntimeError(
-                f"action {action!r} expects {expected} args, got {len(args)}"
-            )
-        if len(match) != len(table.keys):
-            raise P4RuntimeError(
-                f"table {table_name!r} has {len(table.keys)} keys, "
-                f"got {len(match)} match specs"
-            )
-        entry = ir.TableEntry(match=match, action=action, args=args,
-                              priority=priority)
+        entry = ir.TableEntry(match, action, args, priority)
+        self._check_entry(table, entry)
         self.entries[table_name].append(entry)
-        if self._fast is not None:
-            self._fast.invalidate_table(table_name)
+        if self._engine is not None:
+            self._engine.invalidate_table(table_name)
         self._notify_config(table_name)
         return entry
 
     def insert_entries(self, table_name: str,
-                       rows: Sequence[Tuple[List[ir.MatchSpec], str,
-                                            Optional[List[int]], int]]
+                       rows: Sequence[Union[
+                           ir.TableEntry,
+                           Tuple[Sequence[ir.MatchSpec], str,
+                                 Optional[Sequence[int]], int]]]
                        ) -> List[ir.TableEntry]:
         """Install a batch of entries with one index update and one
         config notification.
 
-        ``rows`` holds ``(match, action, args, priority)`` tuples.  The
-        execution engines fold the new entries into their live table
-        indexes incrementally instead of discarding them, so bulk
-        control-plane churn (the Aether attach path) does not trigger a
-        full index rebuild per entry — or even per batch.
+        A row is a ``(match, action, args, priority)`` tuple or an
+        already-built :class:`~repro.p4.ir.TableEntry`, which is
+        installed as is — entries are immutable values, so a controller
+        programming the same row on several switches builds it once.
+        Nothing is installed unless every row validates.  The codegen
+        engine folds the new entries into its live table index instead
+        of discarding it, so bulk control-plane churn (the Aether
+        attach path) never costs an index rebuild.
         """
         table = self._table(table_name)
+        n_keys = len(table.keys)
+        arity: Dict[str, int] = {}  # per action already checked once
         created: List[ir.TableEntry] = []
-        for match, action, args, priority in rows:
-            if action not in self.program.actions:
-                raise P4RuntimeError(f"unknown action {action!r}")
-            expected = len(self.program.actions[action].params)
-            args = list(args or [])
-            if len(args) != expected:
-                raise P4RuntimeError(
-                    f"action {action!r} expects {expected} args, "
-                    f"got {len(args)}"
-                )
-            if len(match) != len(table.keys):
-                raise P4RuntimeError(
-                    f"table {table_name!r} has {len(table.keys)} keys, "
-                    f"got {len(match)} match specs"
-                )
-            created.append(ir.TableEntry(match=match, action=action,
-                                         args=args, priority=priority))
+        for row in rows:
+            entry = (row if row.__class__ is ir.TableEntry
+                     else ir.TableEntry(*row))
+            if (len(entry.match) != n_keys
+                    or len(entry.args) != arity.get(entry.action, -1)):
+                self._check_entry(table, entry)
+                arity[entry.action] = len(entry.args)
+            created.append(entry)
         self.entries[table_name].extend(created)
-        if self._fast is not None:
-            self._fast.entries_inserted(table_name, created)
+        if self._engine is not None:
+            self._engine.entries_inserted(table_name, created)
         self._notify_config(table_name)
         return created
 
@@ -401,8 +401,8 @@ class Bmv2Switch:
             self.entries[table_name].remove(entry)
         except ValueError as exc:
             raise P4RuntimeError("entry not installed") from exc
-        if self._fast is not None:
-            self._fast.invalidate_table(table_name)
+        if self._engine is not None:
+            self._engine.invalidate_table(table_name)
         self._notify_config(table_name)
 
     def delete_entries(self, table_name: str,
@@ -419,15 +419,15 @@ class Bmv2Switch:
         if len(kept) != len(installed) - len(ids):
             raise P4RuntimeError("entry not installed")
         installed[:] = kept
-        if self._fast is not None:
-            self._fast.entries_removed(table_name, list(ids.values()))
+        if self._engine is not None:
+            self._engine.entries_removed(table_name, list(ids.values()))
         self._notify_config(table_name)
 
     def clear_table(self, table_name: str) -> None:
         self._table(table_name)
         self.entries[table_name].clear()
-        if self._fast is not None:
-            self._fast.invalidate_table(table_name)
+        if self._engine is not None:
+            self._engine.invalidate_table(table_name)
         self._notify_config(table_name)
 
     def set_default_action(self, table_name: str, action: str,
@@ -444,8 +444,8 @@ class Bmv2Switch:
         self.default_actions[table_name] = (action, args)
         # The codegen engine bakes default-action facts into generated
         # source; give it a chance to recompile.
-        if self._fast is not None:
-            self._fast.on_default_change(table_name)
+        if self._engine is not None:
+            self._engine.on_default_change(table_name)
         self._notify_config(table_name)
 
     # Control-plane register access validates its operands and raises
@@ -488,6 +488,12 @@ class Bmv2Switch:
         for listener in self.config_listeners:
             listener(name)
 
+    def index_counts(self) -> Dict[str, Dict[str, int]]:
+        """Per table the engine indexes: ``rebuilds`` of the index from
+        the entry list and bulk writes it absorbed as ``folds`` (empty
+        under ``interp``, which scans)."""
+        return {} if self._engine is None else self._engine.index_counts()
+
     def _table(self, name: str) -> ir.Table:
         if name not in self.program.tables:
             raise P4RuntimeError(f"unknown table {name!r}")
@@ -503,8 +509,8 @@ class Bmv2Switch:
 
         Returns a list of (egress_port, packet) pairs — empty if dropped.
         """
-        if self._fast is not None:
-            return self._fast.process(packet, ingress_port)
+        if self._engine is not None:
+            return self._engine.process(packet, ingress_port)
         if self._obs_live:
             return self._process_interp_obs(packet, ingress_port)
         return self._process_interp(packet, ingress_port)

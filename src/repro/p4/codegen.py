@@ -135,6 +135,7 @@ class CodegenEngine:
         self._bind_types = program.bind_types()
         self.source: str = ""
         self.recompiles = -1  # first build brings it to 0
+        self.tables: Dict[str, _TableIndex] = {}
         self._build()
 
     # ==================================================================
@@ -160,8 +161,8 @@ class CodegenEngine:
         whole table).
         """
         assumed = self._assumed.get(name)
-        if assumed is not None and any(
-                entry.action not in assumed for entry in new_entries):
+        if assumed is not None and not assumed.issuperset(
+                {entry.action for entry in new_entries}):
             self._build()
             return
         index = self.tables.get(name)
@@ -188,6 +189,13 @@ class CodegenEngine:
         the generated per-site dispatch."""
         return (self._action_ids.get(name, -1), tuple(args))
 
+    def index_counts(self) -> Dict[str, Dict[str, int]]:
+        """Per table, how often its index was rebuilt from the entry
+        list and how often a bulk write was folded into it instead,
+        since this engine was created (recompiles included)."""
+        return {name: {"rebuilds": index.rebuilds, "folds": index.folds}
+                for name, index in self.tables.items()}
+
     # ==================================================================
     # Build
     # ==================================================================
@@ -197,10 +205,14 @@ class CodegenEngine:
         with profiled(self.switch.obs.registry, "codegen"):
             ingress, egress = self._specialize()
             self._globals: Dict[str, Any] = {}
-            self.tables: Dict[str, _TableIndex] = {}
+            retired, self.tables = self.tables, {}
             self._table_globals: Dict[str, str] = {}
             self._hoisted: Set[str] = set()
             self.source = self._emit_module(ingress, egress)
+            for name, old in retired.items():
+                index = self.tables.get(name)
+                if index is not None:
+                    index.rebuilds, index.folds = old.rebuilds, old.folds
             code = compile(self.source,
                            f"<codegen:{self.program.name}>", "exec")
             exec(code, self._globals)

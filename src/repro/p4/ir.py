@@ -276,16 +276,56 @@ class Table:
 MatchSpec = Union[int, Tuple[int, int]]
 
 
-@dataclass
+_set_slot = object.__setattr__
+
+
 class TableEntry:
-    """An installed table entry (control-plane state)."""
+    """An installed table entry (control-plane state): an immutable
+    value, so one entry may be installed on several switches at once.
 
-    match: List[MatchSpec]
+    ``match`` and ``args`` are tuples whatever sequence they were given
+    as.  A million-session control plane holds millions of these, and
+    the cyclic collector walks every container it tracks on each full
+    collection: CPython stops tracking a tuple of ints (or of such
+    tuples) at its first collection and never stops tracking a list, so
+    the representation — slots, no ``__dict__``, tuples — is what keeps
+    an entry at one tracked object.  (Hand-written rather than
+    ``dataclass(slots=True)``, which needs Python 3.10.)
+    """
+
+    __slots__ = ("match", "action", "args", "priority")
+
+    match: Tuple[MatchSpec, ...]
     action: str
-    args: List[int] = field(default_factory=list)
-    priority: int = 0
+    args: Tuple[int, ...]
+    priority: int
 
-    def matches(self, table: Table, key_values: List[int]) -> bool:
+    def __init__(self, match: Sequence[MatchSpec], action: str,
+                 args: Optional[Sequence[int]] = None, priority: int = 0):
+        _set_slot(self, "match", tuple(match))
+        _set_slot(self, "action", action)
+        _set_slot(self, "args", tuple(args) if args else ())
+        _set_slot(self, "priority", priority)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TableEntry is immutable (cannot set {name!r})")
+
+    def _fields(self) -> Tuple:
+        return (self.match, self.action, self.args, self.priority)
+
+    def __reduce__(self) -> Tuple:  # copy/pickle go through __init__
+        return (TableEntry, self._fields())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is TableEntry:
+            return self._fields() == other._fields()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"TableEntry(match={self.match!r}, action={self.action!r}, "
+                f"args={self.args!r}, priority={self.priority!r})")
+
+    def matches(self, table: Table, key_values: Sequence[int]) -> bool:
         for key, spec, value in zip(table.keys, self.match, key_values):
             if key.kind is MatchKind.EXACT:
                 if value != spec:

@@ -6,10 +6,24 @@ time instead: exact-match tables become hash lookups keyed on the value
 tuple, LPM tables become per-prefix-length buckets probed longest-first,
 and ternary/range/priority tables stay a small list pre-sorted in win
 order (hashed on one column once large, see ``_RBUCKET_MIN``) and tested
-with a matcher compiled once per tuple of match kinds.  Entry
-insert/delete invalidates only that table's index, which is rebuilt
-lazily on the next apply; the bulk control-plane path folds batches in
-incrementally (``fold_inserts`` / ``fold_deletes``).
+with a matcher compiled once per tuple of match kinds.
+
+When the index is behind the entry list, and when it is not:
+
+* An index created over an **empty** table is clean, and the bulk
+  control-plane path (``Bmv2Switch.insert_entries`` / ``delete_entries``)
+  folds every batch into it from the first write (``fold_inserts`` /
+  ``fold_deletes``), so the first packet after a bulk write costs a
+  packet.  A scan-mode index re-chooses its layout while folding — at
+  ``_RBUCKET_MIN`` entries, then each time the scan doubles — not on the
+  next lookup.
+* The index is rebuilt lazily, by the next lookup, only after a
+  single-entry write (``insert_entry`` / ``delete_entry`` /
+  ``clear_table``), after a fold that could not keep the reference win
+  order (a duplicate key), or when it was created over a non-empty table
+  (an engine recompile).
+
+``rebuilds`` and ``folds`` count the two outcomes.
 
 The index stores whatever payload its engine's ``_bind_action`` returns
 for an entry and never looks inside it.
@@ -91,7 +105,11 @@ class _TableIndex:
             self._mode = "lpm"
         else:
             self._mode = "scan"
-        self._dirty = True
+        # Behind the entry list?  Not over an empty table: there is
+        # nothing to index, and the first bulk write can fold.
+        self._dirty = bool(engine.switch.entries[name])
+        self.rebuilds = 0
+        self.folds = 0
         self._exact_map: Dict[Tuple, Callable] = {}
         self._exact_dups = False
         self._buckets: Dict[int, Dict[Tuple, Callable]] = {}
@@ -106,6 +124,8 @@ class _TableIndex:
                                List[Tuple[Tuple, ir.TableEntry,
                                           Callable]]] = {}
         self._rb_residual: List[Tuple[Tuple, ir.TableEntry, Callable]] = []
+        # Scan length at which a plain scan next asks for range buckets.
+        self._rb_next = _RBUCKET_MIN
         # Monotonic insertion counter: folded entries get rank indexes
         # strictly above every rank already in the index, so ties keep
         # resolving to the earliest insertion even across deletions.
@@ -170,7 +190,7 @@ class _TableIndex:
             table_map: Dict[Tuple, Callable] = {}
             dups = False
             for _, entry in ranked:
-                key = tuple(entry.match)
+                key = entry.match
                 if key in table_map:
                     dups = True
                 else:
@@ -200,28 +220,32 @@ class _TableIndex:
             self._plens = sorted(buckets, reverse=True)
             self._lpm_dups = dups
         else:
-            triples = [(rank, entry, bind(entry.action, entry.args))
-                       for rank, entry in ranked]
-            self._rb_col = self._pick_bucket_column(triples)
-            if self._rb_col is None:
-                self._scan = triples
-                self._rb_buckets = {}
-                self._rb_residual = []
-            else:
-                col = self._rb_col
-                rb_buckets: Dict[Any, List[Tuple]] = {}
-                residual: List[Tuple] = []
-                for triple in triples:
-                    key = self._bucket_key(col, triple[1].match[col])
-                    if key is None:
-                        residual.append(triple)
-                    else:
-                        rb_buckets.setdefault(key, []).append(triple)
-                self._rb_buckets = rb_buckets
-                self._rb_residual = residual
-                self._scan = []
+            self._layout_scan([(rank, entry, bind(entry.action, entry.args))
+                               for rank, entry in ranked])
         self._rank_counter = len(entries)
         self._dirty = False
+        self.rebuilds += 1
+
+    def _layout_scan(self, triples: List[Tuple]) -> None:
+        """Lay rank-sorted scan triples out as range buckets plus a
+        residual list if a column qualifies, as one plain list if not
+        (asking again once it has doubled)."""
+        col = self._rb_col = self._pick_bucket_column(triples)
+        self._rb_next = max(_RBUCKET_MIN, 2 * len(triples))
+        rb_buckets: Dict[Any, List[Tuple]] = {}
+        residual: List[Tuple] = []
+        if col is None:
+            self._scan = triples
+        else:
+            self._scan = []
+            for triple in triples:
+                key = self._bucket_key(col, triple[1].match[col])
+                if key is None:
+                    residual.append(triple)
+                else:
+                    rb_buckets.setdefault(key, []).append(triple)
+        self._rb_buckets = rb_buckets
+        self._rb_residual = residual
 
     def lookup(self, key_values: Tuple[int, ...]) -> Optional[Callable]:
         """The bound action runner of the winning entry, or None."""
@@ -267,14 +291,14 @@ class _TableIndex:
     # -- incremental maintenance (bulk control-plane path) -----------------
 
     def fold_inserts(self, new_entries: Sequence[ir.TableEntry]) -> bool:
-        """Fold entries just appended to the switch's entry list into a
-        built index without a rebuild.
+        """Fold entries just appended to the switch's entry list into
+        the index without a rebuild.
 
         Returns False when the fold cannot preserve the reference win
-        order (the caller must invalidate); a dirty index absorbs the
-        entries at its next rebuild and reports success.  A partially
-        applied fold that bails is safe — the caller's invalidate
-        discards the folded state.
+        order (the caller must invalidate); an index that is already
+        behind absorbs the entries at its next rebuild and reports
+        success.  A partially applied fold that bails is safe — the
+        caller's invalidate discards the folded state.
         """
         if self._dirty:
             return True
@@ -282,12 +306,11 @@ class _TableIndex:
         if self._mode == "exact":
             table_map = self._exact_map
             for entry in new_entries:
-                key = tuple(entry.match)
+                key = entry.match
                 if key in table_map:
                     return False  # duplicate key: rank decides, rebuild
                 table_map[key] = bind(entry.action, entry.args)
-            return True
-        if self._mode == "lpm":
+        elif self._mode == "lpm":
             lpm_i = self._lpm_index
             for entry in new_entries:
                 prefix, plen = entry.match[lpm_i]  # type: ignore[index,misc]
@@ -304,38 +327,41 @@ class _TableIndex:
                 if probe_t in bucket:
                     return False
                 bucket[probe_t] = bind(entry.action, entry.args)
-            return True
-        for entry in new_entries:
-            rank = self._sort_key(self._rank_counter, entry)
-            self._rank_counter += 1
-            triple = (rank, entry, bind(entry.action, entry.args))
-            if self._rb_col is not None:
-                key = self._bucket_key(self._rb_col,
-                                       entry.match[self._rb_col])
-                target = (self._rb_residual if key is None
-                          else self._rb_buckets.setdefault(key, []))
+        else:
+            # Ranks are unique (they end in the insertion counter), so
+            # sorting and bisecting triples never compares two entries.
+            first = self._rank_counter
+            self._rank_counter += len(new_entries)
+            triples = [(self._sort_key(first + i, entry), entry,
+                        bind(entry.action, entry.args))
+                       for i, entry in enumerate(new_entries)]
+            col = self._rb_col
+            if col is None:
+                scan = self._scan
+                scan.extend(triples)
+                scan.sort()  # two rank-sorted runs: one merge
+                if len(scan) >= self._rb_next:
+                    self._layout_scan(scan)
             else:
-                target = self._scan
-            bisect.insort(target, triple)  # unique ranks: entries never
-            #                                reach the tuple comparison
-        if self._rb_col is None and len(self._scan) >= _RBUCKET_MIN * 4:
-            # A plain scan this large may now qualify for range
-            # buckets; re-choose the layout at the next lookup.
-            self._dirty = True
+                for triple in triples:
+                    key = self._bucket_key(col, triple[1].match[col])
+                    bisect.insort(self._rb_residual if key is None
+                                  else self._rb_buckets.setdefault(key, []),
+                                  triple)
+        self.folds += 1
         return True
 
     def fold_deletes(self, removed: Sequence[ir.TableEntry]) -> bool:
-        """Drop entries just removed from the switch's entry list from a
-        built index.  Same contract as :meth:`fold_inserts`."""
+        """Drop entries just removed from the switch's entry list from
+        the index.  Same contract as :meth:`fold_inserts`."""
         if self._dirty:
             return True
         if self._mode == "exact":
             if self._exact_dups:
                 return False  # a shadowed duplicate may resurface
             for entry in removed:
-                self._exact_map.pop(tuple(entry.match), None)
-            return True
-        if self._mode == "lpm":
+                self._exact_map.pop(entry.match, None)
+        elif self._mode == "lpm":
             if self._lpm_dups:
                 return False
             lpm_i = self._lpm_index
@@ -351,8 +377,7 @@ class _TableIndex:
                         del self._buckets[plen]
                         self._masks.pop(plen, None)
                         self._plens = sorted(self._buckets, reverse=True)
-            return True
-        if self._rb_col is not None:
+        elif self._rb_col is not None:
             col = self._rb_col
             residual_ids = set()
             for entry in removed:
@@ -371,6 +396,7 @@ class _TableIndex:
         else:
             ids = {id(e) for e in removed}
             self._scan = [t for t in self._scan if id(t[1]) not in ids]
+        self.folds += 1
         return True
 
     def default_bound(self) -> Optional[Callable]:

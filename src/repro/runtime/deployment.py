@@ -41,9 +41,9 @@ def _flatten_key(key: Any) -> List[int]:
     return [int(key)]
 
 
-def _exact_ranges(key: Any) -> List[Tuple[int, int]]:
+def _exact_ranges(key: Any) -> Tuple[Tuple[int, int], ...]:
     """An exact key expressed as degenerate [v, v] range matches."""
-    return [(v, v) for v in _flatten_key(key)]
+    return tuple((v, v) for v in _flatten_key(key))
 
 
 def _as_int(value: Any) -> int:
@@ -217,8 +217,7 @@ class HydraDeployment:
         compiled, decl = self._resolve_control(name)
         if not isinstance(decl.ty, DictType):
             raise ValueError(f"control {name!r} is not a dict")
-        match: List[Tuple[int, int]] = [(int(lo), int(hi))
-                                        for lo, hi in ranges]
+        match = tuple((int(lo), int(hi)) for lo, hi in ranges)
         for bmv2 in self._target_switches(switch):
             for table in compiled.control_tables[decl.name]:
                 self._remove_matching(bmv2, table, match)
@@ -270,7 +269,8 @@ class HydraDeployment:
                 self._remove_matching(bmv2, table, match)
 
     @staticmethod
-    def _remove_matching(bmv2: Bmv2Switch, table: str, match) -> None:
+    def _remove_matching(bmv2: Bmv2Switch, table: str,
+                         match: Tuple[Tuple[int, int], ...]) -> None:
         existing = [e for e in bmv2.entries[table] if e.match == match]
         for entry in existing:
             bmv2.delete_entry(table, entry)
@@ -288,12 +288,14 @@ class HydraDeployment:
 
     def stats(self) -> Dict[str, Any]:
         """Operational counters: per-switch processed/dropped packets
-        and per-checker report counts — what an operator dashboard for
-        this deployment would show."""
+        and per-table index rebuilds/folds, and per-checker report
+        counts — what an operator dashboard for this deployment would
+        show."""
         per_switch = {
             name: {
                 "processed": bmv2.packets_processed,
                 "dropped": bmv2.packets_dropped,
+                "indexes": bmv2.index_counts(),
             }
             for name, bmv2 in self.switches.items()
         }

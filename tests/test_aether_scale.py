@@ -14,6 +14,8 @@ These pin the million-subscriber invariants:
 * :class:`AetherCapacity` bounds sessions and app-id allocation.
 """
 
+import gc
+
 import pytest
 
 from repro.aether import (ALLOW, AetherCapacity, AetherTestbed,
@@ -22,6 +24,7 @@ from repro.aether import (ALLOW, AetherCapacity, AetherTestbed,
                           OnosController, SERVER_HOST, ue_address,
                           upf_program)
 from repro.net.packet import ip
+from repro.p4 import ir
 from repro.p4.bmv2 import Bmv2Switch
 
 UDP = 17
@@ -181,6 +184,133 @@ def test_batch_internal_duplicate_imsi_rejected():
         tb.attach_many([("ue1", 1), ("ue1", 2)])
 
 
+# -- a refused batch changes nothing ----------------------------------------
+
+def _control_plane_snapshot(tb):
+    onos = tb.onos
+    return {
+        "tables": _table_sizes(tb),
+        "app_refs": dict(onos._app_refs),
+        "app_ids": dict(onos._app_ids),
+        "next_client_id": onos._next_client_id,
+        "clients": sorted(onos.clients),
+        "attachments": sorted(tb.core.attachments),
+        "ue_ips": dict(tb._ue_ips),
+        "next_teid": tb.core._next_teid,
+    }
+
+
+@pytest.mark.parametrize("batch, error", [
+    # i3's slice carries 255 distinct rule patterns; two ids are taken.
+    ([("i1", 1), ("i2", 2), ("i3", 3)], CapacityError),
+    ([("i1", 1), ("i2", 2), ("i1", 4)], ValueError),       # duplicate
+    ([("i1", 1), ("ghost", 2), ("i2", 4)], ValueError),    # unprovisioned
+    ([("i1", 1), ("i2", 2), ("i4", 4), ("i5", 5)], CapacityError),
+], ids=["app-id-exhaustion", "duplicate-imsi", "unprovisioned-imsi",
+        "over-capacity"])
+def test_refused_batch_leaves_no_trace(batch, error):
+    tb = AetherTestbed(capacity=AetherCapacity(max_sessions=4))
+    server = tb.topology.hosts[SERVER_HOST].ipv4
+    tb.provision_slice("phones", allow_rules(server))
+    tb.portal.add_members("phones", ["i0", "i1", "i2", "i4", "i5"])
+    tb.provision_slice("big", [FilterRule(priority=n + 1, action=ALLOW)
+                               for n in range(MAX_APP_IDS)])
+    tb.portal.add_member("big", "i3")
+    tb.attach("i0", 9)
+    before = _control_plane_snapshot(tb)
+    with pytest.raises(error):
+        tb.attach_many(batch)
+    assert _control_plane_snapshot(tb) == before
+    # ...and the acceptable part of the batch still goes through.
+    tb.attach_many([("i1", 1), ("i2", 2)])
+    assert tb.send_uplink("i2", server, 80).delivered
+
+
+# -- what the attach path's cost rests on, as counts ------------------------
+
+SESSIONS = 2000
+
+
+def _soak_testbed():
+    """A scaled testbed with ``SESSIONS`` subscribers enrolled in four
+    slices (two rules each), none attached yet."""
+    tb = AetherTestbed(capacity=AetherCapacity(max_sessions=SESSIONS,
+                                               rules_per_session=2))
+    server = tb.topology.hosts[SERVER_HOST].ipv4
+    for k in range(4):
+        tb.provision_slice(f"slice{k}", allow_rules(server))
+        tb.portal.add_members(f"slice{k}", [f"ue{i}" for i in
+                                            range(k + 1, SESSIONS + 1, 4)])
+    return tb, server
+
+
+def _attach_in_batches(tb, indices, batch=500):
+    for at in range(0, len(indices), batch):
+        tb.attach_many([(f"ue{i}", i) for i in indices[at:at + batch]])
+
+
+def test_bulk_writes_never_leave_an_index_behind():
+    """Attach in batches, first packets, churn every 10th, first
+    packets: every bulk write folds into the live index, so no packet
+    ever pays for a rebuild, and nothing recompiles."""
+    tb, server = _soak_testbed()
+    leaves = tb.onos.upf_switches
+    watched = ("uplink_sessions", "downlink_sessions", "terminations",
+               *tb.hydra_app._tables)
+    recompiles = {name: sw._engine.recompiles for name, sw in leaves.items()}
+
+    def first_packets(imsi):
+        assert tb.send_uplink(imsi, server, 80).delivered
+        assert not tb.send_uplink(imsi, server, 9999).delivered
+        assert tb.send_downlink(server, imsi, 80).delivered
+        assert tb.reports == []
+
+    everyone = list(range(1, SESSIONS + 1))
+    _attach_in_batches(tb, everyone)
+    first_packets("ue11")
+    churned = everyone[::10]
+    tb.detach_many([f"ue{i}" for i in churned])
+    _attach_in_batches(tb, churned)
+    first_packets("ue11")
+
+    stats = tb.deployment.stats()["switches"]
+    for name, sw in leaves.items():
+        for table in watched:
+            counts = stats[name]["indexes"][table]
+            assert counts["rebuilds"] == 0, (name, table, counts)
+            assert counts["folds"] >= 6, (name, table, counts)
+        assert sw._engine.recompiles == recompiles[name]
+
+
+def test_session_state_is_flat_for_the_collector():
+    """The cyclic collector walks every object it tracks on each full
+    collection, so attach cost at 100K sessions is a matter of how many
+    tracked objects a session leaves behind.  Pinned as a count: at most
+    20 per session, rows held as values (no ``(switch, table, entry)``
+    handles), and nothing inside a row that the collector tracks."""
+    tb, _ = _soak_testbed()
+    gc.collect()
+    before = len(gc.get_objects())
+    _attach_in_batches(tb, list(range(1, SESSIONS + 1)))
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert grown <= 20 * SESSIONS, grown / SESSIONS
+
+    record = tb.onos.client("ue7")
+    rows = record.entries + tb.hydra_app._installed[record.ue_ip]
+    assert len(rows) == 6
+    for name, sw in tb.deployment.switches.items():
+        held = {id(e) for entries in sw.entries.values() for e in entries}
+        on_switch = [row for row in rows if id(row) in held]
+        # One value per row, installed on both leaves, on no spine.
+        assert len(on_switch) == (6 if tb.topology.switches[name].is_leaf
+                                  else 0)
+    for row in rows:
+        assert type(row) is ir.TableEntry
+        own = [x for x in gc.get_referents(row) if x is not ir.TableEntry]
+        assert own and not any(gc.is_tracked(x) for x in own), row
+
+
 # -- capacity model ---------------------------------------------------------
 
 def test_session_budget_enforced():
@@ -268,7 +398,15 @@ def test_attach_spec_roundtrip_via_controller():
                       rules=(FilterRule(priority=5, action=ALLOW),))
     record = onos.handle_attach_many([spec])[0]
     assert record.imsi == "ue1"
-    assert record.entries and all(name == "s1"
-                                  for name, _, _ in record.entries)
+    # Uplink session, downlink session, one Terminations row per rule:
+    # the very objects the switch holds.
+    assert [e.action for e in record.entries] == [
+        "set_session_uplink", "set_session_downlink", "term_forward"]
+    assert record.entries[0].match == (100,)
+    for table, entry in zip(("uplink_sessions", "downlink_sessions",
+                             "terminations"), record.entries):
+        assert sw.entries[table] == [entry]
+        assert sw.entries[table][0] is entry
     onos.handle_detach("ue1")
+    assert record.entries == ()
     assert all(not entries for entries in sw.entries.values())

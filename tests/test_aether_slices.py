@@ -84,7 +84,7 @@ def test_hydra_catches_wrong_slice_enforcement(testbed):
     deny_app = phone.app_ids[1]  # the video-app deny rule
     for bmv2 in tb.onos.upf_switches.values():
         for entry in list(bmv2.entries["terminations"]):
-            if entry.match == [phone.client_id, deny_app]:
+            if entry.match == (phone.client_id, deny_app):
                 bmv2.delete_entry("terminations", entry)
         bmv2.insert_entry("terminations", [phone.client_id, deny_app],
                           "term_forward")

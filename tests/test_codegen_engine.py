@@ -156,12 +156,12 @@ def test_recompile_on_undeclared_action_install():
     after which the entry dispatches correctly."""
     sw = build_switch()
     interp = build_switch(engine="interp")
-    assert sw._fast._assumed["fwd_table"] == {"fwd_set_egress",
+    assert sw._engine._assumed["fwd_table"] == {"fwd_set_egress",
                                              "fwd_drop"}
-    before = sw._fast.recompiles
+    before = sw._engine.recompiles
     for s in (sw, interp):
         s.insert_entry("fwd_table", [3], "ih_mark_first_hop", [])
-    assert sw._fast.recompiles == before + 1
+    assert sw._engine.recompiles == before + 1
     rng = random.Random(5)
     for port in (1, 3):
         for packet in (random_packet(rng) for _ in range(5)):
@@ -171,12 +171,12 @@ def test_recompile_on_undeclared_action_install():
 
 def test_no_recompile_for_declared_action_churn():
     sw = build_switch()
-    before = sw._fast.recompiles
+    before = sw._engine.recompiles
     handle = sw.insert_entry("fwd_table", [4], "fwd_set_egress", [9])
     sw.delete_entry("fwd_table", handle)
     sw.clear_table("fwd_table")
     sw.insert_entry("fwd_table", [1], "fwd_set_egress", [2])
-    assert sw._fast.recompiles == before
+    assert sw._engine.recompiles == before
 
 
 def test_default_change_recompiles_only_on_real_change():
@@ -185,13 +185,13 @@ def test_default_change_recompiles_only_on_real_change():
     default must not."""
     sw = build_switch()
     interp = build_switch(engine="interp")
-    baked = sw._fast._defaults_snapshot["fwd_table"]
-    before = sw._fast.recompiles
+    baked = sw._engine._defaults_snapshot["fwd_table"]
+    before = sw._engine.recompiles
     sw.set_default_action("fwd_table", baked[0], list(baked[1]))
-    assert sw._fast.recompiles == before  # no-op restatement
+    assert sw._engine.recompiles == before  # no-op restatement
     for s in (sw, interp):
         s.set_default_action("fwd_table", "fwd_set_egress", [7])
-    assert sw._fast.recompiles == before + 1
+    assert sw._engine.recompiles == before + 1
     rng = random.Random(6)
     for packet in (random_packet(rng) for _ in range(5)):
         # Port 5 has no entry: the packet takes the new miss path.
@@ -204,7 +204,7 @@ def test_default_change_recompiles_only_on_real_change():
 # ---------------------------------------------------------------------------
 
 def test_null_obs_leaves_no_residue():
-    source = build_switch()._fast.source
+    source = build_switch()._engine.source
     assert top_level_defs(source) == ["def _process(packet, ingress_port):"]
     assert "TR." not in source      # no tracer calls
     assert ".inc()" not in source   # no metrics counters
@@ -220,7 +220,7 @@ def test_live_obs_instruments_and_matches_interp():
             sw.process(packet.copy(), port)
         dumps[engine] = obs.registry.to_dict()
     codegen_sw = build_switch(obs=Observability.enabled())
-    assert "TR." in codegen_sw._fast.source
+    assert "TR." in codegen_sw._engine.source
     lookups = dumps["codegen"]["table_lookups_total"]["series"]
     assert sum(s["value"] for s in lookups) > 0
     # Packet-path metrics agree; only the engine-specific build/latency
@@ -244,13 +244,13 @@ def test_attach_observability_rebuilds():
     engine; detaching (NULL_OBS) restores the residue-free source."""
     from repro.obs import NULL_OBS
     sw = build_switch()
-    plain = sw._fast
+    plain = sw._engine
     assert ".inc()" not in plain.source
     sw.attach_observability(Observability.enabled())
-    assert sw._fast is not plain
-    assert ".inc()" in sw._fast.source
+    assert sw._engine is not plain
+    assert ".inc()" in sw._engine.source
     sw.attach_observability(NULL_OBS)
-    assert sw._fast.source == plain.source
+    assert sw._engine.source == plain.source
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def snapshot(packet):
 
 
 def shared_blanks(switch):
-    return [value for name, value in switch._fast._globals.items()
+    return [value for name, value in switch._engine._globals.items()
             if name.startswith("SH")]
 
 
@@ -247,7 +247,7 @@ def test_source_route_pop_owns_the_slots_it_rewrites():
     first = make_source_routed([2, 3, 4], inner)
     second = make_source_routed([7], inner)
     run_interleaved(switches, first, second, port=1)
-    source = switches[1]._fast.source
+    source = switches[1]._engine.source
     assert "packet.copy()" not in source and ".copy()" in source
 
 
@@ -376,7 +376,7 @@ def test_all_checkers_parser_extracts_and_forwards_alike(fabrics, data):
     packet = draw_stack(data, parser)
     assert_engines_agree(probes, packet)
     assert_engines_agree(leaves, packet, port=1)
-    assert "while True" not in leaves[1]._fast.source
+    assert "while True" not in leaves[1]._engine.source
 
 
 X = HeaderType("x", [("next", 8)])
@@ -418,7 +418,7 @@ def test_cyclic_parse_graph_keeps_the_64_visit_guard(shape, visits,
             with pytest.raises(P4RuntimeError,
                                match="parser did not terminate"):
                 switch.process(packet, 1)
-    assert "while True" in switch._fast.source
+    assert "while True" in switch._engine.source
 
 
 @settings(max_examples=60, deadline=None)

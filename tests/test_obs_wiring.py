@@ -170,7 +170,7 @@ def test_instrumented_engine_outputs_match_plain(engine):
     assert plain.digests.total == metered.digests.total
 
 
-def test_attach_observability_rebuilds_fastpath():
+def test_attach_observability_rebuilds_engine():
     sw = build_switch()
     out_before = sw.process(_packet(), 1)
     obs = Observability.enabled()

@@ -20,6 +20,27 @@ def test_exact_match():
     assert not entry.matches(table, [6])
 
 
+def test_table_entry_is_an_immutable_value():
+    import copy
+    import pickle
+
+    entry = ir.TableEntry(match=[5, (1, 2)], action="a", args=[7])
+    assert entry.match == (5, (1, 2)) and entry.args == (7,)
+    assert ir.TableEntry([5], "a").args == ()
+    assert ir.TableEntry([5], "a", None, 0).args == ()
+    with pytest.raises(AttributeError):
+        entry.priority = 3
+    with pytest.raises(AttributeError):
+        entry.extra = 1  # slots: no per-entry dict
+    same = ir.TableEntry((5, (1, 2)), "a", (7,))
+    assert entry == same
+    assert entry != ir.TableEntry((5, (1, 2)), "a", (7,), priority=1)
+    assert entry != (entry.match, "a", entry.args, 0)
+    for clone in (copy.deepcopy(entry), pickle.loads(pickle.dumps(entry))):
+        assert clone == entry and clone is not entry
+    assert "match=(5, (1, 2))" in repr(entry)
+
+
 def test_ternary_match():
     table = make_table([ir.MatchKind.TERNARY])
     entry = ir.TableEntry(match=[(0x10, 0xF0)], action="a")

@@ -8,11 +8,15 @@ entry — plus the explicitly expected one — including churn that forces
 index invalidation and rebuild.
 """
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.packet import HeaderType
 from repro.p4 import ENGINES, ir
 from repro.p4.bmv2 import Bmv2Switch
+from repro.p4.tableindex import _RBUCKET_MIN
 
 H = HeaderType("h", [("a", 32), ("b", 32)])
 
@@ -171,46 +175,10 @@ def winners_bulk(program, entries, probes, deletions=()):
     return results[0]
 
 
-def test_bulk_insert_matches_single_insert_semantics():
-    program = make_program([ir.TableKey("hdr.h.a", ir.MatchKind.RANGE)])
-    got = winners_bulk(program, entries=[
-        ([(10, 20)], [100], 0),
-        ([(15, 30)], [200], 5),
-    ], probes=[(12, 0), (17, 0), (25, 0), (40, 0)])
-    assert got == [100, 200, 200, 0]
-
-
-def test_bulk_delete_reexposes_shadowed_entry():
-    program = make_program([ir.TableKey("hdr.h.a", ir.MatchKind.RANGE)])
-    got = winners_bulk(program, entries=[
-        ([(10, 20)], [100], 1),
-        ([(10, 20)], [200], 9),
-    ], probes=[(12, 0)], deletions=[1])
-    assert got == [100]
-
-
-def test_bulk_fold_after_warm_index_keeps_order():
-    program = make_program([ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)])
-    for engine in ENGINES:
-        sw = Bmv2Switch(program, engine=engine)
-        first = sw.insert_entries("t", [([5], "set_out", [100], 0)])
-        assert sw.process(_packet(5, 0), 1)[0][0] == 100
-        # Fold into the already-built index: new key, then a duplicate
-        # key at higher priority (forces the fallback rebuild).
-        sw.insert_entries("t", [([9], "set_out", [300], 0)])
-        assert sw.process(_packet(9, 0), 1)[0][0] == 300
-        sw.insert_entries("t", [([5], "set_out", [200], 9)])
-        assert sw.process(_packet(5, 0), 1)[0][0] == 200
-        sw.delete_entries("t", first)
-        assert sw.process(_packet(5, 0), 1)[0][0] == 200
-
-
 def test_range_buckets_engage_and_preserve_win_order():
     """Above _RBUCKET_MIN entries with a degenerate range column the
     index switches to hashed range buckets; residual wide-range entries
     must still win by priority."""
-    from repro.p4.tableindex import _RBUCKET_MIN
-
     program = make_program([
         ir.TableKey("hdr.h.a", ir.MatchKind.RANGE),
         ir.TableKey("hdr.h.b", ir.MatchKind.RANGE),
@@ -236,77 +204,222 @@ def test_range_buckets_engage_and_preserve_win_order():
     sw = Bmv2Switch(program, engine="codegen")
     sw.insert_entries("t", [(m, "set_out", a, p) for m, a, p in entries])
     sw.process(_packet(0, 0), 1)
-    index = sw._fast.tables["t"]
+    index = sw._engine.tables["t"]
     assert index._rb_col == 0
     assert len(index._rb_buckets) == n
     assert len(index._rb_residual) == 2
 
 
-def test_range_bucket_fold_churn_randomized_parity():
-    """Randomized bulk insert/delete churn on a bucketed range table:
-    codegen stays packet-for-packet equal to the interpreter."""
-    import random
+# ---------------------------------------------------------------------------
+# Every write path, interleaved, from an empty switch
+# ---------------------------------------------------------------------------
 
-    from repro.p4.tableindex import _RBUCKET_MIN
+_PREFIXES = ((0, 0), (0x0A000000, 8), (0x0A000100, 24), (0x0A000101, 32),
+             (0x0B000000, 8))
 
-    program = make_program([
-        ir.TableKey("hdr.h.a", ir.MatchKind.RANGE),
-        ir.TableKey("hdr.h.b", ir.MatchKind.RANGE),
-    ])
-    rng = random.Random(42)
+#: name -> (table keys, spec strategy per key, probe values of hdr.h.a).
+_INTERLEAVED_TABLES = {
+    "exact": (
+        [ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)],
+        [st.integers(0, 7)],
+        list(range(9))),
+    "lpm": (
+        [ir.TableKey("hdr.h.a", ir.MatchKind.LPM),
+         ir.TableKey("hdr.h.b", ir.MatchKind.EXACT)],
+        [st.sampled_from(_PREFIXES), st.integers(0, 1)],
+        [0x0A000101, 0x0A000177, 0x0A330000, 0x0B000001, 0x0C000000]),
+    "priority-scan": (
+        [ir.TableKey("hdr.h.a", ir.MatchKind.TERNARY)],
+        [st.tuples(st.integers(0, 15), st.integers(0, 15))],
+        list(range(0, 16, 3))),
+    "rbucket": (
+        [ir.TableKey("hdr.h.a", ir.MatchKind.RANGE),
+         ir.TableKey("hdr.h.b", ir.MatchKind.RANGE)],
+        [st.integers(0, 90).flatmap(lambda lo: st.sampled_from(
+            [(lo, lo), (lo, lo), (lo, lo + 40)])),
+         st.sampled_from([(0, 1), (0, 0), (1, 1)])],
+        list(range(0, 130, 7))),
+}
 
-    def rows(k, base):
-        out = []
-        for i in range(k):
-            if rng.random() < 0.85:
-                v = base + i
-                k0 = (v, v)
-            else:
-                lo = rng.randrange(300)
-                k0 = (lo, lo + rng.randrange(300))
-            lo_b = rng.randrange(50)
-            out.append(([k0, (lo_b, lo_b + rng.randrange(60))],
-                        "set_out", [rng.randrange(1, 10 ** 6)],
-                        rng.randrange(5)))
-        return out
 
-    switches = {e: Bmv2Switch(program, engine=e) for e in ENGINES}
-    state = rng.getstate()
-    installed = {}
-    for engine, sw in switches.items():
-        rng.setstate(state)  # identical row stream per engine
-        installed[engine] = list(
-            sw.insert_entries("t", rows(_RBUCKET_MIN * 2, 0)))
-    state = rng.getstate()
+def _rows(specs, max_size):
+    """``(match, priority)`` rows over a small spec domain, so equal
+    keys and ties occur."""
+    return st.lists(st.tuples(st.tuples(*specs), st.integers(0, 2)),
+                    max_size=max_size)
 
-    def assert_parity(round_no):
-        probe_rng = random.Random(round_no)
-        probes = [(probe_rng.randrange(400), probe_rng.randrange(120))
-                  for _ in range(120)]
-        rows_out = []
-        for engine, sw in switches.items():
-            row = []
-            for a, b in probes:
-                out = sw.process(_packet(a, b), 1)
-                row.append(out[0][0] if out else None)
-            rows_out.append(row)
-        assert all(row == rows_out[0] for row in rows_out), \
-            f"engines diverged in round {round_no}"
 
-    assert_parity(0)
-    for round_no in range(1, 5):
-        for engine, sw in switches.items():
-            rng.setstate(state)
-            installed[engine].extend(
-                sw.insert_entries("t", rows(20, 1000 * round_no)))
-            victim_rng = random.Random(round_no)
-            victims = victim_rng.sample(range(len(installed[engine])), 15)
-            batch = [installed[engine][i] for i in victims]
-            for i in sorted(victims, reverse=True):
-                del installed[engine][i]
-            sw.delete_entries("t", batch)
-        state = rng.getstate()
-        assert_parity(round_no)
+@st.composite
+def _interleavings(draw):
+    kind = draw(st.sampled_from(sorted(_INTERLEAVED_TABLES)))
+    specs = _INTERLEAVED_TABLES[kind][1]
+    where = st.sampled_from(["a", "b", "both"])
+    one = st.sampled_from(["a", "b"])
+    picks = st.lists(st.integers(0, 200), min_size=1, max_size=6)
+    step = st.one_of(
+        st.tuples(st.just("insert_entries"), where, _rows(specs, 8)),
+        st.tuples(st.just("insert_entry"), where, _rows(specs, 1)),
+        st.tuples(st.just("delete_entries"), one, picks),
+        st.tuples(st.just("delete_entry"), one, picks),
+        st.tuples(st.just("clear_table"), one),
+        st.tuples(st.just("lookup"),))
+    return kind, draw(st.lists(step, max_size=12))
+
+
+def _degenerate_run(n, base=0, priority=1):
+    return [(((base + i, base + i), (0, 1)), priority) for i in range(n)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(script=_interleavings(), must=st.just(frozenset()))
+# The scan crosses _RBUCKET_MIN while folding, never rebuilding; then a
+# bucket loses its last entry, and a residual (wide) row still ranks.
+@example(script=("rbucket", [
+    ("insert_entries", "both", _degenerate_run(_RBUCKET_MIN - 2)),
+    ("lookup",),
+    ("insert_entries", "both", _degenerate_run(8, base=100)
+     + [(((0, 120), (1, 1)), 2)]),
+    ("lookup",),
+    ("delete_entries", "a", [3]),
+    ("lookup",),
+    ("insert_entry", "a", [(((3, 3), (0, 0)), 0)]),
+    ("delete_entry", "b", [0]),
+]), must=frozenset({"bucketed by folds alone", "emptied a bucket",
+                    "deleted a shared entry from one switch"}))
+# A second batch repeats a key of the first: the fold bails out and the
+# next lookup rebuilds; deleting the earlier row re-exposes the later.
+@example(script=("exact", [
+    ("insert_entries", "a", [((5,), 0), ((6,), 0)]),
+    ("insert_entries", "a", [((7,), 0), ((5,), 9)]),
+    ("lookup",),
+    ("delete_entries", "a", [0]),
+    ("clear_table", "a"),
+    ("insert_entries", "a", [((5,), 0)]),
+]), must=frozenset({"duplicate-key bail-out"}))
+@example(script=("lpm", [
+    ("insert_entries", "both", [(((0x0A000000, 8), 0), 0),
+                                (((0x0A000100, 24), 0), 0)]),
+    ("insert_entries", "both", [(((0x0A000000, 8), 0), 5)]),
+    ("delete_entries", "b", [1]),
+]), must=frozenset({"duplicate-key bail-out",
+                    "deleted a shared entry from one switch"}))
+def test_interleaved_writes_match_the_reference_scan(script, must):
+    """insert_entries / delete_entries / insert_entry / delete_entry /
+    clear_table and lookups, interleaved from a fresh switch, over
+    exact, LPM, priority-scan and range-bucket tables: after every step
+    the codegen engine picks the entry the interpreter's scan picks.
+
+    Two codegen switches run side by side (each against its own
+    interpreter twin) and may be handed the *same* entry values, as the
+    Aether controllers do."""
+    kind, steps = script
+    keys, _, probes = _INTERLEAVED_TABLES[kind]
+    program = make_program(keys)
+    switches = {side: (Bmv2Switch(program, engine="codegen"),
+                       Bmv2Switch(program, engine="interp"))
+                for side in "ab"}
+    installed = {"a": [], "b": []}
+    serial = itertools.count(1)  # every row's action data: who won
+    seen = set()
+
+    def index(side):
+        return switches[side][0]._engine.tables["t"]
+
+    def check():
+        for side, (codegen, reference) in switches.items():
+            for a in probes:
+                for b in (0, 1):
+                    got = codegen.process(_packet(a, b), 1)
+                    want = reference.process(_packet(a, b), 1)
+                    assert got[0][0] == want[0][0], (side, a, b)
+
+    for step in steps + [("lookup",)]:
+        op = step[0]
+        sides = "ab" if op != "lookup" and step[1] == "both" else step[1:2]
+        if op in ("insert_entries", "insert_entry"):
+            rows = [(match, "set_out", [next(serial)], priority)
+                    for match, priority in step[2]]
+            if op == "insert_entry" and not rows:
+                continue
+            created = None
+            for side in sides:
+                was_clean = not index(side)._dirty
+                for sw in switches[side]:
+                    if op == "insert_entry":
+                        entry = (sw.insert_entry("t", *rows[0][:3],
+                                                 priority=rows[0][3])
+                                 if created is None else
+                                 sw.insert_entries("t", created)[0])
+                        created = [entry]
+                    else:
+                        # The first switch builds the entries; every
+                        # other one installs those very values.
+                        created = sw.insert_entries(
+                            "t", rows if created is None else created)
+                installed[side].extend(created)
+                if op == "insert_entries" and rows and was_clean \
+                        and index(side)._dirty:
+                    seen.add("duplicate-key bail-out")
+        elif op in ("delete_entries", "delete_entry"):
+            side = step[1]
+            held = installed[side]
+            if not held:
+                continue
+            chosen = sorted({pick % len(held) for pick in step[2]},
+                            reverse=True)
+            if op == "delete_entry":
+                chosen = chosen[:1]
+            victims = [held.pop(i) for i in chosen]
+            other = installed["b" if side == "a" else "a"]
+            if any(v is o for v in victims for o in other):
+                seen.add("deleted a shared entry from one switch")
+            buckets = len(index(side)._rb_buckets)
+            for sw in switches[side]:
+                if op == "delete_entry":
+                    sw.delete_entry("t", victims[0])
+                else:
+                    sw.delete_entries("t", victims)
+            if not index(side)._dirty and \
+                    len(index(side)._rb_buckets) < buckets:
+                seen.add("emptied a bucket")
+        elif op == "clear_table":
+            for sw in switches[step[1]]:
+                sw.clear_table("t")
+            installed[step[1]].clear()
+        else:
+            check()
+        for side in "ab":
+            if index(side)._rb_col is not None and not index(side).rebuilds:
+                seen.add("bucketed by folds alone")
+    assert must <= seen, must - seen
+
+
+def test_index_is_clean_from_empty_and_lazy_after_single_writes():
+    """The rule of tableindex.py's docstring, as rebuild/fold counts
+    (which survive an engine recompile)."""
+    program = make_program([ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)])
+    sw = Bmv2Switch(program)
+    index = sw._engine.tables["t"]
+    assert not index._dirty
+    first = sw.insert_entries("t", [([5], "set_out", [100], 0)])
+    sw.delete_entries("t", first)
+    sw.insert_entries("t", [([5], "set_out", [101], 0)])
+    assert sw.index_counts() == {"t": {"rebuilds": 0, "folds": 3}}
+    assert sw.process(_packet(5, 0), 1)[0][0] == 101
+    assert index.rebuilds == 0
+    sw.insert_entry("t", [6], "set_out", [102])  # single write: lazy
+    assert index._dirty and index.rebuilds == 0
+    assert sw.process(_packet(6, 0), 1)[0][0] == 102
+    assert index.rebuilds == 1
+    # A recompile makes a new index over a non-empty table: behind.
+    sw.set_default_action("t", "set_out", [9])
+    rebuilt = sw._engine.tables["t"]
+    assert rebuilt is not index and rebuilt._dirty
+    assert sw.index_counts() == {"t": {"rebuilds": 1, "folds": 3}}
+    assert [sw.process(_packet(a, 0), 1)[0][0] for a in (5, 6, 7)] == [
+        101, 102, 9]
+    assert sw.index_counts() == {"t": {"rebuilds": 2, "folds": 3}}
+    assert Bmv2Switch(program, engine="interp").index_counts() == {}
 
 
 def test_bulk_insert_validates_like_single_insert():
@@ -353,8 +466,6 @@ def test_insert_delete_churn_invalidates_index(kind):
 # ---------------------------------------------------------------------------
 
 def _kinds_tuples(max_keys=4):
-    import itertools
-
     kinds = (ir.MatchKind.EXACT, ir.MatchKind.TERNARY, ir.MatchKind.RANGE)
     for n in range(1, max_keys + 1):
         yield from itertools.product(kinds, repeat=n)
