@@ -14,7 +14,9 @@ checkers linked in — is emitted and its generated source checked for
 the shape the engine promises: one function, no per-packet header
 allocation, a loop-free parser, and no more ``Header.copy`` calls on a
 mid-path packet than the binds that packet writes (an exact count, so
-this stays threshold-free).
+this stays threshold-free) — and each switch must have built its module
+once, every control value set since being a rebind
+(``Bmv2Switch.engine_counts()``).
 
 Usage: ``PYTHONPATH=src python benchmarks/codegen_smoke.py``
 """
@@ -92,6 +94,13 @@ def check_all_checkers_leaf() -> None:
     compiled = compile_suite(ALL_CHECKERS)
     codegen = _fabric(topology, compiled, "codegen")
     interp = _fabric(topology, compiled, "interp")
+    # Deploying and configuring sets 18 (leaf) / 14 (spine) defaults:
+    # values, so rebinds of the one module each switch built.
+    engines = {name: sw.engine_counts()
+               for name, sw in codegen.switches.items()}
+    for name, counts in engines.items():
+        assert counts["builds"] == {"initial": 1} and counts["rebinds"], (
+            f"{name}: {counts} (a control value recompiled the module)")
     source = codegen.switches["leaf1"]._engine.source
     defs = [line for line in source.splitlines() if line.startswith("def ")]
     assert defs == ["def _process(packet, ingress_port):"], defs
@@ -124,7 +133,11 @@ def check_all_checkers_leaf() -> None:
     assert 0 < len(copies) <= len(binds), (
         f"{len(copies)} Header.copy calls for {len(binds)} binds written")
     print(f"ok   all-checkers leaf: {source.count(chr(10))} lines, "
-          f"{len(copies)} copies for {len(binds)} binds written mid-path")
+          f"{len(copies)} copies for {len(binds)} binds written mid-path; "
+          f"builds/rebinds per switch "
+          + ", ".join(f"{name} {sum(counts['builds'].values())}/"
+                      f"{counts['rebinds']}"
+                      for name, counts in sorted(engines.items())))
 
 
 def main() -> int:

@@ -33,7 +33,7 @@ unoptimized one under the three-level differential oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..compiler.codegen import CompiledChecker
@@ -480,29 +480,37 @@ def _coalesce_fields(compiled: CompiledChecker,
 
 def _rename_fields(compiled: CompiledChecker,
                    rename: Dict[str, str]) -> None:
-    def fix_expr(expr: ir.P4Expr) -> None:
-        for node in ir.walk_exprs(expr):
-            if isinstance(node, ir.FieldRef) and node.path in rename:
-                object.__setattr__(node, "path", rename[node.path])
+    """Expressions and table keys are rebuilt, never edited: programs
+    already linked from this checker share them
+    (:func:`~repro.p4.ir.clone_stmts`)."""
+    def fix_expr(expr: ir.P4Expr) -> ir.P4Expr:
+        if isinstance(expr, ir.FieldRef):
+            path = rename.get(expr.path)
+            return expr if path is None else replace(expr, path=path)
+        if isinstance(expr, ir.UnExpr):
+            return replace(expr, operand=fix_expr(expr.operand))
+        if isinstance(expr, ir.BinExpr):
+            return replace(expr, left=fix_expr(expr.left),
+                           right=fix_expr(expr.right))
+        return expr
 
     for _, stmt in _iter_all_stmts(compiled):
         if isinstance(stmt, ir.AssignStmt):
             stmt.dest = rename.get(stmt.dest, stmt.dest)
-            fix_expr(stmt.value)
+            stmt.value = fix_expr(stmt.value)
         elif isinstance(stmt, ir.IfStmt):
-            fix_expr(stmt.cond)
+            stmt.cond = fix_expr(stmt.cond)
         elif isinstance(stmt, ir.RegisterRead):
             stmt.dest = rename.get(stmt.dest, stmt.dest)
-            fix_expr(stmt.index)
+            stmt.index = fix_expr(stmt.index)
         elif isinstance(stmt, ir.RegisterWrite):
-            fix_expr(stmt.index)
-            fix_expr(stmt.value)
+            stmt.index = fix_expr(stmt.index)
+            stmt.value = fix_expr(stmt.value)
         elif isinstance(stmt, ir.Digest):
-            for expr in stmt.fields:
-                fix_expr(expr)
+            stmt.fields = [fix_expr(expr) for expr in stmt.fields]
     for table in compiled.tables.values():
-        for key in table.keys:
-            key.path = rename.get(key.path, key.path)
+        table.keys = [replace(key, path=rename.get(key.path, key.path))
+                      for key in table.keys]
 
 
 # ---------------------------------------------------------------------------

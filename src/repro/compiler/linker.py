@@ -20,14 +20,14 @@ claims the Ethernet EtherType), while stripping at the last hop runs in
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import replace
+from typing import List, Optional, Sequence, Union
 
 from ..indus.errors import CompileError
 from ..net.topology import CORE, EDGE
 from ..p4 import ir
 from .codegen import CompiledChecker
-from .layout import HYDRA_HEADER_NAME, NEXT_ETH_TYPE_FIELD
+from .layout import NEXT_ETH_TYPE_FIELD
 
 
 # Checking placement (Section 4.3): the paper's implementation checks
@@ -80,25 +80,25 @@ def link(forwarding: ir.P4Program,
     if role == EDGE:
         ingress_fragments: List[ir.P4Stmt] = []
         for c in compileds:
-            ingress_fragments.extend(copy.deepcopy(c.ingress_prologue))
+            ingress_fragments.extend(ir.clone_stmts(c.ingress_prologue))
         # Injection in reverse order builds the header chain correctly.
         for c in reversed(compileds):
-            ingress_fragments.extend(copy.deepcopy(c.init_stmts))
+            ingress_fragments.extend(ir.clone_stmts(c.init_stmts))
         program.ingress = ingress_fragments + program.ingress
 
         egress_fragments: List[ir.P4Stmt] = []
         for c in compileds:
-            egress_fragments.extend(copy.deepcopy(c.egress_prologue))
+            egress_fragments.extend(ir.clone_stmts(c.egress_prologue))
         for c in compileds:
             egress_fragments.append(ir.IfStmt(
                 cond=ir.ValidRef(c.hydra_name),
-                then_body=copy.deepcopy(c.tele_stmts),
+                then_body=ir.clone_stmts(c.tele_stmts),
             ))
         if check_mode == PER_HOP:
             for c in compileds:
                 egress_fragments.append(ir.IfStmt(
                     cond=ir.ValidRef(c.hydra_name),
-                    then_body=(copy.deepcopy(c.check_stmts)
+                    then_body=(ir.clone_stmts(c.check_stmts)
                                + _enforce_reject(c)),
                 ))
         # Last-hop checks (skipped per checker under per-hop mode), then
@@ -109,8 +109,8 @@ def link(forwarding: ir.P4Program,
                                  ir.Const(1, 1))
             body: List[ir.P4Stmt] = []
             if check_mode == LAST_HOP:
-                body.extend(copy.deepcopy(c.check_stmts))
-            body.extend(copy.deepcopy(c.strip_stmts))
+                body.extend(ir.clone_stmts(c.check_stmts))
+            body.extend(ir.clone_stmts(c.strip_stmts))
             egress_fragments.append(ir.IfStmt(
                 cond=ir.BinExpr("&&", ir.ValidRef(c.hydra_name), is_last),
                 then_body=body,
@@ -125,17 +125,17 @@ def link(forwarding: ir.P4Program,
             prologue = [s for s in c.egress_prologue
                         if not (isinstance(s, ir.ApplyTable)
                                 and s.table == c.inject_table)]
-            egress_fragments.extend(copy.deepcopy(prologue))
+            egress_fragments.extend(ir.clone_stmts(prologue))
         for c in compileds:
             egress_fragments.append(ir.IfStmt(
                 cond=ir.ValidRef(c.hydra_name),
-                then_body=copy.deepcopy(c.tele_stmts),
+                then_body=ir.clone_stmts(c.tele_stmts),
             ))
         if check_mode == PER_HOP:
             for c in compileds:
                 egress_fragments.append(ir.IfStmt(
                     cond=ir.ValidRef(c.hydra_name),
-                    then_body=(copy.deepcopy(c.check_stmts)
+                    then_body=(ir.clone_stmts(c.check_stmts)
                                + _enforce_reject(c)),
                 ))
         program.egress = program.egress + egress_fragments
@@ -168,17 +168,42 @@ def _check_distinct(compileds: List[CompiledChecker]) -> None:
 
 
 def _clone(program: ir.P4Program) -> ir.P4Program:
+    """A structural copy: everything linking (or a later in-place pass
+    over the result) mutates is private — statement nodes, bodies,
+    tables, actions, parser states and their lists.  Expressions, table
+    keys, transitions, extracts, header types and register defs are
+    shared: nothing edits one in place (:func:`ir.clone_stmts`)."""
+    parser = program.parser
     return ir.P4Program(
         name=program.name,
-        parser=copy.deepcopy(program.parser),
+        parser=ir.ParserSpec(
+            states=[replace(state, extracts=list(state.extracts),
+                            transitions=list(state.transitions))
+                    for state in parser.states],
+            start=parser.start),
         metadata=list(program.metadata),
         registers=list(program.registers),
-        actions=dict(program.actions),
-        tables=copy.deepcopy(program.tables),
-        ingress=copy.deepcopy(program.ingress),
-        egress=copy.deepcopy(program.egress),
+        actions={name: _clone_action(action)
+                 for name, action in program.actions.items()},
+        tables={name: _clone_table(table)
+                for name, table in program.tables.items()},
+        ingress=ir.clone_stmts(program.ingress),
+        egress=ir.clone_stmts(program.egress),
         emit_order=list(program.emit_order),
     )
+
+
+def _clone_action(action: ir.Action) -> ir.Action:
+    return replace(action, params=list(action.params),
+                   body=ir.clone_stmts(action.body))
+
+
+def _clone_table(table: ir.Table) -> ir.Table:
+    default = table.default_action
+    return replace(
+        table, keys=list(table.keys), actions=list(table.actions),
+        default_action=(None if default is None
+                        else (default[0], list(default[1]))))
 
 
 def _redirect_ethertype_writes(program: ir.P4Program,
@@ -219,10 +244,8 @@ def _redirect_ethertype_writes(program: ir.P4Program,
 
     program.ingress = fix_body(program.ingress)
     program.egress = fix_body(program.egress)
-    for name, action in list(program.actions.items()):
-        fixed = fix_body(action.body)
-        program.actions[name] = ir.Action(action.name, list(action.params),
-                                          fixed)
+    for action in program.actions.values():  # private since _clone
+        action.body = fix_body(action.body)
 
 
 def _merge_decls(program: ir.P4Program, compiled: CompiledChecker) -> None:
@@ -241,11 +264,11 @@ def _merge_decls(program: ir.P4Program, compiled: CompiledChecker) -> None:
     for name, action in compiled.actions.items():
         if name in program.actions:
             raise CompileError(f"action {name!r} collides")
-        program.actions[name] = copy.deepcopy(action)
+        program.actions[name] = _clone_action(action)
     for name, table in compiled.tables.items():
         if name in program.tables:
             raise CompileError(f"table {name!r} collides")
-        program.tables[name] = copy.deepcopy(table)
+        program.tables[name] = _clone_table(table)
 
 
 def _extend_parser(program: ir.P4Program, compiled: CompiledChecker) -> None:

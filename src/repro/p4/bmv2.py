@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -276,12 +276,9 @@ class Bmv2Switch:
         if obs is not None:
             self._bind_observability(obs)
         self._engine = None
-        self._build_engine()
-
-    def _build_engine(self) -> None:
-        if self.engine == "codegen":
+        if engine == "codegen":
             from .codegen import CodegenEngine  # deferred: codegen imports us
-            self._engine = CodegenEngine(self.program, self)
+            self._engine = CodegenEngine(program, self)
 
     # ==================================================================
     # Observability
@@ -318,7 +315,8 @@ class Bmv2Switch:
         nothing.
         """
         self._bind_observability(obs)
-        self._build_engine()
+        if self._engine is not None:
+            self._engine = self._engine.on_observability_change()
 
     def _on_digest_evict(self, count: int) -> None:
         # Rare (ring overflow only): route through whatever registry is
@@ -442,8 +440,9 @@ class Bmv2Switch:
                 f"action {action!r} expects {expected} args, got {len(args)}"
             )
         self.default_actions[table_name] = (action, args)
-        # The codegen engine bakes default-action facts into generated
-        # source; give it a chance to recompile.
+        # The codegen engine's generated source depends on which action
+        # is the default: it rebinds new arguments, recompiles on a new
+        # action.
         if self._engine is not None:
             self._engine.on_default_change(table_name)
         self._notify_config(table_name)
@@ -494,6 +493,16 @@ class Bmv2Switch:
         under ``interp``, which scans)."""
         return {} if self._engine is None else self._engine.index_counts()
 
+    def engine_counts(self) -> Dict[str, Any]:
+        """What the control plane has cost the codegen engine: modules
+        built, by cause (``builds``), and default-action values stored
+        into the live module instead (``rebinds``).  Empty under
+        ``interp``, which has nothing to build."""
+        if self._engine is None:
+            return {}
+        return {"builds": dict(self._engine.builds),
+                "rebinds": self._engine.rebinds}
+
     def _table(self, name: str) -> ir.Table:
         if name not in self.program.tables:
             raise P4RuntimeError(f"unknown table {name!r}")
@@ -521,8 +530,8 @@ class Bmv2Switch:
         Equal by construction to one :meth:`process` call per pair.
         ``self.process`` dispatches per packet, so a control-plane
         change a digest listener makes mid-batch (which may rebuild
-        and rebind the engine) takes effect at the next packet, as it
-        does packet by packet.
+        the engine's module, or rebind a default in it) takes effect
+        no later than the next packet, as it does packet by packet.
         """
         return [self.process(packet, port) for packet, port in items]
 

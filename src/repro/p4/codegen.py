@@ -25,8 +25,8 @@ with flat local variables:
   entries) can dispatch to.  Exact-match lookups inline the index's
   hash probe directly.
 * **The pipelines are SSA-optimized first** (:mod:`repro.p4.ssa`) with
-  the switch's *runtime* default actions as known facts, so dead
-  branches and copy chains vanish from the generated source.
+  the *name* of each table's runtime default action as a known fact, so
+  dead branches and copy chains vanish from the generated source.
 
 The pipeline is emitted exactly once; a batch is
 ``Bmv2Switch.process_batch`` looping over ``process``.
@@ -36,13 +36,32 @@ the generated source carries zero instrumentation; with a live handle
 the apply/digest sites emit counters and trace events and ``process``
 is swapped for the metered wrapper.
 
-Control-plane interplay: the generated dispatch assumes a fixed action
-set per table and bakes the SSA facts derived from the defaults at
-build time.  ``Bmv2Switch`` notifies the engine on entry inserts and
-default-action changes; the engine recompiles when an assumption no
-longer covers the installed state.  Externs are value-in/value-out
-(:class:`~repro.p4.ir.ExternCall`): the call site passes the evaluated
-arguments and writes the results like any other assignment.
+Control-plane interplay — *names are code, values are data*.  The
+generated dispatch assumes a fixed action set per table, and SSA is told
+which action each table runs on a miss; ``Bmv2Switch`` notifies the
+engine on entry inserts and default-action changes.
+
+* **What recompiles**: an action name the dispatch or SSA did not
+  assume — an installed entry bound to an action outside the table's
+  assumed set, a default that changes action (another name, or ``None``
+  to or from an action) — and ``attach_observability``.
+* **What rebinds**: a default action's *arguments*.  Each apply site's
+  miss path loads its ``(action_id, args)`` binding from a module global
+  (``DB<site>``); ``set_default_action`` with the same action stores the
+  new binding into those globals of the live module.  No SSA, no
+  emission, no ``compile()``, the table index untouched — the paper's
+  point about Figure 2's control variables, which are exactly such
+  defaults.  A frame already running (a digest listener that writes a
+  control value mid-packet) reads the new binding on its next miss, as
+  it would under the reference engine.
+* **The counters**: ``builds`` per cause (:data:`INITIAL`,
+  :data:`DEFAULT_ACTION`, :data:`ACTION_SET`, :data:`OBSERVABILITY`),
+  ``rebinds``, and ``recompiles == sum(builds) - 1``; read them through
+  ``Bmv2Switch.engine_counts()``.  Nothing is counted per packet.
+
+Externs are value-in/value-out (:class:`~repro.p4.ir.ExternCall`): the
+call site passes the evaluated arguments and writes the results like any
+other assignment.
 """
 
 from __future__ import annotations
@@ -60,6 +79,13 @@ from .ssa import _stmt_exprs, optimize_pipeline
 from .tableindex import _TableIndex
 
 __all__ = ["CodegenEngine"]
+
+#: Why a module was built.  Each control-plane hook names its own cause;
+#: ``CodegenEngine.builds`` counts per cause.
+INITIAL = "initial"
+DEFAULT_ACTION = "default_action"
+ACTION_SET = "action_set"
+OBSERVABILITY = "observability"
 
 #: StandardMetadata fields tracked as flat locals.
 _STD_FIELDS = ("ingress_port", "egress_spec", "egress_port",
@@ -123,7 +149,7 @@ class CodegenEngine:
     hooks below; ``source`` is the generated text.
     """
 
-    def __init__(self, program: ir.P4Program, switch):
+    def __init__(self, program: ir.P4Program, switch, cause: str = INITIAL):
         self.program = program
         self.switch = switch
         self._obs = switch.obs
@@ -134,9 +160,17 @@ class CodegenEngine:
         self._meta_width: Dict[str, int] = dict(program.metadata)
         self._bind_types = program.bind_types()
         self.source: str = ""
-        self.recompiles = -1  # first build brings it to 0
+        #: Modules built, by cause, and default bindings stored into the
+        #: live module instead (control-plane events, nothing per packet).
+        self.builds: Dict[str, int] = {}
+        self.rebinds = 0
         self.tables: Dict[str, _TableIndex] = {}
-        self._build()
+        self._build(cause)
+
+    @property
+    def recompiles(self) -> int:
+        """Builds after the first."""
+        return sum(self.builds.values()) - 1
 
     # ==================================================================
     # Control-plane hooks
@@ -150,7 +184,7 @@ class CodegenEngine:
         if assumed is not None and any(
                 entry.action not in assumed
                 for entry in self.switch.entries.get(name, ())):
-            self._build()
+            self._build(ACTION_SET)
 
     def entries_inserted(self, name: str, new_entries) -> None:
         """Bulk-insert hook: fold appended entries into the live index.
@@ -163,7 +197,7 @@ class CodegenEngine:
         assumed = self._assumed.get(name)
         if assumed is not None and not assumed.issuperset(
                 {entry.action for entry in new_entries}):
-            self._build()
+            self._build(ACTION_SET)
             return
         index = self.tables.get(name)
         if index is not None and not index.fold_inserts(new_entries):
@@ -177,12 +211,33 @@ class CodegenEngine:
             index.invalidate()
 
     def on_default_change(self, name: str) -> None:
-        current = self.switch.default_actions.get(name)
-        if current is not None:
-            current = (current[0], tuple(current[1]))
-        if current == self._defaults_snapshot.get(name):
+        """Names are code, values are data: a default that keeps its
+        action gets its new arguments stored into the live module's
+        ``DB<site>`` globals (a frame already running reads them on its
+        next miss, as the reference engine would); a default that
+        changes action invalidates the dispatch and SSA facts."""
+        bound = self._default_binding(name)
+        old = self._default_bound.get(name)
+        if bound == old:
             return
-        self._build()
+        if bound is None or old is None or bound[0] != old[0]:
+            self._build(DEFAULT_ACTION)
+            return
+        self._default_bound[name] = bound
+        for gname in self._default_globals.get(name, ()):
+            self._globals[gname] = bound
+        self.rebinds += 1
+
+    def on_observability_change(self) -> "CodegenEngine":
+        """Instrumentation is emitted or absent at build time: a fresh
+        engine (fresh counters) specialized on the switch's new handle."""
+        return CodegenEngine(self.program, self.switch, OBSERVABILITY)
+
+    def _default_binding(self, name: str) -> Optional[Tuple]:
+        """The switch's current default for ``name`` as a dispatch
+        payload (``None``: a miss runs nothing)."""
+        current = self.switch.default_actions.get(name)
+        return None if current is None else self._bind_action(*current)
 
     def _bind_action(self, name: str, args: Sequence[int]) -> Tuple:
         """The _TableIndex payload: a (action_id, args) pair consumed by
@@ -200,13 +255,15 @@ class CodegenEngine:
     # Build
     # ==================================================================
 
-    def _build(self) -> None:
-        self.recompiles += 1
+    def _build(self, cause: str) -> None:
+        self.builds[cause] = self.builds.get(cause, 0) + 1
         with profiled(self.switch.obs.registry, "codegen"):
             ingress, egress = self._specialize()
             self._globals: Dict[str, Any] = {}
             retired, self.tables = self.tables, {}
             self._table_globals: Dict[str, str] = {}
+            #: Per table, the ``DB<site>`` globals holding its default.
+            self._default_globals: Dict[str, List[str]] = {}
             self._hoisted: Set[str] = set()
             self.source = self._emit_module(ingress, egress)
             for name, old in retired.items():
@@ -221,8 +278,10 @@ class CodegenEngine:
 
     def _specialize(self) -> Tuple[List[ir.P4Stmt], List[ir.P4Stmt]]:
         """SSA-optimize private copies of the pipelines under the
-        switch's live control-plane state (runtime defaults + any
-        installed entries whose actions go beyond the declaration)."""
+        switch's live control-plane state: which action each table runs
+        on a miss (not its arguments, which :meth:`on_default_change`
+        rebinds) and any installed entries whose actions go beyond the
+        declaration."""
         program = self.program
         switch = self.switch
         self._assumed = {}
@@ -244,10 +303,8 @@ class CodegenEngine:
                     name=table.name, keys=table.keys,
                     actions=list(table.actions) + extra,
                     default_action=table.default_action, size=table.size)
-        self._defaults_snapshot = {
-            name: (None if value is None else (value[0], tuple(value[1])))
-            for name, value in switch.default_actions.items()
-        }
+        self._default_bound = {name: self._default_binding(name)
+                               for name in switch.default_actions}
         clone = ir.P4Program(
             name=program.name, parser=program.parser,
             metadata=list(program.metadata), registers=program.registers,
@@ -255,8 +312,9 @@ class CodegenEngine:
             ingress=ir.clone_stmts(program.ingress),
             egress=ir.clone_stmts(program.egress),
             emit_order=program.emit_order)
-        self.ssa_counts = optimize_pipeline(
-            clone, defaults=dict(switch.default_actions))
+        self.ssa_counts = optimize_pipeline(clone, defaults={
+            name: None if value is None else (value[0], None)
+            for name, value in switch.default_actions.items()})
         return clone.ingress, clone.egress
 
     # ==================================================================
@@ -723,9 +781,10 @@ class CodegenEngine:
         else:
             emit(f"{pad}_b{site} = {gname}.lookup({key_tuple})")
         emit(f"{pad}_h{site} = _b{site} is not None")
-        # The default binding is baked in: it only changes through
-        # set_default_action, whose hook recompiles this module.
-        db = self._g(f"DB{site}", index.default_bound())
+        # The default binding is data: set_default_action's hook stores
+        # a new one here unless the action itself changed.
+        db = self._g(f"DB{site}", self._default_bound[stmt.table])
+        self._default_globals.setdefault(stmt.table, []).append(db)
         if self._instrumented:
             counter = self._obs.registry.counter(
                 "table_lookups_total", "table applies by outcome",

@@ -21,7 +21,6 @@ Conventions:
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -507,12 +506,13 @@ def clone_stmts(stmts: Sequence[P4Stmt]) -> List[P4Stmt]:
     """
     out: List[P4Stmt] = []
     for stmt in stmts:
-        twin = copy.copy(stmt)
+        twin = object.__new__(type(stmt))
+        fields = twin.__dict__
         for name, value in vars(stmt).items():
             if isinstance(value, list):  # a nested body, or operands
                 nested = value and isinstance(value[0], P4Stmt)
-                setattr(twin, name,
-                        clone_stmts(value) if nested else list(value))
+                value = clone_stmts(value) if nested else list(value)
+            fields[name] = value
         out.append(twin)
     return out
 

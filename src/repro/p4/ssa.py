@@ -43,9 +43,14 @@ pipeline containing the statement:
 Following :mod:`repro.analysis.dataflow`, the set of actions a table
 "may run" is its declared ``actions`` list (plus the default); a table
 declaring no actions may run anything in the program.  The codegen
-engine re-specializes when the control plane violates that contract
-(installing an undeclared action or swapping the default), so the
-facts baked into generated source are invalidated with it.
+engine passes each table's runtime default as ``(name, None)`` — which
+action runs on a miss, without its immediates, which it rebinds as
+data — and re-specializes when the control plane violates the contract
+(installing an undeclared action or changing which action is the
+default), so the facts baked into generated source are invalidated
+with it.  ``optimize_pipeline(program)`` without ``defaults`` keeps
+using the declared defaults, immediates included: that is what
+:mod:`repro.analysis` sees.
 """
 
 from __future__ import annotations
@@ -98,6 +103,11 @@ def synthetic_egress_entry() -> ir.AssignStmt:
                          ir.FieldRef("standard_metadata.egress_spec"))
 
 
+#: Known default action per table: ``(action, immediate args)``, the
+#: args ``None`` when only the action is known; ``None`` for no default.
+Defaults = Dict[str, Optional[Tuple[str, Optional[Sequence[int]]]]]
+
+
 @dataclass
 class SSAInfo:
     """Static context for a lift: variable universe and table contracts."""
@@ -105,9 +115,7 @@ class SSAInfo:
     meta_width: Dict[str, int]                    # "meta.x" -> width
     tables: Dict[str, ir.Table] = field(default_factory=dict)
     actions: Dict[str, ir.Action] = field(default_factory=dict)
-    # Known default actions per table: (action, immediate args) or None.
-    defaults: Dict[str, Optional[Tuple[str, Sequence[int]]]] = \
-        field(default_factory=dict)
+    defaults: Defaults = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._summaries: Dict[Tuple[int, Optional[Tuple[int, ...]]],
@@ -117,8 +125,7 @@ class SSAInfo:
 
     @classmethod
     def for_program(cls, program: ir.P4Program,
-                    defaults: Optional[Dict[str, Optional[Tuple[str,
-                                       Sequence[int]]]]] = None) -> "SSAInfo":
+                    defaults: Optional[Defaults] = None) -> "SSAInfo":
         return cls(
             meta_width={f"meta.{name}": width
                         for name, width in program.metadata},
@@ -1090,8 +1097,7 @@ def _rewrite_stmt(stmt: ir.P4Stmt, mapping: Dict[str, ir.P4Expr],
 # ---------------------------------------------------------------------------
 
 def optimize_pipeline(program: ir.P4Program,
-                      defaults: Optional[Dict[str, Optional[Tuple[str,
-                                         Sequence[int]]]]] = None,
+                      defaults: Optional[Defaults] = None,
                       rounds: int = 8) -> Dict[str, int]:
     """SSA-optimize a linked program's ingress+egress bodies in place.
 
@@ -1099,8 +1105,8 @@ def optimize_pipeline(program: ir.P4Program,
     inter-pipeline effect (``egress_port = egress_spec``) spliced
     between them, so ingress facts carry into egress.  ``defaults``
     overrides the per-table known default actions (the codegen engine
-    passes the switch's live runtime defaults).  Iterates to a
-    fixpoint, bounded by ``rounds``.
+    passes the switch's live runtime defaults by name, their arguments
+    ``None``).  Iterates to a fixpoint, bounded by ``rounds``.
     """
     info = SSAInfo.for_program(program, defaults)
     totals = {"copyprop": 0, "cse": 0, "branch": 0, "dce": 0}

@@ -130,11 +130,6 @@ class _TableIndex:
         # strictly above every rank already in the index, so ties keep
         # resolving to the earliest insertion even across deletions.
         self._rank_counter = 0
-        # Default action: bound lazily and re-bound whenever this
-        # switch's default-action tuple changes identity (the control
-        # plane may swap it at any time via set_default_action).
-        self._default_src: Any = None
-        self._default_bound: Optional[Callable] = None
 
     def invalidate(self) -> None:
         self._dirty = True
@@ -398,13 +393,3 @@ class _TableIndex:
             self._scan = [t for t in self._scan if id(t[1]) not in ids]
         self.folds += 1
         return True
-
-    def default_bound(self) -> Optional[Callable]:
-        current = self.engine.switch.default_actions[self.name]
-        if current is None:
-            return None
-        if current is not self._default_src:
-            self._default_src = current
-            action, args = current
-            self._default_bound = self.engine._bind_action(action, args)
-        return self._default_bound

@@ -176,7 +176,10 @@ class HydraDeployment:
 
         Implemented by rewriting the default action of the generated
         loader tables, so the value can change on the fly without
-        recompiling — the property the paper highlights for Figure 2.
+        recompiling — the property the paper highlights for Figure 2,
+        and one both engines keep: the codegen engine stores the new
+        argument into its live module (``Bmv2Switch.engine_counts()``
+        shows a rebind, not a build).
         """
         compiled, decl = self._resolve_control(name)
         if isinstance(decl.ty, (DictType, SetType)):
@@ -287,15 +290,16 @@ class HydraDeployment:
     # -- monitoring -------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Operational counters: per-switch processed/dropped packets
-        and per-table index rebuilds/folds, and per-checker report
-        counts — what an operator dashboard for this deployment would
-        show."""
+        """Operational counters: per-switch processed/dropped packets,
+        per-table index rebuilds/folds and engine builds/rebinds, and
+        per-checker report counts — what an operator dashboard for this
+        deployment would show."""
         per_switch = {
             name: {
                 "processed": bmv2.packets_processed,
                 "dropped": bmv2.packets_dropped,
                 "indexes": bmv2.index_counts(),
+                "engine": bmv2.engine_counts(),
             }
             for name, bmv2 in self.switches.items()
         }

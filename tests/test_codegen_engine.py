@@ -2,12 +2,14 @@
 
 The codegen engine (:mod:`repro.p4.codegen`) compiles each pipeline to
 one straight-line generated-source function, specializing on
-control-plane facts (assumed action sets, baked default bindings) and
-on observability (instrumentation is emitted or absent at build time).
+control-plane facts (assumed action sets, which action is each table's
+default) and on observability (instrumentation is emitted or absent at
+build time); default-action *arguments* are data the module reads.
 Byte-equality with the interpreter over the corpus lives in
 ``tests/test_engine_differential.py``; this suite pins the engine's own
 mechanics — batch-vs-single equality, recompilation exactly when a
-baked fact is invalidated, obs specialization, and the ``dump-src`` /
+baked fact is invalidated and a rebind otherwise, obs specialization,
+and the ``dump-src`` /
 ``repro.api.generated_source`` surface.
 """
 
@@ -18,7 +20,9 @@ import pytest
 import repro
 from repro.cli import main as cli_main
 from repro.compiler import compile_program, standalone_program
+from repro.net.packet import HeaderType, Packet
 from repro.obs import Observability
+from repro.p4 import ir
 from repro.p4.bmv2 import Bmv2Switch
 from repro.properties import load_source
 from tests.test_engine_differential import random_packet, serialize_outputs
@@ -42,6 +46,29 @@ def build_switch(name="loops", engine="codegen", optimize=False,
             sw.insert_entry(compiled.strip_table, [port],
                             compiled.mark_last_action)
     return sw
+
+
+H = HeaderType("h", [("a", 32)])
+
+
+def one_table_program(name, table, ingress):
+    """A parser over the one header ``h``, the given table and ingress,
+    and two actions for it: ``set_out(v)`` forwards to port ``v``,
+    ``load_x(v)`` loads ``meta.x``."""
+    program = ir.P4Program(
+        name=name,
+        parser=ir.ParserSpec(states=[
+            ir.ParserState("start", extracts=[ir.Extract("h", H)],
+                           transitions=[ir.Transition(ir.ACCEPT)])]),
+        metadata=[("x", 32)], emit_order=["h"])
+    program.add_action(ir.Action("set_out", params=[("v", 32)], body=[
+        ir.AssignStmt("standard_metadata.egress_spec",
+                      ir.FieldRef("param.v"))]))
+    program.add_action(ir.Action("load_x", params=[("v", 32)], body=[
+        ir.AssignStmt("meta.x", ir.FieldRef("param.v"))]))
+    program.add_table(table)
+    program.ingress = ingress
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -94,41 +121,65 @@ def test_batch_matches_single(name):
         assert "parse" in kinds[0]
 
 
-def test_batch_follows_a_mid_batch_recompile():
-    """A digest listener that swaps a baked default while a batch is in
-    flight: the rest of the batch must run the rebuilt module, exactly
-    as packet-by-packet calls would."""
-    from repro.net.packet import HeaderType, Packet
-    from repro.p4 import ir
-
-    htype = HeaderType("h", [("a", 32)])
-    program = ir.P4Program(
-        name="rebind",
-        parser=ir.ParserSpec(states=[
-            ir.ParserState("start", extracts=[ir.Extract("h", htype)],
-                           transitions=[ir.Transition(ir.ACCEPT)])]),
-        emit_order=["h"])
-    program.add_action(ir.Action("set_out", params=[("v", 32)], body=[
-        ir.AssignStmt("standard_metadata.egress_spec",
-                      ir.FieldRef("param.v"))]))
-    program.add_table(ir.Table(
-        "t", keys=[ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)],
-        actions=["set_out"], default_action=("set_out", [1])))
-    program.ingress = [ir.ApplyTable("t"),
-                       ir.Digest("seen", [ir.FieldRef("hdr.h.a")])]
+def test_batch_follows_a_mid_batch_rebind():
+    """A digest listener that gives a default new arguments while a
+    batch is in flight: the rest of the batch must see them, exactly as
+    packet-by-packet calls would — and no module is rebuilt for it."""
+    program = one_table_program(
+        "rebind",
+        ir.Table("t", keys=[ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)],
+                 actions=["set_out"], default_action=("set_out", [1])),
+        [ir.ApplyTable("t"), ir.Digest("seen", [ir.FieldRef("hdr.h.a")])])
 
     def ports(engine, batch):
         sw = Bmv2Switch(program, engine=engine)
         sw.on_digest(lambda _msg: sw.set_default_action("t", "set_out", [2]))
-        items = [(Packet(headers=[htype(a=i)], payload_len=4), 1)
+        items = [(Packet(headers=[H(a=i)], payload_len=4), 1)
                  for i in range(4)]
         outs = (sw.process_batch(items) if batch
                 else [sw.process(p, port) for p, port in items])
+        if engine == "codegen":
+            assert sw.engine_counts() == {"builds": {"initial": 1},
+                                          "rebinds": 1}
+            assert sw._engine.recompiles == 0
         return [out[0][0] for out in outs]
 
     assert ports("interp", batch=False) == [1, 2, 2, 2]
     assert ports("codegen", batch=False) == [1, 2, 2, 2]
     assert ports("codegen", batch=True) == [1, 2, 2, 2]
+
+
+def test_default_changed_mid_packet_is_visible_to_that_packet():
+    """A control app answering a report (digest ``before``) with a new
+    control value, while the packet that raised it is still in the
+    pipeline: the apply that follows misses into the *new* value on
+    both engines.  (A module rebuilt for it would leave the running
+    frame on the old module's globals, reporting ``[1, 7]``.)"""
+    program = one_table_program(
+        "midpacket",
+        ir.Table("ctrl_x", actions=["load_x"],
+                 default_action=("load_x", [1])),
+        [ir.Digest("before"), ir.ApplyTable("ctrl_x"),
+         ir.Digest("after", [ir.FieldRef("meta.x")])])
+
+    def reported(engine):
+        sw = Bmv2Switch(program, engine=engine)
+        seen = []
+
+        def listener(msg):
+            if msg.name == "before":
+                sw.set_default_action("ctrl_x", "load_x", [7])
+            else:
+                seen.extend(msg.values)
+
+        sw.on_digest(listener)
+        for i in range(2):
+            sw.process(Packet(headers=[H(a=i)], payload_len=4), 1)
+        return seen, sw.engine_counts()
+
+    assert reported("interp") == ([7, 7], {})
+    assert reported("codegen") == ([7, 7], {"builds": {"initial": 1},
+                                            "rebinds": 1})
 
 
 @pytest.mark.parametrize("name", ("loops", "valley_free"))
@@ -162,6 +213,7 @@ def test_recompile_on_undeclared_action_install():
     for s in (sw, interp):
         s.insert_entry("fwd_table", [3], "ih_mark_first_hop", [])
     assert sw._engine.recompiles == before + 1
+    assert sw.engine_counts()["builds"] == {"initial": 1, "action_set": 1}
     rng = random.Random(5)
     for port in (1, 3):
         for packet in (random_packet(rng) for _ in range(5)):
@@ -180,23 +232,178 @@ def test_no_recompile_for_declared_action_churn():
 
 
 def test_default_change_recompiles_only_on_real_change():
-    """The miss-path binding is baked into the generated source, so a
-    genuine default swap must rebuild; restating the compiled-in
-    default must not."""
+    """Names are code, values are data.  Restating a default costs
+    nothing; the same action with new arguments is stored into the live
+    module (a rebind); only a default that changes *which action* runs
+    on a miss — another declared action, ``None`` -> an action, an
+    action outside the table's declared list — rebuilds the module."""
     sw = build_switch()
     interp = build_switch(engine="interp")
-    baked = sw._engine._defaults_snapshot["fwd_table"]
-    before = sw._engine.recompiles
-    sw.set_default_action("fwd_table", baked[0], list(baked[1]))
-    assert sw._engine.recompiles == before  # no-op restatement
-    for s in (sw, interp):
-        s.set_default_action("fwd_table", "fwd_set_egress", [7])
-    assert sw._engine.recompiles == before + 1
     rng = random.Random(6)
-    for packet in (random_packet(rng) for _ in range(5)):
-        # Port 5 has no entry: the packet takes the new miss path.
-        assert serialize_outputs(sw.process(packet, 5)) == \
-            serialize_outputs(interp.process(packet, 5))
+
+    def counts():
+        return sw._engine.builds, sw._engine.rebinds
+
+    def miss_path_agrees():
+        # Port 5 has no entry: the packet takes the miss path.
+        for packet in (random_packet(rng) for _ in range(5)):
+            assert serialize_outputs(sw.process(packet, 5)) == \
+                serialize_outputs(interp.process(packet, 5))
+
+    def set_default(table, action, args):
+        for s in (sw, interp):
+            s.set_default_action(table, action, args)
+
+    assert counts() == ({"initial": 1}, 0)
+    declared, args = sw.default_actions["fwd_table"]
+    sw.set_default_action("fwd_table", declared, list(args))
+    assert counts() == ({"initial": 1}, 0)  # restated: nothing
+    source = sw._engine.source
+
+    set_default("fwd_table", "fwd_set_egress", [7])  # another action
+    assert counts() == ({"initial": 1, "default_action": 1}, 0)
+    miss_path_agrees()
+
+    run = sw._engine._run
+    set_default("fwd_table", "fwd_set_egress", [9])  # same action, new args
+    assert counts() == ({"initial": 1, "default_action": 1}, 1)
+    assert sw._engine._run is run  # the live module, not a new one
+    miss_path_agrees()
+    set_default("fwd_table", "fwd_set_egress", [9])
+    assert counts() == ({"initial": 1, "default_action": 1}, 1)
+
+    # An action the table did not declare: the dispatch must learn it.
+    assert "ih_mark_first_hop" not in sw._engine._assumed["fwd_table"]
+    set_default("fwd_table", "ih_mark_first_hop", [])
+    assert counts() == ({"initial": 1, "default_action": 2}, 1)
+    assert "ih_mark_first_hop" in sw._engine._assumed["fwd_table"]
+    miss_path_agrees()
+
+    set_default("fwd_table", declared, list(args))  # and back
+    assert counts() == ({"initial": 1, "default_action": 3}, 1)
+    assert sw._engine.source == source
+    assert sw._engine.recompiles == 3
+    miss_path_agrees()
+
+
+def test_default_from_none_to_an_action_recompiles():
+    """A table declared without a default runs nothing on a miss; giving
+    it one changes what the miss path *is*, not a value it reads."""
+    program = one_table_program(
+        "nodefault",
+        ir.Table("t", keys=[ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)],
+                 actions=["set_out"]),
+        [ir.ApplyTable("t")])
+    switches = [Bmv2Switch(program, engine=engine)
+                for engine in ("interp", "codegen")]
+    packet = Packet(headers=[H(a=3)], payload_len=4)
+
+    def ports():
+        return [[port for port, _ in sw.process(packet, 1)]
+                for sw in switches]
+
+    assert ports() == [[0], [0]]
+    for sw in switches:
+        sw.set_default_action("t", "set_out", [4])
+    assert switches[1].engine_counts() == {
+        "builds": {"initial": 1, "default_action": 1}, "rebinds": 0}
+    assert ports() == [[4], [4]]
+    for sw in switches:
+        sw.set_default_action("t", "set_out", [5])
+    assert switches[1].engine_counts() == {
+        "builds": {"initial": 1, "default_action": 1}, "rebinds": 1}
+    assert ports() == [[5], [5]]
+
+
+# ---------------------------------------------------------------------------
+# A deployment builds each engine once, however many values it sets
+# ---------------------------------------------------------------------------
+
+def count_value_changes(monkeypatch):
+    """Wrap ``Bmv2Switch.set_default_action`` to count, per engine and
+    switch, the calls that change the installed default (a restatement
+    does not)."""
+    changed = {}
+    original = Bmv2Switch.set_default_action
+
+    def counting(self, table, action, args=None):
+        key = (self.engine, self.name)
+        changed[key] = changed.get(key, 0) + (
+            self.default_actions[table] != (action, list(args or [])))
+        original(self, table, action, args)
+
+    monkeypatch.setattr(Bmv2Switch, "set_default_action", counting)
+    return changed
+
+
+def deliver(deployment, src, dst, packet):
+    """Send one packet src -> dst; what arrived, what was reported and
+    every switch's counters and registers."""
+    network = deployment.network
+    network.host(src).send(packet)
+    network.run()
+    return (serialize_outputs(network.host(dst).received),
+            [(r.checker, r.switch_name, r.values)
+             for r in deployment.reports],
+            {name: (sw.packets_processed, sw.packets_dropped, sw.registers)
+             for name, sw in deployment.switches.items()})
+
+
+def test_deploying_the_paper_fabric_builds_each_engine_once(monkeypatch):
+    """All 11 Table-1 checkers on the 2x2 fabric: 18 (leaf) / 14 (spine)
+    ``set_default_action`` calls, and every one of them that changes a
+    value is a rebind of the module built when the switch was made."""
+    from repro.aether.upf import upf_program
+    from repro.experiments.fig12 import (ALL_CHECKERS,
+                                         configure_checker_controls,
+                                         install_fabric_routes)
+    from repro.net.packet import make_udp
+    from repro.net.topology import leaf_spine
+    from repro.properties import compile_suite
+    from repro.runtime.deployment import HydraDeployment
+
+    topology = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
+    compiled = compile_suite(ALL_CHECKERS)
+    changed = count_value_changes(monkeypatch)
+    deployments = {}
+    for engine in ("interp", "codegen"):
+        forwarding = {name: upf_program(f"fabric_upf_{name}")
+                      for name in topology.switches}
+        deployment = HydraDeployment(topology, compiled, forwarding,
+                                     engine=engine)
+        install_fabric_routes(topology, deployment.switches)
+        configure_checker_controls(deployment, topology)
+        deployments[engine] = deployment
+    rebinds = {name: count for (engine, name), count in changed.items()
+               if engine == "codegen"}
+    assert rebinds == {"leaf1": 10, "leaf2": 10, "spine1": 8, "spine2": 8}
+    stats = deployments["codegen"].stats()["switches"]
+    assert {name: row["engine"] for name, row in stats.items()} == {
+        name: {"builds": {"initial": 1}, "rebinds": count}
+        for name, count in rebinds.items()}
+    assert all(row["engine"] == {} for row in
+               deployments["interp"].stats()["switches"].values())
+    hosts = topology.hosts
+    packet = make_udp(hosts["h1"].ipv4, hosts["h3"].ipv4, 4000, 9)
+    arrived = [deliver(deployments[engine], "h1", "h3", packet.copy())
+               for engine in ("interp", "codegen")]
+    assert arrived[0] == arrived[1]
+    assert len(arrived[0][0]) == 1
+
+
+def test_an_oracle_scenario_builds_each_engine_once():
+    from repro.difftest import gen_scenario
+    from repro.difftest.harness import build_scenario_deployment
+
+    scenario = next(s for s in map(gen_scenario, range(48)) if s.controls)
+    compiled = compile_program(scenario.source(), name="dt")
+    deployment = build_scenario_deployment(scenario, compiled)
+    for sw in deployment.switches.values():
+        counts = sw.engine_counts()
+        assert counts["builds"] == {"initial": 1}
+        assert sw._engine.recompiles == 0
+    assert any(sw.engine_counts()["rebinds"]
+               for sw in deployment.switches.values())
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +456,8 @@ def test_attach_observability_rebuilds():
     sw.attach_observability(Observability.enabled())
     assert sw._engine is not plain
     assert ".inc()" in sw._engine.source
+    assert sw.engine_counts() == {"builds": {"observability": 1},
+                                  "rebinds": 0}
     sw.attach_observability(NULL_OBS)
     assert sw._engine.source == plain.source
 

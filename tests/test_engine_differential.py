@@ -131,8 +131,10 @@ def test_multihop_chains_engines_agree(seed):
 
 
 def test_control_plane_churn_engines_agree():
-    """Insert/delete/clear churn mid-stream: index invalidation must
-    track the reference scan exactly."""
+    """Insert/delete/clear churn mid-stream, a scalar control whose
+    value changes between packets and a default swapped to another
+    action and back: index invalidation, default rebinds and
+    recompiles must track the reference scan exactly."""
     source = load_source("loops")
     compiled = compile_program(source, name="churn")
     program = standalone_program(compiled)
@@ -147,25 +149,41 @@ def test_control_plane_churn_engines_agree():
                         compiled.mark_first_action)
         sw.insert_entry(compiled.strip_table, [2],
                         compiled.mark_last_action)
-    for round_no in range(6):
-        packets = [random_packet(rng) for _ in range(4)]
+    fwd_default = switches["interp"].default_actions["fwd_table"]
+    probe = random_packet(rng)
+    probed = []
+    for round_no in range(10):
+        packets = [probe] + [random_packet(rng) for _ in range(4)]
         for packet in packets:
-            outs = [switches[e].process(packet, 1) for e in ENGINES]
-            for other in outs[1:]:
-                assert serialize_outputs(outs[0]) == \
-                    serialize_outputs(other)
-        if round_no == 2:
-            for e, sw in switches.items():
+            for port in (1, 6):  # port 6 has no entry: the miss path
+                outs = [serialize_outputs(switches[e].process(packet, port))
+                        for e in ENGINES]
+                assert outs[1:] == outs[:-1]
+                if packet is probe and port == 1:
+                    probed.append(outs[0])
+        for e, sw in switches.items():
+            if round_no == 2:
                 sw.delete_entry("fwd_table", entries[e]["fwd"])
-        elif round_no == 3:
-            for e, sw in switches.items():
+            elif round_no == 3:  # port 3 does not strip the telemetry
                 entries[e]["fwd"] = sw.insert_entry(
                     "fwd_table", [1], "fwd_set_egress", [3])
-        elif round_no == 4:
-            for e, sw in switches.items():
+            elif round_no in (4, 5):  # a scalar control: values only
+                sw.set_default_action(compiled.switch_id_table,
+                                      compiled.set_switch_id_action,
+                                      [round_no])
+            elif round_no == 6:
                 sw.clear_table("fwd_table")
                 entries[e]["fwd"] = sw.insert_entry(
                     "fwd_table", [1], "fwd_set_egress", [2])
+            elif round_no == 7:       # the miss path forwards ...
+                sw.set_default_action("fwd_table", "fwd_set_egress", [2])
+            elif round_no == 8:       # ... and drops again
+                sw.set_default_action("fwd_table", fwd_default[0],
+                                      list(fwd_default[1]))
+    # The switch id rides in the telemetry: each new value showed.
+    assert probed[4] != probed[5] != probed[6] != probed[4]
+    assert switches["codegen"].engine_counts() == {
+        "builds": {"initial": 1, "default_action": 2}, "rebinds": 2}
     for e in ENGINES:
         assert switches[e].packets_processed == \
             switches[ENGINES[0]].packets_processed

@@ -44,14 +44,139 @@ def test_emit_order_places_hydra_after_ethernet():
     assert order.index("hydra") == order.index("ethernet") + 1
 
 
-def test_inputs_not_mutated():
-    forwarding = l2_port_forwarding()
-    tables_before = set(forwarding.tables)
-    parser_states_before = len(forwarding.parser.states)
-    compiled = compile_program(SIMPLE)
-    link(forwarding, compiled, role=EDGE)
-    assert set(forwarding.tables) == tables_before
-    assert len(forwarding.parser.states) == parser_states_before
+FRAGMENTS = ("ingress_prologue", "init_stmts", "egress_prologue",
+             "tele_stmts", "check_stmts", "strip_stmts")
+
+
+def mutable_nodes(graph):
+    """``id -> (what, object)`` for everything in a program (or compiled
+    checker) that linking or a later in-place pass may mutate: statement
+    nodes, every list, tables, actions, parser states.  Frozen
+    expressions and header types are deliberately left out: links share
+    them."""
+    found = {}
+
+    def note(obj, what):
+        found[id(obj)] = (what, obj)
+
+    def body(stmts, where):
+        note(stmts, f"{where}: body")
+        for stmt in stmts:
+            note(stmt, f"{where}: {type(stmt).__name__}")
+            for name, value in vars(stmt).items():
+                if name in ("then_body", "else_body", "hit_body",
+                            "miss_body"):
+                    body(value, where)
+                elif isinstance(value, list):
+                    note(value, f"{where}: {type(stmt).__name__}.{name}")
+
+    if isinstance(graph, ir.P4Program):
+        body(graph.ingress, "ingress")
+        body(graph.egress, "egress")
+        note(graph.parser, "parser")
+        note(graph.parser.states, "parser.states")
+        for state in graph.parser.states:
+            note(state, f"state {state.name}")
+            note(state.extracts, f"state {state.name}.extracts")
+            note(state.transitions, f"state {state.name}.transitions")
+        note(graph.emit_order, "emit_order")
+    else:
+        for attr in FRAGMENTS:
+            body(getattr(graph, attr), attr)
+    for attr in ("metadata", "registers", "actions", "tables"):
+        note(getattr(graph, attr), attr)
+    for name, action in graph.actions.items():
+        note(action, f"action {name}")
+        note(action.params, f"action {name}.params")
+        body(action.body, f"action {name}")
+    for name, table in graph.tables.items():
+        note(table, f"table {name}")
+        note(table.keys, f"table {name}.keys")
+        note(table.actions, f"table {name}.actions")
+        if table.default_action is not None:
+            note(table.default_action[1], f"table {name} default args")
+    return found
+
+
+def snapshot(graph):
+    if isinstance(graph, ir.P4Program):
+        return repr(graph)
+    return repr([getattr(graph, attr) for attr in FRAGMENTS
+                 + ("metadata", "registers", "actions", "tables")])
+
+
+def _single_checker():
+    # Source routing rewrites the EtherType inside an action, so the
+    # linker's write redirection edits forwarding action bodies too.
+    from repro.properties import load_source
+    return source_routing(), [compile_program(load_source("multi_tenancy"))]
+
+
+def _paper_suite():
+    from repro.aether.upf import upf_program
+    from repro.experiments.fig12 import ALL_CHECKERS
+    from repro.properties import compile_suite
+    return upf_program("fabric_upf"), compile_suite(ALL_CHECKERS)
+
+
+@pytest.mark.parametrize("inputs", [_single_checker, _paper_suite],
+                         ids=["single-checker", "paper-suite"])
+def test_links_alias_no_mutable_state(inputs):
+    """The linker clones structurally instead of deep-copying: what
+    that must still guarantee is that the forwarding program, the
+    compiled checkers and every link made from them can each be edited
+    in place without any other noticing."""
+    from repro.analysis import optimize_compiled
+    from repro.p4.ssa import optimize_pipeline
+
+    forwarding, compileds = inputs()
+    sources = [forwarding] + list(compileds)
+    links = [link(forwarding, compileds, role=role)
+             for role in (EDGE, CORE, EDGE, CORE)]
+    graphs = sources + links
+    before = [snapshot(graph) for graph in graphs]
+    owner = {}
+    for i, graph in enumerate(graphs):
+        for key, (what, _obj) in mutable_nodes(graph).items():
+            assert key not in owner, (
+                f"graph {i} shares {what} with graph {owner[key][0]} "
+                f"({owner[key][1]})")
+            owner[key] = (i, what)
+    assert snapshot(links[0]) == snapshot(links[2])
+    assert snapshot(links[1]) == snapshot(links[3])
+
+    # An in-place optimizer pass over one link ...
+    edge = links[0]
+    assert sum(optimize_pipeline(edge).values()) > 0
+    assert snapshot(edge) != before[graphs.index(edge)]
+    # ... and the parser/table/action edits a further link would make
+    # on another.
+    core = links[1]
+    start = core.parser.state(core.parser.start)
+    start.transitions.insert(0, ir.Transition(ir.ACCEPT))
+    start.extracts.append(start.extracts[0])
+    core.parser.states.append(ir.ParserState("extra"))
+    core.emit_order.append("extra")
+    core.metadata.append(("extra", 1))
+    for table in core.tables.values():
+        table.keys.append(ir.TableKey("meta.extra"))
+        table.actions.append("extra")
+        if table.default_action is not None:
+            table.default_action[1].append(1)
+    for action in core.actions.values():
+        action.params.append(("extra", 1))
+        action.body.append(ir.MarkToDrop())
+    for graph, was in zip(graphs, before):
+        if graph is not edge and graph is not core:
+            assert snapshot(graph) == was
+    # The checker optimizer renames fields inside expressions, which
+    # links share: it must rebuild them, not edit them.
+    renamed = [optimize_compiled(compiled).coalesced_fields
+               for compiled in compileds]
+    assert any(renamed)
+    for graph, was in zip(graphs, before):
+        if isinstance(graph, ir.P4Program) and graph not in (edge, core):
+            assert snapshot(graph) == was
 
 
 def test_core_role_has_no_init_or_checker():

@@ -37,6 +37,12 @@ def make_program(keys):
         ir.AssignStmt("standard_metadata.egress_spec",
                       ir.FieldRef("param.v")),
     ]))
+    # Not in t's declared actions: only a default can bring it in.
+    program.add_action(ir.Action("set_alt", params=[("v", 32)], body=[
+        ir.AssignStmt("standard_metadata.egress_spec",
+                      ir.BinExpr("+", ir.FieldRef("param.v"),
+                                 ir.Const(64, 32), 32)),
+    ]))
     program.add_table(ir.Table("t", keys=keys, actions=["set_out"]))
     program.ingress = [ir.ApplyTable("t")]
     return program
@@ -262,6 +268,9 @@ def _interleavings(draw):
         st.tuples(st.just("delete_entries"), one, picks),
         st.tuples(st.just("delete_entry"), one, picks),
         st.tuples(st.just("clear_table"), one),
+        st.tuples(st.just("set_default_action"), where,
+                  st.sampled_from(["set_out", "set_out", "set_alt"]),
+                  st.integers(300, 302)),
         st.tuples(st.just("lookup"),))
     return kind, draw(st.lists(step, max_size=12))
 
@@ -303,11 +312,22 @@ def _degenerate_run(n, base=0, priority=1):
     ("delete_entries", "b", [1]),
 ]), must=frozenset({"duplicate-key bail-out",
                     "deleted a shared entry from one switch"}))
+# The miss path: no default -> an action (a build), new arguments (a
+# rebind, the index kept), an undeclared action (a build).
+@example(script=("exact", [
+    ("insert_entries", "a", [((5,), 0)]),
+    ("set_default_action", "both", "set_out", 300),
+    ("lookup",),
+    ("set_default_action", "a", "set_out", 301),
+    ("lookup",),
+    ("set_default_action", "a", "set_alt", 301),
+]), must=frozenset({"default rebound", "default recompiled"}))
 def test_interleaved_writes_match_the_reference_scan(script, must):
     """insert_entries / delete_entries / insert_entry / delete_entry /
-    clear_table and lookups, interleaved from a fresh switch, over
-    exact, LPM, priority-scan and range-bucket tables: after every step
-    the codegen engine picks the entry the interpreter's scan picks.
+    clear_table / set_default_action and lookups, interleaved from a
+    fresh switch, over exact, LPM, priority-scan and range-bucket
+    tables: after every step the codegen engine picks the entry — or,
+    on a miss, the default — the interpreter's scan picks.
 
     Two codegen switches run side by side (each against its own
     interpreter twin) and may be handed the *same* entry values, as the
@@ -386,6 +406,17 @@ def test_interleaved_writes_match_the_reference_scan(script, must):
             for sw in switches[step[1]]:
                 sw.clear_table("t")
             installed[step[1]].clear()
+        elif op == "set_default_action":
+            for side in sides:
+                engine = switches[side][0]._engine
+                before = (index(side), engine.rebinds)
+                for sw in switches[side]:
+                    sw.set_default_action("t", step[2], [step[3]])
+                if engine.rebinds > before[1]:
+                    assert index(side) is before[0]
+                    seen.add("default rebound")
+                elif index(side) is not before[0]:
+                    seen.add("default recompiled")
         else:
             check()
         for side in "ab":
