@@ -12,11 +12,13 @@ smoke packet, fails the run.
 Then the paper's deployment — the fabric-upf leaf with all 11 Table-1
 checkers linked in — is emitted and its generated source checked for
 the shape the engine promises: one function, no per-packet header
-allocation, a loop-free parser, and no more ``Header.copy`` calls on a
-mid-path packet than the binds that packet writes (an exact count, so
-this stays threshold-free) — and each switch must have built its module
-once, every control value set since being a rebind
-(``Bmv2Switch.engine_counts()``).
+allocation, a loop-free parser, headers unboxed (no ``.copy()``, no
+``_os(`` in any switch's source and no ``Header.copy`` call on a
+mid-path packet that does write binds: exact counts, so this stays
+threshold-free), the checkers' scaffolding memoised (2 run sites per
+leaf, 1 per spine, no fill on a second packet) — and each switch must
+have built its module once, every control value set since being a
+rebind (``Bmv2Switch.engine_counts()``).
 
 Usage: ``PYTHONPATH=src python benchmarks/codegen_smoke.py``
 """
@@ -101,6 +103,13 @@ def check_all_checkers_leaf() -> None:
     for name, counts in engines.items():
         assert counts["builds"] == {"initial": 1} and counts["rebinds"], (
             f"{name}: {counts} (a control value recompiled the module)")
+    for name, sw in codegen.switches.items():
+        source = sw._engine.source
+        assert ".copy()" not in source and "_os(" not in source, (
+            f"{name}: a boxed header write in the generated source")
+        sites = engines[name]["runs"]["sites"]
+        assert sites == (2 if name.startswith("leaf") else 1), (
+            f"{name}: {sites} run site(s) (apply runs not memoised)")
     source = codegen.switches["leaf1"]._engine.source
     defs = [line for line in source.splitlines() if line.startswith("def ")]
     assert defs == ["def _process(packet, ingress_port):"], defs
@@ -130,14 +139,28 @@ def check_all_checkers_leaf() -> None:
              if path.startswith("hdr.")}
     binds |= {stmt.header for stmt, _ in stmts
               if isinstance(stmt, (ir.SetValid, ir.SetInvalid))}
-    assert 0 < len(copies) <= len(binds), (
+    assert binds and not copies, (
         f"{len(copies)} Header.copy calls for {len(binds)} binds written")
+    # Both hops have seen their ports now: a second packet fills nothing.
+    def run_counts():
+        return {name: sw.engine_counts()["runs"]
+                for name, sw in codegen.switches.items()}
+
+    runs = run_counts()
+    assert runs[entry.node]["fills"] == 2 and runs[hop.node]["fills"] == 1
+    codegen.switches[hop.node].process(
+        codegen.switches[entry.node].process(packet, entry.port)[0][1],
+        hop.port)
+    assert run_counts() == runs, "a repeated port filled a run memo"
     print(f"ok   all-checkers leaf: {source.count(chr(10))} lines, "
           f"{len(copies)} copies for {len(binds)} binds written mid-path; "
           f"builds/rebinds per switch "
           + ", ".join(f"{name} {sum(counts['builds'].values())}/"
                       f"{counts['rebinds']}"
-                      for name, counts in sorted(engines.items())))
+                      for name, counts in sorted(engines.items()))
+          + "; runs sites/fills/clears per switch "
+          + ", ".join("{} {sites}/{fills}/{clears}".format(name, **counts)
+                      for name, counts in sorted(runs.items())))
 
 
 def main() -> int:

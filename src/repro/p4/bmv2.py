@@ -353,7 +353,7 @@ class Bmv2Switch:
         self._check_entry(table, entry)
         self.entries[table_name].append(entry)
         if self._engine is not None:
-            self._engine.invalidate_table(table_name)
+            self._engine.entries_inserted(table_name, [entry])
         self._notify_config(table_name)
         return entry
 
@@ -364,7 +364,7 @@ class Bmv2Switch:
                                  Optional[Sequence[int]], int]]]
                        ) -> List[ir.TableEntry]:
         """Install a batch of entries with one index update and one
-        config notification.
+        config notification (``insert_entry`` is this with one row).
 
         A row is a ``(match, action, args, priority)`` tuple or an
         already-built :class:`~repro.p4.ir.TableEntry`, which is
@@ -394,13 +394,21 @@ class Bmv2Switch:
         return created
 
     def delete_entry(self, table_name: str, entry: ir.TableEntry) -> None:
+        """Remove the first installed entry equal to ``entry``."""
         self._table(table_name)
+        installed = self.entries[table_name]
         try:
-            self.entries[table_name].remove(entry)
+            # The engine's index drops entries by identity: hand it the
+            # installed object, which an equal ``entry`` need not be.
+            entry = installed.pop(installed.index(entry))
         except ValueError as exc:
             raise P4RuntimeError("entry not installed") from exc
         if self._engine is not None:
-            self._engine.invalidate_table(table_name)
+            if any(other is entry for other in installed):
+                # One object installed twice: by identity both would go.
+                self._engine.invalidate_table(table_name)
+            else:
+                self._engine.entries_removed(table_name, [entry])
         self._notify_config(table_name)
 
     def delete_entries(self, table_name: str,
@@ -501,7 +509,8 @@ class Bmv2Switch:
         if self._engine is None:
             return {}
         return {"builds": dict(self._engine.builds),
-                "rebinds": self._engine.rebinds}
+                "rebinds": self._engine.rebinds,
+                "runs": self._engine.run_counts()}
 
     def _table(self, name: str) -> ir.Table:
         if name not in self.program.tables:

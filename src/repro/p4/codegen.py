@@ -8,13 +8,43 @@ with flat local variables:
 
 * **Metadata and standard metadata** become locals (``m3_counter``,
   ``sm_egress_spec``) instead of dict/attribute accesses.
-* **Header fields** read and write through hoisted ``values`` dict
-  locals; validity checks are plain attribute loads.
-* **Headers are copied on first write.**  A bind's ``Header`` is
-  shared — with the input packet when extracted, with a per-bind
-  invalid blank otherwise — until the first statement that writes it
-  in this packet takes ownership with a copy.  A packet pays for the
-  headers it changes, not for the ones the program could change.
+* **Headers are unboxed for the length of the pipeline.**  A bind is
+  four locals: ``hN``, the ``Header`` the parser bound or the shared
+  invalid blank, never written; ``hvN``, its values dict; ``vN``, its
+  validity (set at extraction); ``oN``, whether this frame owns
+  ``hvN``.  A read is ``(hvN[f] if vN else 0)``, ``isValid`` is ``vN``.
+  The first write owns inline (``if not oN: hvN = dict(hvN); oN =
+  True``: no call, no ``Header``); ``setValid`` owns and sets ``vN``;
+  ``setInvalid`` is ``vN = False`` and nothing else — an invalid header
+  is not emitted, and its values stay in ``hvN`` for a later
+  ``setValid``, as in the reference engine.  The deparser boxes an
+  owned bind once (:func:`_box`) and emits ``hN`` itself otherwise, so
+  untouched headers go out as the very objects that came in and the
+  input packet is only ever read: a packet pays for the headers it
+  changes, not for the ones the program could change.
+* **Pure apply runs are memoised per port.**  A maximal run of two or
+  more consecutive applies in a pipeline's top-level body sits behind
+  one dict probe when (1) every table is exact-match with no hit/miss
+  body; (2) the members' keys are one operand at most 9 bits wide that
+  the run does not write — a ``standard_metadata`` port or narrow
+  metadata, keyless tables qualify — so a memo holds at most 512
+  tuples; (3) every action a member can dispatch to only assigns
+  constants or its parameters to metadata; (4) every field the run may
+  write is written on every path through some member (a default, and
+  every arm assigns it) or nowhere before the run (it still holds its
+  zero).  The fields after the run are then a function of the operand
+  and the control plane: ``_p = RUNk.get(port)``; on ``None`` the run
+  *as* ``_emit_apply`` *emits it* (dirty check, rebuild, dispatch),
+  then ``RUNk[port] = (fields…)``; else ``fields… = _p``.  Every
+  control-plane hook empties the memos of the runs its table is in
+  before it returns, so a memo only holds what the live applies just
+  produced and the frame a digest listener runs in sees the listener's
+  write.  A build starts with empty memos; an instrumented build forms
+  no runs (its apply sites count and trace per table).  This is Hydra's
+  per-checker scaffolding — first-hop and last-hop probes, a loader
+  table per control variable — which on Tofino costs no stage.
+* **``packet.length`` is evaluated by the first read that runs**: the
+  input packet is never written, so the late value is the early one.
 * **The parser is one pass** over the parse graph in topological order;
   only a back edge (a cyclic graph) re-enters it.
 * **Tables** are indexed at entry-install time
@@ -56,8 +86,10 @@ engine on entry inserts and default-action changes.
   it would under the reference engine.
 * **The counters**: ``builds`` per cause (:data:`INITIAL`,
   :data:`DEFAULT_ACTION`, :data:`ACTION_SET`, :data:`OBSERVABILITY`),
-  ``rebinds``, and ``recompiles == sum(builds) - 1``; read them through
-  ``Bmv2Switch.engine_counts()``.  Nothing is counted per packet.
+  ``rebinds``, ``recompiles == sum(builds) - 1`` and ``runs`` (memo
+  ``sites``, ``fills`` counted in the miss arm, ``clears`` in the
+  hooks); read them through ``Bmv2Switch.engine_counts()``.  Nothing is
+  counted per packet.
 
 Externs are value-in/value-out (:class:`~repro.p4.ir.ExternCall`): the
 call site passes the evaluated arguments and writes the results like any
@@ -74,7 +106,7 @@ from ..net.packet import Header, Packet
 from ..obs.profile import profiled
 from . import ir
 from .bmv2 import (DROP_PORT, DigestMessage, P4RuntimeError, StandardMetadata,
-                   _pop_source_route, drop_reason)
+                   drop_reason)
 from .ssa import _stmt_exprs, optimize_pipeline
 from .tableindex import _TableIndex
 
@@ -91,6 +123,11 @@ OBSERVABILITY = "observability"
 _STD_FIELDS = ("ingress_port", "egress_spec", "egress_port",
                "packet_length", "drop")
 
+#: What a pure apply run may be keyed on besides narrow metadata.  A
+#: port is 9 bits wide, so a memo holds at most 512 tuples (the store
+#: checks: the local is whatever integer the caller passed).
+_PORTS = ("ingress_port", "egress_spec", "egress_port")
+
 #: Probe instance for faithfully raising AttributeError on reads of
 #: std-metadata fields that do not exist (matching the interpreter's
 #: ``getattr(ctx.standard, rest)``).
@@ -99,6 +136,8 @@ _STD0 = StandardMetadata()
 #: Sentinel marking a dynamically-created std-metadata attribute that
 #: has not been written yet this packet.
 _UNSET = object()
+
+_set_slot = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +173,16 @@ def _blank(htype) -> Header:
     return header
 
 
+def _box(htype, values: Dict[str, int]) -> Header:
+    """The valid ``Header`` a deparser emits for a bind this packet
+    owns; ``values`` is the frame's own dict and becomes the header's."""
+    header = Header.__new__(Header)
+    _set_slot(header, "htype", htype)
+    _set_slot(header, "values", values)
+    _set_slot(header, "valid", True)
+    return header
+
+
 def _sanitize(name: str) -> str:
     return re.sub(r"\W", "_", name)
 
@@ -164,6 +213,10 @@ class CodegenEngine:
         #: live module instead (control-plane events, nothing per packet).
         self.builds: Dict[str, int] = {}
         self.rebinds = 0
+        #: Run memos filled (in the generated miss arm) and emptied (in
+        #: the hooks below); nobody counts a hit.
+        self.run_fills = 0
+        self.run_clears = 0
         self.tables: Dict[str, _TableIndex] = {}
         self._build(cause)
 
@@ -176,36 +229,40 @@ class CodegenEngine:
     # Control-plane hooks
     # ==================================================================
 
+    def _clear_runs(self, name: str) -> None:
+        """Empty the memo of every run ``name`` is a member of: each
+        hook that changes what an apply of it yields, before it returns
+        (to the next packet, or to the frame a digest listener is in)."""
+        for memo in self._run_memos.get(name, ()):
+            self._globals[memo].clear()
+            self.run_clears += 1
+
     def invalidate_table(self, name: str) -> None:
+        """``clear_table`` hook (and ``delete_entry`` of one object
+        installed twice): the next lookup rebuilds the index."""
+        self._clear_runs(name)
         index = self.tables.get(name)
         if index is not None:
             index.invalidate()
-        assumed = self._assumed.get(name)
-        if assumed is not None and any(
-                entry.action not in assumed
-                for entry in self.switch.entries.get(name, ())):
-            self._build(ACTION_SET)
 
     def entries_inserted(self, name: str, new_entries) -> None:
-        """Bulk-insert hook: fold appended entries into the live index.
-
-        An entry whose action the specialized source did not assume
-        still forces a recompile (same rule as :meth:`invalidate_table`,
-        but checking only the new entries instead of rescanning the
-        whole table).
-        """
+        """Insert hook (one entry or a batch): fold the appended entries
+        into the live index, then recompile if one of them is bound to
+        an action the specialized source did not assume."""
+        self._clear_runs(name)
+        index = self.tables.get(name)
+        if index is not None and not index.fold_inserts(new_entries):
+            index.invalidate()
         assumed = self._assumed.get(name)
         if assumed is not None and not assumed.issuperset(
                 {entry.action for entry in new_entries}):
             self._build(ACTION_SET)
-            return
-        index = self.tables.get(name)
-        if index is not None and not index.fold_inserts(new_entries):
-            index.invalidate()
 
     def entries_removed(self, name: str, removed) -> None:
-        """Bulk-delete hook: deletions never widen the assumed action
-        set, so only the table index needs maintenance."""
+        """Delete hook (one entry or a batch): deletions never widen
+        the assumed action set, so only the table index and the run
+        memos need maintenance."""
+        self._clear_runs(name)
         index = self.tables.get(name)
         if index is not None and not index.fold_deletes(removed):
             index.invalidate()
@@ -227,6 +284,7 @@ class CodegenEngine:
         for gname in self._default_globals.get(name, ()):
             self._globals[gname] = bound
         self.rebinds += 1
+        self._clear_runs(name)
 
     def on_observability_change(self) -> "CodegenEngine":
         """Instrumentation is emitted or absent at build time: a fresh
@@ -251,6 +309,12 @@ class CodegenEngine:
         return {name: {"rebuilds": index.rebuilds, "folds": index.folds}
                 for name, index in self.tables.items()}
 
+    def run_counts(self) -> Dict[str, int]:
+        """Memoised apply runs in the live module, memos filled and
+        memos emptied (hits: ``packets_processed * sites - fills``)."""
+        return {"sites": self._runs, "fills": self.run_fills,
+                "clears": self.run_clears}
+
     # ==================================================================
     # Build
     # ==================================================================
@@ -264,7 +328,9 @@ class CodegenEngine:
             self._table_globals: Dict[str, str] = {}
             #: Per table, the ``DB<site>`` globals holding its default.
             self._default_globals: Dict[str, List[str]] = {}
-            self._hoisted: Set[str] = set()
+            #: Per table, the ``RUN<k>`` memos of the runs it is in.
+            self._run_memos: Dict[str, Set[str]] = {}
+            self._runs = 0
             self.source = self._emit_module(ingress, egress)
             for name, old in retired.items():
                 index = self.tables.get(name)
@@ -354,6 +420,9 @@ class CodegenEngine:
             bind: f"hv{i}_{_sanitize(bind)}"
             for i, bind in enumerate(self._bind_types)
         }
+        self._valid_names = {
+            bind: f"v{i}" for i, bind in enumerate(self._bind_types)
+        }
         self._own_names = {
             bind: f"o{i}" for i, bind in enumerate(self._bind_types)
         }
@@ -364,10 +433,10 @@ class CodegenEngine:
             self._reg_names[reg.name] = gname
         # Baseline globals.
         self._g("SW", switch)
+        self._g("EN", self)
         self._g("_DM", DigestMessage)
         self._g("_PKT", Packet.shell)
-        self._g("_os", object.__setattr__)
-        self._g("_pop_sr", _pop_source_route)
+        self._g("_box", _box)
         self._g("_raise_p4", _raise_p4)
         self._g("_raise_key", _raise_key)
         self._g("_div", _div)
@@ -383,10 +452,6 @@ class CodegenEngine:
         bodies.extend(action.body for action in program.actions.values())
         all_stmts = [s for body in bodies for s in ir.walk_stmts(body)]
         paths = [p for s in all_stmts for p in self._paths_of(s)]
-        # Binds with field access outside the parser get a hoisted local
-        # for their values dict.
-        self._hoisted = ({p.split(".")[1] for p in paths
-                          if p.startswith("hdr.")} & set(self._bind_types))
         paths.extend(tr.field_path for state in program.parser.states
                      for tr in state.transitions
                      if tr.field_path is not None)
@@ -396,8 +461,6 @@ class CodegenEngine:
         self._dyn_std = self._scan_dyn_std(all_stmts)
         # packet_length is only materialized when something touches it.
         self._needs_length = "standard_metadata.packet_length" in paths
-        #: Binds some statement writes: each gets an ownership flag.
-        self._written: Set[str] = set()
 
         lines: List[str] = [
             f"# generated by repro.p4.codegen for program "
@@ -458,27 +521,23 @@ class CodegenEngine:
         emit(f"{pad}sm_ingress_port = ingress_port")
         emit(f"{pad}sm_egress_spec = 0")
         emit(f"{pad}sm_egress_port = 0")
-        if self._needs_length:
-            emit(f"{pad}sm_packet_length = packet.length")
+        if self._needs_length:  # loaded by the first read that runs
+            emit(f"{pad}sm_packet_length = None")
         emit(f"{pad}sm_drop = False")
         for name in self._dyn_std:
             emit(f"{pad}sx_{_sanitize(name)} = _UNSET")
         for name in self._meta_names:
             if name in self._used_meta:
                 emit(f"{pad}{self._meta_names[name]} = 0")
-        flags_at = len(lines)
         self._emit_parser(lines, ind)
-        for bind in self._bind_types:
-            if bind in self._hoisted:
-                emit(f"{pad}{self._vals_names[bind]} = "
-                     f"{self._bind_names[bind]}.values")
         owned: Set[str] = set()
-        self._emit_body(ingress, lines, ind, _NO_PARAMS, owned)
+        before: Set[str] = set()  # paths written so far, for the runs
+        self._emit_top(ingress, lines, owned, before)
         emit(f"{pad}if sm_drop or sm_egress_spec == {DROP_PORT}:")
         emit(f"{pad}    SW.packets_dropped += 1")
         emit(f"{pad}    return []")
         emit(f"{pad}sm_egress_port = sm_egress_spec")
-        self._emit_body(egress, lines, ind, _NO_PARAMS, owned)
+        self._emit_top(egress, lines, owned, before)
         emit(f"{pad}if sm_drop:")
         emit(f"{pad}    SW.packets_dropped += 1")
         emit(f"{pad}    return []")
@@ -488,40 +547,28 @@ class CodegenEngine:
             local = self._bind_names.get(bind)
             if local is None:
                 continue  # emit_order naming a bind the parser never makes
-            emit(f"{pad}if {local}.valid:")
-            emit(f"{pad}    _emit.append({local})")
+            emit(f"{pad}if {self._valid_names[bind]}: _emit.append("
+                 f"_box({self._type_names[bind]}, {self._vals_names[bind]}) "
+                 f"if {self._own_names[bind]} else {local})")
         emit(f"{pad}_emit.extend(_tail)")
         emit(f"{pad}return [(sm_egress_port, _PKT(_emit, packet.payload_len, "
              f"packet.packet_id, dict(packet.meta)))]")
-        if self._written:
-            flags = " = ".join(self._own_names[bind]
-                               for bind in self._bind_types
-                               if bind in self._written)
-            lines.insert(flags_at, f"{pad}{flags} = False")
 
     # -- ownership -----------------------------------------------------------
 
-    def _take(self, bind: str) -> str:
-        """Statements (one line) that make this packet the owner of
-        ``bind``'s Header: copy it, re-hoist its values, raise the flag."""
-        self._written.add(bind)
-        local = self._bind_names[bind]
-        hoist = (f"{self._vals_names[bind]} = {local}.values; "
-                 if bind in self._hoisted else "")
-        return (f"{local} = {local}.copy(); {hoist}"
-                f"{self._own_names[bind]} = True")
-
     def _emit_own(self, bind: str, lines: List[str], ind: int,
                   owned: Set[str]) -> None:
-        """Copy-on-first-write guard, before a write to ``bind``.
+        """Copy-on-first-write guard, before a write to ``bind``: the
+        frame takes a private copy of the values dict, inline.
 
         ``owned`` holds the binds every path to this point already
         owns, so a run of writes to one header pays for one guard.
         """
         if bind not in owned:
             owned.add(bind)
-            lines.append(f"{'    ' * ind}if not {self._own_names[bind]}: "
-                         f"{self._take(bind)}")
+            own, values = self._own_names[bind], self._vals_names[bind]
+            lines.append(f"{'    ' * ind}if not {own}: "
+                         f"{values} = dict({values}); {own} = True")
 
     # -- parser --------------------------------------------------------------
 
@@ -541,8 +588,13 @@ class CodegenEngine:
         for i, (bind, htype) in enumerate(self._bind_types.items()):
             tag = f"{i}_{_sanitize(bind)}"
             self._type_names[bind] = self._g(f"HT{tag}", htype)
-            shared = self._g(f"SH{tag}", _blank(htype))
-            emit(f"{pad}{self._bind_names[bind]} = {shared}")
+            shared = _blank(htype)
+            emit(f"{pad}{self._bind_names[bind]} = "
+                 f"{self._g(f'SH{tag}', shared)}; {self._vals_names[bind]} = "
+                 f"{self._g(f'SV{tag}', shared.values)}")
+        if self._bind_types:  # nothing valid, nothing owned
+            flags = [*self._valid_names.values(), *self._own_names.values()]
+            emit(f"{pad}{' = '.join(flags)} = False")
         emit(f"{pad}_hdrs = packet.headers")
         emit(f"{pad}_nh = len(_hdrs)")
         emit(f"{pad}_cur = 0")
@@ -595,6 +647,12 @@ class CodegenEngine:
             emit(f"{body}break")
         emit(f"{pad}_tail = _hdrs[_cur:]")
 
+    def _unbox(self, bind: str) -> str:
+        """Statements binding ``bind``'s values and validity locals to
+        the header just extracted (``_hx``)."""
+        return (f"{self._vals_names[bind]} = _hx.values; "
+                f"{self._valid_names[bind]} = _hx.valid")
+
     def _emit_state(self, state: ir.ParserState, pos: int,
                     index: Dict[str, int], lines: List[str],
                     ind: int) -> None:
@@ -609,7 +667,8 @@ class CodegenEngine:
                      f"{self._type_names[ex.bind]}:")
                 ind += 1
                 pad = "    " * ind
-                emit(f"{pad}{self._bind_names[ex.bind]} = _hdrs[_cur]")
+                emit(f"{pad}{self._bind_names[ex.bind]} = _hx = _hdrs[_cur]")
+                emit(f"{pad}{self._unbox(ex.bind)}")
                 emit(f"{pad}_cur += 1")
             else:  # ExtractStack
                 emit(f"{pad}_depth = 0")
@@ -620,9 +679,10 @@ class CodegenEngine:
                 emit(f"{inner}_hx = _hdrs[_cur]")
                 for depth in range(ex.max_depth):
                     kw = "if" if depth == 0 else "elif"
-                    local = self._bind_names[f"{ex.bind}{depth}"]
+                    bind = f"{ex.bind}{depth}"
                     emit(f"{inner}{kw} _depth == {depth}:")
-                    emit(f"{inner}    {local} = _hx")
+                    emit(f"{inner}    {self._bind_names[bind]} = _hx; "
+                         f"{self._unbox(bind)}")
                 emit(f"{inner}_stop = _hx.values[{ex.loop_field!r}] != 0")
                 emit(f"{inner}_cur += 1")
                 emit(f"{inner}_depth += 1")
@@ -648,11 +708,11 @@ class CodegenEngine:
             for _, value, target in cases:
                 table.setdefault(value, target)
             sel = self._g(f"SEL{pos}", table)
-            read = self._read(cases[0][0], _NO_PARAMS, hoisted=False)
+            read = self._read(cases[0][0], _NO_PARAMS)
             emit(f"{pad}_st = {sel}.get({read}, {fallback})")
         else:
             for i, (path, value, target) in enumerate(cases):
-                read = self._read(path, _NO_PARAMS, hoisted=False)
+                read = self._read(path, _NO_PARAMS)
                 emit(f"{pad}{'if' if i == 0 else 'elif'} {read} == {value!r}:")
                 emit(f"{pad}    _st = {target}")
             emit(f"{pad}else:")
@@ -733,23 +793,26 @@ class CodegenEngine:
                 emit(f"{pad}_raise_p4("
                      f"{f'{verb} on unknown header {stmt.header!r}'!r})")
             else:
-                self._emit_own(stmt.header, lines, ind, owned)
-                emit(f"{pad}_os({local}, 'valid', {valid})")
+                if valid:  # an invalid header is not emitted: no copy
+                    self._emit_own(stmt.header, lines, ind, owned)
+                emit(f"{pad}{self._valid_names[stmt.header]} = {valid}")
         elif isinstance(stmt, ir.MarkToDrop):
             emit(f"{pad}sm_drop = True")
         elif isinstance(stmt, ir.PopSourceRoute):
-            sr_binds = [b for b in self._bind_types
-                        if b.startswith("srcRoute")
-                        and b[len("srcRoute"):].isdigit()]
-            # The pop rewrites exactly the valid slots: own those.
-            for bind in sr_binds:
-                if bind not in owned:
-                    emit(f"{pad}if {self._bind_names[bind]}.valid and not "
-                         f"{self._own_names[bind]}: {self._take(bind)}")
-            if sr_binds:
-                entries = ", ".join(f"{b!r}: {self._bind_names[b]}"
-                                    for b in sr_binds)
-                emit(f"{pad}_pop_sr({{{entries}}})")
+            # bmv2._pop_source_route over locals, last slot first: the
+            # last valid slot goes invalid, every other valid one takes
+            # (a copy of) the values of the valid slot above it.
+            emit(f"{pad}_nx = None")
+            for bind in sorted(
+                    (b for b in self._bind_types if b.startswith("srcRoute")
+                     and b[len("srcRoute"):].isdigit()),
+                    key=lambda b: -int(b[len("srcRoute"):])):
+                values = self._vals_names[bind]
+                emit(f"{pad}if {self._valid_names[bind]}:")
+                emit(f"{pad}    if _nx is None: _nx = {values}; "
+                     f"{self._valid_names[bind]} = False")
+                emit(f"{pad}    else: _nx, {values}, {self._own_names[bind]} "
+                     f"= {values}, dict(_nx), True")
         elif isinstance(stmt, ir.ExternCall):
             fn = self._g(f"EX{self._site}", stmt.call)
             self._site += 1
@@ -809,8 +872,7 @@ class CodegenEngine:
         else:
             emit(f"{pad}if not _h{site}:")
             emit(f"{pad}    _b{site} = {db}")
-        assumed = [name for name in self.program.actions
-                   if name in self._assumed.get(stmt.table, ())]
+        assumed = self._arms(stmt.table)
         if assumed:
             emit(f"{pad}if _b{site} is not None:")
             inner = pad + "    "
@@ -838,21 +900,125 @@ class CodegenEngine:
                 self._emit_body(stmt.miss_body, lines, ind + 1, params,
                                 set(owned))
 
+    # -- pure apply runs (the four conditions: module docstring) -------------
+
+    def _arms(self, table: str) -> List[str]:
+        """The actions an apply of ``table`` can dispatch to."""
+        assumed = self._assumed.get(table, ())
+        return [name for name in self.program.actions if name in assumed]
+
+    def _dests(self, stmts: Sequence[ir.P4Stmt]) -> Set[str]:
+        """Every path ``stmts`` may write, the actions their applies can
+        dispatch to included."""
+        out: Set[str] = set()
+        for stmt in ir.walk_stmts(stmts):
+            if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
+                out.add(stmt.dest)
+            elif isinstance(stmt, ir.ExternCall):
+                out.update(stmt.dests)
+            elif isinstance(stmt, ir.ApplyTable):
+                for name in self._arms(stmt.table):
+                    out |= self._dests(self.program.actions[name].body)
+        return out
+
+    def _pure(self, stmt: ir.P4Stmt
+              ) -> Optional[Tuple[Set[str], Set[str], Set[str]]]:
+        """``(key operands, fields some arm writes, fields every path
+        writes)`` of an apply that meets conditions 1-3, else ``None``."""
+        table = (self.program.tables.get(stmt.table)
+                 if isinstance(stmt, ir.ApplyTable) else None)
+        if (table is None or self._instrumented
+                or stmt.hit_body or stmt.miss_body):
+            return None
+        for key in table.keys:
+            root, _, rest = key.path.partition(".")
+            narrow = (self._meta_width.get(rest, 10) <= 9 if root == "meta"
+                      else root == "standard_metadata" and rest in _PORTS)
+            if key.kind is not ir.MatchKind.EXACT or not narrow:
+                return None
+        arms = [self.program.actions[name].body
+                for name in self._arms(stmt.table)]
+        if not all(isinstance(s, ir.AssignStmt)
+                   and s.dest.startswith("meta.")
+                   and s.dest[len("meta."):] in self._meta_width
+                   and (isinstance(s.value, ir.Const)
+                        or isinstance(s.value, ir.FieldRef)
+                        and s.value.path.startswith("param."))
+                   for body in arms for s in body):
+            return None
+        writes = [{s.dest for s in body} for body in arms]
+        always = (set.intersection(*writes) if writes and
+                  self._default_bound[stmt.table] is not None else set())
+        return {key.path for key in table.keys}, set().union(*writes), always
+
+    def _run_at(self, stmts: Sequence[ir.P4Stmt], start: int,
+                before: Set[str]) -> Tuple[int, Optional[str], List[str]]:
+        """The pure apply run starting at ``stmts[start]``: its length
+        (0: none), its key operand (``None``: keyless) and the fields it
+        writes; ``before`` is every path written ahead of it."""
+        members: List[Tuple[Set[str], Set[str], Set[str]]] = []
+        operands: Set[str] = set()
+        written: Set[str] = set()
+        for stmt in stmts[start:]:
+            pure = self._pure(stmt)
+            if pure is None:
+                break
+            operands, written = operands | pure[0], written | pure[1]
+            if len(operands) > 1 or operands & written:
+                break  # condition 2: one operand, never written
+            members.append(pure)
+        while len(members) >= 2:
+            written = set().union(*(m[1] for m in members))
+            stale = (written & before).difference(*(m[2] for m in members))
+            if not stale:
+                operands = set().union(*(m[0] for m in members))
+                return len(members), next(iter(operands), None), sorted(written)
+            # Condition 4: cut at the first member that could leave one.
+            del members[next(i for i, m in enumerate(members)
+                             if m[1] & stale):]
+        return 0, None, []
+
+    def _emit_top(self, stmts: Sequence[ir.P4Stmt], lines: List[str],
+                  owned: Set[str], before: Set[str]) -> None:
+        """A pipeline's top-level body, its pure apply runs memoised:
+        the miss arm is the run as :meth:`_emit_apply` emits it, then
+        the store."""
+        emit = lines.append
+        at = 0
+        while at < len(stmts):
+            count, operand, fields = self._run_at(stmts, at, before)
+            if fields:
+                memo = self._g(f"RUN{self._runs}", {})
+                self._runs += 1
+                key = self._read(operand, _NO_PARAMS) if operand else "0"
+                names = ", ".join(self._meta_names[f[len("meta."):]]
+                                  for f in fields)
+                emit(f"    _p = {memo}.get({key})")
+                emit("    if _p is None:")
+                for stmt in stmts[at:at + count]:
+                    self._run_memos.setdefault(stmt.table, set()).add(memo)
+                    self._emit_apply(stmt, lines, 2, _NO_PARAMS, owned)
+                emit("        EN.run_fills += 1")
+                emit(f"        if len({memo}) < 512: "
+                     f"{memo}[{key}] = ({names},)")
+                emit("    else:")
+                emit(f"        {names}, = _p")
+            else:
+                count = 1
+                self._emit_stmt(stmts[at], lines, 1, _NO_PARAMS, owned)
+            before |= self._dests(stmts[at:at + count])
+            at += count
+
     # -- field access --------------------------------------------------------
 
-    def _read(self, path: str, params: Dict[str, str],
-              hoisted: bool = True) -> str:
+    def _read(self, path: str, params: Dict[str, str]) -> str:
         root, _, rest = path.partition(".")
         if root == "hdr":
             bind, _, fname = rest.partition(".")
-            local = self._bind_names.get(bind)
-            if local is None:
+            if bind not in self._bind_types:
                 return "0"  # unknown bind reads as invalid: 0
-            if hoisted and bind in self._hoisted:
-                values = self._vals_names[bind]
-            else:
-                values = f"{local}.values"
-            return f"({values}[{fname!r}] if {local}.valid else 0)"
+            return (f"({self._vals_names[bind]}[{fname!r}] "
+                    f"if {self._valid_names[bind]} else 0)")
         if root == "meta":
             name = self._meta_names.get(rest)
             if name is None:
@@ -861,6 +1027,9 @@ class CodegenEngine:
         if root == "standard_metadata":
             if rest == "drop":
                 return "(1 if sm_drop else 0)"
+            if rest == "packet_length":  # on demand, once
+                return ("(sm_packet_length if sm_packet_length is not None "
+                        "else (sm_packet_length := packet.length))")
             if rest in _STD_FIELDS:
                 return f"sm_{rest}"
             if rest in self._dyn_std:
@@ -892,14 +1061,11 @@ class CodegenEngine:
                 emit(f"{pad}_raise_key({fname!r})")
                 return
             mask = (1 << htype.field(fname).width) - 1
-            if bind in self._hoisted:
-                values = self._vals_names[bind]
-            else:
-                values = f"{self._bind_names[bind]}.values"
             # The copy holds the same values, so the right-hand side may
             # read this header on either side of the guard.
             self._emit_own(bind, lines, ind, owned)
-            emit(f"{pad}{values}[{fname!r}] = ({value}) & {mask}")
+            emit(f"{pad}{self._vals_names[bind]}[{fname!r}] = "
+                 f"({value}) & {mask}")
             return
         if root == "meta":
             name = self._meta_names.get(rest)
@@ -929,10 +1095,10 @@ class CodegenEngine:
         if isinstance(expr, ir.FieldRef):
             return self._read(expr.path, params)
         if isinstance(expr, ir.ValidRef):
-            local = self._bind_names.get(expr.header)
+            local = self._valid_names.get(expr.header)
             if local is None:
                 return "0"
-            return f"(1 if {local}.valid else 0)"
+            return f"(1 if {local} else 0)"
         if isinstance(expr, ir.UnExpr):
             operand = self._expr(expr.operand, params)
             if expr.op == "!":
@@ -978,6 +1144,8 @@ class CodegenEngine:
         1/0 boxing)."""
         if isinstance(cond, ir.UnExpr) and cond.op == "!":
             return f"(not {self._cond(cond.operand, params)})"
+        if isinstance(cond, ir.ValidRef):
+            return self._valid_names.get(cond.header, "0")
         if isinstance(cond, ir.BinExpr):
             if cond.op in ("==", "!=", "<", "<=", ">", ">="):
                 left = self._expr(cond.left, params)

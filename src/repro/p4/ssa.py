@@ -76,9 +76,12 @@ STD_ENTRY: Dict[str, Optional[int]] = {
 #: egress runs after forwarding already wrote standard metadata).
 UNKNOWN_STD: Dict[str, Optional[int]] = {var: None for var in STD_ENTRY}
 
-#: Sentinel distinguishing "not written by this branch" from "written
-#: to an unknown value" in action write summaries.
+#: Sentinels distinguishing "not written by this branch" and "written
+#: on some path through a branching action" from "written to an unknown
+#: value" in action write summaries: the first two let the value from
+#: before the apply through.
 _FLOWS = object()
+_MAY_WRITE = object()
 
 
 class StdBarrier:
@@ -178,10 +181,12 @@ class SSAInfo:
         """Final tracked writes of one action run.
 
         Maps each possibly-written variable to its final constant value
-        when determinable, else ``None``.  Variables absent from the map
-        flow through the action unchanged.  ``args`` binds ``param.*``
-        reads when the immediates are known (the default-action case);
-        ``None`` leaves them unknown (hit entries vary).
+        when determinable, else ``None`` (:data:`_MAY_WRITE` when the
+        action branches, so may not write it at all).  Variables absent
+        from the map flow through the action unchanged.  ``args`` binds
+        ``param.*`` reads when the immediates are known (the
+        default-action case); ``None`` leaves them unknown (hit entries
+        vary).
         """
         action = self.actions.get(name)
         if action is None:
@@ -203,7 +208,7 @@ class SSAInfo:
             out: Dict[str, object] = {}
             for stmt in ir.walk_stmts(action.body):
                 for var in self._stmt_writes(stmt):
-                    out[var] = None
+                    out[var] = _MAY_WRITE
             return out
         params: Dict[str, int] = {}
         if args is not None:
@@ -762,7 +767,11 @@ class SSAFunction:
             results = [summary.get(var, _FLOWS) for summary in summaries]
             if all(r is _FLOWS for r in results):
                 continue
-            consts = {incoming.const if r is _FLOWS else r for r in results}
+            if any(r is _FLOWS or r is _MAY_WRITE for r in results):
+                # A miss or some arm may leave the old value in place.
+                incoming.uses.append((stmt, idx))
+            consts = {incoming.const if r is _FLOWS
+                      else None if r is _MAY_WRITE else r for r in results}
             const = consts.pop() if (len(consts) == 1
                                      and None not in consts) else None
             out[var] = self._new_value(var, TableOp(stmt, stmt.table),

@@ -10,18 +10,18 @@ with a matcher compiled once per tuple of match kinds.
 
 When the index is behind the entry list, and when it is not:
 
-* An index created over an **empty** table is clean, and the bulk
-  control-plane path (``Bmv2Switch.insert_entries`` / ``delete_entries``)
-  folds every batch into it from the first write (``fold_inserts`` /
-  ``fold_deletes``), so the first packet after a bulk write costs a
-  packet.  A scan-mode index re-chooses its layout while folding — at
-  ``_RBUCKET_MIN`` entries, then each time the scan doubles — not on the
-  next lookup.
-* The index is rebuilt lazily, by the next lookup, only after a
-  single-entry write (``insert_entry`` / ``delete_entry`` /
-  ``clear_table``), after a fold that could not keep the reference win
-  order (a duplicate key), or when it was created over a non-empty table
-  (an engine recompile).
+* An index created over an **empty** table is clean, and every insert
+  and delete — a batch (``Bmv2Switch.insert_entries`` /
+  ``delete_entries``) or a single entry (``insert_entry`` /
+  ``delete_entry``, a batch of one) — folds into it from the first
+  write (``fold_inserts`` / ``fold_deletes``), so the first packet
+  after a write costs a packet.  A scan-mode index re-chooses its layout
+  while folding — at ``_RBUCKET_MIN`` entries, then each time the scan
+  doubles — not on the next lookup.
+* The index is rebuilt lazily, by the next lookup, only after
+  ``clear_table``, after a fold that could not keep the reference win
+  order (a duplicate exact or LPM key), or when it was created over a
+  non-empty table (an engine recompile).
 
 ``rebuilds`` and ``folds`` count the two outcomes.
 
@@ -30,7 +30,8 @@ for an entry and never looks inside it.
 
 Control-plane state must be mutated through the ``Bmv2Switch`` API
 (``insert_entry`` / ``delete_entry`` / ``clear_table``); mutating
-``switch.entries`` lists directly bypasses index invalidation.
+``switch.entries`` lists directly bypasses the index (and the codegen
+engine's run memos).
 """
 
 from __future__ import annotations

@@ -50,6 +50,9 @@ def build_switch(name="loops", engine="codegen", optimize=False,
 
 H = HeaderType("h", [("a", 32)])
 
+#: ``engine_counts()["runs"]`` of a module with no memoised apply run.
+NO_RUNS = {"sites": 0, "fills": 0, "clears": 0}
+
 
 def one_table_program(name, table, ingress):
     """A parser over the one header ``h``, the given table and ingress,
@@ -140,7 +143,7 @@ def test_batch_follows_a_mid_batch_rebind():
                 else [sw.process(p, port) for p, port in items])
         if engine == "codegen":
             assert sw.engine_counts() == {"builds": {"initial": 1},
-                                          "rebinds": 1}
+                                          "rebinds": 1, "runs": NO_RUNS}
             assert sw._engine.recompiles == 0
         return [out[0][0] for out in outs]
 
@@ -179,7 +182,42 @@ def test_default_changed_mid_packet_is_visible_to_that_packet():
 
     assert reported("interp") == ([7, 7], {})
     assert reported("codegen") == ([7, 7], {"builds": {"initial": 1},
-                                            "rebinds": 1})
+                                            "rebinds": 1, "runs": NO_RUNS})
+
+
+def test_a_memoised_run_follows_a_write_made_mid_packet():
+    """The same control app, but the loader is a member of a memoised
+    egress run that an earlier packet has filled: the listener's write
+    (in ingress) empties the memo before it returns, so the packet that
+    raised the digest already reads the new value in egress."""
+    program = one_table_program(
+        "midrun",
+        ir.Table("ctrl_x", actions=["load_x"],
+                 default_action=("load_x", [1])),
+        [ir.Digest("before", [ir.FieldRef("hdr.h.a")])])
+    program.add_table(ir.Table("ctrl_y", actions=["load_x"],
+                               default_action=("load_x", [0])))
+    program.egress = [ir.ApplyTable("ctrl_y"), ir.ApplyTable("ctrl_x"),
+                      ir.Digest("after", [ir.FieldRef("meta.x")])]
+
+    def reported(engine):
+        sw = Bmv2Switch(program, engine=engine)
+        seen = []
+
+        def listener(msg):
+            if msg.name == "after":
+                seen.extend(msg.values)
+            elif msg.values == [1]:  # the second packet
+                sw.set_default_action("ctrl_x", "load_x", [7])
+
+        sw.on_digest(listener)
+        for i in range(4):
+            sw.process(Packet(headers=[H(a=i)], payload_len=4), 1)
+        return seen, sw.engine_counts().get("runs")
+
+    assert reported("interp") == ([1, 7, 7, 7], None)
+    assert reported("codegen") == ([1, 7, 7, 7],
+                                   {"sites": 1, "fills": 2, "clears": 1})
 
 
 @pytest.mark.parametrize("name", ("loops", "valley_free"))
@@ -215,10 +253,33 @@ def test_recompile_on_undeclared_action_install():
     assert sw._engine.recompiles == before + 1
     assert sw.engine_counts()["builds"] == {"initial": 1, "action_set": 1}
     rng = random.Random(5)
-    for port in (1, 3):
-        for packet in (random_packet(rng) for _ in range(5)):
-            assert serialize_outputs(sw.process(packet, port)) == \
-                serialize_outputs(interp.process(packet, port))
+
+    def agree():
+        for port in (1, 3):
+            for packet in (random_packet(rng) for _ in range(5)):
+                assert serialize_outputs(sw.process(packet, port)) == \
+                    serialize_outputs(interp.process(packet, port))
+
+    agree()
+    # The same into a member of a memoised run (the first-hop probe,
+    # handed the last-hop marker): the table, its arms still pure, is a
+    # member again and the new module's memo starts empty.  The egress
+    # run dissolves at that build: ``last_hop`` may now reach it set,
+    # and its probe leaves the field alone on a miss.
+    runs = sw.engine_counts()["runs"]
+    assert runs["sites"] == 2 and runs["fills"] > 0
+    memos = sw._engine._run_memos["ih_inject_tbl"]
+    assert all(sw._engine._globals[memo] for memo in memos)
+    for s in (sw, interp):
+        s.insert_entry("ih_inject_tbl", [3], "ih_mark_last_hop", [])
+    assert sw.engine_counts()["builds"] == {"initial": 1, "action_set": 2}
+    assert sw._engine._run_memos == {"ih_inject_tbl": memos,
+                                     "ih_switch_id_tbl": memos}
+    assert not any(sw._engine._globals[memo] for memo in memos)
+    assert sw.engine_counts()["runs"] == dict(
+        runs, sites=1, clears=runs["clears"] + 1)
+    agree()
+    assert sw.engine_counts()["runs"]["fills"] == runs["fills"] + 2
 
 
 def test_no_recompile_for_declared_action_churn():
@@ -306,12 +367,14 @@ def test_default_from_none_to_an_action_recompiles():
     for sw in switches:
         sw.set_default_action("t", "set_out", [4])
     assert switches[1].engine_counts() == {
-        "builds": {"initial": 1, "default_action": 1}, "rebinds": 0}
+        "builds": {"initial": 1, "default_action": 1}, "rebinds": 0,
+        "runs": NO_RUNS}
     assert ports() == [[4], [4]]
     for sw in switches:
         sw.set_default_action("t", "set_out", [5])
     assert switches[1].engine_counts() == {
-        "builds": {"initial": 1, "default_action": 1}, "rebinds": 1}
+        "builds": {"initial": 1, "default_action": 1}, "rebinds": 1,
+        "runs": NO_RUNS}
     assert ports() == [[5], [5]]
 
 
@@ -349,10 +412,9 @@ def deliver(deployment, src, dst, packet):
              for name, sw in deployment.switches.items()})
 
 
-def test_deploying_the_paper_fabric_builds_each_engine_once(monkeypatch):
-    """All 11 Table-1 checkers on the 2x2 fabric: 18 (leaf) / 14 (spine)
-    ``set_default_action`` calls, and every one of them that changes a
-    value is a rebind of the module built when the switch was made."""
+def deploy_paper_fabric():
+    """The 2x2 fabric with all 11 Table-1 checkers, configured, once
+    per engine from one compile, and a packet h1 -> h3."""
     from repro.aether.upf import upf_program
     from repro.experiments.fig12 import (ALL_CHECKERS,
                                          configure_checker_controls,
@@ -364,7 +426,6 @@ def test_deploying_the_paper_fabric_builds_each_engine_once(monkeypatch):
 
     topology = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
     compiled = compile_suite(ALL_CHECKERS)
-    changed = count_value_changes(monkeypatch)
     deployments = {}
     for engine in ("interp", "codegen"):
         forwarding = {name: upf_program(f"fabric_upf_{name}")
@@ -374,21 +435,70 @@ def test_deploying_the_paper_fabric_builds_each_engine_once(monkeypatch):
         install_fabric_routes(topology, deployment.switches)
         configure_checker_controls(deployment, topology)
         deployments[engine] = deployment
+    hosts = topology.hosts
+    return deployments, make_udp(hosts["h1"].ipv4, hosts["h3"].ipv4, 4000, 9)
+
+
+def test_deploying_the_paper_fabric_builds_each_engine_once(monkeypatch):
+    """All 11 Table-1 checkers on the 2x2 fabric: 18 (leaf) / 14 (spine)
+    ``set_default_action`` calls, and every one of them that changes a
+    value is a rebind of the module built when the switch was made."""
+    changed = count_value_changes(monkeypatch)
+    deployments, packet = deploy_paper_fabric()
     rebinds = {name: count for (engine, name), count in changed.items()
                if engine == "codegen"}
     assert rebinds == {"leaf1": 10, "leaf2": 10, "spine1": 8, "spine2": 8}
     stats = deployments["codegen"].stats()["switches"]
-    assert {name: row["engine"] for name, row in stats.items()} == {
-        name: {"builds": {"initial": 1}, "rebinds": count}
-        for name, count in rebinds.items()}
+    assert {name: (row["engine"]["builds"], row["engine"]["rebinds"])
+            for name, row in stats.items()} == {
+        name: ({"initial": 1}, count) for name, count in rebinds.items()}
     assert all(row["engine"] == {} for row in
                deployments["interp"].stats()["switches"].values())
-    hosts = topology.hosts
-    packet = make_udp(hosts["h1"].ipv4, hosts["h3"].ipv4, 4000, 9)
     arrived = [deliver(deployments[engine], "h1", "h3", packet.copy())
                for engine in ("interp", "codegen")]
     assert arrived[0] == arrived[1]
     assert len(arrived[0][0]) == 1
+
+
+def test_the_paper_fabric_memoises_its_checker_scaffolding():
+    """Each checker's first-hop / last-hop probe and control loaders
+    form one pure apply run per pipeline that has them (ingress and
+    egress on a leaf, egress on a spine).  A run costs its applies once
+    per port and control-plane state; ``engine_counts()["runs"]`` says
+    so without counting anything per packet."""
+    deployments, packet = deploy_paper_fabric()
+
+    def runs():
+        stats = deployments["codegen"].stats()["switches"]
+        return {name: row["engine"]["runs"] for name, row in stats.items()}
+
+    def send():
+        arrived = [deliver(deployments[engine], "h1", "h3", packet.copy())
+                   for engine in ("interp", "codegen")]
+        assert arrived[0] == arrived[1]
+        return runs()
+
+    sites = {"leaf1": 2, "leaf2": 2, "spine1": 1, "spine2": 1}
+    assert {name: row["sites"] for name, row in runs().items()} == sites
+    warm = send()
+    on_path = {name for name, row in warm.items() if row["fills"]}
+    assert {name: row["fills"] for name, row in warm.items()} == {
+        name: sites[name] * (name in on_path) for name in sites}
+    assert len(on_path) == 3  # both leaves and the spine ECMP picked
+    assert send() == warm     # seen ports: no fill, no clear
+    # One clear per run the control's loader tables are members of (a
+    # spine applies only the egress one), synchronously; the next
+    # packet fills each cleared run it reaches once, and no more.
+    for deployment in deployments.values():
+        deployment.set_control("thresh", 12345)
+    cleared = runs()
+    assert cleared == {name: dict(row, clears=row["clears"] + sites[name])
+                       for name, row in warm.items()}
+    refilled = send()
+    assert refilled == {
+        name: dict(row, fills=row["fills"] + sites[name] * (name in on_path))
+        for name, row in cleared.items()}
+    assert send() == refilled
 
 
 def test_an_oracle_scenario_builds_each_engine_once():
@@ -457,7 +567,7 @@ def test_attach_observability_rebuilds():
     assert sw._engine is not plain
     assert ".inc()" in sw._engine.source
     assert sw.engine_counts() == {"builds": {"observability": 1},
-                                  "rebinds": 0}
+                                  "rebinds": 0, "runs": NO_RUNS}
     sw.attach_observability(NULL_OBS)
     assert sw._engine.source == plain.source
 

@@ -12,7 +12,7 @@ header stack, and an extern whose declaration is wrong.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.aether.upf import upf_program
 from repro.compiler import compile_program, standalone_program
@@ -240,6 +240,38 @@ def test_all_checkers_fabric_never_writes_through(fabrics):
     assert end.node == "h3"
 
 
+def test_a_hop_pays_for_what_it_changes(fabrics, monkeypatch):
+    """Exact counts for one warmed h1 -> h3 packet over the paper's
+    three hops: generated code never calls ``Header.copy`` (a write is
+    an inline dict copy, an owned header is boxed once at the deparser,
+    ``setInvalid`` is free) and the engines evaluate ``Packet.length``
+    once — only load_balance's uplink branch on the first hop reads it."""
+    from repro.net.packet import Header
+    topology, deployments = fabrics
+    hosts = topology.hosts
+    first = make_udp(hosts["h1"].ipv4, hosts["h3"].ipv4, 4000, 9)
+    calls = {"copy": 0, "length": 0}
+    copy, length = Header.copy, Packet.length.fget
+
+    def walk():
+        packet, end, hops = first, topology.host_attachment("h1"), 0
+        while end.node not in hosts:
+            switch = deployments["codegen"].switches[end.node]
+            (port, packet), = switch.process(packet, end.port)
+            end = topology.link_at(end.node, port).other(
+                Endpoint(end.node, port))
+            hops += 1
+        return hops
+
+    walk()  # warm: memos filled, firewall state programmed
+    monkeypatch.setattr(Header, "copy", lambda self: (
+        calls.__setitem__("copy", calls["copy"] + 1), copy(self))[1])
+    monkeypatch.setattr(Packet, "length", property(lambda self: (
+        calls.__setitem__("length", calls["length"] + 1), length(self))[1]))
+    assert walk() == 3
+    assert calls == {"copy": 0, "length": 1}
+
+
 def test_source_route_pop_owns_the_slots_it_rewrites():
     program = source_routing()
     switches = [Bmv2Switch(program, engine=engine) for engine in ENGINES]
@@ -248,7 +280,168 @@ def test_source_route_pop_owns_the_slots_it_rewrites():
     second = make_source_routed([7], inner)
     run_interleaved(switches, first, second, port=1)
     source = switches[1]._engine.source
-    assert "packet.copy()" not in source and ".copy()" in source
+    assert ".copy()" not in source and "dict(_nx)" in source
+
+
+# ---------------------------------------------------------------------------
+# Header life-cycles: validity, values and identity through a pipeline
+# ---------------------------------------------------------------------------
+
+LIFE = {bind: HeaderType(f"life_{bind}", [("f", 8), ("g", 16)])
+        for bind in "abc"}
+
+_binds = st.sampled_from("abc")
+_fields = st.sampled_from(("f", "g"))
+_metas = st.sampled_from(("m0", "m1"))
+_leaf = st.one_of(
+    st.tuples(st.just("valid"), _binds),
+    st.tuples(st.just("invalid"), _binds),
+    st.tuples(st.just("write"), _binds, _fields, st.one_of(
+        st.integers(0, 3), st.tuples(_binds, _fields), _metas)),
+    st.tuples(st.just("read"), _metas, _binds, _fields))
+#: Op lists; ``("if", bind, then, else)`` branches on ``isValid``.
+_block = st.recursive(
+    st.lists(_leaf, max_size=4),
+    lambda inner: st.lists(st.one_of(_leaf, st.tuples(
+        st.just("if"), _binds, inner, inner)), max_size=4),
+    max_leaves=10)
+#: (ingress ops, where ``("apply",)`` applies the table; the body of
+#: its hit action; the body of its default action).
+_life_scripts = st.tuples(
+    st.lists(st.one_of(_block.map(lambda ops: ("if", "a", ops, ops)),
+                       _leaf, st.just(("apply",))), max_size=6),
+    _block, _block)
+#: Per header of the stack a, b, c: (carried valid?, f, g); a shorter
+#: list lacks the rest.
+_life_stacks = st.lists(st.tuples(st.booleans(), st.integers(0, 3),
+                                  st.integers(0, 3)), max_size=3)
+
+
+def life_stmts(ops):
+    out = []
+    for op in ops:
+        if op[0] == "valid":
+            out.append(ir.SetValid(op[1]))
+        elif op[0] == "invalid":
+            out.append(ir.SetInvalid(op[1]))
+        elif op[0] == "write":
+            src = op[3]
+            value = (ir.Const(src, 16) if isinstance(src, int)
+                     else ir.FieldRef(f"meta.{src}") if isinstance(src, str)
+                     else ir.FieldRef(f"hdr.{src[0]}.{src[1]}"))
+            out.append(ir.AssignStmt(f"hdr.{op[1]}.{op[2]}", value))
+        elif op[0] == "read":
+            out.append(ir.AssignStmt(f"meta.{op[1]}",
+                                     ir.FieldRef(f"hdr.{op[2]}.{op[3]}")))
+        elif op[0] == "if":
+            out.append(ir.IfStmt(ir.ValidRef(op[1]), life_stmts(op[2]),
+                                 life_stmts(op[3])))
+        else:
+            out.append(ir.ApplyTable("t"))
+    return out
+
+
+def life_program(script):
+    """The script over the stack a, b, c (one parser state, so a
+    missing header rejects with the earlier ones bound); what metadata
+    and validity came to goes out as a digest, and ``m1 == 2`` drops."""
+    body, hit, miss = script
+    program = ir.P4Program(
+        name="life",
+        parser=ir.ParserSpec(states=[ir.ParserState("start", extracts=[
+            ir.Extract(bind, LIFE[bind]) for bind in "abc"])]),
+        metadata=[("m0", 16), ("m1", 16)], emit_order=list("abc"))
+    program.add_action(ir.Action("on_hit", body=life_stmts(hit)))
+    program.add_action(ir.Action("on_miss", body=life_stmts(miss)))
+    program.add_table(ir.Table(
+        "t", keys=[ir.TableKey("hdr.a.f", ir.MatchKind.EXACT)],
+        actions=["on_hit", "on_miss"], default_action=("on_miss", [])))
+    program.ingress = life_stmts(body) + [
+        ir.Digest("state", [ir.FieldRef("meta.m0"), ir.FieldRef("meta.m1")]
+                  + [ir.ValidRef(bind) for bind in "abc"]),
+        ir.AssignStmt("standard_metadata.egress_spec", ir.Const(1, 9)),
+        ir.IfStmt(ir.BinExpr("==", ir.FieldRef("meta.m1"), ir.Const(2, 16),
+                             1), [ir.MarkToDrop()])]
+    return program
+
+
+def touched_binds(switch, packet):
+    """Run ``packet`` through the reference engine; its outputs and the
+    binds whose fields it wrote or that it (re)validated."""
+    from repro.p4.bmv2 import PacketContext
+    touched = set()
+    write, run = PacketContext.write, Bmv2Switch._exec
+
+    def spy_write(ctx, path, value):
+        if path.startswith("hdr."):
+            touched.add(path.split(".")[1])
+        write(ctx, path, value)
+
+    def spy_exec(self, stmt, ctx):
+        if isinstance(stmt, ir.SetValid):
+            touched.add(stmt.header)
+        run(self, stmt, ctx)
+
+    PacketContext.write, Bmv2Switch._exec = spy_write, spy_exec
+    try:
+        return switch.process(packet, 1), touched
+    finally:
+        PacketContext.write, Bmv2Switch._exec = write, run
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=_life_scripts, stacks=st.lists(_life_stacks, min_size=1,
+                                             max_size=4))
+# setInvalid -> setValid with no write in between: the values persist.
+@example(script=([("invalid", "a"), ("valid", "a"), ("invalid", "b"),
+                  ("read", "m0", "b", "g"), ("valid", "b")], [], []),
+         stacks=[[(True, 1, 2), (True, 3, 3)], [(False, 1, 2)], []])
+# setInvalid of a header the frame already wrote, in an action arm, and
+# its values read back after a later setValid; c revalidated untouched.
+@example(script=([("write", "a", "g", 3), ("apply",), ("valid", "a"),
+                  ("read", "m1", "a", "g"), ("invalid", "c"),
+                  ("if", "c", [], [("valid", "c")])],
+                 [("invalid", "a")], [("write", "b", "f", ("a", "g"))]),
+         stacks=[[(True, 1, 0), (True, 0, 0), (True, 2, 2)],
+                 [(True, 0, 0), (False, 0, 1), (False, 2, 2)]])
+# Found by this test: a metadata store before an apply whose arms may
+# leave the field alone (a miss; a branching action) was taken for dead.
+@example(script=([("valid", "a"), ("read", "m0", "a", "f"), ("apply",)],
+                 [("read", "m0", "a", "f")],
+                 [("if", "a", [], [("read", "m0", "a", "f")])]),
+         stacks=[[(False, 2, 0)]])
+def test_header_life_cycles_agree_and_share_by_identity(script, stacks):
+    """Random setValid / setInvalid / field write / field read /
+    isValid-branch programs, an apply whose arms do the same, over
+    stacks that lack a header, carry it, or carry it *invalid*: the
+    engines agree on wire bytes, digests and drop; the input is never
+    written through; and the codegen engine hands an untouched header
+    on as the very object it was given, a written or (re)validated one
+    as a fresh object that is never the shared blank."""
+    program = life_program(script)
+    switches = [Bmv2Switch(program, engine=engine) for engine in ENGINES]
+    for sw in switches:
+        sw.insert_entry("t", [1], "on_hit")
+    for stack in stacks:
+        packet = Packet(headers=[LIFE[bind](f=f, g=g) for bind, (_, f, g)
+                                 in zip("abc", stack)], payload_len=5)
+        for header, (valid, _, _) in zip(packet.headers, stack):
+            header.valid = valid
+        before = snapshot(packet), repr(packet)
+        want, touched = touched_binds(switches[0], packet)
+        got = switches[1].process(packet, 1)
+        assert serialize_outputs(got) == serialize_outputs(want)
+        assert switches[1].digests == switches[0].digests
+        assert (snapshot(packet), repr(packet)) == before
+        assert_blanks_untouched(switches[1])
+        given_ = {h.htype: h for h in packet.headers}
+        for _, out in got:
+            for header in out.headers:
+                bind = header.htype.name[-1]
+                assert (header is given_.get(header.htype)) == (
+                    bind not in touched), (bind, touched)
+                assert all(header is not blank
+                           for blank in shared_blanks(switches[1]))
 
 
 # ---------------------------------------------------------------------------

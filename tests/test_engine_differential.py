@@ -182,8 +182,12 @@ def test_control_plane_churn_engines_agree():
                                       list(fwd_default[1]))
     # The switch id rides in the telemetry: each new value showed.
     assert probed[4] != probed[5] != probed[6] != probed[4]
+    # Two memoised runs (inject + switch-id, strip + switch-id): one
+    # clear per marker entry installed and two per switch-id value; one
+    # fill per (run, port) a packet reaches after a clear or a build.
     assert switches["codegen"].engine_counts() == {
-        "builds": {"initial": 1, "default_action": 2}, "rebinds": 2}
+        "builds": {"initial": 1, "default_action": 2}, "rebinds": 2,
+        "runs": {"sites": 2, "fills": 17, "clears": 6}}
     for e in ENGINES:
         assert switches[e].packets_processed == \
             switches[ENGINES[0]].packets_processed

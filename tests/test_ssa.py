@@ -165,6 +165,29 @@ def test_apply_transfer_uses_action_contracts():
     assert env["meta.z"].const == 9    # no action writes meta.z
 
 
+def test_a_store_an_apply_may_leave_in_place_is_live():
+    """``set_x`` runs on a hit only: on a miss ``meta.x`` keeps what was
+    stored before the apply, so that store is live although every read
+    after the apply sees the table's value.  With ``set_x`` as the
+    default too, every path overwrites it and the store is dead — unless
+    the action branches, when it only *may* write."""
+    set_x = ir.Action("set_x", params=[("v", 32)],
+                      body=[assign("meta.x", ir.FieldRef("param.v"))])
+    maybe_x = ir.Action("set_x", params=[("v", 32)], body=[ir.IfStmt(
+        ir.FieldRef("param.v"), [assign("meta.x", ir.FieldRef("param.v"))])])
+    table = ir.Table(name="t", keys=[ir.TableKey(IP)], actions=["set_x"])
+    always = {"t": ("set_x", [1])}
+    for action, defaults, dead in ((set_x, {}, False), (set_x, always, True),
+                                   (maybe_x, always, False)):
+        store = assign("meta.x", ir.FieldRef(IP))
+        fn = SSAFunction.lift(
+            [store, ir.ApplyTable("t"),
+             ir.Digest("seen", [ir.FieldRef("meta.x")])],
+            info_for(tables={"t": table}, actions={"set_x": action},
+                     defaults=defaults, x=32))
+        assert (id(store) in propose(fn).dead) == dead
+
+
 def test_apply_transfer_constant_when_every_action_agrees():
     """A table whose every possible action (and known default) leaves
     meta.x at the same constant keeps the constant across the apply."""

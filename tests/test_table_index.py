@@ -21,30 +21,50 @@ from repro.p4.tableindex import _RBUCKET_MIN
 H = HeaderType("h", [("a", 32), ("b", 32)])
 
 
-def make_program(keys):
+def make_program(keys, run=False):
     """One table ``t`` with the given keys; the hit action records its
-    argument in a metadata field surfaced via egress_spec."""
+    argument in egress_spec.
+
+    With ``run`` the argument goes through ``meta.out`` and two keyless
+    loader tables stand in front of ``t``: while ``t``'s arms are pure
+    (``set_out``) and its key is a port, the codegen engine memoises the
+    three applies as one run; ``set_alt`` computes, so a default that
+    brings it in takes ``t`` out of the run at that build."""
     program = ir.P4Program(
         name="tidx",
         parser=ir.ParserSpec(states=[
             ir.ParserState("start", extracts=[ir.Extract("h", H)],
                            transitions=[ir.Transition(ir.ACCEPT)]),
         ]),
-        metadata=[("out", 32)],
+        metadata=[("out", 32), ("hi", 8), ("lo", 8)],
         emit_order=["h"],
     )
+    dest = "meta.out" if run else "standard_metadata.egress_spec"
     program.add_action(ir.Action("set_out", params=[("v", 32)], body=[
-        ir.AssignStmt("standard_metadata.egress_spec",
-                      ir.FieldRef("param.v")),
+        ir.AssignStmt(dest, ir.FieldRef("param.v")),
     ]))
     # Not in t's declared actions: only a default can bring it in.
     program.add_action(ir.Action("set_alt", params=[("v", 32)], body=[
-        ir.AssignStmt("standard_metadata.egress_spec",
-                      ir.BinExpr("+", ir.FieldRef("param.v"),
-                                 ir.Const(64, 32), 32)),
+        ir.AssignStmt(dest, ir.BinExpr("+", ir.FieldRef("param.v"),
+                                       ir.Const(64, 32), 32)),
     ]))
     program.add_table(ir.Table("t", keys=keys, actions=["set_out"]))
     program.ingress = [ir.ApplyTable("t")]
+    if run:
+        for value, field in enumerate(("hi", "lo"), 1):
+            program.add_action(ir.Action(f"load_{field}", params=[("v", 8)],
+                                         body=[ir.AssignStmt(
+                                             f"meta.{field}",
+                                             ir.FieldRef("param.v"))]))
+            program.add_table(ir.Table(
+                f"ctl_{field}", actions=[f"load_{field}"],
+                default_action=(f"load_{field}", [value])))
+        total = ir.BinExpr("+", ir.FieldRef("meta.out"), ir.BinExpr(
+            "+", ir.FieldRef("meta.hi"), ir.FieldRef("meta.lo"), 32), 32)
+        program.ingress = [
+            ir.ApplyTable("ctl_hi"), ir.ApplyTable("ctl_lo"),
+            ir.ApplyTable("t"),
+            ir.AssignStmt("standard_metadata.egress_spec", total)]
     return program
 
 
@@ -245,6 +265,12 @@ _INTERLEAVED_TABLES = {
             [(lo, lo), (lo, lo), (lo, lo + 40)])),
          st.sampled_from([(0, 1), (0, 0), (1, 1)])],
         list(range(0, 130, 7))),
+    # ``t`` keyed on the ingress port behind two loader tables: a member
+    # of a memoised apply run (see make_program); the probes are ports.
+    "run": (
+        [ir.TableKey("standard_metadata.ingress_port", ir.MatchKind.EXACT)],
+        [st.integers(0, 4)],
+        list(range(6))),
 }
 
 
@@ -322,19 +348,52 @@ def _degenerate_run(n, base=0, priority=1):
     ("lookup",),
     ("set_default_action", "a", "set_alt", 301),
 ]), must=frozenset({"default rebound", "default recompiled"}))
+# Single-entry writes fold like batches of one: a warm index stays
+# clean through them and the lookups after them rebuild nothing.
+@example(script=("lpm", [
+    ("insert_entries", "a", [(((0x0A000000, 8), 0), 0)]),
+    ("lookup",),
+    ("insert_entry", "a", [(((0x0A000100, 24), 0), 1)]),
+    ("delete_entry", "a", [0]),
+]), must=frozenset({"single write folded"}))
+# The memoised run against every writer of its member ``t``: each
+# write empties the memo before the next packet; a default from none
+# to an action, then to new arguments (a rebind), then to an action
+# that computes (``t`` leaves the run at that build, the two loaders
+# stay one) and back (it joins again), with writes in between.
+@example(script=("run", [
+    ("lookup",),
+    ("insert_entry", "a", [((2,), 0)]),
+    ("insert_entries", "both", [((1,), 0), ((3,), 0)]),
+    ("lookup",),
+    ("set_default_action", "both", "set_out", 300),
+    ("set_default_action", "a", "set_out", 301),
+    ("delete_entry", "a", [0]),
+    ("delete_entries", "b", [1]),
+    ("lookup",),
+    ("set_default_action", "a", "set_alt", 302),
+    ("insert_entry", "a", [((4,), 0)]),
+    ("lookup",),
+    ("clear_table", "a"),
+    ("set_default_action", "a", "set_out", 300),
+    ("clear_table", "b"),
+]), must=frozenset({"member write emptied a warm memo", "default rebound",
+                    "default recompiled", "left the run", "joined the run",
+                    "wrote a non-member beside a run"}))
 def test_interleaved_writes_match_the_reference_scan(script, must):
     """insert_entries / delete_entries / insert_entry / delete_entry /
     clear_table / set_default_action and lookups, interleaved from a
     fresh switch, over exact, LPM, priority-scan and range-bucket
-    tables: after every step the codegen engine picks the entry — or,
-    on a miss, the default — the interpreter's scan picks.
+    tables and one that is a member of a memoised apply run: after
+    every step the codegen engine picks the entry — or, on a miss, the
+    default — the interpreter's scan picks.
 
     Two codegen switches run side by side (each against its own
     interpreter twin) and may be handed the *same* entry values, as the
     Aether controllers do."""
     kind, steps = script
     keys, _, probes = _INTERLEAVED_TABLES[kind]
-    program = make_program(keys)
+    program = make_program(keys, run=kind == "run")
     switches = {side: (Bmv2Switch(program, engine="codegen"),
                        Bmv2Switch(program, engine="interp"))
                 for side in "ab"}
@@ -345,17 +404,38 @@ def test_interleaved_writes_match_the_reference_scan(script, must):
     def index(side):
         return switches[side][0]._engine.tables["t"]
 
+    def memos(side):
+        """The run memos ``t`` is a member of (white box)."""
+        engine = switches[side][0]._engine
+        return [engine._globals[name]
+                for name in engine._run_memos.get("t", ())]
+
     def check():
         for side, (codegen, reference) in switches.items():
-            for a in probes:
-                for b in (0, 1):
-                    got = codegen.process(_packet(a, b), 1)
-                    want = reference.process(_packet(a, b), 1)
-                    assert got[0][0] == want[0][0], (side, a, b)
+            fills = []
+            for _ in range(2):
+                for a in probes:
+                    port = a if kind == "run" else 1
+                    for b in (0, 1):
+                        got = codegen.process(_packet(a, b), port)
+                        want = reference.process(_packet(a, b), port)
+                        assert got[0][0] == want[0][0], (side, a, b)
+                fills.append(codegen._engine.run_fills)
+            # A port seen since the last write never fills again.
+            assert fills[0] == fills[1]
+            assert all(len(memo) == len(probes) for memo in memos(side))
+
+    def written(side):
+        """What the control plane holds for ``t`` (the interp twin's)."""
+        reference = switches[side][1]
+        return list(reference.entries["t"]), reference.default_actions["t"]
 
     for step in steps + [("lookup",)]:
         op = step[0]
         sides = "ab" if op != "lookup" and step[1] == "both" else step[1:2]
+        was = {side: (bool(memos(side)), any(memos(side)), written(side))
+               for side in "ab"}
+        folded = []  # (side, rebuilds before) of clean single writes
         if op in ("insert_entries", "insert_entry"):
             rows = [(match, "set_out", [next(serial)], priority)
                     for match, priority in step[2]]
@@ -364,6 +444,7 @@ def test_interleaved_writes_match_the_reference_scan(script, must):
             created = None
             for side in sides:
                 was_clean = not index(side)._dirty
+                rebuilds = index(side).rebuilds
                 for sw in switches[side]:
                     if op == "insert_entry":
                         entry = (sw.insert_entry("t", *rows[0][:3],
@@ -377,9 +458,10 @@ def test_interleaved_writes_match_the_reference_scan(script, must):
                         created = sw.insert_entries(
                             "t", rows if created is None else created)
                 installed[side].extend(created)
-                if op == "insert_entries" and rows and was_clean \
-                        and index(side)._dirty:
+                if rows and was_clean and index(side)._dirty:
                     seen.add("duplicate-key bail-out")
+                elif op == "insert_entry" and was_clean:
+                    folded.append((side, rebuilds))
         elif op in ("delete_entries", "delete_entry"):
             side = step[1]
             held = installed[side]
@@ -394,11 +476,16 @@ def test_interleaved_writes_match_the_reference_scan(script, must):
             if any(v is o for v in victims for o in other):
                 seen.add("deleted a shared entry from one switch")
             buckets = len(index(side)._rb_buckets)
+            was_clean = not index(side)._dirty
+            rebuilds = index(side).rebuilds
             for sw in switches[side]:
                 if op == "delete_entry":
                     sw.delete_entry("t", victims[0])
                 else:
                     sw.delete_entries("t", victims)
+            if op == "delete_entry" and was_clean \
+                    and not index(side)._dirty:
+                folded.append((side, rebuilds))
             if not index(side)._dirty and \
                     len(index(side)._rb_buckets) < buckets:
                 seen.add("emptied a bucket")
@@ -422,12 +509,29 @@ def test_interleaved_writes_match_the_reference_scan(script, must):
         for side in "ab":
             if index(side)._rb_col is not None and not index(side).rebuilds:
                 seen.add("bucketed by folds alone")
+            member, warm, held = was[side]
+            if written(side) != held:
+                # Whatever a memo held for ``t`` went with the write.
+                assert not any(memos(side))
+                if member and warm:
+                    seen.add("member write emptied a warm memo")
+                engine = switches[side][0]._engine
+                if not member and engine.run_counts()["sites"]:
+                    seen.add("wrote a non-member beside a run")
+            if member != bool(memos(side)):
+                seen.add("left the run" if member else "joined the run")
+        for side, rebuilds in folded:
+            check()  # a folded single write parks no rebuild
+            assert index(side).rebuilds == rebuilds
+            seen.add("single write folded")
     assert must <= seen, must - seen
 
 
 def test_index_is_clean_from_empty_and_lazy_after_single_writes():
     """The rule of tableindex.py's docstring, as rebuild/fold counts
-    (which survive an engine recompile)."""
+    (which survive an engine recompile): every write folds, a batch or
+    a single entry; only ``clear_table`` and a repeated key leave the
+    index behind, for one lazy rebuild."""
     program = make_program([ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)])
     sw = Bmv2Switch(program)
     index = sw._engine.tables["t"]
@@ -437,20 +541,54 @@ def test_index_is_clean_from_empty_and_lazy_after_single_writes():
     sw.insert_entries("t", [([5], "set_out", [101], 0)])
     assert sw.index_counts() == {"t": {"rebuilds": 0, "folds": 3}}
     assert sw.process(_packet(5, 0), 1)[0][0] == 101
-    assert index.rebuilds == 0
-    sw.insert_entry("t", [6], "set_out", [102])  # single write: lazy
-    assert index._dirty and index.rebuilds == 0
+    single = sw.insert_entry("t", [6], "set_out", [102])
     assert sw.process(_packet(6, 0), 1)[0][0] == 102
-    assert index.rebuilds == 1
+    sw.delete_entry("t", single)
+    assert sw.process(_packet(6, 0), 1)[0][0] == 0
+    assert not index._dirty
+    assert sw.index_counts() == {"t": {"rebuilds": 0, "folds": 5}}
+    # A repeated key: rank decides, so the next lookup rebuilds, once.
+    sw.insert_entry("t", [5], "set_out", [103], priority=7)
+    assert index._dirty and index.rebuilds == 0
+    assert [sw.process(_packet(5, 0), 1)[0][0] for _ in (1, 2)] == [103, 103]
+    assert sw.index_counts() == {"t": {"rebuilds": 1, "folds": 5}}
+    sw.clear_table("t")
+    assert index._dirty
+    sw.insert_entry("t", [6], "set_out", [104])  # absorbed by the rebuild
+    assert [sw.process(_packet(a, 0), 1)[0][0] for a in (5, 6)] == [0, 104]
+    assert sw.index_counts() == {"t": {"rebuilds": 2, "folds": 5}}
     # A recompile makes a new index over a non-empty table: behind.
     sw.set_default_action("t", "set_out", [9])
     rebuilt = sw._engine.tables["t"]
     assert rebuilt is not index and rebuilt._dirty
-    assert sw.index_counts() == {"t": {"rebuilds": 1, "folds": 3}}
+    assert sw.index_counts() == {"t": {"rebuilds": 2, "folds": 5}}
     assert [sw.process(_packet(a, 0), 1)[0][0] for a in (5, 6, 7)] == [
-        101, 102, 9]
-    assert sw.index_counts() == {"t": {"rebuilds": 2, "folds": 3}}
+        9, 104, 9]
+    assert sw.index_counts() == {"t": {"rebuilds": 3, "folds": 5}}
     assert Bmv2Switch(program, engine="interp").index_counts() == {}
+
+
+@pytest.mark.parametrize("kind", [ir.MatchKind.EXACT, ir.MatchKind.LPM,
+                                  ir.MatchKind.TERNARY])
+def test_delete_entry_removes_one_installed_entry(kind):
+    """``delete_entry`` removes the first installed entry *equal* to its
+    argument; the index drops by identity.  Two equal entries, and one
+    object installed twice: the other stays installed and matches."""
+    program = make_program([ir.TableKey("hdr.h.a", kind)])
+    spec = {ir.MatchKind.EXACT: 5, ir.MatchKind.LPM: (5, 32),
+            ir.MatchKind.TERNARY: (5, 0xFFFFFFFF)}[kind]
+    for engine in ENGINES:
+        sw = Bmv2Switch(program, engine=engine)
+        sw.insert_entries("t", [([spec], "set_out", [100], 0)])
+        twin = sw.insert_entry("t", [spec], "set_out", [100])
+        sw.insert_entries("t", [twin])  # the same object, a second time
+        for left in (2, 1):
+            assert sw.process(_packet(5, 0), 1)[0][0] == 100
+            sw.delete_entry("t", ir.TableEntry([spec], "set_out", [100]))
+            assert len(sw.entries["t"]) == left
+        assert sw.process(_packet(5, 0), 1)[0][0] == 100
+        sw.delete_entry("t", twin)
+        assert sw.process(_packet(5, 0), 1)[0][0] == 0
 
 
 def test_bulk_insert_validates_like_single_insert():
