@@ -37,16 +37,9 @@ from .cfg import CFG, CFGNode
 UNINIT = -1
 
 
-def expr_uses(expr: ir.P4Expr) -> Set[str]:
-    """Every location an expression reads: field paths plus
-    ``hdr.<bind>.$valid`` tokens for validity tests."""
-    uses: Set[str] = set()
-    for node in ir.walk_exprs(expr):
-        if isinstance(node, ir.FieldRef):
-            uses.add(node.path)
-        elif isinstance(node, ir.ValidRef):
-            uses.add(f"hdr.{node.header}.$valid")
-    return uses
+#: Every location an expression reads (the analysis plane's name for
+#: :func:`repro.p4.ir.expr_reads`).
+expr_uses = ir.expr_reads
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,16 @@
 
 Pipeline (all in place, fixpoint-iterated):
 
-1. **Constant folding** — pure expressions over constants evaluate at
-   compile time with *exactly* the reference interpreter's semantics
-   (width masking, zero-divisor yields 0, shift amounts mod width,
-   short-circuit booleans); ``if`` statements with constant conditions
-   collapse to the taken arm.
+1. **Constant folding** — a walk asks the one folder,
+   :func:`~repro.analysis.ssa.eval_const`, at every operator node
+   (outermost first, so it always sees an expression as written), so
+   pure expressions over constants evaluate at compile time with
+   *exactly* the reference interpreter's semantics (width masking,
+   zero-divisor yields 0, shift amounts mod width, booleans decided by
+   either side); ``if`` statements with constant conditions collapse to
+   the taken arm.  The SSA round (:mod:`~repro.analysis.ssa`: copy
+   propagation, CSE, branches decided under known table defaults) runs
+   between folds until neither changes anything.
 2. **Liveness-driven DCE** — a statement is removed only when it is
    dead in *every* placement (role × check-mode) that contains it, per
    :func:`~repro.analysis.cfg.checker_placements`.  Anything observable
@@ -28,26 +33,28 @@ Pipeline (all in place, fixpoint-iterated):
 
 The invariant the whole pass is validated against: an optimized
 program is verdict-, report-, and register-identical to the
-unoptimized one under the three-level differential oracle.
+unoptimized one under the three-level differential oracle.  This is the
+one optimizer: it runs once, at compile time (``optimize=``), and its
+output is what the pretty-printer, the Tofino allocator and both
+engines are handed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..compiler.codegen import CompiledChecker
 from ..net.topology import EDGE
 from ..p4 import ir
 from .cfg import checker_placements
 from .dataflow import cfg_effects, liveness
+from .passes.widths import BOOL_OPS
+from .ssa import (SSAFunction, SSAInfo, StdBarrier, UNKNOWN_STD,
+                  apply_proposals, eval_const, merge_proposals, propose)
 
 _FRAGMENT_ATTRS = ("ingress_prologue", "init_stmts", "egress_prologue",
                    "tele_stmts", "check_stmts", "strip_stmts")
-
-_MASKED_OPS = {"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
-               "absdiff"}
-_BOOL_OPS = {"==", "!=", "<", "<=", ">", ">=", "&&", "||"}
 
 
 @dataclass
@@ -86,113 +93,45 @@ class OptimizeStats:
 # 1. Constant folding (reference-interpreter semantics, bit for bit)
 # ---------------------------------------------------------------------------
 
-def _const_value(expr: ir.P4Expr) -> Optional[int]:
-    if isinstance(expr, ir.Const):
-        return expr.value & ((1 << expr.width) - 1)
+def _unknown(path: str) -> None:
+    """:func:`eval_const`'s view of the fields while folding: none known."""
     return None
 
 
 def _fold_expr(expr: ir.P4Expr, stats: OptimizeStats) -> ir.P4Expr:
+    """Ask :func:`eval_const` whether ``expr`` is decided as written;
+    where it is not, fold whatever is decided below it."""
+    if isinstance(expr, ir.UnExpr):
+        width = 1 if expr.op == "!" else ir.unexpr_width(expr)
+    elif isinstance(expr, ir.BinExpr):
+        width = 1 if expr.op in BOOL_OPS else expr.width
+    else:
+        return expr
+    value = eval_const(expr, _unknown)
+    if value is not None:  # min/max are unmasked: as wide as the value
+        stats.folded_exprs += 1
+        return ir.Const(value, max(width, value.bit_length()),
+                        span=expr.span)
     if isinstance(expr, ir.UnExpr):
         operand = _fold_expr(expr.operand, stats)
-        value = _const_value(operand)
-        if value is not None:
-            stats.folded_exprs += 1
-            if expr.op == "!":
-                return ir.Const(0 if value else 1, 1, span=expr.span)
-            width = ir.unexpr_width(expr)
-            mask = (1 << width) - 1
-            result = (~value if expr.op == "~" else -value) & mask
-            return ir.Const(result, width, span=expr.span)
-        if operand is not expr.operand:
-            return ir.UnExpr(expr.op, operand, expr.width, span=expr.span)
+        return (expr if operand is expr.operand
+                else replace(expr, operand=operand))
+    left = _fold_expr(expr.left, stats)
+    right = _fold_expr(expr.right, stats)
+    if left is expr.left and right is expr.right:
         return expr
-    if isinstance(expr, ir.BinExpr):
-        left = _fold_expr(expr.left, stats)
-        right = _fold_expr(expr.right, stats)
-        folded = _fold_bin(expr, left, right)
-        if folded is not None:
-            stats.folded_exprs += 1
-            return folded
-        if left is not expr.left or right is not expr.right:
-            return ir.BinExpr(expr.op, left, right, expr.width,
-                              span=expr.span)
-        return expr
-    return expr
-
-
-def _fold_bin(expr: ir.BinExpr, left: ir.P4Expr,
-              right: ir.P4Expr) -> Optional[ir.Const]:
-    op = expr.op
-    lv, rv = _const_value(left), _const_value(right)
-    # Expressions are pure on this substrate, so a deciding constant on
-    # either side of a boolean settles the whole expression.
-    if op == "&&":
-        if lv == 0 or rv == 0:
-            return ir.Const(0, 1, span=expr.span)
-        if lv is not None and rv is not None:
-            return ir.Const(1, 1, span=expr.span)
-        return None
-    if op == "||":
-        if (lv is not None and lv != 0) or (rv is not None and rv != 0):
-            return ir.Const(1, 1, span=expr.span)
-        if lv == 0 and rv == 0:
-            return ir.Const(0, 1, span=expr.span)
-        return None
-    if lv is None or rv is None:
-        return None
-    mask = (1 << expr.width) - 1
-    if op == "+":
-        value, width = (lv + rv) & mask, expr.width
-    elif op == "-":
-        value, width = (lv - rv) & mask, expr.width
-    elif op == "*":
-        value, width = (lv * rv) & mask, expr.width
-    elif op == "/":
-        value, width = ((lv // rv) & mask if rv else 0), expr.width
-    elif op == "%":
-        value, width = ((lv % rv) & mask if rv else 0), expr.width
-    elif op == "&":
-        value, width = (lv & rv) & mask, expr.width
-    elif op == "|":
-        value, width = (lv | rv) & mask, expr.width
-    elif op == "^":
-        value, width = (lv ^ rv) & mask, expr.width
-    elif op == "<<":
-        value, width = (lv << (rv % expr.width)) & mask, expr.width
-    elif op == ">>":
-        value, width = (lv >> (rv % expr.width)) & mask, expr.width
-    elif op in ("==", "!=", "<", "<=", ">", ">="):
-        value = int({"==": lv == rv, "!=": lv != rv, "<": lv < rv,
-                     "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv}[op])
-        width = 1
-    elif op == "absdiff":
-        diff = (lv - rv) & mask
-        value, width = min(diff, (-diff) & mask), expr.width
-    elif op in ("min", "max"):
-        value = min(lv, rv) if op == "min" else max(lv, rv)
-        width = max(_expr_width_of(left), _expr_width_of(right))
-    else:
-        return None
-    return ir.Const(value, max(width, value.bit_length(), 1),
-                    span=expr.span)
-
-
-def _expr_width_of(expr: ir.P4Expr) -> int:
-    return expr.width if isinstance(expr, ir.Const) else 32
+    return replace(expr, left=left, right=right)
 
 
 def _fold_stmts(stmts: Sequence[ir.P4Stmt],
                 stats: OptimizeStats) -> List[ir.P4Stmt]:
     out: List[ir.P4Stmt] = []
     for stmt in stmts:
-        if isinstance(stmt, ir.AssignStmt):
-            stmt.value = _fold_expr(stmt.value, stats)
-        elif isinstance(stmt, ir.IfStmt):
-            stmt.cond = _fold_expr(stmt.cond, stats)
+        ir.map_exprs(stmt, lambda expr: _fold_expr(expr, stats))
+        if isinstance(stmt, ir.IfStmt):
             stmt.then_body[:] = _fold_stmts(stmt.then_body, stats)
             stmt.else_body[:] = _fold_stmts(stmt.else_body, stats)
-            cond = _const_value(stmt.cond)
+            cond = eval_const(stmt.cond, _unknown)
             if cond is not None:
                 taken = stmt.then_body if cond else stmt.else_body
                 stats.removed_stmts += 1
@@ -201,13 +140,6 @@ def _fold_stmts(stmts: Sequence[ir.P4Stmt],
         elif isinstance(stmt, ir.ApplyTable):
             stmt.hit_body[:] = _fold_stmts(stmt.hit_body, stats)
             stmt.miss_body[:] = _fold_stmts(stmt.miss_body, stats)
-        elif isinstance(stmt, ir.RegisterRead):
-            stmt.index = _fold_expr(stmt.index, stats)
-        elif isinstance(stmt, ir.RegisterWrite):
-            stmt.index = _fold_expr(stmt.index, stats)
-            stmt.value = _fold_expr(stmt.value, stats)
-        elif isinstance(stmt, ir.Digest):
-            stmt.fields = [_fold_expr(f, stats) for f in stmt.fields]
         out.append(stmt)
     return out
 
@@ -220,7 +152,7 @@ def _ssa_round(compiled: CompiledChecker, stats: OptimizeStats) -> bool:
     """One SSA propose/merge/apply sweep over all placements.
 
     Each placement lifts to SSA independently (edge placements get a
-    :class:`~repro.p4.ssa.StdBarrier` where the unseen forwarding
+    :class:`~repro.analysis.ssa.StdBarrier` where the unseen forwarding
     pipeline runs between the checker's ingress and egress fragments;
     core placements start mid-pipeline, so standard metadata is unknown
     at their entry).  Only proposals every containing placement agrees
@@ -228,9 +160,6 @@ def _ssa_round(compiled: CompiledChecker, stats: OptimizeStats) -> bool:
     rewrite is seen by every deployment.  Returns True if anything
     changed.
     """
-    from ..p4.ssa import (SSAFunction, SSAInfo, StdBarrier, UNKNOWN_STD,
-                          apply_proposals, merge_proposals, propose)
-
     info = SSAInfo.for_compiled(compiled)
     ingress_len = len(compiled.ingress_prologue) + len(compiled.init_stmts)
     all_props = []
@@ -495,19 +424,9 @@ def _rename_fields(compiled: CompiledChecker,
         return expr
 
     for _, stmt in _iter_all_stmts(compiled):
-        if isinstance(stmt, ir.AssignStmt):
+        if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
             stmt.dest = rename.get(stmt.dest, stmt.dest)
-            stmt.value = fix_expr(stmt.value)
-        elif isinstance(stmt, ir.IfStmt):
-            stmt.cond = fix_expr(stmt.cond)
-        elif isinstance(stmt, ir.RegisterRead):
-            stmt.dest = rename.get(stmt.dest, stmt.dest)
-            stmt.index = fix_expr(stmt.index)
-        elif isinstance(stmt, ir.RegisterWrite):
-            stmt.index = fix_expr(stmt.index)
-            stmt.value = fix_expr(stmt.value)
-        elif isinstance(stmt, ir.Digest):
-            stmt.fields = [fix_expr(expr) for expr in stmt.fields]
+        ir.map_exprs(stmt, fix_expr)
     for table in compiled.tables.values():
         table.keys = [replace(key, path=rename.get(key.path, key.path))
                       for key in table.keys]
@@ -525,21 +444,11 @@ def _referenced_meta(compiled: CompiledChecker) -> Set[str]:
             refs.add(path[len("meta."):])
 
     for _, stmt in _iter_all_stmts(compiled):
-        if isinstance(stmt, ir.AssignStmt):
+        if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
             note(stmt.dest)
-        elif isinstance(stmt, ir.RegisterRead):
-            note(stmt.dest)
-        for attr in ("value", "cond", "index"):
-            expr = getattr(stmt, attr, None)
-            if isinstance(expr, ir.P4Expr):
-                for node in ir.walk_exprs(expr):
-                    if isinstance(node, ir.FieldRef):
-                        note(node.path)
-        if isinstance(stmt, ir.Digest):
-            for expr in stmt.fields:
-                for node in ir.walk_exprs(expr):
-                    if isinstance(node, ir.FieldRef):
-                        note(node.path)
+        for expr in ir.stmt_exprs(stmt):
+            for path in ir.expr_reads(expr):
+                note(path)
     for table in compiled.tables.values():
         for key in table.keys:
             note(key.path)

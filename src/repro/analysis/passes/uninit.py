@@ -91,17 +91,8 @@ def uninit_read(unit: AnalysisUnit) -> List[Diagnostic]:
             made_valid.add(stmt.header)
     for label, stmt in unit.iter_stmts():
         uses: Set[str] = set()
-        if isinstance(stmt, ir.AssignStmt):
-            uses = expr_uses(stmt.value)
-        elif isinstance(stmt, ir.IfStmt):
-            uses = expr_uses(stmt.cond)
-        elif isinstance(stmt, (ir.RegisterRead, ir.RegisterWrite)):
-            uses = expr_uses(stmt.index)
-            if isinstance(stmt, ir.RegisterWrite):
-                uses |= expr_uses(stmt.value)
-        elif isinstance(stmt, ir.Digest):
-            for expr in stmt.fields:
-                uses |= expr_uses(expr)
+        for expr in ir.stmt_exprs(stmt):
+            uses |= expr_uses(expr)
         for use in sorted(uses):
             if not use.startswith("hdr.") or use.endswith(".$valid"):
                 continue

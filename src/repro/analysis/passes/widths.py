@@ -101,7 +101,7 @@ def width_truncation(unit: AnalysisUnit) -> List[Diagnostic]:
                      f"or mask the operands explicitly"))
 
     def check_stmt(stmt: ir.P4Stmt, block: str) -> None:
-        for expr in _stmt_exprs(stmt):
+        for expr in ir.stmt_exprs(stmt):
             check_expr(expr, block, stmt)
         if isinstance(stmt, ir.AssignStmt):
             dest_width = widths.get(stmt.dest)
@@ -124,17 +124,3 @@ def width_truncation(unit: AnalysisUnit) -> List[Diagnostic]:
     for name, stmt in unit.iter_action_stmts():
         check_stmt(stmt, f"action:{name}")
     return diags
-
-
-def _stmt_exprs(stmt: ir.P4Stmt) -> List[ir.P4Expr]:
-    if isinstance(stmt, ir.AssignStmt):
-        return [stmt.value]
-    if isinstance(stmt, ir.IfStmt):
-        return [stmt.cond]
-    if isinstance(stmt, ir.RegisterRead):
-        return [stmt.index]
-    if isinstance(stmt, ir.RegisterWrite):
-        return [stmt.index, stmt.value]
-    if isinstance(stmt, ir.Digest):
-        return list(stmt.fields)
-    return []

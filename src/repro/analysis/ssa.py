@@ -1,14 +1,17 @@
 """SSA form over P4 IR statement bodies.
 
-The optimizer and the generated-source engine both want facts the
-PR-5 set-based dataflow cannot cheaply express: *which* definition a
-read observes, whether two computations produce the same value, and
-whether a branch condition is decided at compile time.  This module
-lifts a statement body onto the :func:`repro.analysis.cfg.build_cfg`
+The optimizer's SSA round (:func:`repro.analysis.optimize._ssa_round`,
+the one caller) wants facts the set-based dataflow of
+:mod:`repro.analysis.dataflow` cannot cheaply express: *which*
+definition a read observes, whether two computations produce the same
+value, and whether a branch condition is decided at compile time.  This
+module lifts a statement body onto the :func:`repro.analysis.cfg.build_cfg`
 graph (structured IR bodies are DAGs — branch arms rejoin, no loops)
 and renames every tracked location into versioned :class:`SSAValue`
 instances: one per definition, phi nodes where branch arms rejoin with
 different versions, and def-use chains recorded as the renaming walks.
+Nothing here runs when a switch is built: an engine executes the linked
+program it is given, optimized or not.
 
 Tracked locations are the per-packet scalar state: ``meta.*`` fields
 (widths from the program declaration) and the five standard-metadata
@@ -16,6 +19,10 @@ fields.  Header fields and validity bits stay opaque — their values
 alias wire-observable state — so expressions touching them are never
 value-numbered, though metadata reads *inside* such expressions still
 substitute.
+
+:func:`eval_const` is the one constant folder in ``src/``: the lift's
+constant lattice, branch pruning and the optimizer's folding walk all
+ask it.
 
 Three SSA-strength passes produce :class:`Proposals` — descriptions of
 rewrites, not rewrites — so a caller responsible for several
@@ -34,23 +41,15 @@ pipeline containing the statement:
   copy from it.
 * **dead-branch pruning under known table defaults**: branch conditions
   are evaluated over the constant lattice.  Table applies transfer
-  constants precisely: a default action with known immediate arguments
-  is evaluated (its final writes become constants on the miss path)
-  and merged against every action the table may run on a hit — so a
-  variable every possible action leaves alone flows through an apply
-  untouched, keeping copy/const facts alive across it.
+  constants precisely: the declared default action is evaluated with
+  its immediate arguments (its final writes become constants on the
+  miss path) and merged against every action the table may run on a
+  hit — so a variable every possible action leaves alone flows through
+  an apply untouched, keeping copy/const facts alive across it.
 
 Following :mod:`repro.analysis.dataflow`, the set of actions a table
 "may run" is its declared ``actions`` list (plus the default); a table
-declaring no actions may run anything in the program.  The codegen
-engine passes each table's runtime default as ``(name, None)`` — which
-action runs on a miss, without its immediates, which it rebinds as
-data — and re-specializes when the control plane violates the contract
-(installing an undeclared action or changing which action is the
-default), so the facts baked into generated source are invalidated
-with it.  ``optimize_pipeline(program)`` without ``defaults`` keeps
-using the declared defaults, immediates included: that is what
-:mod:`repro.analysis` sees.
+declaring no actions may run anything in the program.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..analysis.cfg import CFG, build_cfg
-from . import ir
+from ..p4 import ir
+from .cfg import CFG, build_cfg
 
 #: Standard-metadata fields tracked as SSA variables, with their known
 #: pipeline-entry constants (``None`` = unknown at entry: the harness
@@ -98,17 +97,9 @@ class StdBarrier:
         return "StdBarrier()"
 
 
-def synthetic_egress_entry() -> ir.AssignStmt:
-    """The harness's between-pipelines effect (``egress_port =
-    egress_spec``) as a statement, so ingress facts flow into egress
-    when the two bodies are lifted as one."""
-    return ir.AssignStmt("standard_metadata.egress_port",
-                         ir.FieldRef("standard_metadata.egress_spec"))
-
-
-#: Known default action per table: ``(action, immediate args)``, the
-#: args ``None`` when only the action is known; ``None`` for no default.
-Defaults = Dict[str, Optional[Tuple[str, Optional[Sequence[int]]]]]
+#: Known default action per table: ``(action, immediate args)``, or
+#: ``None`` for no default.
+Defaults = Dict[str, Optional[Tuple[str, Sequence[int]]]]
 
 
 @dataclass
@@ -125,20 +116,6 @@ class SSAInfo:
                               Dict[str, object]] = {}
         self._reads: Dict[int, Set[str]] = {}
         self._reads_stack: Set[int] = set()
-
-    @classmethod
-    def for_program(cls, program: ir.P4Program,
-                    defaults: Optional[Defaults] = None) -> "SSAInfo":
-        return cls(
-            meta_width={f"meta.{name}": width
-                        for name, width in program.metadata},
-            tables=dict(program.tables),
-            actions=dict(program.actions),
-            defaults=(dict(defaults) if defaults is not None else {
-                name: table.default_action
-                for name, table in program.tables.items()
-            }),
-        )
 
     @classmethod
     def for_compiled(cls, compiled) -> "SSAInfo":
@@ -250,7 +227,7 @@ class SSAInfo:
         self._reads_stack.add(id(action))
         reads: Set[str] = set()
         for stmt in ir.walk_stmts(action.body):
-            for expr in _stmt_exprs(stmt):
+            for expr in ir.stmt_exprs(stmt):
                 for node in ir.walk_exprs(expr):
                     if isinstance(node, ir.FieldRef) and \
                             self.tracked(node.path):
@@ -285,24 +262,6 @@ class SSAInfo:
         return []
 
 
-def _stmt_exprs(stmt: ir.P4Stmt) -> List[ir.P4Expr]:
-    """The expressions a statement evaluates (shallow; nested bodies of
-    structured statements are separate CFG nodes)."""
-    if isinstance(stmt, ir.AssignStmt):
-        return [stmt.value]
-    if isinstance(stmt, ir.IfStmt):
-        return [stmt.cond]
-    if isinstance(stmt, ir.RegisterRead):
-        return [stmt.index]
-    if isinstance(stmt, ir.RegisterWrite):
-        return [stmt.index, stmt.value]
-    if isinstance(stmt, ir.Digest):
-        return list(stmt.fields)
-    if isinstance(stmt, ir.ExternCall):
-        return list(stmt.args)
-    return []
-
-
 # ---------------------------------------------------------------------------
 # Constant evaluation (reference semantics, partial)
 # ---------------------------------------------------------------------------
@@ -312,9 +271,9 @@ def eval_const(expr: ir.P4Expr, lookup) -> Optional[int]:
 
     ``lookup(path)`` supplies known values for field reads (None =
     unknown).  Returns the value the reference engine would compute, or
-    None when any needed input is unknown.  Mirrors
-    :meth:`Bmv2Switch._eval_bin` exactly, including short-circuit
-    evaluation — ``0 && unknown`` is still 0.
+    None when an input the result depends on is unknown.  Mirrors
+    :meth:`Bmv2Switch._eval` exactly; a boolean is decided by either
+    side — ``unknown && 0`` is 0 and ``unknown || 1`` is 1.
     """
     if isinstance(expr, ir.Const):
         return expr.value & ((1 << expr.width) - 1)
@@ -338,6 +297,8 @@ def eval_const(expr: ir.P4Expr, lookup) -> Optional[int]:
         op = expr.op
         left = eval_const(expr.left, lookup)
         right = eval_const(expr.right, lookup)
+        # Expressions are pure on this substrate (an extern is a
+        # statement), so a deciding constant on either side decides.
         if op == "&&":
             if left == 0 or right == 0:
                 return 0
@@ -345,13 +306,11 @@ def eval_const(expr: ir.P4Expr, lookup) -> Optional[int]:
                 return None
             return 1
         if op == "||":
-            if left is not None and left != 0:
-                return 1
-            if right is not None and right != 0 and left == 0:
+            if left or right:
                 return 1
             if left is None or right is None:
                 return None
-            return 1 if (left or right) else 0
+            return 0
         if left is None or right is None:
             return None
         mask = (1 << expr.width) - 1
@@ -931,10 +890,9 @@ def _cse_width_ok(info: SSAInfo, source_var: str, dest_var: str) -> bool:
 
 
 def _stmt_read_vars(stmt: ir.P4Stmt, info: SSAInfo) -> List[str]:
-    exprs = _stmt_exprs(stmt)
     out: List[str] = []
     seen: Set[str] = set()
-    for expr in exprs:
+    for expr in ir.stmt_exprs(stmt):
         for node in ir.walk_exprs(expr):
             if isinstance(node, ir.FieldRef) and info.tracked(node.path) \
                     and node.path not in seen:
@@ -1058,8 +1016,9 @@ def apply_proposals(bodies: Sequence[List[ir.P4Stmt]],
                 counts["cse"] += 1
             else:
                 mapping = by_stmt.get(sid)
-                if mapping:
-                    _rewrite_stmt(stmt, mapping, counts)
+                if mapping and ir.map_exprs(
+                        stmt, lambda expr: _rewrite_expr(expr, mapping)):
+                    counts["copyprop"] += 1
             out.append(stmt)
         body[:] = out
 
@@ -1068,74 +1027,9 @@ def apply_proposals(bodies: Sequence[List[ir.P4Stmt]],
     return counts
 
 
-def _rewrite_stmt(stmt: ir.P4Stmt, mapping: Dict[str, ir.P4Expr],
-                  counts: Dict[str, int]) -> None:
-    changed = False
-    if isinstance(stmt, ir.AssignStmt):
-        new = _rewrite_expr(stmt.value, mapping)
-        changed = new is not stmt.value
-        stmt.value = new
-    elif isinstance(stmt, ir.IfStmt):
-        new = _rewrite_expr(stmt.cond, mapping)
-        changed = new is not stmt.cond
-        stmt.cond = new
-    elif isinstance(stmt, ir.RegisterRead):
-        new = _rewrite_expr(stmt.index, mapping)
-        changed = new is not stmt.index
-        stmt.index = new
-    elif isinstance(stmt, ir.RegisterWrite):
-        index = _rewrite_expr(stmt.index, mapping)
-        value = _rewrite_expr(stmt.value, mapping)
-        changed = index is not stmt.index or value is not stmt.value
-        stmt.index = index
-        stmt.value = value
-    elif isinstance(stmt, ir.Digest):
-        fields = [_rewrite_expr(e, mapping) for e in stmt.fields]
-        changed = any(n is not o for n, o in zip(fields, stmt.fields))
-        stmt.fields = fields
-    elif isinstance(stmt, ir.ExternCall):
-        args = [_rewrite_expr(e, mapping) for e in stmt.args]
-        changed = any(n is not o for n, o in zip(args, stmt.args))
-        stmt.args = args
-    if changed:
-        counts["copyprop"] += 1
-
-
-# ---------------------------------------------------------------------------
-# Convenience: whole-pipeline optimization for the codegen engine
-# ---------------------------------------------------------------------------
-
-def optimize_pipeline(program: ir.P4Program,
-                      defaults: Optional[Defaults] = None,
-                      rounds: int = 8) -> Dict[str, int]:
-    """SSA-optimize a linked program's ingress+egress bodies in place.
-
-    The two bodies are lifted as one linearization with the harness's
-    inter-pipeline effect (``egress_port = egress_spec``) spliced
-    between them, so ingress facts carry into egress.  ``defaults``
-    overrides the per-table known default actions (the codegen engine
-    passes the switch's live runtime defaults by name, their arguments
-    ``None``).  Iterates to a fixpoint, bounded by ``rounds``.
-    """
-    info = SSAInfo.for_program(program, defaults)
-    totals = {"copyprop": 0, "cse": 0, "branch": 0, "dce": 0}
-    for _ in range(rounds):
-        view = (list(program.ingress) + [synthetic_egress_entry()]
-                + list(program.egress))
-        fn = SSAFunction.lift(view, info)
-        counts = apply_proposals([program.ingress, program.egress],
-                                 propose(fn))
-        for key, value in counts.items():
-            totals[key] += value
-        if not any(counts.values()):
-            break
-    return totals
-
-
 __all__ = [
     "CopyOp", "EntryOp", "ExprOp", "ExternOp", "PhiOp", "Proposals",
     "RegReadOp", "SSAFunction", "SSAInfo", "SSAOp", "SSAValue",
     "StdBarrier", "TableOp", "UNKNOWN_STD", "apply_proposals", "eval_const",
-    "merge_proposals", "optimize_pipeline", "propose",
-    "synthetic_egress_entry",
+    "merge_proposals", "propose",
 ]

@@ -54,12 +54,12 @@ with flat local variables:
   specialized to the actions this program (plus any runtime-installed
   entries) can dispatch to.  Exact-match lookups inline the index's
   hash probe directly.
-* **The pipelines are SSA-optimized first** (:mod:`repro.p4.ssa`) with
-  the *name* of each table's runtime default action as a known fact, so
-  dead branches and copy chains vanish from the generated source.
 
-The pipeline is emitted exactly once; a batch is
-``Bmv2Switch.process_batch`` looping over ``process``.
+The engine emits the linked program as given: it rewrites no statement,
+so it and the reference engine execute the same IR, and the one way to
+run an optimized checker on either is to compile it with ``optimize=``
+(:mod:`repro.analysis.optimize`).  The pipeline is emitted exactly
+once; a batch is ``Bmv2Switch.process_batch`` looping over ``process``.
 
 Observability is a compile-time specialization: with the null handle
 the generated source carries zero instrumentation; with a live handle
@@ -67,19 +67,19 @@ the apply/digest sites emit counters and trace events and ``process``
 is swapped for the metered wrapper.
 
 Control-plane interplay — *names are code, values are data*.  The
-generated dispatch assumes a fixed action set per table, and SSA is told
-which action each table runs on a miss; ``Bmv2Switch`` notifies the
-engine on entry inserts and default-action changes.
+generated dispatch assumes a fixed action set per table, and the pure
+run analysis which action each table runs on a miss; ``Bmv2Switch``
+notifies the engine on entry inserts and default-action changes.
 
-* **What recompiles**: an action name the dispatch or SSA did not
-  assume — an installed entry bound to an action outside the table's
-  assumed set, a default that changes action (another name, or ``None``
-  to or from an action) — and ``attach_observability``.
+* **What recompiles**: an action name the dispatch or the run analysis
+  did not assume — an installed entry bound to an action outside the
+  table's assumed set, a default that changes action (another name, or
+  ``None`` to or from an action) — and ``attach_observability``.
 * **What rebinds**: a default action's *arguments*.  Each apply site's
   miss path loads its ``(action_id, args)`` binding from a module global
   (``DB<site>``); ``set_default_action`` with the same action stores the
-  new binding into those globals of the live module.  No SSA, no
-  emission, no ``compile()``, the table index untouched — the paper's
+  new binding into those globals of the live module.  No emission,
+  no ``compile()``, the table index untouched — the paper's
   point about Figure 2's control variables, which are exactly such
   defaults.  A frame already running (a digest listener that writes a
   control value mid-packet) reads the new binding on its next miss, as
@@ -107,7 +107,6 @@ from ..obs.profile import profiled
 from . import ir
 from .bmv2 import (DROP_PORT, DigestMessage, P4RuntimeError, StandardMetadata,
                    drop_reason)
-from .ssa import _stmt_exprs, optimize_pipeline
 from .tableindex import _TableIndex
 
 __all__ = ["CodegenEngine"]
@@ -272,7 +271,7 @@ class CodegenEngine:
         action gets its new arguments stored into the live module's
         ``DB<site>`` globals (a frame already running reads them on its
         next miss, as the reference engine would); a default that
-        changes action invalidates the dispatch and SSA facts."""
+        changes action invalidates the dispatch arms and the runs."""
         bound = self._default_binding(name)
         old = self._default_bound.get(name)
         if bound == old:
@@ -322,7 +321,7 @@ class CodegenEngine:
     def _build(self, cause: str) -> None:
         self.builds[cause] = self.builds.get(cause, 0) + 1
         with profiled(self.switch.obs.registry, "codegen"):
-            ingress, egress = self._specialize()
+            self._specialize()
             self._globals: Dict[str, Any] = {}
             retired, self.tables = self.tables, {}
             self._table_globals: Dict[str, str] = {}
@@ -331,7 +330,7 @@ class CodegenEngine:
             #: Per table, the ``RUN<k>`` memos of the runs it is in.
             self._run_memos: Dict[str, Set[str]] = {}
             self._runs = 0
-            self.source = self._emit_module(ingress, egress)
+            self.source = self._emit_module()
             for name, old in retired.items():
                 index = self.tables.get(name)
                 if index is not None:
@@ -342,46 +341,25 @@ class CodegenEngine:
             self._run = self._globals["_process"]
         self.process = self._process_obs if self._instrumented else self._run
 
-    def _specialize(self) -> Tuple[List[ir.P4Stmt], List[ir.P4Stmt]]:
-        """SSA-optimize private copies of the pipelines under the
-        switch's live control-plane state: which action each table runs
-        on a miss (not its arguments, which :meth:`on_default_change`
-        rebinds) and any installed entries whose actions go beyond the
-        declaration."""
-        program = self.program
+    def _specialize(self) -> None:
+        """What emission assumes of the switch's live control-plane
+        state: per table, the actions an apply can dispatch to (the
+        declaration's, or every action when it names none, plus those
+        of installed entries and the default that go beyond it) and the
+        default's binding (its arguments :meth:`on_default_change`
+        rebinds)."""
         switch = self.switch
         self._assumed = {}
-        tables = dict(program.tables)
-        for name, table in program.tables.items():
-            base = (list(table.actions) if table.actions
-                    else list(program.actions))
-            extra = []
-            for entry in switch.entries.get(name, ()):
-                if entry.action not in base and entry.action not in extra:
-                    extra.append(entry.action)
+        for name, table in self.program.tables.items():
+            assumed = set(table.actions or self.program.actions)
+            assumed.update(entry.action
+                           for entry in switch.entries.get(name, ()))
             default = switch.default_actions.get(name)
-            if (default is not None and default[0] not in base
-                    and default[0] not in extra):
-                extra.append(default[0])
-            self._assumed[name] = set(base) | set(extra)
-            if extra and table.actions:
-                tables[name] = ir.Table(
-                    name=table.name, keys=table.keys,
-                    actions=list(table.actions) + extra,
-                    default_action=table.default_action, size=table.size)
+            if default is not None:
+                assumed.add(default[0])
+            self._assumed[name] = assumed
         self._default_bound = {name: self._default_binding(name)
                                for name in switch.default_actions}
-        clone = ir.P4Program(
-            name=program.name, parser=program.parser,
-            metadata=list(program.metadata), registers=program.registers,
-            actions=program.actions, tables=tables,
-            ingress=ir.clone_stmts(program.ingress),
-            egress=ir.clone_stmts(program.egress),
-            emit_order=program.emit_order)
-        self.ssa_counts = optimize_pipeline(clone, defaults={
-            name: None if value is None else (value[0], None)
-            for name, value in switch.default_actions.items()})
-        return clone.ingress, clone.egress
 
     # ==================================================================
     # Source emission
@@ -403,8 +381,7 @@ class CodegenEngine:
             self._table_globals[name] = gname
         return gname, self.tables[name]
 
-    def _emit_module(self, ingress: List[ir.P4Stmt],
-                     egress: List[ir.P4Stmt]) -> str:
+    def _emit_module(self) -> str:
         program = self.program
         switch = self.switch
         # Stable name maps (index-based: collision-free, readable).
@@ -448,9 +425,8 @@ class CodegenEngine:
             self._g("TR", self._obs.tracer)
         # Usage scans over pipelines + every program action (superset of
         # anything the dispatch can inline) + the parser's select fields.
-        bodies = [ingress, egress]
-        bodies.extend(action.body for action in program.actions.values())
-        all_stmts = [s for body in bodies for s in ir.walk_stmts(body)]
+        all_stmts = [s for body in ir.program_bodies(program)
+                     for s in ir.walk_stmts(body)]
         paths = [p for s in all_stmts for p in self._paths_of(s)]
         paths.extend(tr.field_path for state in program.parser.states
                      for tr in state.transitions
@@ -469,7 +445,7 @@ class CodegenEngine:
             "def _process(packet, ingress_port):",
         ]
         self._site = 0
-        self._emit_pipeline(lines, ingress, egress)
+        self._emit_pipeline(lines, program.ingress, program.egress)
         lines.append("")
         return "\n".join(lines)
 
@@ -477,7 +453,7 @@ class CodegenEngine:
 
     def _paths_of(self, stmt: ir.P4Stmt) -> List[str]:
         """Every field path a statement names (shallow, like the
-        expressions :func:`~repro.p4.ssa._stmt_exprs` lists for it)."""
+        expressions :func:`~repro.p4.ir.stmt_exprs` lists for it)."""
         paths: List[str] = []
         if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
             paths.append(stmt.dest)
@@ -487,7 +463,7 @@ class CodegenEngine:
             table = self.program.tables.get(stmt.table)
             if table is not None:
                 paths.extend(k.path for k in table.keys)
-        paths.extend(sub.path for expr in _stmt_exprs(stmt)
+        paths.extend(sub.path for expr in ir.stmt_exprs(stmt)
                      for sub in ir.walk_exprs(expr)
                      if isinstance(sub, ir.FieldRef))
         return paths

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..indus.errors import SourceSpan, UNKNOWN_SPAN
 from ..net.packet import HeaderType
@@ -493,6 +494,59 @@ def walk_exprs(expr: P4Expr):
     elif isinstance(expr, BinExpr):
         yield from walk_exprs(expr.left)
         yield from walk_exprs(expr.right)
+
+
+def expr_reads(expr: P4Expr) -> Set[str]:
+    """Every location an expression reads: field paths plus
+    ``hdr.<bind>.$valid`` tokens for validity tests."""
+    reads: Set[str] = set()
+    for node in walk_exprs(expr):
+        if isinstance(node, FieldRef):
+            reads.add(node.path)
+        elif isinstance(node, ValidRef):
+            reads.add(f"hdr.{node.header}.$valid")
+    return reads
+
+
+#: The one statement switch: per statement kind, the attributes holding
+#: the expressions it evaluates itself (one expression, or a list of
+#: them).  Nested bodies are statements of their own (:func:`walk_stmts`).
+_EXPR_ATTRS: Dict[type, Tuple[str, ...]] = {
+    AssignStmt: ("value",),
+    IfStmt: ("cond",),
+    RegisterRead: ("index",),
+    RegisterWrite: ("index", "value"),
+    Digest: ("fields",),
+    ExternCall: ("args",),
+}
+
+
+def stmt_exprs(stmt: P4Stmt) -> List[P4Expr]:
+    """The expressions ``stmt`` evaluates (shallow, in evaluation order)."""
+    out: List[P4Expr] = []
+    for attr in _EXPR_ATTRS.get(type(stmt), ()):
+        held = getattr(stmt, attr)
+        out.extend(held if isinstance(held, list) else [held])
+    return out
+
+
+def map_exprs(stmt: P4Stmt, fn: Callable[[P4Expr], P4Expr]) -> bool:
+    """Replace each expression ``stmt`` holds with ``fn`` of it, in
+    place; an attribute ``fn`` leaves alone (by identity) is not
+    reassigned.  Returns whether anything changed."""
+    changed = False
+    for attr in _EXPR_ATTRS.get(type(stmt), ()):
+        held = getattr(stmt, attr)
+        if isinstance(held, list):
+            new = [fn(expr) for expr in held]
+            same = all(n is o for n, o in zip(new, held))
+        else:
+            new = fn(held)
+            same = new is held
+        if not same:
+            setattr(stmt, attr, new)
+            changed = True
+    return changed
 
 
 def clone_stmts(stmts: Sequence[P4Stmt]) -> List[P4Stmt]:

@@ -32,16 +32,6 @@ class _Op:
     writes: Set[str] = field(default_factory=set)
 
 
-def _expr_reads(expr: ir.P4Expr) -> Set[str]:
-    reads: Set[str] = set()
-    for node in ir.walk_exprs(expr):
-        if isinstance(node, ir.FieldRef):
-            reads.add(node.path)
-        elif isinstance(node, ir.ValidRef):
-            reads.add(f"hdr.{node.header}.$valid")
-    return reads
-
-
 def _action_ops(program: ir.P4Program, name: str,
                 extra_reads: Set[str]) -> Tuple[Set[str], Set[str]]:
     """Aggregate read/write sets of an action body (params excluded)."""
@@ -53,16 +43,16 @@ def _action_ops(program: ir.P4Program, name: str,
     for stmt in ir.walk_stmts(action.body):
         if isinstance(stmt, ir.AssignStmt):
             writes.add(stmt.dest)
-            reads |= {r for r in _expr_reads(stmt.value)
+            reads |= {r for r in ir.expr_reads(stmt.value)
                       if not r.startswith("param.")}
         elif isinstance(stmt, ir.IfStmt):
-            reads |= _expr_reads(stmt.cond)
+            reads |= ir.expr_reads(stmt.cond)
         elif isinstance(stmt, ir.MarkToDrop):
             writes.add("standard_metadata.$drop")
         elif isinstance(stmt, ir.ExternCall):
             writes.update(stmt.dests)
             for expr in stmt.args:
-                reads |= {r for r in _expr_reads(expr)
+                reads |= {r for r in ir.expr_reads(expr)
                           if not r.startswith("param.")}
     reads |= extra_reads
     return reads, writes
@@ -74,10 +64,10 @@ def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
     ops: List[_Op] = []
     for stmt in stmts:
         if isinstance(stmt, ir.AssignStmt):
-            ops.append(_Op(reads=_expr_reads(stmt.value) | control_reads,
+            ops.append(_Op(reads=ir.expr_reads(stmt.value) | control_reads,
                            writes={stmt.dest}))
         elif isinstance(stmt, ir.IfStmt):
-            cond_reads = _expr_reads(stmt.cond) | control_reads
+            cond_reads = ir.expr_reads(stmt.cond) | control_reads
             ops.extend(_linearize(program, stmt.then_body, cond_reads))
             ops.extend(_linearize(program, stmt.else_body, cond_reads))
         elif isinstance(stmt, ir.ApplyTable):
@@ -99,17 +89,17 @@ def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
             ops.extend(_linearize(program, stmt.hit_body, branch_reads))
             ops.extend(_linearize(program, stmt.miss_body, branch_reads))
         elif isinstance(stmt, ir.RegisterRead):
-            ops.append(_Op(reads=_expr_reads(stmt.index) | control_reads
+            ops.append(_Op(reads=ir.expr_reads(stmt.index) | control_reads
                            | {f"reg.{stmt.register}"},
                            writes={stmt.dest}))
         elif isinstance(stmt, ir.RegisterWrite):
-            ops.append(_Op(reads=(_expr_reads(stmt.index)
-                                  | _expr_reads(stmt.value) | control_reads),
+            ops.append(_Op(reads=(ir.expr_reads(stmt.index)
+                                  | ir.expr_reads(stmt.value) | control_reads),
                            writes={f"reg.{stmt.register}"}))
         elif isinstance(stmt, ir.Digest):
             reads: Set[str] = set(control_reads)
             for expr in stmt.fields:
-                reads |= _expr_reads(expr)
+                reads |= ir.expr_reads(expr)
             ops.append(_Op(reads=reads, writes={"$digest"}))
         elif isinstance(stmt, (ir.SetValid, ir.SetInvalid)):
             ops.append(_Op(reads=set(control_reads),
@@ -123,7 +113,7 @@ def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
         elif isinstance(stmt, ir.ExternCall):
             reads = set(control_reads)
             for expr in stmt.args:
-                reads |= _expr_reads(expr)
+                reads |= ir.expr_reads(expr)
             ops.append(_Op(reads=reads, writes=set(stmt.dests)))
     return ops
 

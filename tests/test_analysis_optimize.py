@@ -11,14 +11,20 @@ and the contract itself via the three-level differential oracle.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.analysis import optimize_compiled
 from repro.analysis.optimize import _fold_expr, OptimizeStats
+from repro.analysis.ssa import eval_const
 from repro.difftest import run_seed
 from repro.p4 import ir
 from repro.p4.bmv2 import Bmv2Switch
 from repro.properties import PROPERTIES, TABLE1_ORDER, load_checked
+
+BIN_OPS = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "==", "!=",
+           "<", "<=", ">", ">=", "&&", "||", "absdiff", "min", "max"]
+UN_OPS = ["!", "~", "-"]
 
 
 def fold(expr):
@@ -27,6 +33,15 @@ def fold(expr):
 
 def const(value, width=32):
     return ir.Const(value, width)
+
+
+REFERENCE = Bmv2Switch(ir.P4Program(name="ref"), engine="interp")
+
+
+def reference(expr):
+    """What the reference engine computes for a constant-only tree (no
+    field is read, so no packet context is needed)."""
+    return REFERENCE._eval(expr, None)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +71,42 @@ def test_fold_bin_matches_bmv2(op, left, right, width, expected):
     expr = ir.BinExpr(op, const(left, width), const(right, width), width)
     folded = fold(expr)
     assert isinstance(folded, ir.Const), (op, folded)
-    assert folded.value == expected, (op, left, right)
+    assert folded.value == expected == reference(expr), (op, left, right)
+
+
+WIDTHS = st.integers(1, 64)
+#: Small values (zero divisors), shift amounts past any width, and
+#: values wider than any operator's result.
+CONSTS = st.builds(ir.Const, st.one_of(st.integers(0, 3), st.integers(0, 130),
+                                       st.integers(0, (1 << 72) - 1)), WIDTHS)
+
+
+def binary(operands, ops=st.sampled_from(BIN_OPS)):
+    return st.builds(ir.BinExpr, ops, operands, operands, WIDTHS)
+
+
+def unary(operands, ops=st.sampled_from(UN_OPS)):
+    return st.builds(ir.UnExpr, ops, operands, st.none() | WIDTHS)
+
+
+CONST_TREES = st.recursive(
+    CONSTS, lambda sub: binary(sub) | unary(sub), max_leaves=6)
+
+
+@pytest.mark.parametrize("shape, op", [(binary, op) for op in BIN_OPS]
+                         + [(unary, op) for op in UN_OPS],
+                         ids=lambda value: getattr(value, "__name__", value))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_const_matches_bmv2(shape, op, data):
+    """The one folder against the reference, not against a table: every
+    operator at the root of constant-only trees, operands wider than the
+    result, zero divisors, shifts past the width."""
+    expr = data.draw(shape(CONST_TREES, st.just(op)))
+    want = reference(expr)
+    assert eval_const(expr, lambda path: None) == want
+    folded = fold(expr)
+    assert isinstance(folded, ir.Const) and reference(folded) == want
 
 
 def test_fold_short_circuit_with_non_const_side():

@@ -11,6 +11,8 @@ out of order or carry unknown select values, a cyclic parse graph, a
 header stack, and an extern whose declaration is wrong.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -190,11 +192,24 @@ def run_interleaved(switches, first, second, port):
     return latest[id(first)], latest[id(second)]
 
 
-@pytest.mark.parametrize("name", sorted(PROPERTIES))
-def test_corpus_programs_never_write_through(name):
-    """Each corpus checker as first hop (telemetry injected), mid-path
-    (telemetry carried and updated) and last hop (checked, stripped)."""
-    compiled = compile_program(load_source(name), name=name)
+def checker_sources():
+    """Every bundled checker and every ``examples/*.indus`` file, plain
+    and through the optimizer (``+opt``)."""
+    sources = [(name, load_source(name)) for name in sorted(PROPERTIES)]
+    examples = Path(__file__).resolve().parent.parent / "examples"
+    sources += [(path.name, path.read_text())
+                for path in sorted(examples.glob("*.indus"))]
+    return [pytest.param(name, source, optimize,
+                         id=name + ("+opt" if optimize else ""))
+            for name, source in sources for optimize in (False, True)]
+
+
+@pytest.mark.parametrize("name, source, optimize", checker_sources())
+def test_corpus_programs_never_write_through(name, source, optimize):
+    """Each checker as first hop (telemetry injected), mid-path
+    (telemetry carried and updated) and last hop (checked, stripped):
+    its generated source builds, and agrees with the reference."""
+    compiled = compile_program(source, name=name, optimize=optimize)
     program = standalone_program(compiled)
     first = make_udp(ip(10, 0, 0, 1), ip(10, 0, 1, 2), 4000, 53, ttl=9)
     second = make_tcp(ip(10, 1, 0, 7), ip(10, 0, 0, 1), 80, 4000, ttl=3)
@@ -238,6 +253,24 @@ def test_all_checkers_fabric_never_writes_through(fabrics):
         end = topology.link_at(end.node, port).other(
             Endpoint(end.node, port))
     assert end.node == "h3"
+
+
+def test_all_checkers_fabric_source_keeps_its_shape(fabrics):
+    """What the engine promises of the paper deployment's generated
+    modules: one function, no per-packet header allocation, a loop-free
+    parser, no boxed header write — and one build per switch, every
+    control value set since being a rebind."""
+    _, deployments = fabrics
+    for name, switch in deployments["codegen"].switches.items():
+        source = switch._engine.source
+        defs = [line for line in source.splitlines()
+                if line.startswith("def ")]
+        assert defs == ["def _process(packet, ingress_port):"], name
+        for banned in ("_blank(", "while True", ".copy()", "_os("):
+            assert banned not in source, (name, banned)
+        counts = switch.engine_counts()
+        assert counts["builds"] == {"initial": 1}, (name, counts)
+        assert counts["rebinds"] > 0, (name, counts)
 
 
 def test_a_hop_pays_for_what_it_changes(fabrics, monkeypatch):

@@ -1,5 +1,9 @@
 """P4 IR tests: table match semantics, entry priority, tree walking."""
 
+import dataclasses
+import typing
+from typing import List
+
 import pytest
 
 from repro.p4 import ir
@@ -118,6 +122,72 @@ def test_walk_exprs():
     assert any(isinstance(n, ir.FieldRef) for n in nodes)
     assert any(isinstance(n, ir.ValidRef) for n in nodes)
     assert len(nodes) == 4
+
+
+def stmt_kinds():
+    """Every statement kind the IR declares, subclasses of subclasses
+    included."""
+    kinds, pending = [], [ir.P4Stmt]
+    while pending:
+        subs = pending.pop().__subclasses__()
+        kinds.extend(subs)
+        pending.extend(subs)
+    return kinds
+
+
+def make_stmt(kind):
+    """An instance of ``kind`` with a distinct ``FieldRef`` in every
+    expression slot its dataclass fields declare, and those refs."""
+    hints = typing.get_type_hints(kind)
+    values, held = {}, []
+    for field in dataclasses.fields(kind):
+        hint = hints[field.name]
+        if field.name == "span":
+            continue
+        if hint is ir.P4Expr:
+            values[field.name] = ir.FieldRef(f"meta.{field.name}")
+            held.append(values[field.name])
+        elif hint == List[ir.P4Expr]:
+            values[field.name] = [ir.FieldRef(f"meta.{field.name}{i}")
+                                  for i in range(2)]
+            held.extend(values[field.name])
+        else:  # an expression in a shape this test cannot fill in
+            assert "P4Expr" not in repr(hint), (kind, field.name, hint)
+            values[field.name] = ("meta.s" if hint is str else
+                                  max if field.name == "fn" else [])
+    return kind(**values), held
+
+
+@pytest.mark.parametrize("kind", stmt_kinds(), ids=lambda kind: kind.__name__)
+def test_the_one_statement_switch_reaches_every_expression_field(kind):
+    """``stmt_exprs`` lists and ``map_exprs`` rebuilds every field typed
+    ``P4Expr`` or ``List[P4Expr]``: a statement kind added without its
+    ``_EXPR_ATTRS`` row fails here instead of being skipped by every
+    analysis at once."""
+    stmt, held = make_stmt(kind)
+    assert ir.stmt_exprs(stmt) == held
+    assert all(a is b for a, b in zip(ir.stmt_exprs(stmt), held))
+    before = dict(vars(stmt))
+    assert ir.map_exprs(stmt, lambda expr: expr) is False
+    assert all(vars(stmt)[name] is value for name, value in before.items())
+
+    def rename(expr):
+        return ir.FieldRef(expr.path + "_renamed")
+
+    assert ir.map_exprs(stmt, rename) is bool(held)
+    assert ir.stmt_exprs(stmt) == [rename(expr) for expr in held]
+
+
+def test_map_exprs_reaches_extern_args_and_digest_fields():
+    extern = ir.ExternCall("hash", max, args=[ir.FieldRef("meta.a")],
+                           dests=["meta.h"])
+    digest = ir.Digest("d", [ir.FieldRef("meta.a"), ir.Const(1, 1)])
+    for stmt in (extern, digest):
+        assert ir.map_exprs(stmt, lambda expr: (
+            ir.FieldRef("meta.b") if expr == ir.FieldRef("meta.a") else expr))
+    assert extern.args == [ir.FieldRef("meta.b")]
+    assert extern.dests == ["meta.h"]
+    assert digest.fields == [ir.FieldRef("meta.b"), ir.Const(1, 1)]
 
 
 def test_bind_types_expands_stacks():

@@ -1,18 +1,20 @@
 """SSA construction tests: phi placement, def-use integrity, proposals.
 
-The codegen engine and the SSA optimizer rounds both stand on
-:mod:`repro.p4.ssa` getting renaming right: exactly one phi per
-rejoining variable, def-use chains that point at real statements, the
-constant lattice merged per incoming version, and rewrite proposals
-(copy propagation / CSE / dead-branch pruning) that are sound per the
-width rules.  These tests drive the lift on hand-built IR where the
-expected SSA shape is known exactly.
+The optimizer's SSA rounds stand on :mod:`repro.analysis.ssa` getting
+renaming right: exactly one phi per rejoining variable, def-use chains
+that point at real statements, the constant lattice merged per incoming
+version, and rewrite proposals (copy propagation / CSE / dead-branch
+pruning) that are sound per the width rules.  These tests drive the
+lift on hand-built IR where the expected SSA shape is known exactly.
 """
 
+import pytest
+
+from repro.analysis.ssa import (CopyOp, EntryOp, ExprOp, ExternOp, PhiOp,
+                                Proposals, SSAFunction, SSAInfo, TableOp,
+                                apply_proposals, eval_const,
+                                merge_proposals, propose)
 from repro.p4 import ir
-from repro.p4.ssa import (CopyOp, EntryOp, ExprOp, ExternOp, PhiOp,
-                          SSAFunction, SSAInfo, TableOp, apply_proposals,
-                          merge_proposals, optimize_pipeline, propose)
 
 IP = "standard_metadata.ingress_port"
 
@@ -29,6 +31,20 @@ def assign(dest, value):
     if isinstance(value, int):
         value = ir.Const(value, 32)
     return ir.AssignStmt(dest, value)
+
+
+def rewrite_to_fixpoint(body, info):
+    """Lift, propose and apply over ``body`` (in place) until a round
+    changes nothing; the rewrites made, per pass."""
+    totals = {"copyprop": 0, "cse": 0, "branch": 0, "dce": 0}
+    for _ in range(8):
+        counts = apply_proposals(
+            [body], propose(SSAFunction.lift(body, info)))
+        if not any(counts.values()):
+            return totals
+        for key, value in counts.items():
+            totals[key] += value
+    raise AssertionError(f"no fixpoint in 8 rounds: {totals}")
 
 
 def node_of(fn, stmt):
@@ -81,6 +97,22 @@ def test_write_mask_applied_to_constants():
     fn = SSAFunction.lift([stmt], info_for(x=8))
     value = [v for v in fn.values if v.var == "meta.x" and v.version == 1][0]
     assert value.const == 0xFF
+
+
+@pytest.mark.parametrize("op, const, const_first, decided", [
+    ("||", 1, False, 1), ("||", 1, True, 1),
+    ("&&", 0, False, 0), ("&&", 0, True, 0),
+    ("||", 0, False, None), ("||", 0, True, None),
+    ("&&", 1, False, None), ("&&", 1, True, None),
+])
+def test_a_deciding_constant_on_either_side_decides(op, const, const_first,
+                                                    decided):
+    """Expressions are pure, so ``x || 1`` is 1 as ``1 || x`` is; an
+    undecided side (``x || 0``, ``1 && x``) must keep the field read."""
+    sides = [ir.FieldRef("hdr.h.x"), ir.Const(const, 1)]
+    if const_first:
+        sides.reverse()
+    assert eval_const(ir.BinExpr(op, *sides, 1), lambda path: None) == decided
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +335,6 @@ def test_merge_proposals_requires_agreement():
     assert agreed.subst[(id(stmt), "meta.b")] == ("const", 4)
     # A second linearization that saw the statement but could not prove
     # the substitution vetoes it ...
-    from repro.p4.ssa import Proposals
     silent = Proposals(visited={id(stmt)})
     merged = merge_proposals([agreed, silent])
     assert (id(stmt), "meta.b") not in merged.subst
@@ -314,14 +345,12 @@ def test_merge_proposals_requires_agreement():
 
 
 def test_apply_proposals_fixpoint_collapses_copy_chain():
-    program = ir.P4Program(
-        name="tiny", metadata=[("a", 32), ("b", 32)],
-        ingress=[assign("meta.a", 5),
-                 assign("meta.b", ir.FieldRef("meta.a")),
-                 ir.Digest("d", [ir.FieldRef("meta.b")])])
-    totals = optimize_pipeline(program)
+    body = [assign("meta.a", 5),
+            assign("meta.b", ir.FieldRef("meta.a")),
+            ir.Digest("d", [ir.FieldRef("meta.b")])]
+    totals = rewrite_to_fixpoint(body, info_for(a=32, b=32))
     assert totals["copyprop"] >= 1 and totals["dce"] >= 2
-    (digest,) = program.ingress  # both assignments died
+    (digest,) = body  # both assignments died
     assert isinstance(digest, ir.Digest)
     (field,) = digest.fields
     assert isinstance(field, ir.Const) and field.value == 5
@@ -358,13 +387,11 @@ def test_constant_propagates_across_an_extern():
     props = propose(SSAFunction.lift(body, info_for(k=32, h=32, out=32)))
     assert props.subst[(id(read), "meta.k")] == ("const", 5)
     assert props.subst[(id(extern), "meta.k")] == ("const", 5)
-    program = ir.P4Program(
-        name="tiny", metadata=[("k", 32), ("h", 32), ("out", 32)],
-        ingress=body + [ir.Digest("d", [ir.FieldRef("meta.out"),
-                                        ir.FieldRef("meta.h")])])
-    optimize_pipeline(program)
-    assert [type(s) for s in program.ingress] == [ir.ExternCall, ir.Digest]
-    assert program.ingress[0].args[0] == ir.Const(5, 3)
+    body.append(ir.Digest("d", [ir.FieldRef("meta.out"),
+                                ir.FieldRef("meta.h")]))
+    rewrite_to_fixpoint(body, info_for(k=32, h=32, out=32))
+    assert [type(s) for s in body] == [ir.ExternCall, ir.Digest]
+    assert body[0].args[0] == ir.Const(5, 3)
 
 
 def test_extern_dest_write_kills_exactly_that_variable():
