@@ -84,8 +84,10 @@ class Simulator:
         self.run_until: Optional[float] = None
         self._slot_w = slot_width_s
         self._nslots = wheel_slots
-        self._wheel: List[List[Tuple[float, int, Callable[[], None]]]] = [
-            [] for _ in range(wheel_slots)]
+        # A slot's heap is created by its first push: a short-lived
+        # network never pays for slots it does not reach.
+        self._wheel: List[Optional[List[Tuple[float, int, Callable]]]] = (
+            [None] * wheel_slots)
         self._wheel_len = 0
         self._far: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
@@ -118,12 +120,19 @@ class Simulator:
         if base > self._base_slot:
             self._base_slot = base
         if slot < self._base_slot + self._nslots:
-            heapq.heappush(self._wheel[slot % self._nslots], entry)
-            self._wheel_len += 1
+            self._push(slot, entry)
             if slot < self._scan_slot:
                 self._scan_slot = slot
         else:
             heapq.heappush(self._far, entry)
+
+    def _push(self, slot: int, entry: Tuple[float, int, Callable]) -> None:
+        index = slot % self._nslots
+        heap = self._wheel[index]
+        if heap is None:
+            heap = self._wheel[index] = []
+        heapq.heappush(heap, entry)
+        self._wheel_len += 1
 
     def _next(self, pop: bool) -> Optional[Tuple[float, int, Callable]]:
         if not self._wheel_len and not self._far:
@@ -140,8 +149,7 @@ class Simulator:
         while far and far[0][0] < limit * slot_w:
             entry = heapq.heappop(far)
             slot = int(entry[0] / slot_w)
-            heapq.heappush(wheel[slot % nslots], entry)
-            self._wheel_len += 1
+            self._push(slot, entry)
             if slot < self._scan_slot:
                 self._scan_slot = slot
         if self._wheel_len:
@@ -377,6 +385,10 @@ class Network:
         # generation are discarded.
         self._cache_gen = next(_GENERATIONS)
         self._stateless: Optional[bool] = None  # computed lazily
+        #: The eager walk's wire table (see :meth:`_wire_rows`) and the
+        #: ``len(topology.links)`` it was derived from.
+        self._wire: Dict[Tuple[str, int], tuple] = {}
+        self._wired = 0
         if self._eager:
             for device in self.switches.values():
                 device.bmv2.on_config_change(self._on_switch_config)
@@ -397,7 +409,7 @@ class Network:
         attach = self.topology.host_attachment(host_name)
         link = self.topology.link_at(attach.node, attach.port)
         assert link is not None
-        self._send_over(link, Endpoint(host_name, 0), packet)
+        self._send_over(link, link.other(attach), packet)
 
     def _send_over(self, link: Link, src: Endpoint, packet: Packet) -> None:
         """Serialize + propagate a packet from ``src`` over ``link``."""
@@ -600,11 +612,29 @@ class Network:
         is immutable, so the statelessness verdict stands."""
         self._cache_gen = next(_GENERATIONS)
 
-    def _host_uplink(self, host_name: str) -> Tuple[Link, Endpoint]:
-        attach = self.topology.host_attachment(host_name)
-        link = self.topology.link_at(attach.node, attach.port)
-        assert link is not None
-        return link, Endpoint(host_name, 0)
+    def _wire_rows(self) -> None:
+        """Derive the wire table: per sending ``(node, port)``, the row
+        ``(bandwidth_bps, latency_s, sender, from_host, far node, far
+        port, far device, delivery Endpoint)`` — sender and far device
+        are the ``Host`` or ``SwitchDevice``, the ``Endpoint`` is
+        ``None`` unless the far end is a host.  A host's row is keyed
+        ``(host, 0)`` and is its first link, the one
+        ``Topology.host_attachment`` names.  A topology only ever gains
+        links, so the table is current while ``len(links)`` is, and
+        catching up is adding the new links' rows."""
+        hosts = self.hosts
+        nodes = {**self.switches, **hosts}
+        links = self.topology.links
+        wire = self._wire
+        for link in links[self._wired:]:
+            for near, far in ((link.a, link.b), (link.b, link.a)):
+                from_host = near.node in hosts
+                wire.setdefault(
+                    (near.node, 0 if from_host else near.port),
+                    (link.bandwidth_bps, link.latency_s, nodes[near.node],
+                     from_host, far.node, far.port, nodes[far.node],
+                     far if far.node in hosts else None))
+        self._wired = len(links)
 
     def _horizon(self, cap: Optional[float]) -> Optional[float]:
         """The eager-execution bound: min(next pending event, cap)."""
@@ -652,9 +682,10 @@ class Network:
         are worth replaying.
         """
         sim = self.sim
-        topology = self.topology
-        switches = self.switches
-        hosts = self.hosts
+        wire = self._wire
+        if self._wired != len(self.topology.links):
+            self._wire_rows()
+        device = self.switches.get(node)
         maxq = self.max_queue_delay_s
         horizon = self._horizon(cap)
         until = sim.run_until
@@ -668,69 +699,58 @@ class Network:
                 return
             sim.now = t
             if phase == "wire":
-                from_host = node in hosts
-                if from_host:
-                    link, src = self._host_uplink(node)
-                else:
-                    link = topology.link_at(node, port)
-                    if link is None:
-                        self._drop(node, packet, "no_route", port=port)
-                        return
-                    src = Endpoint(node, port)
+                row = wire.get((node, port))
+                if row is None:
+                    if device is None:
+                        raise ValueError(f"host {node!r} is not attached")
+                    self._drop(node, packet, "no_route", port=port)
+                    return
+                (bandwidth_bps, latency_s, sender, from_host, far_node,
+                 far_port, far, end) = row
                 plen = packet.length
-                tx_time = plen * 8 / link.bandwidth_bps
+                tx_time = plen * 8 / bandwidth_bps
                 if from_host:
-                    host = hosts[node]
-                    busy_until = host.nic_busy_until
+                    busy_until = sender.nic_busy_until
                 else:
-                    device = switches[node]
-                    busy_until = device.port_busy_until.get(port, 0.0)
+                    busy_until = sender.port_busy_until.get(port, 0.0)
                 start = max(t, busy_until)
                 queue_wait = start - t
                 if maxq is not None and queue_wait > maxq:
                     if from_host:
-                        hosts[node].nic_drops += 1
+                        sender.nic_drops += 1
                     self._drop(node, packet, "queue_full", port=port,
                                queue_wait_s=queue_wait)
                     return
                 if from_host:
-                    host.nic_busy_until = start + tx_time
-                    host.tx_count += 1
+                    sender.nic_busy_until = start + tx_time
+                    sender.tx_count += 1
                 else:
-                    device.port_busy_until[port] = start + tx_time
-                    device.bytes_forwarded += plen
+                    sender.port_busy_until[port] = start + tx_time
+                    sender.bytes_forwarded += plen
                 ready = start + tx_time
                 if rec is not None:
-                    if from_host:
-                        rec.append(("hw", node, port, tx_time,
-                                    link.latency_s, plen, packet, host))
-                    else:
-                        rec.append(("sw", node, port, tx_time,
-                                    link.latency_s, plen, packet, device))
+                    rec.append(("hw" if from_host else "sw", node, port,
+                                tx_time, latency_s, plen, packet, sender))
                 if self.serialize_on_wire:
                     packet = self._wire_roundtrip(packet)
-                arrival = (ready - t) + link.latency_s + t
-                dst = link.other(src)
-                if dst.node in hosts:
+                arrival = (ready - t) + latency_s + t
+                node = far_node
+                port = far_port
+                if end is not None:
                     if rec is not None:
-                        rec.append(("dv", dst.node, dst.port, packet, plen,
-                                    Endpoint(dst.node, dst.port),
-                                    hosts[dst.node]))
+                        rec.append(("dv", node, port, packet, plen, end, far))
                         self._store_record(rec)
-                    self._deliver_walk(dst.node, dst.port, packet, arrival,
-                                       horizon, until, plen)
+                    self._deliver_walk(far, end, packet, arrival, horizon,
+                                       until, plen)
                     return
-                device = switches[dst.node]
+                device = far
                 t = arrival + device.processing_delay_s
                 phase = "fw"
-                node = dst.node
-                port = dst.port
                 if rec is not None:
                     rec.append(("fw", node, port,
                                 device.processing_delay_s, packet))
                 continue
             # phase == "fw": the pipeline runs at forward time t.
-            device = switches[node]
             outputs = device.bmv2.process(packet, port)
             if not outputs:
                 self.packets_lost += 1
@@ -779,25 +799,23 @@ class Network:
             memo = (gen, legs, hw[1], None)
         hw[6]._ff = memo
 
-    def _deliver_walk(self, host_name: str, port: int, packet: Packet,
+    def _deliver_walk(self, host: Host, end: Endpoint, packet: Packet,
                       arrival: float, horizon: Optional[float],
                       until: Optional[float],
                       length: Optional[int] = None) -> None:
-        """Deliver at virtual time ``arrival``: inline when the host is
-        inert (no rx callbacks — nothing it does can be observed before
-        the walk returns) and the horizon allows it, else as a
-        scheduler event so callbacks fire at their true simulated time
-        with the queue in charge."""
-        host = self.hosts[host_name]
+        """Deliver to ``host`` (at ``end``) at virtual time ``arrival``:
+        inline when the host is inert (no rx callbacks — nothing it
+        does can be observed before the walk returns) and the horizon
+        allows it, else as a scheduler event so callbacks fire at their
+        true simulated time with the queue in charge."""
         if (host.rx_callbacks
                 or (horizon is not None and arrival >= horizon)
                 or (until is not None and arrival > until)):
-            end = Endpoint(host_name, port)
             self.sim.schedule_at(arrival,
                                  lambda: self._arrive(end, packet, length))
             return
         self.sim.now = arrival
-        self._arrive(Endpoint(host_name, port), packet, length)
+        self._arrive(end, packet, length)
 
     @staticmethod
     def _replay_out(legs: list, leg: tuple, emission: Packet) -> Packet:

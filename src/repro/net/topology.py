@@ -73,6 +73,7 @@ class Topology:
         self.hosts: Dict[str, HostSpec] = {}
         self.links: List[Link] = []
         self._port_map: Dict[Endpoint, Link] = {}
+        self._attached: Dict[str, Endpoint] = {}  # host -> its first peer
         self._next_switch_id = 1
 
     # -- construction ---------------------------------------------------------
@@ -113,6 +114,8 @@ class Topology:
         self._port_map[end_b] = link
         # Track edge ports: a switch port facing a host is an edge port.
         for near, far in ((end_a, end_b), (end_b, end_a)):
+            if near.node in self.hosts:
+                self._attached.setdefault(near.node, far)
             if near.node in self.switches and far.node in self.hosts:
                 spec = self.switches[near.node]
                 if near.port not in spec.edge_ports:
@@ -157,11 +160,11 @@ class Topology:
                 for i in range(len(nodes) - 1)]
 
     def host_attachment(self, host: str) -> Endpoint:
-        """The switch endpoint a host is attached to."""
-        for end, link in self._port_map.items():
-            if end.node == host:
-                return link.other(end)
-        raise ValueError(f"host {host!r} is not attached")
+        """The switch endpoint a host is attached to (its first link)."""
+        attach = self._attached.get(host)
+        if attach is None:
+            raise ValueError(f"host {host!r} is not attached")
+        return attach
 
     def edge_switches(self) -> List[str]:
         return [n for n, s in self.switches.items() if s.role == EDGE]

@@ -53,7 +53,11 @@ with flat local variables:
   site behind an ``if action_id == …`` dispatch that is
   specialized to the actions this program (plus any runtime-installed
   entries) can dispatch to.  Exact-match lookups inline the index's
-  hash probe directly.
+  hash probe directly; every other lookup (LPM, ternary, range: a
+  search) sits behind a probe of ``index.memo``, key tuple to payload
+  or ``None``, filled in the miss arm up to ``_MEMO_CAP`` keys and
+  emptied by the index itself, synchronously, on every write — sound
+  for the reason the run memo is, and kept by an instrumented build.
 
 The engine emits the linked program as given: it rewrites no statement,
 so it and the reference engine execute the same IR, and the one way to
@@ -88,8 +92,9 @@ notifies the engine on entry inserts and default-action changes.
   :data:`DEFAULT_ACTION`, :data:`ACTION_SET`, :data:`OBSERVABILITY`),
   ``rebinds``, ``recompiles == sum(builds) - 1`` and ``runs`` (memo
   ``sites``, ``fills`` counted in the miss arm, ``clears`` in the
-  hooks); read them through ``Bmv2Switch.engine_counts()``.  Nothing is
-  counted per packet.
+  hooks); read them through ``Bmv2Switch.engine_counts()``, and each
+  table's ``rebuilds``/``folds``/``memo_fills``/``memo_clears`` through
+  ``Bmv2Switch.index_counts()``.  Nothing is counted on a hit.
 
 Externs are value-in/value-out (:class:`~repro.p4.ir.ExternCall`): the
 call site passes the evaluated arguments and writes the results like any
@@ -107,7 +112,7 @@ from ..obs.profile import profiled
 from . import ir
 from .bmv2 import (DROP_PORT, DigestMessage, P4RuntimeError, StandardMetadata,
                    drop_reason)
-from .tableindex import _TableIndex
+from .tableindex import _MEMO_CAP, _TableIndex
 
 __all__ = ["CodegenEngine"]
 
@@ -135,6 +140,9 @@ _STD0 = StandardMetadata()
 #: Sentinel marking a dynamically-created std-metadata attribute that
 #: has not been written yet this packet.
 _UNSET = object()
+
+#: "Not in the lookup memo" (a memoised table miss is ``None``).
+_MISS = object()
 
 _set_slot = object.__setattr__
 
@@ -303,9 +311,12 @@ class CodegenEngine:
 
     def index_counts(self) -> Dict[str, Dict[str, int]]:
         """Per table, how often its index was rebuilt from the entry
-        list and how often a bulk write was folded into it instead,
-        since this engine was created (recompiles included)."""
-        return {name: {"rebuilds": index.rebuilds, "folds": index.folds}
+        list, how often a bulk write was folded into it instead, and
+        its lookup memo's fills and clears, since this engine was
+        created (recompiles included)."""
+        return {name: {"rebuilds": index.rebuilds, "folds": index.folds,
+                       "memo_fills": index.memo_fills,
+                       "memo_clears": index.memo_clears}
                 for name, index in self.tables.items()}
 
     def run_counts(self) -> Dict[str, int]:
@@ -335,6 +346,8 @@ class CodegenEngine:
                 index = self.tables.get(name)
                 if index is not None:
                     index.rebuilds, index.folds = old.rebuilds, old.folds
+                    index.memo_fills = old.memo_fills
+                    index.memo_clears = old.memo_clears
             code = compile(self.source,
                            f"<codegen:{self.program.name}>", "exec")
             exec(code, self._globals)
@@ -421,6 +434,7 @@ class CodegenEngine:
         self._g("_absdiff", _absdiff)
         self._g("_STD0", _STD0)
         self._g("_UNSET", _UNSET)
+        self._g("_MISS", _MISS)
         if self._instrumented:
             self._g("TR", self._obs.tracer)
         # Usage scans over pipelines + every program action (superset of
@@ -818,7 +832,15 @@ class CodegenEngine:
             emit(f"{pad}    {gname}._rebuild()")
             emit(f"{pad}_b{site} = {gname}._exact_map.get({key_tuple})")
         else:
-            emit(f"{pad}_b{site} = {gname}.lookup({key_tuple})")
+            # A search sits behind a probe of the memo its index owns
+            # (and empties, synchronously, on every write).
+            memo = self._g(f"L{gname}", index.memo)
+            emit(f"{pad}_k = {key_tuple}")
+            emit(f"{pad}_b{site} = {memo}.get(_k, _MISS)")
+            emit(f"{pad}if _b{site} is _MISS:")
+            emit(f"{pad}    _b{site} = {gname}.lookup(_k)")
+            emit(f"{pad}    if len({memo}) < {_MEMO_CAP}: "
+                 f"{memo}[_k] = _b{site}; {gname}.memo_fills += 1")
         emit(f"{pad}_h{site} = _b{site} is not None")
         # The default binding is data: set_default_action's hook stores
         # a new one here unless the action itself changed.

@@ -8,7 +8,8 @@ and ternary/range/priority tables stay a small list pre-sorted in win
 order (hashed on one column once large, see ``_RBUCKET_MIN``) and tested
 with a matcher compiled once per tuple of match kinds.
 
-When the index is behind the entry list, and when it is not:
+When the index is behind the entry list, when it is not, and what it
+forgets:
 
 * An index created over an **empty** table is clean, and every insert
   and delete — a batch (``Bmv2Switch.insert_entries`` /
@@ -23,7 +24,15 @@ When the index is behind the entry list, and when it is not:
   order (a duplicate exact or LPM key), or when it was created over a
   non-empty table (an engine recompile).
 
-``rebuilds`` and ``folds`` count the two outcomes.
+* ``memo`` maps a looked-up key tuple to what :meth:`lookup` returned
+  for it (``None``: a miss).  The generated non-exact apply sites probe
+  it first and fill it, up to ``_MEMO_CAP`` keys (a full memo stops
+  filling, it never evicts); ``invalidate``, ``fold_inserts`` and
+  ``fold_deletes`` — every way the layout changes — empty it first, so
+  it only ever holds answers of the installed entries.
+
+``rebuilds`` and ``folds`` count the two outcomes, ``memo_fills`` and
+``memo_clears`` the memo's (nothing is counted on a hit).
 
 The index stores whatever payload its engine's ``_bind_action`` returns
 for an entry and never looks inside it.
@@ -53,6 +62,9 @@ _LPM_WIDTH = 32  # the reference engine's fixed LPM key width
 # entries) — the property that keeps per-packet checker work flat as
 # an Aether-style control dict grows to millions of subscriber rows.
 _RBUCKET_MIN = 64
+
+#: Keys a lookup memo holds before it stops filling.
+_MEMO_CAP = 512
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,6 +123,9 @@ class _TableIndex:
         self._dirty = bool(engine.switch.entries[name])
         self.rebuilds = 0
         self.folds = 0
+        self.memo: Dict[Tuple, Optional[Callable]] = {}
+        self.memo_fills = 0
+        self.memo_clears = 0
         self._exact_map: Dict[Tuple, Callable] = {}
         self._exact_dups = False
         self._buckets: Dict[int, Dict[Tuple, Callable]] = {}
@@ -133,7 +148,15 @@ class _TableIndex:
         self._rank_counter = 0
 
     def invalidate(self) -> None:
+        self._forget()
         self._dirty = True
+
+    def _forget(self) -> None:
+        """Empty the lookup memo: first thing in every method that
+        changes what :meth:`lookup` returns."""
+        if self.memo:
+            self.memo.clear()
+            self.memo_clears += 1
 
     def _sort_key(self, index: int, entry: ir.TableEntry) -> Tuple:
         if self._lpm_index is not None:
@@ -296,6 +319,7 @@ class _TableIndex:
         success.  A partially applied fold that bails is safe — the
         caller's invalidate discards the folded state.
         """
+        self._forget()
         if self._dirty:
             return True
         bind = self.engine._bind_action
@@ -350,6 +374,7 @@ class _TableIndex:
     def fold_deletes(self, removed: Sequence[ir.TableEntry]) -> bool:
         """Drop entries just removed from the switch's entry list from
         the index.  Same contract as :meth:`fold_inserts`."""
+        self._forget()
         if self._dirty:
             return True
         if self._mode == "exact":

@@ -220,6 +220,40 @@ def test_a_memoised_run_follows_a_write_made_mid_packet():
                                    {"sites": 1, "fills": 2, "clears": 1})
 
 
+def test_a_memoised_lookup_follows_a_write_made_mid_packet():
+    """The same control app over a dict table (``RANGE``-keyed, so its
+    lookups sit behind the index's memo): an earlier packet memoised
+    the key as a miss; the listener answers the next packet's ingress
+    digest by installing that key, and the index forgets before the
+    insert returns — the same packet's egress apply finds the entry."""
+    program = one_table_program(
+        "midlookup",
+        ir.Table("dict_x", keys=[ir.TableKey("hdr.h.a", ir.MatchKind.RANGE)],
+                 actions=["load_x"], default_action=("load_x", [1])),
+        [ir.Digest("before")])
+    program.egress = [ir.ApplyTable("dict_x"),
+                      ir.Digest("after", [ir.FieldRef("meta.x")])]
+
+    def reported(engine):
+        sw = Bmv2Switch(program, engine=engine)
+        seen = []
+
+        def listener(msg):
+            if msg.name == "after":
+                seen.extend(msg.values)
+            elif seen == [1]:  # the second packet
+                sw.insert_entry("dict_x", [(5, 5)], "load_x", [7])
+
+        sw.on_digest(listener)
+        for _ in range(3):
+            sw.process(Packet(headers=[H(a=5)], payload_len=4), 1)
+        return seen, sw.index_counts().get("dict_x")
+
+    assert reported("interp") == ([1, 7, 7], None)
+    assert reported("codegen") == ([1, 7, 7], {
+        "rebuilds": 0, "folds": 1, "memo_fills": 2, "memo_clears": 1})
+
+
 @pytest.mark.parametrize("name", ("loops", "valley_free"))
 def test_optimized_pipeline_parity(name):
     """The dataflow-optimized IR through codegen still matches the

@@ -258,16 +258,22 @@ def test_all_checkers_fabric_never_writes_through(fabrics):
 def test_all_checkers_fabric_source_keeps_its_shape(fabrics):
     """What the engine promises of the paper deployment's generated
     modules: one function, no per-packet header allocation, a loop-free
-    parser, no boxed header write — and one build per switch, every
-    control value set since being a rebind."""
+    parser, no boxed header write, every index search in the miss arm
+    of a memo probe — and one build per switch, every control value set
+    since being a rebind."""
     _, deployments = fabrics
     for name, switch in deployments["codegen"].switches.items():
         source = switch._engine.source
-        defs = [line for line in source.splitlines()
-                if line.startswith("def ")]
+        lines = source.splitlines()
+        defs = [line for line in lines if line.startswith("def ")]
         assert defs == ["def _process(packet, ingress_port):"], name
         for banned in ("_blank(", "while True", ".copy()", "_os("):
             assert banned not in source, (name, banned)
+        searches = [i for i, line in enumerate(lines) if ".lookup(" in line]
+        assert len(searches) == (11 if name.startswith("leaf") else 7), name
+        for i in searches:
+            assert lines[i - 1].strip().endswith("is _MISS:"), lines[i - 1]
+            assert lines[i - 2].strip().endswith(".get(_k, _MISS)")
         counts = switch.engine_counts()
         assert counts["builds"] == {"initial": 1}, (name, counts)
         assert counts["rebinds"] > 0, (name, counts)
@@ -303,6 +309,76 @@ def test_a_hop_pays_for_what_it_changes(fabrics, monkeypatch):
         calls.__setitem__("length", calls["length"] + 1), length(self))[1]))
     assert walk() == 3
     assert calls == {"copy": 0, "length": 1}
+
+
+def test_a_warm_lookup_memo_searches_nothing(fabrics, monkeypatch):
+    """Every non-exact apply of a warmed h1 -> h3 packet is one probe
+    of its index's memo: a second identical packet fills nothing and
+    never enters ``_TableIndex.lookup``.  Withdrawing
+    ``vlan_configured[0]`` (the benchmark's negative control) empties
+    exactly the memo of the one table it writes, on the switches that
+    had filled it, and the next packet is reported — under both
+    engines, which go through every step together."""
+    from repro.p4.tableindex import _TableIndex
+    topology, deployments = fabrics
+    hosts = topology.hosts
+    first = make_udp(hosts["h1"].ipv4, hosts["h3"].ipv4, 4000, 9)
+    searched = []
+    lookup = _TableIndex.lookup
+    monkeypatch.setattr(_TableIndex, "lookup", lambda self, key: (
+        searched.append(self.name), lookup(self, key))[1])
+
+    def walk():
+        """Hops the packet survived, per engine."""
+        hops = {}
+        for engine in ENGINES:
+            packet, end, hops[engine] = first, topology.host_attachment("h1"), 0
+            while end.node not in hosts:
+                switch = deployments[engine].switches[end.node]
+                outputs = switch.process(packet, end.port)
+                if not outputs:
+                    break
+                (port, packet), = outputs
+                end = topology.peer(end.node, port)
+                hops[engine] += 1
+        return hops
+
+    def memo_counts(count):
+        return {(name, table): counts[count]
+                for name, switch in deployments["codegen"].switches.items()
+                for table, counts in switch.index_counts().items()}
+
+    def reported():
+        return [len(deployments[engine].reports) for engine in ENGINES]
+
+    try:
+        walk()  # warm
+        fills, clears = memo_counts("memo_fills"), memo_counts("memo_clears")
+        before = reported()
+        del searched[:]
+        assert walk() == {engine: 3 for engine in ENGINES}
+        assert searched == [] and memo_counts("memo_fills") == fills
+        assert reported() == before
+        table = "ih_vlan_isolation_vlan_configured_tbl1"
+        warm = {name for name, switch
+                in deployments["codegen"].switches.items()
+                if switch._engine.tables[table].memo}
+        assert warm == {"leaf1", "spine1", "leaf2"}
+        for deployment in deployments.values():
+            deployment.dict_remove("vlan_configured", 0)
+        assert {key: n - clears[key] for key, n
+                in memo_counts("memo_clears").items() if n != clears[key]
+                } == {(name, table): 1 for name in warm}
+        assert len(set(walk().values())) == 1
+        # One search per hop (the last one rejects the packet), each
+        # memoising the miss where the hit was.
+        assert searched == [table] * 3
+        after = reported()
+        assert after[0] == after[1] > before[0]
+    finally:
+        # The fixture is the module's: leave it as configured.
+        for deployment in deployments.values():
+            deployment.dict_put("vlan_configured", 0, True)
 
 
 def test_source_route_pop_owns_the_slots_it_rewrites():

@@ -44,6 +44,37 @@ def test_negative_delay_rejected():
         Simulator().schedule(-1, lambda: None)
 
 
+def test_wheel_slots_are_created_by_their_first_push():
+    """The wheel starts with no slot heaps.  A never-used slot, a time
+    far beyond the window and a slot index that aliases an occupied
+    one (``slot + wheel_slots``) each get theirs when first pushed to —
+    directly or by the far heap's migration — and everything still pops
+    in ``(time, seq)`` order."""
+    sim = Simulator(slot_width_s=1.0, wheel_slots=8)
+    assert sim._wheel == [None] * 8
+    order = []
+
+    def at(time, label):
+        sim.schedule_at(time, lambda: order.append((sim.now, label)))
+
+    def used():
+        return [i for i, slot in enumerate(sim._wheel) if slot is not None]
+
+    sim.now = 4.0  # where a batched walk may leave the clock
+    at(100.5, "far-2")      # beyond the window: the far heap
+    at(99.5, "far-1")
+    at(3.5, "overdue")      # slot 3, never used, below the window's base
+    at(11.5, "alias")       # slot 3 + 8: the same physical slot
+    at(11.5, "alias-2")
+    at(3.5, "overdue-2")
+    assert used() == [3] and sim.pending == 6
+    sim.run()
+    assert order == [(3.5, "overdue"), (3.5, "overdue-2"), (11.5, "alias"),
+                     (11.5, "alias-2"), (99.5, "far-1"), (100.5, "far-2")]
+    # far-1 was popped from the far heap; far-2 migrated to slot 100 % 8.
+    assert used() == [3, 4] and sim.pending == 0
+
+
 def make_single_switch_network(**kwargs):
     topo = single_switch(2)
     program = l2_port_forwarding()

@@ -4,17 +4,18 @@ byte-identical), and the accounting regressions fixed alongside the
 batch hot loop (NIC drop counting, ``last_rx_time``, wire-roundtrip
 fidelity, lazy trace generation)."""
 
+import collections
 import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments.fig12 import Fig12Config, run_rtt_experiment
 from repro.experiments.throughput import run_replay
 from repro.net.packet import ip, make_udp
 from repro.net.simulator import Network, Simulator
-from repro.net.topology import linear, single_switch
+from repro.net.topology import Endpoint, Link, Topology, linear, single_switch
 from repro.p4 import ENGINES
 from repro.p4.bmv2 import Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
@@ -144,6 +145,8 @@ def _snapshot(network):
     return {
         "delivered": network.packets_delivered,
         "lost": network.packets_lost,
+        # By (node, reason), where the run counted them (_count_drops).
+        "drops": getattr(network, "drops", None),
         "now": network.sim.now,
         "hosts": {
             name: {
@@ -165,6 +168,20 @@ def _snapshot(network):
             for name, device in network.switches.items()
         },
     }
+
+
+def _count_drops(network):
+    """Count network-layer drops by ``(node, reason)`` on
+    ``network.drops`` — ``_drop`` is the one place both modes account
+    them — for :func:`_snapshot` to compare."""
+    network.drops = collections.Counter()
+    drop = network._drop
+
+    def counted(node, packet, reason, **detail):
+        network.drops[node, reason] += 1
+        drop(node, packet, reason, **detail)
+
+    network._drop = counted
 
 
 def _make_chain(batched, hosts=4, **kwargs):
@@ -557,6 +574,102 @@ def test_high_rate_replay_accounts_every_packet():
 
 
 # ---------------------------------------------------------------------------
+# The wire table: the eager walk reads a precomputed row per leg
+# ---------------------------------------------------------------------------
+
+def _make_three_hops(batched, **kwargs):
+    """h1 - s1 - s2 - s3 - h2, forwarded both ways; every switch with
+    its own stage count."""
+    topo = linear(3)
+    programs = {}
+    for name, (near, far) in {"s1": (1, 10), "s2": (11, 10),
+                              "s3": (11, 1)}.items():
+        bmv2 = programs[name] = Bmv2Switch(l2_port_forwarding(), name=name)
+        bmv2.insert_entry("fwd_table", [near], "fwd_set_egress", [far])
+        bmv2.insert_entry("fwd_table", [far], "fwd_set_egress", [near])
+    network = Network(topo, programs, batched=batched,
+                      stage_counts={"s1": 3, "s2": 12, "s3": 7}, **kwargs)
+    return topo, network
+
+
+def test_the_walk_reads_the_wire_table_and_nothing_else(monkeypatch):
+    """Once a batched network is built, a stateful three-hop replay
+    asks the topology nothing: no ``Endpoint`` is made, hashed against
+    the port map or compared, and every packet still lands when event
+    mode (the unpatched twin, run first) says."""
+    def attach(topo, network):
+        ping = make_udp(topo.hosts["h1"].ipv4, topo.hosts["h2"].ipv4, 1, 2,
+                        payload_len=900)
+        pong = make_udp(topo.hosts["h2"].ipv4, topo.hosts["h1"].ipv4, 2, 1)
+        network.attach_source("h1", iter([(i * 1e-6, ping)
+                                          for i in range(40)]))
+        network.attach_source("h2", iter([(i * 3e-6, pong)
+                                          for i in range(15)]))
+
+    topo, reference = _make_three_hops(False, serialize_on_wire=True)
+    attach(topo, reference)
+    reference.run()
+    want = _snapshot(reference)
+    assert (want["hosts"]["h2"]["rx"], want["hosts"]["h1"]["rx"]) == (40, 15)
+
+    topo, network = _make_three_hops(True, serialize_on_wire=True)
+
+    def asked(*args, **kwargs):
+        raise AssertionError("the batched walk asked the topology")
+
+    for owner, name in ((Topology, "link_at"), (Topology, "host_attachment"),
+                        (Topology, "peer"), (Link, "other"),
+                        (Endpoint, "__init__")):
+        monkeypatch.setattr(owner, name, asked)
+    attach(topo, network)
+    network.run()
+    assert _snapshot(network) == want
+
+
+def test_a_link_added_after_construction_carries_traffic_in_both_modes():
+    """``Topology`` only grows: a link wired after the network was
+    built (and had derived its wire table for earlier traffic) carries
+    the next packets in batched mode exactly as in event mode — here
+    to a host that sits on a port other than 0 and sends back."""
+    def make(batched, hosts, **kwargs):
+        topo = single_switch(hosts)
+        topo.add_host("late", ipv4=ip(10, 0, 1, 99))
+        bmv2 = Bmv2Switch(l2_port_forwarding(), name="s1")
+        bmv2.insert_entry("fwd_table", [1], "fwd_set_egress", [2])
+        bmv2.insert_entry("fwd_table", [2], "fwd_set_egress", [3])
+        return topo, Network(topo, {"s1": bmv2}, batched=batched,
+                             **kwargs), bmv2, []
+
+    def attach(topo, network, bmv2, entries):
+        _count_drops(network)
+        early = make_udp(topo.hosts["h1"].ipv4, topo.hosts["h2"].ipv4, 1, 2)
+        there = make_udp(topo.hosts["h2"].ipv4, ip(10, 0, 1, 99), 3, 4)
+        back = make_udp(ip(10, 0, 1, 99), topo.hosts["h1"].ipv4, 4, 3,
+                        payload_len=300)
+
+        def wire_late():
+            topo.add_link("s1", 3, "late", 5)
+            bmv2.insert_entry("fwd_table", [3], "fwd_set_egress", [1])
+
+        network.attach_source("h1", iter([(i * 2e-6, early)
+                                          for i in range(10)]))
+        # Port 3 is unwired (no_route) until 9 us into the run.
+        network.attach_source("h2", iter([(i * 2e-6, there)
+                                          for i in range(10)]))
+        network.sim.schedule_at(9e-6, wire_late)
+        network.attach_source("late", iter([(12e-6 + i * 2e-6, back)
+                                            for i in range(5)]))
+
+    for stateful in (False, True):
+        snap = _run_both(attach, make=make, serialize_on_wire=stateful)
+        assert snap["drops"] == {("s1", "no_route"): 4}
+        assert snap["hosts"]["late"]["rx"] == 6
+        assert snap["hosts"]["late"]["tx"] == 5
+        assert snap["hosts"]["h1"]["rx"] == 5
+        assert snap["hosts"]["h2"]["rx"] == 10
+
+
+# ---------------------------------------------------------------------------
 # Tie-heavy schedules: the one equivalence property
 # ---------------------------------------------------------------------------
 
@@ -578,21 +691,44 @@ _source_plans = st.lists(
        max_queue_delay_s=st.sampled_from([None, 1e-6, 5e-6]),
        until_tick=st.one_of(st.none(), st.integers(0, 35)),
        reroute=st.one_of(st.none(), st.tuples(st.integers(0, 24),
-                                              st.integers(0, 3))))
+                                              st.integers(0, 3))),
+       stages=st.sampled_from([None, {"s1": 3, "s2": 20}]),
+       blackhole=st.booleans(),
+       must=st.just(frozenset()))
+# Every way a wire leg can end, on eager walks (the wire round-trip
+# keeps the fabric off fast-forward) through two switches of unequal
+# depth: h1's second packet finds its NIC busy for longer than the
+# bound, h1's first and h3's meet at s1's uplink, h2 is forwarded to a
+# port nothing is wired to.
+@example(plans=[([0, 0, 5], 1400, True), ([0, 3], 64, True),
+                ([0, 5], 1400, True)],
+         chain=True, stateful=True, sink_callback=False,
+         max_queue_delay_s=1e-6, until_tick=None, reroute=None,
+         stages={"s1": 3, "s2": 20}, blackhole=True,
+         must=frozenset({("h1", "queue_full"), ("s1", "queue_full"),
+                         ("s1", "no_route")}))
 def test_tie_heavy_schedules_match_event_mode(plans, chain, stateful,
                                               sink_callback,
                                               max_queue_delay_s,
-                                              until_tick, reroute):
+                                              until_tick, reroute, stages,
+                                              blackhole, must):
     """Emission times drawn from a coarse grid — equal times within a
     source, across sources, and against the ``run(until)`` bound and a
     mid-run reroute — leave event and batched mode with the same
-    per-host counters, delivery times and final clock: through one
-    switch and two, on a stateless fabric (fast-forward) and a stateful
-    one (eager walks), into an inert sink and one with an rx callback."""
+    per-host counters, delivery times, drops by node and reason, and
+    final clock: through one switch and two (of equal or unequal stage
+    counts), on a stateless fabric (fast-forward) and a stateful one
+    (eager walks), into an inert sink and one with an rx callback, with
+    FIFO bounds that drop at a NIC and at a switch port, and with one
+    host's traffic forwarded to an unwired port (``no_route``)."""
     sink_name, detour_port = ("h5", 4) if chain else ("h4", 3)
 
     def attach(topo, network, bmv2, entries):
         _cap_scheduler(network, 20_000)
+        _count_drops(network)
+        if blackhole:
+            bmv2.delete_entry("fwd_table", entries[1])
+            bmv2.insert_entry("fwd_table", [2], "fwd_set_egress", [9])
         def move_h1():
             # h1's traffic leaves the shared sink for another host (on
             # the chain: one switch earlier, a shorter path).
@@ -633,6 +769,9 @@ def test_tie_heavy_schedules_match_event_mode(plans, chain, stateful,
     snap = _run_both(
         attach, hosts=4, make=_make_chain if chain else _make_network,
         until=None if until_tick is None else until_tick * _GRID_S,
-        serialize_on_wire=stateful, max_queue_delay_s=max_queue_delay_s)
+        serialize_on_wire=stateful, max_queue_delay_s=max_queue_delay_s,
+        stage_counts=stages)
     offered = sum(len(ticks) for ticks, _, _ in plans)
     assert snap["delivered"] + snap["lost"] == offered
+    assert snap["lost"] == sum(snap["drops"].values())
+    assert must <= set(snap["drops"]), snap["drops"]

@@ -9,6 +9,7 @@ index invalidation and rebuild.
 """
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.net.packet import HeaderType
 from repro.p4 import ENGINES, ir
 from repro.p4.bmv2 import Bmv2Switch
-from repro.p4.tableindex import _RBUCKET_MIN
+from repro.p4.tableindex import _MEMO_CAP, _RBUCKET_MIN
 
 H = HeaderType("h", [("a", 32), ("b", 32)])
 
@@ -305,8 +306,45 @@ def _degenerate_run(n, base=0, priority=1):
     return [(((base + i, base + i), (0, 1)), priority) for i in range(n)]
 
 
+def _memo_script(rows, late):
+    """Each of ``insert_entry``, ``delete_entries`` and ``clear_table``
+    landing on a lookup memo the probes before it just filled."""
+    return [("insert_entries", "both", rows), ("lookup",),
+            ("insert_entry", "a", [late]), ("lookup",),
+            ("delete_entries", "a", [0, 1]), ("lookup",),
+            ("clear_table", "a"), ("lookup",),
+            ("insert_entry", "b", [late]), ("delete_entries", "b", [0]),
+            ("clear_table", "b")]
+
+
+_MEMO_NOTES = frozenset(
+    f"{op}: write emptied a warm lookup memo"
+    for op in ("insert_entry", "delete_entries", "clear_table")
+) | {"memoised a miss"}
+
+
 @settings(max_examples=120, deadline=None)
-@given(script=_interleavings(), must=st.just(frozenset()))
+@given(script=_interleavings(), must=st.just(frozenset()),
+       cap=st.just(_MEMO_CAP))
+# The lookup memo of every index kind that searches (LPM buckets, the
+# priority scan, range buckets), warm when each kind of write lands.
+@example(script=("lpm", _memo_script(
+    [(((0x0A000000, 8), 0), 0), (((0x0A000100, 24), 1), 0)],
+    (((0x0A000101, 32), 0), 1))), must=_MEMO_NOTES, cap=_MEMO_CAP)
+@example(script=("priority-scan", _memo_script(
+    [(((3, 15),), 0), (((0, 0),), 0)], (((6, 7),), 2))),
+    must=_MEMO_NOTES, cap=_MEMO_CAP)
+@example(script=("rbucket", _memo_script(
+    _degenerate_run(_RBUCKET_MIN + 4) + [(((0, 120), (1, 1)), 2)],
+    (((7, 7), (0, 0)), 2))),
+    must=_MEMO_NOTES | {"bucketed by folds alone"}, cap=_MEMO_CAP)
+# More distinct probe keys (5 addresses x 2) than the memo may hold:
+# it stops filling, and the probes it has no room for are searched.
+@example(script=("lpm", [
+    ("insert_entries", "both", [(((0x0A000000, 8), 0), 0)]),
+    ("lookup",),
+    ("insert_entry", "a", [(((0x0A000100, 24), 1), 0)]),
+]), must=frozenset({"memo full, lookup still right"}), cap=4)
 # The scan crosses _RBUCKET_MIN while folding, never rebuilding; then a
 # bucket loses its last entry, and a residual (wide) row still ranks.
 @example(script=("rbucket", [
@@ -320,7 +358,7 @@ def _degenerate_run(n, base=0, priority=1):
     ("insert_entry", "a", [(((3, 3), (0, 0)), 0)]),
     ("delete_entry", "b", [0]),
 ]), must=frozenset({"bucketed by folds alone", "emptied a bucket",
-                    "deleted a shared entry from one switch"}))
+                    "deleted a shared entry from one switch"}), cap=_MEMO_CAP)
 # A second batch repeats a key of the first: the fold bails out and the
 # next lookup rebuilds; deleting the earlier row re-exposes the later.
 @example(script=("exact", [
@@ -330,14 +368,14 @@ def _degenerate_run(n, base=0, priority=1):
     ("delete_entries", "a", [0]),
     ("clear_table", "a"),
     ("insert_entries", "a", [((5,), 0)]),
-]), must=frozenset({"duplicate-key bail-out"}))
+]), must=frozenset({"duplicate-key bail-out"}), cap=_MEMO_CAP)
 @example(script=("lpm", [
     ("insert_entries", "both", [(((0x0A000000, 8), 0), 0),
                                 (((0x0A000100, 24), 0), 0)]),
     ("insert_entries", "both", [(((0x0A000000, 8), 0), 5)]),
     ("delete_entries", "b", [1]),
 ]), must=frozenset({"duplicate-key bail-out",
-                    "deleted a shared entry from one switch"}))
+                    "deleted a shared entry from one switch"}), cap=_MEMO_CAP)
 # The miss path: no default -> an action (a build), new arguments (a
 # rebind, the index kept), an undeclared action (a build).
 @example(script=("exact", [
@@ -347,7 +385,7 @@ def _degenerate_run(n, base=0, priority=1):
     ("set_default_action", "a", "set_out", 301),
     ("lookup",),
     ("set_default_action", "a", "set_alt", 301),
-]), must=frozenset({"default rebound", "default recompiled"}))
+]), must=frozenset({"default rebound", "default recompiled"}), cap=_MEMO_CAP)
 # Single-entry writes fold like batches of one: a warm index stays
 # clean through them and the lookups after them rebuild nothing.
 @example(script=("lpm", [
@@ -355,7 +393,7 @@ def _degenerate_run(n, base=0, priority=1):
     ("lookup",),
     ("insert_entry", "a", [(((0x0A000100, 24), 0), 1)]),
     ("delete_entry", "a", [0]),
-]), must=frozenset({"single write folded"}))
+]), must=frozenset({"single write folded"}), cap=_MEMO_CAP)
 # The memoised run against every writer of its member ``t``: each
 # write empties the memo before the next packet; a default from none
 # to an action, then to new arguments (a rebind), then to an action
@@ -379,18 +417,25 @@ def _degenerate_run(n, base=0, priority=1):
     ("clear_table", "b"),
 ]), must=frozenset({"member write emptied a warm memo", "default rebound",
                     "default recompiled", "left the run", "joined the run",
-                    "wrote a non-member beside a run"}))
-def test_interleaved_writes_match_the_reference_scan(script, must):
+                    "wrote a non-member beside a run"}), cap=_MEMO_CAP)
+def test_interleaved_writes_match_the_reference_scan(script, must, cap):
     """insert_entries / delete_entries / insert_entry / delete_entry /
     clear_table / set_default_action and lookups, interleaved from a
     fresh switch, over exact, LPM, priority-scan and range-bucket
     tables and one that is a member of a memoised apply run: after
     every step the codegen engine picks the entry — or, on a miss, the
-    default — the interpreter's scan picks.
+    default — the interpreter's scan picks, and no lookup memo holds
+    the payload of an entry that is no longer installed.
 
     Two codegen switches run side by side (each against its own
     interpreter twin) and may be handed the *same* entry values, as the
-    Aether controllers do."""
+    Aether controllers do.  ``cap`` is the lookup memos' capacity, which
+    the engine reads when it emits."""
+    with mock.patch("repro.p4.codegen._MEMO_CAP", cap):
+        _interleaved_writes_match_the_reference_scan(script, must, cap)
+
+
+def _interleaved_writes_match_the_reference_scan(script, must, cap):
     kind, steps = script
     keys, _, probes = _INTERLEAVED_TABLES[kind]
     program = make_program(keys, run=kind == "run")
@@ -413,6 +458,7 @@ def test_interleaved_writes_match_the_reference_scan(script, must):
     def check():
         for side, (codegen, reference) in switches.items():
             fills = []
+            held, filled = len(index(side).memo), index(side).memo_fills
             for _ in range(2):
                 for a in probes:
                     port = a if kind == "run" else 1
@@ -424,6 +470,17 @@ def test_interleaved_writes_match_the_reference_scan(script, must):
             # A port seen since the last write never fills again.
             assert fills[0] == fills[1]
             assert all(len(memo) == len(probes) for memo in memos(side))
+            # Nor does a key: the lookup memo holds every probe (exact
+            # tables keep none) or, full, as many as it may.
+            memo = index(side).memo
+            asked = 0 if index(side)._mode == "exact" else (
+                len(probes) * (1 if len(keys) == 1 else 2))
+            assert len(memo) == min(asked, cap)
+            assert index(side).memo_fills - filled == len(memo) - held
+            if None in memo.values():
+                seen.add("memoised a miss")
+            if asked > cap:
+                seen.add("memo full, lookup still right")
 
     def written(side):
         """What the control plane holds for ``t`` (the interp twin's)."""
@@ -435,6 +492,7 @@ def test_interleaved_writes_match_the_reference_scan(script, must):
         sides = "ab" if op != "lookup" and step[1] == "both" else step[1:2]
         was = {side: (bool(memos(side)), any(memos(side)), written(side))
                for side in "ab"}
+        was_warm = {side: bool(index(side).memo) for side in "ab"}
         folded = []  # (side, rebuilds before) of clean single writes
         if op in ("insert_entries", "insert_entry"):
             rows = [(match, "set_out", [next(serial)], priority)
@@ -510,6 +568,16 @@ def test_interleaved_writes_match_the_reference_scan(script, must):
             if index(side)._rb_col is not None and not index(side).rebuilds:
                 seen.add("bucketed by folds alone")
             member, warm, held = was[side]
+            installed_now = written(side)[0]
+            if installed_now != held[0]:
+                # The entries changed: the index forgot every answer.
+                assert not index(side).memo
+                if was_warm[side]:
+                    seen.add(f"{op}: write emptied a warm lookup memo")
+            rows_alive = {entry.args for entry in installed_now}
+            assert all(bound[1] in rows_alive
+                       for bound in index(side).memo.values()
+                       if bound is not None)
             if written(side) != held:
                 # Whatever a memo held for ``t`` went with the write.
                 assert not any(memos(side))
@@ -536,35 +604,41 @@ def test_index_is_clean_from_empty_and_lazy_after_single_writes():
     sw = Bmv2Switch(program)
     index = sw._engine.tables["t"]
     assert not index._dirty
+
+    def counts(rebuilds, folds):
+        # An exact table inlines its hash probe: its memo is never used.
+        return {"t": {"rebuilds": rebuilds, "folds": folds,
+                      "memo_fills": 0, "memo_clears": 0}}
+
     first = sw.insert_entries("t", [([5], "set_out", [100], 0)])
     sw.delete_entries("t", first)
     sw.insert_entries("t", [([5], "set_out", [101], 0)])
-    assert sw.index_counts() == {"t": {"rebuilds": 0, "folds": 3}}
+    assert sw.index_counts() == counts(0, 3)
     assert sw.process(_packet(5, 0), 1)[0][0] == 101
     single = sw.insert_entry("t", [6], "set_out", [102])
     assert sw.process(_packet(6, 0), 1)[0][0] == 102
     sw.delete_entry("t", single)
     assert sw.process(_packet(6, 0), 1)[0][0] == 0
     assert not index._dirty
-    assert sw.index_counts() == {"t": {"rebuilds": 0, "folds": 5}}
+    assert sw.index_counts() == counts(0, 5)
     # A repeated key: rank decides, so the next lookup rebuilds, once.
     sw.insert_entry("t", [5], "set_out", [103], priority=7)
     assert index._dirty and index.rebuilds == 0
     assert [sw.process(_packet(5, 0), 1)[0][0] for _ in (1, 2)] == [103, 103]
-    assert sw.index_counts() == {"t": {"rebuilds": 1, "folds": 5}}
+    assert sw.index_counts() == counts(1, 5)
     sw.clear_table("t")
     assert index._dirty
     sw.insert_entry("t", [6], "set_out", [104])  # absorbed by the rebuild
     assert [sw.process(_packet(a, 0), 1)[0][0] for a in (5, 6)] == [0, 104]
-    assert sw.index_counts() == {"t": {"rebuilds": 2, "folds": 5}}
+    assert sw.index_counts() == counts(2, 5)
     # A recompile makes a new index over a non-empty table: behind.
     sw.set_default_action("t", "set_out", [9])
     rebuilt = sw._engine.tables["t"]
     assert rebuilt is not index and rebuilt._dirty
-    assert sw.index_counts() == {"t": {"rebuilds": 2, "folds": 5}}
+    assert sw.index_counts() == counts(2, 5)
     assert [sw.process(_packet(a, 0), 1)[0][0] for a in (5, 6, 7)] == [
         9, 104, 9]
-    assert sw.index_counts() == {"t": {"rebuilds": 3, "folds": 5}}
+    assert sw.index_counts() == counts(3, 5)
     assert Bmv2Switch(program, engine="interp").index_counts() == {}
 
 

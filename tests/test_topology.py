@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.net.simulator import Network
 from repro.net.topology import (CORE, EDGE, Endpoint, Topology, fat_tree,
                                 leaf_spine, linear, single_switch)
+from repro.p4.bmv2 import Bmv2Switch
+from repro.p4.programs import l2_port_forwarding
 
 
 def test_leaf_spine_shape():
@@ -81,8 +84,34 @@ def test_host_attachment():
     topo = leaf_spine(2, 2, 2)
     assert topo.host_attachment("h3") == Endpoint("leaf2", 1)
     with pytest.raises(ValueError):
-        Topology().add_host("hx") and None
         topo.host_attachment("ghost")
+    topo.add_host("lonely")
+    with pytest.raises(ValueError):
+        topo.host_attachment("lonely")
+    # A host wired twice is attached by its first link, whichever of
+    # its ports that is; a host need not sit on its port 0.
+    topo.add_host("twice")
+    topo.add_link("twice", 1, "leaf1", 7)
+    topo.add_link("leaf2", 7, "twice", 0)
+    topo.add_host("high")
+    topo.add_link("leaf2", 8, "high", 5)
+    assert topo.host_attachment("twice") == Endpoint("leaf1", 7)
+    assert topo.host_attachment("high") == Endpoint("leaf2", 8)
+    # The batched walk's wire table sends every host out of that link
+    # (a host's row is keyed on port 0) and delivers to its real port.
+    network = Network(topo, {name: Bmv2Switch(l2_port_forwarding(), name=name)
+                             for name in topo.switches}, batched=True)
+    network._wire_rows()
+    rows = network._wire
+    assert ("lonely", 0) not in rows
+    for host in topo.hosts:
+        if host != "lonely":
+            attach = topo.host_attachment(host)
+            assert rows[host, 0][4:6] == (attach.node, attach.port), host
+            assert rows[host, 0][2] is network.hosts[host]
+    assert rows["leaf2", 7][7] == Endpoint("twice", 0)
+    assert rows["leaf2", 8][7] == Endpoint("high", 5)
+    assert rows["leaf1", 3][7] is None  # toward spine1: no delivery
 
 
 def test_switch_ids_unique():
