@@ -10,7 +10,8 @@ present) to the Hydra control application that maintains the
 
 The bulk paths (:meth:`MobileCore.attach_many` /
 :meth:`MobileCore.detach_many`) carry the same semantics as a loop of
-single calls but batch the table programming per switch, which is what
+single calls — except that a batch is atomic: it is refused whole or
+lands whole — but batch the table programming per switch, which is what
 makes million-subscriber churn tractable: one bulk control-plane call
 per (switch, table) per batch instead of one index invalidation per
 rule row.
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..net.topology import EDGE
 from ..p4 import ir
 from ..runtime.deployment import HydraDeployment
-from .onos import AttachSpec, ClientRecord, OnosController
+from .onos import AttachSpec, ClientRecord, OnosController, check_detach
 from .portal import DENY, FilterRule, OperatorPortal
 
 DENY_ACTION = 1
@@ -172,14 +173,13 @@ class MobileCore:
 
     def detach_many(self, imsis: Sequence[str]) -> None:
         """Handle a batch of detach requests; deletions are batched per
-        (switch, table)."""
-        records = []
+        (switch, table).  Atomic, like :meth:`attach_many`: the whole
+        batch is validated here and by ONOS (an unattached IMSI, an
+        IMSI named twice) before anything changes."""
+        check_detach(imsis, self.attachments)
+        records = self.onos.handle_detach_many(imsis)
         for imsi in imsis:
-            record = self.attachments.pop(imsi, None)
-            if record is None:
-                raise ValueError(f"IMSI {imsi} is not attached")
-            records.append(record)
-        self.onos.handle_detach_many(imsis)
+            del self.attachments[imsi]
         if self.hydra_app is not None:
             self.hydra_app.on_detach_many(
                 [record.ue_ip for record in records])

@@ -32,7 +32,8 @@ Scaling notes (the million-subscriber path):
   inserts and deletes per switch — one bulk control-plane call per
   table instead of one index invalidation per row — which is what keeps
   PFCP-style churn amortized over the execution engines' incremental
-  table indexes.
+  table indexes.  Both are atomic: a batch is validated whole before
+  the first change, so a refused attach or detach leaves no trace.
 """
 
 from __future__ import annotations
@@ -80,6 +81,18 @@ def _rows_by_table(records: Sequence[ClientRecord]
         ("downlink_sessions", [r.entries[1] for r in records]),
         ("terminations", [e for r in records for e in r.entries[2:]]),
     ]
+
+
+def check_detach(imsis: Sequence[str],
+                 attached: Dict[str, ClientRecord]) -> None:
+    """Refuse a detach batch whole, before anything is popped, if it
+    names an IMSI that is not attached (by its second mention, one
+    named twice is not)."""
+    seen = set()
+    for imsi in imsis:
+        if imsi not in attached or imsi in seen:
+            raise ValueError(f"IMSI {imsi} is not attached")
+        seen.add(imsi)
 
 
 @dataclass(frozen=True)
@@ -282,13 +295,11 @@ class OnosController:
 
     def handle_detach_many(self, imsis: Sequence[str]) -> List[ClientRecord]:
         """Remove a batch of clients' user-plane state, batching entry
-        deletions per (switch, table)."""
-        records: List[ClientRecord] = []
-        for imsi in imsis:
-            record = self.clients.pop(imsi, None)
-            if record is None:
-                raise ValueError(f"IMSI {imsi} is not attached")
-            records.append(record)
+        deletions per (switch, table).  The batch is atomic, like an
+        attach: an unattached IMSI, or one named twice, refuses it
+        before the first change."""
+        check_detach(imsis, self.clients)
+        records = [self.clients.pop(imsi) for imsi in imsis]
         by_table = _rows_by_table(records)
         for bmv2 in self.upf_switches.values():
             for table, rows in by_table:

@@ -79,9 +79,9 @@ class AetherTestbed:
         self.topology: Topology = leaf_spine(num_leaves=2, num_spines=2,
                                              hosts_per_leaf=2)
         self.compiled = compile_property("application_filtering")
-        forwarding = {name: upf_program(f"fabric_upf_{name}",
-                                        capacity=capacity)
-                      for name in self.topology.switches}
+        forwarding = dict.fromkeys(
+            self.topology.switches,
+            upf_program("fabric_upf", capacity=capacity))
         self.deployment = HydraDeployment(self.topology, self.compiled,
                                           forwarding, engine=engine,
                                           batched=batched, obs=obs)

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..compiler import compile_program
 from ..compiler.codegen import CompiledChecker
-from ..indus import ast
+from ..indus import ast, check, parse
 from ..net.packet import Packet, ip, make_tcp, make_udp
 from ..obs import Observability, Tracer
 from ..p4 import ENGINES, ir
@@ -205,8 +205,7 @@ def build_scenario_deployment(scenario: Scenario,
     topology = scenario.build_topology()
     rng = random.Random(scenario.seed)
     path = compute_path(topology, scenario.src_host, scenario.dst_host, rng)
-    forwarding = {name: l2_port_forwarding(f"l2_{name}")
-                  for name in topology.switches}
+    forwarding = dict.fromkeys(topology.switches, l2_port_forwarding("l2"))
     dep = HydraDeployment(topology, compiled, forwarding, engine=engine,
                           obs=obs)
     for sw, entries in forwarding_entries(
@@ -336,9 +335,11 @@ def run_scenario(scenario: Scenario,
                                      packet_index=packet_index, trace=trace)
         return result
 
-    source = scenario.source()
+    # One front-end pass: the compiler and the reference monitor read
+    # the same checked AST, and neither writes it.
     try:
-        compiled = compile_program(source, name=f"dt{scenario.seed}",
+        checked = check(parse(scenario.source()))
+        compiled = compile_program(checked, name=f"dt{scenario.seed}",
                                    optimize=optimize)
     except Exception as exc:
         return fail("compile", f"compiler rejected generated program: {exc}")
@@ -379,8 +380,6 @@ def run_scenario(scenario: Scenario,
 
     # Level 2+3: deployment behavior vs the reference monitor, replaying
     # the observed per-hop context through tracecheck.
-    from ..indus import check, parse
-    checked = check(parse(source))
     topology = scenario.build_topology()
     run = runs[anchor]
     for i in range(len(scenario.packets)):

@@ -86,8 +86,7 @@ def build_fabric(checkers: Optional[List[str]],
     topology = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2,
                           link_latency_s=config.link_latency_s,
                           bandwidth_bps=config.link_bandwidth_bps)
-    forwarding = {name: upf_program(f"fabric_upf_{name}")
-                  for name in topology.switches}
+    forwarding = dict.fromkeys(topology.switches, upf_program("fabric_upf"))
     deployment: Optional[HydraDeployment] = None
     if checkers:
         with profiled(obs.registry, "compile"):

@@ -334,6 +334,11 @@ class Bmv2Switch:
         action = self.program.actions.get(entry.action)
         if action is None:
             raise P4RuntimeError(f"unknown action {entry.action!r}")
+        # P4Runtime's rule (a table that lists no actions takes any),
+        # and what lets the codegen engine emit a table's dispatch once.
+        if table.actions and entry.action not in table.actions:
+            raise P4RuntimeError(f"table {table.name!r} does not declare "
+                                 f"action {entry.action!r}")
         if len(entry.args) != len(action.params):
             raise P4RuntimeError(
                 f"action {entry.action!r} expects {len(action.params)} "
@@ -503,12 +508,15 @@ class Bmv2Switch:
 
     def engine_counts(self) -> Dict[str, Any]:
         """What the control plane has cost the codegen engine: modules
-        built, by cause (``builds``), and default-action values stored
+        built, by cause (``builds``), how many of them it compiled
+        itself rather than taking the code a switch sharing its program
+        already had (``compiles``), and default-action values stored
         into the live module instead (``rebinds``).  Empty under
         ``interp``, which has nothing to build."""
         if self._engine is None:
             return {}
         return {"builds": dict(self._engine.builds),
+                "compiles": self._engine.compiles,
                 "rebinds": self._engine.rebinds,
                 "runs": self._engine.run_counts()}
 

@@ -75,10 +75,18 @@ generated dispatch assumes a fixed action set per table, and the pure
 run analysis which action each table runs on a miss; ``Bmv2Switch``
 notifies the engine on entry inserts and default-action changes.
 
-* **What recompiles**: an action name the dispatch or the run analysis
-  did not assume — an installed entry bound to an action outside the
-  table's assumed set, a default that changes action (another name, or
-  ``None`` to or from an action) — and ``attach_observability``.
+* **What builds a module**: a default that changes action (another
+  name, or ``None`` to or from an action) and ``attach_observability``.
+  An insert never does: ``Bmv2Switch`` refuses an entry bound to an
+  action its table does not declare, so a module's text is a function
+  of the program, the default-action names and whether it is
+  instrumented.
+* **Who owns the code**: the program.  Switches running one program
+  (a deployment links once per role) emit the same text, and
+  ``program.code`` maps a text to its code object: the first engine to
+  need it calls ``compile()``, its siblings ``exec`` the same code
+  into their own globals (and each runs its own byte copy of
+  ``_process``'s code).  The memo dies with the program.
 * **What rebinds**: a default action's *arguments*.  Each apply site's
   miss path loads its ``(action_id, args)`` binding from a module global
   (``DB<site>``); ``set_default_action`` with the same action stores the
@@ -89,7 +97,8 @@ notifies the engine on entry inserts and default-action changes.
   control value mid-packet) reads the new binding on its next miss, as
   it would under the reference engine.
 * **The counters**: ``builds`` per cause (:data:`INITIAL`,
-  :data:`DEFAULT_ACTION`, :data:`ACTION_SET`, :data:`OBSERVABILITY`),
+  :data:`DEFAULT_ACTION`, :data:`OBSERVABILITY`), ``compiles`` (builds
+  whose code this engine compiled itself; the rest took a sibling's),
   ``rebinds``, ``recompiles == sum(builds) - 1`` and ``runs`` (memo
   ``sites``, ``fills`` counted in the miss arm, ``clears`` in the
   hooks); read them through ``Bmv2Switch.engine_counts()``, and each
@@ -120,7 +129,6 @@ __all__ = ["CodegenEngine"]
 #: ``CodegenEngine.builds`` counts per cause.
 INITIAL = "initial"
 DEFAULT_ACTION = "default_action"
-ACTION_SET = "action_set"
 OBSERVABILITY = "observability"
 
 #: StandardMetadata fields tracked as flat locals.
@@ -219,6 +227,7 @@ class CodegenEngine:
         #: Modules built, by cause, and default bindings stored into the
         #: live module instead (control-plane events, nothing per packet).
         self.builds: Dict[str, int] = {}
+        self.compiles = 0
         self.rebinds = 0
         #: Run memos filled (in the generated miss arm) and emptied (in
         #: the hooks below); nobody counts a hit.
@@ -254,21 +263,16 @@ class CodegenEngine:
 
     def entries_inserted(self, name: str, new_entries) -> None:
         """Insert hook (one entry or a batch): fold the appended entries
-        into the live index, then recompile if one of them is bound to
-        an action the specialized source did not assume."""
+        into the live index.  Their actions are ones the table declares
+        (``Bmv2Switch._check_entry``), so the dispatch has their arms."""
         self._clear_runs(name)
         index = self.tables.get(name)
         if index is not None and not index.fold_inserts(new_entries):
             index.invalidate()
-        assumed = self._assumed.get(name)
-        if assumed is not None and not assumed.issuperset(
-                {entry.action for entry in new_entries}):
-            self._build(ACTION_SET)
 
     def entries_removed(self, name: str, removed) -> None:
-        """Delete hook (one entry or a batch): deletions never widen
-        the assumed action set, so only the table index and the run
-        memos need maintenance."""
+        """Delete hook (one entry or a batch): the table index and the
+        run memos need maintenance."""
         self._clear_runs(name)
         index = self.tables.get(name)
         if index is not None and not index.fold_deletes(removed):
@@ -348,25 +352,30 @@ class CodegenEngine:
                     index.rebuilds, index.folds = old.rebuilds, old.folds
                     index.memo_fills = old.memo_fills
                     index.memo_clears = old.memo_clears
-            code = compile(self.source,
-                           f"<codegen:{self.program.name}>", "exec")
+            code = self.program.code.get(self.source)
+            if code is None:  # the first switch of this program to ask
+                code = self.program.code[self.source] = compile(
+                    self.source, f"<codegen:{self.program.name}>", "exec")
+                self.compiles += 1
             exec(code, self._globals)
             self._run = self._globals["_process"]
+            # CPython's inline caches sit in the function's code and
+            # follow one globals dict: siblings running the very same
+            # object evict each other's on every packet (5 % a hop).
+            # A byte copy costs microseconds, not a compile().
+            self._run.__code__ = self._run.__code__.replace()
         self.process = self._process_obs if self._instrumented else self._run
 
     def _specialize(self) -> None:
         """What emission assumes of the switch's live control-plane
         state: per table, the actions an apply can dispatch to (the
-        declaration's, or every action when it names none, plus those
-        of installed entries and the default that go beyond it) and the
-        default's binding (its arguments :meth:`on_default_change`
-        rebinds)."""
+        declaration's, or every action when it names none, plus a
+        default that goes beyond it) and the default's binding (its
+        arguments :meth:`on_default_change` rebinds)."""
         switch = self.switch
         self._assumed = {}
         for name, table in self.program.tables.items():
             assumed = set(table.actions or self.program.actions)
-            assumed.update(entry.action
-                           for entry in switch.entries.get(name, ()))
             default = switch.default_actions.get(name)
             if default is not None:
                 assumed.add(default[0])
@@ -453,8 +462,7 @@ class CodegenEngine:
         self._needs_length = "standard_metadata.packet_length" in paths
 
         lines: List[str] = [
-            f"# generated by repro.p4.codegen for program "
-            f"{program.name!r} (switch {switch.name!r})",
+            f"# generated by repro.p4.codegen for program {program.name!r}",
             "",
             "def _process(packet, ingress_port):",
         ]

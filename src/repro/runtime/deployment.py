@@ -1,12 +1,13 @@
 """Deployment of compiled Hydra checkers onto a network.
 
-:class:`HydraDeployment` takes a topology, one forwarding program per
-switch, and one or more compiled checkers; it links the checkers into
-each program according to the switch's role (edge switches run
-init/telemetry/checker, core switches run telemetry only), instantiates
-behavioral switches, installs the inject/strip edge-port entries the
-compiler-generated tables expect, and exposes the control-plane API for
-Indus ``control`` variables (scalars, dicts, sets).
+:class:`HydraDeployment` takes a topology, a forwarding program for
+each switch (usually one object for all of them), and one or more
+compiled checkers; it links the checkers into each distinct program
+once per switch role (edge switches run init/telemetry/checker, core
+switches run telemetry only), instantiates behavioral switches,
+installs the inject/strip edge-port entries the compiler-generated
+tables expect, and exposes the control-plane API for Indus ``control``
+variables (scalars, dicts, sets).
 """
 
 from __future__ import annotations
@@ -82,14 +83,20 @@ class HydraDeployment:
                 lambda r: violations.labels(r.checker, r.switch_name).inc())
         self.switches: Dict[str, Bmv2Switch] = {}
         self.linked: Dict[str, ir.P4Program] = {}
+        # One link per (forwarding program object, role): switches that
+        # share both run the same linked program, and so one compile()
+        # of each text their engines generate (``ir.P4Program.code``).
+        by_role: Dict[Tuple[int, str], ir.P4Program] = {}
         with profiled(self.obs.registry, "link"):
             for name, spec in topology.switches.items():
                 if name not in forwarding:
                     raise ValueError(
                         f"no forwarding program for switch {name!r}")
-                program = link(forwarding[name], self.compileds,
-                               role=spec.role, check_mode=check_mode)
-                self.linked[name] = program
+                key = (id(forwarding[name]), spec.role)
+                if key not in by_role:
+                    by_role[key] = link(forwarding[name], self.compileds,
+                                        role=spec.role, check_mode=check_mode)
+                self.linked[name] = by_role[key]
         with profiled(self.obs.registry, "deploy"):
             for name, spec in topology.switches.items():
                 bmv2 = Bmv2Switch(self.linked[name], name=name,
@@ -291,9 +298,9 @@ class HydraDeployment:
 
     def stats(self) -> Dict[str, Any]:
         """Operational counters: per-switch processed/dropped packets,
-        per-table index rebuilds/folds and engine builds/rebinds, and
-        per-checker report counts — what an operator dashboard for this
-        deployment would show."""
+        per-table index rebuilds/folds and engine builds/compiles/
+        rebinds, and per-checker report counts — what an operator
+        dashboard for this deployment would show."""
         per_switch = {
             name: {
                 "processed": bmv2.packets_processed,

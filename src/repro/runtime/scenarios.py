@@ -39,8 +39,8 @@ class SourceRoutingTestbed:
         self.topology: Topology = leaf_spine(num_leaves, num_spines,
                                              hosts_per_leaf)
         self.compiled = compile_property(checker)
-        forwarding = {name: source_routing(f"srcroute_{name}")
-                      for name in self.topology.switches}
+        forwarding = dict.fromkeys(self.topology.switches,
+                                   source_routing("srcroute"))
         self.deployment = HydraDeployment(self.topology, self.compiled,
                                           forwarding,
                                           check_mode=check_mode)

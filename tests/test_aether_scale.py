@@ -226,6 +226,36 @@ def test_refused_batch_leaves_no_trace(batch, error):
     assert tb.send_uplink("i2", server, 80).delivered
 
 
+@pytest.mark.parametrize("batch", [["i1", "ghost", "i2"],
+                                   ["i1", "i2", "i1"]],
+                         ids=["unattached", "duplicate"])
+def test_refused_detach_leaves_no_trace(batch):
+    """Detach is atomic too: a batch naming an IMSI that is not attached
+    (or, by its second mention, no longer would be) pops nothing."""
+    tb = AetherTestbed(capacity=AetherCapacity(max_sessions=4))
+    server = tb.topology.hosts[SERVER_HOST].ipv4
+    tb.provision_slice("phones", allow_rules(server))
+    tb.portal.add_members("phones", ["i0", "i1", "i2"])
+    tb.attach_many([("i0", 9), ("i1", 1), ("i2", 2)])
+
+    def snapshot():
+        return (_control_plane_snapshot(tb),
+                sorted(tb.hydra_app._installed))
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="is not attached"):
+        tb.detach_many(batch)
+    with pytest.raises(ValueError, match="is not attached"):
+        tb.onos.handle_detach_many(batch)
+    assert snapshot() == before
+    assert tb.send_uplink("i1", server, 80).delivered
+    # ...and the valid part of the batch still detaches.
+    tb.detach_many(["i1", "i2"])
+    assert sorted(tb.core.attachments) == sorted(tb.onos.clients) == ["i0"]
+    assert sorted(tb.hydra_app._installed) == [ue_address(9)]
+    assert tb.send_uplink("i0", server, 80).delivered
+
+
 # -- what the attach path's cost rests on, as counts ------------------------
 
 SESSIONS = 2000

@@ -23,7 +23,7 @@ from repro.compiler import compile_program, standalone_program
 from repro.net.packet import HeaderType, Packet
 from repro.obs import Observability
 from repro.p4 import ir
-from repro.p4.bmv2 import Bmv2Switch
+from repro.p4.bmv2 import ENGINES, Bmv2Switch, P4RuntimeError
 from repro.properties import load_source
 from tests.test_engine_differential import random_packet, serialize_outputs
 
@@ -134,7 +134,7 @@ def test_batch_follows_a_mid_batch_rebind():
                  actions=["set_out"], default_action=("set_out", [1])),
         [ir.ApplyTable("t"), ir.Digest("seen", [ir.FieldRef("hdr.h.a")])])
 
-    def ports(engine, batch):
+    def ports(engine, batch, compiles=0):
         sw = Bmv2Switch(program, engine=engine)
         sw.on_digest(lambda _msg: sw.set_default_action("t", "set_out", [2]))
         items = [(Packet(headers=[H(a=i)], payload_len=4), 1)
@@ -143,12 +143,14 @@ def test_batch_follows_a_mid_batch_rebind():
                 else [sw.process(p, port) for p, port in items])
         if engine == "codegen":
             assert sw.engine_counts() == {"builds": {"initial": 1},
+                                          "compiles": compiles,
                                           "rebinds": 1, "runs": NO_RUNS}
             assert sw._engine.recompiles == 0
         return [out[0][0] for out in outs]
 
     assert ports("interp", batch=False) == [1, 2, 2, 2]
-    assert ports("codegen", batch=False) == [1, 2, 2, 2]
+    assert ports("codegen", batch=False, compiles=1) == [1, 2, 2, 2]
+    # The second switch of one program takes the first one's code.
     assert ports("codegen", batch=True) == [1, 2, 2, 2]
 
 
@@ -182,7 +184,8 @@ def test_default_changed_mid_packet_is_visible_to_that_packet():
 
     assert reported("interp") == ([7, 7], {})
     assert reported("codegen") == ([7, 7], {"builds": {"initial": 1},
-                                            "rebinds": 1, "runs": NO_RUNS})
+                                            "compiles": 1, "rebinds": 1,
+                                            "runs": NO_RUNS})
 
 
 def test_a_memoised_run_follows_a_write_made_mid_packet():
@@ -272,48 +275,68 @@ def test_optimized_pipeline_parity(name):
 # Recompilation: baked facts are invalidated exactly when they change
 # ---------------------------------------------------------------------------
 
-def test_recompile_on_undeclared_action_install():
-    """fwd_table's assumed set is its declared actions plus its default
-    (fwd_set_egress, fwd_drop); installing an entry bound to any other
-    program action violates that contract and must rebuild the module —
-    after which the entry dispatches correctly."""
-    sw = build_switch()
-    interp = build_switch(engine="interp")
-    assert sw._engine._assumed["fwd_table"] == {"fwd_set_egress",
-                                             "fwd_drop"}
-    before = sw._engine.recompiles
-    for s in (sw, interp):
-        s.insert_entry("fwd_table", [3], "ih_mark_first_hop", [])
-    assert sw._engine.recompiles == before + 1
-    assert sw.engine_counts()["builds"] == {"initial": 1, "action_set": 1}
-    rng = random.Random(5)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_undeclared_action_is_refused(engine):
+    """P4Runtime's rule, under both engines and through both insert
+    calls: an entry bound to a program action its table does not
+    declare is refused, with nothing installed and nothing rebuilt — so
+    an insert can never widen what the generated dispatch assumed.  A
+    table that declares no actions keeps taking any."""
+    sw = build_switch(engine=engine)
+    assert sw.program.tables["fwd_table"].actions == ["fwd_set_egress"]
+    installed = {table: list(rows) for table, rows in sw.entries.items()}
+    counts = sw.engine_counts()
+    message = "table 'fwd_table' does not declare action 'ih_mark_first_hop'"
+    with pytest.raises(P4RuntimeError, match=message):
+        sw.insert_entry("fwd_table", [3], "ih_mark_first_hop", [])
+    with pytest.raises(P4RuntimeError, match=message):
+        sw.insert_entries("fwd_table", [([4], "fwd_set_egress", [1], 0),
+                                        ([3], "ih_mark_first_hop", [], 0)])
+    assert sw.entries == installed
+    assert sw.engine_counts() == counts  # no build: recompiles unchanged
 
-    def agree():
-        for port in (1, 3):
-            for packet in (random_packet(rng) for _ in range(5)):
-                assert serialize_outputs(sw.process(packet, port)) == \
-                    serialize_outputs(interp.process(packet, port))
+    anything = Bmv2Switch(one_table_program(
+        "anything",
+        ir.Table("t", keys=[ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)]),
+        [ir.ApplyTable("t")]), engine=engine)
+    anything.insert_entry("t", [3], "set_out", [4])
+    assert [port for port, _ in anything.process(
+        Packet(headers=[H(a=3)], payload_len=4), 1)] == [4]
 
-    agree()
-    # The same into a member of a memoised run (the first-hop probe,
-    # handed the last-hop marker): the table, its arms still pure, is a
-    # member again and the new module's memo starts empty.  The egress
-    # run dissolves at that build: ``last_hop`` may now reach it set,
-    # and its probe leaves the field alone on a miss.
-    runs = sw.engine_counts()["runs"]
-    assert runs["sites"] == 2 and runs["fills"] > 0
-    memos = sw._engine._run_memos["ih_inject_tbl"]
-    assert all(sw._engine._globals[memo] for memo in memos)
-    for s in (sw, interp):
-        s.insert_entry("ih_inject_tbl", [3], "ih_mark_last_hop", [])
-    assert sw.engine_counts()["builds"] == {"initial": 1, "action_set": 2}
-    assert sw._engine._run_memos == {"ih_inject_tbl": memos,
-                                     "ih_switch_id_tbl": memos}
-    assert not any(sw._engine._globals[memo] for memo in memos)
-    assert sw.engine_counts()["runs"] == dict(
-        runs, sites=1, clears=runs["clears"] + 1)
-    agree()
-    assert sw.engine_counts()["runs"]["fills"] == runs["fills"] + 2
+
+def test_listener_installing_an_undeclared_action_fails_alike():
+    """The divergence PRs 17 and 18 left open: a digest listener that
+    answers the packet in flight with an entry whose action the table
+    did not declare.  The reference engine ran it (``after = [10]``)
+    while the codegen frame, still in the old module, had no arm for it;
+    now the insert is refused in the listener and both engines fail the
+    packet the same way, nothing installed."""
+    program = one_table_program(
+        "undeclared",
+        ir.Table("t", keys=[ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)],
+                 actions=["load_x"], default_action=("load_x", [1])),
+        [ir.Digest("before"), ir.ApplyTable("t"),
+         ir.Digest("after", [ir.FieldRef("meta.x")])])
+    program.add_action(ir.Action("other", params=[("v", 32)], body=[
+        ir.AssignStmt("meta.x", ir.FieldRef("param.v"))]))
+
+    def outcome(engine):
+        sw = Bmv2Switch(program, engine=engine)
+        seen = []
+
+        def listener(msg):
+            if msg.name == "before":
+                sw.insert_entry("t", [0], "other", [10])
+            else:
+                seen.extend(msg.values)
+
+        sw.on_digest(listener)
+        with pytest.raises(P4RuntimeError) as refusal:
+            sw.process(Packet(headers=[H(a=0)], payload_len=4), 1)
+        return str(refusal.value), seen, sw.entries["t"]
+
+    assert outcome("interp") == outcome("codegen") == (
+        "table 't' does not declare action 'other'", [], [])
 
 
 def test_no_recompile_for_declared_action_churn():
@@ -401,14 +424,14 @@ def test_default_from_none_to_an_action_recompiles():
     for sw in switches:
         sw.set_default_action("t", "set_out", [4])
     assert switches[1].engine_counts() == {
-        "builds": {"initial": 1, "default_action": 1}, "rebinds": 0,
-        "runs": NO_RUNS}
+        "builds": {"initial": 1, "default_action": 1}, "compiles": 1,
+        "rebinds": 0, "runs": NO_RUNS}  # set_out had its arm: same text
     assert ports() == [[4], [4]]
     for sw in switches:
         sw.set_default_action("t", "set_out", [5])
     assert switches[1].engine_counts() == {
-        "builds": {"initial": 1, "default_action": 1}, "rebinds": 1,
-        "runs": NO_RUNS}
+        "builds": {"initial": 1, "default_action": 1}, "compiles": 1,
+        "rebinds": 1, "runs": NO_RUNS}
     assert ports() == [[5], [5]]
 
 
@@ -601,7 +624,8 @@ def test_attach_observability_rebuilds():
     assert sw._engine is not plain
     assert ".inc()" in sw._engine.source
     assert sw.engine_counts() == {"builds": {"observability": 1},
-                                  "rebinds": 0, "runs": NO_RUNS}
+                                  "compiles": 1, "rebinds": 0,
+                                  "runs": NO_RUNS}
     sw.attach_observability(NULL_OBS)
     assert sw._engine.source == plain.source
 

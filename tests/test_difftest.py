@@ -71,6 +71,75 @@ def test_single_scenario_result_shape():
 
 
 # ---------------------------------------------------------------------------
+# One front-end pass, still an independent reference
+# ---------------------------------------------------------------------------
+
+POOL = 48  # the scenarios bench/wl_oracle.py runs
+
+
+def test_one_parse_per_scenario(monkeypatch):
+    """The oracle lexes, parses and checks a scenario's source once: the
+    compiler and the reference monitor are handed the same checked AST."""
+    from repro.compiler import codegen
+    from repro.difftest import harness
+
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    parse = harness.parse
+    assert codegen.parse is parse
+    monkeypatch.setattr(harness, "parse", counting)
+    monkeypatch.setattr(codegen, "parse", counting)
+    for seed in range(4):
+        scenario = gen_scenario(seed)
+        assert run_scenario(scenario).ok
+        assert calls == [scenario.source()]
+        calls.clear()
+
+
+def test_compiling_a_checked_program_is_compiling_its_source():
+    """Handing the compiler the AST instead of the text changes nothing
+    it emits: every switch of every pool scenario's deployment generates
+    the same module either way."""
+    from repro.compiler import compile_program
+    from repro.difftest.harness import build_scenario_deployment
+    from repro.indus import check, parse
+
+    for seed in range(POOL):
+        scenario = gen_scenario(seed)
+        source = scenario.source()
+        sources = [
+            {name: switch._engine.source for name, switch in
+             build_scenario_deployment(
+                 scenario, compile_program(program, name=f"dt{seed}")
+             ).switches.items()}
+            for program in (source, check(parse(source)))]
+        assert sources[0] == sources[1], seed
+
+
+def test_nothing_writes_the_ast_the_monitor_reads():
+    """What keeps the reference independent with one front end: neither
+    the compiler (plain or optimizing) nor any injected mutation touches
+    the checked AST; they work on the IR compiled from it."""
+    from repro.compiler import compile_program
+    from repro.indus import ast_equal, check, parse
+
+    kinds = ("op", "const", "kill_write", "orphan")
+    for seed in range(POOL):
+        source = gen_scenario(seed).source()
+        checked = check(parse(source))
+        compiled = [compile_program(checked, name=f"dt{seed}", optimize=True)]
+        for kind in kinds:
+            compiled.append(compile_program(checked, name=f"dt{seed}"))
+            inject_mutation(compiled[-1], random.Random(seed), kinds=(kind,))
+        assert all(c.checked is checked for c in compiled)
+        assert ast_equal(checked.program, parse(source)), seed
+
+
+# ---------------------------------------------------------------------------
 # Mutation injection, catching, and shrinking
 # ---------------------------------------------------------------------------
 
