@@ -73,13 +73,15 @@ class HydraControlApp:
                        ) -> None:
         """Mirror a batch of clients' rules into ``filtering_actions``,
         one bulk insert per (switch, table)."""
-        refresh = [ue_ip for ue_ip, _ in items if ue_ip in self._installed]
+        # Replace semantics, as dict_put_ranges had: a UE address named
+        # twice in the batch keeps its last rules, and a re-attach of a
+        # live one supersedes its previous rows.
+        latest = dict(items)
+        refresh = [ue_ip for ue_ip in latest if ue_ip in self._installed]
         if refresh:
-            # Replace semantics, as dict_put_ranges had: a re-attach of
-            # a live UE address supersedes its previous rows.
             self.on_detach_many(refresh)
         by_table: List[List[ir.TableEntry]] = [[] for _ in self._tables]
-        for ue_ip, rules in items:
+        for ue_ip, rules in latest.items():
             specs = [(((ue_ip, ue_ip), rule.proto_range(), rule.addr_range(),
                        tuple(rule.l4_port)),
                       (DENY_ACTION if rule.action == DENY else ALLOW_ACTION,),

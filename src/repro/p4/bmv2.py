@@ -399,13 +399,16 @@ class Bmv2Switch:
         return created
 
     def delete_entry(self, table_name: str, entry: ir.TableEntry) -> None:
-        """Remove the first installed entry equal to ``entry``."""
+        """Remove ``entry`` if it is itself installed, else the first
+        installed entry equal to it."""
         self._table(table_name)
         installed = self.entries[table_name]
+        # The engine's index drops entries by identity: hand it the
+        # installed object.  A handle usually is one, so look for it
+        # before an equal (``__eq__`` is a Python call per row passed).
+        at = next((i for i, e in enumerate(installed) if e is entry), -1)
         try:
-            # The engine's index drops entries by identity: hand it the
-            # installed object, which an equal ``entry`` need not be.
-            entry = installed.pop(installed.index(entry))
+            entry = installed.pop(at if at >= 0 else installed.index(entry))
         except ValueError as exc:
             raise P4RuntimeError("entry not installed") from exc
         if self._engine is not None:

@@ -48,13 +48,14 @@ with flat local variables:
 * **The parser is one pass** over the parse graph in topological order;
   only a back edge (a cyclic graph) re-enters it.
 * **Tables** are indexed at entry-install time
-  (:class:`~repro.p4.tableindex._TableIndex`); the bound payload is
-  ``(action_id, args)`` and the action body is inlined at every apply
-  site behind an ``if action_id == …`` dispatch that is
+  (:class:`~repro.p4.tableindex._TableIndex`); a hit is the installed
+  ``TableEntry`` itself and the action body is inlined at every apply
+  site behind an ``if entry.action == '…'`` dispatch (``entry.args``
+  loaded only in an arm whose action has parameters) that is
   specialized to the actions this program (plus any runtime-installed
   entries) can dispatch to.  Exact-match lookups inline the index's
   hash probe directly; every other lookup (LPM, ternary, range: a
-  search) sits behind a probe of ``index.memo``, key tuple to payload
+  search) sits behind a probe of ``index.memo``, key tuple to entry
   or ``None``, filled in the miss arm up to ``_MEMO_CAP`` keys and
   emptied by the index itself, synchronously, on every write — sound
   for the reason the run memo is, and kept by an instrumented build.
@@ -88,9 +89,10 @@ notifies the engine on entry inserts and default-action changes.
   into their own globals (and each runs its own byte copy of
   ``_process``'s code).  The memo dies with the program.
 * **What rebinds**: a default action's *arguments*.  Each apply site's
-  miss path loads its ``(action_id, args)`` binding from a module global
-  (``DB<site>``); ``set_default_action`` with the same action stores the
-  new binding into those globals of the live module.  No emission,
+  miss path loads its default — a keyless ``TableEntry``, bound once
+  per table — from a module global (``DB<site>``);
+  ``set_default_action`` with the same action stores the new one into
+  those globals of the live module.  No emission,
   no ``compile()``, the table index untouched — the paper's
   point about Figure 2's control variables, which are exactly such
   defaults.  A frame already running (a digest listener that writes a
@@ -218,9 +220,6 @@ class CodegenEngine:
         self.switch = switch
         self._obs = switch.obs
         self._instrumented = self._obs.live
-        self._action_ids: Dict[str, int] = {
-            name: i for i, name in enumerate(program.actions)
-        }
         self._meta_width: Dict[str, int] = dict(program.metadata)
         self._bind_types = program.bind_types()
         self.source: str = ""
@@ -288,7 +287,7 @@ class CodegenEngine:
         old = self._default_bound.get(name)
         if bound == old:
             return
-        if bound is None or old is None or bound[0] != old[0]:
+        if bound is None or old is None or bound.action != old.action:
             self._build(DEFAULT_ACTION)
             return
         self._default_bound[name] = bound
@@ -302,16 +301,11 @@ class CodegenEngine:
         engine (fresh counters) specialized on the switch's new handle."""
         return CodegenEngine(self.program, self.switch, OBSERVABILITY)
 
-    def _default_binding(self, name: str) -> Optional[Tuple]:
-        """The switch's current default for ``name`` as a dispatch
-        payload (``None``: a miss runs nothing)."""
+    def _default_binding(self, name: str) -> Optional[ir.TableEntry]:
+        """The switch's current default for ``name`` as the keyless
+        entry a miss dispatches on (``None``: a miss runs nothing)."""
         current = self.switch.default_actions.get(name)
-        return None if current is None else self._bind_action(*current)
-
-    def _bind_action(self, name: str, args: Sequence[int]) -> Tuple:
-        """The _TableIndex payload: a (action_id, args) pair consumed by
-        the generated per-site dispatch."""
-        return (self._action_ids.get(name, -1), tuple(args))
+        return None if current is None else ir.TableEntry((), *current)
 
     def index_counts(self) -> Dict[str, Dict[str, int]]:
         """Per table, how often its index was rebuilt from the entry
@@ -849,7 +843,10 @@ class CodegenEngine:
             emit(f"{pad}    _b{site} = {gname}.lookup(_k)")
             emit(f"{pad}    if len({memo}) < {_MEMO_CAP}: "
                  f"{memo}[_k] = _b{site}; {gname}.memo_fills += 1")
-        emit(f"{pad}_h{site} = _b{site} is not None")
+        # Hit or miss is a local only where something reads it.
+        branches = bool(stmt.hit_body or stmt.miss_body)
+        if branches or self._instrumented:
+            emit(f"{pad}_h{site} = _b{site} is not None")
         # The default binding is data: set_default_action's hook stores
         # a new one here unless the action itself changed.
         db = self._g(f"DB{site}", self._default_bound[stmt.table])
@@ -876,17 +873,19 @@ class CodegenEngine:
                  f"result='miss')")
             emit(f"{pad}    _b{site} = {db}")
         else:
-            emit(f"{pad}if not _h{site}:")
+            emit(f"{pad}if _b{site} is None:")
             emit(f"{pad}    _b{site} = {db}")
         assumed = self._arms(stmt.table)
         if assumed:
             emit(f"{pad}if _b{site} is not None:")
             inner = pad + "    "
-            emit(f"{inner}_a{site}, _aa{site} = _b{site}")
+            emit(f"{inner}_a{site} = _b{site}.action")
             for j, name in enumerate(assumed):
                 kw = "if" if j == 0 else "elif"
                 action = self.program.actions[name]
-                emit(f"{inner}{kw} _a{site} == {self._action_ids[name]}:")
+                emit(f"{inner}{kw} _a{site} == {name!r}:")
+                if action.params:
+                    emit(f"{inner}    _aa{site} = _b{site}.args")
                 # Inlined with the entry's action data as its params; what
                 # one arm owns, the code after the apply may not assume.
                 self._emit_body(
@@ -897,7 +896,7 @@ class CodegenEngine:
             emit(f"{inner}else:")
             emit(f"{inner}    _raise_p4('codegen dispatch missed an action; "
                  f"control-plane hook failed to recompile')")
-        if stmt.hit_body or stmt.miss_body:
+        if branches:
             emit(f"{pad}if _h{site}:")
             self._emit_body(stmt.hit_body, lines, ind + 1, params,
                             set(owned))

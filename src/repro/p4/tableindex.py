@@ -34,8 +34,9 @@ forgets:
 ``rebuilds`` and ``folds`` count the two outcomes, ``memo_fills`` and
 ``memo_clears`` the memo's (nothing is counted on a hit).
 
-The index stores whatever payload its engine's ``_bind_action`` returns
-for an entry and never looks inside it.
+The index stores the installed :class:`~repro.p4.ir.TableEntry` itself —
+a hash value, a memo value and the last element of a scan row are the
+object ``switch.entries`` holds — and :meth:`lookup` answers with it.
 
 Control-plane state must be mutated through the ``Bmv2Switch`` API
 (``insert_entry`` / ``delete_entry`` / ``clear_table``); mutating
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ir
@@ -123,27 +123,26 @@ class _TableIndex:
         self._dirty = bool(engine.switch.entries[name])
         self.rebuilds = 0
         self.folds = 0
-        self.memo: Dict[Tuple, Optional[Callable]] = {}
+        self.memo: Dict[Tuple, Optional[ir.TableEntry]] = {}
         self.memo_fills = 0
         self.memo_clears = 0
-        self._exact_map: Dict[Tuple, Callable] = {}
+        self._exact_map: Dict[Tuple, ir.TableEntry] = {}
         self._exact_dups = False
-        self._buckets: Dict[int, Dict[Tuple, Callable]] = {}
+        self._buckets: Dict[int, Dict[Tuple, ir.TableEntry]] = {}
         self._plens: List[int] = []
         self._masks: Dict[int, int] = {}
         self._lpm_dups = False
-        # Scan layouts carry (rank, entry, bound) triples; rank is the
-        # reference sort key, so merged iteration preserves win order.
-        self._scan: List[Tuple[Tuple, ir.TableEntry, Callable]] = []
+        # Scan layouts carry one (-plen, -priority, seq, entry) row per
+        # entry: the reference sort key, then the entry it ranks, so
+        # merged iteration preserves win order.
+        self._scan: List[Tuple] = []
         self._rb_col: Optional[int] = None
-        self._rb_buckets: Dict[Any,
-                               List[Tuple[Tuple, ir.TableEntry,
-                                          Callable]]] = {}
-        self._rb_residual: List[Tuple[Tuple, ir.TableEntry, Callable]] = []
+        self._rb_buckets: Dict[Any, List[Tuple]] = {}
+        self._rb_residual: List[Tuple] = []
         # Scan length at which a plain scan next asks for range buckets.
         self._rb_next = _RBUCKET_MIN
-        # Monotonic insertion counter: folded entries get rank indexes
-        # strictly above every rank already in the index, so ties keep
+        # Monotonic insertion counter: folded entries get a seq
+        # strictly above every one already in the index, so ties keep
         # resolving to the earliest insertion even across deletions.
         self._rank_counter = 0
 
@@ -158,12 +157,13 @@ class _TableIndex:
             self.memo.clear()
             self.memo_clears += 1
 
-    def _sort_key(self, index: int, entry: ir.TableEntry) -> Tuple:
+    def _row(self, seq: int, entry: ir.TableEntry) -> Tuple:
+        """An entry's scan row: its reference sort key, then itself."""
         if self._lpm_index is not None:
             plen = entry.match[self._lpm_index][1]  # type: ignore[index]
         else:
             plen = 0
-        return (-plen, -entry.priority, index)
+        return (-plen, -entry.priority, seq, entry)
 
     def _bucket_key(self, col: int, spec: Any) -> Optional[Any]:
         """The hash key a spec contributes on a bucketable column, or
@@ -174,11 +174,11 @@ class _TableIndex:
         lo, hi = spec  # RANGE
         return lo if lo == hi else None
 
-    def _pick_bucket_column(self, triples: List[Tuple]) -> Optional[int]:
+    def _pick_bucket_column(self, rows: List[Tuple]) -> Optional[int]:
         """The key column to hash scan entries on, if one qualifies:
         most entries degenerate on it, with enough distinct values that
         buckets stay small.  Ties favor the leftmost column."""
-        n = len(triples)
+        n = len(rows)
         if n < _RBUCKET_MIN:
             return None
         best: Optional[Tuple[int, int]] = None
@@ -187,8 +187,8 @@ class _TableIndex:
                 continue
             keys = set()
             bucketable = 0
-            for _, entry, _bound in triples:
-                key = self._bucket_key(col, entry.match[col])
+            for row in rows:
+                key = self._bucket_key(col, row[3].match[col])
                 if key is not None:
                     bucketable += 1
                     keys.add(key)
@@ -200,28 +200,25 @@ class _TableIndex:
 
     def _rebuild(self) -> None:
         entries = self.engine.switch.entries[self.name]
-        ranked = sorted(
-            ((self._sort_key(i, e), e) for i, e in enumerate(entries)),
-            key=operator.itemgetter(0),
-        )
-        bind = self.engine._bind_action
+        # A seq is unique, so sorting rows never compares two entries.
+        ranked = sorted(self._row(i, e) for i, e in enumerate(entries))
         if self._mode == "exact":
-            table_map: Dict[Tuple, Callable] = {}
+            table_map: Dict[Tuple, ir.TableEntry] = {}
             dups = False
-            for _, entry in ranked:
+            for *_, entry in ranked:
                 key = entry.match
                 if key in table_map:
                     dups = True
                 else:
-                    table_map[key] = bind(entry.action, entry.args)
+                    table_map[key] = entry
             self._exact_map = table_map
             self._exact_dups = dups
         elif self._mode == "lpm":
             lpm_i = self._lpm_index
-            buckets: Dict[int, Dict[Tuple, Callable]] = {}
+            buckets: Dict[int, Dict[Tuple, ir.TableEntry]] = {}
             masks: Dict[int, int] = {}
             dups = False
-            for _, entry in ranked:
+            for *_, entry in ranked:
                 prefix, plen = entry.match[lpm_i]  # type: ignore[index,misc]
                 mask = ((((1 << plen) - 1) << (_LPM_WIDTH - plen))
                         if plen else 0)
@@ -233,41 +230,41 @@ class _TableIndex:
                 if probe_t in bucket:
                     dups = True
                 else:
-                    bucket[probe_t] = bind(entry.action, entry.args)
+                    bucket[probe_t] = entry
             self._buckets = buckets
             self._masks = masks
             self._plens = sorted(buckets, reverse=True)
             self._lpm_dups = dups
         else:
-            self._layout_scan([(rank, entry, bind(entry.action, entry.args))
-                               for rank, entry in ranked])
+            self._layout_scan(ranked)
         self._rank_counter = len(entries)
         self._dirty = False
         self.rebuilds += 1
 
-    def _layout_scan(self, triples: List[Tuple]) -> None:
-        """Lay rank-sorted scan triples out as range buckets plus a
-        residual list if a column qualifies, as one plain list if not
-        (asking again once it has doubled)."""
-        col = self._rb_col = self._pick_bucket_column(triples)
-        self._rb_next = max(_RBUCKET_MIN, 2 * len(triples))
+    def _layout_scan(self, rows: List[Tuple]) -> None:
+        """Lay sorted scan rows out as range buckets plus a residual
+        list if a column qualifies, as one plain list if not (asking
+        again once it has doubled)."""
+        col = self._rb_col = self._pick_bucket_column(rows)
+        self._rb_next = max(_RBUCKET_MIN, 2 * len(rows))
         rb_buckets: Dict[Any, List[Tuple]] = {}
         residual: List[Tuple] = []
         if col is None:
-            self._scan = triples
+            self._scan = rows
         else:
             self._scan = []
-            for triple in triples:
-                key = self._bucket_key(col, triple[1].match[col])
+            for row in rows:
+                key = self._bucket_key(col, row[3].match[col])
                 if key is None:
-                    residual.append(triple)
+                    residual.append(row)
                 else:
-                    rb_buckets.setdefault(key, []).append(triple)
+                    rb_buckets.setdefault(key, []).append(row)
         self._rb_buckets = rb_buckets
         self._rb_residual = residual
 
-    def lookup(self, key_values: Tuple[int, ...]) -> Optional[Callable]:
-        """The bound action runner of the winning entry, or None."""
+    def lookup(self, key_values: Tuple[int, ...]
+               ) -> Optional[ir.TableEntry]:
+        """The winning installed entry, or None."""
         if self._dirty:
             self._rebuild()
         if self._mode == "exact":
@@ -278,33 +275,29 @@ class _TableIndex:
             for plen in self._plens:
                 probe = list(key_values)
                 probe[lpm_i] = value & self._masks[plen]
-                bound = self._buckets[plen].get(tuple(probe))
-                if bound is not None:
-                    return bound
+                entry = self._buckets[plen].get(tuple(probe))
+                if entry is not None:
+                    return entry
             return None
         match = self._match
         if self._rb_col is not None:
-            best_rank: Optional[Tuple] = None
-            best_bound: Optional[Callable] = None
-            bucket = self._rb_buckets.get(key_values[self._rb_col])
-            if bucket is not None:
-                for rank, entry, bound in bucket:
-                    if match(entry.match, key_values):
-                        best_rank = rank
-                        best_bound = bound
-                        break
-            # Residual entries (wide ranges on the bucket column) are
-            # rank-sorted: the first match below the bucket winner's
-            # rank outranks it; past that rank the bucket winner holds.
-            for rank, entry, bound in self._rb_residual:
-                if best_rank is not None and rank > best_rank:
+            best: Optional[Tuple] = None
+            for row in self._rb_buckets.get(key_values[self._rb_col], ()):
+                if match(row[3].match, key_values):
+                    best = row
                     break
-                if match(entry.match, key_values):
-                    return bound
-            return best_bound
-        for _rank, entry, bound in self._scan:
-            if match(entry.match, key_values):
-                return bound
+            # Residual rows (wide ranges on the bucket column) are
+            # sorted: the first match ahead of the bucket winner
+            # outranks it; past the winner's place it holds.
+            for row in self._rb_residual:
+                if best is not None and row > best:
+                    break
+                if match(row[3].match, key_values):
+                    return row[3]
+            return None if best is None else best[3]
+        for row in self._scan:
+            if match(row[3].match, key_values):
+                return row[3]
         return None
 
     # -- incremental maintenance (bulk control-plane path) -----------------
@@ -322,14 +315,13 @@ class _TableIndex:
         self._forget()
         if self._dirty:
             return True
-        bind = self.engine._bind_action
         if self._mode == "exact":
             table_map = self._exact_map
             for entry in new_entries:
                 key = entry.match
                 if key in table_map:
                     return False  # duplicate key: rank decides, rebuild
-                table_map[key] = bind(entry.action, entry.args)
+                table_map[key] = entry
         elif self._mode == "lpm":
             lpm_i = self._lpm_index
             for entry in new_entries:
@@ -346,28 +338,26 @@ class _TableIndex:
                     self._plens = sorted(self._buckets, reverse=True)
                 if probe_t in bucket:
                     return False
-                bucket[probe_t] = bind(entry.action, entry.args)
+                bucket[probe_t] = entry
         else:
-            # Ranks are unique (they end in the insertion counter), so
-            # sorting and bisecting triples never compares two entries.
+            # A seq is unique, so sorting and bisecting rows never
+            # compares two entries.
             first = self._rank_counter
             self._rank_counter += len(new_entries)
-            triples = [(self._sort_key(first + i, entry), entry,
-                        bind(entry.action, entry.args))
-                       for i, entry in enumerate(new_entries)]
             col = self._rb_col
             if col is None:
                 scan = self._scan
-                scan.extend(triples)
-                scan.sort()  # two rank-sorted runs: one merge
+                scan.extend(self._row(first + i, entry)
+                            for i, entry in enumerate(new_entries))
+                scan.sort()  # two sorted runs: one merge
                 if len(scan) >= self._rb_next:
                     self._layout_scan(scan)
             else:
-                for triple in triples:
-                    key = self._bucket_key(col, triple[1].match[col])
+                for i, entry in enumerate(new_entries):
+                    key = self._bucket_key(col, entry.match[col])
                     bisect.insort(self._rb_residual if key is None
                                   else self._rb_buckets.setdefault(key, []),
-                                  triple)
+                                  self._row(first + i, entry))
         self.folds += 1
         return True
 
@@ -408,14 +398,14 @@ class _TableIndex:
                     continue
                 bucket = self._rb_buckets.get(key)
                 if bucket is not None:
-                    bucket[:] = [t for t in bucket if t[1] is not entry]
+                    bucket[:] = [r for r in bucket if r[3] is not entry]
                     if not bucket:
                         del self._rb_buckets[key]
             if residual_ids:
-                self._rb_residual = [t for t in self._rb_residual
-                                     if id(t[1]) not in residual_ids]
+                self._rb_residual = [r for r in self._rb_residual
+                                     if id(r[3]) not in residual_ids]
         else:
             ids = {id(e) for e in removed}
-            self._scan = [t for t in self._scan if id(t[1]) not in ids]
+            self._scan = [r for r in self._scan if id(r[3]) not in ids]
         self.folds += 1
         return True

@@ -11,6 +11,7 @@ out of order or carry unknown select values, a cyclic parse graph, a
 header stack, and an extern whose declaration is wrong.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -274,9 +275,79 @@ def test_all_checkers_fabric_source_keeps_its_shape(fabrics):
         for i in searches:
             assert lines[i - 1].strip().endswith("is _MISS:"), lines[i - 1]
             assert lines[i - 2].strip().endswith(".get(_k, _MISS)")
+        # Hit-or-miss is a local only where a hit/miss body reads it
+        # (test_a_hit_flag_exists_only_where_something_reads_it): none
+        # of the checkers' applies has one.
+        assert not re.search(r"_h\d+ = ", source), name
+        # A dispatch reads the entry: arms compare its action's name and
+        # load its args only where the action has parameters.
+        actions = switch.program.actions
+        arms = [(i, m) for i, line in enumerate(lines) for m in
+                [re.match(r" *(?:el)?if _a(\d+) == '(\w+)':$", line)] if m]
+        # ...and nothing else (an integer id, say) is ever compared.
+        assert 0 < len(arms) == len(re.findall(r"_a\d+ == ", source)), name
+        loads = [i for i, line in enumerate(lines)
+                 if re.match(r" *_aa\d+ = ", line)]
+        assert loads == [i + 1 for i, arm in arms
+                         if actions[arm[2]].params], name
+        for i, arm in arms:
+            if i + 1 in loads:
+                assert lines[i + 1].strip() == (
+                    f"_aa{arm[1]} = _b{arm[1]}.args"), lines[i + 1]
         counts = switch.engine_counts()
         assert counts["builds"] == {"initial": 1}, (name, counts)
         assert counts["rebinds"] > 0, (name, counts)
+
+
+def test_a_hit_flag_exists_only_where_something_reads_it():
+    """An apply with a hit or miss body keeps ``_h<site>`` and branches
+    on it after the dispatch (a miss runs the default action, then the
+    miss body); a plain apply only tests its entry for ``None``.  The
+    instrumented build counts by outcome at every site, so it keeps the
+    flag everywhere.  Both engines agree throughout."""
+    from repro.obs import Observability
+    program = ir.P4Program(
+        name="hm",
+        parser=ir.ParserSpec(states=[ir.ParserState(
+            "start", extracts=[ir.Extract("ethernet", ETHERNET)])]),
+        metadata=[("seen", 9)], emit_order=["ethernet"])
+    program.add_action(ir.Action("set_seen", params=[("v", 9)], body=[
+        ir.AssignStmt("meta.seen", ir.FieldRef("param.v"))]))
+    key = [ir.TableKey("hdr.ethernet.eth_type", ir.MatchKind.EXACT)]
+    for table in ("plain", "branched", "hit_only"):
+        program.add_table(ir.Table(table, keys=key, actions=["set_seen"]))
+
+    def out(base):
+        return [ir.AssignStmt("standard_metadata.egress_spec", ir.BinExpr(
+            "+", ir.FieldRef("meta.seen"), ir.Const(base, 9), 9))]
+
+    program.ingress = [
+        ir.ApplyTable("plain"),
+        ir.ApplyTable("branched", hit_body=out(100), miss_body=out(200)),
+        ir.ApplyTable("hit_only", hit_body=out(300))]
+    switches = {engine: Bmv2Switch(program, engine=engine)
+                for engine in ENGINES}
+    for switch in switches.values():
+        switch.insert_entry("plain", [0x0800], "set_seen", [1])
+        switch.insert_entry("branched", [0x0800], "set_seen", [2])
+        switch.insert_entry("hit_only", [0x86DD], "set_seen", [3])
+        switch.set_default_action("branched", "set_seen", [7])
+
+    def ports():
+        got = [[switch.process(ether_packet(eth), 1)[0][0]
+                for eth in (0x0800, 0x0806, 0x86DD)]
+               for switch in switches.values()]
+        assert got[0] == got[1]
+        return got[0]
+
+    assert ports() == [102, 207, 303]
+    source = switches["codegen"]._engine.source
+    assert re.findall(r"_h\d+ = |if _h\d+:", source) == [
+        "_h1 = ", "if _h1:", "_h2 = ", "if _h2:"]
+    switches["codegen"].attach_observability(Observability.enabled())
+    assert ports() == [102, 207, 303]
+    source = switches["codegen"]._engine.source
+    assert re.findall(r"_h\d+ = ", source) == ["_h0 = ", "_h1 = ", "_h2 = "]
 
 
 def test_a_hop_pays_for_what_it_changes(fabrics, monkeypatch):

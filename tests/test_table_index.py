@@ -424,8 +424,8 @@ def test_interleaved_writes_match_the_reference_scan(script, must, cap):
     fresh switch, over exact, LPM, priority-scan and range-bucket
     tables and one that is a member of a memoised apply run: after
     every step the codegen engine picks the entry — or, on a miss, the
-    default — the interpreter's scan picks, and no lookup memo holds
-    the payload of an entry that is no longer installed.
+    default — the interpreter's scan picks, and every answer a lookup
+    memo holds *is* an entry that is still installed.
 
     Two codegen switches run side by side (each against its own
     interpreter twin) and may be handed the *same* entry values, as the
@@ -574,10 +574,11 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
                 assert not index(side).memo
                 if was_warm[side]:
                     seen.add(f"{op}: write emptied a warm lookup memo")
-            rows_alive = {entry.args for entry in installed_now}
-            assert all(bound[1] in rows_alive
-                       for bound in index(side).memo.values()
-                       if bound is not None)
+            # Every memoised answer is an installed entry, itself.
+            alive = {id(entry) for entry in installed_now}
+            assert all(id(entry) in alive
+                       for entry in index(side).memo.values()
+                       if entry is not None)
             if written(side) != held:
                 # Whatever a memo held for ``t`` went with the write.
                 assert not any(memos(side))
@@ -663,6 +664,32 @@ def test_delete_entry_removes_one_installed_entry(kind):
         assert sw.process(_packet(5, 0), 1)[0][0] == 100
         sw.delete_entry("t", twin)
         assert sw.process(_packet(5, 0), 1)[0][0] == 0
+
+
+def test_delete_entry_looks_for_the_object_before_an_equal():
+    """Handed the installed object, ``delete_entry`` finds it without
+    one ``TableEntry.__eq__`` call, at the tail of a 1,000-row table;
+    only a handle that is not itself installed is compared."""
+    program = make_program([ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)])
+    eq, calls = ir.TableEntry.__eq__, []
+
+    def counted(left, right):
+        calls.append(left)
+        return eq(left, right)
+
+    for engine in ENGINES:
+        sw = Bmv2Switch(program, engine=engine)
+        rows = sw.insert_entries("t", [([a], "set_out", [a + 1], 0)
+                                       for a in range(1000)])
+        del calls[:]
+        with mock.patch.object(ir.TableEntry, "__eq__", counted):
+            sw.delete_entry("t", rows[-1])
+            assert calls == []
+            sw.delete_entry("t", ir.TableEntry([500], "set_out", [501]))
+            assert len(calls) == 501
+        assert len(sw.entries["t"]) == 998
+        assert [sw.process(_packet(a, 0), 1)[0][0]
+                for a in (499, 500, 998, 999)] == [500, 0, 999, 0]
 
 
 def test_bulk_insert_validates_like_single_insert():
@@ -771,23 +798,29 @@ def test_compiled_matcher_equals_reference_for_every_kinds_tuple():
 
 
 class _StubEngine:
-    """The two things a _TableIndex asks of its engine."""
+    """The one thing a _TableIndex asks of its engine."""
 
     def __init__(self, entries):
         from types import SimpleNamespace
 
         self.switch = SimpleNamespace(entries={"t": entries})
 
-    def _bind_action(self, name, args):
-        return (name, tuple(args))
+
+def _reference_winner(table, entries, key):
+    """The entry the interpreter's scan picks for ``key``, or None."""
+    best = None
+    for entry in entries:
+        if entry.matches(table, list(key)) and (
+                best is None or Bmv2Switch._beats(table, entry, best)):
+            best = entry
+    return best
 
 
 def test_compiled_matcher_in_every_scan_layout():
-    """Plain scan, range buckets and the residual list all pick the
-    entry the reference scan picks, for every kinds tuple."""
+    """Plain scan, range buckets and the residual list all answer with
+    the very entry the reference scan picks, for every kinds tuple."""
     import random
 
-    from repro.p4.bmv2 import Bmv2Switch as Reference
     from repro.p4.tableindex import _RBUCKET_MIN, _TableIndex
 
     rng = random.Random(11)
@@ -803,16 +836,41 @@ def test_compiled_matcher_in_every_scan_layout():
             index = _TableIndex(_StubEngine(entries), "t", table)
             for _ in range(25):
                 key = tuple(rng.randrange(12) for _ in kinds)
-                best = None
-                for entry in entries:
-                    if entry.matches(table, list(key)) and (
-                            best is None
-                            or Reference._beats(table, entry, best)):
-                        best = entry
-                want = None if best is None else (best.action, ())
-                assert index.lookup(key) == want, (kinds, n, key)
+                assert index.lookup(key) is _reference_winner(
+                    table, entries, key), (kinds, n, key)
             if index._mode == "scan":
                 layouts.add("plain" if index._rb_col is None else "buckets")
                 if index._rb_residual:
                     layouts.add("residual")
     assert layouts == {"plain", "buckets", "residual"}
+
+
+@pytest.mark.parametrize("kind", [ir.MatchKind.EXACT, ir.MatchKind.LPM])
+def test_hash_layouts_answer_with_the_installed_entry(kind):
+    """Exact maps and LPM buckets hold the installed objects: folded
+    in, ranked by the rebuild a repeated key forces, and rebuilt after
+    ``clear_table``, a lookup *is* the reference scan's winner."""
+    program = make_program([ir.TableKey("hdr.h.a", kind)])
+    sw = Bmv2Switch(program, engine="codegen")
+    index = sw._engine.tables["t"]
+
+    def rows(values, priority=0):
+        return [([a if kind is ir.MatchKind.EXACT else (a, 32)],
+                 "set_out", [a + 100 * priority], priority) for a in values]
+
+    def check(rebuilds):
+        hits = [index.lookup((a,)) for a in range(5)]
+        assert index.rebuilds == rebuilds and not index._dirty
+        for a, hit in enumerate(hits):
+            assert hit is _reference_winner(
+                program.tables["t"], sw.entries["t"], (a,))
+        return [hit and hit.args for hit in hits]
+
+    sw.insert_entries("t", rows([1, 2, 3]))
+    assert check(0) == [None, (1,), (2,), (3,), None]  # folded
+    sw.insert_entries("t", rows([2], priority=5))
+    assert index._dirty  # a repeated key: the rebuild ranks the two
+    assert check(1) == [None, (1,), (502,), (3,), None]
+    sw.clear_table("t")
+    sw.insert_entries("t", rows([4]))
+    assert check(2) == [None, None, None, None, (4,)]
