@@ -9,7 +9,7 @@ checkers add only telemetry bytes inside the fabric (stripped before
 delivery), so goodput parity is the expected result.
 
 The replay is fully lazy: the campus trace is anonymized and
-re-addressed one packet at a time through ``Network.attach_source``, so
+re-addressed one draw at a time through ``Network.attach_source``, so
 paper-rate offered loads (350K+ pps) never materialize the whole trace
 as pre-scheduled ``Host.send`` events.  Each campus flow maps to one
 UDP template packet (stable source port per flow, sizes preserved),
@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..net.packet import Packet, make_udp
 from ..workloads.anonymizer import PrefixPreservingAnonymizer
-from ..workloads.campus import CampusTraceGenerator
+from ..workloads.campus import CampusTraceGenerator, payload_len
 from .fig12 import Fig12Config, build_fabric
 
 
@@ -57,7 +57,9 @@ class ReplayFeed:
     packet sizes — the property that matters for throughput.  Each
     campus flow gets a stable source port (hashed onto 1000 ports, like
     the original replay's port cycling) and one shared template packet
-    per (flow, size), counted as it is offered.
+    per (port, size), counted as it is offered.  The feed reads the
+    trace's draws — ``(when, flow, wire size)`` — so these templates
+    are the only packets a replay ever builds.
     """
 
     def __init__(self, generator: CampusTraceGenerator, src_ip: int,
@@ -74,20 +76,20 @@ class ReplayFeed:
         self.offered_bytes = 0
 
     def emissions(self) -> Iterator[Tuple[float, Packet]]:
-        timed = self._generator.timed_packets(self._rate_pps,
-                                              self._duration_s)
+        timed = self._generator.timed_draws(self._rate_pps,
+                                            self._duration_s)
         templates = self._templates
         flow_ports = self._flow_ports
         anonymize = self._anonymizer.anonymize_ipv4
-        for when, trace_packet in timed:
-            flow_id = trace_packet.meta["flow_id"]
+        for when, flow, size in timed:
+            flow_id = flow.flow_id
             sport = flow_ports.get(flow_id)
             if sport is None:
                 # The ONTAS step: build the flow's prefix-preserving
-                # address mapping once (the anonymizer memoizes it),
+                # address mapping once (the anonymizer keeps the trie),
                 # then re-address onto the fabric endpoints.
-                anonymize(flow_id[0])
-                anonymize(flow_id[1])
+                anonymize(flow.src)
+                anonymize(flow.dst)
                 sport = 20000 + len(flow_ports) % 1000
                 flow_ports[flow_id] = sport
             # Templates dedup on wire content, not flow identity: the
@@ -95,11 +97,11 @@ class ReplayFeed:
             # ports, so two flows sharing a port slot and size replay
             # byte-identical packets — one template serves both, which
             # bounds the template (and transit-record) population.
-            key = (sport, trace_packet.payload_len)
+            key = (sport, size)
             entry = templates.get(key)
             if entry is None:
                 packet = make_udp(self._src_ip, self._dst_ip, sport, 5201,
-                                  payload_len=trace_packet.payload_len)
+                                  payload_len=payload_len(size))
                 entry = (packet, packet.length)
                 templates[key] = entry
             self.offered += 1

@@ -11,6 +11,13 @@ is the original bit XOR a pseudo-random function of the original i-bit
 prefix.  Two addresses sharing a k-bit prefix therefore share exactly a
 k-bit anonymized prefix, so subnet structure (and LPM routing behaviour)
 survives anonymization.
+
+The anonymizer keeps the trie that definition implies: one dict of
+anonymized prefixes, keyed ``(1 << length) | prefix`` (the root, the
+empty prefix, is ``{1: 0}``).  The PRF is a pure function of ``(salt,
+length, prefix)``, so a node's image never changes once computed, and an
+address only pays for the nodes below its longest known prefix — one
+evaluation per new trie node, not 32 per address.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ class PrefixPreservingAnonymizer:
 
     def __init__(self, salt: bytes = b"hydra-p4campus"):
         self.salt = salt
-        self._cache: Dict[int, int] = {}
+        self._cache: Dict[int, int] = {1: 0}
         self._mac_cache: Dict[int, int] = {}
 
     def _prf_bit(self, prefix_bits: int, length: int) -> int:
@@ -38,16 +45,18 @@ class PrefixPreservingAnonymizer:
 
     def anonymize_ipv4(self, addr: int) -> int:
         """Prefix-preserving anonymization of one IPv4 address."""
-        cached = self._cache.get(addr)
-        if cached is not None:
-            return cached
-        out = 0
-        for i in range(32):
+        if not 0 <= addr < 1 << 32:
+            raise ValueError(f"not an IPv4 address: {addr!r}")
+        cache = self._cache
+        node = (1 << 32) | addr     # node >> (32 - i) keys the i-bit prefix
+        known = 32
+        while (out := cache.get(node >> (32 - known))) is None:
+            known -= 1
+        for i in range(known, 32):
             original_bit = (addr >> (31 - i)) & 1
-            prefix = addr >> (32 - i) if i else 0
-            flip = self._prf_bit(prefix, i)
+            flip = self._prf_bit(addr >> (32 - i), i)
             out = (out << 1) | (original_bit ^ flip)
-        self._cache[addr] = out
+            cache[node >> (31 - i)] = out
         return out
 
     def anonymize_mac(self, mac: int) -> int:

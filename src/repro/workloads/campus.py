@@ -7,12 +7,18 @@ distribution, deterministic under a seed, which the throughput
 microbenchmark replays toward leaf1 exactly as the paper replays the
 mirrored trace.
 
-Generation is fully lazy: :meth:`CampusTraceGenerator.timed_packets`
-draws packets one at a time for as long as the exponential arrival
-clock stays inside ``duration_s``, so paper-rate traces (hundreds of
-thousands of packets per simulated second) are never materialized and
-an unlucky inter-arrival tail can never exhaust a pre-sized stream
-early (which used to silently under-offer load).
+A trace is a stream of **draws**, not of packets: a draw is ``(flow,
+wire size)`` — which live :class:`Flow` sends next, and the IMIX size it
+sends — and :meth:`CampusTraceGenerator.draws` is the one RNG loop that
+makes them.  :meth:`~CampusTraceGenerator.timed_draws` runs the one
+exponential arrival clock over it for as long as it stays inside
+``duration_s``; ``packets()`` / ``timed_packets()`` map a draw to a
+:class:`Packet`, and a consumer that wants only sizes and flow ids (the
+replay feed) reads the draws and builds none.  Nothing is kept per
+draw: paper-rate traces (hundreds of thousands of packets per simulated
+second) are never materialized, a reused template lives on its flow and
+dies with it, and an unlucky inter-arrival tail can never exhaust a
+pre-sized stream early (which used to silently under-offer load).
 """
 
 from __future__ import annotations
@@ -20,11 +26,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..net.packet import (IP_PROTO_TCP, IP_PROTO_UDP, Packet, ip, make_tcp,
-                          make_udp)
+from ..net.packet import (ETHERNET, IP_PROTO_TCP, IP_PROTO_UDP, IPV4, TCP,
+                          UDP, Packet, ip, make_tcp, make_udp)
 
 # The two tapped campus subnets (stand-ins for the paper's two /16s).
 CAMPUS_SUBNET_A = ip(128, 112, 0, 0)   # /16
@@ -40,11 +46,22 @@ _SIZE_WEIGHTS = (0.55, 0.25, 0.20)
 _SIZE_CUM = tuple(accumulate(_SIZE_WEIGHTS))
 _SIZE_TOTAL = _SIZE_CUM[-1] + 0.0
 _SIZE_HI = len(_PACKET_SIZES) - 1
+# On-wire header stack of a generated packet, by IP protocol.
+_HEADER_BYTES = {
+    proto: ETHERNET.width_bytes + IPV4.width_bytes + l4.width_bytes
+    for proto, l4 in ((IP_PROTO_TCP, TCP), (IP_PROTO_UDP, UDP))}
+
+
+def payload_len(size: int) -> int:
+    """Payload bytes of a drawn wire size: what an Ethernet/IPv4/TCP
+    stack leaves of it (a UDP packet of the same draw is shorter)."""
+    return max(0, size - _HEADER_BYTES[IP_PROTO_TCP])
 
 
 @dataclass
 class Flow:
-    """One generated flow: a 5-tuple plus remaining packets."""
+    """One generated flow: a 5-tuple (also as the tuple ``flow_id``),
+    remaining packets, and — in reuse mode — its template per size."""
 
     src: int
     dst: int
@@ -52,6 +69,8 @@ class Flow:
     dport: int
     proto: int
     remaining: int
+    flow_id: tuple
+    templates: Dict[int, Packet] = field(default_factory=dict)
 
 
 @dataclass
@@ -76,6 +95,9 @@ class CampusTraceGenerator:
     trace) is unchanged, but consumers must treat packets as immutable
     templates (the batched replay path does; it never mutates its
     inputs).
+
+    ``stats`` counts what ``packets()`` and the ``timed_*`` streams
+    emit; a draw the arrival clock turns away is not counted.
     """
 
     def __init__(self, seed: int = 2023, mean_flow_packets: float = 12.0,
@@ -85,7 +107,6 @@ class CampusTraceGenerator:
         self.mean_flow_packets = mean_flow_packets
         self.max_flow_packets = max_flow_packets
         self.reuse_packets = reuse_packets
-        self._templates: Dict[tuple, Packet] = {}
         self.stats = TraceStats()
 
     def _new_flow(self) -> Flow:
@@ -100,75 +121,77 @@ class CampusTraceGenerator:
         size = int(rng.paretovariate(1.2))
         size = max(1, min(size, self.max_flow_packets))
         self.stats.flows += 1
-        return Flow(src, dst, sport, dport, proto, size)
+        return Flow(src, dst, sport, dport, proto, size,
+                    (src, dst, sport, dport, proto))
 
-    def _packet_for(self, flow: Flow) -> Packet:
-        size = _PACKET_SIZES[bisect_right(
-            _SIZE_CUM, self.rng.random() * _SIZE_TOTAL, 0, _SIZE_HI)]
-        if self.reuse_packets:
-            key = (flow.src, flow.dst, flow.sport, flow.dport, flow.proto,
-                   size)
-            entry = self._templates.get(key)
-            if entry is None:
-                packet = self._build_packet(flow, size)
-                self._templates[key] = (packet, packet.length)
-                return packet
-            packet, length = entry
-            self._count_packet(flow, length)
-            return packet
-        return self._build_packet(flow, size)
-
-    def _build_packet(self, flow: Flow, size: int) -> Packet:
-        payload = max(0, size - 54)
-        if flow.proto == IP_PROTO_TCP:
-            packet = make_tcp(flow.src, flow.dst, flow.sport, flow.dport,
-                              payload_len=payload)
-        else:
-            packet = make_udp(flow.src, flow.dst, flow.sport, flow.dport,
-                              payload_len=payload)
-        packet.meta["flow_id"] = (flow.src, flow.dst, flow.sport,
-                                  flow.dport, flow.proto)
-        self._count_packet(flow, packet.length)
+    def _packet_for(self, flow: Flow, size: int) -> Packet:
+        packet = flow.templates.get(size)   # always empty unless reusing
+        if packet is None:
+            make = make_tcp if flow.proto == IP_PROTO_TCP else make_udp
+            packet = make(flow.src, flow.dst, flow.sport, flow.dport,
+                          payload_len=payload_len(size))
+            packet.meta["flow_id"] = flow.flow_id
+            if self.reuse_packets:
+                flow.templates[size] = packet
         return packet
 
-    def _count_packet(self, flow: Flow, length: int) -> None:
+    def _count(self, flow: Flow, size: int) -> None:
+        stats = self.stats
         if flow.proto == IP_PROTO_TCP:
-            self.stats.tcp_packets += 1
+            stats.tcp_packets += 1
         else:
-            self.stats.udp_packets += 1
-        self.stats.packets += 1
-        self.stats.bytes += length
+            stats.udp_packets += 1
+        stats.packets += 1
+        stats.bytes += _HEADER_BYTES[flow.proto] + payload_len(size)
+
+    def draws(self, concurrent_flows: int = 64
+              ) -> Iterator[Tuple[Flow, int]]:
+        """The trace: an unbounded stream of ``(flow, wire size)`` draws
+        interleaving ``concurrent_flows`` live flows.  The only RNG loop;
+        counts nothing (its consumer decides what is emitted)."""
+        rng = self.rng
+        active: List[Flow] = [self._new_flow()
+                              for _ in range(concurrent_flows)]
+        while True:
+            index = rng.randrange(len(active))
+            flow = active[index]
+            yield flow, _PACKET_SIZES[bisect_right(
+                _SIZE_CUM, rng.random() * _SIZE_TOTAL, 0, _SIZE_HI)]
+            flow.remaining -= 1
+            if flow.remaining <= 0:
+                active[index] = self._new_flow()
+
+    def timed_draws(self, rate_pps: float, duration_s: float,
+                    concurrent_flows: int = 64
+                    ) -> Iterator[Tuple[float, Flow, int]]:
+        """``(timestamp, flow, wire size)`` with exponential
+        inter-arrivals at an average of ``rate_pps`` per second.
+
+        The draw stream is unbounded, so the trace always covers the
+        full ``duration_s`` no matter how the inter-arrival draws fall;
+        the draw that lands past it is dropped uncounted.
+        """
+        now = 0.0
+        expovariate = self.rng.expovariate
+        for flow, size in self.draws(concurrent_flows):
+            now += expovariate(rate_pps)
+            if now > duration_s:
+                return
+            self._count(flow, size)
+            yield now, flow, size
 
     def packets(self, count: Optional[int] = None,
                 concurrent_flows: int = 64) -> Iterator[Packet]:
         """Yield ``count`` packets (unbounded when ``count=None``),
         interleaving concurrent flows."""
-        active: List[Flow] = [self._new_flow()
-                              for _ in range(concurrent_flows)]
-        produced = 0
-        while count is None or produced < count:
-            index = self.rng.randrange(len(active))
-            flow = active[index]
-            yield self._packet_for(flow)
-            produced += 1
-            flow.remaining -= 1
-            if flow.remaining <= 0:
-                active[index] = self._new_flow()
+        for flow, size in islice(self.draws(concurrent_flows), count):
+            self._count(flow, size)
+            yield self._packet_for(flow, size)
 
     def timed_packets(self, rate_pps: float, duration_s: float,
                       concurrent_flows: int = 64
                       ) -> Iterator[Tuple[float, Packet]]:
-        """(timestamp, packet) pairs with exponential inter-arrivals at
-        an average of ``rate_pps`` packets per second.
-
-        The underlying packet stream is unbounded, so the emitted trace
-        always covers the full ``duration_s`` no matter how the
-        inter-arrival draws fall.
-        """
-        now = 0.0
-        stream = self.packets(None, concurrent_flows)
-        for packet in stream:
-            now += self.rng.expovariate(rate_pps)
-            if now > duration_s:
-                return
-            yield now, packet
+        """:meth:`timed_draws`, each draw mapped to its packet."""
+        for when, flow, size in self.timed_draws(rate_pps, duration_s,
+                                                 concurrent_flows):
+            yield when, self._packet_for(flow, size)
