@@ -255,7 +255,6 @@ def _run_engine(scenario: Scenario, compiled: CompiledChecker,
         records.clear()
         dep.clear_reports()
         before_rx = dst.rx_count
-        received_at = len(dst.received)
         packet = build_packet(spec, topology, scenario.src_host,
                               scenario.dst_host)
         dep.network.host(scenario.src_host).send(packet)
@@ -267,8 +266,10 @@ def _run_engine(scenario: Scenario, compiled: CompiledChecker,
             for r in dep.reports
         ])
         if dst.rx_count > before_rx:
-            run.delivered.append(
-                _serialize_headers(dst.received[received_at][1]))
+            if dst.rx_count != before_rx + 1:
+                raise RuntimeError(f"{scenario.dst_host!r} got one packet "
+                                   f"{dst.rx_count - before_rx} times")
+            run.delivered.append(_serialize_headers(dst.received[-1][1]))
         else:
             run.delivered.append(None)
     run.registers = {name: {reg: list(vals)

@@ -130,10 +130,9 @@ def run_replay(checkers: Optional[List[str]], label: str,
     network.attach_source("h1", feed.emissions())
     sink = network.host("h3")
     network.run()
-    # The sink tracks the true last-delivery time and byte count itself,
-    # so goodput stays honest even when rx callbacks consume packets
-    # (``received`` would be empty and the old estimate fell back to
-    # ``duration_s``, overstating goodput).
+    # The sink counts deliveries, bytes and the last delivery time
+    # itself; ``received`` is only a window on the most recent ones (and
+    # stays empty when rx callbacks consume the packets).
     last_arrival = (sink.last_rx_time
                     if sink.last_rx_time is not None else duration_s)
     return ThroughputResult(

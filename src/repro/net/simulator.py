@@ -213,9 +213,10 @@ class Simulator:
 class Host:
     """A host endpoint: sends packets, delivers receptions to callbacks.
 
-    When no callback is registered, receptions accumulate in
-    ``received``; with callbacks registered, each gets every packet
-    (callbacks filter for the traffic they care about).
+    When no callback is registered, receptions go to ``received``, a
+    ``BoundedLog``: the last ``DEFAULT_LOG_CAPACITY`` ``(time, packet)``
+    deliveries and a ``total``.  A consumer that wants every packet adds
+    a callback: each gets every packet and filters for what it cares about.
 
     ``tx_count`` counts packets that actually started serializing onto
     the wire; sends still queued (``send`` with a future delay) or
@@ -225,7 +226,8 @@ class Host:
     def __init__(self, name: str, network: "Network"):
         self.name = name
         self.network = network
-        self.received: List[Tuple[float, Packet]] = []
+        self.received: BoundedLog = BoundedLog(
+            on_evict=network._evict_counter("received", name))
         self.rx_callbacks: List[Callable[[float, Packet], None]] = []
         self.tx_count = 0
         self.rx_count = 0
@@ -286,8 +288,10 @@ class SwitchDevice:
 class _LazySource:
     """A lazily-consumed ``(time, packet)`` emission stream for a host.
 
-    Emission times must be non-decreasing.  The network pulls one
-    emission at a time, so paper-rate traces are never materialized.
+    Emission times must be non-decreasing (``ValueError`` at the pull
+    that breaks it: deliveries made stand, nothing later is sent).  The
+    network pulls one emission at a time, so paper-rate traces are
+    never materialized.
     """
 
     __slots__ = ("host", "_iter", "head")
@@ -299,8 +303,14 @@ class _LazySource:
 
     def pop(self) -> Tuple[float, Packet]:
         head = self.head
-        self.head = next(self._iter, None)
+        pulled = self.head = next(self._iter, None)
+        if pulled is not None and pulled[0] < head[0]:
+            raise self.unordered(pulled[0], head[0])
         return head
+
+    def unordered(self, when: float, prev: float) -> ValueError:
+        return ValueError(f"source on {self.host!r}: emission at {when!r} "
+                          f"follows one at {prev!r}")
 
 
 #: The source of a drain that has only parked replays to finish.
@@ -372,7 +382,7 @@ class Network:
         # Bounded: long replays keep a ring of recent reports plus the
         # cumulative count (``reports.total``) instead of growing forever.
         self.reports: BoundedLog = BoundedLog(
-            report_capacity, on_evict=self._on_report_evict)
+            report_capacity, self._evict_counter("reports", "network"))
         for device in self.switches.values():
             device.bmv2.on_digest(self.reports.append)
         self.packets_delivered = 0
@@ -393,12 +403,13 @@ class Network:
             for device in self.switches.values():
                 device.bmv2.on_config_change(self._on_switch_config)
 
-    def _on_report_evict(self, count: int) -> None:
-        if self._metrics:
-            self.obs.registry.counter(
-                "log_evictions_total",
-                "entries evicted from bounded ring logs",
-                labels=("log", "node")).labels("reports", "network").inc(count)
+    def _evict_counter(self, log: str, node: str) -> Optional[Callable]:
+        """A ring's ``on_evict``: no callback without a live registry."""
+        if not self._metrics:
+            return None
+        return lambda count: self.obs.registry.counter(
+            "log_evictions_total", "entries evicted from bounded ring logs",
+            labels=("log", "node")).labels(log, node).inc(count)
 
     # -- transmission ------------------------------------------------------------
 
@@ -553,7 +564,7 @@ class Network:
         Works in both modes: event mode self-schedules one emission at
         a time (O(1) memory, unlike pre-materializing ``Host.send``
         calls); batched mode drains every due emission per wakeup.
-        Emission times must be non-decreasing.
+        Emission times must be non-decreasing (else ``ValueError``).
         """
         if host_name not in self.hosts:
             raise ValueError(f"unknown host {host_name!r}")
@@ -937,6 +948,7 @@ class Network:
         while True:
             # ======== fast tier: nothing parked locally ========
             dvhost: Optional[Host] = None
+            late: Optional[ValueError] = None
             while not heap:
                 head = source.head
                 if head is None:
@@ -964,11 +976,14 @@ class Network:
                     pbusy = cdev.port_busy_until.get(cport, 0.0)
                     ntx = fwd_bytes = nrx = rx_bytes = 0
                     last_rx = dvhost.last_rx_time
-                    received = dvhost.received.append
+                    received = dvhost.received.push
                 elif (ff[7] is not dvhost or swleg[7] is not cdev
                       or swleg[2] != cport):
                     break
-                source.head = nxt(src_iter, None)
+                head = source.head = nxt(src_iter, None)
+                if head is not None and head[0] < t:
+                    late = source.unordered(head[0], t)
+                    break        # raised below, after the write-back
                 owner = False
                 hw = ff[3]
                 start = t if t > nic_busy else nic_busy
@@ -1014,11 +1029,14 @@ class Network:
                 cdev.port_busy_until[cport] = pbusy
                 cdev.bytes_forwarded += fwd_bytes
                 dvhost.rx_count += nrx
+                dvhost.received.account(nrx)
                 dvhost.rx_bytes += rx_bytes
                 dvhost.last_rx_time = last_rx
                 self.packets_delivered += nrx
                 if nrx and self._metrics:
                     self._m_delivered.labels(dvhost.name).inc(nrx)
+                if late is not None:
+                    raise late
                 if not heap:
                     continue     # another port or sink: reload
             # ======== one generic step ========
@@ -1038,6 +1056,8 @@ class Network:
                 hpop(heap)
             else:
                 head = source.head = nxt(src_iter, None)
+                if head is not None and head[0] < t:
+                    raise source.unordered(head[0], t)
                 ff = getattr(emission, "_ff", None)
                 if ff is not None and ff[0] == gen and ff[2] == src_name:
                     legs = ff[1]

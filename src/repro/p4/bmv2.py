@@ -47,12 +47,15 @@ class BoundedLog:
     indexing, slicing, ``==`` against a list) but only retains the last
     ``capacity`` entries; ``total`` counts every append ever made and
     ``dropped`` says how many fell off the front.  ``on_evict``, when
-    given, is called with the count of entries just rotated out (always
-    1 per overflowing append) — the observability plane uses it to
-    surface silent evictions as ``log_evictions_total``.
+    given, is called with the count of entries just rotated out — the
+    observability plane uses it to surface silent evictions as
+    ``log_evictions_total``.
+
+    ``append(x)`` is ``push(x); account(1)``; a hot loop calls ``push``
+    (the ring's own C-level append) per entry and ``account(n)`` once.
     """
 
-    __slots__ = ("capacity", "total", "_ring", "_on_evict")
+    __slots__ = ("capacity", "total", "push", "_ring", "_on_evict")
 
     def __init__(self, capacity: int = DEFAULT_LOG_CAPACITY,
                  on_evict: Optional[Callable[[int], None]] = None):
@@ -61,18 +64,24 @@ class BoundedLog:
         self.capacity = capacity
         self.total = 0
         self._ring: deque = deque(maxlen=capacity)
+        self.push: Callable[[Any], None] = self._ring.append
         self._on_evict = on_evict
 
     @property
     def dropped(self) -> int:
         return self.total - len(self._ring)
 
+    def account(self, count: int) -> None:
+        """Settle ``count`` pushes.  Only ``clear`` shrinks the ring, so
+        a settled log has dropped ``max(total - capacity, 0)`` entries."""
+        before = self.total
+        self.total = total = before + count
+        if self._on_evict is not None and count and total > self.capacity:
+            self._on_evict(total - max(before, self.capacity))
+
     def append(self, item: Any) -> None:
-        self.total += 1
-        evicting = len(self._ring) == self.capacity
-        self._ring.append(item)
-        if evicting and self._on_evict is not None:
-            self._on_evict(1)
+        self.push(item)
+        self.account(1)
 
     def clear(self) -> None:
         self.total = 0
