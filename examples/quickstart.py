@@ -14,8 +14,8 @@ loop freedom ("a packet must not visit the same switch twice"):
 
 Steps 3-5 go through :mod:`repro.api`, the stable facade — the same
 five verbs the CLI and the experiment harnesses use (``repro.api.
-difftest(seed=..., iters=..., workers=N)`` scales step 5 into a
-sharded campaign).  The lower-level imports in steps 1-2 show the
+difftest(seed=..., iters=...)`` scales step 5 into a whole
+campaign).  The lower-level imports in steps 1-2 show the
 layers underneath.
 """
 
@@ -116,8 +116,8 @@ def step5_oracle():
     print(f"seed 7: {result.packets_run} packets through both engines "
           f"+ the reference monitor -> "
           f"{'all agree' if result.ok else result.failure}")
-    print("(scale this up: repro.api.difftest(seed=0, iters=200, "
-          "workers=4), or `python -m repro difftest --workers 4`)")
+    print("(scale this up: repro.api.difftest(seed=0, iters=200), "
+          "or `python -m repro difftest --iters 200`)")
 
 
 def main():

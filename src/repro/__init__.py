@@ -19,15 +19,14 @@ Subpackages:
 * :mod:`repro.experiments`— table/figure reproduction harnesses.
 
 The stable public surface is :mod:`repro.api` — six verbs with
-uniform keyword-only ``engine=`` / ``obs=`` / ``seed=`` / ``workers=``
-arguments::
+uniform keyword-only ``engine=`` / ``obs=`` / ``seed=`` arguments::
 
     import repro
 
     compiled = repro.compile_indus("loops", optimize=True)
     diagnostics = repro.lint("loops")             # dataflow lint
     result = repro.run_scenario(seed=7)           # dual-engine oracle
-    summary = repro.api.difftest(seed=0, iters=200, workers=4)
+    summary = repro.api.difftest(seed=0, iters=200)
 
 (The campaign verb is reached as ``repro.api.difftest`` — the top-level
 name ``repro.difftest`` is the subpackage of the same name.)

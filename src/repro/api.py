@@ -11,7 +11,7 @@ behind a small set of verbs with uniform keyword arguments:
   difftest scenario) as a running :class:`~repro.runtime.deployment.
   HydraDeployment`;
 * :func:`run_scenario` — one differential-oracle scenario, end to end;
-* :func:`difftest`     — a whole oracle campaign, serial or sharded;
+* :func:`difftest`     — a whole oracle campaign over consecutive seeds;
 * :func:`generated_source` — the codegen engine's generated Python
   source for a pipeline (``repro dump-src`` is this verb on the
   command line).
@@ -26,18 +26,14 @@ Uniform keywords across the verbs, always keyword-only:
   :data:`repro.p4.ENGINES`: ``"codegen"`` (generated source; the
   default) or ``"interp"`` (the reference tree-walker);
 * ``obs=``     — an :class:`~repro.obs.Observability` handle (metrics
-  registry + tracer) threaded through every layer; fleet runs merge
-  worker registries into it;
+  registry + tracer) threaded through every layer;
 * ``seed=``    — the deterministic seed.  Scenarios are pure functions
-  of their seed, so equal seeds mean equal behavior — including across
-  worker counts;
-* ``workers=`` — process fan-out where the verb supports it
-  (:mod:`repro.parallel`); ``1`` means serial, in-process.
+  of their seed, so equal seeds mean equal behavior.
 
 Stability promise: these signatures are the compatibility surface
 the CLI, the experiment harnesses, and the tests are written against.
-Internal modules (``repro.difftest.harness``, ``repro.parallel.runner``,
-…) may reshuffle between releases; this module will not.
+Internal modules (``repro.difftest.harness``, …) may reshuffle
+between releases; this module will not.
 
 Heavyweight subsystems are imported lazily inside each function so that
 ``import repro`` stays cheap and cycle-free.
@@ -172,31 +168,24 @@ def run_scenario(scenario: Union[int, Any] = None, *,
                 engines=engines)
 
 
-def difftest(*, seed: int = 0, iters: int = 100, workers: int = 1,
+def difftest(*, seed: int = 0, iters: int = 100,
              inject_bug: bool = False, stop_on_failure: bool = True,
-             obs: Any = None, timeout_s: float = 60.0,
-             quarantine_dir: str = "difftest_failures",
+             obs: Any = None,
              progress: Optional[Callable[[str], None]] = None,
              optimize: bool = False, engines: Any = None) -> Any:
     """Run a differential-oracle campaign over ``iters`` seeds starting
-    at ``seed``.
+    at ``seed``, one scenario after another in this process.
 
-    ``workers > 1`` shards the seed range across that many processes
-    (:func:`repro.parallel.run_fleet`) with per-scenario ``timeout_s``
-    kill, crashed-worker respawn, and quarantine of seeds that take
-    down their worker (reproducer bundles land in ``quarantine_dir``).
-    For a fixed seed the verdict *set* is identical for any worker
-    count.  ``engines`` names the engines each scenario
-    cross-checks (default :data:`repro.p4.ENGINES`).
+    ``obs``, when live, accumulates every scenario's metrics.
+    ``engines`` names the engines each scenario cross-checks (default
+    :data:`repro.p4.ENGINES`).
     Returns the :class:`~repro.difftest.DifftestSummary`.
     """
     from .difftest import run_difftest
 
     return run_difftest(seed=seed, iters=iters, inject_bug=inject_bug,
                         stop_on_failure=stop_on_failure,
-                        progress=progress, obs=obs, workers=workers,
-                        timeout_s=timeout_s,
-                        quarantine_dir=quarantine_dir,
+                        progress=progress, obs=obs,
                         optimize=optimize, engines=engines)
 
 

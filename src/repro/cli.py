@@ -162,9 +162,8 @@ def cmd_fig12(args: argparse.Namespace) -> int:
     print(f"running Figure 12 (duration {args.duration}s, "
           f"{args.load} Mb/s per pair, "
           f"checkers: {', '.join(checkers) if checkers else 'all'}"
-          + (f", {args.workers} workers" if args.workers > 1 else "")
-          + "; this takes a little while)...")
-    result = run_fig12(config, checkers=checkers, workers=args.workers)
+          "; this takes a little while)...")
+    result = run_fig12(config, checkers=checkers)
     for run in (result.baseline, result.with_checkers):
         print(f"{run.label:14s} n={len(run.rtts_ms):4d} "
               f"mean RTT={run.mean_ms:.4f} ms")
@@ -205,24 +204,10 @@ def cmd_difftest(args: argparse.Namespace) -> int:
                          "at least two (e.g. --engine interp,codegen)")
     mode = "injected-bug validation" if args.inject_bug else "oracle"
     print(f"difftest ({mode}): seed {args.seed}, {args.iters} iteration(s)"
-          + (f", engines {','.join(engines)}" if engines else "")
-          + (f", {args.workers} workers" if args.workers > 1 else ""))
+          + (f", engines {','.join(engines)}" if engines else ""))
     summary = difftest(seed=args.seed, iters=args.iters,
                        inject_bug=args.inject_bug, progress=print,
-                       workers=args.workers, timeout_s=args.timeout,
-                       quarantine_dir=args.out, optimize=args.optimize,
-                       engines=engines)
-    if summary.workers > 1:
-        if summary.respawns:
-            print(f"worker respawns: {summary.respawns}")
-        for record in summary.quarantined:
-            print(f"quarantined seed {record['seed']} "
-                  f"({record['reason']}): {record['bundle']}",
-                  file=sys.stderr)
-        if summary.interrupted:
-            print("interrupted: partial results "
-                  f"({summary.iterations} of {args.iters} scenarios)",
-                  file=sys.stderr)
+                       optimize=args.optimize, engines=engines)
     if args.inject_bug:
         print(f"mutations injected: {summary.mutations_injected}, "
               f"caught: {summary.mutations_caught}")
@@ -237,12 +222,6 @@ def cmd_difftest(args: argparse.Namespace) -> int:
     if summary.ok:
         print("all three levels agree")
         return 0
-    if not summary.failures:
-        # Quarantines only (crash/hang seeds) — the reproducer bundles
-        # are already on disk; nothing to minimize here.
-        print(f"{len(summary.quarantined)} seed(s) quarantined",
-              file=sys.stderr)
-        return 1
     failure = summary.failures[0]
     print(f"DISAGREEMENT: {failure}", file=sys.stderr)
     print("minimizing...", file=sys.stderr)
@@ -512,9 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: all eleven Table-1 checkers)")
     p.add_argument("--engine", default="codegen", choices=ENGINES,
                    help="switch execution engine (default codegen)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="run the two arms in a process pool "
-                        "(default 1 = serial; results are identical)")
     p.add_argument("--optimize", action="store_true",
                    help="run the dataflow optimizer on every checker")
     p.set_defaults(fn=cmd_fig12)
@@ -528,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_positive_int, default=100,
                    help="number of scenarios (default 100)")
     p.add_argument("-o", "--out", default="difftest_failures",
-                   help="directory for minimized reproducers and "
-                        "quarantine bundles (default difftest_failures)")
+                   help="directory for minimized reproducers "
+                        "(default difftest_failures)")
     p.add_argument("--engine", default="",
                    help="comma-separated engine set the oracle "
                         "cross-checks, anchor first (default "
@@ -537,14 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-bug", action="store_true",
                    help="mutate the compiled checker each iteration and "
                         "verify the oracle catches it")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="shard the seed range across N worker processes "
-                        "(default 1 = serial; the verdict set is "
-                        "identical for any worker count)")
-    p.add_argument("--timeout", type=float, default=60.0,
-                   help="per-scenario wall-clock budget in seconds for "
-                        "parallel runs; a hung worker is killed and the "
-                        "seed quarantined (default 60)")
     p.add_argument("--optimize", action="store_true",
                    help="run each scenario's checker through the "
                         "dataflow optimizer first (the oracle then "

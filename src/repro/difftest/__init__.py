@@ -8,13 +8,10 @@ Indus :class:`~repro.indus.interp.Monitor`, and asserts that verdicts,
 reports, and wire telemetry agree (:mod:`.harness`).  Failing cases
 shrink to minimal reproducers (:mod:`.minimize`).
 
-Campaigns run serially in-process or sharded across worker processes
-(:mod:`repro.parallel`) — ``run_difftest(..., workers=N)`` dispatches;
-for a fixed seed the *set* of scenario verdicts is identical for any
-worker count.
+A campaign is one in-process loop over consecutive seeds.
 
-Entry points: ``python -m repro difftest --seed N --iters K
-[--workers W]``, :func:`repro.api.difftest`, and the pytest suite
+Entry points: ``python -m repro difftest --seed N --iters K``,
+:func:`repro.api.difftest`, and the pytest suite
 ``tests/test_difftest.py`` (marker ``difftest``).
 """
 
@@ -44,10 +41,8 @@ __all__ = [
 
 @dataclass
 class SeedOutcome:
-    """The oracle's verdict on one seed — the unit of work the sharded
-    fleet runner ships across process boundaries (pickle-safe: the
-    embedded :class:`DiffFailure` carries a serializable scenario and a
-    JSON-safe trace)."""
+    """The oracle's verdict on one seed, folded into a campaign's
+    :class:`DifftestSummary` by :meth:`DifftestSummary.absorb`."""
 
     seed: int
     failure: Optional[DiffFailure] = None
@@ -72,10 +67,9 @@ class SeedOutcome:
 def run_seed(seed: int, inject_bug: bool = False,
              registry: Any = None, optimize: bool = False,
              engines: Any = None) -> SeedOutcome:
-    """Run the oracle on one seed — the shared per-iteration step of the
-    serial loop and every fleet worker, so both paths compute literally
-    the same thing for a given seed.  ``engines`` names the engines
-    the oracle cross-checks (default :data:`repro.p4.ENGINES`)."""
+    """Run the oracle on one seed — one iteration of
+    :func:`run_difftest`'s loop.  ``engines`` names the engines the
+    oracle cross-checks (default :data:`repro.p4.ENGINES`)."""
     scenario = gen_scenario(seed)
     outcome = SeedOutcome(seed=seed)
     if inject_bug:
@@ -105,7 +99,7 @@ def run_seed(seed: int, inject_bug: bool = False,
 
 @dataclass
 class DifftestSummary:
-    """Aggregate outcome of one difftest campaign (serial or fleet)."""
+    """Aggregate outcome of one difftest campaign."""
 
     iterations: int = 0
     packets_run: int = 0
@@ -114,21 +108,12 @@ class DifftestSummary:
     failures: List[DiffFailure] = field(default_factory=list)
     mutations_injected: int = 0
     mutations_caught: int = 0
-    #: Per-seed verdict labels ("ok" or the failure kind) — the content
-    #: the determinism requirement quantifies over: for a fixed seed
-    #: range this mapping is identical for any worker count.
+    #: Per-seed verdict labels ("ok" or the failure kind).
     verdicts: Dict[int, str] = field(default_factory=dict)
-    # -- fleet-only accounting (empty/zero on the serial path) ---------
-    workers: int = 1
-    #: Seeds pulled out of the run: [{"seed", "reason", "bundle"}] with
-    #: reason "worker_crash" | "timeout" and the reproducer-bundle dir.
-    quarantined: List[Dict[str, Any]] = field(default_factory=list)
-    respawns: int = 0
-    interrupted: bool = False
 
     @property
     def ok(self) -> bool:
-        return not self.failures and not self.quarantined
+        return not self.failures
 
     def absorb(self, outcome: SeedOutcome) -> None:
         """Fold one seed's outcome into the aggregate."""
@@ -150,9 +135,6 @@ def run_difftest(seed: int = 0, iters: int = 100,
                  stop_on_failure: bool = True,
                  progress: Optional[Callable[[str], None]] = None,
                  obs: Any = None,
-                 workers: int = 1,
-                 timeout_s: float = 60.0,
-                 quarantine_dir: str = "difftest_failures",
                  optimize: bool = False,
                  engines: Any = None,
                  ) -> DifftestSummary:
@@ -164,32 +146,12 @@ def run_difftest(seed: int = 0, iters: int = 100,
     mutations the oracle catches; a *caught* mutation is the expected
     outcome and is not recorded as a failure.
 
-    ``obs``, when given and live, accumulates fleet-wide metrics: the
-    serial path threads its registry through every scenario, the
-    parallel path merges per-worker registries into it
-    (:meth:`~repro.obs.metrics.MetricsRegistry.merge`).
+    ``obs``, when given and live, accumulates campaign-wide metrics:
+    its registry is threaded through every scenario.
 
     ``engines`` names the engines each scenario cross-checks, anchor
     first (default :data:`repro.p4.ENGINES`: interp, then codegen).
-
-    ``workers > 1`` shards the seed range across that many processes
-    (:func:`repro.parallel.run_fleet`): same per-seed computation,
-    plus per-scenario timeouts, crashed-worker respawn, and quarantine
-    of seeds that kill or hang their worker.  A parallel campaign never
-    stops early — the verdict *set* for a fixed seed range is identical
-    for any worker count (ordering aside), which ``stop_on_failure``
-    would break.
     """
-    if workers > 1:
-        from ..parallel import FleetOptions, run_fleet
-
-        options = FleetOptions(workers=workers, inject_bug=inject_bug,
-                               timeout_s=timeout_s,
-                               quarantine_dir=quarantine_dir,
-                               optimize=optimize,
-                               engines=tuple(engines) if engines else None)
-        return run_fleet(seed, iters, options=options, obs=obs,
-                         progress=progress)
     registry = None
     if obs is not None and obs.registry.live:
         registry = obs.registry

@@ -92,10 +92,6 @@ def build_packet(spec, topology, src_host: str, dst_host: str) -> Packet:
                  payload_len=spec.payload_len, ttl=spec.ttl)
 
 
-#: Backwards-compatible private alias (pre-``repro.api`` name).
-_build_packet = build_packet
-
-
 def _header_bindings(compiled: CompiledChecker) -> Dict[str, str]:
     """Indus header-var name -> resolved field path (annotation or the
     compiler's default binding table)."""

@@ -217,32 +217,12 @@ def run_rtt_experiment(checkers: Optional[List[str]], label: str,
 
 
 def run_fig12(config: Optional[Fig12Config] = None,
-              checkers: Optional[List[str]] = None,
-              workers: int = 1) -> Fig12Result:
-    """Both arms + the t-test of Figure 12b.
-
-    The two arms are independent simulations of a deterministic
-    event-driven network, so ``workers > 1`` runs them in a two-process
-    pool with bit-identical RTT series to the serial path — the
-    simulator's clock is virtual, not wall time.
-    """
+              checkers: Optional[List[str]] = None) -> Fig12Result:
+    """Both arms + the t-test of Figure 12b."""
     config = config or Fig12Config()
-    arm_args = ((None, "Baseline", config),
-                (checkers or ALL_CHECKERS, "All Checkers", config))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context().Pool(processes=2) as pool:
-            handles = [pool.apply_async(run_rtt_experiment, args)
-                       for args in arm_args]
-            baseline, with_checkers = [h.get() for h in handles]
-    else:
-        baseline, with_checkers = [run_rtt_experiment(*args)
-                                   for args in arm_args]
+    baseline = run_rtt_experiment(None, "Baseline", config)
+    with_checkers = run_rtt_experiment(checkers or ALL_CHECKERS,
+                                       "All Checkers", config)
     result = Fig12Result(baseline=baseline, with_checkers=with_checkers)
     result.t_test = welch_t_test(baseline.rtts_ms, with_checkers.rtts_ms)
     return result
-
-
-# Backwards-compatible alias.
-_install_fabric_routes = install_fabric_routes

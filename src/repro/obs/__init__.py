@@ -30,15 +30,14 @@ from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       DEFAULT_SECONDS_BUCKETS)
 from .profile import PHASE_HISTOGRAM, profiled
 from .trace import (NullTracer, NULL_TRACER, TraceEvent, Tracer,
-                    DEFAULT_RING_CAPACITY, LIFECYCLE_ORDER,
-                    concat_jsonl_shards)
+                    DEFAULT_RING_CAPACITY, LIFECYCLE_ORDER)
 
 __all__ = [
     "Counter", "DEFAULT_NS_BUCKETS", "DEFAULT_RING_CAPACITY",
     "DEFAULT_SECONDS_BUCKETS", "Gauge", "Histogram", "LIFECYCLE_ORDER",
     "MetricsRegistry", "NULL_OBS", "NULL_REGISTRY", "NULL_TRACER",
     "NullRegistry", "NullTracer", "Observability", "PHASE_HISTOGRAM",
-    "TraceEvent", "Tracer", "concat_jsonl_shards", "profiled",
+    "TraceEvent", "Tracer", "profiled",
 ]
 
 

@@ -360,80 +360,6 @@ class MetricsRegistry:
     def render_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    # -- fleet aggregation ----------------------------------------------
-
-    def merge(self, other: Any) -> "MetricsRegistry":
-        """Fold another registry (or its :meth:`to_dict` dump) into this
-        one and return ``self``.
-
-        This is the aggregation step of the sharded fleet runner
-        (:mod:`repro.parallel`): each worker process accumulates into a
-        private registry, ships ``to_dict()`` over the result queue, and
-        the parent merges the shard snapshots into one fleet-wide view.
-        Semantics per kind:
-
-        * **counter** — values add (shard totals sum to the fleet total);
-        * **gauge** — the merged value is the max (the only gauge today
-          is ``sim_time_seconds``, a clock/high-water-mark reading);
-        * **histogram** — per-bucket counts, ``sum`` and ``count`` add;
-          bucket boundaries must match exactly or :class:`MetricError`
-          is raised.
-
-        Label sets union, still subject to the ``MAX_LABEL_SETS``
-        ceiling, and merging is associative for counters and histograms
-        (and for gauges, since max is associative), so any merge order
-        over the shard snapshots yields the same fleet snapshot.
-        """
-        data = other.to_dict() if hasattr(other, "to_dict") else other
-        for name in sorted(data):
-            info = data[name]
-            kind = info["kind"]
-            if kind not in _KINDS:
-                raise MetricError(
-                    f"cannot merge metric {name!r} of unknown kind "
-                    f"{kind!r}")
-            # Declare the metric up front so names with zero series
-            # (declared but never observed on that shard) still survive
-            # the dump -> merge round trip.
-            label_names = tuple(info.get(
-                "label_names",
-                tuple(info["series"][0]["labels"]) if info["series"]
-                else ()))
-            if kind == "histogram":
-                buckets = tuple(sorted(
-                    float(b) for b in info.get(
-                        "buckets",
-                        info["series"][0]["buckets"] if info["series"]
-                        else DEFAULT_SECONDS_BUCKETS)))
-                metric = self.histogram(name, info.get("help", ""),
-                                        labels=label_names,
-                                        buckets=buckets)
-                if metric.buckets != buckets:
-                    raise MetricError(
-                        f"histogram {name!r} bucket mismatch on "
-                        f"merge: {metric.buckets} vs {buckets}")
-            elif kind == "counter":
-                metric = self.counter(name, info.get("help", ""),
-                                      labels=label_names)
-            else:
-                metric = self.gauge(name, info.get("help", ""),
-                                    labels=label_names)
-            for series in info["series"]:
-                label_values = tuple(series["labels"].values())
-                child = (metric.labels(*label_values) if label_names
-                         else metric._unlabelled())
-                if kind == "counter":
-                    child.inc(series["value"])
-                elif kind == "gauge":
-                    child.set(max(child.value, series["value"]))
-                else:
-                    for bound, count in series["buckets"].items():
-                        idx = metric.buckets.index(float(bound))
-                        child.counts[idx] += count
-                    child.sum += series["sum"]
-                    child.count += series["count"]
-        return self
-
 
 class _NullInstrument:
     """One shared do-nothing instrument covering every metric kind."""
@@ -501,9 +427,6 @@ class NullRegistry:
 
     def render_json(self, indent: int = 2) -> str:
         return "{}"
-
-    def merge(self, other: Any) -> "NullRegistry":
-        return self
 
 
 #: The process-wide shared null registry (stateless, safe to share).

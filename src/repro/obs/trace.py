@@ -39,8 +39,7 @@ from typing import (Any, Callable, Dict, IO, Iterator, List, Optional,
                     Union)
 
 __all__ = ["TraceEvent", "Tracer", "NullTracer", "NULL_TRACER",
-           "DEFAULT_RING_CAPACITY", "LIFECYCLE_ORDER",
-           "concat_jsonl_shards"]
+           "DEFAULT_RING_CAPACITY", "LIFECYCLE_ORDER"]
 
 #: Default trace-ring capacity: large enough for full short scenarios,
 #: bounded so long replays keep memory flat.
@@ -222,42 +221,3 @@ class NullTracer:
 
 #: The process-wide shared null tracer (stateless, safe to share).
 NULL_TRACER = NullTracer()
-
-
-def concat_jsonl_shards(sources: List[str],
-                        dest: Union[str, IO[str]]) -> int:
-    """Concatenate per-shard ``export_jsonl`` files into one stream.
-
-    Each worker of the sharded fleet runner (:mod:`repro.parallel`)
-    exports its own tracer ring; this stitches the shards back into a
-    single JSONL document: lines keep their within-shard order, ``seq``
-    is rewritten to a fresh global sequence (so the merged stream is
-    strictly ordered, like a single tracer's export would be), and every
-    line gains a ``shard`` field naming the source it came from.
-    Missing shard files are skipped — a killed worker may never have
-    flushed one.  Returns the number of lines written.
-    """
-    seq = itertools.count()
-    lines: List[str] = []
-    for index, path in enumerate(sources):
-        try:
-            with open(path) as handle:
-                shard_lines = handle.readlines()
-        except OSError:
-            continue
-        for line in shard_lines:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            record["seq"] = next(seq)
-            record["shard"] = index
-            lines.append(json.dumps(record, sort_keys=True))
-    if hasattr(dest, "write"):
-        for line in lines:
-            dest.write(line + "\n")
-    else:
-        with open(dest, "w") as handle:
-            for line in lines:
-                handle.write(line + "\n")
-    return len(lines)

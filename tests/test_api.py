@@ -1,10 +1,9 @@
 """The repro.api facade: the stable public surface.
 
 The facade is a compatibility contract: six verbs with uniform
-keyword-only ``engine=`` / ``obs=`` / ``seed=`` / ``workers=``
-arguments, re-exported from the top-level package.  These tests pin
-the surface (so an accidental rename breaks loudly here, not in user
-code).
+keyword-only ``engine=`` / ``obs=`` / ``seed=`` arguments,
+re-exported from the top-level package.  These tests pin the surface
+(so an accidental rename breaks loudly here, not in user code).
 """
 
 import warnings

@@ -70,6 +70,42 @@ def test_single_scenario_result_shape():
     assert result.packets_run == len(result.scenario.packets)
 
 
+def _deterministic_content(dump):
+    """Project a registry dump onto its run-deterministic content:
+    counter/gauge values and histogram *observation counts* — timing
+    sums and bucket spreads are wall-clock and vary run to run."""
+    out = {}
+    for name, entry in dump.items():
+        series = []
+        for s in entry["series"]:
+            if "value" in s:
+                series.append((tuple(sorted(s["labels"].items())),
+                               s["value"]))
+            else:
+                series.append((tuple(sorted(s["labels"].items())),
+                               s["count"]))
+        out[name] = (entry["kind"], sorted(series))
+    return out
+
+
+def test_campaign_feeds_the_callers_registry():
+    """A campaign threads the caller's registry through every scenario:
+    it ends up holding what the same scenarios run one by one put in."""
+    from repro import api
+    from repro.obs import MetricsRegistry, Observability
+
+    campaign = Observability(registry=MetricsRegistry())
+    one_by_one = Observability(registry=MetricsRegistry())
+    summary = api.difftest(seed=7, iters=4, stop_on_failure=False,
+                           obs=campaign)
+    assert summary.iterations == 4
+    for seed in range(7, 11):
+        api.run_scenario(seed=seed, obs=one_by_one)
+    content = _deterministic_content(campaign.registry.to_dict())
+    assert content
+    assert content == _deterministic_content(one_by_one.registry.to_dict())
+
+
 # ---------------------------------------------------------------------------
 # One front-end pass, still an independent reference
 # ---------------------------------------------------------------------------

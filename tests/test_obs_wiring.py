@@ -2,10 +2,12 @@
 
 End-to-end checks: packet-lifecycle event ordering over a 3-hop path,
 drop accounting (queue_full / no_route / pipeline / ttl), per-switch
-metrics, instrumented-vs-plain engine output equality, and that the
-differential oracle's verdicts are identical with observability on.
+metrics, instrumented-vs-plain engine output equality, a traced
+Figure-12 arm's export and metrics, and that the differential oracle's
+verdicts are identical with observability on.
 """
 
+import io
 import json
 
 import pytest
@@ -192,6 +194,37 @@ def test_digest_log_eviction_metric():
     assert obs.registry.value("log_evictions_total", "digests", "s1") == 3
     assert "evicted=3" in repr(sw.digests)
     assert list(sw.digests) == [3, 4]
+
+
+# ---------------------------------------------------------------------------
+# A traced Figure-12 arm: the whole checker suite on the fabric
+# ---------------------------------------------------------------------------
+
+def test_traced_fig12_arm_exports_and_meters():
+    from repro.experiments import Fig12Config, run_rtt_experiment
+    from repro.experiments.fig12 import ALL_CHECKERS
+
+    obs = Observability.enabled()
+    run = run_rtt_experiment(ALL_CHECKERS, "traced",
+                             Fig12Config(duration_s=0.02), obs=obs)
+    assert run.rtts_ms
+
+    buffer = io.StringIO()
+    count = obs.tracer.export_jsonl(buffer)
+    events = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    assert count == len(events) > 0
+    seqs = [e["seq"] for e in events]
+    assert all(a < b for a, b in zip(seqs, seqs[1:]))
+    assert {"enqueue", "link", "parse", "apply", "deliver"} <= \
+        {e["kind"] for e in events}
+
+    dump = obs.registry.to_dict()
+    for name in ("switch_packets_total", "table_lookups_total",
+                 "packets_delivered_total", "codegen_ns_per_packet",
+                 "phase_seconds"):
+        series = dump[name]["series"]
+        assert sum(s.get("value", s.get("count", 0)) for s in series) > 0, \
+            name
 
 
 # ---------------------------------------------------------------------------
