@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..p4 import ir
-from .cfg import CFG, CFGNode
+from .cfg import CFG
 
 #: Synthetic reaching-definition site: "never written, still the
 #: pipeline-entry zero value".
@@ -58,10 +58,6 @@ class Effects:
     defs: FrozenSet[str] = frozenset()
     must_defs: FrozenSet[str] = frozenset()
     side_effects: bool = False
-
-
-def _is_observable_dest(dest: str) -> bool:
-    return not dest.startswith("meta.")
 
 
 def action_effects(action: ir.Action) -> Effects:
@@ -121,53 +117,18 @@ def table_effects(table: ir.Table,
 def stmt_effects(stmt: ir.P4Stmt, tables: Dict[str, ir.Table],
                  actions: Dict[str, ir.Action]) -> Effects:
     """Shallow effects of one statement (branch bodies excluded — they
-    are separate CFG nodes)."""
-    if isinstance(stmt, ir.AssignStmt):
-        return Effects(uses=frozenset(expr_uses(stmt.value)),
-                       defs=frozenset({stmt.dest}),
-                       must_defs=frozenset({stmt.dest}),
-                       side_effects=_is_observable_dest(stmt.dest))
-    if isinstance(stmt, ir.IfStmt):
-        return Effects(uses=frozenset(expr_uses(stmt.cond)))
+    are separate CFG nodes): an apply's are its table's, every other
+    kind's what :func:`repro.p4.ir.stmt_effect` declares, each def
+    unconditional and observable unless it is metadata."""
     if isinstance(stmt, ir.ApplyTable):
         table = tables.get(stmt.table)
         if table is None:
             return Effects(side_effects=True)  # unknown table: hands off
         return table_effects(table, actions)
-    if isinstance(stmt, ir.RegisterRead):
-        return Effects(uses=frozenset(expr_uses(stmt.index)
-                                      | {f"reg.{stmt.register}"}),
-                       defs=frozenset({stmt.dest}),
-                       must_defs=frozenset({stmt.dest}),
-                       side_effects=_is_observable_dest(stmt.dest))
-    if isinstance(stmt, ir.RegisterWrite):
-        return Effects(uses=frozenset(expr_uses(stmt.index)
-                                      | expr_uses(stmt.value)),
-                       defs=frozenset({f"reg.{stmt.register}"}),
-                       must_defs=frozenset({f"reg.{stmt.register}"}),
-                       side_effects=True)
-    if isinstance(stmt, ir.Digest):
-        uses: Set[str] = set()
-        for expr in stmt.fields:
-            uses |= expr_uses(expr)
-        return Effects(uses=frozenset(uses), side_effects=True)
-    if isinstance(stmt, (ir.SetValid, ir.SetInvalid)):
-        return Effects(defs=frozenset({f"hdr.{stmt.header}.$valid"}),
-                       must_defs=frozenset({f"hdr.{stmt.header}.$valid"}),
-                       side_effects=True)
-    if isinstance(stmt, ir.MarkToDrop):
-        return Effects(defs=frozenset({"standard_metadata.$drop"}),
-                       must_defs=frozenset({"standard_metadata.$drop"}),
-                       side_effects=True)
-    if isinstance(stmt, ir.ExternCall):
-        uses = set()
-        for expr in stmt.args:
-            uses |= expr_uses(expr)
-        dests = frozenset(stmt.dests)
-        return Effects(uses=frozenset(uses), defs=dests, must_defs=dests,
-                       side_effects=any(map(_is_observable_dest, dests)))
-    # PopSourceRoute: opaque header mutation.
-    return Effects(side_effects=True)
+    effect = ir.stmt_effect(stmt)
+    defs = frozenset(effect.defs)
+    return Effects(uses=effect.uses, defs=defs, must_defs=defs,
+                   side_effects=any(not d.startswith("meta.") for d in defs))
 
 
 def cfg_effects(cfg: CFG, tables: Dict[str, ir.Table],

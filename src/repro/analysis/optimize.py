@@ -49,7 +49,6 @@ from ..net.topology import EDGE
 from ..p4 import ir
 from .cfg import checker_placements
 from .dataflow import cfg_effects, liveness
-from .passes.widths import BOOL_OPS
 from .ssa import (SSAFunction, SSAInfo, StdBarrier, UNKNOWN_STD,
                   apply_proposals, eval_const, merge_proposals, propose)
 
@@ -101,15 +100,12 @@ def _unknown(path: str) -> None:
 def _fold_expr(expr: ir.P4Expr, stats: OptimizeStats) -> ir.P4Expr:
     """Ask :func:`eval_const` whether ``expr`` is decided as written;
     where it is not, fold whatever is decided below it."""
-    if isinstance(expr, ir.UnExpr):
-        width = 1 if expr.op == "!" else ir.unexpr_width(expr)
-    elif isinstance(expr, ir.BinExpr):
-        width = 1 if expr.op in BOOL_OPS else expr.width
-    else:
+    if not isinstance(expr, (ir.UnExpr, ir.BinExpr)):
         return expr
     value = eval_const(expr, _unknown)
     if value is not None:  # min/max are unmasked: as wide as the value
         stats.folded_exprs += 1
+        width = ir.result_width(expr) or expr.width
         return ir.Const(value, max(width, value.bit_length()),
                         span=expr.span)
     if isinstance(expr, ir.UnExpr):
@@ -299,16 +295,13 @@ def _prune_structures(compiled: CompiledChecker,
         del compiled.actions[name]
         stats.removed_actions.append(name)
 
-    touched: Dict[str, Tuple[int, int]] = {}
+    touched: Set[str] = set()  # reg.<R>, read or written
     for _, stmt in _iter_all_stmts(compiled):
-        if isinstance(stmt, ir.RegisterRead):
-            reads, writes = touched.get(stmt.register, (0, 0))
-            touched[stmt.register] = (reads + 1, writes)
-        elif isinstance(stmt, ir.RegisterWrite):
-            reads, writes = touched.get(stmt.register, (0, 0))
-            touched[stmt.register] = (reads, writes + 1)
+        effect = ir.stmt_effect(stmt)
+        touched.update(loc for loc in (*effect.defs, *effect.uses)
+                       if loc.startswith("reg."))
     dead_regs = [reg for reg in compiled.registers
-                 if touched.get(reg.name, (0, 0)) == (0, 0)]
+                 if f"reg.{reg.name}" not in touched]
     for reg in dead_regs:
         compiled.registers.remove(reg)
         stats.removed_registers.append(reg.name)
@@ -412,21 +405,14 @@ def _rename_fields(compiled: CompiledChecker,
     """Expressions and table keys are rebuilt, never edited: programs
     already linked from this checker share them
     (:func:`~repro.p4.ir.clone_stmts`)."""
-    def fix_expr(expr: ir.P4Expr) -> ir.P4Expr:
-        if isinstance(expr, ir.FieldRef):
-            path = rename.get(expr.path)
-            return expr if path is None else replace(expr, path=path)
-        if isinstance(expr, ir.UnExpr):
-            return replace(expr, operand=fix_expr(expr.operand))
-        if isinstance(expr, ir.BinExpr):
-            return replace(expr, left=fix_expr(expr.left),
-                           right=fix_expr(expr.right))
-        return expr
+    def fix(ref: ir.FieldRef) -> ir.FieldRef:
+        path = rename.get(ref.path)
+        return ref if path is None else replace(ref, path=path)
 
     for _, stmt in _iter_all_stmts(compiled):
         if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
             stmt.dest = rename.get(stmt.dest, stmt.dest)
-        ir.map_exprs(stmt, fix_expr)
+        ir.map_exprs(stmt, lambda expr: ir.map_fields(expr, fix))
     for table in compiled.tables.values():
         table.keys = [replace(key, path=rename.get(key.path, key.path))
                       for key in table.keys]
@@ -444,11 +430,9 @@ def _referenced_meta(compiled: CompiledChecker) -> Set[str]:
             refs.add(path[len("meta."):])
 
     for _, stmt in _iter_all_stmts(compiled):
-        if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
-            note(stmt.dest)
-        for expr in ir.stmt_exprs(stmt):
-            for path in ir.expr_reads(expr):
-                note(path)
+        effect = ir.stmt_effect(stmt)
+        for path in (*effect.defs, *effect.uses):
+            note(path)
     for table in compiled.tables.values():
         for key in table.keys:
             note(key.path)

@@ -28,13 +28,6 @@ from ..diagnostics import Diagnostic, Severity
 from ..unit import AnalysisUnit
 from . import lint_pass
 
-#: Operators whose bmv2 evaluation masks the result to ``expr.width``.
-MASKED_OPS = {"+", "-", "*", "&", "|", "^", "/", "%", "<<", ">>",
-              "absdiff"}
-#: Operators yielding a 0/1 boolean regardless of operand width.
-BOOL_OPS = {"==", "!=", "<", "<=", ">", ">=", "&&", "||"}
-
-
 def expr_width(expr: ir.P4Expr,
                widths: Dict[str, int]) -> Optional[int]:
     """Inferred value width of ``expr``; ``None`` when unknown."""
@@ -44,15 +37,10 @@ def expr_width(expr: ir.P4Expr,
         return widths.get(expr.path)
     if isinstance(expr, ir.ValidRef):
         return 1
-    if isinstance(expr, ir.UnExpr):
-        if expr.op == "!":
-            return 1
-        return ir.unexpr_width(expr)
-    if isinstance(expr, ir.BinExpr):
-        if expr.op in BOOL_OPS:
-            return 1
-        if expr.op in MASKED_OPS:
-            return expr.width
+    if isinstance(expr, (ir.UnExpr, ir.BinExpr)):
+        width = ir.result_width(expr)
+        if width is not None:
+            return width
         # min/max: unmasked, bounded by the wider operand.
         left = expr_width(expr.left, widths)
         right = expr_width(expr.right, widths)
@@ -77,9 +65,9 @@ def width_truncation(unit: AnalysisUnit) -> List[Diagnostic]:
     def check_expr(expr: ir.P4Expr, block: str,
                    fallback: ir.P4Stmt) -> None:
         for node in ir.walk_exprs(expr):
-            if not isinstance(node, ir.BinExpr):
-                continue
-            if node.op not in MASKED_OPS:
+            op = (ir.BINARY_OPS.get(node.op)
+                  if isinstance(node, ir.BinExpr) else None)
+            if op is None or op.result != ir.MASKED:
                 continue
             left = expr_width(node.left, widths)
             right = expr_width(node.right, widths)

@@ -227,11 +227,8 @@ class SSAInfo:
         self._reads_stack.add(id(action))
         reads: Set[str] = set()
         for stmt in ir.walk_stmts(action.body):
-            for expr in ir.stmt_exprs(stmt):
-                for node in ir.walk_exprs(expr):
-                    if isinstance(node, ir.FieldRef) and \
-                            self.tracked(node.path):
-                        reads.add(node.path)
+            reads.update(use for use in ir.stmt_effect(stmt).uses
+                         if self.tracked(use))
             if isinstance(stmt, ir.ApplyTable):
                 table = self.tables.get(stmt.table)
                 if table is None:
@@ -251,15 +248,7 @@ class SSAInfo:
         return reads
 
     def _stmt_writes(self, stmt: ir.P4Stmt) -> List[str]:
-        if isinstance(stmt, ir.AssignStmt) and self.tracked(stmt.dest):
-            return [stmt.dest]
-        if isinstance(stmt, ir.RegisterRead) and self.tracked(stmt.dest):
-            return [stmt.dest]
-        if isinstance(stmt, ir.MarkToDrop):
-            return ["standard_metadata.drop"]
-        if isinstance(stmt, ir.ExternCall):
-            return [dest for dest in stmt.dests if self.tracked(dest)]
-        return []
+        return [loc for loc in ir.stmt_defs(stmt) if self.tracked(loc)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +260,10 @@ def eval_const(expr: ir.P4Expr, lookup) -> Optional[int]:
 
     ``lookup(path)`` supplies known values for field reads (None =
     unknown).  Returns the value the reference engine would compute, or
-    None when an input the result depends on is unknown.  Mirrors
-    :meth:`Bmv2Switch._eval` exactly; a boolean is decided by either
-    side — ``unknown && 0`` is 0 and ``unknown || 1`` is 1.
+    None when an input the result depends on is unknown: both run the
+    operator's :data:`~repro.p4.ir.BINARY_OPS` / ``UNARY_OPS`` callable;
+    a boolean is decided by either side — ``unknown && 0`` is 0 and
+    ``unknown || 1`` is 1.
     """
     if isinstance(expr, ir.Const):
         return expr.value & ((1 << expr.width) - 1)
@@ -283,77 +273,27 @@ def eval_const(expr: ir.P4Expr, lookup) -> Optional[int]:
         return None
     if isinstance(expr, ir.UnExpr):
         value = eval_const(expr.operand, lookup)
-        if value is None:
+        op = ir.UNARY_OPS.get(expr.op)
+        if value is None or op is None:
             return None
-        if expr.op == "!":
-            return 0 if value else 1
-        mask = (1 << ir.unexpr_width(expr)) - 1
-        if expr.op == "~":
-            return ~value & mask
-        if expr.op == "-":
-            return -value & mask
-        return None
+        return op.fn(value, ir.result_width(expr))
     if isinstance(expr, ir.BinExpr):
-        op = expr.op
         left = eval_const(expr.left, lookup)
         right = eval_const(expr.right, lookup)
         # Expressions are pure on this substrate (an extern is a
         # statement), so a deciding constant on either side decides.
-        if op == "&&":
+        if expr.op == "&&":
             if left == 0 or right == 0:
                 return 0
-            if left is None or right is None:
-                return None
-            return 1
-        if op == "||":
+            return None if left is None or right is None else 1
+        if expr.op == "||":
             if left or right:
                 return 1
-            if left is None or right is None:
-                return None
-            return 0
-        if left is None or right is None:
+            return None if left is None or right is None else 0
+        op = ir.BINARY_OPS.get(expr.op)
+        if left is None or right is None or op is None:
             return None
-        mask = (1 << expr.width) - 1
-        if op == "+":
-            return (left + right) & mask
-        if op == "-":
-            return (left - right) & mask
-        if op == "*":
-            return (left * right) & mask
-        if op == "/":
-            return (left // right) & mask if right else 0
-        if op == "%":
-            return (left % right) & mask if right else 0
-        if op == "&":
-            return (left & right) & mask
-        if op == "|":
-            return (left | right) & mask
-        if op == "^":
-            return (left ^ right) & mask
-        if op == "<<":
-            return (left << (right % expr.width)) & mask
-        if op == ">>":
-            return (left >> (right % expr.width)) & mask
-        if op == "==":
-            return 1 if left == right else 0
-        if op == "!=":
-            return 1 if left != right else 0
-        if op == "<":
-            return 1 if left < right else 0
-        if op == "<=":
-            return 1 if left <= right else 0
-        if op == ">":
-            return 1 if left > right else 0
-        if op == ">=":
-            return 1 if left >= right else 0
-        if op == "absdiff":
-            diff = (left - right) & mask
-            return min(diff, (-diff) & mask)
-        if op == "min":
-            return min(left, right)
-        if op == "max":
-            return max(left, right)
-        return None
+        return op.fn(left, right, expr.width)
     return None
 
 
@@ -593,18 +533,6 @@ class SSAFunction:
 
     # -- per-statement transfer ----------------------------------------------
 
-    def _record_uses(self, exprs: Sequence[ir.P4Expr],
-                     env: Dict[str, SSAValue], stmt: ir.P4Stmt,
-                     idx: int) -> None:
-        seen: Set[str] = set()
-        for expr in exprs:
-            for node in ir.walk_exprs(expr):
-                if isinstance(node, ir.FieldRef) and \
-                        self.info.tracked(node.path) and \
-                        node.path not in seen:
-                    seen.add(node.path)
-                    env[node.path].uses.append((stmt, idx))
-
     def _lookup(self, env: Dict[str, SSAValue]):
         def lookup(path: str) -> Optional[int]:
             value = env.get(path)
@@ -615,56 +543,8 @@ class SSAFunction:
                   ) -> Dict[str, SSAValue]:
         stmt = node.stmt
         idx = node.index
-        info = self.info
-        if isinstance(stmt, ir.AssignStmt):
-            self._record_uses([stmt.value], env, stmt, idx)
-            if not info.tracked(stmt.dest):
-                return env
-            out = dict(env)
-            const = eval_const(stmt.value, self._lookup(env))
-            mask = info.write_mask(stmt.dest)
-            if const is not None and mask is not None:
-                const &= mask
-            op: SSAOp
-            if self._is_copy(stmt.dest, stmt.value):
-                op = CopyOp(stmt, env[stmt.value.path])
-            else:
-                op = ExprOp(stmt, stmt.value)
-            out[stmt.dest] = self._new_value(stmt.dest, op, const, stmt, idx)
-            return out
-        if isinstance(stmt, ir.IfStmt):
-            self._record_uses([stmt.cond], env, stmt, idx)
-            return env
         if isinstance(stmt, ir.ApplyTable):
             return self._transfer_apply(stmt, env, idx)
-        if isinstance(stmt, ir.RegisterRead):
-            self._record_uses([stmt.index], env, stmt, idx)
-            if not info.tracked(stmt.dest):
-                return env
-            out = dict(env)
-            out[stmt.dest] = self._new_value(
-                stmt.dest, RegReadOp(stmt), None, stmt, idx)
-            return out
-        if isinstance(stmt, ir.RegisterWrite):
-            self._record_uses([stmt.index, stmt.value], env, stmt, idx)
-            return env
-        if isinstance(stmt, ir.Digest):
-            self._record_uses(stmt.fields, env, stmt, idx)
-            return env
-        if isinstance(stmt, ir.MarkToDrop):
-            out = dict(env)
-            var = "standard_metadata.drop"
-            out[var] = self._new_value(var, ExprOp(stmt, ir.Const(1, 1)),
-                                       1, stmt, idx)
-            return out
-        if isinstance(stmt, ir.ExternCall):
-            # Value-in/value-out: reads its args, defines its dests.
-            self._record_uses(stmt.args, env, stmt, idx)
-            out = dict(env)
-            op = ExternOp(stmt)
-            for var in info._stmt_writes(stmt):
-                out[var] = self._new_value(var, op, None, None, idx)
-            return out
         if isinstance(stmt, StdBarrier):
             out = dict(env)
             op = ExternOp(stmt)
@@ -672,8 +552,37 @@ class SSAFunction:
                 env[var].uses.append((stmt, idx))
                 out[var] = self._new_value(var, op, None, None, idx)
             return out
-        # SetValid / SetInvalid / PopSourceRoute: header-only effects.
-        return env
+        # Any other kind reads its expressions, then defines the tracked
+        # locations its declared effect writes.
+        for var in _stmt_read_vars(stmt, self.info):
+            env[var].uses.append((stmt, idx))
+        writes = self.info._stmt_writes(stmt)
+        if not writes:
+            return env
+        out = dict(env)
+        for var in writes:
+            out[var] = self._define(stmt, var, env, idx)
+        return out
+
+    def _define(self, stmt: ir.P4Stmt, var: str, env: Dict[str, SSAValue],
+                idx: int) -> SSAValue:
+        """The value ``stmt`` gives ``var``, one of its declared writes."""
+        if isinstance(stmt, ir.AssignStmt):
+            const = eval_const(stmt.value, self._lookup(env))
+            mask = self.info.write_mask(var)
+            if const is not None and mask is not None:
+                const &= mask
+            op: SSAOp = (CopyOp(stmt, env[stmt.value.path])
+                         if self._is_copy(var, stmt.value)
+                         else ExprOp(stmt, stmt.value))
+            return self._new_value(var, op, const, stmt, idx)
+        if isinstance(stmt, ir.RegisterRead):
+            return self._new_value(var, RegReadOp(stmt), None, stmt, idx)
+        if isinstance(stmt, ir.MarkToDrop):
+            return self._new_value(var, ExprOp(stmt, ir.Const(1, 1)), 1,
+                                   stmt, idx)
+        # An extern is value-in/value-out: one opaque value per dest.
+        return self._new_value(var, ExternOp(stmt), None, None, idx)
 
     def _is_copy(self, dest: str, value: ir.P4Expr) -> bool:
         """A copy must preserve the stored value bit-for-bit: the write
@@ -780,8 +689,7 @@ def _vn(expr: ir.P4Expr, env: Dict[str, SSAValue],
         operand = _vn(expr.operand, env, info)
         if operand is None:
             return None
-        width = 1 if expr.op == "!" else ir.unexpr_width(expr)
-        return ("u", expr.op, width, operand)
+        return ("u", expr.op, ir.result_width(expr), operand)
     if isinstance(expr, ir.BinExpr):
         left = _vn(expr.left, env, info)
         right = _vn(expr.right, env, info)
@@ -890,15 +798,8 @@ def _cse_width_ok(info: SSAInfo, source_var: str, dest_var: str) -> bool:
 
 
 def _stmt_read_vars(stmt: ir.P4Stmt, info: SSAInfo) -> List[str]:
-    out: List[str] = []
-    seen: Set[str] = set()
-    for expr in ir.stmt_exprs(stmt):
-        for node in ir.walk_exprs(expr):
-            if isinstance(node, ir.FieldRef) and info.tracked(node.path) \
-                    and node.path not in seen:
-                seen.add(node.path)
-                out.append(node.path)
-    return out
+    return sorted(use for use in ir.stmt_effect(stmt).uses
+                  if info.tracked(use))
 
 
 # ---------------------------------------------------------------------------
@@ -960,24 +861,6 @@ def _replacement_expr(repl: Replacement) -> ir.P4Expr:
     return ir.FieldRef(str(payload))
 
 
-def _rewrite_expr(expr: ir.P4Expr,
-                  mapping: Dict[str, ir.P4Expr]) -> ir.P4Expr:
-    if isinstance(expr, ir.FieldRef):
-        return mapping.get(expr.path, expr)
-    if isinstance(expr, ir.UnExpr):
-        operand = _rewrite_expr(expr.operand, mapping)
-        if operand is expr.operand:
-            return expr
-        return ir.UnExpr(expr.op, operand, expr.width, span=expr.span)
-    if isinstance(expr, ir.BinExpr):
-        left = _rewrite_expr(expr.left, mapping)
-        right = _rewrite_expr(expr.right, mapping)
-        if left is expr.left and right is expr.right:
-            return expr
-        return ir.BinExpr(expr.op, left, right, expr.width, span=expr.span)
-    return expr
-
-
 def apply_proposals(bodies: Sequence[List[ir.P4Stmt]],
                     props: Proposals) -> Dict[str, int]:
     """Rewrite statement bodies in place per ``props``.
@@ -1016,8 +899,8 @@ def apply_proposals(bodies: Sequence[List[ir.P4Stmt]],
                 counts["cse"] += 1
             else:
                 mapping = by_stmt.get(sid)
-                if mapping and ir.map_exprs(
-                        stmt, lambda expr: _rewrite_expr(expr, mapping)):
+                if mapping and ir.map_exprs(stmt, lambda expr: ir.map_fields(
+                        expr, lambda ref: mapping.get(ref.path, ref))):
                     counts["copyprop"] += 1
             out.append(stmt)
         body[:] = out

@@ -1,7 +1,7 @@
 """The three-level differential oracle.
 
 One scenario runs through two full :class:`HydraDeployment` instances on
-the simulator — one per P4 engine (``interp`` and ``fast``) — with a
+the simulator — one per P4 engine (``interp`` and ``codegen``) — with a
 live :class:`~repro.obs.trace.Tracer` attached; the canonical ``parse``
 events of the observability plane record the hop-by-hop context each
 packet actually experienced.  The recorded trace replays through the

@@ -15,8 +15,9 @@ writes and no digests.  Extern calls qualify: an
 it is a deterministic function of the packet with no side effects
 (e.g. the fabric-upf ECMP flow hash).
 
-The check is structural over the IR: it walks the ingress/egress
-bodies and every action body (tables dispatch only into actions, so
+The check reads each statement's declared effect
+(:func:`~repro.p4.ir.stmt_effect`) over the ingress/egress bodies and
+every action body (tables dispatch only into actions, so
 that covers all reachable statements regardless of which entries are
 installed).  Control-plane *table* changes do not affect the verdict —
 they change which memoized routes are valid, which the network handles
@@ -36,7 +37,7 @@ def stateless_program(program: ir.P4Program) -> bool:
     only other statement containers, and which ones run depends on
     runtime table entries, so all of them must qualify.
     """
-    return not any(
-        isinstance(stmt, (ir.RegisterRead, ir.RegisterWrite, ir.Digest))
-        for body in ir.program_bodies(program)
-        for stmt in ir.walk_stmts(body))
+    effects = (ir.stmt_effect(stmt) for body in ir.program_bodies(program)
+               for stmt in ir.walk_stmts(body))
+    return not any(effect.reads_regs or effect.writes_regs
+                   or effect.emits_digest for effect in effects)

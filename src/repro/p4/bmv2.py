@@ -824,68 +824,26 @@ class Bmv2Switch:
             return 1 if ctx.is_valid(expr.header) else 0
         if isinstance(expr, ir.UnExpr):
             value = self._eval(expr.operand, ctx)
-            if expr.op == "!":
-                return 0 if value else 1
-            mask = (1 << ir.unexpr_width(expr)) - 1
-            if expr.op == "~":
-                return ~value & mask
-            if expr.op == "-":
-                return -value & mask
-            raise P4RuntimeError(f"unknown unary op {expr.op!r}")
+            op = ir.UNARY_OPS.get(expr.op)
+            if op is None:
+                raise P4RuntimeError(f"unknown unary op {expr.op!r}")
+            return op.fn(value, ir.result_width(expr))
         if isinstance(expr, ir.BinExpr):
             return self._eval_bin(expr, ctx)
         raise P4RuntimeError(f"unknown expression {type(expr).__name__}")
 
     def _eval_bin(self, expr: ir.BinExpr, ctx: PacketContext) -> int:
-        op = expr.op
-        if op == "&&":
+        """:data:`~repro.p4.ir.BINARY_OPS`' semantics; ``&&``/``||``
+        evaluate their right side only when the left does not decide."""
+        if expr.op == "&&":
             return 1 if (self._eval(expr.left, ctx)
                          and self._eval(expr.right, ctx)) else 0
-        if op == "||":
+        if expr.op == "||":
             return 1 if (self._eval(expr.left, ctx)
                          or self._eval(expr.right, ctx)) else 0
         left = self._eval(expr.left, ctx)
         right = self._eval(expr.right, ctx)
-        mask = (1 << expr.width) - 1
-        if op == "+":
-            return (left + right) & mask
-        if op == "-":
-            return (left - right) & mask
-        if op == "*":
-            return (left * right) & mask
-        if op == "/":
-            return (left // right) & mask if right else 0
-        if op == "%":
-            return (left % right) & mask if right else 0
-        if op == "&":
-            return (left & right) & mask
-        if op == "|":
-            return (left | right) & mask
-        if op == "^":
-            return (left ^ right) & mask
-        if op == "<<":
-            return (left << (right % expr.width)) & mask
-        if op == ">>":
-            return (left >> (right % expr.width)) & mask
-        if op == "==":
-            return 1 if left == right else 0
-        if op == "!=":
-            return 1 if left != right else 0
-        if op == "<":
-            return 1 if left < right else 0
-        if op == "<=":
-            return 1 if left <= right else 0
-        if op == ">":
-            return 1 if left > right else 0
-        if op == ">=":
-            return 1 if left >= right else 0
-        if op == "absdiff":
-            # abs over two's complement of a (left - right) difference:
-            # min(d, 2^w - d), matching the Indus interpreter's abs().
-            diff = (left - right) & mask
-            return min(diff, (-diff) & mask)
-        if op == "min":
-            return min(left, right)
-        if op == "max":
-            return max(left, right)
-        raise P4RuntimeError(f"unknown binary op {op!r}")
+        op = ir.BINARY_OPS.get(expr.op)
+        if op is None:
+            raise P4RuntimeError(f"unknown binary op {expr.op!r}")
+        return op.fn(left, right, expr.width)

@@ -169,19 +169,6 @@ def _raise_key(key: str) -> None:
     raise KeyError(key)
 
 
-def _div(left: int, right: int, mask: int) -> int:
-    return (left // right) & mask if right else 0
-
-
-def _mod(left: int, right: int, mask: int) -> int:
-    return (left % right) & mask if right else 0
-
-
-def _absdiff(left: int, right: int, mask: int) -> int:
-    diff = (left - right) & mask
-    return min(diff, (-diff) & mask)
-
-
 def _blank(htype) -> Header:
     """An invalid all-zero header: the shared stand-in for a bind the
     parser did not extract (built once per engine build, never written)."""
@@ -432,26 +419,36 @@ class CodegenEngine:
         self._g("_box", _box)
         self._g("_raise_p4", _raise_p4)
         self._g("_raise_key", _raise_key)
-        self._g("_div", _div)
-        self._g("_mod", _mod)
-        self._g("_absdiff", _absdiff)
+        for name, helper in ir.HELPERS.items():
+            self._g(name, helper)
         self._g("_STD0", _STD0)
         self._g("_UNSET", _UNSET)
         self._g("_MISS", _MISS)
         if self._instrumented:
             self._g("TR", self._obs.tracer)
         # Usage scans over pipelines + every program action (superset of
-        # anything the dispatch can inline) + the parser's select fields.
+        # anything the dispatch can inline) + the parser's select fields:
+        # each statement's declared effect, an apply's table keys.
         all_stmts = [s for body in ir.program_bodies(program)
                      for s in ir.walk_stmts(body)]
-        paths = [p for s in all_stmts for p in self._paths_of(s)]
+        effects = [ir.stmt_effect(s) for s in all_stmts]
+        paths = [p for effect in effects for p in (*effect.defs, *effect.uses)]
+        tables = program.tables
+        paths.extend(key.path for s in all_stmts
+                     if isinstance(s, ir.ApplyTable) and s.table in tables
+                     for key in tables[s.table].keys)
         paths.extend(tr.field_path for state in program.parser.states
                      for tr in state.transitions
                      if tr.field_path is not None)
         self._used_meta = ({p[len("meta."):] for p in paths
                             if p.startswith("meta.")}
                            & set(self._meta_width))
-        self._dyn_std = self._scan_dyn_std(all_stmts)
+        # Std-metadata fields outside the dataclass that the program
+        # *writes* (the interpreter's setattr creates them dynamically).
+        std = "standard_metadata."
+        self._dyn_std = {dest[len(std):] for effect in effects
+                         for dest in effect.defs
+                         if dest.startswith(std)}.difference(_STD_FIELDS)
         # packet_length is only materialized when something touches it.
         self._needs_length = "standard_metadata.packet_length" in paths
 
@@ -464,37 +461,6 @@ class CodegenEngine:
         self._emit_pipeline(lines, program.ingress, program.egress)
         lines.append("")
         return "\n".join(lines)
-
-    # -- usage scans ---------------------------------------------------------
-
-    def _paths_of(self, stmt: ir.P4Stmt) -> List[str]:
-        """Every field path a statement names (shallow, like the
-        expressions :func:`~repro.p4.ir.stmt_exprs` lists for it)."""
-        paths: List[str] = []
-        if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
-            paths.append(stmt.dest)
-        elif isinstance(stmt, ir.ExternCall):
-            paths.extend(stmt.dests)
-        elif isinstance(stmt, ir.ApplyTable):
-            table = self.program.tables.get(stmt.table)
-            if table is not None:
-                paths.extend(k.path for k in table.keys)
-        paths.extend(sub.path for expr in ir.stmt_exprs(stmt)
-                     for sub in ir.walk_exprs(expr)
-                     if isinstance(sub, ir.FieldRef))
-        return paths
-
-    def _scan_dyn_std(self, stmts: Sequence[ir.P4Stmt]) -> Set[str]:
-        """Std-metadata fields outside the dataclass that the program
-        *writes* (the interpreter's setattr creates them dynamically)."""
-        written: Set[str] = set()
-        for stmt in stmts:
-            dest = getattr(stmt, "dest", None)
-            if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)) and dest:
-                root, _, rest = dest.partition(".")
-                if root == "standard_metadata" and rest not in _STD_FIELDS:
-                    written.add(rest)
-        return written
 
     # -- pipeline body -------------------------------------------------------
 
@@ -917,11 +883,8 @@ class CodegenEngine:
         dispatch to included."""
         out: Set[str] = set()
         for stmt in ir.walk_stmts(stmts):
-            if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
-                out.add(stmt.dest)
-            elif isinstance(stmt, ir.ExternCall):
-                out.update(stmt.dests)
-            elif isinstance(stmt, ir.ApplyTable):
+            out.update(ir.stmt_defs(stmt))
+            if isinstance(stmt, ir.ApplyTable):
                 for name in self._arms(stmt.table):
                     out |= self._dests(self.program.actions[name].body)
         return out
@@ -951,7 +914,8 @@ class CodegenEngine:
                         and s.value.path.startswith("param."))
                    for body in arms for s in body):
             return None
-        writes = [{s.dest for s in body} for body in arms]
+        writes = [{loc for s in body for loc in ir.stmt_defs(s)}
+                  for body in arms]
         always = (set.intersection(*writes) if writes and
                   self._default_bound[stmt.table] is not None else set())
         return {key.path for key in table.keys}, set().union(*writes), always
@@ -1105,44 +1069,25 @@ class CodegenEngine:
                 return "0"
             return f"(1 if {local} else 0)"
         if isinstance(expr, ir.UnExpr):
-            operand = self._expr(expr.operand, params)
-            if expr.op == "!":
-                return f"(0 if {operand} else 1)"
-            mask = (1 << ir.unexpr_width(expr)) - 1
-            if expr.op == "~":
-                return f"(~{operand} & {mask})"
-            if expr.op == "-":
-                return f"(-{operand} & {mask})"
-            return self._raise_expr(f"unknown unary op {expr.op!r}")
+            op = ir.UNARY_OPS.get(expr.op)
+            if op is None:
+                return self._raise_expr(f"unknown unary op {expr.op!r}")
+            return op.template.format(o=self._expr(expr.operand, params),
+                                      m=(1 << ir.result_width(expr)) - 1)
         if isinstance(expr, ir.BinExpr):
             return self._bin(expr, params)
         return self._raise_expr(
             f"unknown expression {type(expr).__name__}")
 
     def _bin(self, expr: ir.BinExpr, params: Dict[str, str]) -> str:
-        op = expr.op
-        left = self._expr(expr.left, params)
-        right = self._expr(expr.right, params)
-        if op == "&&":
-            return f"(1 if {left} and {right} else 0)"
-        if op == "||":
-            return f"(1 if {left} or {right} else 0)"
-        mask = (1 << expr.width) - 1
-        if op in ("+", "-", "*", "&", "|", "^"):
-            return f"(({left} {op} {right}) & {mask})"
-        if op == "/":
-            return f"_div({left}, {right}, {mask})"
-        if op == "%":
-            return f"_mod({left}, {right}, {mask})"
-        if op in ("<<", ">>"):
-            return f"(({left} {op} ({right} % {expr.width})) & {mask})"
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return f"(1 if {left} {op} {right} else 0)"
-        if op == "absdiff":
-            return f"_absdiff({left}, {right}, {mask})"
-        if op in ("min", "max"):
-            return f"{op}({left}, {right})"
-        return self._raise_expr(f"unknown binary op {op!r}")
+        """The operator's :data:`~repro.p4.ir.BINARY_OPS` template over
+        the operands' source (``and``/``or`` short-circuit as written)."""
+        op = ir.BINARY_OPS.get(expr.op)
+        if op is None:
+            return self._raise_expr(f"unknown binary op {expr.op!r}")
+        return op.template.format(l=self._expr(expr.left, params),
+                                  r=self._expr(expr.right, params),
+                                  m=(1 << expr.width) - 1, w=expr.width)
 
     def _cond(self, cond: ir.P4Expr, params: Dict[str, str]) -> str:
         """Emit an expression used only for its truthiness (skips the

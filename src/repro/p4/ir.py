@@ -22,9 +22,9 @@ Conventions:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from dataclasses import dataclass, field, replace
+from typing import (Any, Callable, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from ..indus.errors import SourceSpan, UNKNOWN_SPAN
 from ..net.packet import HeaderType
@@ -117,8 +117,143 @@ def unexpr_width(expr: UnExpr) -> int:
     if isinstance(operand, BinExpr):
         return operand.width
     if isinstance(operand, UnExpr):
-        return 1 if operand.op == "!" else unexpr_width(operand)
+        return result_width(operand)
     return 32
+
+
+# ---------------------------------------------------------------------------
+# Operators
+# ---------------------------------------------------------------------------
+
+#: How wide an operator's result is (:func:`result_width`).
+BOOL, MASKED, UNMASKED = "bool", "masked", "unmasked"
+
+
+@dataclass(frozen=True)
+class Operator:
+    """One P4 operator, declared once for every engine and analysis.
+
+    ``fn`` is the reference semantics over unsigned operand values and
+    the result width — ``fn(left, right, width)``, a unary operator's
+    ``fn(value, width)`` — that the interpreter and the constant folder
+    call; ``template`` spells the same computation as the emitter's
+    Python source (``{l}``/``{r}`` or ``{o}`` the operands, ``{m}`` the
+    result mask, ``{w}`` the width; ``_div``/``_mod``/``_absdiff`` are
+    :data:`HELPERS`); ``p4`` is its P4-16 text.  ``&&``/``||`` are
+    declared like the rest, but every evaluator short-circuits them.
+    """
+
+    result: str
+    fn: Callable[..., int]
+    template: str
+    p4: str
+
+
+def _div(left: int, right: int, mask: int) -> int:
+    return (left // right) & mask if right else 0
+
+
+def _mod(left: int, right: int, mask: int) -> int:
+    return (left % right) & mask if right else 0
+
+
+def _absdiff(left: int, right: int, mask: int) -> int:
+    # abs over two's complement of a (left - right) difference:
+    # min(d, 2^w - d), matching the Indus interpreter's abs().
+    diff = (left - right) & mask
+    return min(diff, (-diff) & mask)
+
+
+#: The functions operator templates call, by the name they call them.
+HELPERS: Dict[str, Callable[[int, int, int], int]] = {
+    "_div": _div, "_mod": _mod, "_absdiff": _absdiff}
+
+
+def _masked(sym: str, fn: Callable[[int, int, int], int]) -> Operator:
+    return Operator(MASKED, fn, f"(({{l}} {sym} {{r}}) & {{m}})",
+                    f"({{l}} {sym} {{r}})")
+
+
+def _compare(sym: str, fn: Callable[[int, int, int], int]) -> Operator:
+    return Operator(BOOL, fn, f"(1 if {{l}} {sym} {{r}} else 0)",
+                    f"({{l}} {sym} {{r}})")
+
+
+#: Division and modulo by zero yield 0; a shift amount is taken mod
+#: the width; ``absdiff`` is ``|left - right|`` in two's complement.
+BINARY_OPS: Dict[str, Operator] = {
+    "+": _masked("+", lambda l, r, w: (l + r) & ((1 << w) - 1)),
+    "-": _masked("-", lambda l, r, w: (l - r) & ((1 << w) - 1)),
+    "*": _masked("*", lambda l, r, w: (l * r) & ((1 << w) - 1)),
+    "&": _masked("&", lambda l, r, w: (l & r) & ((1 << w) - 1)),
+    "|": _masked("|", lambda l, r, w: (l | r) & ((1 << w) - 1)),
+    "^": _masked("^", lambda l, r, w: (l ^ r) & ((1 << w) - 1)),
+    "/": Operator(MASKED, lambda l, r, w: _div(l, r, (1 << w) - 1),
+                  "_div({l}, {r}, {m})", "({l} / {r})"),
+    "%": Operator(MASKED, lambda l, r, w: _mod(l, r, (1 << w) - 1),
+                  "_mod({l}, {r}, {m})", "({l} % {r})"),
+    "<<": Operator(MASKED, lambda l, r, w: (l << (r % w)) & ((1 << w) - 1),
+                   "(({l} << ({r} % {w})) & {m})", "({l} << {r})"),
+    ">>": Operator(MASKED, lambda l, r, w: (l >> (r % w)) & ((1 << w) - 1),
+                   "(({l} >> ({r} % {w})) & {m})", "({l} >> {r})"),
+    "==": _compare("==", lambda l, r, w: 1 if l == r else 0),
+    "!=": _compare("!=", lambda l, r, w: 1 if l != r else 0),
+    "<": _compare("<", lambda l, r, w: 1 if l < r else 0),
+    "<=": _compare("<=", lambda l, r, w: 1 if l <= r else 0),
+    ">": _compare(">", lambda l, r, w: 1 if l > r else 0),
+    ">=": _compare(">=", lambda l, r, w: 1 if l >= r else 0),
+    "&&": Operator(BOOL, lambda l, r, w: 1 if l and r else 0,
+                   "(1 if {l} and {r} else 0)", "({l} && {r})"),
+    "||": Operator(BOOL, lambda l, r, w: 1 if l or r else 0,
+                   "(1 if {l} or {r} else 0)", "({l} || {r})"),
+    "absdiff": Operator(MASKED, lambda l, r, w: _absdiff(l, r, (1 << w) - 1),
+                        "_absdiff({l}, {r}, {m})", "abs_diff({l}, {r})"),
+    "min": Operator(UNMASKED, lambda l, r, w: min(l, r),
+                    "min({l}, {r})", "min({l}, {r})"),
+    "max": Operator(UNMASKED, lambda l, r, w: max(l, r),
+                    "max({l}, {r})", "max({l}, {r})"),
+}
+
+UNARY_OPS: Dict[str, Operator] = {
+    "!": Operator(BOOL, lambda v, w: 0 if v else 1,
+                  "(0 if {o} else 1)", "!({o})"),
+    "~": Operator(MASKED, lambda v, w: ~v & ((1 << w) - 1),
+                  "(~{o} & {m})", "~({o})"),
+    "-": Operator(MASKED, lambda v, w: -v & ((1 << w) - 1),
+                  "(-{o} & {m})", "-({o})"),
+}
+
+
+def result_width(expr: Union[UnExpr, BinExpr]) -> Optional[int]:
+    """How wide ``expr``'s result is: 1 for a boolean, the declared width
+    for a masked operator (derived for a unary one: :func:`unexpr_width`),
+    ``None`` for an unmasked one (``min``/``max``: the wider operand)."""
+    unary = isinstance(expr, UnExpr)
+    op = (UNARY_OPS if unary else BINARY_OPS).get(expr.op)
+    result = MASKED if op is None else op.result
+    if result == BOOL:
+        return 1
+    if result == UNMASKED:
+        return None
+    return unexpr_width(expr) if unary else expr.width
+
+
+def map_fields(expr: P4Expr, fn: Callable[[FieldRef], P4Expr]) -> P4Expr:
+    """``expr`` with every field reference replaced by ``fn`` of it.  A
+    subtree ``fn`` leaves alone is returned as is (identity), a rebuilt
+    node keeps its span; nothing is edited in place."""
+    if isinstance(expr, FieldRef):
+        return fn(expr)
+    if isinstance(expr, UnExpr):
+        operand = map_fields(expr.operand, fn)
+        return (expr if operand is expr.operand
+                else replace(expr, operand=operand))
+    if isinstance(expr, BinExpr):
+        left, right = map_fields(expr.left, fn), map_fields(expr.right, fn)
+        if left is expr.left and right is expr.right:
+            return expr
+        return replace(expr, left=left, right=right)
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +641,20 @@ def expr_reads(expr: P4Expr) -> Set[str]:
     """Every location an expression reads: field paths plus
     ``hdr.<bind>.$valid`` tokens for validity tests."""
     reads: Set[str] = set()
-    for node in walk_exprs(expr):
-        if isinstance(node, FieldRef):
-            reads.add(node.path)
-        elif isinstance(node, ValidRef):
-            reads.add(f"hdr.{node.header}.$valid")
+    _add_reads(expr, reads)
     return reads
+
+
+def _add_reads(expr: P4Expr, reads: Set[str]) -> None:
+    if isinstance(expr, FieldRef):
+        reads.add(expr.path)
+    elif isinstance(expr, ValidRef):
+        reads.add(f"hdr.{expr.header}.$valid")
+    elif isinstance(expr, UnExpr):
+        _add_reads(expr.operand, reads)
+    elif isinstance(expr, BinExpr):
+        _add_reads(expr.left, reads)
+        _add_reads(expr.right, reads)
 
 
 #: The one statement switch: per statement kind, the attributes holding
@@ -534,6 +677,87 @@ def stmt_exprs(stmt: P4Stmt) -> List[P4Expr]:
         held = getattr(stmt, attr)
         out.extend(held if isinstance(held, list) else [held])
     return out
+
+
+#: The locations besides fields that statements define and use: a
+#: register's contents, the report channel, a header's validity bit, a
+#: source-route stack slot (a pop shifts every one).  The drop flag is
+#: the field both engines write, ``standard_metadata.drop``.
+DIGEST = "$digest"
+DROP = "standard_metadata.drop"
+SRC_ROUTE_SLOTS = tuple(f"hdr.srcRoute{i}.$all" for i in range(8))
+
+
+def _reg(stmt: Any) -> Tuple[str, ...]:
+    return (f"reg.{stmt.register}",)
+
+
+def _valid_bit(stmt: Any) -> Tuple[str, ...]:
+    return (f"hdr.{stmt.header}.$valid",)
+
+
+def _nothing(stmt: Any) -> Tuple[str, ...]:
+    return ()
+
+
+_PURE = (_nothing, _nothing)
+
+
+#: The one effect declaration (after Krakatau's per-op
+#: ``has_side_effects``): per statement kind, the locations it defines
+#: and those it uses besides what its expressions read.  A kind not
+#: listed defines and uses nothing of its own: an ``IfStmt``'s effects
+#: are its arms', an ``ApplyTable``'s its table's actions' (the caller
+#: has the table).
+_EFFECTS: Dict[type, Tuple[Callable[[Any], Tuple[str, ...]],
+                           Callable[[Any], Tuple[str, ...]]]] = {
+    AssignStmt: (lambda stmt: (stmt.dest,), _nothing),
+    RegisterRead: (lambda stmt: (stmt.dest,), _reg),
+    RegisterWrite: (_reg, _nothing),
+    Digest: (lambda stmt: (DIGEST,), _nothing),
+    SetValid: (_valid_bit, _nothing),
+    SetInvalid: (_valid_bit, _nothing),
+    MarkToDrop: (lambda stmt: (DROP,), _nothing),
+    PopSourceRoute: (lambda stmt: SRC_ROUTE_SLOTS,
+                     lambda stmt: SRC_ROUTE_SLOTS),
+    ExternCall: (lambda stmt: tuple(stmt.dests), _nothing),
+}
+
+
+class Effect(NamedTuple):
+    """One statement's declared effect: the locations it defines (in
+    declaration order) and every location it uses, expression reads
+    included; the flags are read off them."""
+
+    defs: Tuple[str, ...]
+    uses: FrozenSet[str]
+
+    @property
+    def reads_regs(self) -> bool:
+        return any(use.startswith("reg.") for use in self.uses)
+
+    @property
+    def writes_regs(self) -> bool:
+        return any(loc.startswith("reg.") for loc in self.defs)
+
+    @property
+    def emits_digest(self) -> bool:
+        return DIGEST in self.defs
+
+
+def stmt_defs(stmt: P4Stmt) -> Tuple[str, ...]:
+    """The locations :data:`_EFFECTS` declares ``stmt`` defines."""
+    return _EFFECTS.get(type(stmt), _PURE)[0](stmt)
+
+
+def stmt_effect(stmt: P4Stmt) -> Effect:
+    """The effect :data:`_EFFECTS` declares for ``stmt`` (shallow: a
+    nested body's statements have their own)."""
+    defs, uses = _EFFECTS.get(type(stmt), _PURE)
+    reads = set(uses(stmt))
+    for expr in stmt_exprs(stmt):
+        _add_reads(expr, reads)
+    return Effect(defs(stmt), frozenset(reads))
 
 
 def map_exprs(stmt: P4Stmt, fn: Callable[[P4Expr], P4Expr]) -> bool:
@@ -635,14 +859,6 @@ def check_externs(program: P4Program) -> None:
                             f"{node!r}")
 
 
-def _stmt_mutates_headers(stmt: P4Stmt) -> bool:
-    if isinstance(stmt, (AssignStmt, RegisterRead)):
-        return stmt.dest.startswith("hdr.")
-    if isinstance(stmt, ExternCall):
-        return any(dest.startswith("hdr.") for dest in stmt.dests)
-    return isinstance(stmt, (SetValid, SetInvalid, PopSourceRoute))
-
-
 def mutates_headers(program: P4Program) -> bool:
     """Whether any reachable statement can modify a header instance.
 
@@ -650,7 +866,8 @@ def mutates_headers(program: P4Program) -> bool:
     provably never writes header fields or validity bits can process a
     packet that *shares* its ``Header`` objects with the original (only
     the packet shell is copied), skipping the per-header deep copy.
+    Mutating one is defining a location under ``hdr.``: a field, a
+    validity bit, a source-route slot.
     """
-    return any(_stmt_mutates_headers(stmt)
-               for body in program_bodies(program)
-               for stmt in walk_stmts(body))
+    return any(loc.startswith("hdr.") for body in program_bodies(program)
+               for stmt in walk_stmts(body) for loc in stmt_defs(stmt))

@@ -46,15 +46,11 @@ def format_expr(expr: ir.P4Expr) -> str:
         return expr.path
     if isinstance(expr, ir.ValidRef):
         return f"hdr.{expr.header}.isValid()"
-    if isinstance(expr, ir.UnExpr):
-        return f"{expr.op}({format_expr(expr.operand)})"
-    if isinstance(expr, ir.BinExpr):
-        left, right = format_expr(expr.left), format_expr(expr.right)
-        if expr.op == "absdiff":
-            return f"abs_diff({left}, {right})"
-        if expr.op in ("min", "max"):
-            return f"{expr.op}({left}, {right})"
-        return f"({left} {expr.op} {right})"
+    if isinstance(expr, ir.UnExpr) and expr.op in ir.UNARY_OPS:
+        return ir.UNARY_OPS[expr.op].p4.format(o=format_expr(expr.operand))
+    if isinstance(expr, ir.BinExpr) and expr.op in ir.BINARY_OPS:
+        return ir.BINARY_OPS[expr.op].p4.format(l=format_expr(expr.left),
+                                                r=format_expr(expr.right))
     raise ValueError(f"cannot format {expr!r}")
 
 
@@ -237,28 +233,18 @@ def _render_pipeline(w: _Writer, program: ir.P4Program, stage: str,
 
 
 def _strip_param_prefix(stmts: List[ir.P4Stmt]) -> List[ir.P4Stmt]:
-    """Render ``param.x`` as plain ``x`` inside action bodies."""
+    """Render ``param.x`` as plain ``x`` inside action bodies, in every
+    expression of every statement (a private copy: bodies are shared)."""
 
-    def fix_expr(expr: ir.P4Expr) -> ir.P4Expr:
-        if isinstance(expr, ir.FieldRef) and expr.path.startswith("param."):
-            return ir.FieldRef(expr.path[len("param."):])
-        if isinstance(expr, ir.UnExpr):
-            return ir.UnExpr(expr.op, fix_expr(expr.operand), expr.width)
-        if isinstance(expr, ir.BinExpr):
-            return ir.BinExpr(expr.op, fix_expr(expr.left),
-                              fix_expr(expr.right), expr.width)
-        return expr
+    def strip(ref: ir.FieldRef) -> ir.FieldRef:
+        if ref.path.startswith("param."):
+            return ir.FieldRef(ref.path[len("param."):])
+        return ref
 
-    def fix_stmt(stmt: ir.P4Stmt) -> ir.P4Stmt:
-        if isinstance(stmt, ir.AssignStmt):
-            return ir.AssignStmt(stmt.dest, fix_expr(stmt.value))
-        if isinstance(stmt, ir.IfStmt):
-            return ir.IfStmt(fix_expr(stmt.cond),
-                             [fix_stmt(s) for s in stmt.then_body],
-                             [fix_stmt(s) for s in stmt.else_body])
-        return stmt
-
-    return [fix_stmt(s) for s in stmts]
+    body = ir.clone_stmts(stmts)
+    for stmt in ir.walk_stmts(body):
+        ir.map_exprs(stmt, lambda expr: ir.map_fields(expr, strip))
+    return body
 
 
 def _render_deparser(w: _Writer, program: ir.P4Program) -> None:

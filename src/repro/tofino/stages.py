@@ -17,7 +17,7 @@ equals the baseline depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..p4 import ir
 
@@ -32,41 +32,29 @@ class _Op:
     writes: Set[str] = field(default_factory=set)
 
 
-def _action_ops(program: ir.P4Program, name: str,
-                extra_reads: Set[str]) -> Tuple[Set[str], Set[str]]:
-    """Aggregate read/write sets of an action body (params excluded)."""
+def _action_ops(program: ir.P4Program,
+                name: str) -> Tuple[Set[str], Set[str]]:
+    """Aggregate read/write sets of an action body (params excluded):
+    every statement's declared effect."""
     action = program.actions.get(name)
     reads: Set[str] = set()
     writes: Set[str] = set()
     if action is None:
         return reads, writes
     for stmt in ir.walk_stmts(action.body):
-        if isinstance(stmt, ir.AssignStmt):
-            writes.add(stmt.dest)
-            reads |= {r for r in ir.expr_reads(stmt.value)
-                      if not r.startswith("param.")}
-        elif isinstance(stmt, ir.IfStmt):
-            reads |= ir.expr_reads(stmt.cond)
-        elif isinstance(stmt, ir.MarkToDrop):
-            writes.add("standard_metadata.$drop")
-        elif isinstance(stmt, ir.ExternCall):
-            writes.update(stmt.dests)
-            for expr in stmt.args:
-                reads |= {r for r in ir.expr_reads(expr)
-                          if not r.startswith("param.")}
-    reads |= extra_reads
+        effect = ir.stmt_effect(stmt)
+        reads.update(r for r in effect.uses if not r.startswith("param."))
+        writes.update(effect.defs)
     return reads, writes
 
 
 def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
                control_reads: Set[str]) -> List[_Op]:
-    """Flatten a statement body into ops with control-dependency reads."""
+    """Flatten a statement body into ops with control-dependency reads:
+    a leaf is one op over its declared effect."""
     ops: List[_Op] = []
     for stmt in stmts:
-        if isinstance(stmt, ir.AssignStmt):
-            ops.append(_Op(reads=ir.expr_reads(stmt.value) | control_reads,
-                           writes={stmt.dest}))
-        elif isinstance(stmt, ir.IfStmt):
+        if isinstance(stmt, ir.IfStmt):
             cond_reads = ir.expr_reads(stmt.cond) | control_reads
             ops.extend(_linearize(program, stmt.then_body, cond_reads))
             ops.extend(_linearize(program, stmt.else_body, cond_reads))
@@ -79,7 +67,7 @@ def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
             if table and table.default_action:
                 action_names.append(table.default_action[0])
             for aname in action_names:
-                a_reads, a_writes = _action_ops(program, aname, set())
+                a_reads, a_writes = _action_ops(program, aname)
                 reads |= a_reads
                 writes |= a_writes
             hit_flag = f"table.{stmt.table}.$hit"
@@ -88,33 +76,10 @@ def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
             branch_reads = control_reads | {hit_flag}
             ops.extend(_linearize(program, stmt.hit_body, branch_reads))
             ops.extend(_linearize(program, stmt.miss_body, branch_reads))
-        elif isinstance(stmt, ir.RegisterRead):
-            ops.append(_Op(reads=ir.expr_reads(stmt.index) | control_reads
-                           | {f"reg.{stmt.register}"},
-                           writes={stmt.dest}))
-        elif isinstance(stmt, ir.RegisterWrite):
-            ops.append(_Op(reads=(ir.expr_reads(stmt.index)
-                                  | ir.expr_reads(stmt.value) | control_reads),
-                           writes={f"reg.{stmt.register}"}))
-        elif isinstance(stmt, ir.Digest):
-            reads: Set[str] = set(control_reads)
-            for expr in stmt.fields:
-                reads |= ir.expr_reads(expr)
-            ops.append(_Op(reads=reads, writes={"$digest"}))
-        elif isinstance(stmt, (ir.SetValid, ir.SetInvalid)):
-            ops.append(_Op(reads=set(control_reads),
-                           writes={f"hdr.{stmt.header}.$valid"}))
-        elif isinstance(stmt, ir.MarkToDrop):
-            ops.append(_Op(reads=set(control_reads),
-                           writes={"standard_metadata.$drop"}))
-        elif isinstance(stmt, ir.PopSourceRoute):
-            touched = {f"hdr.srcRoute{i}.$all" for i in range(8)}
-            ops.append(_Op(reads=touched | control_reads, writes=touched))
-        elif isinstance(stmt, ir.ExternCall):
-            reads = set(control_reads)
-            for expr in stmt.args:
-                reads |= ir.expr_reads(expr)
-            ops.append(_Op(reads=reads, writes=set(stmt.dests)))
+        else:
+            effect = ir.stmt_effect(stmt)
+            ops.append(_Op(reads=effect.uses | control_reads,
+                           writes=set(effect.defs)))
     return ops
 
 

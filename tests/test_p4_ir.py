@@ -161,10 +161,14 @@ def make_stmt(kind):
 @pytest.mark.parametrize("kind", stmt_kinds(), ids=lambda kind: kind.__name__)
 def test_the_one_statement_switch_reaches_every_expression_field(kind):
     """``stmt_exprs`` lists and ``map_exprs`` rebuilds every field typed
-    ``P4Expr`` or ``List[P4Expr]``: a statement kind added without its
-    ``_EXPR_ATTRS`` row fails here instead of being skipped by every
-    analysis at once."""
+    ``P4Expr`` or ``List[P4Expr]``, and its declared effect uses what
+    they read: a statement kind added without its ``_EXPR_ATTRS`` row,
+    or a leaf kind without its ``_EFFECTS`` row, fails here instead of
+    being skipped by every analysis at once."""
     stmt, held = make_stmt(kind)
+    assert {ref.path for ref in held} <= ir.stmt_effect(stmt).uses
+    branching = kind in (ir.IfStmt, ir.ApplyTable)
+    assert (kind in ir._EFFECTS) is not branching
     assert ir.stmt_exprs(stmt) == held
     assert all(a is b for a, b in zip(ir.stmt_exprs(stmt), held))
     before = dict(vars(stmt))

@@ -61,6 +61,26 @@ def test_apply_with_hit_body_renders_as_if():
     assert "if (fwd_table.apply().hit)" in text
 
 
+def test_action_params_render_bare_in_every_statement():
+    program = l2_port_forwarding()
+    program.metadata = [("x", 32)]
+    program.add_register(ir.RegisterDef("r", 32, 8))
+    body = [ir.RegisterWrite("r", ir.FieldRef("param.idx"),
+                             ir.FieldRef("param.v")),
+            ir.Digest("d", [ir.FieldRef("param.v")]),
+            ir.AssignStmt("meta.x", ir.FieldRef("param.v"))]
+    program.add_action(ir.Action("a", [("idx", 32), ("v", 32)], body))
+    program.add_table(ir.Table("t", actions=["a"]))
+    program.ingress.append(ir.ApplyTable("t"))
+    text = render(program)
+    assert "r.write(idx, v);" in text
+    assert "digest<d_t>(1, { v });" in text
+    assert "meta.x = v;" in text
+    assert "param." not in text
+    # The action's own body is shared with the engines: left as it was.
+    assert body[0].index == ir.FieldRef("param.idx")
+
+
 def test_registers_render_in_ingress():
     program = l2_port_forwarding()
     program.add_register(ir.RegisterDef("r0", 32, 8))

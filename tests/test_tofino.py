@@ -1,8 +1,11 @@
 """Tofino resource model tests: PHV container packing and stage
 dependency analysis."""
 
+import pytest
+
 from repro.aether.upf import upf_program
 from repro.compiler import compile_program, link
+from repro.net.topology import EDGE
 from repro.p4 import ir
 from repro.p4.programs import l2_port_forwarding
 from repro.properties import compile_property
@@ -107,6 +110,48 @@ def test_table_apply_depends_on_key_writer():
         ir.ApplyTable("fwd_table"),
     ]
     assert dependency_depth(program, stmts) == 2
+
+
+@pytest.mark.parametrize("effect, later", [
+    (ir.RegisterWrite("r", ir.Const(0, 32), ir.Const(1, 32)),
+     ir.RegisterRead("meta.y", "r", ir.Const(0, 32))),
+    (ir.SetValid("ipv4"), ir.AssignStmt("meta.y", ir.ValidRef("ipv4"))),
+    (ir.Digest("d"), ir.Digest("d")),
+], ids=["register", "validity", "digest"])
+def test_action_effects_order_later_statements(effect, later):
+    """A write inside a table's action orders what reads it after the
+    apply exactly as the same write inline does."""
+    program = l2_port_forwarding()
+    program.metadata = [("y", 32)]
+    program.add_register(ir.RegisterDef("r", 32))
+    program.add_action(ir.Action("w", body=[effect]))
+    program.add_table(ir.Table("t", actions=["w"], default_action=("w", [])))
+    assert dependency_depth(program, [effect, later]) == 2
+    assert dependency_depth(program, [ir.ApplyTable("t"), later]) == 2
+
+
+#: (ingress, egress) dependency depth of each Table-1 checker linked at
+#: an edge of the fabric-upf baseline: the raw chains under the 12-stage
+#: floor Table 1 reports.
+RAW_DEPTHS = {
+    "multi_tenancy": (8, 5), "load_balance": (8, 8),
+    "stateful_firewall": (8, 3), "application_filtering": (9, 3),
+    "vlan_isolation": (8, 5), "egress_port_validity": (8, 5),
+    "routing_validity": (8, 4), "loops": (8, 4), "waypointing": (8, 4),
+    "service_chain": (8, 5), "source_routing_validation": (8, 8),
+}
+
+
+def test_raw_stage_depths_are_pinned():
+    def depths(program):
+        return (dependency_depth(program, program.ingress),
+                dependency_depth(program, program.egress))
+
+    assert depths(upf_program("fabric_upf")) == (8, 1)
+    measured = {name: depths(link(upf_program("fabric_upf"),
+                                  compile_property(name), role=EDGE))
+                for name in RAW_DEPTHS}
+    assert measured == RAW_DEPTHS
 
 
 def test_pipeline_depth_is_max_of_both_halves():
