@@ -119,6 +119,9 @@ def deploy(compiled: Any, *, scenario: Any = None, topology: Any = None,
     :class:`~repro.runtime.deployment.HydraDeployment` would take them.
     Returns the live deployment: inject packets via
     ``deployment.network`` and read verdicts/reports off the collector.
+    A scenario deployment runs as the differential oracle builds it:
+    under ``engine="interp"`` (the reference) in event mode, under any
+    other engine on the batched traffic plane.
     """
     if scenario is not None:
         from .difftest.harness import build_scenario_deployment

@@ -1,21 +1,27 @@
 """The three-level differential oracle.
 
 One scenario runs through two full :class:`HydraDeployment` instances on
-the simulator — one per P4 engine (``interp`` and ``codegen``) — with a
-live :class:`~repro.obs.trace.Tracer` attached; the canonical ``parse``
-events of the observability plane record the hop-by-hop context each
-packet actually experienced.  The recorded trace replays through the
-reference :class:`~repro.indus.interp.Monitor` via
-:func:`repro.runtime.tracecheck.run_trace` (whose ``monitor_hop``
-events feed the telemetry comparison), and the oracle asserts that
+the simulator, one per P4 engine.  The reference, ``interp``, runs in
+event mode with forwarding installed one ``insert_entry`` at a time;
+``codegen`` runs the build we ship: uninstrumented (unless the caller
+passed a registry), on the batched traffic plane, with forwarding
+installed by ``insert_entries``.  Each network records a
+:class:`~repro.net.simulator.HopRecord` per pipeline run
+(:meth:`~repro.net.simulator.Network.record_hops`): the hop-by-hop
+context each packet actually experienced.  The reference's hops replay
+through the :class:`~repro.indus.interp.Monitor` via
+:func:`repro.runtime.tracecheck.run_trace` (whose per-hop telemetry
+snapshots feed the telemetry comparison), and the oracle asserts that
 all three levels agree on:
 
 * the **verdict** (packet delivered vs. rejected at the last hop),
 * the **reports** (block, switch id, payload — in emission order),
 * the **telemetry** each hop put on the wire (the decoded Hydra header
   arriving at hop *i+1* must equal the monitor's state after hop *i*),
-* plus engine-vs-engine byte equality of delivered packets, register
-  state, and digest counts.
+* plus engine-vs-engine equality of every hop (switch, ingress port,
+  time, length, header values, Hydra header in, egress ports or drop
+  reason, digests raised), delivered packet bytes, register state, and
+  digest counts.
 
 Any disagreement is a compiler or engine bug by construction: the
 monitor executes the *specification* semantics on the same inputs the
@@ -25,14 +31,15 @@ deployment saw.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..compiler import compile_program
 from ..compiler.codegen import CompiledChecker
 from ..indus import ast, check, parse
 from ..net.packet import Packet, ip, make_tcp, make_udp
-from ..obs import Observability, Tracer
+from ..net.simulator import HopRecord
+from ..obs import Observability
 from ..p4 import ENGINES, ir
 from ..p4.programs import l2_port_forwarding
 from ..runtime.deployment import HydraDeployment
@@ -70,14 +77,18 @@ class ScenarioResult:
 
 
 @dataclass
-class _HopRecord:
-    """What a ``parse`` trace event saw when a packet entered a switch."""
+class _HopView:
+    """What one hop saw, read off the network's :class:`HopRecord`."""
 
     switch: str
     ingress_port: int
+    t: float
     packet_length: int
     header_values: Dict[str, int]
     hydra: Optional[Dict[str, Any]]     # None before injection (first hop)
+    egress: Tuple[int, ...]
+    drop: Optional[str]                 # None unless the pipeline dropped it
+    digests: int
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +166,34 @@ def _flatten_payload(payload: Any) -> Optional[Tuple[int, ...]]:
     return (int(payload),)
 
 
-def _tele_snapshot(state) -> Dict[str, Any]:
-    """A plain-data copy of a monitor state's tele values."""
-    out: Dict[str, Any] = {}
-    for name, value in state.tele.items():
-        if hasattr(value, "valid_items"):
-            out[name] = [int(v) for v in value.valid_items()]
-        elif isinstance(value, bool):
-            out[name] = int(value)
-        else:
-            out[name] = int(value)
-    return out
+def _hop_view(hop: HopRecord, bindings: Dict[str, str],
+              compiled: CompiledChecker) -> _HopView:
+    packet = hop.packet
+    return _HopView(
+        switch=hop.switch,
+        ingress_port=hop.ingress_port,
+        t=hop.t,
+        packet_length=packet.length,
+        header_values={var: _resolve_header(binding, packet, hop.ingress_port)
+                       for var, binding in bindings.items()},
+        hydra=_decode_hydra(compiled, packet),
+        egress=tuple(port for port, _ in hop.outputs),
+        drop=hop.drop_reason,
+        digests=hop.digests)
+
+
+def _hop_difference(a: List[_HopView], b: List[_HopView]) -> str:
+    """Where two engines' hop lists for one packet first part."""
+    for k, (x, y) in enumerate(zip(a, b)):
+        for f in fields(x):
+            if getattr(x, f.name) != getattr(y, f.name):
+                return (f"hop {k} {f.name}: {getattr(x, f.name)!r} vs "
+                        f"{getattr(y, f.name)!r}")
+    return f"{len(a)} hops vs {len(b)}"
 
 
 # ---------------------------------------------------------------------------
-# Deployment-side execution, observed through the canonical trace stream
+# Deployment-side execution, observed through the network's hop records
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -177,7 +201,7 @@ class _EngineRun:
     """Everything one engine's deployment observed for one scenario."""
 
     verdicts: List[bool] = field(default_factory=list)
-    hop_records: List[List[_HopRecord]] = field(default_factory=list)
+    hops: List[List[_HopView]] = field(default_factory=list)
     reports: List[List[Tuple[str, int, Optional[Tuple[int, ...]]]]] = \
         field(default_factory=list)
     delivered: List[Optional[list]] = field(default_factory=list)
@@ -197,18 +221,28 @@ def build_scenario_deployment(scenario: Scenario,
     """Build the deployment a scenario describes: topology, forwarding
     entries along the computed path, and control values.  Shared by the
     oracle (one deployment per engine) and the CLI trace surface.
-    Library callers should go through :func:`repro.api.deploy`."""
+    Library callers should go through :func:`repro.api.deploy`.
+
+    The configuration follows ``engine``: the reference engine
+    (``interp``) runs in event mode and takes its entries one
+    ``insert_entry`` at a time; any other engine runs as shipped,
+    batched with bulk writes."""
     topology = scenario.build_topology()
     rng = random.Random(scenario.seed)
     path = compute_path(topology, scenario.src_host, scenario.dst_host, rng)
     forwarding = dict.fromkeys(topology.switches, l2_port_forwarding("l2"))
+    shipped = engine != ENGINES[0]
     dep = HydraDeployment(topology, compiled, forwarding, engine=engine,
-                          obs=obs)
+                          obs=obs, batched=shipped)
     for sw, entries in forwarding_entries(
             topology, scenario.src_host, scenario.dst_host, path).items():
-        for in_port, out_port in entries:
-            dep.switches[sw].insert_entry(
-                "fwd_table", [in_port], "fwd_set_egress", [out_port])
+        rows = [([in_port], "fwd_set_egress", [out_port], 0)
+                for in_port, out_port in entries]
+        if shipped:
+            dep.switches[sw].insert_entries("fwd_table", rows)
+        else:
+            for row in rows:
+                dep.switches[sw].insert_entry("fwd_table", *row)
     for name, value in scenario.controls.items():
         dep.set_control(name, value)
     return dep
@@ -216,47 +250,27 @@ def build_scenario_deployment(scenario: Scenario,
 
 def _run_engine(scenario: Scenario, compiled: CompiledChecker,
                 engine: str, registry=None) -> _EngineRun:
-    # Every engine run gets its own tracer: its canonical `parse` events
-    # (one per switch-entry, carrying the live pre-pipeline packet) are
-    # the oracle's record of what each hop saw.
-    tracer = Tracer()
-    obs = Observability(registry=registry, tracer=tracer)
+    obs = None if registry is None else Observability(registry=registry)
     dep = build_scenario_deployment(scenario, compiled, engine=engine,
                                     obs=obs)
     topology = dep.topology
-
+    network = dep.network
+    hops = network.record_hops()
     bindings = _header_bindings(compiled)
-    records: List[_HopRecord] = []
-
-    def on_event(event) -> None:
-        if event.kind != "parse":
-            return
-        packet = event.packet
-        records.append(_HopRecord(
-            switch=event.node,
-            ingress_port=event.port,
-            packet_length=event.detail["packet_length"],
-            header_values={
-                var: _resolve_header(binding, packet, event.port)
-                for var, binding in bindings.items()
-            },
-            hydra=_decode_hydra(compiled, packet),
-        ))
-
-    tracer.subscribe(on_event)
 
     run = _EngineRun()
-    dst = dep.network.host(scenario.dst_host)
+    dst = network.host(scenario.dst_host)
     for spec in scenario.packets:
-        records.clear()
+        hops.clear()
         dep.clear_reports()
         before_rx = dst.rx_count
         packet = build_packet(spec, topology, scenario.src_host,
                               scenario.dst_host)
-        dep.network.host(scenario.src_host).send(packet)
-        dep.network.run()
+        network.host(scenario.src_host).send(packet)
+        network.run()
         run.verdicts.append(dst.rx_count > before_rx)
-        run.hop_records.append(list(records))
+        run.hops.append([_hop_view(hop, bindings, compiled)
+                         for hop in hops])
         run.reports.append([
             (r.block, topology.switches[r.switch_name].switch_id, r.payload)
             for r in dep.reports
@@ -281,7 +295,7 @@ def _run_engine(scenario: Scenario, compiled: CompiledChecker,
 # ---------------------------------------------------------------------------
 
 def _build_trace(scenario: Scenario, topology,
-                 hops: List[_HopRecord]) -> Dict[str, Any]:
+                 hops: List[_HopView]) -> Dict[str, Any]:
     """The tracecheck document reconstructing what the deployment saw.
 
     ``hop_count`` is set to ``i + 1`` because the compiled telemetry
@@ -317,7 +331,11 @@ def run_scenario(scenario: Scenario,
     the campaign knob used to validate that optimization changes
     nothing observable.  ``engines`` names the engines the oracle
     cross-checks (default :data:`repro.p4.ENGINES`); the first is the
-    comparison anchor and every other must agree with it byte-for-byte.
+    comparison anchor, whose hops feed the monitor, and every other must
+    agree with it hop by hop and byte for byte.  Each engine's
+    configuration follows its name, not its position (see
+    :func:`build_scenario_deployment`): ``interp`` always runs the
+    reference configuration.
     """
     engines = tuple(engines) if engines else ENGINES
     if len(engines) < 2:
@@ -360,6 +378,10 @@ def run_scenario(scenario: Scenario,
             if a.verdicts[i] != b.verdicts[i]:
                 return fail("engine", f"verdict {anchor}={a.verdicts[i]} "
                             f"{other}={b.verdicts[i]}", i)
+            if a.hops[i] != b.hops[i]:
+                where = _hop_difference(a.hops[i], b.hops[i])
+                return fail("engine", f"hops differ, {where} "
+                            f"({anchor} vs {other})", i)
             if a.delivered[i] != b.delivered[i]:
                 return fail("engine", f"delivered packet bytes differ "
                             f"({anchor} vs {other})", i)
@@ -380,18 +402,12 @@ def run_scenario(scenario: Scenario,
     topology = scenario.build_topology()
     run = runs[anchor]
     for i in range(len(scenario.packets)):
-        hops = run.hop_records[i]
+        hops = run.hops[i]
         if not hops:
             return fail("verdict", "packet never reached a switch", i)
         trace = _build_trace(scenario, topology, hops)
-        snapshots: List[Dict[str, Any]] = []
-        mon_tracer = Tracer()
-        mon_tracer.subscribe(
-            lambda ev: snapshots.append(_tele_snapshot(ev.detail["state"]))
-            if ev.kind == "monitor_hop" else None)
-        trace_result = run_trace(checked, trace,
-                                 obs=Observability(tracer=mon_tracer),
-                                 packet_id=i)
+        trace_result = run_trace(checked, trace, packet_id=i)
+        snapshots = trace_result.hop_tele
         result.packets_run += 1
 
         # Verdict: delivered iff the monitor accepted.

@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Tuple)
 
 from ..obs import NULL_OBS, Observability
 from ..p4.bmv2 import (DEFAULT_LOG_CAPACITY, Bmv2Switch, BoundedLog,
-                       DigestMessage)
+                       DigestMessage, drop_reason)
 from .fastforward import stateless_program
 from .packet import Packet
 from .topology import Endpoint, Link, Topology
@@ -302,10 +302,15 @@ class _LazySource:
         self.head: Optional[Tuple[float, Packet]] = next(self._iter, None)
 
     def pop(self) -> Tuple[float, Packet]:
+        """Take the head and pull the next emission.  A pull that raises
+        (or breaks the order) ends the source: the taken head is not
+        sent and ``head`` stays None, so nothing resumes it."""
         head = self.head
-        pulled = self.head = next(self._iter, None)
+        self.head = None
+        pulled = next(self._iter, None)
         if pulled is not None and pulled[0] < head[0]:
             raise self.unordered(pulled[0], head[0])
+        self.head = pulled
         return head
 
     def unordered(self, when: float, prev: float) -> ValueError:
@@ -315,6 +320,28 @@ class _LazySource:
 
 #: The source of a drain that has only parked replays to finish.
 _EXHAUSTED = _LazySource("", ())
+
+
+class HopRecord(NamedTuple):
+    """One pipeline run, as :meth:`Network.record_hops` keeps it.
+
+    Assembled at the call site from what the engine already returns:
+    ``packet`` is the engine's argument, the pre-pipeline packet (both
+    engines only read it), ``outputs`` its result, ``digests`` how many
+    digests the run raised.
+    """
+
+    t: float                           # sim time the pipeline ran
+    switch: str
+    ingress_port: int
+    packet: Packet
+    outputs: List[Tuple[int, Packet]]  # empty: dropped
+    digests: int
+
+    @property
+    def drop_reason(self) -> Optional[str]:
+        """None if the packet left the pipeline, else its drop label."""
+        return None if self.outputs else drop_reason(self.packet)
 
 
 class Network:
@@ -330,8 +357,12 @@ class Network:
     With ``batched=True`` the network runs the batch hot loop (eager
     path walks, plus flow fast-forwarding where every switch program
     is stateless) with timing identical to event mode; a live tracer
-    disables the eager machinery (trace consumers want one event per
-    hop) and falls back to event mode transparently.
+    still disables the eager machinery (trace consumers want one event
+    per hop) and falls back to event mode transparently.
+
+    :meth:`record_hops` keeps a :class:`HopRecord` per pipeline run on
+    ``hops``; both modes record the same hops (batched mode does not
+    fast-forward flows while recording).
     """
 
     def __init__(self, topology: Topology,
@@ -387,6 +418,8 @@ class Network:
             device.bmv2.on_digest(self.reports.append)
         self.packets_delivered = 0
         self.packets_lost = 0
+        #: The recent :class:`HopRecord`s; None until :meth:`record_hops`.
+        self.hops: Optional[BoundedLog] = None
         # -- batched-mode state --------------------------------------------
         #: Whether the eager machinery runs at all (see class docstring).
         self._eager = batched and not self._trace
@@ -410,6 +443,27 @@ class Network:
         return lambda count: self.obs.registry.counter(
             "log_evictions_total", "entries evicted from bounded ring logs",
             labels=("log", "node")).labels(log, node).inc(count)
+
+    def record_hops(self) -> BoundedLog:
+        """Keep a :class:`HopRecord` per pipeline run from now on: the
+        recent ones on ``self.hops`` (returned).  While it is attached,
+        flow fast-forwarding declines (a replay skips pipeline runs), so
+        batched mode walks every packet."""
+        self.hops = BoundedLog(DEFAULT_LOG_CAPACITY)
+        # Replays already in flight go stale, so they re-walk and record.
+        self._cache_gen = next(_GENERATIONS)
+        return self.hops
+
+    def _process_recorded(self, device: SwitchDevice, packet: Packet,
+                          port: int, t: float) -> List[Tuple[int, Packet]]:
+        """``device``'s pipeline run at ``t``, with its hop recorded."""
+        hops = self.hops
+        digests = device.bmv2.digests
+        before = digests.total
+        outputs = device.bmv2.process(packet, port)
+        hops.append(HopRecord(t, device.name, port, packet, outputs,
+                              digests.total - before))
+        return outputs
 
     # -- transmission ------------------------------------------------------------
 
@@ -522,7 +576,11 @@ class Network:
 
     def _forward(self, device: SwitchDevice, packet: Packet,
                  ingress_port: int) -> None:
-        outputs = device.bmv2.process(packet, ingress_port)
+        if self.hops is None:
+            outputs = device.bmv2.process(packet, ingress_port)
+        else:
+            outputs = self._process_recorded(device, packet, ingress_port,
+                                             self.sim.now)
         if not outputs:
             # The switch's own instrumentation emits the drop event
             # (reason=ttl|pipeline) — it knows the verdict; the network
@@ -592,6 +650,10 @@ class Network:
         sim = self.sim
         until = sim.run_until
         while True:
+            # Event mode pops each emission at its instant (no walk got
+            # past it: the cap), so a source that raises stops the
+            # clock there in both modes.
+            sim.now = source.head[0]
             when, packet = source.pop()
             head = source.head
             self._walk_from_host(source.host, packet, when,
@@ -607,8 +669,9 @@ class Network:
 
     def _ff_ready(self) -> bool:
         """Flow fast-forwarding admission: every switch stateless, no
-        wire serialization, no live tracer (checked by callers)."""
-        if self.serialize_on_wire:
+        wire serialization, no hop recorder, no live tracer (checked by
+        callers)."""
+        if self.serialize_on_wire or self.hops is not None:
             return False
         if self._stateless is None:
             self._stateless = all(
@@ -762,7 +825,10 @@ class Network:
                                 device.processing_delay_s, packet))
                 continue
             # phase == "fw": the pipeline runs at forward time t.
-            outputs = device.bmv2.process(packet, port)
+            if self.hops is None:
+                outputs = device.bmv2.process(packet, port)
+            else:
+                outputs = self._process_recorded(device, packet, port, t)
             if not outputs:
                 self.packets_lost += 1
                 if rec is not None:
@@ -916,6 +982,12 @@ class Network:
         (as a sentinel event when earlier global work is still queued)
         so the clock ends where event mode would leave it.
 
+        Every exit is that one exit, a raise included: when the source
+        raises (or breaks its order) the fast tier writes back first,
+        parked items go back to the scheduler, the clock reaches the
+        failed emission's time and the source is not resumed — where
+        event mode, whose pump raised at that instant, leaves things.
+
         Heap items: ``(t, seq, legs, index, emission, gen)`` — resume
         ``legs`` at ``index`` at time ``t``; ``gen`` is the generation
         the replay started under.
@@ -942,221 +1014,234 @@ class Network:
         # The tie rule: the first item is due at the instant this call
         # was popped at, and runs even against an equal-time horizon.
         owner = True
-        now_hi = sim.now
+        now_hi = t = sim.now
         src_name = source.host
         src_iter = source._iter
-        while True:
-            # ======== fast tier: nothing parked locally ========
-            dvhost: Optional[Host] = None
-            late: Optional[ValueError] = None
-            while not heap:
-                head = source.head
-                if head is None:
-                    break
-                t = head[0]
-                if (t >= g_h and not owner) or t > stop:
-                    break
-                emission = head[1]
-                try:
-                    ff = emission._ff
-                except AttributeError:
-                    break
-                if ff[0] != gen or ff[2] != src_name or ff[3] is None:
-                    break
-                swleg = ff[5]
-                if dvhost is None:
-                    # Load the endpoint state this run works on.
-                    if ff[7].rx_callbacks:
-                        break
-                    dvhost = ff[7]
-                    src_host = self.hosts[src_name]
-                    cdev = swleg[7]
-                    cport = swleg[2]
-                    nic_busy = src_host.nic_busy_until
-                    pbusy = cdev.port_busy_until.get(cport, 0.0)
-                    ntx = fwd_bytes = nrx = rx_bytes = 0
-                    last_rx = dvhost.last_rx_time
-                    received = dvhost.received.push
-                elif (ff[7] is not dvhost or swleg[7] is not cdev
-                      or swleg[2] != cport):
-                    break
-                head = source.head = nxt(src_iter, None)
-                if head is not None and head[0] < t:
-                    late = source.unordered(head[0], t)
-                    break        # raised below, after the write-back
-                owner = False
-                hw = ff[3]
-                start = t if t > nic_busy else nic_busy
-                if start - t > maxq_b:
-                    src_host.nic_drops += 1
-                    self._drop(hw[1], hw[6], "queue_full", port=0,
-                               queue_wait_s=start - t)
-                    continue
-                tx_time = hw[3]
-                nic_busy = start + tx_time
-                ntx += 1
-                t = (start + tx_time - t) + hw[4] + t
-                t = t + ff[4]
-                if t >= g_h or t > stop:
-                    hpush(heap, (t, seq, ff[1], 2, emission, gen))
-                    seq += 1
-                    break
-                start = t if t > pbusy else pbusy
-                if start - t > maxq_b:
-                    self._drop(swleg[1], swleg[6], "queue_full",
-                               port=cport, queue_wait_s=start - t)
-                    continue
-                tx_time = swleg[3]
-                pbusy = start + tx_time
-                fwd_bytes += swleg[5]
-                t = (start + tx_time - t) + swleg[4] + t
-                if t >= g_h or t > stop:
-                    hpush(heap, (t, seq, ff[1], 3, emission, gen))
-                    seq += 1
-                    break
-                if t > now_hi:
-                    now_hi = t
-                dvleg = ff[6]
-                nrx += 1
-                rx_bytes += dvleg[4]
-                last_rx = t
-                received((t, dvleg[3] if emission is hw[6] else
-                          self._replay_out(ff[1], dvleg, emission)))
-            if dvhost is not None:
-                # The one write-back of the fast tier's cached state.
-                src_host.nic_busy_until = nic_busy
-                src_host.tx_count += ntx
-                cdev.port_busy_until[cport] = pbusy
-                cdev.bytes_forwarded += fwd_bytes
-                dvhost.rx_count += nrx
-                dvhost.received.account(nrx)
-                dvhost.rx_bytes += rx_bytes
-                dvhost.last_rx_time = last_rx
-                self.packets_delivered += nrx
-                if nrx and self._metrics:
-                    self._m_delivered.labels(dvhost.name).inc(nrx)
-                if late is not None:
-                    raise late
-                if not heap:
-                    continue     # another port or sink: reload
-            # ======== one generic step ========
-            head = source.head
-            if heap and (head is None or heap[0][0] < head[0]):
-                t, _, legs, index, emission, wgen = heap[0]
-            elif head is not None:
-                t = head[0]
-                emission = head[1]
-                legs = None
-            else:
-                break
-            if (t >= g_h and not owner) or t > stop:
-                break
-            owner = False
-            if legs is not None:
-                hpop(heap)
-            else:
-                head = source.head = nxt(src_iter, None)
-                if head is not None and head[0] < t:
-                    raise source.unordered(head[0], t)
-                ff = getattr(emission, "_ff", None)
-                if ff is not None and ff[0] == gen and ff[2] == src_name:
-                    legs = ff[1]
-                index = 0
-                wgen = gen
-            # Legs yield to the next local item — an emission of this
-            # source or a parked replay — as well as to the horizon.
-            bound = head[0] if head is not None else inf
-            if heap and heap[0][0] < bound:
-                bound = heap[0][0]
-            if legs is None or (wgen != gen and legs[index][0] != "dv"):
-                # No (valid) record: a recording walk; a stale parked
-                # replay: a plain walk of what remains.  (A parked
-                # delivery has no pipeline ahead of it to go stale.)
-                cap = bound if bound < inf else None
-                if legs is None:
-                    self._walk_from_host(src_name, emission, t, cap)
-                else:
-                    self._replay_stale(legs, t, index, cap)
-                g = peek()
-                g_h = g if g is not None else inf
-                gen = self._cache_gen
-                continue
+        try:
             while True:
-                leg = legs[index]
-                code = leg[0]
-                if code == "hw":
-                    host = leg[7]
-                    tx_time = leg[3]
-                    busy = host.nic_busy_until
-                    start = t if t > busy else busy
-                    if start - t > maxq_b:
-                        host.nic_drops += 1
-                        self._drop(leg[1], leg[6], "queue_full", port=0,
-                                   queue_wait_s=start - t)
+                # ======== fast tier: nothing parked locally ========
+                dvhost: Optional[Host] = None
+                fault: Optional[BaseException] = None
+                while not heap:
+                    head = source.head
+                    if head is None:
                         break
-                    host.nic_busy_until = start + tx_time
-                    host.tx_count += 1
-                    t = (start + tx_time - t) + leg[4] + t
-                elif code == "sw":
-                    device = leg[7]
-                    port = leg[2]
-                    tx_time = leg[3]
-                    busy = device.port_busy_until.get(port, 0.0)
-                    start = t if t > busy else busy
-                    if start - t > maxq_b:
-                        self._drop(leg[1], leg[6], "queue_full", port=port,
-                                   queue_wait_s=start - t)
+                    t = head[0]
+                    if (t >= g_h and not owner) or t > stop:
                         break
-                    device.port_busy_until[port] = start + tx_time
-                    device.bytes_forwarded += leg[5]
-                    t = (start + tx_time - t) + leg[4] + t
-                elif code == "fw":
-                    # The pipeline is skipped; only its delay counts.
-                    t = t + leg[3]
-                elif code == "dv":
-                    sim.now = t
+                    emission = head[1]
+                    try:
+                        ff = emission._ff
+                    except AttributeError:
+                        break
+                    if ff[0] != gen or ff[2] != src_name or ff[3] is None:
+                        break
+                    swleg = ff[5]
+                    if dvhost is None:
+                        # Load the endpoint state this run works on.
+                        if ff[7].rx_callbacks:
+                            break
+                        dvhost = ff[7]
+                        src_host = self.hosts[src_name]
+                        cdev = swleg[7]
+                        cport = swleg[2]
+                        nic_busy = src_host.nic_busy_until
+                        pbusy = cdev.port_busy_until.get(cport, 0.0)
+                        ntx = fwd_bytes = nrx = rx_bytes = 0
+                        last_rx = dvhost.last_rx_time
+                        received = dvhost.received.push
+                    elif (ff[7] is not dvhost or swleg[7] is not cdev
+                          or swleg[2] != cport):
+                        break
+                    # A pull that fails is raised below, after the
+                    # write-back.
+                    try:
+                        head = source.head = nxt(src_iter, None)
+                    except BaseException as exc:
+                        fault = exc
+                        break
+                    if head is not None and head[0] < t:
+                        fault = source.unordered(head[0], t)
+                        break
+                    owner = False
+                    hw = ff[3]
+                    start = t if t > nic_busy else nic_busy
+                    if start - t > maxq_b:
+                        src_host.nic_drops += 1
+                        self._drop(hw[1], hw[6], "queue_full", port=0,
+                                   queue_wait_s=start - t)
+                        continue
+                    tx_time = hw[3]
+                    nic_busy = start + tx_time
+                    ntx += 1
+                    t = (start + tx_time - t) + hw[4] + t
+                    t = t + ff[4]
+                    if t >= g_h or t > stop:
+                        hpush(heap, (t, seq, ff[1], 2, emission, gen))
+                        seq += 1
+                        break
+                    start = t if t > pbusy else pbusy
+                    if start - t > maxq_b:
+                        self._drop(swleg[1], swleg[6], "queue_full",
+                                   port=cport, queue_wait_s=start - t)
+                        continue
+                    tx_time = swleg[3]
+                    pbusy = start + tx_time
+                    fwd_bytes += swleg[5]
+                    t = (start + tx_time - t) + swleg[4] + t
+                    if t >= g_h or t > stop:
+                        hpush(heap, (t, seq, ff[1], 3, emission, gen))
+                        seq += 1
+                        break
                     if t > now_hi:
                         now_hi = t
-                    self._arrive(leg[5],
-                                 self._replay_out(legs, leg, emission),
-                                 leg[4])
+                    dvleg = ff[6]
+                    nrx += 1
+                    rx_bytes += dvleg[4]
+                    last_rx = t
+                    received((t, dvleg[3] if emission is hw[6] else
+                              self._replay_out(ff[1], dvleg, emission)))
+                if dvhost is not None:
+                    # The one write-back of the fast tier's cached state.
+                    src_host.nic_busy_until = nic_busy
+                    src_host.tx_count += ntx
+                    cdev.port_busy_until[cport] = pbusy
+                    cdev.bytes_forwarded += fwd_bytes
+                    dvhost.rx_count += nrx
+                    dvhost.received.account(nrx)
+                    dvhost.rx_bytes += rx_bytes
+                    dvhost.last_rx_time = last_rx
+                    self.packets_delivered += nrx
+                    if nrx and self._metrics:
+                        self._m_delivered.labels(dvhost.name).inc(nrx)
+                    if fault is not None:
+                        source.head = None   # ended, as ``pop`` ends it
+                        raise fault
+                    if not heap:
+                        continue     # another port or sink: reload
+                # ======== one generic step ========
+                head = source.head
+                if heap and (head is None or heap[0][0] < head[0]):
+                    t, _, legs, index, emission, wgen = heap[0]
+                elif head is not None:
+                    t = head[0]
+                    emission = head[1]
+                    legs = None
+                else:
+                    break
+                if (t >= g_h and not owner) or t > stop:
+                    break
+                owner = False
+                if legs is not None:
+                    hpop(heap)
+                else:
+                    source.pop()
+                    head = source.head
+                    ff = getattr(emission, "_ff", None)
+                    if ff is not None and ff[0] == gen and ff[2] == src_name:
+                        legs = ff[1]
+                    index = 0
+                    wgen = gen
+                # Legs yield to the next local item — an emission of this
+                # source or a parked replay — as well as to the horizon.
+                bound = head[0] if head is not None else inf
+                if heap and heap[0][0] < bound:
+                    bound = heap[0][0]
+                if legs is None or (wgen != gen and legs[index][0] != "dv"):
+                    # No (valid) record: a recording walk; a stale parked
+                    # replay: a plain walk of what remains.  (A parked
+                    # delivery has no pipeline ahead of it to go stale.)
+                    cap = bound if bound < inf else None
+                    if legs is None:
+                        self._walk_from_host(src_name, emission, t, cap)
+                    else:
+                        self._replay_stale(legs, t, index, cap)
                     g = peek()
                     g_h = g if g is not None else inf
                     gen = self._cache_gen
-                    break
-                else:  # "dr"
-                    self.packets_lost += 1
-                    break
-                index += 1
-                # Arrival at a switch is no scheduling point: a packet
-                # parks at forward time (as ``_walk`` and the fast tier
-                # park it), so equal forward times keep claim order.
-                if legs[index][0] != "fw" and (
-                        t >= bound or t >= g_h or t > stop):
-                    hpush(heap, (t, seq, legs, index, emission, wgen))
-                    seq += 1
-                    break
-        # ---- exit: hand what is left back to the scheduler ----------
-        schedule_at = sim.schedule_at
-        while heap:
-            # Heap order preserves the (time, seq) execution order.
-            item = hpop(heap)
-            leg = item[2][item[3]]
-            if leg[0] == "dv":
-                schedule_at(
-                    item[0],
-                    lambda i=item, leg=leg: self._arrive(
-                        leg[5], self._replay_out(i[2], leg, i[4]), leg[4]))
-            else:
-                schedule_at(item[0],
-                            lambda i=item: self._drain(_EXHAUSTED, [i]))
-        if source.head is not None:
-            schedule_at(source.head[0], lambda: self._pump(source))
-        if now_hi > sim.now:
-            if sim.pending:
-                schedule_at(now_hi, _noop)
-            else:
-                sim.now = now_hi
+                    continue
+                while True:
+                    leg = legs[index]
+                    code = leg[0]
+                    if code == "hw":
+                        host = leg[7]
+                        tx_time = leg[3]
+                        busy = host.nic_busy_until
+                        start = t if t > busy else busy
+                        if start - t > maxq_b:
+                            host.nic_drops += 1
+                            self._drop(leg[1], leg[6], "queue_full", port=0,
+                                       queue_wait_s=start - t)
+                            break
+                        host.nic_busy_until = start + tx_time
+                        host.tx_count += 1
+                        t = (start + tx_time - t) + leg[4] + t
+                    elif code == "sw":
+                        device = leg[7]
+                        port = leg[2]
+                        tx_time = leg[3]
+                        busy = device.port_busy_until.get(port, 0.0)
+                        start = t if t > busy else busy
+                        if start - t > maxq_b:
+                            self._drop(leg[1], leg[6], "queue_full", port=port,
+                                       queue_wait_s=start - t)
+                            break
+                        device.port_busy_until[port] = start + tx_time
+                        device.bytes_forwarded += leg[5]
+                        t = (start + tx_time - t) + leg[4] + t
+                    elif code == "fw":
+                        # The pipeline is skipped; only its delay counts.
+                        t = t + leg[3]
+                    elif code == "dv":
+                        sim.now = t
+                        if t > now_hi:
+                            now_hi = t
+                        self._arrive(leg[5],
+                                     self._replay_out(legs, leg, emission),
+                                     leg[4])
+                        g = peek()
+                        g_h = g if g is not None else inf
+                        gen = self._cache_gen
+                        break
+                    else:  # "dr"
+                        self.packets_lost += 1
+                        break
+                    index += 1
+                    # Arrival at a switch is no scheduling point: a packet
+                    # parks at forward time (as ``_walk`` and the fast tier
+                    # park it), so equal forward times keep claim order.
+                    if legs[index][0] != "fw" and (
+                            t >= bound or t >= g_h or t > stop):
+                        hpush(heap, (t, seq, legs, index, emission, wgen))
+                        seq += 1
+                        break
+        except BaseException:
+            # Event mode raises at the instant of the step that failed.
+            if t > now_hi:
+                now_hi = t
+            raise
+        finally:
+            # ---- exit: hand what is left back to the scheduler ------
+            schedule_at = sim.schedule_at
+            while heap:
+                # Heap order preserves the (time, seq) execution order.
+                item = hpop(heap)
+                leg = item[2][item[3]]
+                if leg[0] == "dv":
+                    schedule_at(
+                        item[0],
+                        lambda i=item, leg=leg: self._arrive(
+                            leg[5], self._replay_out(i[2], leg, i[4]), leg[4]))
+                else:
+                    schedule_at(item[0],
+                                lambda i=item: self._drain(_EXHAUSTED, [i]))
+            if source.head is not None:
+                schedule_at(source.head[0], lambda: self._pump(source))
+            if now_hi > sim.now:
+                if sim.pending:
+                    schedule_at(now_hi, _noop)
+                else:
+                    sim.now = now_hi
 
     # -- conveniences -----------------------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Structured packet-lifecycle trace events.
 
-One canonical event stream replaces the ad-hoc taps observability used
-to require (the difftest harness's monkey-patched ``process()``, the
-monitor's ``on_hop`` callback): every layer emits
-:class:`TraceEvent`s into a :class:`Tracer`, which keeps a bounded ring
-of recent events and fans each event out synchronously to subscribers.
+Every layer emits :class:`TraceEvent`s into one :class:`Tracer`, which
+keeps a bounded ring of recent events and fans each event out
+synchronously to subscribers.  (The difftest harness used to read the
+``parse`` events; it reads the network's hop records now, from
+:meth:`~repro.net.simulator.Network.record_hops`.)
 
 Event kinds, in packet-lifecycle order:
 

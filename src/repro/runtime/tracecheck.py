@@ -19,15 +19,15 @@ building a network::
     }
 
 ``first_hop``/``last_hop`` default to the trace's endpoints and can be
-overridden per hop.  The result carries the verdict, all reports, and
-the final telemetry values.
+overridden per hop.  The result carries the verdict, all reports, the
+final telemetry values, and a snapshot of the telemetry after each hop.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..indus import (ControlStore, HopContext, Monitor, MonitorState,
                      SensorStore)
@@ -46,6 +46,8 @@ class TraceResult:
     accepted: bool
     state: MonitorState
     hop_count: int
+    #: The tele values after each hop, as plain ints and int lists.
+    hop_tele: List[Dict[str, Any]]
 
     @property
     def reports(self):
@@ -57,6 +59,13 @@ class TraceResult:
             out[name] = (value.valid_items()
                          if hasattr(value, "valid_items") else value)
         return out
+
+
+def _tele_snapshot(state: MonitorState) -> Dict[str, Any]:
+    """A plain-data copy of a monitor state's tele values."""
+    return {name: ([int(v) for v in value.valid_items()]
+                   if hasattr(value, "valid_items") else int(value))
+            for name, value in state.tele.items()}
 
 
 def _apply_controls(store: ControlStore, spec: Dict[str, Any]) -> None:
@@ -82,12 +91,12 @@ def run_trace(checked: CheckedProgram, trace: Dict[str, Any],
               packet_id: int = 0) -> TraceResult:
     """Run the monitor for ``checked`` over a parsed trace document.
 
-    With a live tracer on ``obs``, a ``monitor_hop`` event is emitted
-    after each hop, carrying the live :class:`MonitorState` in
-    ``detail["state"]`` — the differential oracle subscribes to this to
-    snapshot intermediate telemetry and compare it against the values
-    the compiled pipeline carried on the wire.  The state object is the
-    live monitor state; subscribers must copy what they keep.
+    The result's ``hop_tele`` holds the telemetry after each hop — what
+    the differential oracle compares against the values the compiled
+    pipeline carried on the wire.  With a live tracer on ``obs``, a
+    ``monitor_hop`` event is also emitted after each hop, carrying the
+    live :class:`MonitorState` in ``detail["state"]``; subscribers must
+    copy what they keep.
     """
     obs = obs if obs is not None else NULL_OBS
     trace_live = obs.tracer.live
@@ -100,6 +109,7 @@ def run_trace(checked: CheckedProgram, trace: Dict[str, Any],
     global_controls = trace.get("controls", {})
     sensors = SensorStore()
     state = monitor.new_state()
+    hop_tele = []
     for i, hop in enumerate(hops):
         if not isinstance(hop, dict):
             raise TraceFormatError(f"hop {i} must be an object")
@@ -117,6 +127,7 @@ def run_trace(checked: CheckedProgram, trace: Dict[str, Any],
             switch_id=int(hop.get("switch_id", i + 1)),
         )
         monitor.run_hop(state, ctx)
+        hop_tele.append(_tele_snapshot(state))
         if trace_live:
             obs.tracer.emit("monitor_hop", "monitor", packet_id,
                             hop=i, switch_id=ctx.switch_id,
@@ -126,7 +137,7 @@ def run_trace(checked: CheckedProgram, trace: Dict[str, Any],
             "monitor_rejections_total",
             "traces rejected by the reference monitor").labels().inc()
     return TraceResult(accepted=not state.rejected, state=state,
-                       hop_count=len(hops))
+                       hop_count=len(hops), hop_tele=hop_tele)
 
 
 def run_trace_file(checked: CheckedProgram, path: str) -> TraceResult:

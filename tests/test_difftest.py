@@ -107,6 +107,66 @@ def test_campaign_feeds_the_callers_registry():
 
 
 # ---------------------------------------------------------------------------
+# The subject is the build we ship, compared hop by hop
+# ---------------------------------------------------------------------------
+
+def _keep_deployments(monkeypatch, tweak=None):
+    """Capture each engine's deployment as the oracle builds it, after
+    ``tweak(engine, deployment)`` if given."""
+    from repro.difftest import harness
+
+    built = {}
+    build = harness.build_scenario_deployment
+
+    def keep(scenario, compiled, engine="codegen", obs=None):
+        built[engine] = deployment = build(scenario, compiled,
+                                           engine=engine, obs=obs)
+        if tweak is not None:
+            tweak(engine, deployment)
+        return deployment
+
+    monkeypatch.setattr(harness, "build_scenario_deployment", keep)
+    return built
+
+
+def test_the_subject_is_the_shipped_build(monkeypatch):
+    """The reference is interp in event mode; the subject is codegen
+    uninstrumented on the batched plane, with the same entries written
+    in bulk, and its run memos form."""
+    built = _keep_deployments(monkeypatch)
+    result = run_scenario(gen_scenario(7))   # three switches, controls set
+    assert result.ok and result.hops_checked > 0
+    reference, subject = built["interp"], built["codegen"]
+    assert not reference.network._eager
+    assert subject.network._eager and not subject.obs.live
+    runs = [sw.engine_counts()["runs"] for sw in subject.switches.values()]
+    assert sum(r["sites"] for r in runs) > 0
+    assert sum(r["fills"] for r in runs) > 0
+    for name, sw in subject.switches.items():
+        assert "TR." not in sw._engine.source
+        assert sw.entries == reference.switches[name].entries
+        assert sw.index_counts()["fwd_table"]["rebuilds"] == 0
+    for deployment in built.values():     # the last packet's hops
+        hops = deployment.network.hops
+        assert sum(hop.digests for hop in hops) == len(deployment.reports) > 0
+
+
+def test_engines_are_compared_hop_by_hop(monkeypatch):
+    """A subject whose switches take one stage longer delivers the same
+    bytes, verdicts, reports and registers; only the per-hop comparison,
+    times included, sees the difference."""
+    def slower(engine, deployment):
+        if engine == "codegen":
+            for device in deployment.network.switches.values():
+                device.stages += 1
+
+    _keep_deployments(monkeypatch, slower)
+    failure = run_scenario(gen_scenario(0)).failure
+    assert failure is not None and failure.kind == "engine"
+    assert failure.message.startswith("hops differ, hop 0 t: ")
+
+
+# ---------------------------------------------------------------------------
 # One front-end pass, still an independent reference
 # ---------------------------------------------------------------------------
 

@@ -12,11 +12,18 @@ import random
 
 import pytest
 
+from repro.aether.upf import upf_program
 from repro.compiler import compile_program, standalone_program
-from repro.net.packet import ip, make_tcp, make_udp
+from repro.difftest import (build_packet, build_scenario_deployment,
+                            gen_scenario)
+from repro.experiments.fig12 import (ALL_CHECKERS, configure_checker_controls,
+                                     install_fabric_routes)
+from repro.net.packet import ip, make_gtpu_encapsulated, make_tcp, make_udp
+from repro.net.topology import leaf_spine
 from repro.p4 import ENGINES
 from repro.p4.bmv2 import Bmv2Switch
-from repro.properties import PROPERTIES, load_source
+from repro.properties import PROPERTIES, compile_suite, load_source
+from repro.runtime.deployment import HydraDeployment
 from tests.genprog import gen_multihop_program, gen_program
 
 
@@ -193,3 +200,77 @@ def test_control_plane_churn_engines_agree():
     for e in ENGINES:
         assert switches[e].packets_processed == \
             switches[ENGINES[0]].packets_processed
+
+
+# ---------------------------------------------------------------------------
+# A hop record holds the engine's argument: no engine writes its input
+# ---------------------------------------------------------------------------
+
+def _wire_view(packet):
+    return [(h.valid, h.to_bits()) for h in packet.headers], packet.payload_len
+
+
+def _pin_inputs(switches):
+    """Make each switch's ``process`` assert that its input packet reads
+    the same after the call as before; returns every ``(switch, input,
+    view)`` seen, so a caller can check the inputs again after the run."""
+    seen = []
+    for sw in switches:
+        def pinned(packet, port, process=sw.process, name=sw.name):
+            before = _wire_view(packet)
+            outputs = process(packet, port)
+            assert _wire_view(packet) == before, name
+            seen.append((name, packet, before))
+            return outputs
+        sw.process = pinned
+    return seen
+
+
+@pytest.fixture(scope="module")
+def all_checkers_suite():
+    return compile_suite(ALL_CHECKERS)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_no_engine_writes_the_packet_it_is_handed(engine,
+                                                  all_checkers_suite):
+    """What :class:`~repro.net.simulator.HopRecord` rests on: the
+    pre-pipeline packet a record keeps by reference still holds every
+    header bit and validity flag it entered the pipeline with, when
+    ``process`` returns and when the run is over — over the oracle's
+    scenarios 0-49 and the all-checkers Figure 12 leaf and spine."""
+    pinned = []
+    for seed in range(50):
+        scenario = gen_scenario(seed)
+        compiled = compile_program(scenario.source(), name=f"dt{seed}")
+        deployment = build_scenario_deployment(scenario, compiled,
+                                               engine=engine)
+        pinned.append(_pin_inputs(deployment.switches.values()))
+        for spec in scenario.packets:
+            deployment.network.host(scenario.src_host).send(build_packet(
+                spec, deployment.topology, scenario.src_host,
+                scenario.dst_host))
+            deployment.network.run()
+    topology = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
+    forwarding = dict.fromkeys(topology.switches, upf_program("fabric_upf"))
+    fabric = HydraDeployment(topology, all_checkers_suite, forwarding,
+                             engine=engine)
+    install_fabric_routes(topology, fabric.switches)
+    configure_checker_controls(fabric, topology)
+    on_fabric = _pin_inputs(fabric.switches.values())
+    hosts = topology.hosts
+    for packet in (
+            make_udp(hosts["h1"].ipv4, hosts["h3"].ipv4, 4000, 9),
+            make_tcp(hosts["h1"].ipv4, hosts["h3"].ipv4, 4001, 80, ttl=2),
+            make_gtpu_encapsulated(
+                hosts["h1"].ipv4, hosts["h3"].ipv4, 77,
+                make_tcp(ip(172, 16, 0, 9), ip(8, 8, 8, 8), 5000, 443))):
+        fabric.network.host("h1").send(packet)
+        fabric.network.run()
+    crossed = {name for name, _, _ in on_fabric}
+    assert {"leaf1", "leaf2"} <= crossed
+    assert any(name.startswith("spine") for name in crossed)
+    seen = [hop for hops in pinned for hop in hops] + on_fabric
+    assert len(seen) > 100
+    for _, packet, before in seen:
+        assert _wire_view(packet) == before

@@ -1,8 +1,8 @@
 """Batched-mode network tests: timing-wheel semantics, batched-vs-event
-exactness (delivery counts, timestamps, and the final clock must be
-byte-identical), and the accounting regressions fixed alongside the
-batch hot loop (NIC drop counting, ``last_rx_time``, wire-roundtrip
-fidelity, lazy trace generation)."""
+exactness (delivery counts, timestamps, the final clock and the hop
+records must be identical), and the accounting regressions fixed
+alongside the batch hot loop (NIC drop counting, ``last_rx_time``,
+wire-roundtrip fidelity, lazy trace generation)."""
 
 import collections
 import random
@@ -198,19 +198,46 @@ def _make_chain(batched, hosts=4, **kwargs):
     return topo, network, s1, entries
 
 
+def _hops(network):
+    """The network's hop records by ``(t, switch, ingress port)``, as
+    values, packet ids remapped by first appearance (as in
+    :func:`_snapshot`) — from a ring that has not wrapped, since the two
+    modes append in different orders."""
+    assert not network.hops.dropped
+    id_map = {}
+
+    def rel(packet):
+        return (id_map.setdefault(packet.packet_id, len(id_map)),
+                [(h.name, h.valid, h.values) for h in packet.headers],
+                packet.payload_len)
+
+    return [(hop.t, hop.switch, hop.ingress_port, rel(hop.packet),
+             [(port, rel(out)) for port, out in hop.outputs], hop.digests,
+             hop.drop_reason)
+            for hop in sorted(network.hops, key=lambda hop: (
+                hop.t, hop.switch, hop.ingress_port))]
+
+
 def _run_both(attach, hosts=2, until=None, make=_make_network, **kwargs):
     """Run the same emission schedule in event and batched mode and
     demand identical observable outcomes (including timestamps and the
-    final simulator clock)."""
-    snaps = []
-    for batched in (False, True):
+    final simulator clock) and identical hop records; then run batched
+    mode again without a recorder and demand that recording changed
+    nothing."""
+    snaps, hops = [], []
+    for batched, record in ((False, True), (True, True), (True, False)):
         topo, network, bmv2, entries = make(batched, hosts, **kwargs)
+        if record:
+            network.record_hops()
         attach(topo, network, bmv2, entries)
         if until is not None:
             network.run(until=until)
         network.run()
         snaps.append(_snapshot(network))
-    assert snaps[0] == snaps[1]
+        if record:
+            hops.append(_hops(network))
+    assert snaps[0] == snaps[1] == snaps[2]
+    assert hops[0] == hops[1]
     return snaps[1]
 
 
@@ -521,6 +548,31 @@ def test_last_rx_time_survives_consuming_callbacks():
     h2 = network.host("h2")
     assert h2.received == []
     assert h2.last_rx_time == seen[-1]
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_hop_record_is_what_the_pipeline_was_handed_and_returned(batched):
+    """No recorder by default; once attached, one record per pipeline
+    run: the time it ran, the packet handed in (by reference), what came
+    out, and a drop's reason."""
+    topo, network, bmv2, entries = _make_network(batched)
+    assert network.hops is None
+    hops = network.record_hops()
+    bmv2.delete_entry("fwd_table", entries[1])      # h2's port: a miss
+    h1, h2 = topo.hosts["h1"].ipv4, topo.hosts["h2"].ipv4
+    sent = [make_udp(h1, h2, 1, 2), make_udp(h2, h1, 3, 4),
+            make_udp(h2, h1, 3, 4, ttl=1)]
+    for packet, host in zip(sent, ("h1", "h2", "h2")):
+        network.host(host).send(packet)
+        network.run()
+    assert [hop.packet for hop in hops] == sent
+    assert [(hop.switch, hop.ingress_port, hop.digests, hop.drop_reason)
+            for hop in hops] == [("s1", 1, 0, None), ("s1", 2, 0, "pipeline"),
+                                 ("s1", 2, 0, "ttl")]
+    (port, out), = hops[0].outputs
+    assert port == 2 and network.host("h2").received[-1][1] is out
+    assert hops[1].outputs == hops[2].outputs == []
+    assert 0 < hops[0].t < hops[1].t < hops[2].t == network.sim.now
 
 
 def test_wire_roundtrip_preserves_invalid_header_bits():

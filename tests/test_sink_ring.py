@@ -1,7 +1,8 @@
 """``Host.received`` is a ring: the same window in both traffic planes,
 countable evictions, a flat heap under repeated replays, an oracle that
-reads the newest delivery, and ``BoundedLog``'s uncounted half
-(``push`` + ``account``) equal to ``append``."""
+reads the newest delivery, ``BoundedLog``'s uncounted half (``push`` +
+``account``) equal to ``append``, and a source that stops (out of
+order, or raising) leaving both planes alike."""
 
 import dataclasses
 import gc
@@ -21,17 +22,19 @@ from repro.net.topology import single_switch
 from repro.obs import MetricsRegistry, Observability
 from repro.p4.bmv2 import DEFAULT_LOG_CAPACITY, Bmv2Switch, BoundedLog
 from repro.p4.programs import l2_port_forwarding
+from tests.test_simulator_batched import _snapshot
 
 CAPACITY = DEFAULT_LOG_CAPACITY
 GAP_S = 20e-6
 
 
-def _bare(engine, batched, obs=None):
+def _bare(engine, batched, obs=None, **kwargs):
     """h1 -> h2 through one switch, no checkers; three templates."""
     topo = single_switch(2)
     bmv2 = Bmv2Switch(l2_port_forwarding(), name="s1", engine=engine)
     bmv2.insert_entry("fwd_table", [1], "fwd_set_egress", [2])
-    network = Network(topo, {"s1": bmv2}, batched=batched, obs=obs)
+    network = Network(topo, {"s1": bmv2}, batched=batched, obs=obs,
+                      **kwargs)
     src, dst = topo.hosts["h1"].ipv4, topo.hosts["h2"].ipv4
     templates = [make_udp(src, dst, 1000 + i, 2222, payload_len=64 + 300 * i)
                  for i in range(3)]
@@ -284,3 +287,46 @@ def test_out_of_order_source_is_refused_alike(templates_differ):
     assert pulled == [1e-3, 3e-3, 2e-3]
     assert tx == rx == delivered == 1
     assert len(times) == 1 and 1e-3 < times[0] < 1.1e-3
+
+
+# ---------------------------------------------------------------------------
+# A source that raises mid-stream leaves both modes in one state
+# ---------------------------------------------------------------------------
+
+class _SourceFailed(Exception):
+    pass
+
+
+def _raising_source(batched, gap_s, sent, serialize_on_wire):
+    """``sent`` emissions ``gap_s`` apart, then the stream raises; a
+    second ``run()`` finishes what was in flight."""
+    network, templates = _bare("codegen", batched,
+                               serialize_on_wire=serialize_on_wire)
+
+    def stream():
+        for i in range(sent):
+            yield i * gap_s, templates[i % 3]
+        raise _SourceFailed
+
+    network.attach_source("h1", stream())
+    with pytest.raises(_SourceFailed):
+        network.run()
+    network.run()
+    return _snapshot(network)
+
+
+@pytest.mark.parametrize("serialize_on_wire", [False, True])
+@pytest.mark.parametrize("sent", [10, 50])
+@pytest.mark.parametrize("gap_s", [10e-6, 1e-6])
+def test_a_raising_source_ends_where_event_mode_ends(gap_s, sent,
+                                                     serialize_on_wire):
+    """Batched mode writes back the fast tier's counters, hands parked
+    packets to the scheduler and keeps the clock when the pull raises,
+    so the run that follows ends where event mode's does: the emission
+    whose successor raised is not sent, every earlier one arrives."""
+    event = _raising_source(False, gap_s, sent, serialize_on_wire)
+    batched = _raising_source(True, gap_s, sent, serialize_on_wire)
+    assert batched == event
+    assert event["hosts"]["h1"]["tx"] == event["hosts"]["h2"]["rx"] \
+        == sent - 1
+    assert event["now"] >= (sent - 1) * gap_s

@@ -165,3 +165,20 @@ def test_monitor_hop_events_see_intermediate_state():
     assert seen == [(0, 1), (1, 2), (2, 3)]
     assert [ev.node for ev in tracer.events(kind="monitor_hop")] == \
         ["monitor"] * 3
+
+
+def test_the_result_carries_each_hops_telemetry():
+    """Without a tracer: a plain-data snapshot per hop, arrays as the
+    list of their valid slots, booleans as ints."""
+    from repro.indus import check, parse
+
+    checked = check(parse(
+        "tele bit<16> n = 0;\ntele bool seen = false;\n"
+        "tele bit<16>[4] path;\n"
+        "{ } { n = n + 1; seen = true; path.push(n); } { }"))
+    result = run_trace(checked, {"hops": [{}, {}, {}]})
+    assert result.hop_tele == [
+        {"n": 1, "seen": 1, "path": [1]},
+        {"n": 2, "seen": 1, "path": [1, 2]},
+        {"n": 3, "seen": 1, "path": [1, 2, 3]}]
+    assert result.hop_tele[-1]["path"] == result.tele_values()["path"]
