@@ -29,11 +29,7 @@ Two execution modes share one timing model:
   without running a pipeline.  See ``docs/INTERNALS.md`` §5 for the
   invariants.
 
-The scheduler itself is a slotted timing wheel (per-slot min-heaps keep
-the exact ``(time, seq)`` FIFO order of the old global heap) with a
-plain heap fallback for events beyond the wheel window — far-future
-pre-scheduled load lands there and migrates into the wheel as the
-window advances.
+The scheduler itself (:class:`Simulator`) is one binary heap.
 """
 
 from __future__ import annotations
@@ -66,40 +62,20 @@ def _noop() -> None:
 
 
 class Simulator:
-    """A discrete-event scheduler: slotted timing wheel + far heap.
+    """A discrete-event scheduler: one heap of ``(time, seq, callback)``.
 
-    Events inside the wheel window (``wheel_slots * slot_width_s``
-    ahead of the high-water mark of ``now``) live in small per-slot
-    heaps; everything farther out lives in one overflow heap and
-    migrates into the wheel as the window advances.  Execution order is
-    identical to a single global heap: ascending ``(time, seq)``, so
-    simultaneous events run in scheduling order.
+    Events run in ascending ``(time, seq)`` order, so simultaneous
+    events run in scheduling order.
     """
 
-    def __init__(self, slot_width_s: float = 1e-6, wheel_slots: int = 4096):
+    def __init__(self) -> None:
         self.now = 0.0
         #: The ``until`` bound of the innermost :meth:`run` call — the
         #: batched network consults it so eager walks never execute
         #: simulated work past the caller's stop time.
         self.run_until: Optional[float] = None
-        self._slot_w = slot_width_s
-        self._nslots = wheel_slots
-        # A slot's heap is created by its first push: a short-lived
-        # network never pays for slots it does not reach.
-        self._wheel: List[Optional[List[Tuple[float, int, Callable]]]] = (
-            [None] * wheel_slots)
-        self._wheel_len = 0
-        self._far: List[Tuple[float, int, Callable[[], None]]] = []
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
-        # Window anchor: the high-water mark of now, in slots.  Batched
-        # walks may transiently step ``now`` backwards (a new walk
-        # starts earlier than the previous walk finished); anchoring
-        # the window at the high-water mark keeps every wheel entry
-        # inside [base, base + nslots) regardless.
-        self._base_slot = 0
-        # First wheel slot that may hold the next event; lowered on
-        # insert, advanced by scans.  Makes repeated peeks O(1).
-        self._scan_slot = 0
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         if delay < 0:
@@ -114,92 +90,28 @@ class Simulator:
         ``(time, seq)`` like every other event — the batched network
         uses this for continuation events anchored to virtual times.
         """
-        entry = (time, next(self._seq), callback)
-        slot = int(time / self._slot_w)
-        base = int(self.now / self._slot_w)
-        if base > self._base_slot:
-            self._base_slot = base
-        if slot < self._base_slot + self._nslots:
-            self._push(slot, entry)
-            if slot < self._scan_slot:
-                self._scan_slot = slot
-        else:
-            heapq.heappush(self._far, entry)
-
-    def _push(self, slot: int, entry: Tuple[float, int, Callable]) -> None:
-        index = slot % self._nslots
-        heap = self._wheel[index]
-        if heap is None:
-            heap = self._wheel[index] = []
-        heapq.heappush(heap, entry)
-        self._wheel_len += 1
-
-    def _next(self, pop: bool) -> Optional[Tuple[float, int, Callable]]:
-        if not self._wheel_len and not self._far:
-            return None
-        slot_w = self._slot_w
-        base = int(self.now / slot_w)
-        if base > self._base_slot:
-            self._base_slot = base
-        limit = self._base_slot + self._nslots
-        far = self._far
-        wheel = self._wheel
-        nslots = self._nslots
-        # Migrate far-future events whose slot entered the window.
-        while far and far[0][0] < limit * slot_w:
-            entry = heapq.heappop(far)
-            slot = int(entry[0] / slot_w)
-            self._push(slot, entry)
-            if slot < self._scan_slot:
-                self._scan_slot = slot
-        if self._wheel_len:
-            # Any in-window event precedes every far event, so the
-            # first occupied slot from the scan cursor holds the min.
-            # A physical slot counts as occupied at this index only if
-            # its earliest entry actually belongs here: when the cursor
-            # lags more than ``nslots`` behind the window's top (legal —
-            # overdue continuations may sit below the base), a high
-            # absolute slot aliases onto a low physical index, and
-            # accepting its entry early would reorder events.  The top
-            # entry decides exactly: the in-slot heap is time-ordered
-            # and time -> slot is monotonic, so an aliased top means
-            # every entry in the slot belongs to a later index.
-            slot_index = self._scan_slot
-            while slot_index < limit:
-                slot = wheel[slot_index % nslots]
-                if slot and int(slot[0][0] / slot_w) == slot_index:
-                    self._scan_slot = slot_index
-                    if pop:
-                        self._wheel_len -= 1
-                        return heapq.heappop(slot)
-                    return slot[0]
-                slot_index += 1
-            self._scan_slot = slot_index
-        if far:
-            return heapq.heappop(far) if pop else far[0]
-        return None
+        heapq.heappush(self._heap, (time, next(self._seq), callback))
 
     def peek_next_time(self) -> Optional[float]:
         """Earliest pending event time, or None — the batched network's
         *horizon*: eager work strictly before it cannot be observed by,
         or observe, anything still in the queue."""
-        entry = self._next(pop=False)
-        return entry[0] if entry is not None else None
+        return self._heap[0][0] if self._heap else None
 
     def run(self, until: Optional[float] = None) -> None:
+        """Run events in order; with ``until``, only those at or before
+        it, and leave the clock at ``until``, which may not precede
+        ``now``."""
+        if until is not None and until < self.now:
+            raise ValueError(f"cannot run back to {until!r}: "
+                             f"the clock is at {self.now!r}")
         prev_until = self.run_until
         self.run_until = until
+        heap = self._heap
         try:
-            while True:
-                entry = self._next(pop=False)
-                if entry is None:
-                    break
-                if until is not None and entry[0] > until:
-                    self.now = until
-                    return
-                entry = self._next(pop=True)
-                self.now = entry[0]
-                entry[2]()
+            while heap and (until is None or heap[0][0] <= until):
+                self.now, _, callback = heapq.heappop(heap)
+                callback()
             if until is not None:
                 self.now = until
         finally:
@@ -207,7 +119,7 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        return self._wheel_len + len(self._far)
+        return len(self._heap)
 
 
 class Host:
@@ -381,7 +293,6 @@ class Network:
         # drops the packet (reason=queue_full).  None = unbounded FIFO,
         # the historical behaviour.
         self.max_queue_delay_s = max_queue_delay_s
-        self.batched = batched
         self._trace = self.obs.tracer.live
         self._metrics = self.obs.registry.live
         if self._trace and self.obs.tracer.clock is None:
@@ -732,7 +643,7 @@ class Network:
         self._walk("wire", host_name, 0, packet, t, cap, rec)
 
     def _defer_walk(self, phase: str, node: str, port: int, packet: Packet,
-                    t: float, rec: Optional[list] = None) -> None:
+                    t: float, rec: Optional[list]) -> None:
         """Park a walk as a continuation event at its virtual time.
 
         An in-flight recording survives the park (the continuation
@@ -751,9 +662,8 @@ class Network:
         of ``port``; hosts always use port 0) or ``"fw"`` (pipeline
         about to run at switch ``node``, ingress ``port``).  ``rec``
         accumulates a transit record to memoize; it survives deferrals
-        (the continuation keeps recording) and is abandoned on
-        multicast or routing anomalies — only clean single-path walks
-        are worth replaying.
+        (the continuation keeps recording) and is abandoned on routing
+        anomalies — only clean walks are worth replaying.
         """
         sim = self.sim
         wire = self._wire
@@ -835,17 +745,9 @@ class Network:
                     rec.append(("dr",))
                     self._store_record(rec)
                 return
-            if len(outputs) > 1:
-                # Multicast: hand every copy to the scheduler at this
-                # virtual time — events preserve the event path's
-                # output order exactly.
-                for egress_port, out_packet in outputs:
-                    self._defer_walk("wire", node, egress_port,
-                                     out_packet, t)
-                return
-            egress_port, packet = outputs[0]
+            # Neither engine multicasts: a run yields one output or none.
+            [(port, packet)] = outputs
             phase = "wire"
-            port = egress_port
 
     def _store_record(self, rec: list) -> None:
         """Memoize a finished recording on the template it was made

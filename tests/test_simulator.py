@@ -1,6 +1,7 @@
 """Event-driven simulator tests: scheduling, latency model, queueing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.packet import ip, make_udp
 from repro.net.simulator import Network, Simulator
@@ -44,35 +45,103 @@ def test_negative_delay_rejected():
         Simulator().schedule(-1, lambda: None)
 
 
-def test_wheel_slots_are_created_by_their_first_push():
-    """The wheel starts with no slot heaps.  A never-used slot, a time
-    far beyond the window and a slot index that aliases an occupied
-    one (``slot + wheel_slots``) each get theirs when first pushed to —
-    directly or by the far heap's migration — and everything still pops
-    in ``(time, seq)`` order."""
-    sim = Simulator(slot_width_s=1.0, wheel_slots=8)
-    assert sim._wheel == [None] * 8
-    order = []
-
-    def at(time, label):
-        sim.schedule_at(time, lambda: order.append((sim.now, label)))
-
-    def used():
-        return [i for i, slot in enumerate(sim._wheel) if slot is not None]
-
-    sim.now = 4.0  # where a batched walk may leave the clock
-    at(100.5, "far-2")      # beyond the window: the far heap
-    at(99.5, "far-1")
-    at(3.5, "overdue")      # slot 3, never used, below the window's base
-    at(11.5, "alias")       # slot 3 + 8: the same physical slot
-    at(11.5, "alias-2")
-    at(3.5, "overdue-2")
-    assert used() == [3] and sim.pending == 6
+def test_run_until_refuses_to_rewind_the_clock():
+    """A ``run(until)`` before ``now`` raises and changes nothing: the
+    clock stays put, so a later ``schedule`` cannot land behind an
+    event that already ran."""
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(1.0, lambda: fired.append(sim.now))
+    sim.schedule_at(3.0, lambda: fired.append(sim.now))
+    sim.run(until=2.0)
+    with pytest.raises(ValueError):
+        sim.run(until=0.5)
+    assert sim.now == 2.0 and sim.pending == 1
+    sim.schedule(0.1, lambda: fired.append(sim.now))
     sim.run()
-    assert order == [(3.5, "overdue"), (3.5, "overdue-2"), (11.5, "alias"),
-                     (11.5, "alias-2"), (99.5, "far-1"), (100.5, "far-2")]
-    # far-1 was popped from the far heap; far-2 migrated to slot 100 % 8.
-    assert used() == [3, 4] and sim.pending == 0
+    assert fired == [1.0, 2.1, 3.0]
+
+
+class _SortedReference:
+    """The scheduler's specification: the pending event with the least
+    ``(time, insertion)`` runs next."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.queue = []
+        self._inserted = 0
+
+    def schedule_at(self, time, callback):
+        self.queue.append((time, self._inserted, callback))
+        self._inserted += 1
+
+    @property
+    def pending(self):
+        return len(self.queue)
+
+    def _head(self):
+        return min(self.queue, key=lambda event: event[:2])
+
+    def peek_next_time(self):
+        return self._head()[0] if self.queue else None
+
+    def run(self, until=None):
+        if until is not None and until < self.now:
+            raise ValueError("cannot run backwards")
+        while self.queue:
+            head = self._head()
+            if until is not None and head[0] > until:
+                break
+            self.queue.remove(head)
+            self.now = head[0]
+            head[2]()
+        if until is not None:
+            self.now = until
+
+
+# Offsets on a quarter grid: sums stay exact, so equal times are exact
+# ties, and a negative offset is an overdue time below ``now``.
+_offsets = st.integers(-4, 8).map(lambda k: k / 4)
+_scheduler_steps = st.lists(st.one_of(
+    # ("at", offset from now, offsets its callback schedules from then)
+    st.tuples(st.just("at"), _offsets, st.lists(_offsets, max_size=3)),
+    # ("run", until - now): a negative one must be refused
+    st.tuples(st.just("run"), _offsets, st.just(())),
+), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_scheduler_steps)
+def test_scheduler_matches_the_sorted_reference(steps):
+    """Overdue times, exact ties, events scheduled from inside
+    callbacks and ``run(until)`` slices: the heap runs every event in
+    the reference's order, at the reference's times, and agrees on
+    ``now``, ``pending`` and the next time after every slice."""
+    def drive(sim):
+        fired = []
+
+        def event(label, children):
+            def fire():
+                fired.append((label, sim.now))
+                for j, offset in enumerate(children):
+                    sim.schedule_at(sim.now + offset, event((label, j), ()))
+            return fire
+
+        after_slices = []
+        for i, (kind, offset, children) in enumerate(steps):
+            if kind == "at":
+                sim.schedule_at(sim.now + offset, event(i, children))
+                continue
+            try:
+                sim.run(until=sim.now + offset)
+            except ValueError:
+                after_slices.append("refused")
+            after_slices.append((sim.now, sim.pending, sim.peek_next_time(),
+                                 list(fired)))
+        sim.run()
+        return fired, after_slices, sim.now, sim.pending
+
+    assert drive(Simulator()) == drive(_SortedReference())
 
 
 def make_single_switch_network(**kwargs):

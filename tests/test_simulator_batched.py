@@ -1,11 +1,11 @@
-"""Batched-mode network tests: timing-wheel semantics, batched-vs-event
-exactness (delivery counts, timestamps, the final clock and the hop
-records must be identical), and the accounting regressions fixed
-alongside the batch hot loop (NIC drop counting, ``last_rx_time``,
-wire-roundtrip fidelity, lazy trace generation)."""
+"""Batched-mode network tests: batched-vs-event exactness (delivery
+counts, timestamps, the final clock and the hop records must be
+identical), and the accounting regressions fixed alongside the batch
+hot loop (NIC drop counting, ``last_rx_time``, wire-roundtrip fidelity,
+lazy trace generation).  The scheduler's own tests are in
+``test_simulator.py``."""
 
 import collections
-import random
 from itertools import islice
 
 import pytest
@@ -14,104 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 from repro.experiments.fig12 import Fig12Config, run_rtt_experiment
 from repro.experiments.throughput import run_replay
 from repro.net.packet import ip, make_udp
-from repro.net.simulator import Network, Simulator
+from repro.net.simulator import Network
 from repro.net.topology import Endpoint, Link, Topology, linear, single_switch
 from repro.p4 import ENGINES
 from repro.p4.bmv2 import Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
 from repro.workloads.campus import CampusTraceGenerator
-
-
-# ---------------------------------------------------------------------------
-# Timing wheel
-# ---------------------------------------------------------------------------
-
-def test_wheel_orders_events_across_slots():
-    sim = Simulator(slot_width_s=1e-6, wheel_slots=8)
-    order = []
-    for label, t in (("d", 7.5e-6), ("a", 0.2e-6), ("c", 3.1e-6),
-                     ("b", 0.9e-6)):
-        sim.schedule_at(t, lambda l=label: order.append(l))
-    sim.run()
-    assert order == ["a", "b", "c", "d"]
-
-
-def test_wheel_ties_fire_in_schedule_order():
-    sim = Simulator(slot_width_s=1e-6, wheel_slots=8)
-    order = []
-    for label in "abc":
-        sim.schedule_at(2.5e-6, lambda l=label: order.append(l))
-    sim.run()
-    assert order == ["a", "b", "c"]
-
-
-def test_far_future_events_fall_back_and_migrate():
-    """Events beyond the wheel's span park in the far heap and still
-    fire in exact order once the clock reaches them."""
-    sim = Simulator(slot_width_s=1e-3, wheel_slots=4)  # span: 4 ms
-    order = []
-    for label, t in (("far2", 0.1), ("near", 2e-3), ("far1", 0.05),
-                     ("mid", 3.9e-3)):
-        sim.schedule_at(t, lambda l=label: order.append(l))
-    sim.run()
-    assert order == ["near", "mid", "far1", "far2"]
-    assert sim.now == 0.1
-
-
-def test_wheel_handles_events_scheduled_while_running():
-    """Handlers scheduling both nearby and far-future follow-ups keep
-    exact order even after the wheel's base has advanced."""
-    sim = Simulator(slot_width_s=1e-6, wheel_slots=4)
-    order = []
-
-    def first():
-        order.append("first")
-        sim.schedule_at(sim.now + 0.5e-6, lambda: order.append("near"))
-        sim.schedule_at(sim.now + 1.0, lambda: order.append("far"))
-
-    sim.schedule_at(3e-6, first)
-    sim.schedule_at(2.0e-6, lambda: order.append("earlier"))
-    sim.run()
-    assert order == ["earlier", "first", "near", "far"]
-
-
-def test_wheel_run_until_is_exact():
-    sim = Simulator(slot_width_s=1e-3, wheel_slots=4)
-    fired = []
-    sim.schedule_at(0.25, lambda: fired.append(1))
-    sim.run(until=0.1)
-    assert not fired
-    assert sim.now == 0.1
-    assert sim.pending == 1
-    sim.run()
-    assert fired and sim.now == 0.25
-
-
-def test_wheel_matches_reference_order_property():
-    """Random schedules (slot-local, cross-slot, far-future, exact
-    ties) execute in the same (time, insertion) order a plain sorted
-    heap would produce."""
-    rng = random.Random(7)
-    for _ in range(20):
-        sim = Simulator(slot_width_s=1e-6, wheel_slots=8)
-        times = []
-        for _ in range(60):
-            kind = rng.randrange(4)
-            if kind == 0:
-                times.append(rng.uniform(0, 8e-6))       # inside wheel
-            elif kind == 1:
-                times.append(rng.uniform(0, 1e-3))       # beyond span
-            elif kind == 2:
-                times.append(rng.uniform(0, 5.0))        # far future
-            else:
-                times.append(1e-6 * rng.randrange(6))    # slot edges/ties
-        fired = []
-        for i, t in enumerate(times):
-            sim.schedule_at(t, lambda i=i: fired.append(i))
-        sim.run()
-        expected = [i for _, i in sorted((t, i)
-                                         for i, t in enumerate(times))]
-        assert fired == expected
 
 
 # ---------------------------------------------------------------------------
