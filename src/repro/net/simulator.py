@@ -41,7 +41,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List,
 
 from ..obs import NULL_OBS, Observability
 from ..p4.bmv2 import (DEFAULT_LOG_CAPACITY, Bmv2Switch, BoundedLog,
-                       DigestMessage, drop_reason)
+                       drop_reason)
 from .fastforward import stateless_program
 from .packet import Packet
 from .topology import Endpoint, Link, Topology
@@ -131,8 +131,7 @@ class Host:
     a callback: each gets every packet and filters for what it cares about.
 
     ``tx_count`` counts packets that actually started serializing onto
-    the wire; sends still queued (``send`` with a future delay) or
-    dropped at the NIC FIFO (``nic_drops``) are not transmissions.
+    the wire; a send still scheduled (``send`` with a future delay) is not.
     """
 
     def __init__(self, name: str, network: "Network"):
@@ -148,8 +147,6 @@ class Host:
         #: survives rx callbacks consuming the packet, unlike
         #: ``received`` (which callbacks bypass).
         self.last_rx_time: Optional[float] = None
-        #: Packets dropped at this host's NIC FIFO (queue_full).
-        self.nic_drops = 0
         # NIC serialization queue: time at which the host's (single)
         # uplink finishes its current transmission — hosts get the same
         # FIFO treatment as switch output ports, so injecting above link
@@ -181,12 +178,10 @@ class Host:
 class SwitchDevice:
     """A switch in the simulation: a Bmv2 pipeline plus timing state."""
 
-    def __init__(self, name: str, bmv2: Bmv2Switch, stages: int = DEFAULT_STAGES,
-                 stage_delay_s: float = DEFAULT_STAGE_DELAY_S):
+    def __init__(self, name: str, bmv2: Bmv2Switch, stages: int = DEFAULT_STAGES):
         self.name = name
         self.bmv2 = bmv2
         self.stages = stages
-        self.stage_delay_s = stage_delay_s
         # Per output port: time at which the port finishes its current
         # transmission (FIFO serialization queue).
         self.port_busy_until: Dict[int, float] = {}
@@ -194,7 +189,7 @@ class SwitchDevice:
 
     @property
     def processing_delay_s(self) -> float:
-        return self.stages * self.stage_delay_s
+        return self.stages * DEFAULT_STAGE_DELAY_S
 
 
 class _LazySource:
@@ -275,29 +270,26 @@ class Network:
     :meth:`record_hops` keeps a :class:`HopRecord` per pipeline run on
     ``hops``; both modes record the same hops (batched mode does not
     fast-forward flows while recording).
+
+    Every NIC and output-port FIFO is unbounded (a backlog waits); the
+    network-layer drop is ``no_route``.  A live tracer reads the clock
+    of the network built or run last.
     """
 
     def __init__(self, topology: Topology,
                  switch_programs: Dict[str, Bmv2Switch],
                  stage_counts: Optional[Dict[str, int]] = None,
                  serialize_on_wire: bool = False,
-                 report_capacity: int = DEFAULT_LOG_CAPACITY,
                  obs: Optional[Observability] = None,
-                 max_queue_delay_s: Optional[float] = None,
                  batched: bool = False):
         self.topology = topology
         self.serialize_on_wire = serialize_on_wire
         self.sim = Simulator()
         self.obs = obs if obs is not None else NULL_OBS
-        # A port/NIC whose FIFO backlog exceeds this wait is "full" and
-        # drops the packet (reason=queue_full).  None = unbounded FIFO,
-        # the historical behaviour.
-        self.max_queue_delay_s = max_queue_delay_s
         self._trace = self.obs.tracer.live
         self._metrics = self.obs.registry.live
-        if self._trace and self.obs.tracer.clock is None:
-            # Trace events carry simulator time, not wall-clock time.
-            self.obs.tracer.clock = lambda: self.sim.now
+        if self._trace:
+            self.obs.tracer.clock = self._clock = lambda: self.sim.now
         if self._metrics:
             reg = self.obs.registry
             self._m_qdrops = reg.counter(
@@ -321,12 +313,6 @@ class Network:
                 name, switch_programs[name],
                 stages=stage_counts.get(name, DEFAULT_STAGES),
             )
-        # Bounded: long replays keep a ring of recent reports plus the
-        # cumulative count (``reports.total``) instead of growing forever.
-        self.reports: BoundedLog = BoundedLog(
-            report_capacity, self._evict_counter("reports", "network"))
-        for device in self.switches.values():
-            device.bmv2.on_digest(self.reports.append)
         self.packets_delivered = 0
         self.packets_lost = 0
         #: The recent :class:`HopRecord`s; None until :meth:`record_hops`.
@@ -395,36 +381,25 @@ class Network:
         # Serialization queueing at the sending side.
         if src.node in self.switches:
             device = self.switches[src.node]
-            busy_until = device.port_busy_until.get(src.port, 0.0)
-        else:
-            # Hosts serialize through their NIC FIFO exactly like a
-            # switch output port: back-to-back sends queue behind the
-            # in-flight transmission rather than bypassing it.
-            busy_until = self.hosts[src.node].nic_busy_until
-        start = max(self.sim.now, busy_until)
-        queue_wait = start - self.sim.now
-        if (self.max_queue_delay_s is not None
-                and queue_wait > self.max_queue_delay_s):
-            if src.node in self.hosts:
-                self.hosts[src.node].nic_drops += 1
-            self._drop(src.node, packet, "queue_full", port=src.port,
-                       queue_wait_s=queue_wait)
-            return
-        if src.node in self.switches:
-            device = self.switches[src.node]
+            start = max(self.sim.now,
+                        device.port_busy_until.get(src.port, 0.0))
             device.port_busy_until[src.port] = start + tx_time
             device.bytes_forwarded += length
         else:
-            # The packet is actually going onto the wire: this — not
-            # Host.send scheduling time — is when it counts as sent.
+            # Hosts serialize through their NIC FIFO exactly like a
+            # switch output port: back-to-back sends queue behind the
+            # in-flight transmission rather than bypassing it.  Going
+            # onto the wire — not Host.send scheduling time — is when
+            # the packet counts as sent.
             host = self.hosts[src.node]
+            start = max(self.sim.now, host.nic_busy_until)
             host.nic_busy_until = start + tx_time
             host.tx_count += 1
         ready = start + tx_time
         if self._trace:
             self.obs.tracer.emit(
                 "enqueue", src.node, packet.packet_id, port=src.port,
-                packet=packet, queue_wait_s=queue_wait)
+                packet=packet, queue_wait_s=start - self.sim.now)
             self.obs.tracer.emit(
                 "link", src.node, packet.packet_id, port=src.port,
                 packet=packet, dst=dst.node, dst_port=dst.port,
@@ -436,14 +411,14 @@ class Network:
                           lambda: self._arrive(dst, packet, length))
 
     def _drop(self, node: str, packet: Packet, reason: str,
-              port: Optional[int] = None, **detail: float) -> None:
-        """Account a network-layer drop (queue overflow, routing hole)."""
+              port: Optional[int] = None) -> None:
+        """Account a network-layer drop (a routing hole)."""
         self.packets_lost += 1
         if self._metrics:
             self._m_qdrops.labels(node, reason).inc()
         if self._trace:
             self.obs.tracer.emit("drop", node, packet.packet_id, port=port,
-                                 packet=packet, reason=reason, **detail)
+                                 packet=packet, reason=reason)
 
     @staticmethod
     def _wire_roundtrip(packet: Packet) -> Packet:
@@ -670,7 +645,6 @@ class Network:
         if self._wired != len(self.topology.links):
             self._wire_rows()
         device = self.switches.get(node)
-        maxq = self.max_queue_delay_s
         horizon = self._horizon(cap)
         until = sim.run_until
         while True:
@@ -694,21 +668,11 @@ class Network:
                 plen = packet.length
                 tx_time = plen * 8 / bandwidth_bps
                 if from_host:
-                    busy_until = sender.nic_busy_until
-                else:
-                    busy_until = sender.port_busy_until.get(port, 0.0)
-                start = max(t, busy_until)
-                queue_wait = start - t
-                if maxq is not None and queue_wait > maxq:
-                    if from_host:
-                        sender.nic_drops += 1
-                    self._drop(node, packet, "queue_full", port=port,
-                               queue_wait_s=queue_wait)
-                    return
-                if from_host:
+                    start = max(t, sender.nic_busy_until)
                     sender.nic_busy_until = start + tx_time
                     sender.tx_count += 1
                 else:
+                    start = max(t, sender.port_busy_until.get(port, 0.0))
                     sender.port_busy_until[port] = start + tx_time
                     sender.bytes_forwarded += plen
                 ready = start + tx_time
@@ -898,8 +862,6 @@ class Network:
         inf = float("inf")
         until = sim.run_until
         stop = until if until is not None else inf
-        maxq = self.max_queue_delay_s
-        maxq_b = maxq if maxq is not None else inf
         if heap is None:
             heap = []
         hpush = heapq.heappush
@@ -968,11 +930,6 @@ class Network:
                     owner = False
                     hw = ff[3]
                     start = t if t > nic_busy else nic_busy
-                    if start - t > maxq_b:
-                        src_host.nic_drops += 1
-                        self._drop(hw[1], hw[6], "queue_full", port=0,
-                                   queue_wait_s=start - t)
-                        continue
                     tx_time = hw[3]
                     nic_busy = start + tx_time
                     ntx += 1
@@ -983,10 +940,6 @@ class Network:
                         seq += 1
                         break
                     start = t if t > pbusy else pbusy
-                    if start - t > maxq_b:
-                        self._drop(swleg[1], swleg[6], "queue_full",
-                                   port=cport, queue_wait_s=start - t)
-                        continue
                     tx_time = swleg[3]
                     pbusy = start + tx_time
                     fwd_bytes += swleg[5]
@@ -1070,11 +1023,6 @@ class Network:
                         tx_time = leg[3]
                         busy = host.nic_busy_until
                         start = t if t > busy else busy
-                        if start - t > maxq_b:
-                            host.nic_drops += 1
-                            self._drop(leg[1], leg[6], "queue_full", port=0,
-                                       queue_wait_s=start - t)
-                            break
                         host.nic_busy_until = start + tx_time
                         host.tx_count += 1
                         t = (start + tx_time - t) + leg[4] + t
@@ -1084,10 +1032,6 @@ class Network:
                         tx_time = leg[3]
                         busy = device.port_busy_until.get(port, 0.0)
                         start = t if t > busy else busy
-                        if start - t > maxq_b:
-                            self._drop(leg[1], leg[6], "queue_full", port=port,
-                                       queue_wait_s=start - t)
-                            break
                         device.port_busy_until[port] = start + tx_time
                         device.bytes_forwarded += leg[5]
                         t = (start + tx_time - t) + leg[4] + t
@@ -1154,6 +1098,9 @@ class Network:
         return self.switches[name]
 
     def run(self, until: Optional[float] = None) -> None:
+        if self._trace:
+            # The tracer may be shared: the network that runs owns it.
+            self.obs.tracer.clock = self._clock
         self.sim.run(until)
         if self._metrics:
             self._g_simtime.labels(

@@ -58,11 +58,9 @@ class Observability:
         return bool(self.registry.live or self.tracer.live)
 
     @classmethod
-    def enabled(cls, trace_capacity: int = DEFAULT_RING_CAPACITY,
-                ) -> "Observability":
+    def enabled(cls) -> "Observability":
         """A fully live handle: fresh registry + fresh tracer."""
-        return cls(registry=MetricsRegistry(),
-                   tracer=Tracer(capacity=trace_capacity))
+        return cls(registry=MetricsRegistry(), tracer=Tracer())
 
     def __repr__(self) -> str:
         return (f"Observability(registry={'live' if self.registry.live else 'null'}, "

@@ -18,8 +18,8 @@ Event kinds, in packet-lifecycle order:
 ``apply``    one table apply (detail: ``table``, ``result`` hit|miss)
 ``digest``   a digest left the data plane (detail: ``digest``)
 ``deparse``  packet left a switch pipeline (detail: ``egress_port``)
-``drop``     packet discarded (detail: ``reason`` — ``queue_full``,
-             ``ttl``, ``no_route``, or ``pipeline``)
+``drop``     packet discarded (detail: ``reason`` — ``ttl`` or
+             ``pipeline`` from a switch, ``no_route`` from the network)
 ``deliver``  packet handed to a host
 ``monitor_hop`` the reference monitor finished one hop (detail:
              ``hop``, plus the live state on ``detail["state"]``)
@@ -108,8 +108,8 @@ class Tracer:
         self._ring: deque = deque(maxlen=capacity)
         self._subscribers: List[Callable[[TraceEvent], None]] = []
         self._seq = itertools.count()
-        #: Optional time source (the Network wires the simulator clock
-        #: here so switch-level events get simulation timestamps).
+        #: Optional time source (a traced Network wires its simulator
+        #: clock here when built and on every run).
         self.clock: Optional[Callable[[], float]] = None
 
     @property

@@ -34,7 +34,7 @@ DROP_PORT = 511
 #: compiled engine it is checked against.  The one place that knows.
 ENGINES = ("interp", "codegen")
 
-#: Default ring size for bounded message logs (digests, network reports).
+#: Default ring size for bounded logs (digests, host sinks, hop records).
 #: Large enough that tests and short replays see every message; long
 #: replays keep memory flat while ``total`` keeps counting.
 DEFAULT_LOG_CAPACITY = 4096
@@ -223,6 +223,43 @@ def drop_reason(packet: Packet) -> str:
     return "pipeline"
 
 
+Pipeline = Callable[[Packet, int], List[Tuple[int, Packet]]]
+
+
+def observed(switch: "Bmv2Switch", run: Pipeline) -> Pipeline:
+    """``run`` (one engine's pipeline) under ``switch``'s live handle:
+    ``parse``, the packet counter and ns histogram, then ``drop`` or
+    ``deparse``.  Both engines bind it; their plain paths never do."""
+    tracer = switch.obs.tracer
+    traced = tracer.live
+    name = switch.name
+
+    def process(packet: Packet,
+                ingress_port: int) -> List[Tuple[int, Packet]]:
+        if traced:
+            tracer.emit("parse", node=name, packet_id=packet.packet_id,
+                        port=ingress_port, packet=packet,
+                        packet_length=packet.length)
+        switch._m_packets.labels(name, ingress_port).inc()
+        start = time.perf_counter_ns()
+        outputs = run(packet, ingress_port)
+        switch._m_ns.observe(time.perf_counter_ns() - start)
+        if not outputs:
+            reason = drop_reason(packet)
+            switch._m_dropped.labels(name, reason).inc()
+            if traced:
+                tracer.emit("drop", node=name, packet_id=packet.packet_id,
+                            reason=reason)
+        elif traced:
+            for egress_port, out_packet in outputs:
+                tracer.emit("deparse", node=name,
+                            packet_id=out_packet.packet_id,
+                            port=egress_port, egress_port=egress_port)
+        return outputs
+
+    return process
+
+
 class Bmv2Switch:
     """Executes a P4 program; holds runtime table/register state.
 
@@ -313,6 +350,7 @@ class Bmv2Switch:
             f"{self.engine}_ns_per_packet",
             f"{self.engine} engine nanoseconds per packet",
             buckets=DEFAULT_NS_BUCKETS)
+        self._process_interp_obs = observed(self, self._process_interp)
 
     def attach_observability(self, obs: Observability) -> None:
         """Attach (or detach, with :data:`~repro.obs.NULL_OBS`) the
@@ -563,31 +601,6 @@ class Bmv2Switch:
         no later than the next packet, as it does packet by packet.
         """
         return [self.process(packet, port) for packet, port in items]
-
-    def _process_interp_obs(self, packet: Packet,
-                            ingress_port: int) -> List[Tuple[int, Packet]]:
-        """The interp path with metrics + trace events wrapped around."""
-        tracer = self.obs.tracer
-        if tracer.live:
-            tracer.emit("parse", node=self.name,
-                        packet_id=packet.packet_id, port=ingress_port,
-                        packet=packet, packet_length=packet.length)
-        self._m_packets.labels(self.name, ingress_port).inc()
-        start = time.perf_counter_ns()
-        outputs = self._process_interp(packet, ingress_port)
-        self._m_ns.observe(time.perf_counter_ns() - start)
-        if not outputs:
-            reason = drop_reason(packet)
-            self._m_dropped.labels(self.name, reason).inc()
-            if tracer.live:
-                tracer.emit("drop", node=self.name,
-                            packet_id=packet.packet_id, reason=reason)
-        elif tracer.live:
-            for egress_port, out_packet in outputs:
-                tracer.emit("deparse", node=self.name,
-                            packet_id=out_packet.packet_id,
-                            port=egress_port, egress_port=egress_port)
-        return outputs
 
     def _process_interp(self, packet: Packet,
                         ingress_port: int) -> List[Tuple[int, Packet]]:

@@ -69,7 +69,8 @@ once; a batch is ``Bmv2Switch.process_batch`` looping over ``process``.
 Observability is a compile-time specialization: with the null handle
 the generated source carries zero instrumentation; with a live handle
 the apply/digest sites emit counters and trace events and ``process``
-is swapped for the metered wrapper.
+is the generated function inside :func:`~repro.p4.bmv2.observed`, the
+per-switch wrapper both engines bind.
 
 Control-plane interplay — *names are code, values are data*.  The
 generated dispatch assumes a fixed action set per table, and the pure
@@ -115,14 +116,13 @@ other assignment.
 from __future__ import annotations
 
 import re
-import time
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..net.packet import Header, Packet
 from ..obs.profile import profiled
 from . import ir
 from .bmv2 import (DROP_PORT, DigestMessage, P4RuntimeError, StandardMetadata,
-                   drop_reason)
+                   observed)
 from .tableindex import _MEMO_CAP, _TableIndex
 
 __all__ = ["CodegenEngine"]
@@ -345,7 +345,8 @@ class CodegenEngine:
             # object evict each other's on every packet (5 % a hop).
             # A byte copy costs microseconds, not a compile().
             self._run.__code__ = self._run.__code__.replace()
-        self.process = self._process_obs if self._instrumented else self._run
+        self.process = (observed(self.switch, self._run) if self._instrumented
+                        else self._run)
 
     def _specialize(self) -> None:
         """What emission assumes of the switch's live control-plane
@@ -1108,33 +1109,3 @@ class CodegenEngine:
                 return (f"({self._cond(cond.left, params)} or "
                         f"{self._cond(cond.right, params)})")
         return self._expr(cond, params)
-
-    # ==================================================================
-    # Packet entry points (``process`` is bound per build in _build)
-    # ==================================================================
-
-    def _process_obs(self, packet: Packet,
-                     ingress_port: int) -> List[Tuple[int, Packet]]:
-        switch = self.switch
-        tracer = self._obs.tracer
-        if tracer.live:
-            tracer.emit("parse", node=switch.name,
-                        packet_id=packet.packet_id, port=ingress_port,
-                        packet=packet, packet_length=packet.length)
-        switch._m_packets.labels(switch.name, ingress_port).inc()
-        start = time.perf_counter_ns()
-        outputs = self._run(packet, ingress_port)
-        switch._m_ns.observe(time.perf_counter_ns() - start)
-        if not outputs:
-            reason = drop_reason(packet)
-            switch._m_dropped.labels(switch.name, reason).inc()
-            if tracer.live:
-                tracer.emit("drop", node=switch.name,
-                            packet_id=packet.packet_id, reason=reason)
-        elif tracer.live:
-            for egress_port, out_packet in outputs:
-                tracer.emit("deparse", node=switch.name,
-                            packet_id=out_packet.packet_id,
-                            port=egress_port, egress_port=egress_port)
-        return outputs
-

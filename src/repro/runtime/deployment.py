@@ -59,12 +59,10 @@ class HydraDeployment:
     def __init__(self, topology: Topology,
                  compiled: Union[CompiledChecker, Sequence[CompiledChecker]],
                  forwarding: Dict[str, ir.P4Program],
-                 stage_counts: Optional[Dict[str, int]] = None,
                  check_mode: str = "last_hop",
                  serialize_on_wire: bool = False,
                  engine: str = "codegen",
                  obs: Optional[Observability] = None,
-                 max_queue_delay_s: Optional[float] = None,
                  batched: bool = False):
         self.topology = topology
         self.check_mode = check_mode
@@ -107,11 +105,8 @@ class HydraDeployment:
             self._install_edge_entries()
             self._install_switch_ids()
             self.network = Network(topology, self.switches,
-                                   stage_counts=stage_counts,
                                    serialize_on_wire=serialize_on_wire,
-                                   obs=self.obs,
-                                   max_queue_delay_s=max_queue_delay_s,
-                                   batched=batched)
+                                   obs=self.obs, batched=batched)
 
     @property
     def compiled(self) -> CompiledChecker:

@@ -50,6 +50,9 @@ _SIZE_HI = len(_PACKET_SIZES) - 1
 _HEADER_BYTES = {
     proto: ETHERNET.width_bytes + IPV4.width_bytes + l4.width_bytes
     for proto, l4 in ((IP_PROTO_TCP, TCP), (IP_PROTO_UDP, UDP))}
+# Live flows per draw stream; the cap on a flow's length in packets.
+CONCURRENT_FLOWS = 64
+MAX_FLOW_PACKETS = 10_000
 
 
 def payload_len(size: int) -> int:
@@ -85,9 +88,10 @@ class TraceStats:
 class CampusTraceGenerator:
     """Deterministic synthetic campus trace.
 
-    Flow sizes follow a bounded Pareto (heavy tail); 80% of flows are
-    TCP.  Sources come from the two campus /16s, destinations from a
-    synthetic "rest of the Internet" pool.
+    Flow sizes follow a Pareto(1.2) bounded at ``MAX_FLOW_PACKETS``
+    (heavy tail); 80% of flows are TCP, and ``CONCURRENT_FLOWS`` are
+    live at once.  Sources come from the two campus /16s, destinations
+    from a synthetic "rest of the Internet" pool.
 
     With ``reuse_packets=True`` the generator hands out one shared
     :class:`Packet` template per (flow, size) pair instead of building
@@ -100,12 +104,8 @@ class CampusTraceGenerator:
     emit; a draw the arrival clock turns away is not counted.
     """
 
-    def __init__(self, seed: int = 2023, mean_flow_packets: float = 12.0,
-                 max_flow_packets: int = 10_000,
-                 reuse_packets: bool = False):
+    def __init__(self, seed: int = 2023, reuse_packets: bool = False):
         self.rng = random.Random(seed)
-        self.mean_flow_packets = mean_flow_packets
-        self.max_flow_packets = max_flow_packets
         self.reuse_packets = reuse_packets
         self.stats = TraceStats()
 
@@ -119,7 +119,7 @@ class CampusTraceGenerator:
         dport = rng.choice((80, 443, 53, 123, 8080, 3478))
         # Bounded Pareto flow length, shape ~1.2 (heavy tail).
         size = int(rng.paretovariate(1.2))
-        size = max(1, min(size, self.max_flow_packets))
+        size = max(1, min(size, MAX_FLOW_PACKETS))
         self.stats.flows += 1
         return Flow(src, dst, sport, dport, proto, size,
                     (src, dst, sport, dport, proto))
@@ -144,14 +144,13 @@ class CampusTraceGenerator:
         stats.packets += 1
         stats.bytes += _HEADER_BYTES[flow.proto] + payload_len(size)
 
-    def draws(self, concurrent_flows: int = 64
-              ) -> Iterator[Tuple[Flow, int]]:
+    def draws(self) -> Iterator[Tuple[Flow, int]]:
         """The trace: an unbounded stream of ``(flow, wire size)`` draws
-        interleaving ``concurrent_flows`` live flows.  The only RNG loop;
+        interleaving ``CONCURRENT_FLOWS`` live flows.  The only RNG loop;
         counts nothing (its consumer decides what is emitted)."""
         rng = self.rng
         active: List[Flow] = [self._new_flow()
-                              for _ in range(concurrent_flows)]
+                              for _ in range(CONCURRENT_FLOWS)]
         while True:
             index = rng.randrange(len(active))
             flow = active[index]
@@ -161,8 +160,7 @@ class CampusTraceGenerator:
             if flow.remaining <= 0:
                 active[index] = self._new_flow()
 
-    def timed_draws(self, rate_pps: float, duration_s: float,
-                    concurrent_flows: int = 64
+    def timed_draws(self, rate_pps: float, duration_s: float
                     ) -> Iterator[Tuple[float, Flow, int]]:
         """``(timestamp, flow, wire size)`` with exponential
         inter-arrivals at an average of ``rate_pps`` per second.
@@ -173,25 +171,22 @@ class CampusTraceGenerator:
         """
         now = 0.0
         expovariate = self.rng.expovariate
-        for flow, size in self.draws(concurrent_flows):
+        for flow, size in self.draws():
             now += expovariate(rate_pps)
             if now > duration_s:
                 return
             self._count(flow, size)
             yield now, flow, size
 
-    def packets(self, count: Optional[int] = None,
-                concurrent_flows: int = 64) -> Iterator[Packet]:
+    def packets(self, count: Optional[int] = None) -> Iterator[Packet]:
         """Yield ``count`` packets (unbounded when ``count=None``),
         interleaving concurrent flows."""
-        for flow, size in islice(self.draws(concurrent_flows), count):
+        for flow, size in islice(self.draws(), count):
             self._count(flow, size)
             yield self._packet_for(flow, size)
 
-    def timed_packets(self, rate_pps: float, duration_s: float,
-                      concurrent_flows: int = 64
+    def timed_packets(self, rate_pps: float, duration_s: float
                       ) -> Iterator[Tuple[float, Packet]]:
         """:meth:`timed_draws`, each draw mapped to its packet."""
-        for when, flow, size in self.timed_draws(rate_pps, duration_s,
-                                                 concurrent_flows):
+        for when, flow, size in self.timed_draws(rate_pps, duration_s):
             yield when, self._packet_for(flow, size)

@@ -107,21 +107,6 @@ class TestBoundedLog:
             assert sw.digests.dropped == 6
             assert [m.values[0] for m in sw.digests] == [6, 7, 8, 9]
 
-    def test_network_reports_are_bounded(self):
-        from repro.net.simulator import Network
-        from repro.net.topology import single_switch
-        program = _program([ir.Digest("beacon", [ir.Const(1, 8)])])
-        # Wire a 1-switch network manually to keep the test small.
-        topology = single_switch(num_hosts=2)
-        switches = {name: Bmv2Switch(program, name=name)
-                    for name in topology.switches}
-        network = Network(topology, switches, report_capacity=2)
-        for sw in switches.values():
-            for i in range(5):
-                sw.process(Packet(headers=[H(a=0, b=i)], payload_len=0), 1)
-        assert network.reports.total == 5
-        assert len(network.reports) == 2
-
 
 class TestCopyElision:
     def test_non_mutating_program_shares_headers(self):

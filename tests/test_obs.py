@@ -1,10 +1,11 @@
 """Observability plane: registry semantics, trace events, profiling.
 
 Covers the contract the rest of the runtime relies on: label handling
-and cardinality bounds, cumulative histogram buckets, the null
-registry's zero-cost no-op behavior, trace-event ordering across a
-3-hop path, drop accounting (queue_full / no_route / pipeline), and
-that turning observability on changes no verdicts anywhere.
+and cardinality bounds, cumulative histogram buckets, exports, the null
+registry's and null tracer's zero-cost no-op behavior, phase timers,
+and the tracer's ring, filters and clock.  The runtime wiring (event
+order along a path, drop accounting, verdicts unchanged with
+observability on) is ``test_obs_wiring.py``.
 """
 
 import json

@@ -1,7 +1,8 @@
 """Observability wired through the runtime layers.
 
 End-to-end checks: packet-lifecycle event ordering over a 3-hop path,
-drop accounting (queue_full / no_route / pipeline / ttl), per-switch
+simulator timestamps from the running network when two networks share
+a tracer, drop accounting (no_route / pipeline / ttl), per-switch
 metrics, instrumented-vs-plain engine output equality, a traced
 Figure-12 arm's export and metrics, and that the differential oracle's
 verdicts are identical with observability on.
@@ -85,30 +86,32 @@ def test_three_hop_lifecycle_event_ordering(engine):
                               "s1", "fwd_table", "hit") == 1
 
 
+def test_a_shared_tracer_reads_the_running_networks_clock():
+    """Two networks built on one handle, one after the other: each
+    run's events carry that network's simulator time, not the first
+    network's clock."""
+    obs = Observability.enabled()
+    nets = []
+    for send_at in (5e-3, 0.0):
+        topo = single_switch(2)
+        switches = _switches(topo, obs=obs)
+        switches["s1"].insert_entry("fwd_table", [1], "fwd_set_egress", [2])
+        net = Network(topo, switches, obs=obs)
+        net.host("h1").send(_packet(), delay=send_at)
+        first = obs.tracer.total
+        net.run()
+        nets.append((net, list(obs.tracer)[first:]))
+    (a, a_events), (b, b_events) = nets
+    assert a.sim.now > 5e-3 > b.sim.now > 0
+    assert len(b_events) == 8
+    assert all(0.0 <= e.ts <= b.sim.now for e in b_events)
+    assert b_events[-1].kind == "deliver" and b_events[-1].ts == b.sim.now
+    assert a_events[-1].ts == a.sim.now
+
+
 # ---------------------------------------------------------------------------
 # Drop paths
 # ---------------------------------------------------------------------------
-
-def test_queue_overflow_drop_is_counted_and_traced():
-    topo = single_switch(2)
-    obs = Observability.enabled()
-    switches = _switches(topo, obs=obs)
-    switches["s1"].insert_entry("fwd_table", [1], "fwd_set_egress", [2])
-    net = Network(topo, switches, obs=obs, max_queue_delay_s=0.0)
-    # Two simultaneous sends: the second queues behind the first's
-    # serialization and exceeds the (zero) queue budget.
-    net.host("h1").send(_packet())
-    net.host("h1").send(_packet())
-    net.run()
-    assert net.packets_delivered == 1
-    assert net.packets_lost == 1
-    assert obs.registry.value("queue_drops_total", "h1", "queue_full") == 1
-    drops = obs.tracer.events(kind="drop")
-    assert len(drops) == 1
-    assert drops[0].node == "h1"
-    assert drops[0].detail["reason"] == "queue_full"
-    assert drops[0].detail["queue_wait_s"] > 0
-
 
 def test_no_route_drop_is_counted_and_traced():
     topo = single_switch(2)

@@ -1,8 +1,9 @@
 """Batched-mode network tests: batched-vs-event exactness (delivery
 counts, timestamps, the final clock and the hop records must be
-identical), and the accounting regressions fixed alongside the batch
-hot loop (NIC drop counting, ``last_rx_time``, wire-roundtrip fidelity,
-lazy trace generation).  The scheduler's own tests are in
+identical), the unbounded FIFO's closed-form timing under a long
+backlog, and the accounting regressions fixed alongside the batch hot
+loop (``tx_count``, ``last_rx_time``, wire-roundtrip fidelity, lazy
+trace generation).  The scheduler's own tests are in
 ``test_simulator.py``."""
 
 import collections
@@ -62,7 +63,6 @@ def _snapshot(network):
                 "rx": host.rx_count,
                 "rx_bytes": host.rx_bytes,
                 "last_rx": host.last_rx_time,
-                "nic_drops": host.nic_drops,
                 "received": [(t, rel(p.packet_id), p.length)
                              for t, p in host.received],
             }
@@ -85,9 +85,9 @@ def _count_drops(network):
     network.drops = collections.Counter()
     drop = network._drop
 
-    def counted(node, packet, reason, **detail):
+    def counted(node, packet, reason, port=None):
         network.drops[node, reason] += 1
-        drop(node, packet, reason, **detail)
+        drop(node, packet, reason, port)
 
     network._drop = counted
 
@@ -177,9 +177,9 @@ def test_batched_distinct_packets_match_event_mode():
     assert snap["hosts"]["h2"]["rx"] == 120
 
 
-def test_batched_contention_and_queue_full_match_event_mode():
-    """Two sources racing for one output port: FIFO queueing and
-    queue_full drops must land identically in both modes."""
+def test_batched_contention_matches_event_mode():
+    """Two sources racing for one output port: FIFO queueing must land
+    identically in both modes."""
     def attach(topo, network, bmv2, entries):
         big_1 = make_udp(topo.hosts["h1"].ipv4, topo.hosts["h3"].ipv4,
                          1, 2, payload_len=1400)
@@ -190,9 +190,9 @@ def test_batched_contention_and_queue_full_match_event_mode():
         network.attach_source(
             "h2", iter([(0.5e-6 + i * 1e-6, big_2) for i in range(150)]))
 
-    snap = _run_both(attach, hosts=3, max_queue_delay_s=2e-5)
-    assert snap["lost"] > 0, "scenario must actually overflow the FIFO"
-    assert snap["hosts"]["h3"]["rx"] + snap["lost"] == 300
+    snap = _run_both(attach, hosts=3)
+    assert snap["lost"] == 0
+    assert snap["hosts"]["h3"]["rx"] == 300
 
 
 def test_batched_rx_callbacks_match_event_mode():
@@ -432,20 +432,6 @@ def test_tx_count_counts_wire_transmissions_not_sends():
     assert h1.tx_count == 1
 
 
-def test_nic_drops_counted_separately_from_transmissions():
-    topo, network, _, _ = _make_network(batched=False,
-                                        max_queue_delay_s=1e-9)
-    h1, h2 = network.host("h1"), network.host("h2")
-    for _ in range(10):
-        h1.send(make_udp(topo.hosts["h1"].ipv4, topo.hosts["h2"].ipv4,
-                         1, 2, payload_len=1400))
-    network.run()
-    assert h1.nic_drops > 0
-    assert h1.tx_count + h1.nic_drops == 10
-    assert network.packets_lost == h1.nic_drops
-    assert h2.rx_count == h1.tx_count
-
-
 def test_last_rx_time_survives_consuming_callbacks():
     topo, network, _, _ = _make_network(batched=False)
     seen = []
@@ -516,21 +502,26 @@ def test_campus_trace_covers_full_duration():
     assert len(events) == pytest.approx(1000, rel=0.25)
 
 
-def test_high_rate_replay_accounts_every_packet():
-    """At rates that overflow the NIC FIFO, offered packets must be
-    conserved across delivered + drops in both modes."""
+def test_an_unbounded_fifo_spaces_a_backlog_by_its_tx_time():
+    """One source offering 400 full-size packets at 10x the link rate:
+    the NIC FIFO holds the whole backlog, so in both modes every packet
+    arrives and delivery k lands exactly k serialization times after
+    delivery 0."""
+    tx_time = []
+
     def attach(topo, network, bmv2, entries):
         packet = make_udp(topo.hosts["h1"].ipv4, topo.hosts["h2"].ipv4,
                           1, 2, payload_len=1400)
+        tx_time[:] = [packet.length * 8
+                      / topo.link_at("s1", 1).bandwidth_bps]
         network.attach_source(
-            "h1", iter([(i * 1e-7, packet) for i in range(400)]))
+            "h1", iter([(i * tx_time[0] / 10, packet) for i in range(400)]))
 
-    snap = _run_both(attach, max_queue_delay_s=1e-5)
-    h1, h2 = snap["hosts"]["h1"], snap["hosts"]["h2"]
-    assert h1["nic_drops"] > 0
-    assert h1["tx"] + h1["nic_drops"] == 400
-    assert h2["rx"] == h1["tx"]
-    assert snap["lost"] == h1["nic_drops"]
+    snap = _run_both(attach)
+    assert snap["delivered"] == 400 and snap["lost"] == 0
+    times = [t for t, _, _ in snap["hosts"]["h2"]["received"]]
+    assert times == pytest.approx(
+        [times[0] + k * tx_time[0] for k in range(400)], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -648,39 +639,35 @@ _source_plans = st.lists(
        chain=st.booleans(),
        stateful=st.booleans(),
        sink_callback=st.booleans(),
-       max_queue_delay_s=st.sampled_from([None, 1e-6, 5e-6]),
        until_tick=st.one_of(st.none(), st.integers(0, 35)),
        reroute=st.one_of(st.none(), st.tuples(st.integers(0, 24),
                                               st.integers(0, 3))),
        stages=st.sampled_from([None, {"s1": 3, "s2": 20}]),
        blackhole=st.booleans(),
        must=st.just(frozenset()))
-# Every way a wire leg can end, on eager walks (the wire round-trip
-# keeps the fabric off fast-forward) through two switches of unequal
-# depth: h1's second packet finds its NIC busy for longer than the
-# bound, h1's first and h3's meet at s1's uplink, h2 is forwarded to a
-# port nothing is wired to.
+# The one network-layer end of a wire leg, on eager walks (the wire
+# round-trip keeps the fabric off fast-forward) through two switches of
+# unequal depth: h2 is forwarded to a port nothing is wired to, while
+# h1's packets queue at its NIC and meet h3's at s1's uplink.
 @example(plans=[([0, 0, 5], 1400, True), ([0, 3], 64, True),
                 ([0, 5], 1400, True)],
          chain=True, stateful=True, sink_callback=False,
-         max_queue_delay_s=1e-6, until_tick=None, reroute=None,
+         until_tick=None, reroute=None,
          stages={"s1": 3, "s2": 20}, blackhole=True,
-         must=frozenset({("h1", "queue_full"), ("s1", "queue_full"),
-                         ("s1", "no_route")}))
+         must=frozenset({("s1", "no_route")}))
 def test_tie_heavy_schedules_match_event_mode(plans, chain, stateful,
-                                              sink_callback,
-                                              max_queue_delay_s,
-                                              until_tick, reroute, stages,
-                                              blackhole, must):
+                                              sink_callback, until_tick,
+                                              reroute, stages, blackhole,
+                                              must):
     """Emission times drawn from a coarse grid — equal times within a
     source, across sources, and against the ``run(until)`` bound and a
     mid-run reroute — leave event and batched mode with the same
     per-host counters, delivery times, drops by node and reason, and
     final clock: through one switch and two (of equal or unequal stage
     counts), on a stateless fabric (fast-forward) and a stateful one
-    (eager walks), into an inert sink and one with an rx callback, with
-    FIFO bounds that drop at a NIC and at a switch port, and with one
-    host's traffic forwarded to an unwired port (``no_route``)."""
+    (eager walks), into an inert sink and one with an rx callback, and
+    with one host's traffic forwarded to an unwired port
+    (``no_route``)."""
     sink_name, detour_port = ("h5", 4) if chain else ("h4", 3)
 
     def attach(topo, network, bmv2, entries):
@@ -729,8 +716,7 @@ def test_tie_heavy_schedules_match_event_mode(plans, chain, stateful,
     snap = _run_both(
         attach, hosts=4, make=_make_chain if chain else _make_network,
         until=None if until_tick is None else until_tick * _GRID_S,
-        serialize_on_wire=stateful, max_queue_delay_s=max_queue_delay_s,
-        stage_counts=stages)
+        serialize_on_wire=stateful, stage_counts=stages)
     offered = sum(len(ticks) for ticks, _, _ in plans)
     assert snap["delivered"] + snap["lost"] == offered
     assert snap["lost"] == sum(snap["drops"].values())

@@ -111,7 +111,6 @@ def test_no_registry_no_callback():
     network, _ = _bare("codegen", True)
     assert all(host.received._on_evict is None
                for host in network.hosts.values())
-    assert network.reports._on_evict is None
 
 
 # ---------------------------------------------------------------------------
