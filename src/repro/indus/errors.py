@@ -7,14 +7,14 @@ mirroring the error reporting a production compiler would provide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """A half-open region of source text, used for diagnostics.
 
     Lines and columns are 1-based, matching how editors display positions.
+    A tuple, like :class:`~repro.indus.tokens.Token`: every token has one.
     """
 
     line: int = 0

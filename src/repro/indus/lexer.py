@@ -1,201 +1,95 @@
-"""Hand-written lexer for the Indus language.
+"""Lexer for the Indus language: one compiled regular expression.
 
 The lexer converts Indus source text into a list of :class:`Token` values.
 It supports C-style block comments (``/* ... */``), line comments
 (``// ...``), decimal, hexadecimal (``0x``) and binary (``0b``) integer
 literals, and the full operator set from Figure 4 of the paper plus the
 prototype extensions (``+=``, ``-=``, ``%``, shifts).
+
+The lexical grammar is ASCII: an identifier is ``[A-Za-z_][A-Za-z0-9_]*``
+and any character no rule accepts raises :class:`LexError` at its own
+line and column.  Every alternative of the master pattern but the line
+comment is one named group; ``finditer`` walks the source with a
+catch-all last alternative, so consecutive matches tile it, and the
+line and the offset it starts at advance only as whitespace and block
+comments pass a newline.
 """
 
 from __future__ import annotations
 
+import re
+import string
 from typing import List
 
 from .errors import LexError, SourceSpan
 from .tokens import KEYWORDS, Token, TokenKind
 
-# Multi-character operators, longest first so maximal-munch works by scanning
-# this list in order.
-_MULTI_OPS = [
-    ("<<", TokenKind.SHL),
-    (">>", TokenKind.SHR),
-    ("==", TokenKind.EQ),
-    ("!=", TokenKind.NEQ),
-    ("<=", TokenKind.LE),
-    (">=", TokenKind.GE),
-    ("&&", TokenKind.AND),
-    ("||", TokenKind.OR),
-    ("+=", TokenKind.PLUS_ASSIGN),
-    ("-=", TokenKind.MINUS_ASSIGN),
-]
+#: Punctuation and operators by their text (every kind whose value is
+#: not a word).
+_OPERATORS = {kind.value: kind for kind in TokenKind
+              if not kind.value[0].isalpha()}
 
-_SINGLE_OPS = {
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ";": TokenKind.SEMI,
-    ",": TokenKind.COMMA,
-    ".": TokenKind.DOT,
-    "@": TokenKind.AT,
-    "=": TokenKind.ASSIGN,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "~": TokenKind.TILDE,
-    "&": TokenKind.AMP,
-    "|": TokenKind.PIPE,
-    "^": TokenKind.CARET,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "!": TokenKind.NOT,
-}
+# Alternatives are tried in order, so two-character operators come
+# before their one-character prefixes (maximal munch) and a terminated
+# block comment before the bare opener that reports it unterminated.
+_SCAN = re.compile(
+    r"(?P<space>[ \t\r\n]+)|//[^\n]*|(?P<comment>/\*.*?\*/)|(?P<open>/\*)"
+    r"|(?P<int>0[xX][0-9a-fA-F_]*|0[bB][01_]*|\d[\d_]*)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    "|(?P<op>" + "|".join(map(re.escape, sorted(_OPERATORS, key=len,
+                                                  reverse=True))) + ")"
+    r"|(?P<bad>.)",
+    re.ASCII | re.DOTALL)
+
+_BASES = {"0x": 16, "0b": 2}
+_LETTERS = frozenset(string.ascii_letters)
 
 
-class Lexer:
-    """Streaming lexer over a source string."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- low-level cursor helpers -------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _span_from(self, start_line: int, start_col: int) -> SourceSpan:
-        return SourceSpan(start_line, start_col, self.line, self.column)
-
-    # -- skipping ------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments; raise on unterminated block comment."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError(
-                        "unterminated block comment",
-                        SourceSpan(start_line, start_col, self.line, self.column),
-                    )
-            else:
-                return
-
-    # -- token producers ------------------------------------------------------
-
-    def _lex_number(self) -> Token:
-        start_line, start_col = self.line, self.column
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            digits = "0123456789abcdefABCDEF_"
-            base = 16
-        elif self._peek() == "0" and self._peek(1) in "bB":
-            self._advance(2)
-            digits = "01_"
-            base = 2
-        else:
-            digits = "0123456789_"
-            base = 10
-        while self._peek() and self._peek() in digits:
-            self._advance()
-        text = self.source[start : self.pos]
-        span = self._span_from(start_line, start_col)
-        body = text if base == 10 else text[2:]
-        body = body.replace("_", "")
-        if not body:
-            raise LexError(f"malformed integer literal {text!r}", span)
-        if self._peek().isalpha():
-            raise LexError(
-                f"invalid character {self._peek()!r} after integer literal", span
-            )
-        return Token(TokenKind.INT, text, span, value=int(body, base))
-
-    def _lex_word(self) -> Token:
-        start_line, start_col = self.line, self.column
-        start = self.pos
-        while self._peek() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.source[start : self.pos]
-        span = self._span_from(start_line, start_col)
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, span)
-
-    def _lex_operator(self) -> Token:
-        start_line, start_col = self.line, self.column
-        two = self.source[self.pos : self.pos + 2]
-        for text, kind in _MULTI_OPS:
-            if two == text:
-                self._advance(2)
-                return Token(kind, text, self._span_from(start_line, start_col))
-        ch = self._peek()
-        kind = _SINGLE_OPS.get(ch)
-        if kind is None:
-            raise LexError(
-                f"unexpected character {ch!r}",
-                SourceSpan(start_line, start_col, start_line, start_col + 1),
-            )
-        self._advance()
-        return Token(kind, ch, self._span_from(start_line, start_col))
-
-    # -- driver ---------------------------------------------------------------
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.source):
-            return Token(
-                TokenKind.EOF, "", SourceSpan(self.line, self.column, self.line, self.column)
-            )
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch.isalpha() or ch == "_":
-            return self._lex_word()
-        return self._lex_operator()
-
-    def tokenize(self) -> List[Token]:
-        """Lex the whole input, returning a list ending with an EOF token."""
-        tokens: List[Token] = []
-        while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
+def _integer(source: str, text: str, end: int, span: SourceSpan) -> int:
+    """The value of literal ``text`` (ending at offset ``end``): it
+    needs a digit after its prefix and no letter right after it."""
+    base = _BASES.get(text[:2].lower(), 10)
+    body = (text if base == 10 else text[2:]).replace("_", "")
+    if not body:
+        raise LexError(f"malformed integer literal {text!r}", span)
+    if source[end:end + 1] in _LETTERS:
+        raise LexError(
+            f"invalid character {source[end]!r} after integer literal", span)
+    return int(body, base)
 
 
 def tokenize(source: str) -> List[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source).tokenize()
+    """Lex ``source`` into a token list ending with an EOF token."""
+    tokens: List[Token] = []
+    append = tokens.append
+    line, start = 1, 0  # the current line and the offset it starts at
+    for match in _SCAN.finditer(source):
+        group = match.lastgroup
+        if group == "space" or group == "comment":
+            text = match.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                start = match.start() + text.rindex("\n") + 1
+            continue
+        if group is None:  # a line comment
+            continue
+        text = match.group()
+        begin, end = match.span()
+        span = SourceSpan(line, begin - start + 1, line, end - start + 1)
+        if group == "word":
+            append(Token(KEYWORDS.get(text, TokenKind.IDENT), text, span))
+        elif group == "op":
+            append(Token(_OPERATORS[text], text, span))
+        elif group == "int":
+            append(Token(TokenKind.INT, text, span,
+                         _integer(source, text, end, span)))
+        elif group == "open":  # the span runs to the end of the input
+            raise LexError("unterminated block comment", span._replace(
+                end_line=line + source.count("\n", begin),
+                end_column=len(source) - source.rfind("\n")))
+        else:
+            raise LexError(f"unexpected character {text!r}", span)
+    column = len(source) - start + 1
+    append(Token(TokenKind.EOF, "", SourceSpan(line, column, line, column)))
+    return tokens

@@ -43,6 +43,10 @@ _PRECEDENCE = [
     },
 ]
 
+#: Token kind -> (level in ``_PRECEDENCE``, operator), for the climb.
+_BINARY = {kind: (level, op) for level, table in enumerate(_PRECEDENCE)
+           for kind, op in table.items()}
+
 _DECL_KINDS = {
     TokenKind.TELE: ast.VarKind.TELE,
     TokenKind.SENSOR: ast.VarKind.SENSOR,
@@ -64,9 +68,8 @@ class Parser:
 
     # -- token-stream helpers -------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]  # never past EOF: _advance stops there
 
     def _at(self, kind: TokenKind) -> bool:
         return self._peek().kind is kind
@@ -201,22 +204,22 @@ class Parser:
     def parse_expr(self) -> ast.Expr:
         return self._parse_binary(0)
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_PRECEDENCE):
-            return self._parse_unary()
-        table = _PRECEDENCE[level]
-        left = self._parse_binary(level + 1)
-        while self._peek().kind in table:
-            op_token = self._advance()
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: the operand, then every operator at
+        ``min_level`` or tighter, each taking as its right operand what
+        binds tighter than itself — so every level is left-associative."""
+        left = self._parse_unary()
+        while True:
+            level, op = _BINARY.get(self._peek().kind, (-1, None))
+            if level < min_level:
+                return left
+            self._advance()
             right = self._parse_binary(level + 1)
             span = left.span.merge(right.span)
-            if op_token.kind is TokenKind.IN:
+            if op is None:  # ``in``
                 left = ast.InExpr(item=left, container=right, span=span)
             else:
-                left = ast.Binary(
-                    op=table[op_token.kind], left=left, right=right, span=span
-                )
-        return left
+                left = ast.Binary(op=op, left=left, right=right, span=span)
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import SourceSpan
 
@@ -102,9 +101,10 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its source span."""
+class Token(NamedTuple):
+    """A single lexical token with its source span (a tuple: the lexer
+    builds one per token, and a frozen dataclass costs several times as
+    much to construct)."""
 
     kind: TokenKind
     text: str

@@ -83,12 +83,22 @@ notifies the engine on entry inserts and default-action changes.
   action its table does not declare, so a module's text is a function
   of the program, the default-action names and whether it is
   instrumented.
-* **Who owns the code**: the program.  Switches running one program
-  (a deployment links once per role) emit the same text, and
-  ``program.code`` maps a text to its code object: the first engine to
-  need it calls ``compile()``, its siblings ``exec`` the same code
-  into their own globals (and each runs its own byte copy of
-  ``_process``'s code).  The memo dies with the program.
+* **Who owns the code**: the program.  ``program.code`` maps that key —
+  ``(default-action name per table, instrumented)`` — to ``(source,
+  code, plan)``.  The first engine to need a key emits the text and
+  calls ``compile()``, unless another key already emitted that very
+  text (a new default naming an action the table dispatches to
+  anyway): one text, one ``compile()``.  A sibling (a deployment links
+  once per role, so switches of one role run one program) emits
+  nothing: it binds its own values from the :class:`_Plan` into its
+  own globals and ``exec``s the same code there (and runs its own byte
+  copy of ``_process``'s code).  The plan holds the module's program
+  constants (header types and blanks, select maps, externs, helpers)
+  by value and each per-switch global by its kind (``SW``, ``EN``,
+  ``RG*`` registers, ``T*`` table indexes and their ``L*`` lookup
+  memos, ``DB*`` defaults, ``RUN*`` memos, ``CH*``/``CM*`` counters,
+  ``TR``: :data:`_PER_SWITCH`), beside the name bookkeeping the hooks
+  read.  The memo dies with the program.
 * **What rebinds**: a default action's *arguments*.  Each apply site's
   miss path loads its default — a keyless ``TableEntry``, bound once
   per table — from a module global (``DB<site>``);
@@ -116,7 +126,8 @@ other assignment.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from ..net.packet import Header, Packet
 from ..obs.profile import profiled
@@ -193,6 +204,43 @@ def _sanitize(name: str) -> str:
 
 #: ``param.*`` bindings outside any action: none.
 _NO_PARAMS: Dict[str, str] = {}
+
+
+#: A module's per-switch globals by kind: ``kind -> value(engine, arg)``,
+#: what a build of ``engine`` binds (``arg`` names which table or
+#: register): ``SW``, ``EN``, ``TR``, ``RG*``, ``T*``, ``L*``, ``DB*``,
+#: ``RUN*``, ``CH*`` and ``CM*`` respectively.
+_PER_SWITCH: Dict[str, Callable[[Any, Any], Any]] = {
+    "switch": lambda engine, _: engine.switch,
+    "engine": lambda engine, _: engine,
+    "tracer": lambda engine, _: engine._obs.tracer,
+    "registers": lambda engine, name: engine.switch.registers[name],
+    "index": lambda engine, table: engine._new_index(table),
+    "lookup_memo": lambda engine, table: engine.tables[table].memo,
+    "default": lambda engine, table: engine._default_bound[table],
+    "run_memo": lambda engine, _: {},
+    "hits": lambda engine, table: engine._lookup_counter(table, "hit"),
+    "misses": lambda engine, table: engine._lookup_counter(table, "miss"),
+}
+
+
+class _Plan(NamedTuple):
+    """How a sibling builds a module without emitting it (module
+    docstring, "Who owns the code").  Every field is read-only once
+    the first engine has built it."""
+
+    #: Program constants, by global name.
+    constants: Dict[str, Any]
+    #: Per-switch globals in emission order: ``(name, kind, arg)``, a
+    #: :data:`_PER_SWITCH` kind (an ``L*`` memo after its ``T*`` index).
+    bindings: List[Tuple[str, str, Any]]
+    #: The engine's bookkeeping, by table: its ``T*`` global, its
+    #: ``DB<site>`` globals, the ``RUN<k>`` memos of runs it is in.
+    table_globals: Dict[str, str]
+    default_globals: Dict[str, List[str]]
+    run_memos: Dict[str, Set[str]]
+    #: How many ``RUN<k>`` memos the module has.
+    runs: int
 
 
 class CodegenEngine:
@@ -318,26 +366,32 @@ class CodegenEngine:
         self.builds[cause] = self.builds.get(cause, 0) + 1
         with profiled(self.switch.obs.registry, "codegen"):
             self._specialize()
-            self._globals: Dict[str, Any] = {}
             retired, self.tables = self.tables, {}
-            self._table_globals: Dict[str, str] = {}
-            #: Per table, the ``DB<site>`` globals holding its default.
-            self._default_globals: Dict[str, List[str]] = {}
-            #: Per table, the ``RUN<k>`` memos of the runs it is in.
-            self._run_memos: Dict[str, Set[str]] = {}
-            self._runs = 0
-            self.source = self._emit_module()
+            key = (tuple(None if default is None else default[0]
+                         for default in self.switch.default_actions.values()),
+                   self._instrumented)
+            built = self.program.code.get(key)
+            if built is None:  # the first switch of this program to ask
+                source, plan = self._emit()
+                # Two keys can emit one text (a new default naming an
+                # action the table already dispatches to): one compile().
+                code = next((code for text, code, _ in
+                             self.program.code.values() if text == source),
+                            None)
+                if code is None:
+                    code = compile(source, f"<codegen:{self.program.name}>",
+                                   "exec")
+                    self.compiles += 1
+                built = self.program.code[key] = source, code, plan
+            else:
+                self._from_plan(built[2])
+            self.source, code, _ = built
             for name, old in retired.items():
                 index = self.tables.get(name)
                 if index is not None:
                     index.rebuilds, index.folds = old.rebuilds, old.folds
                     index.memo_fills = old.memo_fills
                     index.memo_clears = old.memo_clears
-            code = self.program.code.get(self.source)
-            if code is None:  # the first switch of this program to ask
-                code = self.program.code[self.source] = compile(
-                    self.source, f"<codegen:{self.program.name}>", "exec")
-                self.compiles += 1
             exec(code, self._globals)
             self._run = self._globals["_process"]
             # CPython's inline caches sit in the function's code and
@@ -347,6 +401,36 @@ class CodegenEngine:
             self._run.__code__ = self._run.__code__.replace()
         self.process = (observed(self.switch, self._run) if self._instrumented
                         else self._run)
+
+    def _emit(self) -> Tuple[str, _Plan]:
+        """Emit the module's text, filling this engine's globals and
+        bookkeeping, and the plan a sibling builds it from."""
+        self._globals: Dict[str, Any] = {}
+        self._bindings: List[Tuple[str, str, Any]] = []
+        self._table_globals: Dict[str, str] = {}
+        #: Per table, the ``DB<site>`` globals holding its default.
+        self._default_globals: Dict[str, List[str]] = {}
+        #: Per table, the ``RUN<k>`` memos of the runs it is in.
+        self._run_memos: Dict[str, Set[str]] = {}
+        self._runs = 0
+        source = self._emit_module()
+        bound = {name for name, _, _ in self._bindings}
+        return source, _Plan(
+            {name: value for name, value in self._globals.items()
+             if name not in bound},
+            self._bindings, self._table_globals,
+            self._default_globals, self._run_memos, self._runs)
+
+    def _from_plan(self, plan: _Plan) -> None:
+        """A sibling's build: the plan's constants, then each per-switch
+        global bound to this engine's own value."""
+        self._globals = dict(plan.constants)
+        for name, kind, arg in plan.bindings:
+            self._globals[name] = _PER_SWITCH[kind](self, arg)
+        self._table_globals = plan.table_globals
+        self._default_globals = plan.default_globals
+        self._run_memos = plan.run_memos
+        self._runs = plan.runs
 
     def _specialize(self) -> None:
         """What emission assumes of the switch's live control-plane
@@ -370,24 +454,44 @@ class CodegenEngine:
     # ==================================================================
 
     def _g(self, name: str, value: Any) -> str:
-        """Register a value under ``name`` in the exec globals."""
+        """Register a program constant under ``name`` in the exec
+        globals (a sibling's build copies it from the plan)."""
         if name not in self._globals:
             self._globals[name] = value
         return name
 
+    def _per_switch(self, name: str, kind: str, arg: Any = None) -> str:
+        """Register a per-switch global under ``name``: this engine's
+        value of ``kind`` now, each sibling's own in its build."""
+        if name not in self._globals:
+            self._globals[name] = _PER_SWITCH[kind](self, arg)
+            self._bindings.append((name, kind, arg))
+        return name
+
+    def _new_index(self, name: str) -> _TableIndex:
+        """This engine's (empty) index over table ``name``."""
+        index = self.tables[name] = _TableIndex(self, name,
+                                                self.program.tables[name])
+        return index
+
+    def _lookup_counter(self, table: str, result: str):
+        """This switch's ``table_lookups_total`` child for one outcome."""
+        return self._obs.registry.counter(
+            "table_lookups_total", "table applies by outcome",
+            labels=("switch", "table", "result")).labels(
+                self.switch.name, table, result)
+
     def _table_global(self, name: str) -> Tuple[str, _TableIndex]:
         gname = self._table_globals.get(name)
         if gname is None:
-            index = _TableIndex(self, name, self.program.tables[name])
-            self.tables[name] = index
-            gname = self._g(f"T{len(self._table_globals)}_{_sanitize(name)}",
-                            index)
+            gname = self._per_switch(
+                f"T{len(self._table_globals)}_{_sanitize(name)}", "index",
+                name)
             self._table_globals[name] = gname
         return gname, self.tables[name]
 
     def _emit_module(self) -> str:
         program = self.program
-        switch = self.switch
         # Stable name maps (index-based: collision-free, readable).
         self._meta_names = {
             name: f"m{i}_{_sanitize(name)}"
@@ -407,14 +511,13 @@ class CodegenEngine:
         self._own_names = {
             bind: f"o{i}" for i, bind in enumerate(self._bind_types)
         }
-        self._reg_names = {}
-        for i, reg in enumerate(program.registers):
-            gname = self._g(f"RG{i}_{_sanitize(reg.name)}",
-                            switch.registers[reg.name])
-            self._reg_names[reg.name] = gname
+        self._reg_names = {
+            reg.name: self._per_switch(f"RG{i}_{_sanitize(reg.name)}",
+                                       "registers", reg.name)
+            for i, reg in enumerate(program.registers)}
         # Baseline globals.
-        self._g("SW", switch)
-        self._g("EN", self)
+        self._per_switch("SW", "switch")
+        self._per_switch("EN", "engine")
         self._g("_DM", DigestMessage)
         self._g("_PKT", Packet.shell)
         self._g("_box", _box)
@@ -426,7 +529,7 @@ class CodegenEngine:
         self._g("_UNSET", _UNSET)
         self._g("_MISS", _MISS)
         if self._instrumented:
-            self._g("TR", self._obs.tracer)
+            self._per_switch("TR", "tracer")
         # Usage scans over pipelines + every program action (superset of
         # anything the dispatch can inline) + the parser's select fields:
         # each statement's declared effect, an apply's table keys.
@@ -803,7 +906,7 @@ class CodegenEngine:
         else:
             # A search sits behind a probe of the memo its index owns
             # (and empties, synchronously, on every write).
-            memo = self._g(f"L{gname}", index.memo)
+            memo = self._per_switch(f"L{gname}", "lookup_memo", stmt.table)
             emit(f"{pad}_k = {key_tuple}")
             emit(f"{pad}_b{site} = {memo}.get(_k, _MISS)")
             emit(f"{pad}if _b{site} is _MISS:")
@@ -816,16 +919,11 @@ class CodegenEngine:
             emit(f"{pad}_h{site} = _b{site} is not None")
         # The default binding is data: set_default_action's hook stores
         # a new one here unless the action itself changed.
-        db = self._g(f"DB{site}", self._default_bound[stmt.table])
+        db = self._per_switch(f"DB{site}", "default", stmt.table)
         self._default_globals.setdefault(stmt.table, []).append(db)
         if self._instrumented:
-            counter = self._obs.registry.counter(
-                "table_lookups_total", "table applies by outcome",
-                labels=("switch", "table", "result"))
-            hc = self._g(f"CH{site}", counter.labels(
-                self.switch.name, stmt.table, "hit"))
-            mc = self._g(f"CM{site}", counter.labels(
-                self.switch.name, stmt.table, "miss"))
+            hc = self._per_switch(f"CH{site}", "hits", stmt.table)
+            mc = self._per_switch(f"CM{site}", "misses", stmt.table)
             emit(f"{pad}if _h{site}:")
             emit(f"{pad}    {hc}.inc()")
             emit(f"{pad}    if TR.live:")
@@ -958,7 +1056,7 @@ class CodegenEngine:
         while at < len(stmts):
             count, operand, fields = self._run_at(stmts, at, before)
             if fields:
-                memo = self._g(f"RUN{self._runs}", {})
+                memo = self._per_switch(f"RUN{self._runs}", "run_memo")
                 self._runs += 1
                 key = self._read(operand, _NO_PARAMS) if operand else "0"
                 names = ", ".join(self._meta_names[f[len("meta."):]]

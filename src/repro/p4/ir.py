@@ -568,12 +568,13 @@ class P4Program:
     # Deparser emit order over bind names; invalid binds are skipped and
     # any unparsed tail is appended.
     emit_order: List[str] = field(default_factory=list)
-    # Code objects of the modules generated from this program, by
-    # generated text (:mod:`repro.p4.codegen`): the engines of the
-    # switches running it compile each distinct text once.  No part of
-    # the program's value; the linker's clone starts with none.
-    code: Dict[str, object] = field(default_factory=dict, compare=False,
-                                    repr=False)
+    # The modules generated from this program (:mod:`repro.p4.codegen`):
+    # (default-action names, instrumented) -> (source, code, plan), so
+    # the engines of the switches running it emit and compile each
+    # once.  No part of the program's value; the linker's clone starts
+    # with none.
+    code: Dict[tuple, tuple] = field(default_factory=dict, compare=False,
+                                     repr=False)
 
     def add_action(self, action: Action) -> Action:
         if action.name in self.actions:

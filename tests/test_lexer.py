@@ -1,10 +1,18 @@
 """Lexer unit tests."""
 
-import pytest
+from pathlib import Path
 
-from repro.indus.errors import LexError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.properties
+from repro.difftest import gen_scenario
+from repro.indus.errors import LexError, SourceSpan
 from repro.indus.lexer import tokenize
-from repro.indus.tokens import TokenKind
+from repro.indus.tokens import KEYWORDS, TokenKind
+
+BUNDLED = sorted([*Path(repro.properties.__file__).parent.glob("*.indus"),
+                  *(Path(__file__).parents[1] / "examples").glob("*.indus")])
 
 
 def kinds(source):
@@ -138,3 +146,96 @@ def test_full_figure1_program_lexes():
     tokens = tokenize(source)
     assert tokens[-1].kind is TokenKind.EOF
     assert TokenKind.DICT in [t.kind for t in tokens]
+
+
+# ---------------------------------------------------------------------------
+# The lexical grammar is ASCII
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("source, char, column", [
+    ("tele bit<8> é;", "é", 13),   # not a P4-16 identifier either
+    ("x = ²;", "²", 5),            # str.isdigit, but no digit of ours
+    ("x = ٣;", "٣", 5),
+    ("aé", "é", 2),                # an identifier stops at its last ASCII
+    ("1é", "é", 2),                # character, and so does a literal
+])
+def test_the_lexical_grammar_is_ascii(source, char, column):
+    with pytest.raises(LexError) as info:
+        tokenize(source)
+    assert info.value.message == f"unexpected character {char!r}"
+    assert info.value.span == SourceSpan(1, column, 1, column + 1)
+
+
+def test_a_zero_at_the_end_of_the_input_is_a_literal():
+    # Not a "0x" prefix whose "x" is missing.
+    assert [(t.kind, t.value) for t in tokenize("x = 0")][2] == \
+        (TokenKind.INT, 0)
+
+
+# ---------------------------------------------------------------------------
+# Spans slice the source
+# ---------------------------------------------------------------------------
+
+def assert_spans_slice(source):
+    """Every token's span cuts exactly its text out of ``source``; EOF
+    sits just past the last character."""
+    lines = source.split("\n")
+    tokens = tokenize(source)
+    for token in tokens[:-1]:
+        line, column, end_line, end_column = token.span
+        assert end_line == line, token
+        assert lines[line - 1][column - 1:end_column - 1] == token.text, token
+    end = len(lines[-1]) + 1
+    assert tokens[-1].span == SourceSpan(len(lines), end, len(lines), end)
+    return tokens
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.name)
+def test_spans_slice_every_bundled_program(path):
+    assert_spans_slice(path.read_text())
+
+
+def test_spans_slice_the_oracles_programs():
+    for seed in range(300):
+        assert_spans_slice(gen_scenario(seed).source())
+
+
+_WORDS = ["x", "_t0", "telemetry", "abs", *KEYWORDS]
+_NUMBERS = ["0", "7", "1_000", "0x1F", "0XaB_c", "0b101", "0B1_0"]
+_OPERATORS = [kind.value for kind in TokenKind if not kind.value[0].isalpha()]
+# Each starts with a blank, so no separator glues onto a "/" before it.
+_TRIVIA = [" ", "\t", "\n", "\r\n", " // note */ /*\n", " //\r\n",
+           " /* one\n two\r\n\tthree */ ", " /**/ ", " /* ** / * */\t"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_TRIVIA),
+                          st.sampled_from(_WORDS + _NUMBERS + _OPERATORS)),
+                max_size=40),
+       st.sampled_from(["", *_TRIVIA]))
+def test_spans_slice_interleaved_comments_tabs_and_crlf(pairs, tail):
+    source = "".join(trivia + text for trivia, text in pairs) + tail
+    tokens = assert_spans_slice(source)
+    assert [t.text for t in tokens[:-1]] == [text for _, text in pairs]
+
+
+def test_the_eof_span():
+    assert tokenize("")[0].span == SourceSpan(1, 1, 1, 1)
+    assert tokenize("a\n  b\t ")[-1].span == SourceSpan(2, 6, 2, 6)
+    assert tokenize("a\r\n")[-1].span == SourceSpan(2, 1, 2, 1)
+
+
+@pytest.mark.parametrize("source, message, span", [
+    ("x = 1;\n  y $", "unexpected character '$'", SourceSpan(2, 5, 2, 6)),
+    ("x =\n 0x;", "malformed integer literal '0x'", SourceSpan(2, 2, 2, 4)),
+    ("x = 12ab;", "invalid character 'a' after integer literal",
+     SourceSpan(1, 5, 1, 7)),
+    # An unterminated comment runs from its opener to the EOF position.
+    ("a\n  /* open\n still", "unterminated block comment",
+     SourceSpan(2, 3, 3, 7)),
+    ("a /* open", "unterminated block comment", SourceSpan(1, 3, 1, 10)),
+])
+def test_error_spans(source, message, span):
+    with pytest.raises(LexError) as info:
+        tokenize(source)
+    assert (info.value.message, info.value.span) == (message, span)

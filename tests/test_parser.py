@@ -1,10 +1,13 @@
 """Parser unit tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.indus import ast
 from repro.indus.errors import ParseError
-from repro.indus.parser import parse, parse_expression
+from repro.indus.parser import (_PRECEDENCE, BUILTIN_FUNCTIONS, parse,
+                                parse_expression)
+from repro.indus.printer import ast_equal, format_expr
 from repro.indus.types import (ArrayType, BitType, BoolType, DictType,
                                SetType, TupleType)
 
@@ -274,3 +277,86 @@ def test_figure_programs_parse():
 
     for name in property_names():
         parse(load_source(name))  # must not raise
+
+
+# ---------------------------------------------------------------------------
+# Precedence: generated trees round-trip through both renderings
+# ---------------------------------------------------------------------------
+# The oracle cannot see a front-end bug: its compiler, both engines and
+# the reference monitor all read one parse of each scenario.  So the
+# precedence climb is held to trees it did not build.
+
+#: Every binary operator, ``in`` included (an ``InExpr``, not a Binary).
+_BINARY = [*ast.BinaryOp, "in"]
+
+
+def _binary(op, left, right):
+    if op == "in":
+        return ast.InExpr(item=left, container=right)
+    return ast.Binary(op=op, left=left, right=right)
+
+
+_LEAVES = st.one_of(
+    st.integers(0, 2**32).map(lambda v: ast.IntLit(value=v)),
+    st.booleans().map(lambda v: ast.BoolLit(value=v)),
+    st.sampled_from(["a", "b", "tele_x", "length"]).map(
+        lambda name: ast.Var(name=name)))
+
+
+def _compound(children):
+    return st.one_of(
+        st.builds(_binary, st.sampled_from(_BINARY), children, children),
+        st.builds(lambda op, operand: ast.Unary(op=op, operand=operand),
+                  st.sampled_from(ast.UnaryOp), children),
+        st.builds(lambda base, index: ast.Index(base=base, index=index),
+                  children, children),
+        st.builds(lambda func, args: ast.Call(func=func, args=args),
+                  st.sampled_from(BUILTIN_FUNCTIONS),
+                  st.lists(children, max_size=3)))
+
+
+EXPRESSIONS = st.recursive(_LEAVES, _compound, max_leaves=16)
+
+
+def parenthesised(expr):
+    """``expr`` with every compound subexpression in parentheses."""
+    if isinstance(expr, (ast.IntLit, ast.BoolLit, ast.Var)):
+        return format_expr(expr)
+    if isinstance(expr, ast.Binary):
+        return (f"({parenthesised(expr.left)} {expr.op.value} "
+                f"{parenthesised(expr.right)})")
+    if isinstance(expr, ast.InExpr):
+        return f"({parenthesised(expr.item)} in {parenthesised(expr.container)})"
+    if isinstance(expr, ast.Unary):
+        return f"({expr.op.value}{parenthesised(expr.operand)})"
+    if isinstance(expr, ast.Index):
+        return f"({parenthesised(expr.base)}[{parenthesised(expr.index)}])"
+    return f"{expr.func}({', '.join(map(parenthesised, expr.args))})"
+
+
+def test_every_binary_level_is_generated():
+    assert set(ast.BinaryOp) == {op for level in _PRECEDENCE
+                                 for op in level.values() if op}
+
+
+def assert_round_trips(expr):
+    for text in (parenthesised(expr), format_expr(expr)):
+        assert ast_equal(parse_expression(text), expr), text
+
+
+@pytest.mark.parametrize("outer", _BINARY, ids=str)
+def test_every_pair_of_operators_nests_both_ways(outer):
+    a, b, c = (ast.Var(name=name) for name in "abc")
+    for inner in _BINARY:
+        assert_round_trips(_binary(outer, _binary(inner, a, b), c))
+        assert_round_trips(_binary(outer, a, _binary(inner, b, c)))
+    for op in ast.UnaryOp:
+        assert_round_trips(ast.Unary(op=op, operand=_binary(outer, a, b)))
+        assert_round_trips(_binary(outer, ast.Unary(op=op, operand=a), b))
+        assert_round_trips(_binary(outer, a, ast.Unary(op=op, operand=b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSIONS)
+def test_both_renderings_parse_back_to_the_tree(expr):
+    assert_round_trips(expr)

@@ -14,6 +14,9 @@ passes — driven through exactly the same calls: every output, report,
 register and counter of every switch must match it.
 """
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.aether import AetherTestbed
@@ -24,7 +27,8 @@ from repro.net.packet import make_udp
 from repro.net.topology import leaf_spine
 from repro.obs import Observability
 from repro.p4 import ENGINES
-from repro.properties import compile_suite
+from repro.p4.bmv2 import Bmv2Switch
+from repro.properties import TABLE1_ORDER, compile_suite
 from repro.runtime.deployment import HydraDeployment
 
 FLOWS = [("h1", "h3", 4000), ("h1", "h4", 4001), ("h3", "h1", 4002),
@@ -206,8 +210,8 @@ def test_deployments_share_nothing(compiled):
     for name in topology.switches:
         mine, theirs = first.linked[name], second.linked[name]
         assert mine is not theirs and len(mine.code) == len(theirs.code) == 1
-        assert not set(map(id, mine.code.values())) & \
-            set(map(id, theirs.code.values()))
+        assert not {id(code) for _, code, _ in mine.code.values()} & \
+            {id(code) for _, code, _ in theirs.code.values()}
     assert not forwarding["leaf1"].code
     for deployment in (first, second):
         assert sum(s.engine_counts()["compiles"]
@@ -227,3 +231,96 @@ def test_one_compile_per_role(compiled):
     assert counts(build_fabric(compiled, "codegen", shared=True)) == (4, 2)
     assert counts(AetherTestbed().deployment) == (4, 2)
     assert counts(build_fabric(compiled, "codegen", shared=False)) == (4, 4)
+
+
+#: A module's per-switch globals (``codegen._Plan.bindings``).
+PER_SWITCH = re.compile(r"SW|EN|TR|RG\d+_.*|T\d+_.*|LT\d+_.*|DB\d+|RUN\d+"
+                        r"|C[HM]\d+")
+
+
+def assert_binds_its_own(switch, sibling):
+    """Every per-switch global of ``switch``'s module is its own
+    object, none of them ``sibling``'s."""
+    engine, theirs = switch._engine, sibling._engine._globals
+    mine = {name: value for name, value in engine._globals.items()
+            if PER_SWITCH.fullmatch(name)}
+    assert mine["SW"] is switch and mine["EN"] is engine
+    lookups = switch.obs.registry.get("table_lookups_total")
+    for name, value in mine.items():
+        if name == "TR":
+            assert value is switch.obs.tracer
+        elif name.startswith("RG"):
+            assert any(value is values for values in switch.registers.values())
+        elif name.startswith("T"):
+            assert value.engine is engine
+        elif name.startswith("C"):  # labelled with this switch's name
+            assert [labels[0] for labels, child in lookups._children.items()
+                    if child is value] == [switch.name]
+        elif name not in ("SW", "EN") and value is not None:  # DB, L, RUN
+            assert value is not theirs.get(name), name
+
+
+def memos(engine):
+    return [value for name, value in engine._globals.items()
+            if re.fullmatch(r"RUN\d+|LT\d+_.*", name)]
+
+
+@pytest.mark.parametrize("name", TABLE1_ORDER)
+def test_a_sibling_binds_its_own_state(name):
+    """The second edge switch of one linked program builds from the
+    first one's plan: no emission, no compile(), and nothing of the
+    first switch's in its module."""
+    topology = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
+    deployment = HydraDeployment(
+        topology, compile_suite([name]),
+        dict.fromkeys(topology.switches, upf_program("fabric_upf")))
+    install_fabric_routes(topology, deployment.switches)
+    leaf1, leaf2 = (deployment.switches[n] for n in ("leaf1", "leaf2"))
+    first, second = leaf1._engine, leaf2._engine
+    assert (first.compiles, second.compiles) == (1, 0)
+    assert second.source == first.source
+    # What emission would have registered for leaf2 itself.
+    fresh = Bmv2Switch(dataclasses.replace(deployment.linked["leaf2"],
+                                           code={}),
+                       name="leaf2", switch_id=leaf2.switch_id,
+                       engine="codegen")
+    for table, default in leaf2.default_actions.items():
+        if default != fresh.default_actions[table]:
+            fresh.set_default_action(table, *default)
+    assert fresh._engine.source == second.source
+    assert set(fresh._engine._globals) == set(second._globals)
+    assert_binds_its_own(leaf2, leaf1)
+    assert_binds_its_own(leaf1, leaf2)
+
+    # A packet through one switch fills no memo of the other.
+    hosts = topology.hosts
+    attach = topology.host_attachment("h1")
+    assert attach.node == "leaf1"
+    leaf1.process(make_udp(hosts["h1"].ipv4, hosts["h3"].ipv4, 4000, 9),
+                  attach.port)
+    assert any(memos(first)) and not any(memos(second))
+    assert second.run_fills == 0
+
+    # Another default action rebuilds that switch only ...
+    sibling_run = second._run
+    leaf1.set_default_action("upf_routes", "upf_route", [2])
+    assert leaf1._engine.builds == {"initial": 1, "default_action": 1}
+    assert leaf1._engine.compiles == 2
+    assert second.builds == {"initial": 1} and second._run is sibling_run
+    # ... and a third switch given the same default reuses its module.
+    third = Bmv2Switch(deployment.linked["leaf1"], name="edge3",
+                       switch_id=9, engine="codegen")
+    third.set_default_action("upf_routes", "upf_route", [3])
+    assert third._engine.builds == {"initial": 1, "default_action": 1}
+    assert third._engine.compiles == 0
+    assert third._engine.source == leaf1._engine.source
+    assert_binds_its_own(third, leaf1)
+
+    # An instrumented sibling counts under its own switch name.
+    obs = Observability.enabled()
+    for switch in (leaf1, third):
+        switch.attach_observability(obs)
+    assert (leaf1._engine.compiles, third._engine.compiles) == (1, 0)
+    assert "CH0" in third._engine._globals
+    assert_binds_its_own(third, leaf1)
+    assert_binds_its_own(leaf1, third)
