@@ -7,6 +7,16 @@ validity bit.  The Hydra telemetry header generated by the Indus compiler
 is just another :class:`HeaderType`, created at compile time from the
 program's tele variables.
 
+A field has one way in: ``header.get(name)`` (or ``header.values[name]``)
+reads it, ``header.set(name, value)`` writes it masked to its width.
+:class:`Header` defines no ``__getattr__``/``__setattr__`` hook for
+``header.ttl``-style access, on purpose: a class with such a hook gets
+CPython's generic attribute slots, so every ``htype``/``values``/``valid``
+access in both engines' parsers and deparsers and in
+:attr:`Packet.length` would lose its specialised slot access; and
+``copy.copy``/``copy.deepcopy``, which restore slots with ``setattr``,
+work only without one.
+
 Wire formats: headers serialize to bytes big-endian field-by-field, which
 gives honest packet lengths for the latency/throughput models and lets
 tests round-trip packets through links.
@@ -68,14 +78,16 @@ class HeaderType:
 
 
 class Header:
-    """An instance of a header type with concrete field values."""
+    """An instance of a header type with concrete field values: a plain
+    slotted record, its fields read with :meth:`get` and written with
+    :meth:`set`."""
 
     __slots__ = ("htype", "values", "valid")
 
     def __init__(self, htype: HeaderType, **values: int):
-        object.__setattr__(self, "htype", htype)
-        object.__setattr__(self, "values", {f.name: 0 for f in htype.fields})
-        object.__setattr__(self, "valid", True)
+        self.htype = htype
+        self.values = {f.name: 0 for f in htype.fields}
+        self.valid = True
         for name, value in values.items():
             self.set(name, value)
 
@@ -90,25 +102,13 @@ class Header:
         fdef = self.htype.field(field_name)
         self.values[field_name] = int(value) & ((1 << fdef.width) - 1)
 
-    def __getattr__(self, name: str) -> int:
-        values = object.__getattribute__(self, "values")
-        if name in values:
-            return values[name]
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in ("valid",):
-            object.__setattr__(self, name, value)
-            return
-        self.set(name, value)
-
     def copy(self) -> "Header":
         # Hot path (every switch hop copies every header): bypass
         # __init__'s field-template walk and clone the value dict directly.
         clone = Header.__new__(Header)
-        object.__setattr__(clone, "htype", self.htype)
-        object.__setattr__(clone, "values", dict(self.values))
-        object.__setattr__(clone, "valid", self.valid)
+        clone.htype = self.htype
+        clone.values = dict(self.values)
+        clone.valid = self.valid
         return clone
 
     def to_bits(self) -> Tuple[int, int]:
@@ -339,8 +339,8 @@ def make_source_routed(ports: Iterable[int], inner: Packet) -> Packet:
     ether = packet.find("ethernet")
     if ether is None:
         raise ValueError("source routing requires an Ethernet header")
-    original_type = ether.eth_type
-    ether.eth_type = ETH_TYPE_SRCROUTE
+    original_type = ether.get("eth_type")
+    ether.set("eth_type", ETH_TYPE_SRCROUTE)
     packet.meta["sr_original_eth_type"] = original_type
     entries = list(ports)
     if not entries:

@@ -18,10 +18,11 @@ with flat local variables:
   ``setInvalid`` is ``vN = False`` and nothing else — an invalid header
   is not emitted, and its values stay in ``hvN`` for a later
   ``setValid``, as in the reference engine.  The deparser boxes an
-  owned bind once (:func:`_box`) and emits ``hN`` itself otherwise, so
-  untouched headers go out as the very objects that came in and the
-  input packet is only ever read: a packet pays for the headers it
-  changes, not for the ones the program could change.
+  owned bind once, inline (``hN = _HNEW(_HDR)`` and three plain slot
+  stores; ``hvN`` becomes its values), and emits ``hN`` itself
+  otherwise, so untouched headers go out as the very objects that came
+  in and the input packet is only ever read: a packet pays for the
+  headers it changes, not for the ones the program could change.
 * **Pure apply runs are memoised per port.**  A maximal run of two or
   more consecutive applies in a pipeline's top-level body sits behind
   one dict probe when (1) every table is exact-match with no hit/miss
@@ -165,8 +166,6 @@ _UNSET = object()
 #: "Not in the lookup memo" (a memoised table miss is ``None``).
 _MISS = object()
 
-_set_slot = object.__setattr__
-
 
 # ---------------------------------------------------------------------------
 # Runtime helpers referenced from generated source (via globals)
@@ -185,16 +184,6 @@ def _blank(htype) -> Header:
     parser did not extract (built once per engine build, never written)."""
     header = Header(htype)
     header.valid = False
-    return header
-
-
-def _box(htype, values: Dict[str, int]) -> Header:
-    """The valid ``Header`` a deparser emits for a bind this packet
-    owns; ``values`` is the frame's own dict and becomes the header's."""
-    header = Header.__new__(Header)
-    _set_slot(header, "htype", htype)
-    _set_slot(header, "values", values)
-    _set_slot(header, "valid", True)
     return header
 
 
@@ -520,7 +509,8 @@ class CodegenEngine:
         self._per_switch("EN", "engine")
         self._g("_DM", DigestMessage)
         self._g("_PKT", Packet.shell)
-        self._g("_box", _box)
+        self._g("_HDR", Header)
+        self._g("_HNEW", Header.__new__)
         self._g("_raise_p4", _raise_p4)
         self._g("_raise_key", _raise_key)
         for name, helper in ir.HELPERS.items():
@@ -609,9 +599,15 @@ class CodegenEngine:
             local = self._bind_names.get(bind)
             if local is None:
                 continue  # emit_order naming a bind the parser never makes
-            emit(f"{pad}if {self._valid_names[bind]}: _emit.append("
-                 f"_box({self._type_names[bind]}, {self._vals_names[bind]}) "
-                 f"if {self._own_names[bind]} else {local})")
+            # An owned bind is boxed into a fresh valid Header that takes
+            # the frame's dict; an untouched one goes out as it came in.
+            own, htype = self._own_names[bind], self._type_names[bind]
+            emit(f"{pad}if {self._valid_names[bind]}:")
+            emit(f"{pad}    if {own}: {local} = _HNEW(_HDR); "
+                 f"{local}.htype = {htype}; "
+                 f"{local}.values = {self._vals_names[bind]}; "
+                 f"{local}.valid = True")
+            emit(f"{pad}    _emit.append({local})")
         emit(f"{pad}_emit.extend(_tail)")
         emit(f"{pad}return [(sm_egress_port, _PKT(_emit, packet.payload_len, "
              f"packet.packet_id, dict(packet.meta)))]")

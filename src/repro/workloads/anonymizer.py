@@ -78,11 +78,13 @@ class PrefixPreservingAnonymizer:
         out = packet.copy()
         for header in out.headers:
             if header.name == "ipv4":
-                header.src_addr = self.anonymize_ipv4(header.src_addr)
-                header.dst_addr = self.anonymize_ipv4(header.dst_addr)
+                anonymize = self.anonymize_ipv4
             elif header.name == "ethernet":
-                header.src_addr = self.anonymize_mac(header.src_addr)
-                header.dst_addr = self.anonymize_mac(header.dst_addr)
+                anonymize = self.anonymize_mac
+            else:
+                continue
+            for name in ("src_addr", "dst_addr"):
+                header.set(name, anonymize(header.get(name)))
         out.meta.pop("flow_id", None)
         return out
 

@@ -129,10 +129,10 @@ class EchoResponder:
     def _on_packet(self, now: float, packet: Packet) -> None:
         udp = packet.find("udp")
         ipv4 = packet.find("ipv4")
-        if udp is None or ipv4 is None or udp.dst_port != ECHO_PORT:
+        if udp is None or ipv4 is None or udp.get("dst_port") != ECHO_PORT:
             return
-        reply = make_udp(ipv4.dst_addr, ipv4.src_addr,
-                         ECHO_PORT, udp.src_port,
+        reply = make_udp(ipv4.get("dst_addr"), ipv4.get("src_addr"),
+                         ECHO_PORT, udp.get("src_port"),
                          payload_len=packet.payload_len)
         reply.meta["echo_seq"] = packet.meta.get("echo_seq")
         self.replies += 1
@@ -179,7 +179,7 @@ class Pinger:
     def _on_packet(self, now: float, packet: Packet) -> None:
         seq = packet.meta.get("echo_seq")
         udp = packet.find("udp")
-        if seq is None or udp is None or udp.src_port != ECHO_PORT:
+        if seq is None or udp is None or udp.get("src_port") != ECHO_PORT:
             return
         sent_at = self._sent.pop(seq, None)
         if sent_at is None:

@@ -196,10 +196,10 @@ def test_downlink_encapsulation():
     assert len(out) == 1
     result = out[0][1]
     gtpu = result.find("gtpu")
-    assert gtpu is not None and gtpu.teid == 1100
+    assert gtpu is not None and gtpu.get("teid") == 1100
     # Inner copy preserves the original addressing.
     inner = result.find("ipv4", nth=1)
-    assert inner.dst_addr == ip(172, 16, 0, 1)
+    assert inner.get("dst_addr") == ip(172, 16, 0, 1)
 
 
 def test_plain_ipv4_transit_is_routed():

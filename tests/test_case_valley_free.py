@@ -60,7 +60,7 @@ def test_telemetry_stripped_before_delivery(testbed):
     _, packet = host.received[-1]
     names = [h.name for h in packet.headers]
     assert all(not n.startswith("hydra") for n in names)
-    assert packet.find("ethernet").eth_type == 0x0800
+    assert packet.find("ethernet").get("eth_type") == 0x0800
 
 
 def test_valley_free_holds_on_wider_fabric():

@@ -102,7 +102,7 @@ def test_telemetry_header_injected_and_stripped():
     out = send(sw)
     names = [h.name for h in out[0][1].headers]
     assert "hydra" not in names
-    assert out[0][1].find("ethernet").eth_type == ETH_TYPE_IPV4
+    assert out[0][1].find("ethernet").get("eth_type") == ETH_TYPE_IPV4
 
 
 def test_reject_drops_at_last_hop():

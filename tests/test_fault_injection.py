@@ -123,7 +123,7 @@ def test_vlan_rewrite_fault_caught():
                       1, 2)
     ether = packet.find("ethernet")
     packet.insert_after("ethernet", VLAN(vid=10, eth_type=ETH_TYPE_IPV4))
-    ether.eth_type = ETH_TYPE_VLAN
+    ether.set("eth_type", ETH_TYPE_VLAN)
     network = deployment.network
     network.host("h1").send(packet)
     network.run()

@@ -187,7 +187,8 @@ def test_generated_multihop_programs_differential(seed, data):
     packet = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), *hops[0])
     for i, (sport, dport) in enumerate(hops):
         udp = packet.find("udp")
-        udp.src_port, udp.dst_port = sport, dport
+        udp.set("src_port", sport)
+        udp.set("dst_port", dport)
         sw = Bmv2Switch(program, name=f"s{i}")
         sw.insert_entry("fwd_table", [1], "fwd_set_egress", [2])
         if i == 0:

@@ -252,7 +252,7 @@ def test_ethertype_write_redirected_through_hydra():
     packet = make_source_routed([4], inner)
     port, out = sw.process(packet, 1)[0]
     assert port == 4
-    assert out.find("ethernet").eth_type == ETH_TYPE_IPV4
+    assert out.find("ethernet").get("eth_type") == ETH_TYPE_IPV4
     assert out.find("hydra") is None
 
 
@@ -285,7 +285,7 @@ def test_multi_checker_chain_round_trip():
     out = sw.process(packet, 1)
     names = [h.name for h in out[0][1].headers]
     assert names == ["ethernet", "ipv4", "udp"]
-    assert out[0][1].find("ethernet").eth_type == ETH_TYPE_IPV4
+    assert out[0][1].find("ethernet").get("eth_type") == ETH_TYPE_IPV4
 
 
 def test_multi_checker_reject_from_either_drops():

@@ -119,4 +119,4 @@ def test_ecmp_fabric_ttl_decrements_along_path():
     network.host("h1").send(make_udp(h["h1"].ipv4, h["h3"].ipv4, 1, 2,
                                      ttl=64))
     network.run()
-    assert received[0].find("ipv4").ttl == 61  # three routed hops
+    assert received[0].find("ipv4").get("ttl") == 61  # three routed hops

@@ -252,4 +252,4 @@ def test_host_callbacks_receive_time_and_packet():
     assert len(seen) == 1
     t, received = seen[0]
     assert t > 0
-    assert received.find("udp").src_port == 7
+    assert received.find("udp").get("src_port") == 7

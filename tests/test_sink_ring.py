@@ -71,7 +71,7 @@ def test_wrapped_sink_reads_the_same_in_both_planes():
         assert len(sink.received) == capacity
         assert sink.received.total == sink.rx_count == count
         assert sink.received.dropped == count - capacity
-        seen.append(([(t, p.length, p.find("udp").src_port)
+        seen.append(([(t, p.length, p.find("udp").get("src_port"))
                       for t, p in sink.received],
                      sink.received.total, sink.rx_count, sink.rx_bytes,
                      sink.last_rx_time))

@@ -24,7 +24,7 @@ def test_plain_forwarding_survives_wire_roundtrip():
     network.host("h1").send(packet)
     network.run()
     (when, received), = network.host("h2").received
-    assert received.find("udp").src_port == 1234
+    assert received.find("udp").get("src_port") == 1234
     assert received.payload_len == 99
     assert received.packet_id == packet.packet_id
 
