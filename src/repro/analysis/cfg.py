@@ -92,17 +92,15 @@ def build_cfg(stmts: Sequence[ir.P4Stmt]) -> CFG:
             node = new_node(STMT, stmt)
             for prev in frontier:
                 edge(prev, node)
-            if isinstance(stmt, ir.IfStmt):
-                then_exits = chain(stmt.then_body, [node])
-                else_exits = chain(stmt.else_body, [node])
-                # An empty arm falls straight through the branch node.
-                frontier = list(dict.fromkeys(then_exits + else_exits))
-            elif isinstance(stmt, ir.ApplyTable):
-                hit_exits = chain(stmt.hit_body, [node])
-                miss_exits = chain(stmt.miss_body, [node])
-                frontier = list(dict.fromkeys(hit_exits + miss_exits))
-            else:
+            arms = ir.bodies(stmt)
+            if not arms:
                 frontier = [node]
+                continue
+            # An empty arm falls straight through the branch node.
+            arm_exits: List[int] = []
+            for arm in arms:
+                arm_exits.extend(chain(arm, [node]))
+            frontier = list(dict.fromkeys(arm_exits))
         return frontier
 
     cfg.entry = new_node(ENTRY)

@@ -69,8 +69,7 @@ def action_effects(action: ir.Action) -> Effects:
     defs: Set[str] = set()
     must: Set[str] = set()
     side = False
-    straight = all(not isinstance(s, (ir.IfStmt, ir.ApplyTable))
-                   for s in action.body)
+    straight = not any(ir.bodies(s) for s in action.body)  # no branching
     for stmt in ir.walk_stmts(action.body):
         eff = stmt_effects(stmt, tables={}, actions={})
         uses |= {u for u in eff.uses if not u.startswith("param.")}
@@ -84,15 +83,16 @@ def action_effects(action: ir.Action) -> Effects:
 
 def table_effects(table: ir.Table,
                   actions: Dict[str, ir.Action]) -> Effects:
-    """Effects of applying ``table``: key reads plus the union of its
-    actions' effects.  Writes every action *and* the default action
-    perform unconditionally are must-defs (some action always runs when
-    a default is declared); without a default action a miss writes
+    """Effects of applying ``table``: key reads plus the union of the
+    effects of the actions it may run (:func:`repro.p4.ir.table_actions`).
+    Writes every action *and* the default action perform
+    unconditionally are must-defs (some action always runs when a
+    default is declared); without a default action a miss writes
     nothing, so nothing is guaranteed."""
     uses: Set[str] = {k.path for k in table.keys}
     defs: Set[str] = set()
     side = False
-    action_names = list(table.actions)
+    action_names = list(ir.table_actions(table, actions))
     if table.default_action is not None:
         action_names.append(table.default_action[0])
     per_action_must: List[FrozenSet[str]] = []

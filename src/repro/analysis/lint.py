@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from ..compiler.codegen import CompiledChecker
+from ..compiler.lower import CompiledChecker
 from ..p4 import ir
 from .diagnostics import Diagnostic
 from .passes import run_passes

@@ -44,16 +44,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..compiler.codegen import CompiledChecker
+from ..compiler.lower import CompiledChecker
 from ..net.topology import EDGE
 from ..p4 import ir
 from .cfg import checker_placements
 from .dataflow import cfg_effects, liveness
 from .ssa import (SSAFunction, SSAInfo, StdBarrier, UNKNOWN_STD,
                   apply_proposals, eval_const, merge_proposals, propose)
-
-_FRAGMENT_ATTRS = ("ingress_prologue", "init_stmts", "egress_prologue",
-                   "tele_stmts", "check_stmts", "strip_stmts")
 
 
 @dataclass
@@ -124,18 +121,14 @@ def _fold_stmts(stmts: Sequence[ir.P4Stmt],
     out: List[ir.P4Stmt] = []
     for stmt in stmts:
         ir.map_exprs(stmt, lambda expr: _fold_expr(expr, stats))
+        for body in ir.bodies(stmt):
+            body[:] = _fold_stmts(body, stats)
         if isinstance(stmt, ir.IfStmt):
-            stmt.then_body[:] = _fold_stmts(stmt.then_body, stats)
-            stmt.else_body[:] = _fold_stmts(stmt.else_body, stats)
             cond = eval_const(stmt.cond, _unknown)
             if cond is not None:
-                taken = stmt.then_body if cond else stmt.else_body
                 stats.removed_stmts += 1
-                out.extend(taken)
+                out.extend(stmt.then_body if cond else stmt.else_body)
                 continue
-        elif isinstance(stmt, ir.ApplyTable):
-            stmt.hit_body[:] = _fold_stmts(stmt.hit_body, stats)
-            stmt.miss_body[:] = _fold_stmts(stmt.miss_body, stats)
         out.append(stmt)
     return out
 
@@ -168,8 +161,7 @@ def _ssa_round(compiled: CompiledChecker, stats: OptimizeStats) -> bool:
             fn = SSAFunction.lift(view.stmts, info, std_entry=UNKNOWN_STD)
         all_props.append(propose(fn))
     merged = merge_proposals(all_props)
-    counts = apply_proposals(
-        [getattr(compiled, attr) for attr in _FRAGMENT_ATTRS], merged)
+    counts = apply_proposals(compiled.fragments().values(), merged)
     stats.ssa_copyprop += counts["copyprop"]
     stats.ssa_cse += counts["cse"]
     stats.ssa_branches += counts["branch"]
@@ -211,32 +203,21 @@ def _dce_round(compiled: CompiledChecker, stats: OptimizeStats) -> bool:
                 needed.add(id(stmt))  # side-effecting leaf
 
     def sweep(stmts: Sequence[ir.P4Stmt]) -> List[ir.P4Stmt]:
+        """``stmts`` less the unneeded: a compound statement stays iff
+        it is needed or any of its arms survives."""
         out: List[ir.P4Stmt] = []
         for stmt in stmts:
-            if isinstance(stmt, ir.IfStmt):
-                stmt.then_body[:] = sweep(stmt.then_body)
-                stmt.else_body[:] = sweep(stmt.else_body)
-                if stmt.then_body or stmt.else_body:
-                    out.append(stmt)
-                else:
-                    stats.removed_stmts += 1
-            elif isinstance(stmt, ir.ApplyTable):
-                stmt.hit_body[:] = sweep(stmt.hit_body)
-                stmt.miss_body[:] = sweep(stmt.miss_body)
-                if (id(stmt) in needed or stmt.hit_body
-                        or stmt.miss_body):
-                    out.append(stmt)
-                else:
-                    stats.removed_stmts += 1
-            elif id(stmt) in needed:
+            arms = ir.bodies(stmt)
+            for arm in arms:
+                arm[:] = sweep(arm)
+            if id(stmt) in needed or any(arms):
                 out.append(stmt)
             else:
                 stats.removed_stmts += 1
         return out
 
     before = stats.removed_stmts
-    for attr in _FRAGMENT_ATTRS:
-        stmts = getattr(compiled, attr)
+    for stmts in compiled.fragments().values():
         stmts[:] = sweep(stmts)
     return stats.removed_stmts != before
 
@@ -245,23 +226,11 @@ def _dce_round(compiled: CompiledChecker, stats: OptimizeStats) -> bool:
 # 3. Structure pruning
 # ---------------------------------------------------------------------------
 
-def _applied_table_names(compiled: CompiledChecker) -> Set[str]:
-    names: Set[str] = set()
-    for attr in _FRAGMENT_ATTRS:
-        for stmt in ir.walk_stmts(getattr(compiled, attr)):
-            if isinstance(stmt, ir.ApplyTable):
-                names.add(stmt.table)
-    for action in compiled.actions.values():
-        for stmt in ir.walk_stmts(action.body):
-            if isinstance(stmt, ir.ApplyTable):
-                names.add(stmt.table)
-    return names
-
-
 def _prune_structures(compiled: CompiledChecker,
                       stats: OptimizeStats) -> None:
     abi = _abi_tables(compiled)
-    applied = _applied_table_names(compiled)
+    applied = {stmt.table for _, stmt in compiled.statements()
+               if isinstance(stmt, ir.ApplyTable)}
     dead_tables = [name for name in compiled.tables
                    if name not in applied and name not in abi]
     for name in dead_tables:
@@ -286,7 +255,8 @@ def _prune_structures(compiled: CompiledChecker,
 
     referenced_actions: Set[str] = set()
     for table in compiled.tables.values():
-        referenced_actions.update(table.actions)
+        referenced_actions.update(
+            ir.table_actions(table, compiled.actions))
         if table.default_action is not None:
             referenced_actions.add(table.default_action[0])
     dead_actions = [name for name in compiled.actions
@@ -296,7 +266,7 @@ def _prune_structures(compiled: CompiledChecker,
         stats.removed_actions.append(name)
 
     touched: Set[str] = set()  # reg.<R>, read or written
-    for _, stmt in _iter_all_stmts(compiled):
+    for _, stmt in compiled.statements():
         effect = ir.stmt_effect(stmt)
         touched.update(loc for loc in (*effect.defs, *effect.uses)
                        if loc.startswith("reg."))
@@ -305,15 +275,6 @@ def _prune_structures(compiled: CompiledChecker,
     for reg in dead_regs:
         compiled.registers.remove(reg)
         stats.removed_registers.append(reg.name)
-
-
-def _iter_all_stmts(compiled: CompiledChecker):
-    for attr in _FRAGMENT_ATTRS:
-        for stmt in ir.walk_stmts(getattr(compiled, attr)):
-            yield attr, stmt
-    for name, action in compiled.actions.items():
-        for stmt in ir.walk_stmts(action.body):
-            yield f"action:{name}", stmt
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +370,7 @@ def _rename_fields(compiled: CompiledChecker,
         path = rename.get(ref.path)
         return ref if path is None else replace(ref, path=path)
 
-    for _, stmt in _iter_all_stmts(compiled):
+    for _, stmt in compiled.statements():
         if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
             stmt.dest = rename.get(stmt.dest, stmt.dest)
         ir.map_exprs(stmt, lambda expr: ir.map_fields(expr, fix))
@@ -429,7 +390,7 @@ def _referenced_meta(compiled: CompiledChecker) -> Set[str]:
         if path.startswith("meta."):
             refs.add(path[len("meta."):])
 
-    for _, stmt in _iter_all_stmts(compiled):
+    for _, stmt in compiled.statements():
         effect = ir.stmt_effect(stmt)
         for path in (*effect.defs, *effect.uses):
             note(path)
@@ -468,8 +429,7 @@ def optimize_compiled(compiled: CompiledChecker) -> OptimizeStats:
     # makes an expression foldable, a folded condition decides a branch.
     # Iterate the pair to a (bounded) fixpoint before DCE.
     for _ in range(8):
-        for attr in _FRAGMENT_ATTRS:
-            stmts = getattr(compiled, attr)
+        for stmts in compiled.fragments().values():
             stmts[:] = _fold_stmts(stmts, stats)
         for action in compiled.actions.values():
             action.body[:] = _fold_stmts(action.body, stats)

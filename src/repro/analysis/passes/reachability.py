@@ -28,12 +28,8 @@ def _drop_sites(stmts: Sequence[ir.P4Stmt]):
     for i, stmt in enumerate(stmts):
         if isinstance(stmt, ir.MarkToDrop) and i + 1 < len(stmts):
             yield stmt, stmts[i + 1:]
-        if isinstance(stmt, ir.IfStmt):
-            yield from _drop_sites(stmt.then_body)
-            yield from _drop_sites(stmt.else_body)
-        elif isinstance(stmt, ir.ApplyTable):
-            yield from _drop_sites(stmt.hit_body)
-            yield from _drop_sites(stmt.miss_body)
+        for body in ir.bodies(stmt):
+            yield from _drop_sites(body)
 
 
 @lint_pass("IH003")
@@ -57,7 +53,7 @@ def after_drop(unit: AnalysisUnit) -> List[Diagnostic]:
                 hint="move the work before the drop, or guard it on "
                      "the drop condition's complement"))
 
-    for label, stmts in unit.fragments().items():
+    for label, stmts in unit.compiled.fragments().items():
         scan(label, stmts)
     for name, action in unit.compiled.actions.items():
         scan(f"action:{name}", action.body)

@@ -85,11 +85,12 @@ def uninit_read(unit: AnalysisUnit) -> List[Diagnostic]:
 
     # --- headers: binds that can never be valid -----------------------
     known_binds = set(unit.program.bind_types())
-    made_valid: Set[str] = set()
-    for _, stmt in unit.iter_stmts():
-        if isinstance(stmt, ir.SetValid):
-            made_valid.add(stmt.header)
-    for label, stmt in unit.iter_stmts():
+    fragment_stmts = [(label, stmt) for label, stmts
+                      in unit.compiled.fragments().items()
+                      for stmt in ir.walk_stmts(stmts)]
+    made_valid = {stmt.header for _, stmt in fragment_stmts
+                  if isinstance(stmt, ir.SetValid)}
+    for label, stmt in fragment_stmts:
         uses: Set[str] = set()
         for expr in ir.stmt_exprs(stmt):
             uses |= expr_uses(expr)

@@ -107,8 +107,6 @@ def width_truncation(unit: AnalysisUnit) -> List[Diagnostic]:
                          f"{value_width} bits wide, or reduce the "
                          f"value's range first"))
 
-    for label, stmt in unit.iter_stmts():
-        check_stmt(stmt, label)
-    for name, stmt in unit.iter_action_stmts():
-        check_stmt(stmt, f"action:{name}")
+    for where, stmt in unit.compiled.statements():
+        check_stmt(stmt, where)
     return diags

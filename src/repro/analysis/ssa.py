@@ -47,15 +47,16 @@ pipeline containing the statement:
   hit — so a variable every possible action leaves alone flows through
   an apply untouched, keeping copy/const facts alive across it.
 
-Following :mod:`repro.analysis.dataflow`, the set of actions a table
-"may run" is its declared ``actions`` list (plus the default); a table
-declaring no actions may run anything in the program.
+As everywhere, the set of actions a table "may run" is
+:func:`repro.p4.ir.table_actions` (plus the default): its declared
+``actions`` list, or anything in the program when it declares none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..p4 import ir
 from .cfg import CFG, build_cfg
@@ -149,9 +150,8 @@ class SSAInfo:
     # -- table contracts -----------------------------------------------------
 
     def hit_actions(self, table: ir.Table) -> List[str]:
-        if table.actions:
-            return [a for a in table.actions if a in self.actions]
-        return list(self.actions)
+        return [a for a in ir.table_actions(table, self.actions)
+                if a in self.actions]
 
     def action_summary(self, name: str,
                        args: Optional[Sequence[int]]) -> Dict[str, object]:
@@ -178,10 +178,9 @@ class SSAInfo:
 
     def _action_summary(self, action: ir.Action,
                         args: Optional[Sequence[int]]) -> Dict[str, object]:
-        branchy = any(isinstance(s, (ir.IfStmt, ir.ApplyTable))
-                      for s in action.body)
-        if branchy:
-            # May-writes only: every touched variable becomes unknown.
+        if any(ir.bodies(s) for s in action.body):
+            # A branching action.  May-writes only: every touched
+            # variable becomes unknown.
             out: Dict[str, object] = {}
             for stmt in ir.walk_stmts(action.body):
                 for var in self._stmt_writes(stmt):
@@ -861,7 +860,7 @@ def _replacement_expr(repl: Replacement) -> ir.P4Expr:
     return ir.FieldRef(str(payload))
 
 
-def apply_proposals(bodies: Sequence[List[ir.P4Stmt]],
+def apply_proposals(bodies: Iterable[List[ir.P4Stmt]],
                     props: Proposals) -> Dict[str, int]:
     """Rewrite statement bodies in place per ``props``.
 
@@ -878,19 +877,15 @@ def apply_proposals(bodies: Sequence[List[ir.P4Stmt]],
         out: List[ir.P4Stmt] = []
         for stmt in body:
             sid = id(stmt)
-            if isinstance(stmt, ir.IfStmt):
-                verdict = props.branches.get(sid)
-                if verdict is not None:
-                    arm = stmt.then_body if verdict else stmt.else_body
-                    rewrite(arm)
-                    out.extend(arm)
-                    counts["branch"] += 1
-                    continue
-                rewrite(stmt.then_body)
-                rewrite(stmt.else_body)
-            elif isinstance(stmt, ir.ApplyTable):
-                rewrite(stmt.hit_body)
-                rewrite(stmt.miss_body)
+            verdict = props.branches.get(sid)  # only IfStmts are decided
+            if verdict is not None:
+                arm = stmt.then_body if verdict else stmt.else_body
+                rewrite(arm)
+                out.extend(arm)
+                counts["branch"] += 1
+                continue
+            for arm in ir.bodies(stmt):
+                rewrite(arm)
             if sid in props.dead:
                 counts["dce"] += 1
                 continue

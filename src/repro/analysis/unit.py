@@ -1,10 +1,9 @@
 """The :class:`AnalysisUnit`: everything a pass needs about one checker.
 
-A unit wraps one :class:`~repro.compiler.codegen.CompiledChecker` with:
+A unit wraps one :class:`~repro.compiler.lower.CompiledChecker`
+(whose ``fragments()`` are the blocks lint findings are attributed to)
+with:
 
-* the named pipeline *fragments* (ingress prologue, init, egress
-  prologue, telemetry, checker, strip) — the blocks lint findings are
-  attributed to;
 * the four :class:`~repro.analysis.cfg.PlacementView` linearizations and
   their per-node :class:`~repro.analysis.dataflow.Effects`;
 * lazily solved liveness and reaching-definitions facts per placement;
@@ -18,17 +17,13 @@ compiled checker (the optimizer does exactly that between iterations).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..compiler.codegen import CompiledChecker
+from ..compiler.lower import CompiledChecker
 from ..p4 import ir
 from .cfg import CFG, PlacementView, build_cfg, checker_placements
 from .dataflow import (Effects, cfg_effects, liveness,
                        reaching_definitions)
-
-#: Fragment labels in placement order.
-FRAGMENTS = ("ingress_prologue", "init", "egress_prologue",
-             "telemetry", "checker", "strip")
 
 # v1model standard metadata widths (mirrors repro.tofino.phv).
 STANDARD_METADATA_WIDTHS: Dict[str, int] = {
@@ -64,29 +59,6 @@ class AnalysisUnit:
     @property
     def name(self) -> str:
         return self.compiled.name
-
-    def fragments(self) -> Dict[str, List[ir.P4Stmt]]:
-        c = self.compiled
-        return {
-            "ingress_prologue": c.ingress_prologue,
-            "init": c.init_stmts,
-            "egress_prologue": c.egress_prologue,
-            "telemetry": c.tele_stmts,
-            "checker": c.check_stmts,
-            "strip": c.strip_stmts,
-        }
-
-    def iter_stmts(self) -> Iterator[Tuple[str, ir.P4Stmt]]:
-        """(fragment label, statement) over every fragment statement,
-        recursing into branches."""
-        for label, stmts in self.fragments().items():
-            for stmt in ir.walk_stmts(stmts):
-                yield label, stmt
-
-    def iter_action_stmts(self) -> Iterator[Tuple[str, ir.P4Stmt]]:
-        for name, action in self.compiled.actions.items():
-            for stmt in ir.walk_stmts(action.body):
-                yield name, stmt
 
     def action_cfgs(self) -> Dict[str, CFG]:
         return {name: build_cfg(action.body)
@@ -146,26 +118,19 @@ class AnalysisUnit:
         def note(register: str, where: str, stmt: ir.P4Stmt) -> None:
             occ.setdefault(register, {}).setdefault(where, []).append(stmt)
 
-        for label, stmt in self.iter_stmts():
+        for where, stmt in self.compiled.statements():
             if isinstance(stmt, (ir.RegisterRead, ir.RegisterWrite)):
-                note(stmt.register, label, stmt)
-        for name, stmt in self.iter_action_stmts():
-            if isinstance(stmt, (ir.RegisterRead, ir.RegisterWrite)):
-                note(stmt.register, f"action:{name}", stmt)
+                note(stmt.register, where, stmt)
         return occ
 
     def applied_tables(self) -> Dict[str, List[Tuple[str, ir.ApplyTable]]]:
         """table name -> [(fragment label, apply statement)] over every
         fragment and action body."""
         applies: Dict[str, List[Tuple[str, ir.ApplyTable]]] = {}
-        for label, stmt in self.iter_stmts():
+        for where, stmt in self.compiled.statements():
             if isinstance(stmt, ir.ApplyTable):
-                applies.setdefault(stmt.table, []).append((label, stmt))
-        for name, stmt in self.iter_action_stmts():
-            if isinstance(stmt, ir.ApplyTable):
-                applies.setdefault(stmt.table, []).append(
-                    (f"action:{name}", stmt))
+                applies.setdefault(stmt.table, []).append((where, stmt))
         return applies
 
 
-__all__ = ["AnalysisUnit", "FRAGMENTS", "STANDARD_METADATA_WIDTHS"]
+__all__ = ["AnalysisUnit", "STANDARD_METADATA_WIDTHS"]

@@ -68,7 +68,7 @@ def compile_indus(program: str, *, name: Optional[str] = None,
     optimizer (dead code/table/register elimination, constant folding,
     scratch-field coalescing — behaviorally identical, validated by the
     differential oracle).  Returns the
-    :class:`~repro.compiler.codegen.CompiledChecker` that
+    :class:`~repro.compiler.lower.CompiledChecker` that
     :func:`deploy` consumes.
     """
     from .compiler import compile_program
@@ -93,7 +93,7 @@ def lint(program: Any, *, name: Optional[str] = None,
     """Lint an Indus checker: dataflow diagnostics over the compiled IR.
 
     ``program`` accepts everything :func:`compile_indus` does, or an
-    already-compiled :class:`~repro.compiler.codegen.CompiledChecker`.
+    already-compiled :class:`~repro.compiler.lower.CompiledChecker`.
     ``only`` restricts to specific rule ids (``["IH001", ...]``).
     Returns the deterministically ordered
     :class:`~repro.analysis.diagnostics.Diagnostic` list; each entry
@@ -101,7 +101,7 @@ def lint(program: Any, *, name: Optional[str] = None,
     fix hint.
     """
     from .analysis import lint_compiled
-    from .compiler.codegen import CompiledChecker
+    from .compiler.lower import CompiledChecker
 
     if not isinstance(program, CompiledChecker):
         program = compile_indus(program, name=name)
@@ -206,7 +206,7 @@ def generated_source(program: Union[int, str, Any], *,
     specialized to the program).
     """
     from .compiler import standalone_program
-    from .compiler.codegen import CompiledChecker
+    from .compiler.lower import CompiledChecker
     from .p4.bmv2 import Bmv2Switch
 
     if isinstance(program, int):

@@ -17,8 +17,8 @@ from typing import Callable, Dict, Optional, Union
 
 from ..net.topology import Topology
 from ..p4 import ir, render
-from .codegen import CompiledChecker
 from .linker import LAST_HOP, link
+from .lower import CompiledChecker
 
 ForwardingFactory = Callable[[str], ir.P4Program]
 

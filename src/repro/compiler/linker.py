@@ -26,8 +26,8 @@ from typing import List, Optional, Sequence, Union
 from ..indus.errors import CompileError
 from ..net.topology import CORE, EDGE
 from ..p4 import ir
-from .codegen import CompiledChecker
 from .layout import NEXT_ETH_TYPE_FIELD
+from .lower import CompiledChecker
 
 
 # Checking placement (Section 4.3): the paper's implementation checks
@@ -223,29 +223,19 @@ def _redirect_ethertype_writes(program: ir.P4Program,
     innermost = compileds[-1]
     next_path = f"hdr.{innermost.hydra_name}.{NEXT_ETH_TYPE_FIELD}"
 
-    def fix_body(body: List[ir.P4Stmt]) -> List[ir.P4Stmt]:
-        out: List[ir.P4Stmt] = []
-        for stmt in body:
+    def fix_body(body: List[ir.P4Stmt]) -> None:
+        for i, stmt in enumerate(body):
             if isinstance(stmt, ir.AssignStmt) and stmt.dest == ether:
-                out.append(ir.IfStmt(
+                body[i] = ir.IfStmt(
                     cond=ir.ValidRef(innermost.hydra_name),
                     then_body=[ir.AssignStmt(next_path, stmt.value)],
                     else_body=[stmt],
-                ))
-            elif isinstance(stmt, ir.IfStmt):
-                out.append(ir.IfStmt(stmt.cond, fix_body(stmt.then_body),
-                                     fix_body(stmt.else_body)))
-            elif isinstance(stmt, ir.ApplyTable):
-                out.append(ir.ApplyTable(stmt.table, fix_body(stmt.hit_body),
-                                         fix_body(stmt.miss_body)))
-            else:
-                out.append(stmt)
-        return out
+                )
+            for arm in ir.bodies(stmt):
+                fix_body(arm)
 
-    program.ingress = fix_body(program.ingress)
-    program.egress = fix_body(program.egress)
-    for action in program.actions.values():  # private since _clone
-        action.body = fix_body(action.body)
+    for body in ir.program_bodies(program):  # private since _clone
+        fix_body(body)
 
 
 def _merge_decls(program: ir.P4Program, compiled: CompiledChecker) -> None:

@@ -1,4 +1,4 @@
-"""Code generation: Indus programs to P4 IR.
+"""Lowering (code generation): Indus programs to P4 IR.
 
 Implements the translation strategies of Section 4.1:
 
@@ -30,7 +30,7 @@ of egress on last-hop switches).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..indus import ast
 from ..indus.errors import CompileError, SourceSpan
@@ -96,15 +96,8 @@ def _tag_stmt(stmt: ir.P4Stmt, span: SourceSpan) -> ir.P4Stmt:
         return stmt
     if not stmt.span.line:
         stmt.span = span
-    if isinstance(stmt, ir.IfStmt):
-        for inner in stmt.then_body:
-            _tag_stmt(inner, span)
-        for inner in stmt.else_body:
-            _tag_stmt(inner, span)
-    elif isinstance(stmt, ir.ApplyTable):
-        for inner in stmt.hit_body:
-            _tag_stmt(inner, span)
-        for inner in stmt.miss_body:
+    for body in ir.bodies(stmt):
+        for inner in body:
             _tag_stmt(inner, span)
     return stmt
 
@@ -210,6 +203,29 @@ class CompiledChecker:
 
     def generated_table_names(self) -> List[str]:
         return list(self.tables)
+
+    # -- shape ---------------------------------------------------------------
+
+    def fragments(self) -> Dict[str, List[ir.P4Stmt]]:
+        """Fragment label -> its statement list, in placement order (the
+        blocks lint findings are attributed to)."""
+        return {"ingress_prologue": self.ingress_prologue,
+                "init": self.init_stmts,
+                "egress_prologue": self.egress_prologue,
+                "telemetry": self.tele_stmts,
+                "checker": self.check_stmts,
+                "strip": self.strip_stmts}
+
+    def statements(self) -> Iterator[Tuple[str, ir.P4Stmt]]:
+        """``(where, stmt)`` over every fragment and action body, nested
+        statements included; ``where`` is the fragment label or
+        ``action:<name>``."""
+        for label, stmts in self.fragments().items():
+            for stmt in ir.walk_stmts(stmts):
+                yield label, stmt
+        for name, action in self.actions.items():
+            for stmt in ir.walk_stmts(action.body):
+                yield f"action:{name}", stmt
 
     def dict_hit_action(self, control_name: str, table_name: str) -> str:
         site = table_name.rsplit("tbl", 1)[-1]

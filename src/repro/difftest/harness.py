@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..compiler import compile_program
-from ..compiler.codegen import CompiledChecker
+from ..compiler.lower import CompiledChecker
 from ..indus import ast, check, parse
 from ..net.packet import Packet, ip, make_tcp, make_udp
 from ..net.simulator import HopRecord
@@ -106,7 +106,7 @@ def build_packet(spec, topology, src_host: str, dst_host: str) -> Packet:
 def _header_bindings(compiled: CompiledChecker) -> Dict[str, str]:
     """Indus header-var name -> resolved field path (annotation or the
     compiler's default binding table)."""
-    from ..compiler.codegen import DEFAULT_BINDINGS
+    from ..compiler.lower import DEFAULT_BINDINGS
 
     out: Dict[str, str] = {}
     for decl in compiled.checked.program.decls_of_kind(ast.VarKind.HEADER):
@@ -479,26 +479,14 @@ def _collect_mutable(stmts: List[ir.P4Stmt]) -> List[Tuple[Any, str]]:
         elif isinstance(expr, ir.Const) and expr.width == 16:
             out.append((expr, "const"))
 
-    def walk_stmt(stmt) -> None:
+    for stmt in ir.walk_stmts(stmts):
         if isinstance(stmt, ir.AssignStmt):
             walk_expr(stmt.value)
         elif isinstance(stmt, ir.IfStmt):
             walk_expr(stmt.cond)
-            for inner in stmt.then_body:
-                walk_stmt(inner)
-            for inner in stmt.else_body:
-                walk_stmt(inner)
         elif isinstance(stmt, ir.Digest):
             for fexpr in stmt.fields[1:]:   # skip the site-id constant
                 walk_expr(fexpr)
-        elif isinstance(stmt, ir.ApplyTable):
-            for inner in stmt.hit_body:
-                walk_stmt(inner)
-            for inner in stmt.miss_body:
-                walk_stmt(inner)
-
-    for stmt in stmts:
-        walk_stmt(stmt)
     return out
 
 
@@ -509,12 +497,7 @@ def _find_stmt_site(stmts: List[ir.P4Stmt], pred
     for i, stmt in enumerate(stmts):
         if pred(stmt):
             return stmts, i
-        bodies: List[List[ir.P4Stmt]] = []
-        if isinstance(stmt, ir.IfStmt):
-            bodies = [stmt.then_body, stmt.else_body]
-        elif isinstance(stmt, ir.ApplyTable):
-            bodies = [stmt.hit_body, stmt.miss_body]
-        for body in bodies:
+        for body in ir.bodies(stmt):
             found = _find_stmt_site(body, pred)
             if found is not None:
                 return found
@@ -526,10 +509,10 @@ def kill_register_write(compiled: CompiledChecker) -> Optional[str]:
     a lint-visible codegen bug: the register's remaining reads only ever
     see the initial value (``IH002``).  Returns a description, or None
     if the program writes no register."""
-    for label, stmts in (("telemetry", compiled.tele_stmts),
-                         ("checker", compiled.check_stmts)):
+    fragments = compiled.fragments()
+    for label in ("telemetry", "checker"):
         site = _find_stmt_site(
-            stmts, lambda s: isinstance(s, ir.RegisterWrite))
+            fragments[label], lambda s: isinstance(s, ir.RegisterWrite))
         if site is not None:
             body, index = site
             stmt = body[index]
@@ -545,11 +528,9 @@ def orphan_table(compiled: CompiledChecker) -> Optional[str]:
     is no such apply."""
     abi = {compiled.inject_table, compiled.strip_table,
            compiled.switch_id_table}
-    for label, stmts in (("ingress_prologue", compiled.ingress_prologue),
-                         ("init", compiled.init_stmts),
-                         ("egress_prologue", compiled.egress_prologue),
-                         ("telemetry", compiled.tele_stmts),
-                         ("checker", compiled.check_stmts)):
+    for label, stmts in compiled.fragments().items():
+        if label == "strip":
+            continue
         site = _find_stmt_site(
             stmts, lambda s: (isinstance(s, ir.ApplyTable)
                               and s.table not in abi))
@@ -575,11 +556,10 @@ def inject_mutation(compiled: CompiledChecker, rng: random.Random,
     (delete a register write — IH002) and ``"orphan"`` (delete a table
     apply, leaving the table dead — IH007)."""
     points: List[Tuple[str, Any, str]] = []
-    for label, stmts in (("init", compiled.init_stmts),
-                         ("telemetry", compiled.tele_stmts),
-                         ("checker", compiled.check_stmts)):
+    fragments = compiled.fragments()
+    for label in ("init", "telemetry", "checker"):
         points.extend((label, node, kind)
-                      for node, kind in _collect_mutable(stmts)
+                      for node, kind in _collect_mutable(fragments[label])
                       if kind in kinds)
     if "kill_write" in kinds:
         points.append(("*", None, "kill_write"))

@@ -381,9 +381,8 @@ class Bmv2Switch:
         action = self.program.actions.get(entry.action)
         if action is None:
             raise P4RuntimeError(f"unknown action {entry.action!r}")
-        # P4Runtime's rule (a table that lists no actions takes any),
-        # and what lets the codegen engine emit a table's dispatch once.
-        if table.actions and entry.action not in table.actions:
+        # What lets the codegen engine emit a table's dispatch once.
+        if entry.action not in ir.table_actions(table, self.program.actions):
             raise P4RuntimeError(f"table {table.name!r} does not declare "
                                  f"action {entry.action!r}")
         if len(entry.args) != len(action.params):

@@ -430,7 +430,7 @@ class CodegenEngine:
         switch = self.switch
         self._assumed = {}
         for name, table in self.program.tables.items():
-            assumed = set(table.actions or self.program.actions)
+            assumed = set(ir.table_actions(table, self.program.actions))
             default = switch.default_actions.get(name)
             if default is not None:
                 assumed.add(default[0])

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import (Any, Callable, Dict, FrozenSet, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple, Union)
+from operator import attrgetter
+from typing import (Any, Callable, Collection, Dict, FrozenSet, List,
+                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from ..indus.errors import SourceSpan, UNKNOWN_SPAN
 from ..net.packet import HeaderType
@@ -616,16 +617,39 @@ class P4Program:
         return binds
 
 
+#: The one shape declaration: per compound statement kind, a getter of
+#: its nested bodies in field order.  A kind not listed is a leaf.
+_BODIES: Dict[type, Callable[[Any], Tuple[List[P4Stmt], ...]]] = {
+    IfStmt: attrgetter("then_body", "else_body"),
+    ApplyTable: attrgetter("hit_body", "miss_body"),
+}
+
+
+def bodies(stmt: P4Stmt) -> Tuple[List[P4Stmt], ...]:
+    """The nested bodies :data:`_BODIES` declares for ``stmt`` — the
+    lists themselves, so a pass may rewrite them in place — or ``()``
+    for a leaf.  A compound statement's tuple is never empty, even when
+    every arm is."""
+    get = _BODIES.get(type(stmt))
+    return () if get is None else get(stmt)
+
+
 def walk_stmts(stmts: Sequence[P4Stmt]):
-    """Yield every statement in a body, recursing into if-branches."""
+    """Yield every statement in a body, pre-order, nested bodies
+    included."""
     for stmt in stmts:
         yield stmt
-        if isinstance(stmt, IfStmt):
-            yield from walk_stmts(stmt.then_body)
-            yield from walk_stmts(stmt.else_body)
-        elif isinstance(stmt, ApplyTable):
-            yield from walk_stmts(stmt.hit_body)
-            yield from walk_stmts(stmt.miss_body)
+        get = _BODIES.get(type(stmt))  # bodies(), inlined: a hot walk
+        if get is not None:
+            for body in get(stmt):
+                yield from walk_stmts(body)
+
+
+def table_actions(table: Table, actions: Collection[str]) -> Collection[str]:
+    """The actions ``table`` may run, of the program's ``actions``: the
+    ones it lists, or every one when it lists none (P4Runtime's rule;
+    :class:`~repro.p4.bmv2.Bmv2Switch` refuses an entry outside it)."""
+    return table.actions or actions
 
 
 def walk_exprs(expr: P4Expr):
@@ -660,7 +684,7 @@ def _add_reads(expr: P4Expr, reads: Set[str]) -> None:
 
 #: The one statement switch: per statement kind, the attributes holding
 #: the expressions it evaluates itself (one expression, or a list of
-#: them).  Nested bodies are statements of their own (:func:`walk_stmts`).
+#: them).  Nested bodies are statements of their own (:data:`_BODIES`).
 _EXPR_ATTRS: Dict[type, Tuple[str, ...]] = {
     AssignStmt: ("value",),
     IfStmt: ("cond",),

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..compiler.codegen import CompiledChecker, compile_program
+from ..compiler.lower import CompiledChecker, compile_program
 from ..indus import CheckedProgram, Monitor, check, parse
 
 _HERE = os.path.dirname(__file__)

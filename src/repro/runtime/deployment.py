@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..compiler.codegen import CompiledChecker
+from ..compiler.lower import CompiledChecker
 from ..compiler.linker import link
 from ..indus import ast
 from ..indus.types import DictType, SetType

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..compiler.codegen import CompiledChecker
+from ..compiler.lower import CompiledChecker
 from ..p4.bmv2 import DigestMessage
 
 

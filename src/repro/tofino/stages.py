@@ -51,21 +51,23 @@ def _action_ops(program: ir.P4Program,
 def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
                control_reads: Set[str]) -> List[_Op]:
     """Flatten a statement body into ops with control-dependency reads:
-    a leaf is one op over its declared effect."""
+    a leaf is one op over its declared effect, a table apply one op
+    over its keys and actions; a compound statement's arms read its
+    condition (an apply's hit flag)."""
     ops: List[_Op] = []
     for stmt in stmts:
         if isinstance(stmt, ir.IfStmt):
-            cond_reads = ir.expr_reads(stmt.cond) | control_reads
-            ops.extend(_linearize(program, stmt.then_body, cond_reads))
-            ops.extend(_linearize(program, stmt.else_body, cond_reads))
+            arm_reads = ir.expr_reads(stmt.cond) | control_reads
         elif isinstance(stmt, ir.ApplyTable):
             table = program.tables.get(stmt.table)
-            key_reads = {k.path for k in table.keys} if table else set()
-            reads: Set[str] = set(key_reads) | control_reads
+            reads: Set[str] = set(control_reads)
             writes: Set[str] = set()
-            action_names = list(table.actions) if table else []
-            if table and table.default_action:
-                action_names.append(table.default_action[0])
+            action_names = []
+            if table:
+                reads.update(k.path for k in table.keys)
+                action_names = list(ir.table_actions(table, program.actions))
+                if table.default_action:
+                    action_names.append(table.default_action[0])
             for aname in action_names:
                 a_reads, a_writes = _action_ops(program, aname)
                 reads |= a_reads
@@ -73,13 +75,13 @@ def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
             hit_flag = f"table.{stmt.table}.$hit"
             writes.add(hit_flag)
             ops.append(_Op(reads=reads, writes=writes))
-            branch_reads = control_reads | {hit_flag}
-            ops.extend(_linearize(program, stmt.hit_body, branch_reads))
-            ops.extend(_linearize(program, stmt.miss_body, branch_reads))
+            arm_reads = control_reads | {hit_flag}
         else:
             effect = ir.stmt_effect(stmt)
             ops.append(_Op(reads=effect.uses | control_reads,
                            writes=set(effect.defs)))
+        for arm in ir.bodies(stmt):
+            ops.extend(_linearize(program, arm, arm_reads))
     return ops
 
 

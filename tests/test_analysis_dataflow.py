@@ -8,7 +8,7 @@ from repro import api
 from repro.analysis import (AnalysisUnit, UNINIT, build_cfg,
                             checker_placements, expr_uses, liveness,
                             reaching_definitions)
-from repro.analysis.dataflow import cfg_effects, stmt_effects
+from repro.analysis.dataflow import cfg_effects, stmt_effects, table_effects
 from repro.p4 import ir
 
 
@@ -178,6 +178,12 @@ def test_table_apply_without_default_is_a_may_def():
     eff = stmt_effects(apply_stmt, tables={"t": table},
                        actions={"set_a": action})
     assert "meta.a" in eff.must_defs
+
+
+def test_a_table_listing_no_actions_may_run_any():
+    set_x = ir.Action("set_x", body=[ir.AssignStmt("meta.x", C(1))])
+    table = ir.Table("t")
+    assert table_effects(table, {"set_x": set_x}).defs == {"meta.x"}
 
 
 def test_register_stmts_are_side_effecting():

@@ -225,6 +225,22 @@ tele bool seen = false;
     assert "ih_reg_unused" not in opt_regs
 
 
+def test_an_action_reachable_through_a_table_listing_none_survives():
+    """A table that lists no actions may run any of them: the optimizer
+    keeps every action, so an entry binding one is still accepted."""
+    from repro.compiler import standalone_program
+
+    compiled = api.compile_indus("loops")
+    compiled.actions["extra"] = ir.Action("extra", body=[ir.MarkToDrop()])
+    compiled.tables["t"] = ir.Table("t")
+    compiled.check_stmts.append(
+        ir.ApplyTable("t", hit_body=[ir.MarkToDrop()]))
+    optimize_compiled(compiled)
+    assert "extra" in compiled.actions
+    switch = Bmv2Switch(standalone_program(compiled), name="s1")
+    switch.insert_entry("t", [], "extra")
+
+
 def test_optimized_program_still_renders_and_runs():
     from repro.compiler import standalone_program
     from repro.net.packet import ip, make_udp

@@ -9,7 +9,7 @@ edge ports), so checker semantics can be observed packet by packet.
 import pytest
 
 from repro.compiler import build_layout, compile_program, standalone_program
-from repro.compiler.codegen import CompiledChecker
+from repro.compiler.lower import CompiledChecker
 from repro.indus import check, parse
 from repro.indus.errors import CompileError
 from repro.net.packet import ETH_TYPE_IPV4, ip, make_udp

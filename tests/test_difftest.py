@@ -176,7 +176,7 @@ POOL = 48  # the scenarios bench/wl_oracle.py runs
 def test_one_parse_per_scenario(monkeypatch):
     """The oracle lexes, parses and checks a scenario's source once: the
     compiler and the reference monitor are handed the same checked AST."""
-    from repro.compiler import codegen
+    from repro.compiler import lower
     from repro.difftest import harness
 
     calls = []
@@ -186,9 +186,9 @@ def test_one_parse_per_scenario(monkeypatch):
         return parse(text)
 
     parse = harness.parse
-    assert codegen.parse is parse
+    assert lower.parse is parse
     monkeypatch.setattr(harness, "parse", counting)
-    monkeypatch.setattr(codegen, "parse", counting)
+    monkeypatch.setattr(lower, "parse", counting)
     for seed in range(4):
         scenario = gen_scenario(seed)
         assert run_scenario(scenario).ok

@@ -44,10 +44,6 @@ def test_emit_order_places_hydra_after_ethernet():
     assert order.index("hydra") == order.index("ethernet") + 1
 
 
-FRAGMENTS = ("ingress_prologue", "init_stmts", "egress_prologue",
-             "tele_stmts", "check_stmts", "strip_stmts")
-
-
 def mutable_nodes(graph):
     """``id -> (what, object)`` for everything in a program (or compiled
     checker) that linking or a later in-place pass may mutate: statement
@@ -81,8 +77,8 @@ def mutable_nodes(graph):
             note(state.transitions, f"state {state.name}.transitions")
         note(graph.emit_order, "emit_order")
     else:
-        for attr in FRAGMENTS:
-            body(getattr(graph, attr), attr)
+        for label, stmts in graph.fragments().items():
+            body(stmts, label)
     for attr in ("metadata", "registers", "actions", "tables"):
         note(getattr(graph, attr), attr)
     for name, action in graph.actions.items():
@@ -101,8 +97,9 @@ def mutable_nodes(graph):
 def snapshot(graph):
     if isinstance(graph, ir.P4Program):
         return repr(graph)
-    return repr([getattr(graph, attr) for attr in FRAGMENTS
-                 + ("metadata", "registers", "actions", "tables")])
+    return repr([*graph.fragments().values()]
+                + [getattr(graph, attr) for attr in
+                   ("metadata", "registers", "actions", "tables")])
 
 
 def ssa_rewrite_in_place(program):

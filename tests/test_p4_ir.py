@@ -161,14 +161,24 @@ def make_stmt(kind):
 @pytest.mark.parametrize("kind", stmt_kinds(), ids=lambda kind: kind.__name__)
 def test_the_one_statement_switch_reaches_every_expression_field(kind):
     """``stmt_exprs`` lists and ``map_exprs`` rebuilds every field typed
-    ``P4Expr`` or ``List[P4Expr]``, and its declared effect uses what
-    they read: a statement kind added without its ``_EXPR_ATTRS`` row,
-    or a leaf kind without its ``_EFFECTS`` row, fails here instead of
-    being skipped by every analysis at once."""
+    ``P4Expr`` or ``List[P4Expr]``, its declared effect uses what they
+    read, and ``bodies`` returns every field typed ``List[P4Stmt]``: a
+    statement kind added without its ``_EXPR_ATTRS`` row, a leaf kind
+    without its ``_EFFECTS`` row or a compound one without its
+    ``_BODIES`` row fails here instead of being skipped by every
+    analysis at once."""
     stmt, held = make_stmt(kind)
     assert {ref.path for ref in held} <= ir.stmt_effect(stmt).uses
-    branching = kind in (ir.IfStmt, ir.ApplyTable)
+    hints = typing.get_type_hints(kind)
+    body_fields = [field.name for field in dataclasses.fields(kind)
+                   if hints[field.name] == List[ir.P4Stmt]]
+    branching = bool(body_fields)
     assert (kind in ir._EFFECTS) is not branching
+    assert (kind in ir._BODIES) is branching
+    arms = ir.bodies(stmt)
+    assert len(arms) == len(body_fields)
+    assert all(arm is getattr(stmt, name)
+               for arm, name in zip(arms, body_fields))
     assert ir.stmt_exprs(stmt) == held
     assert all(a is b for a, b in zip(ir.stmt_exprs(stmt), held))
     before = dict(vars(stmt))
@@ -180,6 +190,51 @@ def test_the_one_statement_switch_reaches_every_expression_field(kind):
 
     assert ir.map_exprs(stmt, rename) is bool(held)
     assert ir.stmt_exprs(stmt) == [rename(expr) for expr in held]
+
+
+def brute_walk(stmts):
+    """Every statement under ``stmts``, pre-order, found by looking at
+    every list attribute that holds statements (no shape declaration)."""
+    for stmt in stmts:
+        yield stmt
+        for value in vars(stmt).values():
+            if isinstance(value, list) and any(
+                    isinstance(item, ir.P4Stmt) for item in value):
+                yield from brute_walk(value)
+
+
+def corpus_programs():
+    """The 11 properties' linked edge and core programs, plain and
+    optimized, and the oracle's programs for seeds 0-99."""
+    from repro.compiler import compile_program, link
+    from repro.difftest.scenario import gen_scenario
+    from repro.net.topology import CORE, EDGE
+    from repro.p4.programs import l2_port_forwarding
+    from repro.properties import TABLE1_ORDER, compile_property
+
+    for name in TABLE1_ORDER:
+        for optimize in (False, True):
+            compiled = compile_property(name, optimize=optimize)
+            for role in (EDGE, CORE):
+                yield link(l2_port_forwarding(), compiled, role=role)
+    for seed in range(100):
+        compiled = compile_program(gen_scenario(seed).source())
+        yield link(l2_port_forwarding(), compiled, role=EDGE)
+
+
+def test_walk_stmts_is_the_brute_force_walk_over_the_corpus():
+    """``walk_stmts`` (which reads ``_BODIES``) yields the very
+    statements, in the same order, that a walk over every statement
+    list attribute finds."""
+    programs = 0
+    for program in corpus_programs():
+        programs += 1
+        for body in ir.program_bodies(program):
+            walked = list(ir.walk_stmts(body))
+            brute = list(brute_walk(body))
+            assert len(walked) == len(brute), program.name
+            assert all(a is b for a, b in zip(walked, brute)), program.name
+    assert programs == 11 * 2 * 2 + 100
 
 
 def test_map_exprs_reaches_extern_args_and_digest_fields():

@@ -130,6 +130,18 @@ def test_action_effects_order_later_statements(effect, later):
     assert dependency_depth(program, [ir.ApplyTable("t"), later]) == 2
 
 
+def test_a_table_listing_no_actions_depends_through_every_action():
+    """A table that lists no actions may run any of them (P4Runtime's
+    rule, which both engines follow), so what reads their writes after
+    the apply waits for it."""
+    program = ir.P4Program(name="p", metadata=[("x", 8), ("y", 8)])
+    program.add_action(ir.Action(
+        "set_x", body=[ir.AssignStmt("meta.x", ir.Const(1, 8))]))
+    program.add_table(ir.Table("t"))
+    later = ir.AssignStmt("meta.y", ir.FieldRef("meta.x"))
+    assert dependency_depth(program, [ir.ApplyTable("t"), later]) == 2
+
+
 #: (ingress, egress) dependency depth of each Table-1 checker linked at
 #: an edge of the fabric-upf baseline: the raw chains under the 12-stage
 #: floor Table 1 reports.
