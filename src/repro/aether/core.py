@@ -65,9 +65,6 @@ class HydraControlApp:
         # per rule within each); every row is on every ``_switches``.
         self._installed: Dict[int, Tuple[ir.TableEntry, ...]] = {}
 
-    def on_attach(self, ue_ip: int, rules: Sequence[FilterRule]) -> None:
-        self.on_attach_many([(ue_ip, rules)])
-
     def on_attach_many(self,
                        items: Sequence[Tuple[int, Sequence[FilterRule]]]
                        ) -> None:
@@ -98,10 +95,6 @@ class HydraControlApp:
             for table, rows in zip(self._tables, by_table):
                 if rows:
                     bmv2.insert_entries(table, rows)
-
-    def on_detach(self, ue_ip: int) -> None:
-        """Remove the client's filtering_actions entries."""
-        self.on_detach_many([ue_ip])
 
     def on_detach_many(self, ue_ips: Sequence[int]) -> None:
         by_table: List[List[ir.TableEntry]] = [[] for _ in self._tables]

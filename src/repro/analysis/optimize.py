@@ -1,17 +1,16 @@
 """Oracle-validated optimizer over compiled checker IR.
 
-Pipeline (all in place, fixpoint-iterated):
+Pipeline (all in place):
 
-1. **Constant folding** — a walk asks the one folder,
-   :func:`~repro.analysis.ssa.eval_const`, at every operator node
-   (outermost first, so it always sees an expression as written), so
-   pure expressions over constants evaluate at compile time with
-   *exactly* the reference interpreter's semantics (width masking,
-   zero-divisor yields 0, shift amounts mod width, booleans decided by
-   either side); ``if`` statements with constant conditions collapse to
-   the taken arm.  The SSA round (:mod:`~repro.analysis.ssa`: copy
-   propagation, CSE, branches decided under known table defaults) runs
-   between folds until neither changes anything.
+1. **Constant folding** — one walk asks the one folder,
+   :func:`eval_const`, at every operator node (outermost first, so it
+   always sees an expression as written), so pure expressions over
+   constants evaluate at compile time with *exactly* the reference
+   interpreter's semantics (width masking, zero-divisor yields 0, shift
+   amounts mod width, booleans decided by either side); ``if``
+   statements with constant conditions collapse to the taken arm.  A
+   whole tree is asked before its children, so a second walk folds
+   nothing.
 2. **Liveness-driven DCE** — a statement is removed only when it is
    dead in *every* placement (role × check-mode) that contains it, per
    :func:`~repro.analysis.cfg.checker_placements`.  Anything observable
@@ -31,8 +30,9 @@ Pipeline (all in place, fixpoint-iterated):
 5. **Metadata pruning** — struct entries nothing references anymore
    disappear, which is what moves the Tofino PHV number.
 
-The invariant the whole pass is validated against: an optimized
-program is verdict-, report-, and register-identical to the
+DCE iterates to a fixpoint; every other stage runs once.  The invariant
+the whole pass is validated against: an optimized program is
+verdict-, report-, and register-identical to the
 unoptimized one under the three-level differential oracle.  This is the
 one optimizer: it runs once, at compile time (``optimize=``), and its
 output is what the pretty-printer, the Tofino allocator and both
@@ -42,15 +42,12 @@ engines are handed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..compiler.lower import CompiledChecker
-from ..net.topology import EDGE
 from ..p4 import ir
 from .cfg import checker_placements
 from .dataflow import cfg_effects, liveness
-from .ssa import (SSAFunction, SSAInfo, StdBarrier, UNKNOWN_STD,
-                  apply_proposals, eval_const, merge_proposals, propose)
 
 
 @dataclass
@@ -64,14 +61,6 @@ class OptimizeStats:
     removed_registers: List[str] = field(default_factory=list)
     coalesced_fields: List[Tuple[str, str]] = field(default_factory=list)
     removed_metadata: List[Tuple[str, int]] = field(default_factory=list)
-    # SSA-strength passes (PR-6): reads rewritten to constants or copy
-    # sources, recomputations replaced by copies, branches decided under
-    # known table defaults, and definitions the SSA def-use chains prove
-    # unread in every placement.
-    ssa_copyprop: int = 0
-    ssa_cse: int = 0
-    ssa_branches: int = 0
-    ssa_dce: int = 0
 
     @property
     def removed_metadata_bits(self) -> int:
@@ -80,17 +69,46 @@ class OptimizeStats:
     def changed(self) -> bool:
         return bool(self.folded_exprs or self.removed_stmts
                     or self.removed_tables or self.removed_registers
-                    or self.coalesced_fields or self.removed_metadata
-                    or self.ssa_copyprop or self.ssa_cse
-                    or self.ssa_branches or self.ssa_dce)
+                    or self.coalesced_fields or self.removed_metadata)
 
 
 # ---------------------------------------------------------------------------
 # 1. Constant folding (reference-interpreter semantics, bit for bit)
 # ---------------------------------------------------------------------------
 
-def _unknown(path: str) -> None:
-    """:func:`eval_const`'s view of the fields while folding: none known."""
+def eval_const(expr: ir.P4Expr) -> Optional[int]:
+    """The value the reference engine computes for ``expr``, or None
+    when it depends on a field or validity read.
+
+    Both run the operator's :data:`~repro.p4.ir.BINARY_OPS` /
+    ``UNARY_OPS`` callable; a boolean is decided by either side —
+    ``x && 0`` is 0 and ``x || 1`` is 1.
+    """
+    if isinstance(expr, ir.Const):
+        return expr.value & ((1 << expr.width) - 1)
+    if isinstance(expr, ir.UnExpr):
+        value = eval_const(expr.operand)
+        op = ir.UNARY_OPS.get(expr.op)
+        if value is None or op is None:
+            return None
+        return op.fn(value, ir.result_width(expr))
+    if isinstance(expr, ir.BinExpr):
+        left = eval_const(expr.left)
+        right = eval_const(expr.right)
+        # Expressions are pure on this substrate (an extern is a
+        # statement), so a deciding constant on either side decides.
+        if expr.op == "&&":
+            if left == 0 or right == 0:
+                return 0
+            return None if left is None or right is None else 1
+        if expr.op == "||":
+            if left or right:
+                return 1
+            return None if left is None or right is None else 0
+        op = ir.BINARY_OPS.get(expr.op)
+        if left is None or right is None or op is None:
+            return None
+        return op.fn(left, right, expr.width)
     return None
 
 
@@ -99,7 +117,7 @@ def _fold_expr(expr: ir.P4Expr, stats: OptimizeStats) -> ir.P4Expr:
     where it is not, fold whatever is decided below it."""
     if not isinstance(expr, (ir.UnExpr, ir.BinExpr)):
         return expr
-    value = eval_const(expr, _unknown)
+    value = eval_const(expr)
     if value is not None:  # min/max are unmasked: as wide as the value
         stats.folded_exprs += 1
         width = ir.result_width(expr) or expr.width
@@ -124,49 +142,13 @@ def _fold_stmts(stmts: Sequence[ir.P4Stmt],
         for body in ir.bodies(stmt):
             body[:] = _fold_stmts(body, stats)
         if isinstance(stmt, ir.IfStmt):
-            cond = eval_const(stmt.cond, _unknown)
+            cond = eval_const(stmt.cond)
             if cond is not None:
                 stats.removed_stmts += 1
                 out.extend(stmt.then_body if cond else stmt.else_body)
                 continue
         out.append(stmt)
     return out
-
-
-# ---------------------------------------------------------------------------
-# 1b. SSA-strength passes: copy propagation, CSE, dead-branch pruning
-# ---------------------------------------------------------------------------
-
-def _ssa_round(compiled: CompiledChecker, stats: OptimizeStats) -> bool:
-    """One SSA propose/merge/apply sweep over all placements.
-
-    Each placement lifts to SSA independently (edge placements get a
-    :class:`~repro.analysis.ssa.StdBarrier` where the unseen forwarding
-    pipeline runs between the checker's ingress and egress fragments;
-    core placements start mid-pipeline, so standard metadata is unknown
-    at their entry).  Only proposals every containing placement agrees
-    on are applied — to the shared fragment statement objects, so one
-    rewrite is seen by every deployment.  Returns True if anything
-    changed.
-    """
-    info = SSAInfo.for_compiled(compiled)
-    ingress_len = len(compiled.ingress_prologue) + len(compiled.init_stmts)
-    all_props = []
-    for view in checker_placements(compiled):
-        if view.role == EDGE:
-            stmts = list(view.stmts)
-            stmts.insert(ingress_len, StdBarrier())
-            fn = SSAFunction.lift(stmts, info)
-        else:
-            fn = SSAFunction.lift(view.stmts, info, std_entry=UNKNOWN_STD)
-        all_props.append(propose(fn))
-    merged = merge_proposals(all_props)
-    counts = apply_proposals(compiled.fragments().values(), merged)
-    stats.ssa_copyprop += counts["copyprop"]
-    stats.ssa_cse += counts["cse"]
-    stats.ssa_branches += counts["branch"]
-    stats.ssa_dce += counts["dce"]
-    return any(counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +407,10 @@ def optimize_compiled(compiled: CompiledChecker) -> OptimizeStats:
     drops, hop-protocol ABI) is a root.
     """
     stats = OptimizeStats()
-    # Folding and the SSA passes feed each other: a propagated constant
-    # makes an expression foldable, a folded condition decides a branch.
-    # Iterate the pair to a (bounded) fixpoint before DCE.
-    for _ in range(8):
-        for stmts in compiled.fragments().values():
-            stmts[:] = _fold_stmts(stmts, stats)
-        for action in compiled.actions.values():
-            action.body[:] = _fold_stmts(action.body, stats)
-        if not _ssa_round(compiled, stats):
-            break
+    for stmts in compiled.fragments().values():
+        stmts[:] = _fold_stmts(stmts, stats)
+    for action in compiled.actions.values():
+        action.body[:] = _fold_stmts(action.body, stats)
     while _dce_round(compiled, stats):
         pass
     _prune_structures(compiled, stats)
@@ -443,4 +419,4 @@ def optimize_compiled(compiled: CompiledChecker) -> OptimizeStats:
     return stats
 
 
-__all__ = ["OptimizeStats", "optimize_compiled"]
+__all__ = ["OptimizeStats", "eval_const", "optimize_compiled"]

@@ -8,11 +8,10 @@ with:
   their per-node :class:`~repro.analysis.dataflow.Effects`;
 * lazily solved liveness and reaching-definitions facts per placement;
 * the standalone linked program (checker + minimal L2 forwarding), which
-  supplies the parser graph and the field-width map;
-* action-body CFGs, so passes cover action code too.
+  supplies the parser graph and the field-width map.
 
 Facts are cached per unit; build a fresh unit after mutating the
-compiled checker (the optimizer does exactly that between iterations).
+compiled checker.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..compiler.lower import CompiledChecker
 from ..p4 import ir
-from .cfg import CFG, PlacementView, build_cfg, checker_placements
+from .cfg import PlacementView, checker_placements
 from .dataflow import (Effects, cfg_effects, liveness,
                        reaching_definitions)
 
@@ -59,10 +58,6 @@ class AnalysisUnit:
     @property
     def name(self) -> str:
         return self.compiled.name
-
-    def action_cfgs(self) -> Dict[str, CFG]:
-        return {name: build_cfg(action.body)
-                for name, action in self.compiled.actions.items()}
 
     # -- solved facts (cached per placement) ---------------------------
 

@@ -44,17 +44,6 @@ from ..p4 import ir
 from .layout import (HOP_COUNT_FIELD, HydraLayout, NEXT_ETH_TYPE_FIELD,
                      build_layout, scalar_width)
 
-# Backwards-compatible names for the default (un-namespaced) checker.
-META_PREFIX = "ih_"
-FIRST_HOP_META = META_PREFIX + "first_hop"
-LAST_HOP_META = META_PREFIX + "last_hop"
-REJECT_META = META_PREFIX + "reject"
-SWITCH_ID_META = META_PREFIX + "switch_id"
-INJECT_TABLE = "ih_inject_tbl"
-STRIP_TABLE = "ih_strip_tbl"
-SWITCH_ID_TABLE = "ih_switch_id_tbl"
-REPORT_DIGEST = "ih_report"
-
 # Header variables without an explicit annotation fall back to these
 # bindings (names the paper's examples use), which any forwarding
 # program written against our substrate satisfies.
@@ -200,9 +189,6 @@ class CompiledChecker:
     @property
     def hydra_header(self):
         return self.layout.header
-
-    def generated_table_names(self) -> List[str]:
-        return list(self.tables)
 
     # -- shape ---------------------------------------------------------------
 

@@ -3,8 +3,7 @@
 Two tiers live here:
 
 * The original fuzz grammar (``gen_program`` / ``gen_multihop_program``),
-  relocated from ``tests/genprog.py`` (which re-exports it) so the
-  difftest subsystem and the test suite share one generator.  These
+  shared by the difftest subsystem and the test suite.  These
   functions are seed-stable: the same seed must keep producing the same
   program, because test parametrizations pin seeds.
 * The oracle grammar (:func:`gen_oracle_program`): a richer,
@@ -35,7 +34,7 @@ HDRS = ["sport", "dport"]
 
 
 # ---------------------------------------------------------------------------
-# Original shared fuzz grammar (seed-stable; re-exported by tests/genprog.py)
+# Original shared fuzz grammar (seed-stable)
 # ---------------------------------------------------------------------------
 
 def gen_expr(rng, depth=0):

@@ -74,16 +74,6 @@ class BinaryOp(enum.Enum):
     def is_logical(self) -> bool:
         return self in (BinaryOp.AND, BinaryOp.OR)
 
-    @property
-    def is_arithmetic(self) -> bool:
-        return self in (BinaryOp.ADD, BinaryOp.SUB, BinaryOp.MUL,
-                        BinaryOp.DIV, BinaryOp.MOD)
-
-    @property
-    def is_bitwise(self) -> bool:
-        return self in (BinaryOp.BAND, BinaryOp.BOR, BinaryOp.BXOR,
-                        BinaryOp.SHL, BinaryOp.SHR)
-
 
 # --------------------------------------------------------------------------
 # Expressions

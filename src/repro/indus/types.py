@@ -143,28 +143,3 @@ BOOL = BoolType()
 def bits(width: int) -> BitType:
     """Shorthand constructor for ``bit<width>``."""
     return BitType(width)
-
-
-def is_numeric(t: Type) -> bool:
-    """True for types that support arithmetic (bitstrings)."""
-    return isinstance(t, BitType)
-
-
-def is_scalar(t: Type) -> bool:
-    """True for types representable in a single PHV container."""
-    return isinstance(t, (BitType, BoolType))
-
-
-def types_equal(a: Type, b: Type) -> bool:
-    """Structural type equality (dataclass equality already is structural)."""
-    return a == b
-
-
-def common_bit_width(a: Type, b: Type) -> int:
-    """Width for the result of a binary arithmetic op over ``a`` and ``b``.
-
-    Indus follows P4 in requiring equal widths, but integer literals are
-    polymorphic; the checker resolves them before calling this.
-    """
-    assert isinstance(a, BitType) and isinstance(b, BitType)
-    return max(a.width, b.width)

@@ -235,9 +235,6 @@ class Packet:
             return None
         return self.headers.pop(index)
 
-    def push_front(self, header: Header) -> None:
-        self.headers.insert(0, header)
-
     # -- size ------------------------------------------------------------------
 
     @property

@@ -166,12 +166,6 @@ class Topology:
             raise ValueError(f"host {host!r} is not attached")
         return attach
 
-    def edge_switches(self) -> List[str]:
-        return [n for n, s in self.switches.items() if s.role == EDGE]
-
-    def core_switches(self) -> List[str]:
-        return [n for n, s in self.switches.items() if s.role == CORE]
-
     def switch_id(self, name: str) -> int:
         return self.switches[name].switch_id
 

@@ -469,18 +469,43 @@ class Bmv2Switch:
                        entries: Sequence[ir.TableEntry]) -> None:
         """Remove a batch of installed entries in one pass over the
         entry list (``delete_entry`` is O(installed) per call), with one
-        index update and one config notification for the whole batch."""
+        index update and one config notification for the whole batch.
+
+        Each mention removes one installed occurrence of that very
+        object (the first), as ``delete_entry`` does; a batch naming an
+        object more times than it is installed is refused whole."""
         self._table(table_name)
-        ids = {id(e): e for e in entries}
-        if not ids:
+        if not entries:
             return
+        mentions: Dict[int, int] = {}
+        for entry in entries:
+            mentions[id(entry)] = mentions.get(id(entry), 0) + 1
         installed = self.entries[table_name]
-        kept = [e for e in installed if id(e) not in ids]
-        if len(kept) != len(installed) - len(ids):
+        # Every occurrence of a named object goes to ``gone`` (append
+        # returns None), everything else stays, in one pass.
+        gone: List[ir.TableEntry] = []
+        kept = [e for e in installed
+                if id(e) not in mentions or gone.append(e)]
+        found: Dict[int, int] = {}
+        for entry in gone:
+            found[id(entry)] = found.get(id(entry), 0) + 1
+        if any(found.get(key, 0) < n for key, n in mentions.items()):
             raise P4RuntimeError("entry not installed")
+        survives = len(gone) > len(entries)
+        if survives:  # an object installed more often than named
+            kept = []
+            for entry in installed:
+                if mentions.get(id(entry)):
+                    mentions[id(entry)] -= 1
+                else:
+                    kept.append(entry)
         installed[:] = kept
         if self._engine is not None:
-            self._engine.entries_removed(table_name, list(ids.values()))
+            if survives:
+                # By identity the index would drop its every copy.
+                self._engine.invalidate_table(table_name)
+            else:
+                self._engine.entries_removed(table_name, gone)
         self._notify_config(table_name)
 
     def clear_table(self, table_name: str) -> None:

@@ -101,10 +101,6 @@ class BinExpr(P4Expr):
     width: int = 32  # result width for arithmetic ops
 
 
-def const_bool(value: bool) -> Const:
-    return Const(1 if value else 0, 1)
-
-
 def unexpr_width(expr: UnExpr) -> int:
     """The result width of a unary '~'/'-': the explicit width when the
     builder supplied one, otherwise the operand's declared width (falling
@@ -348,7 +344,7 @@ class ExternCall(P4Stmt):
     a tuple otherwise); each result is written to its dest with the
     usual width mask.  ``fn`` sees nothing but its arguments, so every
     extern is a pure function of the declared reads: the engines, the
-    SSA passes and flow fast-forwarding rely on that.
+    dataflow analyses and flow fast-forwarding rely on that.
     """
 
     name: str
@@ -593,9 +589,6 @@ class P4Program:
         self.registers.append(reg)
         return reg
 
-    def metadata_width(self) -> int:
-        return sum(width for _, width in self.metadata)
-
     def header_types(self) -> List[HeaderType]:
         """All header types reachable from the parser, deduplicated."""
         seen: Dict[str, HeaderType] = {}
@@ -808,7 +801,7 @@ def clone_stmts(stmts: Sequence[P4Stmt]) -> List[P4Stmt]:
     """A private copy of a statement body: fresh statement nodes and
     fresh lists all the way down, expressions shared.
 
-    Expressions are frozen, and every rewrite (the SSA passes, the
+    Expressions are frozen, and every rewrite (the optimizer, the
     linker) replaces a statement's expression attribute rather than
     editing the expression, so sharing them is safe and the clone costs
     one shallow copy per statement.

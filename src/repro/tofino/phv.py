@@ -37,10 +37,6 @@ class PhvAllocation:
         return sum(width * count
                    for width, count in self.containers_used.items())
 
-    @property
-    def utilization_pct(self) -> float:
-        return 100.0 * self.container_bits / TOTAL_PHV_BITS
-
 
 def program_fields(program: ir.P4Program) -> List[Tuple[str, int]]:
     """Every PHV-resident field of a program: header binds + metadata +

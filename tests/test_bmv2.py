@@ -3,9 +3,10 @@ registers, digests, header stacks, and the control API."""
 
 import pytest
 
+from repro.aether.upf import upf_program
 from repro.net.packet import (ETH_TYPE_IPV4, ETHERNET, IPV4, SOURCE_ROUTE,
                               UDP, ip, make_source_routed, make_udp)
-from repro.p4 import ir
+from repro.p4 import ENGINES, ir
 from repro.p4.bmv2 import Bmv2Switch, P4RuntimeError
 from repro.p4.programs import (ecmp_fabric, ipv4_lpm_forwarding,
                                l2_port_forwarding, source_routing,
@@ -247,6 +248,34 @@ def test_delete_entry():
     sw.delete_entry("fwd_table", entry)
     with pytest.raises(P4RuntimeError):
         sw.delete_entry("fwd_table", entry)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_delete_entries_removes_one_installed_copy_per_mention(engine):
+    """An object installed twice is removed once per mention, the
+    remaining copy still matches, and a batch naming an object more times
+    than it is installed is refused whole."""
+    sw = Bmv2Switch(upf_program("fabric_upf"), engine=engine)
+    route = ir.TableEntry([(0, 0)], "upf_route", [2])
+    other = ir.TableEntry([(ip(10, 0, 0, 0), 8)], "upf_route", [3])
+    sw.insert_entries("upf_routes", [route, other, route])
+    packet = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)
+    assert [port for port, _ in sw.process(packet, 1)] == [2]
+
+    sw.delete_entries("upf_routes", [route])
+    assert sw.entries["upf_routes"] == [other, route]
+    assert sw.entries["upf_routes"][1] is route
+    assert [port for port, _ in sw.process(packet, 1)] == [2]
+
+    for batch in ([route, route], [other, route, route]):
+        with pytest.raises(P4RuntimeError, match="entry not installed"):
+            sw.delete_entries("upf_routes", batch)
+        assert sw.entries["upf_routes"] == [other, route]
+    assert [port for port, _ in sw.process(packet, 1)] == [2]
+
+    sw.delete_entries("upf_routes", [route])
+    assert sw.entries["upf_routes"] == [other]
+    assert sw.process(packet, 1) == []
 
 
 def test_clear_table():

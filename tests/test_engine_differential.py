@@ -16,6 +16,7 @@ from repro.aether.upf import upf_program
 from repro.compiler import compile_program, standalone_program
 from repro.difftest import (build_packet, build_scenario_deployment,
                             gen_scenario)
+from repro.difftest.genprog import gen_multihop_program, gen_program
 from repro.experiments.fig12 import (ALL_CHECKERS, configure_checker_controls,
                                      install_fabric_routes)
 from repro.net.packet import ip, make_gtpu_encapsulated, make_tcp, make_udp
@@ -24,7 +25,6 @@ from repro.p4 import ENGINES
 from repro.p4.bmv2 import Bmv2Switch
 from repro.properties import PROPERTIES, compile_suite, load_source
 from repro.runtime.deployment import HydraDeployment
-from tests.genprog import gen_multihop_program, gen_program
 
 
 def serialize_outputs(outputs):

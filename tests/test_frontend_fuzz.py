@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_program, standalone_program
+from repro.difftest.genprog import gen_program
 from repro.indus import HopContext, IndusError, Monitor, check, parse
 from repro.net.packet import ip, make_udp
 from repro.p4.bmv2 import Bmv2Switch
 from repro.properties import load_source, property_names
-from tests.genprog import gen_program
 
 SOURCES = [load_source(name) for name in property_names()]
 
@@ -163,7 +163,7 @@ def test_optimized_generated_programs_differential(seed, sport, dport):
 def test_generated_multihop_programs_differential(seed, data):
     """Telemetry-accumulating generated programs agree between the
     interpreter and a chain of compiled switches over random paths."""
-    from tests.genprog import gen_multihop_program
+    from repro.difftest.genprog import gen_multihop_program
 
     source = gen_multihop_program(seed)
     checked = check(parse(source))

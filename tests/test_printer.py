@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.difftest.genprog import gen_program
 from repro.indus import check, parse
 from repro.indus.printer import ast_equal, format_expr, format_program
 from repro.indus.parser import parse_expression
 from repro.properties import load_source, property_names
-from tests.genprog import gen_program
 
 
 def roundtrips(source):
