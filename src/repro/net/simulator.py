@@ -508,13 +508,19 @@ class Network:
         Works in both modes: event mode self-schedules one emission at
         a time (O(1) memory, unlike pre-materializing ``Host.send``
         calls); batched mode drains every due emission per wakeup.
-        Emission times must be non-decreasing (else ``ValueError``).
+        Emission times must be non-decreasing and the first may not
+        precede ``sim.now`` (else ``ValueError``; a refused source
+        schedules nothing).
         """
         if host_name not in self.hosts:
             raise ValueError(f"unknown host {host_name!r}")
         source = _LazySource(host_name, emissions)
         if source.head is None:
             return
+        if source.head[0] < self.sim.now:
+            raise ValueError(f"source on {host_name!r}: emission at "
+                             f"{source.head[0]!r} precedes the clock at "
+                             f"{self.sim.now!r}")
         self.sim.schedule_at(source.head[0], lambda: self._pump(source))
 
     def _pump(self, source: _LazySource) -> None:

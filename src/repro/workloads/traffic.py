@@ -1,11 +1,12 @@
 """Traffic processes for the Figure 12 experiment: an iperf3-style UDP
-load generator and a fast-ping RTT probe."""
+load generator (one lazy template source per direction, see
+``Network.attach_source``) and a fast-ping RTT probe."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..net.packet import Packet, make_udp
 from ..net.simulator import Network
@@ -19,7 +20,9 @@ class UdpLoadGenerator:
 
     Sends fixed-size datagrams at an average of ``rate_bps`` in each
     direction; inter-packet gaps are jittered (exponential) so queues
-    see bursts rather than a perfectly paced stream.
+    see bursts rather than a perfectly paced stream.  Each direction is
+    one lazy source of one template packet: nothing is built per
+    datagram and the scheduler holds one pending event per direction.
     """
 
     def __init__(self, network: Network, host_a: str, host_b: str,
@@ -41,14 +44,28 @@ class UdpLoadGenerator:
         self.packets_sent = 0
 
     def schedule(self, duration_s: float) -> int:
-        """Schedule the whole load ahead of time; returns packet count."""
-        a = self.network.topology.hosts[self.host_a]
-        b = self.network.topology.hosts[self.host_b]
+        """Attach the whole load; returns packet count.
+
+        Each direction (a->b, then b->a, both from ``self.rng``) draws
+        its source port and every burst up front, then sends one
+        template packet at each drawn time through
+        ``Network.attach_source``: ``sim.now`` plus the drawn offset,
+        the time ``Host.send(delay=offset)`` would give.
+        """
+        network = self.network
+        hosts = network.topology.hosts
+        start = network.sim.now
         gap = (self.packet_len * 8) / self.rate_bps
         count = 0
-        for src, dst in ((a, b), (b, a)):
-            now = 0.0
+        for src, dst in ((self.host_a, self.host_b),
+                         (self.host_b, self.host_a)):
             sport = self.rng.randrange(30000, 60000)
+            template = make_udp(hosts[src].ipv4, hosts[dst].ipv4, sport,
+                                LOAD_PORT, payload_len=self.packet_len)
+            # A list, built now: a lazy generator would read ``template``
+            # after the loop moved on to the other direction.
+            emissions: List[Tuple[float, Packet]] = []
+            now = 0.0
             while now <= duration_s:
                 if self.jitter:
                     burst = self.rng.randint(1, self.burst_size)
@@ -59,55 +76,11 @@ class UdpLoadGenerator:
                 now += delta
                 if now > duration_s:
                     break
-                for _ in range(burst):
-                    packet = make_udp(src.ipv4, dst.ipv4, sport, LOAD_PORT,
-                                      payload_len=self.packet_len)
-                    src_host = self.host_a if src is a else self.host_b
-                    self.network.host(src_host).send(packet, delay=now)
-                    count += 1
+                emissions += [(start + now, template)] * burst
+            network.attach_source(src, emissions)
+            count += len(emissions)
         self.packets_sent = count
         return count
-
-    def attach(self, duration_s: float) -> None:
-        """Attach the same load lazily via ``Network.attach_source``.
-
-        Emission times and packet sizes are drawn exactly as in
-        :meth:`schedule` (one RNG stream per direction, in the same
-        direction order), but each direction reuses one template packet
-        per emission instead of building a fresh one, and nothing is
-        materialized ahead of time — suitable for paper-rate loads.
-        ``packets_sent`` counts emissions as they are offered.
-        """
-        a = self.network.topology.hosts[self.host_a]
-        b = self.network.topology.hosts[self.host_b]
-        gap = (self.packet_len * 8) / self.rate_bps
-        for src, dst in ((a, b), (b, a)):
-            src_host = self.host_a if src is a else self.host_b
-            sport = self.rng.randrange(30000, 60000)
-            # Per-direction RNG forked deterministically from the shared
-            # stream so the two lazy directions cannot interleave draws.
-            rng = random.Random(self.rng.randrange(1 << 30))
-            template = make_udp(src.ipv4, dst.ipv4, sport, LOAD_PORT,
-                                payload_len=self.packet_len)
-
-            def emissions(rng: random.Random = rng,
-                          template: Packet = template):
-                now = 0.0
-                while True:
-                    if self.jitter:
-                        burst = rng.randint(1, self.burst_size)
-                        delta = rng.expovariate(1.0 / (gap * burst))
-                    else:
-                        burst = 1
-                        delta = gap
-                    now += delta
-                    if now > duration_s:
-                        return
-                    for _ in range(burst):
-                        self.packets_sent += 1
-                        yield now, template
-
-            self.network.attach_source(src_host, emissions())
 
 
 @dataclass

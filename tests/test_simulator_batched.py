@@ -12,6 +12,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.experiments import fig12
 from repro.experiments.fig12 import Fig12Config, run_rtt_experiment
 from repro.experiments.throughput import run_replay
 from repro.net.packet import ip, make_udp
@@ -254,6 +255,23 @@ def test_batched_run_until_flushes_and_resumes_exactly():
     assert snap["hosts"]["h2"]["rx"] == 100
 
 
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_source_may_not_start_before_the_clock(batched):
+    """A source attached after ``run(until=1.0)`` whose first emission
+    is at 0.5 is refused, and nothing of it runs: the clock never goes
+    back and h2 receives nothing."""
+    topo, network, _, _ = _make_network(batched)
+    network.run(until=1.0)
+    packet = _template_stream(topo, 1, 0.0)[0][1]
+    with pytest.raises(ValueError, match="precedes the clock"):
+        network.attach_source("h1", [(0.5, packet), (0.6, packet)])
+    assert network.sim.pending == 0
+    network.run()
+    assert network.sim.now == 1.0
+    assert network.host("h2").last_rx_time is None
+    assert network.host("h1").tx_count == 0
+
+
 def test_same_template_from_two_hosts_replays_each_hosts_path():
     """A memoized transit record is keyed to the emitting host: the
     same template object sent from h1 and h2 must replay h1's and h2's
@@ -387,16 +405,35 @@ def test_template_memo_does_not_leak_across_networks():
     assert b.packets_delivered == 50
 
 
-def test_fig12_rtt_series_bit_identical_under_batched_mode():
-    """The paper experiment itself: RTT series with a checker deployed
-    must be bit-identical between the two network modes."""
+@pytest.mark.parametrize("checkers", [None, ["loops"]],
+                         ids=["baseline", "loops"])
+def test_fig12_rtt_series_bit_identical_under_batched_mode(checkers,
+                                                          monkeypatch):
+    """The paper experiment itself: RTT series, baseline and with a
+    checker deployed, must be bit-identical between the two network
+    modes.  The batched baseline fabric is stateless, so its load
+    templates replay their transit records: fewer pipeline runs than
+    the three a leaf-spine-leaf walk costs per delivered packet."""
+    networks, build = [], fig12.build_fabric
+
+    def build_fabric(*args, **kwargs):
+        built = build(*args, **kwargs)
+        networks.append(built[0])
+        return built
+
+    monkeypatch.setattr(fig12, "build_fabric", build_fabric)
     runs = []
     for batched in (False, True):
         config = Fig12Config(duration_s=0.05, batched=batched)
-        runs.append(run_rtt_experiment(["loops"], "arm", config=config))
+        runs.append(run_rtt_experiment(checkers, "arm", config=config))
     assert runs[0].series == runs[1].series
     assert runs[0].rtts_ms == runs[1].rtts_ms
     assert runs[0].packets_lost == runs[1].packets_lost
+    if checkers is None:
+        network = networks[1]
+        calls = sum(device.bmv2.packets_processed
+                    for device in network.switches.values())
+        assert calls < 3 * network.packets_delivered
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -3,19 +3,21 @@ trace generator (determinism, heavy tail), traffic processes."""
 
 import gc
 import hashlib
+import random
 import zlib
 from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.fig12 import Fig12Config, build_fabric
 from repro.experiments.throughput import ReplayFeed
 from repro.net.packet import Packet, ip, make_udp
 from repro.net.simulator import Network
 from repro.net.topology import leaf_spine, single_switch
 from repro.p4.bmv2 import Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
-from repro.workloads import (CAMPUS_SUBNET_A, CAMPUS_SUBNET_B,
+from repro.workloads import (CAMPUS_SUBNET_A, CAMPUS_SUBNET_B, LOAD_PORT,
                              CampusTraceGenerator, EchoResponder, Pinger,
                              PrefixPreservingAnonymizer, UdpLoadGenerator)
 
@@ -367,3 +369,70 @@ def test_load_rate_approximates_target():
     # 8 Mb/s at 1000B datagrams = 1000 pps per direction x 0.1 s.
     per_direction = load.packets_sent / 2
     assert 90 <= per_direction <= 110
+
+
+def _load_transmits(network):
+    """Record every host transmit on ``network`` (event mode) as
+    ``(time, sending host, IPv4 src, IPv4 dst, UDP sport, UDP dport,
+    length)``."""
+    sent = []
+    transmit = network.transmit_from_host
+
+    def recorded(host, packet):
+        ipv4, udp = packet.find("ipv4"), packet.find("udp")
+        sent.append((network.sim.now, host, ipv4.get("src_addr"),
+                     ipv4.get("dst_addr"), udp.get("src_port"),
+                     udp.get("dst_port"), packet.length))
+        transmit(host, packet)
+
+    network.transmit_from_host = recorded
+    return sent
+
+
+def _drawn_load(network, a, b, rate_bps, packet_len, seed, duration_s,
+                start, burst_size=8):
+    """The jittered load's transmits, drawn in the generator's order
+    from ``random.Random(seed)`` — a->b, then b->a: per direction the
+    source port, then ``(burst, gap)`` pairs — each datagram sent at
+    ``start`` plus its drawn offset."""
+    rng = random.Random(seed)
+    hosts = network.topology.hosts
+    gap = packet_len * 8 / rate_bps
+    sent = []
+    for src, dst in ((a, b), (b, a)):
+        sport = rng.randrange(30000, 60000)
+        length = make_udp(hosts[src].ipv4, hosts[dst].ipv4, sport,
+                          LOAD_PORT, payload_len=packet_len).length
+        offset = 0.0
+        while True:
+            burst = rng.randint(1, burst_size)
+            offset += rng.expovariate(1.0 / (gap * burst))
+            if offset > duration_s:
+                break
+            sent += [(start + offset, src, hosts[src].ipv4,
+                      hosts[dst].ipv4, sport, LOAD_PORT, length)] * burst
+    return sent
+
+
+@pytest.mark.parametrize("start", [0.0, 0.01])
+def test_load_generator_sends_each_direction_its_drawn_datagrams(start):
+    """A jittered, bursty load on the Figure 12 fabric sends, per
+    direction, exactly the datagrams its draws name: the sending host's
+    addresses and port, at ``sim.now`` when scheduled plus the drawn
+    offset."""
+    config = Fig12Config(duration_s=0.02)
+    network, _ = build_fabric(None, config)
+    network.run(until=start)
+    sent = _load_transmits(network)
+    load = UdpLoadGenerator(network, "h1", "h3", config.load_bps_per_pair,
+                            packet_len=config.load_packet_len, seed=5)
+    count = load.schedule(config.duration_s)
+    network.run()
+    want = _drawn_load(network, "h1", "h3", config.load_bps_per_pair,
+                       config.load_packet_len, 5, config.duration_s, start)
+    assert count == load.packets_sent == len(want) == len(sent)
+    for host in ("h1", "h3"):
+        mine = [s for s in sent if s[1] == host]
+        assert mine == [w for w in want if w[1] == host]
+        assert len({s[0] for s in mine}) < len(mine)   # bursts
+    assert min(s[0] for s in sent) > start
