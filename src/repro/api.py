@@ -26,7 +26,7 @@ Uniform keywords across the verbs, always keyword-only:
   :data:`repro.p4.ENGINES`: ``"codegen"`` (generated source; the
   default) or ``"interp"`` (the reference tree-walker);
 * ``obs=``     — an :class:`~repro.obs.Observability` handle (metrics
-  registry + tracer) threaded through every layer;
+  registry + hop ring) threaded through every layer;
 * ``seed=``    — the deterministic seed.  Scenarios are pure functions
   of their seed, so equal seeds mean equal behavior.
 

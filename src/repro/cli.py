@@ -12,16 +12,17 @@ Commands:
 * ``dump-src <target>``        — print the codegen engine's generated
   Python source for a pipeline, with line numbers
 * ``metrics``                  — run a metered deployment, dump metrics
-* ``trace``                    — record + print a packet-lifecycle trace
+* ``trace``                    — run a scenario and print its hop ring
 * ``ltl "<formula>"``          — compile an LTLf formula to Indus
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .p4 import ENGINES
 
@@ -294,7 +295,7 @@ def _aether_soak(engine: str, obs) -> None:
                          AetherTestbed, FilterRule)
     from .obs import profiled
 
-    tb = AetherTestbed(engine=engine, obs=obs)
+    tb = AetherTestbed(engine=engine, batched=True, obs=obs)
     server_ip = tb.topology.hosts[SERVER_HOST].ipv4
     tb.provision_slice("slice0", [
         FilterRule(priority=20, ip_prefix=(server_ip, 32), proto=17,
@@ -325,8 +326,9 @@ def _aether_soak(engine: str, obs) -> None:
 
 
 def _traced_run(args: argparse.Namespace):
-    """Run the scenario named by ``args.scenario`` under a fully live
-    Observability handle and return it (registry + tracer populated)."""
+    """Run the scenario named by ``args.scenario``, batched as shipped,
+    under a fully live Observability handle and return it (registry and
+    hop ring populated)."""
     from .obs import Observability
 
     obs = Observability.enabled()
@@ -334,7 +336,8 @@ def _traced_run(args: argparse.Namespace):
         from .experiments import Fig12Config, run_rtt_experiment
         from .experiments.fig12 import ALL_CHECKERS
 
-        config = Fig12Config(duration_s=args.duration, engine=args.engine)
+        config = Fig12Config(duration_s=args.duration, engine=args.engine,
+                             batched=True)
         run_rtt_experiment(ALL_CHECKERS, "traced", config, obs=obs)
         return obs
     if args.scenario == "aether":
@@ -370,32 +373,38 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_event(event) -> str:
-    ts = f"{event.ts * 1e6:10.2f}us" if event.ts is not None else " " * 12
-    port = "" if event.port is None else f" port={event.port}"
-    detail = " ".join(f"{k}={v}" for k, v in sorted(event.detail.items())
-                      if k not in ("state",))
-    return (f"  {ts} {event.kind:12s} {event.node:10s}{port}"
-            + (f"  {detail}" if detail else ""))
+def _hop_fields(hop) -> Dict[str, object]:
+    """One :class:`~repro.net.HopRecord` as plain JSON-safe fields."""
+    return {"t": hop.t, "switch": hop.switch,
+            "ingress_port": hop.ingress_port,
+            "packet_id": hop.packet.packet_id, "length": hop.packet.length,
+            "egress_ports": [port for port, _ in hop.outputs],
+            "drop_reason": hop.drop_reason, "digests": hop.digests}
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    obs = _traced_run(args)
-    tracer = obs.tracer
+    hops = _traced_run(args).hops
+    records = [_hop_fields(hop) for hop in hops]
+    lines = [json.dumps(record) for record in records]
     if args.out:
-        tracer.export_jsonl(args.out)
-        print(f"wrote {tracer.total - tracer.dropped} events "
-              f"({tracer.dropped} dropped by the ring) to {args.out}",
-              file=sys.stderr)
+        with open(args.out, "w") as handle:
+            handle.writelines(line + "\n" for line in lines)
+        print(f"wrote {len(hops)} hops ({hops.dropped} dropped by the "
+              f"ring) to {args.out}", file=sys.stderr)
     if args.follow:
-        for pid in tracer.packet_ids():
-            events = tracer.events(packet_id=pid)
-            print(f"packet {pid} ({len(events)} events):")
-            for event in events:
-                print(_format_event(event))
+        packets: Dict[int, list] = {}
+        for record in records:
+            packets.setdefault(record["packet_id"], []).append(record)
+        for pid, path in packets.items():
+            print(f"packet {pid} ({len(path)} hops):")
+            for r in path:
+                out = (f"drop {r['drop_reason']}" if r["drop_reason"]
+                       else f"-> {r['egress_ports']}")
+                print(f"  {r['t'] * 1e6:10.2f}us {r['switch']:10s} "
+                      f"port={r['ingress_port']} len={r['length']} "
+                      f"{out} digests={r['digests']}")
     elif not args.out:
-        for line in tracer.to_jsonl_lines():
-            print(line)
+        print("\n".join(lines))
     return 0
 
 
@@ -565,14 +574,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="record the packet-lifecycle trace of a scenario "
-             "(JSON-lines, or pretty-printed with --follow)")
+        help="print a scenario's hop ring: one JSON line per pipeline "
+             "run (t, switch, ingress port, packet_id, length, egress "
+             "ports, drop reason, digests)")
     add_scenario_args(p)
     p.add_argument("--follow", action="store_true",
-                   help="pretty-print each packet's lifecycle instead "
-                        "of emitting JSON lines")
+                   help="group the hops by packet_id and pretty-print "
+                        "them (a template source's emissions share one "
+                        "packet_id, so they form one group)")
     p.add_argument("-o", "--out", default="",
-                   help="write JSON-lines to this file instead of stdout")
+                   help="write the JSON lines to this file instead of "
+                        "stdout and report the hops the ring dropped")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(

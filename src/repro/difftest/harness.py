@@ -406,7 +406,7 @@ def run_scenario(scenario: Scenario,
         if not hops:
             return fail("verdict", "packet never reached a switch", i)
         trace = _build_trace(scenario, topology, hops)
-        trace_result = run_trace(checked, trace, packet_id=i)
+        trace_result = run_trace(checked, trace)
         snapshots = trace_result.hop_tele
         result.packets_run += 1
 

@@ -263,17 +263,16 @@ class Network:
 
     With ``batched=True`` the network runs the batch hot loop (eager
     path walks, plus flow fast-forwarding where every switch program
-    is stateless) with timing identical to event mode; a live tracer
-    still disables the eager machinery (trace consumers want one event
-    per hop) and falls back to event mode transparently.
+    is stateless and unmetered) with timing identical to event mode,
+    whatever ``obs`` carries.
 
     :meth:`record_hops` keeps a :class:`HopRecord` per pipeline run on
     ``hops``; both modes record the same hops (batched mode does not
-    fast-forward flows while recording).
+    fast-forward flows while recording).  A network built on a handle
+    with a ring (``obs.hops``) records into that ring from the start.
 
     Every NIC and output-port FIFO is unbounded (a backlog waits); the
-    network-layer drop is ``no_route``.  A live tracer reads the clock
-    of the network built or run last.
+    network-layer drop is ``no_route``.
     """
 
     def __init__(self, topology: Topology,
@@ -286,10 +285,7 @@ class Network:
         self.serialize_on_wire = serialize_on_wire
         self.sim = Simulator()
         self.obs = obs if obs is not None else NULL_OBS
-        self._trace = self.obs.tracer.live
         self._metrics = self.obs.registry.live
-        if self._trace:
-            self.obs.tracer.clock = self._clock = lambda: self.sim.now
         if self._metrics:
             reg = self.obs.registry
             self._m_qdrops = reg.counter(
@@ -315,11 +311,12 @@ class Network:
             )
         self.packets_delivered = 0
         self.packets_lost = 0
-        #: The recent :class:`HopRecord`s; None until :meth:`record_hops`.
-        self.hops: Optional[BoundedLog] = None
+        #: The recent :class:`HopRecord`s: the handle's ring, else None
+        #: until :meth:`record_hops`.
+        self.hops: Optional[BoundedLog] = self.obs.hops
         # -- batched-mode state --------------------------------------------
         #: Whether the eager machinery runs at all (see class docstring).
-        self._eager = batched and not self._trace
+        self._eager = batched
         # Redrawn on every control-plane change; template memos,
         # in-flight recordings and parked replays from an older
         # generation are discarded.
@@ -396,29 +393,17 @@ class Network:
             host.nic_busy_until = start + tx_time
             host.tx_count += 1
         ready = start + tx_time
-        if self._trace:
-            self.obs.tracer.emit(
-                "enqueue", src.node, packet.packet_id, port=src.port,
-                packet=packet, queue_wait_s=start - self.sim.now)
-            self.obs.tracer.emit(
-                "link", src.node, packet.packet_id, port=src.port,
-                packet=packet, dst=dst.node, dst_port=dst.port,
-                tx_time_s=tx_time, latency_s=link.latency_s)
         if self.serialize_on_wire:
             packet = self._wire_roundtrip(packet)
         arrival_delay = (ready - self.sim.now) + link.latency_s
         self.sim.schedule(arrival_delay,
                           lambda: self._arrive(dst, packet, length))
 
-    def _drop(self, node: str, packet: Packet, reason: str,
-              port: Optional[int] = None) -> None:
+    def _drop(self, node: str) -> None:
         """Account a network-layer drop (a routing hole)."""
         self.packets_lost += 1
         if self._metrics:
-            self._m_qdrops.labels(node, reason).inc()
-        if self._trace:
-            self.obs.tracer.emit("drop", node, packet.packet_id, port=port,
-                                 packet=packet, reason=reason)
+            self._m_qdrops.labels(node, "no_route").inc()
 
     @staticmethod
     def _wire_roundtrip(packet: Packet) -> Packet:
@@ -449,9 +434,6 @@ class Network:
             self.packets_delivered += 1
             if self._metrics:
                 self._m_delivered.labels(end.node).inc()
-            if self._trace:
-                self.obs.tracer.emit("deliver", end.node, packet.packet_id,
-                                     port=end.port, packet=packet)
             self.hosts[end.node].deliver(packet, length)
             return
         device = self.switches[end.node]
@@ -468,16 +450,15 @@ class Network:
             outputs = self._process_recorded(device, packet, ingress_port,
                                              self.sim.now)
         if not outputs:
-            # The switch's own instrumentation emits the drop event
-            # (reason=ttl|pipeline) — it knows the verdict; the network
-            # only keeps the aggregate loss counter.
+            # The switch's own instrumentation counts the drop by reason
+            # (ttl|pipeline): it knows the verdict; the network only
+            # keeps the aggregate loss counter.
             self.packets_lost += 1
             return
         for egress_port, out_packet in outputs:
             link = self.topology.link_at(device.name, egress_port)
             if link is None:
-                self._drop(device.name, out_packet, "no_route",
-                           port=egress_port)
+                self._drop(device.name)
                 continue
             self._send_over(link, Endpoint(device.name, egress_port),
                             out_packet)
@@ -560,14 +541,15 @@ class Network:
                 return
 
     def _ff_ready(self) -> bool:
-        """Flow fast-forwarding admission: every switch stateless, no
-        wire serialization, no hop recorder, no live tracer (checked by
-        callers)."""
+        """Flow fast-forwarding admission: every switch stateless and
+        unmetered (a replay skips the pipeline its counters live in), no
+        wire serialization, no hop recorder."""
         if self.serialize_on_wire or self.hops is not None:
             return False
         if self._stateless is None:
             self._stateless = all(
                 stateless_program(device.bmv2.program)
+                and not device.bmv2.obs.registry.live
                 for device in self.switches.values())
         return self._stateless
 
@@ -575,7 +557,8 @@ class Network:
         """Any control-plane change voids every transit record (routes
         may differ): memos, in-flight recordings and parked replays
         carry the generation they were made under.  Program structure
-        is immutable, so the statelessness verdict stands."""
+        and a switch's ``obs`` are fixed at construction, so the
+        statelessness verdict stands."""
         self._cache_gen = next(_GENERATIONS)
 
     def _wire_rows(self) -> None:
@@ -667,7 +650,7 @@ class Network:
                 if row is None:
                     if device is None:
                         raise ValueError(f"host {node!r} is not attached")
-                    self._drop(node, packet, "no_route", port=port)
+                    self._drop(node)
                     return
                 (bandwidth_bps, latency_s, sender, from_host, far_node,
                  far_port, far, end) = row
@@ -1104,10 +1087,6 @@ class Network:
         return self.switches[name]
 
     def run(self, until: Optional[float] = None) -> None:
-        if self._trace:
-            # The tracer may be shared: the network that runs owns it.
-            self.obs.tracer.clock = self._clock
         self.sim.run(until)
         if self._metrics:
-            self._g_simtime.labels(
-            ).set(self.sim.now)
+            self._g_simtime.set(self.sim.now)

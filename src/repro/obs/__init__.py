@@ -1,22 +1,27 @@
-"""The observability plane: metrics, packet-lifecycle tracing, profiling.
+"""The observability plane: metrics, the hop ring, profiling.
 
-One :class:`Observability` handle bundles a metrics registry and a
-trace-event stream and threads through every runtime layer —
+One :class:`Observability` handle bundles a metrics registry and a hop
+ring and threads through every runtime layer —
 :class:`~repro.p4.bmv2.Bmv2Switch`, the codegen engine,
-:class:`~repro.net.simulator.Network`,
-:class:`~repro.runtime.deployment.HydraDeployment`, and the reference
-monitor (:func:`repro.runtime.tracecheck.run_trace`).
+:class:`~repro.net.simulator.Network` and
+:class:`~repro.runtime.deployment.HydraDeployment`.
 
-The default everywhere is :data:`NULL_OBS` (null registry + null
-tracer): hot paths specialize on ``obs.live`` at compile/attach time and
-pay nothing when observability is off.  Turn it on by passing a live
-handle at construction::
+The default everywhere is :data:`NULL_OBS` (null registry, no ring):
+hot paths specialize on ``registry.live`` when built and pay nothing
+when it is off.  Observability is fixed at construction: pass a live
+handle to the constructors::
 
-    obs = Observability(registry=MetricsRegistry(), tracer=Tracer())
+    obs = Observability.enabled()
     dep = HydraDeployment(topology, compiled, forwarding, obs=obs)
     ...
     print(obs.registry.render_prometheus())
-    obs.tracer.export_jsonl("trace.jsonl")
+    for hop in obs.hops:      # one HopRecord per pipeline run
+        ...
+
+A network built on a handle with a ring records every pipeline run into
+it (:meth:`~repro.net.simulator.Network.record_hops`'s
+:class:`~repro.net.simulator.HopRecord`); the ring instruments no switch
+and leaves the network on its own loop, batched or not.
 
 CLI surfaces: ``python -m repro metrics`` and ``python -m repro trace``.
 """
@@ -29,42 +34,34 @@ from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       NullRegistry, NULL_REGISTRY, DEFAULT_NS_BUCKETS,
                       DEFAULT_SECONDS_BUCKETS)
 from .profile import PHASE_HISTOGRAM, profiled
-from .trace import (NullTracer, NULL_TRACER, TraceEvent, Tracer,
-                    DEFAULT_RING_CAPACITY, LIFECYCLE_ORDER)
 
 __all__ = [
-    "Counter", "DEFAULT_NS_BUCKETS", "DEFAULT_RING_CAPACITY",
-    "DEFAULT_SECONDS_BUCKETS", "Gauge", "Histogram", "LIFECYCLE_ORDER",
-    "MetricsRegistry", "NULL_OBS", "NULL_REGISTRY", "NULL_TRACER",
-    "NullRegistry", "NullTracer", "Observability", "PHASE_HISTOGRAM",
-    "TraceEvent", "Tracer", "profiled",
+    "Counter", "DEFAULT_NS_BUCKETS", "DEFAULT_SECONDS_BUCKETS", "Gauge",
+    "Histogram", "MetricsRegistry", "NULL_OBS", "NULL_REGISTRY",
+    "NullRegistry", "Observability", "PHASE_HISTOGRAM", "profiled",
 ]
 
 
 class Observability:
-    """A registry + tracer pair handed down through the runtime layers."""
+    """A registry + hop ring pair handed down through the runtime layers."""
 
-    __slots__ = ("registry", "tracer")
+    __slots__ = ("registry", "hops")
 
     def __init__(self, registry: Optional[object] = None,
-                 tracer: Optional[object] = None):
+                 hops: Optional[object] = None):
         self.registry = NULL_REGISTRY if registry is None else registry
-        self.tracer = NULL_TRACER if tracer is None else tracer
-
-    @property
-    def live(self) -> bool:
-        """Whether any instrumentation is active (hot paths specialize
-        on this once, at compile/attach time)."""
-        return bool(self.registry.live or self.tracer.live)
+        #: A :class:`~repro.p4.bmv2.BoundedLog` of hop records, or None.
+        self.hops = hops
 
     @classmethod
     def enabled(cls) -> "Observability":
-        """A fully live handle: fresh registry + fresh tracer."""
-        return cls(registry=MetricsRegistry(), tracer=Tracer())
+        """A fully live handle: fresh registry + fresh hop ring."""
+        from ..p4.bmv2 import BoundedLog  # deferred: bmv2 imports us
+        return cls(registry=MetricsRegistry(), hops=BoundedLog())
 
     def __repr__(self) -> str:
         return (f"Observability(registry={'live' if self.registry.live else 'null'}, "
-                f"tracer={'live' if self.tracer.live else 'null'})")
+                f"hops={'ring' if self.hops is not None else 'none'})")
 
 
 #: The process-wide shared "observability off" handle.

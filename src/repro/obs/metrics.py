@@ -13,8 +13,8 @@ Two registry implementations share one interface:
   call at most — and the hot paths (``repro.p4.codegen``) specialize
   at compile time on ``registry.live`` and pay **nothing** when
   observability is off.  ``tests/test_codegen_engine.py`` holds that
-  line: the generated source carries no tracer or counter call under
-  the null handle.
+  line: the generated source carries no counter call under the null
+  handle.
 
 Naming conventions (see docs/INTERNALS.md § observability):
 ``<subsystem>_<thing>_total`` for counters, ``<thing>_seconds`` /
@@ -73,6 +73,8 @@ class _Metric:
             raise MetricError(
                 f"metric {self.name!r} takes {len(self.label_names)} "
                 f"label value(s) {self.label_names}, got {len(values)}")
+        if not values:
+            return self._unlabelled()
         key = tuple(str(v) for v in values)
         child = self._children.get(key)
         if child is None:

@@ -227,34 +227,19 @@ Pipeline = Callable[[Packet, int], List[Tuple[int, Packet]]]
 
 
 def observed(switch: "Bmv2Switch", run: Pipeline) -> Pipeline:
-    """``run`` (one engine's pipeline) under ``switch``'s live handle:
-    ``parse``, the packet counter and ns histogram, then ``drop`` or
-    ``deparse``.  Both engines bind it; their plain paths never do."""
-    tracer = switch.obs.tracer
-    traced = tracer.live
+    """``run`` (one engine's pipeline) under ``switch``'s live registry:
+    the packet counter, the ns histogram and the drop counter.  Both
+    engines bind it; their plain paths never do."""
     name = switch.name
 
     def process(packet: Packet,
                 ingress_port: int) -> List[Tuple[int, Packet]]:
-        if traced:
-            tracer.emit("parse", node=name, packet_id=packet.packet_id,
-                        port=ingress_port, packet=packet,
-                        packet_length=packet.length)
         switch._m_packets.labels(name, ingress_port).inc()
         start = time.perf_counter_ns()
         outputs = run(packet, ingress_port)
         switch._m_ns.observe(time.perf_counter_ns() - start)
         if not outputs:
-            reason = drop_reason(packet)
-            switch._m_dropped.labels(name, reason).inc()
-            if traced:
-                tracer.emit("drop", node=name, packet_id=packet.packet_id,
-                            reason=reason)
-        elif traced:
-            for egress_port, out_packet in outputs:
-                tracer.emit("deparse", node=name,
-                            packet_id=out_packet.packet_id,
-                            port=egress_port, egress_port=egress_port)
+            switch._m_dropped.labels(name, drop_reason(packet)).inc()
         return outputs
 
     return process
@@ -268,9 +253,11 @@ class Bmv2Switch:
     table lookup (:mod:`repro.p4.codegen`); ``"interp"`` walks the IR
     tree per packet and serves as the reference semantics.
 
-    ``obs`` attaches the observability plane (:mod:`repro.obs`); the
-    default :data:`~repro.obs.NULL_OBS` keeps packet processing exactly
-    as cheap as an uninstrumented switch.
+    ``obs`` attaches the observability plane (:mod:`repro.obs`) for the
+    switch's lifetime; the default :data:`~repro.obs.NULL_OBS` keeps
+    packet processing exactly as cheap as an uninstrumented switch.
+    Only a live registry instruments a switch (a hop ring is the
+    network's).
     """
 
     def __init__(self, program: ir.P4Program, name: str = "s1",
@@ -317,10 +304,10 @@ class Bmv2Switch:
         # mutates headers can run on a packet shell sharing the original
         # Header instances (the codegen engine copies on first write).
         self._share_headers = not ir.mutates_headers(program)
-        self.obs = NULL_OBS
-        self._obs_live = False
-        if obs is not None:
-            self._bind_observability(obs)
+        self.obs = obs if obs is not None else NULL_OBS
+        self._obs_live = self.obs.registry.live
+        if self._obs_live:
+            self._bind_metrics(self.obs.registry)
         self._engine = None
         if engine == "codegen":
             from .codegen import CodegenEngine  # deferred: codegen imports us
@@ -330,12 +317,7 @@ class Bmv2Switch:
     # Observability
     # ==================================================================
 
-    def _bind_observability(self, obs: Observability) -> None:
-        self.obs = obs
-        self._obs_live = obs.live
-        if not self._obs_live:
-            return
-        registry = obs.registry
+    def _bind_metrics(self, registry) -> None:
         self._m_packets = registry.counter(
             "switch_packets_total", "packets entering a pipeline",
             labels=("switch", "port"))
@@ -352,22 +334,8 @@ class Bmv2Switch:
             buckets=DEFAULT_NS_BUCKETS)
         self._process_interp_obs = observed(self, self._process_interp)
 
-    def attach_observability(self, obs: Observability) -> None:
-        """Attach (or detach, with :data:`~repro.obs.NULL_OBS`) the
-        observability plane.
-
-        The codegen engine recompiles so instrumentation is specialized
-        at compile time — with a null handle the generated source is
-        byte-for-byte the uninstrumented one and the hot path pays
-        nothing.
-        """
-        self._bind_observability(obs)
-        if self._engine is not None:
-            self._engine = self._engine.on_observability_change()
-
     def _on_digest_evict(self, count: int) -> None:
-        # Rare (ring overflow only): route through whatever registry is
-        # attached at eviction time; the null registry no-ops.
+        # Rare (ring overflow only): the null registry no-ops.
         self.obs.registry.counter(
             "log_evictions_total",
             "entries rotated out of bounded message logs",
@@ -757,10 +725,6 @@ class Bmv2Switch:
                 switch_name=self.name,
             )
             self.digests.append(message)
-            if self._obs_live and self.obs.tracer.live:
-                self.obs.tracer.emit("digest", node=self.name,
-                                     packet_id=ctx.packet.packet_id,
-                                     digest=stmt.name)
             for listener in self.digest_listeners:
                 listener(message)
             return
@@ -802,8 +766,8 @@ class Bmv2Switch:
             if best is None or self._beats(table, entry, best):
                 best = entry
         if self._obs_live:
-            self._observe_apply(name, "hit" if best is not None else "miss",
-                                ctx)
+            self._m_table.labels(
+                self.name, name, "hit" if best is not None else "miss").inc()
         if best is not None:
             self._run_action(best.action, best.args, ctx)
             return True
@@ -812,15 +776,6 @@ class Bmv2Switch:
             action, args = default
             self._run_action(action, args, ctx)
         return False
-
-    def _observe_apply(self, table: str, result: str,
-                       ctx: PacketContext) -> None:
-        self._m_table.labels(self.name, table, result).inc()
-        tracer = self.obs.tracer
-        if tracer.live:
-            tracer.emit("apply", node=self.name,
-                        packet_id=ctx.packet.packet_id,
-                        table=table, result=result)
 
     @staticmethod
     def _beats(table: ir.Table, a: ir.TableEntry, b: ir.TableEntry) -> bool:

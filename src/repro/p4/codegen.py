@@ -41,7 +41,7 @@ with flat local variables:
   before it returns, so a memo only holds what the live applies just
   produced and the frame a digest listener runs in sees the listener's
   write.  A build starts with empty memos; an instrumented build forms
-  no runs (its apply sites count and trace per table).  This is Hydra's
+  no runs (its apply sites count per table).  This is Hydra's
   per-checker scaffolding — first-hop and last-hop probes, a loader
   table per control variable — which on Tofino costs no stage.
 * **``packet.length`` is evaluated by the first read that runs**: the
@@ -67,11 +67,12 @@ run an optimized checker on either is to compile it with ``optimize=``
 (:mod:`repro.analysis.optimize`).  The pipeline is emitted exactly
 once; a batch is ``Bmv2Switch.process_batch`` looping over ``process``.
 
-Observability is a compile-time specialization: with the null handle
-the generated source carries zero instrumentation; with a live handle
-the apply/digest sites emit counters and trace events and ``process``
-is the generated function inside :func:`~repro.p4.bmv2.observed`, the
-per-switch wrapper both engines bind.
+Observability is a compile-time specialization, fixed when the switch
+is built: with a null registry the generated source carries zero
+instrumentation; with a live one each apply site counts its hits and
+misses and ``process`` is the generated function inside
+:func:`~repro.p4.bmv2.observed`, the per-switch wrapper both engines
+bind.
 
 Control-plane interplay — *names are code, values are data*.  The
 generated dispatch assumes a fixed action set per table, and the pure
@@ -79,11 +80,10 @@ run analysis which action each table runs on a miss; ``Bmv2Switch``
 notifies the engine on entry inserts and default-action changes.
 
 * **What builds a module**: a default that changes action (another
-  name, or ``None`` to or from an action) and ``attach_observability``.
-  An insert never does: ``Bmv2Switch`` refuses an entry bound to an
-  action its table does not declare, so a module's text is a function
-  of the program, the default-action names and whether it is
-  instrumented.
+  name, or ``None`` to or from an action).  An insert never does:
+  ``Bmv2Switch`` refuses an entry bound to an action its table does not
+  declare, so a module's text is a function of the program, the
+  default-action names and whether it is instrumented.
 * **Who owns the code**: the program.  ``program.code`` maps that key —
   ``(default-action name per table, instrumented)`` — to ``(source,
   code, plan)``.  The first engine to need a key emits the text and
@@ -97,9 +97,9 @@ notifies the engine on entry inserts and default-action changes.
   constants (header types and blanks, select maps, externs, helpers)
   by value and each per-switch global by its kind (``SW``, ``EN``,
   ``RG*`` registers, ``T*`` table indexes and their ``L*`` lookup
-  memos, ``DB*`` defaults, ``RUN*`` memos, ``CH*``/``CM*`` counters,
-  ``TR``: :data:`_PER_SWITCH`), beside the name bookkeeping the hooks
-  read.  The memo dies with the program.
+  memos, ``DB*`` defaults, ``RUN*`` memos, ``CH*``/``CM*`` counters:
+  :data:`_PER_SWITCH`), beside the name bookkeeping the hooks read.
+  The memo dies with the program.
 * **What rebinds**: a default action's *arguments*.  Each apply site's
   miss path loads its default — a keyless ``TableEntry``, bound once
   per table — from a module global (``DB<site>``);
@@ -111,8 +111,8 @@ notifies the engine on entry inserts and default-action changes.
   control value mid-packet) reads the new binding on its next miss, as
   it would under the reference engine.
 * **The counters**: ``builds`` per cause (:data:`INITIAL`,
-  :data:`DEFAULT_ACTION`, :data:`OBSERVABILITY`), ``compiles`` (builds
-  whose code this engine compiled itself; the rest took a sibling's),
+  :data:`DEFAULT_ACTION`), ``compiles`` (builds whose code this engine
+  compiled itself; the rest took a sibling's),
   ``rebinds``, ``recompiles == sum(builds) - 1`` and ``runs`` (memo
   ``sites``, ``fills`` counted in the miss arm, ``clears`` in the
   hooks); read them through ``Bmv2Switch.engine_counts()``, and each
@@ -143,7 +143,6 @@ __all__ = ["CodegenEngine"]
 #: ``CodegenEngine.builds`` counts per cause.
 INITIAL = "initial"
 DEFAULT_ACTION = "default_action"
-OBSERVABILITY = "observability"
 
 #: StandardMetadata fields tracked as flat locals.
 _STD_FIELDS = ("ingress_port", "egress_spec", "egress_port",
@@ -197,12 +196,11 @@ _NO_PARAMS: Dict[str, str] = {}
 
 #: A module's per-switch globals by kind: ``kind -> value(engine, arg)``,
 #: what a build of ``engine`` binds (``arg`` names which table or
-#: register): ``SW``, ``EN``, ``TR``, ``RG*``, ``T*``, ``L*``, ``DB*``,
+#: register): ``SW``, ``EN``, ``RG*``, ``T*``, ``L*``, ``DB*``,
 #: ``RUN*``, ``CH*`` and ``CM*`` respectively.
 _PER_SWITCH: Dict[str, Callable[[Any, Any], Any]] = {
     "switch": lambda engine, _: engine.switch,
     "engine": lambda engine, _: engine,
-    "tracer": lambda engine, _: engine._obs.tracer,
     "registers": lambda engine, name: engine.switch.registers[name],
     "index": lambda engine, table: engine._new_index(table),
     "lookup_memo": lambda engine, table: engine.tables[table].memo,
@@ -239,11 +237,10 @@ class CodegenEngine:
     hooks below; ``source`` is the generated text.
     """
 
-    def __init__(self, program: ir.P4Program, switch, cause: str = INITIAL):
+    def __init__(self, program: ir.P4Program, switch):
         self.program = program
         self.switch = switch
-        self._obs = switch.obs
-        self._instrumented = self._obs.live
+        self._instrumented = switch.obs.registry.live
         self._meta_width: Dict[str, int] = dict(program.metadata)
         self._bind_types = program.bind_types()
         self.source: str = ""
@@ -257,7 +254,7 @@ class CodegenEngine:
         self.run_fills = 0
         self.run_clears = 0
         self.tables: Dict[str, _TableIndex] = {}
-        self._build(cause)
+        self._build(INITIAL)
 
     @property
     def recompiles(self) -> int:
@@ -319,11 +316,6 @@ class CodegenEngine:
             self._globals[gname] = bound
         self.rebinds += 1
         self._clear_runs(name)
-
-    def on_observability_change(self) -> "CodegenEngine":
-        """Instrumentation is emitted or absent at build time: a fresh
-        engine (fresh counters) specialized on the switch's new handle."""
-        return CodegenEngine(self.program, self.switch, OBSERVABILITY)
 
     def _default_binding(self, name: str) -> Optional[ir.TableEntry]:
         """The switch's current default for ``name`` as the keyless
@@ -465,7 +457,7 @@ class CodegenEngine:
 
     def _lookup_counter(self, table: str, result: str):
         """This switch's ``table_lookups_total`` child for one outcome."""
-        return self._obs.registry.counter(
+        return self.switch.obs.registry.counter(
             "table_lookups_total", "table applies by outcome",
             labels=("switch", "table", "result")).labels(
                 self.switch.name, table, result)
@@ -518,8 +510,6 @@ class CodegenEngine:
         self._g("_STD0", _STD0)
         self._g("_UNSET", _UNSET)
         self._g("_MISS", _MISS)
-        if self._instrumented:
-            self._per_switch("TR", "tracer")
         # Usage scans over pipelines + every program action (superset of
         # anything the dispatch can inline) + the parser's select fields:
         # each statement's declared effect, an apply's table keys.
@@ -837,10 +827,6 @@ class CodegenEngine:
             emit(f"{pad}_dg = _DM(name={stmt.name!r}, values=[{values}], "
                  f"switch_name=SW.name)")
             emit(f"{pad}SW.digests.append(_dg)")
-            if self._instrumented:
-                emit(f"{pad}if TR.live:")
-                emit(f"{pad}    TR.emit('digest', node=SW.name, "
-                     f"packet_id=packet.packet_id, digest={stmt.name!r})")
             emit(f"{pad}for _ls in SW.digest_listeners:")
             emit(f"{pad}    _ls(_dg)")
         elif isinstance(stmt, (ir.SetValid, ir.SetInvalid)):
@@ -922,16 +908,8 @@ class CodegenEngine:
             mc = self._per_switch(f"CM{site}", "misses", stmt.table)
             emit(f"{pad}if _h{site}:")
             emit(f"{pad}    {hc}.inc()")
-            emit(f"{pad}    if TR.live:")
-            emit(f"{pad}        TR.emit('apply', node=SW.name, "
-                 f"packet_id=packet.packet_id, table={stmt.table!r}, "
-                 f"result='hit')")
             emit(f"{pad}else:")
             emit(f"{pad}    {mc}.inc()")
-            emit(f"{pad}    if TR.live:")
-            emit(f"{pad}        TR.emit('apply', node=SW.name, "
-                 f"packet_id=packet.packet_id, table={stmt.table!r}, "
-                 f"result='miss')")
             emit(f"{pad}    _b{site} = {db}")
         else:
             emit(f"{pad}if _b{site} is None:")

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..indus import (ControlStore, HopContext, Monitor, MonitorState,
                      SensorStore)
 from ..indus.typechecker import CheckedProgram
-from ..obs import NULL_OBS, Observability
 
 
 class TraceFormatError(ValueError):
@@ -86,20 +85,13 @@ def _apply_controls(store: ControlStore, spec: Dict[str, Any]) -> None:
             store.set_value(name, value)
 
 
-def run_trace(checked: CheckedProgram, trace: Dict[str, Any],
-              obs: Optional[Observability] = None,
-              packet_id: int = 0) -> TraceResult:
+def run_trace(checked: CheckedProgram, trace: Dict[str, Any]) -> TraceResult:
     """Run the monitor for ``checked`` over a parsed trace document.
 
     The result's ``hop_tele`` holds the telemetry after each hop — what
     the differential oracle compares against the values the compiled
-    pipeline carried on the wire.  With a live tracer on ``obs``, a
-    ``monitor_hop`` event is also emitted after each hop, carrying the
-    live :class:`MonitorState` in ``detail["state"]``; subscribers must
-    copy what they keep.
+    pipeline carried on the wire.
     """
-    obs = obs if obs is not None else NULL_OBS
-    trace_live = obs.tracer.live
     if not isinstance(trace, dict) or "hops" not in trace:
         raise TraceFormatError("trace documents need a 'hops' list")
     hops = trace["hops"]
@@ -128,14 +120,6 @@ def run_trace(checked: CheckedProgram, trace: Dict[str, Any],
         )
         monitor.run_hop(state, ctx)
         hop_tele.append(_tele_snapshot(state))
-        if trace_live:
-            obs.tracer.emit("monitor_hop", "monitor", packet_id,
-                            hop=i, switch_id=ctx.switch_id,
-                            rejected=state.rejected, state=state)
-    if state.rejected and obs.registry.live:
-        obs.registry.counter(
-            "monitor_rejections_total",
-            "traces rejected by the reference monitor").labels().inc()
     return TraceResult(accepted=not state.rejected, state=state,
                        hop_count=len(hops), hop_tele=hop_tele)
 

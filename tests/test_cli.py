@@ -88,15 +88,28 @@ def test_metrics_command_prometheus(capsys):
     assert "# TYPE phase_seconds histogram" in out
 
 
-def test_metrics_command_json(capsys):
+def test_metrics_command_json(capsys, monkeypatch):
     import json
 
+    from repro.net.simulator import Network
+
+    clocks = []
+    run = Network.run
+
+    def run_and_read_the_clock(self, until=None):
+        run(self, until)
+        clocks.append(self.sim.now)
+
+    monkeypatch.setattr(Network, "run", run_and_read_the_clock)
     code, out, _ = run_cli(capsys, "metrics", "3", "--json")
     assert code == 0
     dump = json.loads(out)
     assert dump["switch_packets_total"]["kind"] == "counter"
     assert sum(s["value"] for s in
                dump["table_lookups_total"]["series"]) > 0
+    assert clocks[-1] > 0
+    assert dump["sim_time_seconds"]["series"] == [
+        {"labels": {}, "value": clocks[-1]}]
 
 
 def test_trace_command_jsonl_stdout(capsys):
@@ -104,10 +117,11 @@ def test_trace_command_jsonl_stdout(capsys):
 
     code, out, _ = run_cli(capsys, "trace", "3")
     assert code == 0
-    events = [json.loads(line) for line in out.splitlines()]
-    assert events
-    kinds = {e["kind"] for e in events}
-    assert "parse" in kinds and "enqueue" in kinds
+    (hop,) = [json.loads(line) for line in out.splitlines()]
+    del hop["packet_id"]
+    assert hop == {"t": 1.5672e-06, "switch": "s1", "ingress_port": 1,
+                   "length": 109, "egress_ports": [],
+                   "drop_reason": "pipeline", "digests": 3}
 
 
 def test_trace_command_follow_and_export(tmp_path, capsys):
@@ -117,10 +131,11 @@ def test_trace_command_follow_and_export(tmp_path, capsys):
     code, out, err = run_cli(capsys, "trace", "3", "--follow",
                              "-o", str(out_path))
     assert code == 0
-    assert "packet" in out and "parse" in out
-    assert f"to {out_path}" in err
-    lines = out_path.read_text().splitlines()
-    assert lines and all(json.loads(line) for line in lines)
+    assert out.startswith("packet ") and "(1 hops):" in out
+    assert "s1" in out and "drop pipeline digests=3" in out
+    assert f"wrote 1 hops (0 dropped by the ring) to {out_path}" in err
+    (line,) = out_path.read_text().splitlines()
+    assert json.loads(line)["switch"] == "s1"
 
 
 def test_trace_command_rejects_bad_scenario(capsys):
@@ -154,7 +169,7 @@ def test_aether_scenario_reaches_switches_tables_and_tracer(capsys):
 
     code, out, _ = run_cli(capsys, "trace", "aether", "--follow")
     assert code == 0
-    assert out.startswith("packet ") and "parse" in out
+    assert out.startswith("packet ") and " hops):" in out
 
 
 @pytest.mark.parametrize("verb", ["bench", "aether"])

@@ -329,11 +329,15 @@ def test_a_hit_flag_exists_only_where_something_reads_it():
         ir.ApplyTable("hit_only", hit_body=out(300))]
     switches = {engine: Bmv2Switch(program, engine=engine)
                 for engine in ENGINES}
-    for switch in switches.values():
+
+    def configure(switch):
         switch.insert_entry("plain", [0x0800], "set_seen", [1])
         switch.insert_entry("branched", [0x0800], "set_seen", [2])
         switch.insert_entry("hit_only", [0x86DD], "set_seen", [3])
         switch.set_default_action("branched", "set_seen", [7])
+
+    for switch in switches.values():
+        configure(switch)
 
     def ports():
         got = [[switch.process(ether_packet(eth), 1)[0][0]
@@ -346,7 +350,9 @@ def test_a_hit_flag_exists_only_where_something_reads_it():
     source = switches["codegen"]._engine.source
     assert re.findall(r"_h\d+ = |if _h\d+:", source) == [
         "_h1 = ", "if _h1:", "_h2 = ", "if _h2:"]
-    switches["codegen"].attach_observability(Observability.enabled())
+    switches["codegen"] = Bmv2Switch(program, engine="codegen",
+                                     obs=Observability.enabled())
+    configure(switches["codegen"])
     assert ports() == [102, 207, 303]
     source = switches["codegen"]._engine.source
     assert re.findall(r"_h\d+ = ", source) == ["_h0 = ", "_h1 = ", "_h2 = "]

@@ -138,12 +138,12 @@ def test_the_subject_is_the_shipped_build(monkeypatch):
     assert result.ok and result.hops_checked > 0
     reference, subject = built["interp"], built["codegen"]
     assert not reference.network._eager
-    assert subject.network._eager and not subject.obs.live
+    assert subject.network._eager and not subject.obs.registry.live
     runs = [sw.engine_counts()["runs"] for sw in subject.switches.values()]
     assert sum(r["sites"] for r in runs) > 0
     assert sum(r["fills"] for r in runs) > 0
     for name, sw in subject.switches.items():
-        assert "TR." not in sw._engine.source
+        assert ".inc()" not in sw._engine.source
         assert sw.entries == reference.switches[name].entries
         assert sw.index_counts()["fwd_table"]["rebuilds"] == 0
     for deployment in built.values():     # the last packet's hops

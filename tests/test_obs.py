@@ -1,22 +1,21 @@
-"""Observability plane: registry semantics, trace events, profiling.
+"""Observability plane: registry semantics, the handle, profiling.
 
 Covers the contract the rest of the runtime relies on: label handling
 and cardinality bounds, cumulative histogram buckets, exports, the null
-registry's and null tracer's zero-cost no-op behavior, phase timers,
-and the tracer's ring, filters and clock.  The runtime wiring (event
-order along a path, drop accounting, verdicts unchanged with
-observability on) is ``test_obs_wiring.py``.
+registry's zero-cost no-op behavior, the handle's parts and phase
+timers.  The runtime wiring (the hop ring along a path, drop
+accounting, verdicts unchanged with observability on) is
+``test_obs_wiring.py``.
 """
 
 import json
 
 import pytest
 
-from repro.obs import (NULL_OBS, NULL_REGISTRY, NULL_TRACER,
-                       MetricsRegistry, NullRegistry, Observability,
-                       Tracer, profiled)
+from repro.obs import (NULL_OBS, NULL_REGISTRY, MetricsRegistry,
+                       NullRegistry, Observability, profiled)
 from repro.obs.metrics import MAX_LABEL_SETS, MetricError
-from repro.obs.trace import LIFECYCLE_ORDER
+from repro.p4.bmv2 import BoundedLog
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +114,16 @@ def test_prometheus_rendering():
     assert "lat_count 1" in text
 
 
+def test_an_unlabelled_metrics_labels_is_the_metric_itself():
+    reg = MetricsRegistry()
+    reg.gauge("g").labels().set(2.5)
+    reg.counter("c").labels().inc(3)
+    assert reg.value("g") == 2.5 and reg.value("c") == 3
+    text = reg.render_prometheus()
+    assert "g 2.5" in text.splitlines()
+    assert "c 3" in text.splitlines()
+
+
 def test_json_dump_round_trips():
     reg = MetricsRegistry()
     reg.counter("c", labels=("a",)).labels("x").inc(2)
@@ -139,12 +148,14 @@ def test_null_registry_is_shared_noop():
 
 
 def test_observability_handle_liveness():
-    assert NULL_OBS.live is False
-    assert Observability().live is False
-    assert Observability(registry=MetricsRegistry()).live is True
-    assert Observability(tracer=Tracer()).live is True
+    assert NULL_OBS.registry.live is False and NULL_OBS.hops is None
+    assert Observability().registry.live is False
+    assert Observability(registry=MetricsRegistry()).registry.live is True
+    ring = BoundedLog()
+    assert Observability(hops=ring).hops is ring
     full = Observability.enabled()
-    assert full.registry.live and full.tracer.live
+    assert full.registry.live and isinstance(full.hops, BoundedLog)
+    assert Observability.enabled().hops is not full.hops
 
 
 # ---------------------------------------------------------------------------
@@ -168,61 +179,3 @@ def test_profiled_null_paths_share_one_timer():
     with a as timer:
         pass
     assert timer.elapsed_s == 0.0  # never read the clock
-
-
-# ---------------------------------------------------------------------------
-# Tracer ring
-# ---------------------------------------------------------------------------
-
-def test_tracer_ring_bounds_and_accounting():
-    tracer = Tracer(capacity=3)
-    for i in range(5):
-        tracer.emit("parse", "s1", packet_id=i)
-    assert len(tracer) == 3
-    assert tracer.total == 5
-    assert tracer.dropped == 2
-    assert [e.packet_id for e in tracer] == [2, 3, 4]
-    with pytest.raises(ValueError):
-        Tracer(capacity=0)
-
-
-def test_tracer_subscribe_and_filters():
-    tracer = Tracer()
-    seen = []
-    tracer.subscribe(seen.append)
-    tracer.emit("parse", "s1", packet_id=1, port=2)
-    tracer.emit("drop", "s1", packet_id=1, reason="ttl")
-    tracer.emit("parse", "s2", packet_id=2)
-    assert len(seen) == 3
-    assert [e.node for e in tracer.events(kind="parse")] == ["s1", "s2"]
-    assert [e.kind for e in tracer.events(packet_id=1)] == ["parse", "drop"]
-    assert tracer.packet_ids() == [1, 2]
-    assert tracer.events(kind="drop")[0].detail["reason"] == "ttl"
-
-
-def test_tracer_clock_fills_timestamps():
-    tracer = Tracer()
-    tracer.clock = lambda: 42.5
-    assert tracer.emit("parse", "s1", packet_id=0).ts == 42.5
-    assert tracer.emit("parse", "s1", packet_id=0, ts=1.0).ts == 1.0
-
-
-def test_tracer_jsonl_export(tmp_path):
-    tracer = Tracer()
-    tracer.emit("parse", "s1", packet_id=7, port=1, packet=object(),
-                nested={"a": (1, 2)}, odd=object())
-    path = tmp_path / "trace.jsonl"
-    assert tracer.export_jsonl(str(path)) == 1
-    line = json.loads(path.read_text().splitlines()[0])
-    assert line["kind"] == "parse" and line["packet_id"] == 7
-    assert line["nested"] == {"a": [1, 2]}
-    assert isinstance(line["odd"], str)         # repr fallback
-    assert "packet" not in line                 # live refs not serialized
-
-
-def test_null_tracer_is_inert():
-    assert NULL_TRACER.live is False
-    assert NULL_TRACER.emit("parse", "s1", packet_id=0) is None
-    assert len(NULL_TRACER) == 0
-    assert NULL_TRACER.events() == []
-    assert NULL_TRACER.to_jsonl_lines() == []

@@ -1,22 +1,19 @@
 """Observability wired through the runtime layers.
 
-End-to-end checks: packet-lifecycle event ordering over a 3-hop path,
-simulator timestamps from the running network when two networks share
-a tracer, drop accounting (no_route / pipeline / ttl), per-switch
-metrics, instrumented-vs-plain engine output equality, a traced
-Figure-12 arm's export and metrics, and that the differential oracle's
-verdicts are identical with observability on.
+End-to-end checks: the handle's hop ring over a 3-hop path, each
+network's own clock on a ring two networks share, drop accounting
+(no_route / pipeline / ttl), per-switch metrics, instrumented-vs-plain
+engine output equality, a traced Figure-12 arm's ring and metrics, and
+that the differential oracle's verdicts are identical with
+observability on.
 """
-
-import io
-import json
 
 import pytest
 
 from repro.net.packet import ip, make_udp
 from repro.net.simulator import Network
 from repro.net.topology import linear, single_switch
-from repro.obs import MetricsRegistry, Observability, Tracer
+from repro.obs import MetricsRegistry, Observability
 from repro.p4.bmv2 import Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
 from tests.test_codegen_engine import build_switch
@@ -35,50 +32,36 @@ def _packet():
 
 
 # ---------------------------------------------------------------------------
-# Lifecycle ordering across a 3-hop path
+# The hop ring along a 3-hop path
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("engine", ["codegen", "interp"])
-def test_three_hop_lifecycle_event_ordering(engine):
+def test_three_hop_path_is_recorded_in_order(engine):
     topo = linear(3)                       # h1 - s1 - s2 - s3 - h2
     obs = Observability.enabled()
     switches = _switches(topo, engine=engine, obs=obs)
     switches["s1"].insert_entry("fwd_table", [1], "fwd_set_egress", [10])
     switches["s2"].insert_entry("fwd_table", [11], "fwd_set_egress", [10])
     switches["s3"].insert_entry("fwd_table", [11], "fwd_set_egress", [1])
-    net = Network(topo, switches, obs=obs)
-    net.host("h1").send(_packet())
+    net = Network(topo, switches, obs=obs, batched=True)
+    assert net.hops is obs.hops and net._eager
+    packet = _packet()
+    net.host("h1").send(packet)
     net.run()
     assert net.packets_delivered == 1
 
-    events = list(obs.tracer)
-    # One global trace, strictly ordered.
-    seqs = [e.seq for e in events]
-    assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-    stamps = [e.ts for e in events if e.ts is not None]
-    assert stamps == sorted(stamps)        # simulator time, monotonic
+    hops = list(obs.hops)
+    assert [(h.switch, h.ingress_port) for h in hops] == \
+        [("s1", 1), ("s2", 11), ("s3", 11)]
+    assert [[port for port, _ in h.outputs] for h in hops] == \
+        [[10], [10], [1]]
+    assert hops[0].packet is packet
+    assert {h.packet.packet_id for h in hops} == {packet.packet_id}
+    stamps = [h.t for h in hops]
+    assert stamps == sorted(stamps) and stamps[-1] < net.sim.now
+    assert all(h.drop_reason is None and h.digests == 0 for h in hops)
 
-    # The canonical per-hop shape: each switch parses, applies the
-    # forwarding table (hit), deparses, then queues onto the next link.
-    assert [e.node for e in obs.tracer.events(kind="parse")] == \
-        ["s1", "s2", "s3"]
-    kinds = [(e.kind, e.node) for e in events]
-    for sw in ("s1", "s2", "s3"):
-        hop = [k for k, n in kinds if n == sw]
-        assert hop == ["parse", "apply", "deparse", "enqueue", "link"]
-    assert kinds[0] == ("enqueue", "h1")
-    assert kinds[1] == ("link", "h1")
-    assert kinds[-1] == ("deliver", "h2")
-    applies = obs.tracer.events(kind="apply")
-    assert all(e.detail == {"table": "fwd_table", "result": "hit"}
-               for e in applies)
-
-    # Every event serializes to a JSON line.
-    for line in obs.tracer.to_jsonl_lines():
-        assert json.loads(line)["kind"] in (
-            "enqueue", "link", "parse", "apply", "deparse", "deliver")
-
-    # And the per-switch metrics agree with the trace.
+    # And the per-switch metrics agree with the ring.
     for sw, port in (("s1", 1), ("s2", 11), ("s3", 11)):
         assert obs.registry.value("switch_packets_total", sw, port) == 1
     assert obs.registry.value("packets_delivered_total", "h2") == 1
@@ -86,10 +69,9 @@ def test_three_hop_lifecycle_event_ordering(engine):
                               "s1", "fwd_table", "hit") == 1
 
 
-def test_a_shared_tracer_reads_the_running_networks_clock():
+def test_a_shared_ring_keeps_each_networks_own_clock():
     """Two networks built on one handle, one after the other: each
-    run's events carry that network's simulator time, not the first
-    network's clock."""
+    run's hops carry that network's simulator time."""
     obs = Observability.enabled()
     nets = []
     for send_at in (5e-3, 0.0):
@@ -98,15 +80,14 @@ def test_a_shared_tracer_reads_the_running_networks_clock():
         switches["s1"].insert_entry("fwd_table", [1], "fwd_set_egress", [2])
         net = Network(topo, switches, obs=obs)
         net.host("h1").send(_packet(), delay=send_at)
-        first = obs.tracer.total
         net.run()
-        nets.append((net, list(obs.tracer)[first:]))
-    (a, a_events), (b, b_events) = nets
+        nets.append(net)
+    a, b = nets
     assert a.sim.now > 5e-3 > b.sim.now > 0
-    assert len(b_events) == 8
-    assert all(0.0 <= e.ts <= b.sim.now for e in b_events)
-    assert b_events[-1].kind == "deliver" and b_events[-1].ts == b.sim.now
-    assert a_events[-1].ts == a.sim.now
+    assert obs.hops.total == 2
+    hop_a, hop_b = obs.hops
+    assert 5e-3 < hop_a.t < a.sim.now
+    assert 0.0 < hop_b.t < b.sim.now
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +106,10 @@ def test_no_route_drop_is_counted_and_traced():
     assert net.packets_delivered == 0
     assert net.packets_lost == 1
     assert obs.registry.value("queue_drops_total", "s1", "no_route") == 1
-    drops = obs.tracer.events(kind="drop")
-    assert [e.detail["reason"] for e in drops] == ["no_route"]
-    assert drops[0].port == 9
+    # The pipeline forwarded it: the ring shows where to, not a drop.
+    (hop,) = obs.hops
+    assert [port for port, _ in hop.outputs] == [9]
+    assert hop.drop_reason is None
 
 
 @pytest.mark.parametrize("engine", ["codegen", "interp"])
@@ -141,8 +123,7 @@ def test_pipeline_and_ttl_drop_reasons(engine):
                                  1111, 2222, ttl=1), delay=1e-3)
     net.run()
     assert net.packets_delivered == 0
-    reasons = [e.detail["reason"] for e in obs.tracer.events(kind="drop")]
-    assert reasons == ["pipeline", "ttl"]
+    assert [hop.drop_reason for hop in obs.hops] == ["pipeline", "ttl"]
     dropped = obs.registry.value("switch_packets_dropped_total",
                                  "s1", "pipeline")
     assert dropped == 1
@@ -161,7 +142,7 @@ def test_pipeline_and_ttl_drop_reasons(engine):
 def test_instrumented_engine_outputs_match_plain(engine):
     plain = build_switch(engine=engine)
     metered = build_switch(engine=engine, obs=Observability.enabled())
-    assert plain.obs.live is False
+    assert plain.obs.registry.live is False
     for i in range(20):
         packet_a = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1000 + i, 53)
         packet_b = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1000 + i, 53)
@@ -173,18 +154,6 @@ def test_instrumented_engine_outputs_match_plain(engine):
              for p, pkt in out_b]
     assert plain.registers == metered.registers
     assert plain.digests.total == metered.digests.total
-
-
-def test_attach_observability_rebuilds_engine():
-    sw = build_switch()
-    out_before = sw.process(_packet(), 1)
-    obs = Observability.enabled()
-    sw.attach_observability(obs)
-    assert sw.obs is obs
-    out_after = sw.process(_packet(), 1)
-    assert [p for p, _ in out_before] == [p for p, _ in out_after]
-    assert obs.tracer.events(kind="parse")  # instrumentation is active
-    assert obs.registry.value("switch_packets_total", "s1", 1) == 1
 
 
 def test_digest_log_eviction_metric():
@@ -209,19 +178,18 @@ def test_traced_fig12_arm_exports_and_meters():
 
     obs = Observability.enabled()
     run = run_rtt_experiment(ALL_CHECKERS, "traced",
-                             Fig12Config(duration_s=0.02), obs=obs)
+                             Fig12Config(duration_s=0.02, batched=True),
+                             obs=obs)
     assert run.rtts_ms
 
-    buffer = io.StringIO()
-    count = obs.tracer.export_jsonl(buffer)
-    events = [json.loads(line) for line in buffer.getvalue().splitlines()]
-    assert count == len(events) > 0
-    seqs = [e["seq"] for e in events]
-    assert all(a < b for a, b in zip(seqs, seqs[1:]))
-    assert {"enqueue", "link", "parse", "apply", "deliver"} <= \
-        {e["kind"] for e in events}
-
+    hops = list(obs.hops)
+    assert hops and obs.hops.dropped == 0
+    stamps = [hop.t for hop in hops]
+    assert stamps == sorted(stamps)
     dump = obs.registry.to_dict()
+    assert len(hops) == sum(
+        s["value"] for s in dump["switch_packets_total"]["series"])
+
     for name in ("switch_packets_total", "table_lookups_total",
                  "packets_delivered_total", "codegen_ns_per_packet",
                  "phase_seconds"):

@@ -133,12 +133,8 @@ def op_rebuild(deployment, leaf):
     leaf.set_default_action("upf_routes", "upf_route", [2])
 
 
-def op_attach_observability(deployment, leaf):
-    leaf.attach_observability(Observability.enabled())
-
-
 OPS = [op_insert_entry, op_insert_entries, op_delete_entries, op_clear_table,
-       op_register_write, op_rebind, op_rebuild, op_attach_observability]
+       op_register_write, op_rebind, op_rebuild]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -177,7 +173,7 @@ def test_a_write_to_one_sharer_stays_there(compiled, engine, op):
 
     if engine == "codegen":
         assert code_of(leaf2) is sibling_code
-        rebuilt = op in (op_rebuild, op_attach_observability)
+        rebuilt = op is op_rebuild
         assert (code_of(leaf1) != sibling_code) == rebuilt
         assert (leaf1._engine.source != leaf2._engine.source) == rebuilt
         if op is op_rebuild:
@@ -234,7 +230,7 @@ def test_one_compile_per_role(compiled):
 
 
 #: A module's per-switch globals (``codegen._Plan.bindings``).
-PER_SWITCH = re.compile(r"SW|EN|TR|RG\d+_.*|T\d+_.*|LT\d+_.*|DB\d+|RUN\d+"
+PER_SWITCH = re.compile(r"SW|EN|RG\d+_.*|T\d+_.*|LT\d+_.*|DB\d+|RUN\d+"
                         r"|C[HM]\d+")
 
 
@@ -247,9 +243,7 @@ def assert_binds_its_own(switch, sibling):
     assert mine["SW"] is switch and mine["EN"] is engine
     lookups = switch.obs.registry.get("table_lookups_total")
     for name, value in mine.items():
-        if name == "TR":
-            assert value is switch.obs.tracer
-        elif name.startswith("RG"):
+        if name.startswith("RG"):
             assert any(value is values for values in switch.registers.values())
         elif name.startswith("T"):
             assert value.engine is engine
@@ -318,9 +312,11 @@ def test_a_sibling_binds_its_own_state(name):
 
     # An instrumented sibling counts under its own switch name.
     obs = Observability.enabled()
-    for switch in (leaf1, third):
-        switch.attach_observability(obs)
-    assert (leaf1._engine.compiles, third._engine.compiles) == (1, 0)
-    assert "CH0" in third._engine._globals
-    assert_binds_its_own(third, leaf1)
-    assert_binds_its_own(leaf1, third)
+    edge4, edge5 = (Bmv2Switch(deployment.linked["leaf1"], name=name,
+                               switch_id=switch_id, engine="codegen",
+                               obs=obs)
+                    for name, switch_id in (("edge4", 10), ("edge5", 11)))
+    assert (edge4._engine.compiles, edge5._engine.compiles) == (1, 0)
+    assert "CH0" in edge5._engine._globals
+    assert_binds_its_own(edge5, edge4)
+    assert_binds_its_own(edge4, edge5)

@@ -18,19 +18,21 @@ from repro.experiments.throughput import run_replay
 from repro.net.packet import ip, make_udp
 from repro.net.simulator import Network
 from repro.net.topology import Endpoint, Link, Topology, linear, single_switch
+from repro.obs import MetricsRegistry, Observability
 from repro.p4 import ENGINES
 from repro.p4.bmv2 import Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
 from repro.workloads.campus import CampusTraceGenerator
+from tests.test_codegen_engine import TIMING_METRICS
 
 
 # ---------------------------------------------------------------------------
 # Batched vs event exactness
 # ---------------------------------------------------------------------------
 
-def _make_network(batched, hosts=2, **kwargs):
+def _make_network(batched, hosts=2, obs=None, **kwargs):
     topo = single_switch(hosts)
-    bmv2 = Bmv2Switch(l2_port_forwarding(), name="s1")
+    bmv2 = Bmv2Switch(l2_port_forwarding(), name="s1", obs=obs)
     entries = []
     for port in range(1, hosts + 1):
         out = 2 if port == 1 else 1
@@ -38,7 +40,7 @@ def _make_network(batched, hosts=2, **kwargs):
             out = hosts if port != hosts else 1
         entries.append(bmv2.insert_entry("fwd_table", [port],
                                          "fwd_set_egress", [out]))
-    network = Network(topo, {"s1": bmv2}, batched=batched, **kwargs)
+    network = Network(topo, {"s1": bmv2}, batched=batched, obs=obs, **kwargs)
     return topo, network, bmv2, entries
 
 
@@ -82,28 +84,29 @@ def _snapshot(network):
 def _count_drops(network):
     """Count network-layer drops by ``(node, reason)`` on
     ``network.drops`` — ``_drop`` is the one place both modes account
-    them — for :func:`_snapshot` to compare."""
+    them, all ``no_route`` — for :func:`_snapshot` to compare."""
     network.drops = collections.Counter()
     drop = network._drop
 
-    def counted(node, packet, reason, port=None):
-        network.drops[node, reason] += 1
-        drop(node, packet, reason, port)
+    def counted(node):
+        network.drops[node, "no_route"] += 1
+        drop(node)
 
     network._drop = counted
 
 
-def _make_chain(batched, hosts=4, **kwargs):
+def _make_chain(batched, hosts=4, obs=None, **kwargs):
     """Two switches: h1..hN on s1, the sink h(N+1) behind s2, so a
     transit record is longer than the one-switch shape.  Returns s1's
     pipeline and entries, as :func:`_make_network` does for its s1."""
     topo = linear(2, hosts_per_end=hosts)
-    s1 = Bmv2Switch(l2_port_forwarding(), name="s1")
-    s2 = Bmv2Switch(l2_port_forwarding(), name="s2")
+    s1 = Bmv2Switch(l2_port_forwarding(), name="s1", obs=obs)
+    s2 = Bmv2Switch(l2_port_forwarding(), name="s2", obs=obs)
     entries = [s1.insert_entry("fwd_table", [port], "fwd_set_egress", [10])
                for port in range(1, hosts + 1)]
     s2.insert_entry("fwd_table", [11], "fwd_set_egress", [1])
-    network = Network(topo, {"s1": s1, "s2": s2}, batched=batched, **kwargs)
+    network = Network(topo, {"s1": s1, "s2": s2}, batched=batched, obs=obs,
+                      **kwargs)
     return topo, network, s1, entries
 
 
@@ -132,10 +135,20 @@ def _run_both(attach, hosts=2, until=None, make=_make_network, **kwargs):
     demand identical observable outcomes (including timestamps and the
     final simulator clock) and identical hop records; then run batched
     mode again without a recorder and demand that recording changed
-    nothing."""
-    snaps, hops = [], []
-    for batched, record in ((False, True), (True, True), (True, False)):
-        topo, network, bmv2, entries = make(batched, hosts, **kwargs)
+    nothing.  Event mode runs observed (every switch and the network on
+    one ``Observability.enabled()`` handle), and so do two more batched
+    runs: one on such a handle, one on a registry alone (which leaves
+    flow fast-forward free to skip pipelines, had it not to decline).
+    Their hop rings and metrics must be event mode's."""
+    snaps, hops, dumps = [], [], []
+    for batched, record, obs in (
+            (False, False, Observability.enabled()),
+            (True, True, None),
+            (True, False, None),
+            (True, False, Observability.enabled()),
+            (True, False, Observability(registry=MetricsRegistry()))):
+        topo, network, bmv2, entries = make(batched, hosts, obs=obs,
+                                            **kwargs)
         if record:
             network.record_hops()
         attach(topo, network, bmv2, entries)
@@ -143,11 +156,16 @@ def _run_both(attach, hosts=2, until=None, make=_make_network, **kwargs):
             network.run(until=until)
         network.run()
         snaps.append(_snapshot(network))
-        if record:
+        if network.hops is not None:
             hops.append(_hops(network))
-    assert snaps[0] == snaps[1] == snaps[2]
-    assert hops[0] == hops[1]
-    return snaps[1]
+        if obs is not None:
+            dumps.append({name: metric for name, metric
+                          in obs.registry.to_dict().items()
+                          if name not in TIMING_METRICS})
+    assert all(snap == snaps[0] for snap in snaps)
+    assert len(hops) == 3 and hops[0] == hops[1] == hops[2]
+    assert all(dump == dumps[0] for dump in dumps)
+    return snaps[0]
 
 
 def _template_stream(topo, count, gap_s, payload_len=100, start=0.0):
@@ -619,13 +637,13 @@ def test_a_link_added_after_construction_carries_traffic_in_both_modes():
     built (and had derived its wire table for earlier traffic) carries
     the next packets in batched mode exactly as in event mode — here
     to a host that sits on a port other than 0 and sends back."""
-    def make(batched, hosts, **kwargs):
+    def make(batched, hosts, obs=None, **kwargs):
         topo = single_switch(hosts)
         topo.add_host("late", ipv4=ip(10, 0, 1, 99))
-        bmv2 = Bmv2Switch(l2_port_forwarding(), name="s1")
+        bmv2 = Bmv2Switch(l2_port_forwarding(), name="s1", obs=obs)
         bmv2.insert_entry("fwd_table", [1], "fwd_set_egress", [2])
         bmv2.insert_entry("fwd_table", [2], "fwd_set_egress", [3])
-        return topo, Network(topo, {"s1": bmv2}, batched=batched,
+        return topo, Network(topo, {"s1": bmv2}, batched=batched, obs=obs,
                              **kwargs), bmv2, []
 
     def attach(topo, network, bmv2, entries):

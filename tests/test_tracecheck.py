@@ -149,27 +149,9 @@ def test_malformed_per_hop_controls_rejected():
         run_trace(checked, trace)
 
 
-def test_monitor_hop_events_see_intermediate_state():
-    from repro.indus import check, parse
-    from repro.obs import Observability, Tracer
-
-    checked = check(parse(
-        "tele bit<16> n = 0;\n{ } { n = n + 1; } { }"))
-    seen = []
-    tracer = Tracer()
-    tracer.subscribe(lambda ev: seen.append(
-        (ev.detail["hop"], ev.detail["state"].tele["n"]))
-        if ev.kind == "monitor_hop" else None)
-    run_trace(checked, {"hops": [{}, {}, {}]},
-              obs=Observability(tracer=tracer))
-    assert seen == [(0, 1), (1, 2), (2, 3)]
-    assert [ev.node for ev in tracer.events(kind="monitor_hop")] == \
-        ["monitor"] * 3
-
-
 def test_the_result_carries_each_hops_telemetry():
-    """Without a tracer: a plain-data snapshot per hop, arrays as the
-    list of their valid slots, booleans as ints."""
+    """A plain-data snapshot per hop, arrays as the list of their valid
+    slots, booleans as ints."""
     from repro.indus import check, parse
 
     checked = check(parse(
