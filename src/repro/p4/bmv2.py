@@ -17,7 +17,7 @@ observable behavior.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
@@ -38,6 +38,9 @@ ENGINES = ("interp", "codegen")
 #: Large enough that tests and short replays see every message; long
 #: replays keep memory flat while ``total`` keeps counting.
 DEFAULT_LOG_CAPACITY = 4096
+
+#: A table's delete paths until its first delete (``index_counts``).
+_NO_DELETES = {"vouched": 0, "scanned": 0, "cuts": 0}
 
 
 class BoundedLog:
@@ -272,9 +275,15 @@ class Bmv2Switch:
         self.name = name
         self.switch_id = switch_id
         self.engine = engine
-        self.entries: Dict[str, List[ir.TableEntry]] = {
+        # The entry lists; read them as ``entries``, which cuts them.
+        self._entries: Dict[str, List[ir.TableEntry]] = {
             t: [] for t in program.tables
         }
+        # Per table, the objects a vouched delete removed whose rows the
+        # list still holds, one per row (see delete_entries), and the
+        # deletes by path (index_counts).
+        self._pending: Dict[str, List[ir.TableEntry]] = {}
+        self._deletes: Dict[str, Dict[str, int]] = {}
         self.registers: Dict[str, List[int]] = {
             reg.name: [0] * reg.size for reg in program.registers
         }
@@ -370,7 +379,7 @@ class Bmv2Switch:
         table = self._table(table_name)
         entry = ir.TableEntry(match, action, args, priority)
         self._check_entry(table, entry)
-        self.entries[table_name].append(entry)
+        self._entries[table_name].append(entry)
         if self._engine is not None:
             self._engine.entries_inserted(table_name, [entry])
         self._notify_config(table_name)
@@ -406,7 +415,9 @@ class Bmv2Switch:
                 self._check_entry(table, entry)
                 arity[entry.action] = len(entry.args)
             created.append(entry)
-        self.entries[table_name].extend(created)
+        if not created:
+            return created
+        self._entries[table_name].extend(created)
         if self._engine is not None:
             self._engine.entries_inserted(table_name, created)
         self._notify_config(table_name)
@@ -416,7 +427,10 @@ class Bmv2Switch:
         """Remove ``entry`` if it is itself installed, else the first
         installed entry equal to it."""
         self._table(table_name)
-        installed = self.entries[table_name]
+        if self._vouched(table_name, [entry], {id(entry): 1}, refuse=False):
+            self._defer(table_name, [entry])
+            return
+        installed = self._live(table_name)
         # The engine's index drops entries by identity: hand it the
         # installed object.  A handle usually is one, so look for it
         # before an equal (``__eq__`` is a Python call per row passed).
@@ -431,24 +445,35 @@ class Bmv2Switch:
                 self._engine.invalidate_table(table_name)
             else:
                 self._engine.entries_removed(table_name, [entry])
-        self._notify_config(table_name)
+        self._scanned(table_name, installed)
 
     def delete_entries(self, table_name: str,
                        entries: Sequence[ir.TableEntry]) -> None:
-        """Remove a batch of installed entries in one pass over the
-        entry list (``delete_entry`` is O(installed) per call), with one
-        index update and one config notification for the whole batch.
+        """Remove a batch of installed entries with one index update
+        and one config notification for the whole batch.
 
         Each mention removes one installed occurrence of that very
         object (the first), as ``delete_entry`` does; a batch naming an
-        object more times than it is installed is refused whole."""
+        object more times than it is installed is refused whole.
+
+        It costs the rows it names when the codegen engine's index
+        vouches that each named object is installed exactly as often
+        as named (``_TableIndex.installed_count``): the index folds the
+        delete and the rows stay in the list, pending, until one
+        identity filter cuts them — when ``entries`` is next read, or
+        when a table's dead rows reach its live ones (so each cut visits
+        at most two rows per row deleted, and a list never holds more
+        than twice its live rows).  Otherwise — under ``interp``, or
+        when the index cannot tell — it is one pass over the entry
+        list."""
         self._table(table_name)
         if not entries:
             return
-        mentions: Dict[int, int] = {}
-        for entry in entries:
-            mentions[id(entry)] = mentions.get(id(entry), 0) + 1
-        installed = self.entries[table_name]
+        mentions: Dict[int, int] = Counter(map(id, entries))
+        if self._vouched(table_name, entries, mentions, refuse=True):
+            self._defer(table_name, entries)
+            return
+        installed = self._live(table_name)
         # Every occurrence of a named object goes to ``gone`` (append
         # returns None), everything else stays, in one pass.
         gone: List[ir.TableEntry] = []
@@ -467,18 +492,93 @@ class Bmv2Switch:
                     mentions[id(entry)] -= 1
                 else:
                     kept.append(entry)
-        installed[:] = kept
         if self._engine is not None:
             if survives:
                 # By identity the index would drop its every copy.
                 self._engine.invalidate_table(table_name)
             else:
                 self._engine.entries_removed(table_name, gone)
+        self._scanned(table_name, kept)
+
+    def _vouched(self, table_name: str, entries: Sequence[ir.TableEntry],
+                 mentions: Dict[int, int], refuse: bool) -> bool:
+        """Whether the engine's index says every named object is
+        installed exactly as often as ``mentions`` names it.  With
+        ``refuse``, fewer times is a refusal (:class:`P4RuntimeError`,
+        nothing changed); without, the scan decides that too."""
+        index = (None if self._engine is None
+                 else self._engine.tables.get(table_name))
+        if index is None:
+            return False
+        installed_count = index.installed_count
+        for entry in entries:
+            count = installed_count(entry)
+            named = mentions[id(entry)]
+            if count != named:
+                if refuse and count is not None and count < named:
+                    raise P4RuntimeError("entry not installed")
+                return False
+        return True
+
+    def _defer(self, table_name: str,
+               entries: Sequence[ir.TableEntry]) -> None:
+        """A vouched delete: the index folds it, and its rows stay in
+        the list until a cut."""
+        self._engine.entries_removed(table_name, entries)
+        self._count(table_name, "vouched")
+        pending = self._pending.setdefault(table_name, [])
+        pending.extend(entries)
+        if 2 * len(pending) >= len(self._entries[table_name]):
+            self._cut(table_name)  # the dead rows reached the live ones
         self._notify_config(table_name)
+
+    def _cut(self, table_name: str) -> None:
+        """Drop a table's pending rows, in one pass."""
+        self._entries[table_name][:] = self._live(table_name)
+        del self._pending[table_name]
+        self._count(table_name, "cuts")
+
+    def _live(self, table_name: str) -> List[ir.TableEntry]:
+        """The table's live rows: its list itself, or while rows are
+        pending a copy without them — each pending object's first
+        occurrences, as many as it is pending, since an insert that
+        names it again appends after its dead rows.  A scanned delete
+        works on this copy and ``_scanned`` installs it, so a refusal
+        leaves the pending rows as they were."""
+        installed = self._entries[table_name]
+        pending = self._pending.get(table_name)
+        if pending is None:
+            return installed
+        dead = Counter(map(id, pending))
+        live = []
+        for entry in installed:
+            if dead.get(id(entry)):
+                dead[id(entry)] -= 1
+            else:
+                live.append(entry)
+        return live
+
+    def _scanned(self, table_name: str, kept: List[ir.TableEntry]) -> None:
+        """A scanned delete's end: ``kept`` becomes the table's list
+        (a pending cut with it)."""
+        installed = self._entries[table_name]
+        if kept is not installed:
+            installed[:] = kept
+        if self._pending.pop(table_name, None) is not None:
+            self._count(table_name, "cuts")
+        self._count(table_name, "scanned")
+        self._notify_config(table_name)
+
+    def _count(self, table_name: str, path: str) -> None:
+        counts = self._deletes.get(table_name)
+        if counts is None:
+            counts = self._deletes[table_name] = dict(_NO_DELETES)
+        counts[path] += 1
 
     def clear_table(self, table_name: str) -> None:
         self._table(table_name)
-        self.entries[table_name].clear()
+        self._entries[table_name].clear()
+        self._pending.pop(table_name, None)
         if self._engine is not None:
             self._engine.invalidate_table(table_name)
         self._notify_config(table_name)
@@ -542,11 +642,24 @@ class Bmv2Switch:
         for listener in self.config_listeners:
             listener(name)
 
+    @property
+    def entries(self) -> Dict[str, List[ir.TableEntry]]:
+        """Per table, its installed entries in insertion order, every
+        pending cut made (see :meth:`delete_entries`)."""
+        for table_name in list(self._pending):
+            self._cut(table_name)
+        return self._entries
+
     def index_counts(self) -> Dict[str, Dict[str, int]]:
         """Per table the engine indexes: ``rebuilds`` of the index from
-        the entry list and bulk writes it absorbed as ``folds`` (empty
-        under ``interp``, which scans)."""
-        return {} if self._engine is None else self._engine.index_counts()
+        the entry list and bulk writes it absorbed as ``folds``, its
+        lookup memo's fills and clears, and the deletes the index
+        ``vouched`` for, the ones ``scanned`` instead and the pending
+        ``cuts`` (empty under ``interp``, which scans)."""
+        if self._engine is None:
+            return {}
+        return {name: {**counts, **self._deletes.get(name, _NO_DELETES)}
+                for name, counts in self._engine.index_counts().items()}
 
     def engine_counts(self) -> Dict[str, Any]:
         """What the control plane has cost the codegen engine: modules
@@ -760,7 +873,7 @@ class Bmv2Switch:
         table = self._table(name)
         key_values = [ctx.read(key.path) for key in table.keys]
         best: Optional[ir.TableEntry] = None
-        for entry in self.entries[name]:
+        for entry in self._entries[name]:  # interp never defers a cut
             if not entry.matches(table, key_values):
                 continue
             if best is None or self._beats(table, entry, best):

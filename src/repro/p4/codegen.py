@@ -117,7 +117,8 @@ notifies the engine on entry inserts and default-action changes.
   ``sites``, ``fills`` counted in the miss arm, ``clears`` in the
   hooks); read them through ``Bmv2Switch.engine_counts()``, and each
   table's ``rebuilds``/``folds``/``memo_fills``/``memo_clears`` through
-  ``Bmv2Switch.index_counts()``.  Nothing is counted on a hit.
+  ``Bmv2Switch.index_counts()`` (beside the switch's delete paths,
+  ``vouched``/``scanned``/``cuts``).  Nothing is counted on a hit.
 
 Externs are value-in/value-out (:class:`~repro.p4.ir.ExternCall`): the
 call site passes the evaluated arguments and writes the results like any

@@ -23,6 +23,13 @@ forgets:
   ``clear_table``, after a fold that could not keep the reference win
   order (a duplicate exact or LPM key), or when it was created over a
   non-empty table (an engine recompile).
+* A clean index vouches for deletes: :meth:`installed_count` says how
+  often an entry object itself is installed — one hash probe for the
+  exact and LPM layouts without a duplicate key, one bucket for the
+  range buckets, ``None`` (ask the list) otherwise.  When it vouches
+  for a whole batch, the switch folds the delete here and leaves the
+  rows in its entry list for a later cut (``Bmv2Switch.delete_entries``),
+  so a delete costs the rows it names, not the table.
 
 * ``memo`` maps a looked-up key tuple to what :meth:`lookup` returned
   for it (``None``: a miss).  The generated non-exact apply sites probe
@@ -37,6 +44,9 @@ forgets:
 The index stores the installed :class:`~repro.p4.ir.TableEntry` itself —
 a hash value, a memo value and the last element of a scan row are the
 object ``switch.entries`` holds — and :meth:`lookup` answers with it.
+A range bucket is one flat tuple of its rows' items, four per row in
+win order, rebuilt on write (a row that ranks last is appended): one
+object the cyclic collector tracks per bucket.
 
 Control-plane state must be mutated through the ``Bmv2Switch`` API
 (``insert_entry`` / ``delete_entry`` / ``clear_table``); mutating
@@ -48,6 +58,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ir
@@ -92,6 +103,21 @@ def _matcher(kinds: Tuple[ir.MatchKind, ...]) -> Callable[[Sequence, Tuple],
     return eval(f"lambda s, k: {' and '.join(terms) or 'True'}")
 
 
+def _bucket_insert(bucket: Tuple, row: Tuple) -> Tuple:
+    """A flat range bucket with ``row`` in its rank place (before the
+    last row: ``fold_inserts`` appends without asking)."""
+    at = next(i for i in range(0, len(bucket), 4) if row < bucket[i:i + 4])
+    return bucket[:at] + row + bucket[at:]
+
+
+def _bucket_drop(bucket: Tuple, entry: ir.TableEntry) -> Tuple:
+    """A flat range bucket without the rows of ``entry`` (by identity)."""
+    for i in range(len(bucket) - 1, 0, -4):  # from the end: i stays valid
+        if bucket[i] is entry:
+            bucket = bucket[:i - 3] + bucket[i + 1:]
+    return bucket
+
+
 class _TableIndex:
     """Indexed lookup over one table's installed entries.
 
@@ -134,10 +160,13 @@ class _TableIndex:
         self._lpm_dups = False
         # Scan layouts carry one (-plen, -priority, seq, entry) row per
         # entry: the reference sort key, then the entry it ranks, so
-        # merged iteration preserves win order.
+        # merged iteration preserves win order.  A range bucket is its
+        # rows run together in one flat tuple, four items a row (see
+        # _bucket_insert): one tracked object per bucket, not one per
+        # row and a list.
         self._scan: List[Tuple] = []
         self._rb_col: Optional[int] = None
-        self._rb_buckets: Dict[Any, List[Tuple]] = {}
+        self._rb_buckets: Dict[Any, Tuple] = {}
         self._rb_residual: List[Tuple] = []
         # Scan length at which a plain scan next asks for range buckets.
         self._rb_next = _RBUCKET_MIN
@@ -247,7 +276,7 @@ class _TableIndex:
         again once it has doubled)."""
         col = self._rb_col = self._pick_bucket_column(rows)
         self._rb_next = max(_RBUCKET_MIN, 2 * len(rows))
-        rb_buckets: Dict[Any, List[Tuple]] = {}
+        grouped: Dict[Any, List[Tuple]] = {}
         residual: List[Tuple] = []
         if col is None:
             self._scan = rows
@@ -258,8 +287,9 @@ class _TableIndex:
                 if key is None:
                     residual.append(row)
                 else:
-                    rb_buckets.setdefault(key, []).append(row)
-        self._rb_buckets = rb_buckets
+                    grouped.setdefault(key, []).append(row)
+        self._rb_buckets = {key: tuple(itertools.chain.from_iterable(run))
+                            for key, run in grouped.items()}
         self._rb_residual = residual
 
     def lookup(self, key_values: Tuple[int, ...]
@@ -282,9 +312,10 @@ class _TableIndex:
         match = self._match
         if self._rb_col is not None:
             best: Optional[Tuple] = None
-            for row in self._rb_buckets.get(key_values[self._rb_col], ()):
-                if match(row[3].match, key_values):
-                    best = row
+            bucket = self._rb_buckets.get(key_values[self._rb_col], ())
+            for i in range(3, len(bucket), 4):
+                if match(bucket[i].match, key_values):
+                    best = bucket[i - 3:i + 1]
                     break
             # Residual rows (wide ranges on the bucket column) are
             # sorted: the first match ahead of the bucket winner
@@ -299,6 +330,34 @@ class _TableIndex:
             if match(row[3].match, key_values):
                 return row[3]
         return None
+
+    def installed_count(self, entry: ir.TableEntry) -> Optional[int]:
+        """How many times ``entry`` itself is installed, or None when
+        the index cannot tell without a scan: it is behind, its hash
+        layout holds a duplicate key, or the entry's rows would sit in
+        a plain scan (or the residual list).  One probe for the hash
+        layouts, one bucket for the range buckets."""
+        if self._dirty or self._exact_dups or self._lpm_dups:
+            return None
+        try:
+            if self._mode == "exact":
+                return 1 if self._exact_map.get(entry.match) is entry else 0
+            if self._mode == "lpm":
+                lpm_i = self._lpm_index
+                prefix, plen = entry.match[lpm_i]  # type: ignore[index,misc]
+                probe = list(entry.match)
+                probe[lpm_i] = prefix & self._masks.get(plen, 0)
+                held = self._buckets.get(plen, {}).get(tuple(probe))
+                return 1 if held is entry else 0
+            col = self._rb_col
+            key = None if col is None else self._bucket_key(
+                col, entry.match[col])
+            bucket = None if key is None else self._rb_buckets.get(key, ())
+        except (AttributeError, IndexError, TypeError, ValueError):
+            return 0  # a shape no fold could have installed
+        if bucket is None:
+            return None
+        return sum(1 for i in range(3, len(bucket), 4) if bucket[i] is entry)
 
     # -- incremental maintenance (bulk control-plane path) -----------------
 
@@ -353,11 +412,19 @@ class _TableIndex:
                 if len(scan) >= self._rb_next:
                     self._layout_scan(scan)
             else:
+                buckets = self._rb_buckets
                 for i, entry in enumerate(new_entries):
                     key = self._bucket_key(col, entry.match[col])
-                    bisect.insort(self._rb_residual if key is None
-                                  else self._rb_buckets.setdefault(key, []),
-                                  self._row(first + i, entry))
+                    row = self._row(first + i, entry)
+                    if key is None:
+                        bisect.insort(self._rb_residual, row)
+                        continue
+                    bucket = buckets.get(key, ())
+                    # The rows of one insert usually arrive in rank
+                    # order, so most land at the end.
+                    buckets[key] = (bucket + row
+                                    if not bucket or bucket[-4:] < row
+                                    else _bucket_insert(bucket, row))
         self.folds += 1
         return True
 
@@ -398,8 +465,10 @@ class _TableIndex:
                     continue
                 bucket = self._rb_buckets.get(key)
                 if bucket is not None:
-                    bucket[:] = [r for r in bucket if r[3] is not entry]
-                    if not bucket:
+                    bucket = _bucket_drop(bucket, entry)
+                    if bucket:
+                        self._rb_buckets[key] = bucket
+                    else:
                         del self._rb_buckets[key]
             if residual_ids:
                 self._rb_residual = [r for r in self._rb_residual

@@ -276,9 +276,8 @@ class HydraDeployment:
     @staticmethod
     def _remove_matching(bmv2: Bmv2Switch, table: str,
                          match: Tuple[Tuple[int, int], ...]) -> None:
-        existing = [e for e in bmv2.entries[table] if e.match == match]
-        for entry in existing:
-            bmv2.delete_entry(table, entry)
+        bmv2.delete_entries(table, [e for e in bmv2.entries[table]
+                                    if e.match == match])
 
     # -- reports ---------------------------------------------------------------
 
@@ -293,9 +292,10 @@ class HydraDeployment:
 
     def stats(self) -> Dict[str, Any]:
         """Operational counters: per-switch processed/dropped packets,
-        per-table index rebuilds/folds and engine builds/compiles/
-        rebinds, and per-checker report counts — what an operator
-        dashboard for this deployment would show."""
+        per-table index rebuilds/folds and delete paths (vouched/
+        scanned/cuts), engine builds/compiles/rebinds, and per-checker
+        report counts — what an operator dashboard for this deployment
+        would show."""
         per_switch = {
             name: {
                 "processed": bmv2.packets_processed,

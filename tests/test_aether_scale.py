@@ -349,12 +349,14 @@ def test_bulk_writes_never_leave_an_index_behind():
 def test_session_state_is_flat_for_the_collector():
     """The cyclic collector walks every object it tracks on each full
     collection, so attach cost at 100K sessions is a matter of how many
-    tracked objects a session leaves behind.  Pinned as a count: 15 per
-    session, rows held as values (no ``(switch, table, entry)``
-    handles), nothing inside a row that the collector tracks — and the
-    engine's index holding each row itself, not a restatement of it,
-    which is what a session's traced bytes pin (2,977 on CPython 3.11;
-    3,874 when the index kept a payload and a rank tuple per row)."""
+    tracked objects a session leaves behind.  Pinned as a count: 11 per
+    session (15 while a range bucket was a list of row tuples), rows
+    held as values (no ``(switch, table, entry)`` handles), nothing
+    inside a row that the collector tracks — and the engine's index
+    holding each row itself, not a restatement of it, which is what a
+    session's traced bytes pin (2,723 on CPython 3.11; 2,977 with list
+    buckets, 3,874 when the index kept a payload and a rank tuple per
+    row)."""
     tb, _ = _soak_testbed()
     gc.collect()
     before = len(gc.get_objects())
@@ -366,8 +368,8 @@ def test_session_state_is_flat_for_the_collector():
         tracemalloc.stop()
     gc.collect()
     grown = len(gc.get_objects()) - before
-    assert grown / SESSIONS < 15.1, grown / SESSIONS
-    assert traced / SESSIONS < 3350, traced / SESSIONS
+    assert grown / SESSIONS < 11.1, grown / SESSIONS
+    assert traced / SESSIONS < 3100, traced / SESSIONS
 
     record = tb.onos.client("ue7")
     rows = record.entries + tb.hydra_app._installed[record.ue_ip]
@@ -390,10 +392,11 @@ def test_session_state_is_flat_for_the_collector():
         indexes = sw._engine.tables
         for table, row in zip(sessions, record.entries):
             assert indexes[table]._exact_map[row.match] is row
+        # A range bucket is one flat tuple: (-plen, -priority, seq,
+        # entry) per row, run together.
         bucket = indexes[checker]._rb_buckets[record.ue_ip]
-        assert [type(scan_row) for scan_row in bucket] == [tuple, tuple]
-        assert all(scan_row[-1] is row
-                   for scan_row, row in zip(bucket, rows[4:]))
+        assert type(bucket) is tuple and len(bucket) == 8
+        assert all(held is row for held, row in zip(bucket[3::4], rows[4:]))
 
 
 # -- capacity model ---------------------------------------------------------

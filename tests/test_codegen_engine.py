@@ -251,7 +251,8 @@ def test_a_memoised_lookup_follows_a_write_made_mid_packet():
 
     assert reported("interp") == ([1, 7, 7], None)
     assert reported("codegen") == ([1, 7, 7], {
-        "rebuilds": 0, "folds": 1, "memo_fills": 2, "memo_clears": 1})
+        "rebuilds": 0, "folds": 1, "memo_fills": 2, "memo_clears": 1,
+        "vouched": 0, "scanned": 0, "cuts": 0})
 
 
 @pytest.mark.parametrize("name", ("loops", "valley_free"))

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.net.packet import HeaderType
+from repro.net.simulator import Network
+from repro.net.topology import single_switch
 from repro.p4 import ENGINES, ir
-from repro.p4.bmv2 import Bmv2Switch
+from repro.p4.bmv2 import Bmv2Switch, P4RuntimeError
 from repro.p4.tableindex import _MEMO_CAP, _RBUCKET_MIN
 
 H = HeaderType("h", [("a", 32), ("b", 32)])
@@ -294,6 +296,9 @@ def _interleavings(draw):
         st.tuples(st.just("insert_entry"), where, _rows(specs, 1)),
         st.tuples(st.just("delete_entries"), one, picks),
         st.tuples(st.just("delete_entry"), one, picks),
+        st.tuples(st.just("reinsert"), one, picks),
+        st.tuples(st.just("delete_again"), one, picks,
+                  st.lists(st.integers(0, 200), max_size=2)),
         st.tuples(st.just("clear_table"), one),
         st.tuples(st.just("set_default_action"), where,
                   st.sampled_from(["set_out", "set_out", "set_alt"]),
@@ -359,6 +364,44 @@ _MEMO_NOTES = frozenset(
     ("delete_entry", "b", [0]),
 ]), must=frozenset({"bucketed by folds alone", "emptied a bucket",
                     "deleted a shared entry from one switch"}), cap=_MEMO_CAP)
+# A delete the index vouches for leaves its row in the list until a cut:
+# naming that row again is refused without a trace, installing it again
+# adds a live row the cut keeps (here: deleted twice, installed three
+# times), and a delete whose dead rows reach the live ones cuts at once.
+# A plain scan cannot vouch: it scans.
+@example(script=("exact", [
+    ("insert_entries", "both", [((i,), 0) for i in range(5)]),
+    ("delete_entries", "a", [1]),
+    ("delete_again", "a", [0], []),
+    ("delete_again", "a", [0], [0]),
+    ("reinsert", "a", [0]),
+    ("delete_entries", "a", [4]),
+    ("reinsert", "a", [0]),
+    ("lookup",),
+    ("delete_entries", "a", [0, 1, 2]),
+]), must=frozenset({"delete vouched by the index", "cut at the live count",
+                    "refused a delete of a pending row",
+                    "re-inserted a row whose cut was pending"}),
+    cap=_MEMO_CAP)
+@example(script=("priority-scan", [
+    ("insert_entries", "both", [(((3, 15),), 0), (((0, 0),), 0)]),
+    ("delete_entries", "a", [0]),
+    ("delete_again", "a", [0], [0]),
+]), must=frozenset({"delete scanned"}), cap=_MEMO_CAP)
+# Range buckets vouch one bucket at a time; a residual (wide) row
+# cannot be vouched for, so a batch naming one scans — over the live
+# rows, pending ones left out, and a refused one leaves them pending.
+@example(script=("rbucket", [
+    ("insert_entries", "both", _degenerate_run(_RBUCKET_MIN + 4)
+     + [(((0, 120), (1, 1)), 2)]),
+    ("delete_entries", "a", [3, 5]),
+    ("delete_entry", "a", [7]),
+    ("delete_again", "a", [0], [65]),
+    ("delete_entries", "a", [65]),
+    ("reinsert", "a", [0, 1]),
+]), must=frozenset({"delete vouched by the index", "delete scanned",
+                    "refused a delete of a pending row",
+                    "bucketed by folds alone"}), cap=_MEMO_CAP)
 # A second batch repeats a key of the first: the fold bails out and the
 # next lookup rebuilds; deleting the earlier row re-exposes the later.
 @example(script=("exact", [
@@ -430,7 +473,16 @@ def test_interleaved_writes_match_the_reference_scan(script, must, cap):
     Two codegen switches run side by side (each against its own
     interpreter twin) and may be handed the *same* entry values, as the
     Aether controllers do.  ``cap`` is the lookup memos' capacity, which
-    the engine reads when it emits."""
+    the engine reads when it emits.
+
+    A delete the codegen index vouches for leaves its rows in the list
+    until a cut, so after every step each codegen switch's rows less
+    its pending ones are its twin's list, object for object; a lookup
+    step reads ``entries`` itself, which cuts.  ``reinsert`` installs
+    objects a side deleted (or holds) again, and ``delete_again`` names
+    one that is not installed (after installed ones): refused on both
+    switches, leaving no trace in the lists, the counts or the
+    network's generation."""
     with mock.patch("repro.p4.codegen._MEMO_CAP", cap):
         _interleaved_writes_match_the_reference_scan(script, must, cap)
 
@@ -442,12 +494,48 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
     switches = {side: (Bmv2Switch(program, engine="codegen"),
                        Bmv2Switch(program, engine="interp"))
                 for side in "ab"}
+    # A batched network per side: its generation moves on every
+    # control-plane change of its switch.
+    networks = {side: Network(single_switch(1), {"s1": switches[side][0]},
+                              batched=True) for side in "ab"}
     installed = {"a": [], "b": []}
+    deleted = {"a": [], "b": []}  # objects a side removed, in order
     serial = itertools.count(1)  # every row's action data: who won
     seen = set()
 
     def index(side):
         return switches[side][0]._engine.tables["t"]
+
+    def pending(side):
+        """The ids of the objects with rows awaiting a cut."""
+        return {id(e) for e in switches[side][0]._pending.get("t", ())}
+
+    def live(side):
+        """The codegen switch's rows for ``t`` less its pending ones,
+        read without making the cut."""
+        return switches[side][0]._live("t")
+
+    def same_objects(got, want):
+        return len(got) == len(want) and all(
+            x is y for x, y in zip(got, want))
+
+    def gone(side):
+        """Objects ``side`` deleted that it has not installed again."""
+        held = {id(e) for e in installed[side]}
+        return [e for e in deleted[side] if id(e) not in held]
+
+    def trace(side):
+        """Everything a refused delete must leave as it was."""
+        codegen, reference = switches[side]
+        return ([id(e) for e in codegen._entries["t"]],
+                {name: [id(e) for e in rows]
+                 for name, rows in codegen._pending.items()},
+                codegen.index_counts(), codegen.engine_counts(),
+                networks[side]._cache_gen,
+                [id(e) for e in reference.entries["t"]])
+
+    def deletes(side):
+        return dict(switches[side][0].index_counts()["t"])
 
     def memos(side):
         """The run memos ``t`` is a member of (white box)."""
@@ -520,6 +608,34 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
                     seen.add("duplicate-key bail-out")
                 elif op == "insert_entry" and was_clean:
                     folded.append((side, rebuilds))
+        elif op == "reinsert":
+            side = step[1]
+            back = gone(side) + installed[side]  # a held one: twice
+            if not back:
+                continue
+            chosen = [back[i] for i in
+                      sorted({pick % len(back) for pick in step[2]})]
+            if any(id(e) in pending(side) for e in chosen):
+                seen.add("re-inserted a row whose cut was pending")
+            for sw in switches[side]:
+                sw.insert_entries("t", chosen)
+            installed[side].extend(chosen)
+        elif op == "delete_again":
+            side = step[1]
+            back, held = gone(side), installed[side]
+            if not back:
+                continue
+            named = ([held[i] for i in sorted({pick % len(held)
+                                               for pick in step[3]})]
+                     if held else []) + [back[step[2][0] % len(back)]]
+            if any(id(e) in pending(side) for e in named):
+                seen.add("refused a delete of a pending row")
+            before = trace(side)
+            for sw in switches[side]:
+                with pytest.raises(P4RuntimeError,
+                                   match="entry not installed"):
+                    sw.delete_entries("t", named)
+            assert trace(side) == before
         elif op in ("delete_entries", "delete_entry"):
             side = step[1]
             held = installed[side]
@@ -530,17 +646,32 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
             if op == "delete_entry":
                 chosen = chosen[:1]
             victims = [held.pop(i) for i in chosen]
+            deleted[side].extend(victims)
             other = installed["b" if side == "a" else "a"]
             if any(v is o for v in victims for o in other):
                 seen.add("deleted a shared entry from one switch")
             buckets = len(index(side)._rb_buckets)
             was_clean = not index(side)._dirty
             rebuilds = index(side).rebuilds
+            paths = deletes(side)
             for sw in switches[side]:
                 if op == "delete_entry":
                     sw.delete_entry("t", victims[0])
                 else:
                     sw.delete_entries("t", victims)
+            now = deletes(side)
+            if now["vouched"] > paths["vouched"]:
+                seen.add("delete vouched by the index")
+                if now["cuts"] > paths["cuts"]:
+                    assert not pending(side)
+                    seen.add("cut at the live count")
+            else:
+                assert now["scanned"] == paths["scanned"] + 1
+                seen.add("delete scanned")
+            # A list never holds as many dead rows as live ones.
+            codegen = switches[side][0]
+            dead = len(codegen._pending.get("t", ()))
+            assert 2 * dead < len(codegen._entries["t"]) or not dead
             if op == "delete_entry" and was_clean \
                     and not index(side)._dirty:
                 folded.append((side, rebuilds))
@@ -550,7 +681,9 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
         elif op == "clear_table":
             for sw in switches[step[1]]:
                 sw.clear_table("t")
+            deleted[step[1]].extend(installed[step[1]])
             installed[step[1]].clear()
+            assert not pending(step[1])
         elif op == "set_default_action":
             for side in sides:
                 engine = switches[side][0]._engine
@@ -564,7 +697,13 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
                     seen.add("default recompiled")
         else:
             check()
+            for side, (codegen, reference) in switches.items():
+                # Reading ``entries`` makes every pending cut.
+                assert same_objects(codegen.entries["t"],
+                                    reference.entries["t"])
+                assert not pending(side)
         for side in "ab":
+            assert same_objects(live(side), switches[side][1].entries["t"])
             if index(side)._rb_col is not None and not index(side).rebuilds:
                 seen.add("bucketed by folds alone")
             member, warm, held = was[side]
@@ -606,15 +745,18 @@ def test_index_is_clean_from_empty_and_lazy_after_single_writes():
     index = sw._engine.tables["t"]
     assert not index._dirty
 
-    def counts(rebuilds, folds):
+    def counts(rebuilds, folds, deletes=2):
         # An exact table inlines its hash probe: its memo is never used.
+        # Each delete here is vouched for, and leaves as many dead rows
+        # as live ones: it is cut at once.
         return {"t": {"rebuilds": rebuilds, "folds": folds,
-                      "memo_fills": 0, "memo_clears": 0}}
+                      "memo_fills": 0, "memo_clears": 0,
+                      "vouched": deletes, "scanned": 0, "cuts": deletes}}
 
     first = sw.insert_entries("t", [([5], "set_out", [100], 0)])
     sw.delete_entries("t", first)
     sw.insert_entries("t", [([5], "set_out", [101], 0)])
-    assert sw.index_counts() == counts(0, 3)
+    assert sw.index_counts() == counts(0, 3, deletes=1)
     assert sw.process(_packet(5, 0), 1)[0][0] == 101
     single = sw.insert_entry("t", [6], "set_out", [102])
     assert sw.process(_packet(6, 0), 1)[0][0] == 102
@@ -641,6 +783,56 @@ def test_index_is_clean_from_empty_and_lazy_after_single_writes():
         9, 104, 9]
     assert sw.index_counts() == counts(3, 5)
     assert Bmv2Switch(program, engine="interp").index_counts() == {}
+
+
+def test_a_delete_costs_the_rows_it_names():
+    """Deleting 1,000 rows of a 100K-row exact table, in batches and
+    one at a time: the index vouches for every call, nothing scans the
+    list and nothing cuts it (1,000 dead rows are far from the live
+    ones), so no call paid for the table.  Packets miss the deleted
+    keys at once; the first read of ``entries`` makes the one cut."""
+    program = make_program([ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)])
+    sw = Bmv2Switch(program)
+    rows = sw.insert_entries("t", [ir.TableEntry((a,), "set_out", (a + 1,))
+                                   for a in range(100_000)])
+    victims = rows[::100]
+    for at in range(0, 500, 100):
+        sw.delete_entries("t", victims[at:at + 100])
+    for entry in victims[500:]:
+        sw.delete_entry("t", entry)
+    counts = sw.index_counts()["t"]
+    assert (counts["vouched"], counts["scanned"], counts["cuts"]) == (
+        505, 0, 0)
+    assert counts["rebuilds"] == 0
+    assert [sw.process(_packet(a, 0), 1)[0][0]
+            for a in (0, 1, 99_900, 99_901)] == [0, 2, 0, 99_902]
+    assert len(sw.entries["t"]) == 99_000
+    assert sw.index_counts()["t"]["cuts"] == 1
+
+
+def test_an_empty_batch_writes_nothing():
+    """``insert_entries`` and ``delete_entries`` of no rows leave the
+    network's generation, the index counts and every memo as they
+    were: nothing folds, notifies or clears."""
+    from repro.net.packet import ip, make_udp
+    from repro.p4.programs import ipv4_lpm_forwarding
+
+    sw = Bmv2Switch(ipv4_lpm_forwarding(), name="s1")
+    net = Network(single_switch(2), {"s1": sw}, batched=True)
+    sw.insert_entries("ipv4_lpm", [([(ip(10, 0, 1, 2), 32)], "ipv4_forward",
+                                    [0xAA, 2], 0)])
+    sw.process(make_udp(ip(10, 0, 1, 1), ip(10, 0, 1, 2), 1, 2), 1)
+    index = sw._engine.tables["ipv4_lpm"]
+    assert index.memo  # warm
+
+    def state():
+        return (net._cache_gen, sw.index_counts(), sw.engine_counts(),
+                dict(index.memo), list(sw.entries["ipv4_lpm"]))
+
+    before = state()
+    assert sw.insert_entries("ipv4_lpm", []) == []
+    sw.delete_entries("ipv4_lpm", [])
+    assert state() == before
 
 
 @pytest.mark.parametrize("kind", [ir.MatchKind.EXACT, ir.MatchKind.LPM,
