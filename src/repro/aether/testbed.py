@@ -64,14 +64,14 @@ class AetherTestbed:
     :class:`AetherCapacity` (or a plain session count) sizes the UPF
     tables and the digest log window, bounds attaches, and keeps the
     checker's dictionary rows off the spines.  ``engine`` / ``batched``
-    / ``obs`` pass through to the deployment — the soak benchmark runs
-    ``engine="codegen"`` with the batched traffic plane.
+    / ``obs`` pass through to the deployment: by default the shipped
+    build, codegen on the batched traffic plane.
     """
 
     def __init__(self,
                  capacity: Optional[Union[AetherCapacity, int]] = None,
                  engine: str = "codegen",
-                 batched: bool = False,
+                 batched: bool = True,
                  obs: Optional[Observability] = None):
         if isinstance(capacity, int):
             capacity = AetherCapacity(max_sessions=capacity)

@@ -42,7 +42,7 @@ Heavyweight subsystems are imported lazily inside each function so that
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, List, Optional, Union
 
 __all__ = ["DifftestSummary", "compile_indus", "deploy", "difftest",
            "generated_source", "lint", "run_scenario"]
@@ -119,9 +119,9 @@ def deploy(compiled: Any, *, scenario: Any = None, topology: Any = None,
     :class:`~repro.runtime.deployment.HydraDeployment` would take them.
     Returns the live deployment: inject packets via
     ``deployment.network`` and read verdicts/reports off the collector.
-    A scenario deployment runs as the differential oracle builds it:
-    under ``engine="interp"`` (the reference) in event mode, under any
-    other engine on the batched traffic plane.
+    A ``topology=`` deployment is batched, as shipped; a scenario one
+    runs as the oracle builds it: event mode under ``engine="interp"``
+    (the reference), batched under any other engine.
     """
     if scenario is not None:
         from .difftest.harness import build_scenario_deployment
@@ -134,10 +134,8 @@ def deploy(compiled: Any, *, scenario: Any = None, topology: Any = None,
             "forwarding=")
     from .runtime.deployment import HydraDeployment
 
-    kwargs: Dict[str, Any] = {"engine": engine}
-    if obs is not None:
-        kwargs["obs"] = obs
-    return HydraDeployment(topology, compiled, forwarding, **kwargs)
+    return HydraDeployment(topology, compiled, forwarding, engine=engine,
+                           obs=obs)
 
 
 def run_scenario(scenario: Union[int, Any] = None, *,

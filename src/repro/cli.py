@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 from .p4 import ENGINES
 
@@ -155,16 +155,22 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_fig12(args: argparse.Namespace) -> int:
     from .experiments import Fig12Config, run_fig12
+    from .properties import PROPERTIES
 
     config = Fig12Config(duration_s=args.duration,
                          load_bps_per_pair=args.load * 1e6,
                          engine=args.engine, optimize=args.optimize)
-    checkers = args.checkers.split(",") if args.checkers else None
+    checkers = _parse_names(args.checkers, PROPERTIES, "checker")
     print(f"running Figure 12 (duration {args.duration}s, "
           f"{args.load} Mb/s per pair, "
           f"checkers: {', '.join(checkers) if checkers else 'all'}"
           "; this takes a little while)...")
-    result = run_fig12(config, checkers=checkers)
+    try:
+        result = run_fig12(config, checkers=checkers)
+    except ValueError as exc:   # the t-test's refusal of a short arm
+        print(f"error: an arm measured fewer than two pings ({exc}); "
+              "lengthen --duration", file=sys.stderr)
+        return 1
     for run in (result.baseline, result.with_checkers):
         print(f"{run.label:14s} n={len(run.rtts_ms):4d} "
               f"mean RTT={run.mean_ms:.4f} ms")
@@ -183,23 +189,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_engines(text: str) -> Optional[List[str]]:
-    """A comma-separated engine list, validated; empty/blank -> None."""
-    if not text:
-        return None
-    engines = [e.strip() for e in text.split(",") if e.strip()]
-    for engine in engines:
-        if engine not in ENGINES:
-            raise SystemExit(f"error: unknown engine {engine!r}; "
-                             f"valid: {', '.join(ENGINES)}")
-    return engines or None
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _parse_names(text: str, valid: Collection[str],
+                 what: str) -> Optional[List[str]]:
+    """A comma-separated list of ``valid`` names; empty/blank -> None."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    for name in names:
+        if name not in valid:
+            raise SystemExit(f"error: unknown {what} {name!r}; "
+                             f"valid: {', '.join(valid)}")
+    return names or None
 
 
 def cmd_difftest(args: argparse.Namespace) -> int:
     from .api import difftest
     from .difftest import Minimizer, dump_reproducer
 
-    engines = _parse_engines(args.engine)
+    engines = _parse_names(args.engine, ENGINES, "engine")
     if engines is not None and len(engines) < 2:
         raise SystemExit("error: the oracle cross-checks engines; give "
                          "at least two (e.g. --engine interp,codegen)")
@@ -295,7 +307,7 @@ def _aether_soak(engine: str, obs) -> None:
                          AetherTestbed, FilterRule)
     from .obs import profiled
 
-    tb = AetherTestbed(engine=engine, batched=True, obs=obs)
+    tb = AetherTestbed(engine=engine, obs=obs)
     server_ip = tb.topology.hosts[SERVER_HOST].ipv4
     tb.provision_slice("slice0", [
         FilterRule(priority=20, ip_prefix=(server_ip, 32), proto=17,
@@ -336,8 +348,7 @@ def _traced_run(args: argparse.Namespace):
         from .experiments import Fig12Config, run_rtt_experiment
         from .experiments.fig12 import ALL_CHECKERS
 
-        config = Fig12Config(duration_s=args.duration, engine=args.engine,
-                             batched=True)
+        config = Fig12Config(duration_s=args.duration, engine=args.engine)
         run_rtt_experiment(ALL_CHECKERS, "traced", config, obs=obs)
         return obs
     if args.scenario == "aether":
@@ -491,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_table1)
 
     p = sub.add_parser("fig12", help="run the Figure 12 RTT experiment")
-    p.add_argument("--duration", type=float, default=0.1,
+    p.add_argument("--duration", type=_positive_float, default=0.1,
                    help="simulated seconds per arm (default 0.1)")
-    p.add_argument("--load", type=float, default=40.0,
+    p.add_argument("--load", type=_positive_float, default=40.0,
                    help="background load per host pair, Mb/s (default 40)")
     p.add_argument("--checkers", default="",
                    help="comma-separated checker subset "
@@ -557,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'fig12' (default), 'aether' (miniature "
                             "soak), or a difftest scenario seed "
                             "(integer)")
-        p.add_argument("--duration", type=float, default=0.02,
+        p.add_argument("--duration", type=_positive_float, default=0.02,
                        help="simulated seconds for the fig12 scenario "
                             "(default 0.02)")
         p.add_argument("--engine", default="codegen", choices=ENGINES,

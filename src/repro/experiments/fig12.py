@@ -48,7 +48,7 @@ class Fig12Config:
     seed: int = 11
     engine: str = "codegen"  # Bmv2Switch execution engine for every switch
     optimize: bool = False  # run the dataflow optimizer on every checker
-    batched: bool = False  # Network batch hot loop (timing-identical)
+    batched: bool = True  # False: event mode, the timing reference
 
 
 @dataclass

@@ -14,20 +14,20 @@ Figure 12 finds no significant RTT difference.
 
 Two execution modes share one timing model:
 
-* **event mode** (default) — one scheduler event per enqueue / arrival /
-  forward, exactly the historical behaviour.  It is the reference every
-  equivalence test compares batched mode against, so it stays a
-  separate, plain implementation (``_send_over``/``_arrive``/
-  ``_forward``) rather than a setting of the batched loop;
-* **batched mode** (``Network(batched=True)``) — the hot loop for
-  paper-rate replay, in two tiers.  Every packet walks its whole path
-  eagerly inside one event under the *horizon invariant* (every eagerly
-  executed step must predate the next pending scheduler event, else the
-  walk parks itself as a continuation event); on a stateless fabric a
-  walk also memoizes its transit record on the template packet, and
-  repeat emissions of that template fast-forward through the record
-  without running a pipeline.  See ``docs/INTERNALS.md`` §5 for the
-  invariants.
+* **batched mode** (the default, what every entry point ships) — the
+  hot loop for paper-rate replay, in two tiers.  Every packet walks its
+  whole path eagerly inside one event under the *horizon invariant*
+  (every eagerly executed step must predate the next pending scheduler
+  event, else the walk parks itself as a continuation event); on a
+  stateless fabric a walk also memoizes its transit record on the
+  template packet, and repeat emissions of that template fast-forward
+  through the record without running a pipeline.  See
+  ``docs/INTERNALS.md`` §5 for the invariants;
+* **event mode** (``Network(batched=False)``) — one scheduler event per
+  enqueue / arrival / forward: the reference every equivalence test
+  compares batched mode against, so it stays a separate, plain
+  implementation (``_send_over``/``_arrive``/``_forward``) rather than
+  a setting of the batched loop.
 
 The scheduler itself (:class:`Simulator`) is one binary heap.
 """
@@ -261,10 +261,10 @@ class Network:
     stand in for payload contents, which this substrate models only as
     lengths.)
 
-    With ``batched=True`` the network runs the batch hot loop (eager
-    path walks, plus flow fast-forwarding where every switch program
-    is stateless and unmetered) with timing identical to event mode,
-    whatever ``obs`` carries.
+    By default the network runs the batch hot loop (eager path walks,
+    plus flow fast-forwarding where every switch program is stateless
+    and unmetered) with timing identical to ``batched=False``'s event
+    mode, the reference, whatever ``obs`` carries.
 
     :meth:`record_hops` keeps a :class:`HopRecord` per pipeline run on
     ``hops``; both modes record the same hops (batched mode does not
@@ -280,7 +280,7 @@ class Network:
                  stage_counts: Optional[Dict[str, int]] = None,
                  serialize_on_wire: bool = False,
                  obs: Optional[Observability] = None,
-                 batched: bool = False):
+                 batched: bool = True):
         self.topology = topology
         self.serialize_on_wire = serialize_on_wire
         self.sim = Simulator()

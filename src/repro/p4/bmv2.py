@@ -376,14 +376,8 @@ class Bmv2Switch:
     def insert_entry(self, table_name: str, match: Sequence[ir.MatchSpec],
                      action: str, args: Optional[Sequence[int]] = None,
                      priority: int = 0) -> ir.TableEntry:
-        table = self._table(table_name)
-        entry = ir.TableEntry(match, action, args, priority)
-        self._check_entry(table, entry)
-        self._entries[table_name].append(entry)
-        if self._engine is not None:
-            self._engine.entries_inserted(table_name, [entry])
-        self._notify_config(table_name)
-        return entry
+        return self.insert_entries(table_name,
+                                   [(match, action, args, priority)])[0]
 
     def insert_entries(self, table_name: str,
                        rows: Sequence[Union[

@@ -63,7 +63,7 @@ class HydraDeployment:
                  serialize_on_wire: bool = False,
                  engine: str = "codegen",
                  obs: Optional[Observability] = None,
-                 batched: bool = False):
+                 batched: bool = True):
         self.topology = topology
         self.check_mode = check_mode
         self.obs = obs if obs is not None else NULL_OBS

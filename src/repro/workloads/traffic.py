@@ -29,6 +29,9 @@ class UdpLoadGenerator:
                  rate_bps: float, packet_len: int = 1400,
                  seed: int = 7, jitter: bool = True,
                  burst_size: int = 8):
+        if not (0 < rate_bps < float("inf") and packet_len > 0):
+            raise ValueError(f"rate_bps must be finite and > 0, packet_len "
+                             f"> 0, got {rate_bps} and {packet_len}")
         self.network = network
         self.host_a = host_a
         self.host_b = host_b

@@ -78,6 +78,59 @@ def test_deploy_scenario_and_run():
                dump["switch_packets_total"]["series"]) > 0
 
 
+def test_every_entry_point_defaults_to_the_shipped_build(monkeypatch):
+    """Built with no mode arguments, each entry point runs what the
+    benchmark measures and the oracle verifies: a batched network of
+    codegen switches.  Event mode is the reference a caller names."""
+    from repro.aether import AetherTestbed
+    from repro.experiments import fig12, throughput
+    from repro.net import Network
+    from repro.net.topology import leaf_spine, single_switch
+    from repro.p4 import Bmv2Switch
+    from repro.p4.programs import l2_port_forwarding
+    from repro.runtime.deployment import HydraDeployment
+    from repro.runtime.scenarios import SourceRoutingTestbed
+
+    def network_of(topology, **kwargs):
+        return Network(topology, {name: Bmv2Switch(l2_port_forwarding())
+                                  for name in topology.switches}, **kwargs)
+
+    compiled = api.compile_indus("loops")
+    topology = leaf_spine(2, 2, 2)
+    forwarding = dict.fromkeys(topology.switches, l2_port_forwarding())
+    replayed = []
+
+    def build_fabric(*args):
+        built = fig12.build_fabric(*args)
+        replayed.append(built[0])
+        return built
+
+    monkeypatch.setattr(throughput, "build_fabric", build_fabric)
+    throughput.run_replay(None, "arm", rate_pps=2_000, duration_s=0.002)
+    networks = [
+        network_of(single_switch(2)),
+        HydraDeployment(topology, compiled, forwarding).network,
+        AetherTestbed().network,
+        fig12.build_fabric(None, fig12.Fig12Config())[0],
+        SourceRoutingTestbed().network,
+        replayed[0],
+        api.deploy(compiled, topology=topology,
+                   forwarding=forwarding).network,
+    ]
+    for network in networks:
+        assert network._eager
+        assert {device.bmv2.engine for device in network.switches.values()
+                } == {"codegen"}
+
+    scenario = gen_scenario(3)
+    checker = api.compile_indus(scenario.source(), name="dt3")
+    reference = api.deploy(checker, scenario=scenario, engine="interp")
+    assert not network_of(single_switch(2), batched=False)._eager
+    assert not reference.network._eager
+    assert {device.bmv2.engine for device
+            in reference.network.switches.values()} == {"interp"}
+
+
 def test_run_scenario_by_seed_and_by_scenario():
     by_seed = api.run_scenario(seed=7)
     by_int = api.run_scenario(7)

@@ -178,3 +178,39 @@ def test_retired_benchmark_verbs_are_rejected(verb, capsys):
         main([verb])
     assert exit_info.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig12", "--load", "-5"],
+    ["fig12", "--load", "0"],
+    ["fig12", "--duration", "0"],
+    ["fig12", "--duration", "-1"],
+    ["metrics", "--duration", "0"],
+    ["trace", "fig12", "--duration", "-1"],
+], ids=" ".join)
+def test_a_non_positive_duration_or_load_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "must be finite and > 0" in capsys.readouterr().err
+
+
+def test_fig12_reports_an_unknown_checker(capsys):
+    with pytest.raises(SystemExit,
+                       match="^error: unknown checker 'nosuch'; valid: "):
+        main(["fig12", "--checkers", "loops,nosuch"])
+    assert capsys.readouterr().out == ""
+
+
+def test_fig12_reads_a_trailing_comma_as_a_separator(capsys):
+    code, out, _ = run_cli(capsys, "fig12", "--duration", "0.01",
+                           "--checkers", "loops,")
+    assert code == 0
+    assert "checkers: loops;" in out and "n=   5" in out
+
+
+def test_fig12_reports_an_arm_with_fewer_than_two_pings(capsys):
+    code, _, err = run_cli(capsys, "fig12", "--duration", "0.002",
+                           "--checkers", "loops")
+    assert code == 1
+    assert err.startswith("error: an arm measured fewer than two pings")

@@ -43,7 +43,7 @@ def test_three_hop_path_is_recorded_in_order(engine):
     switches["s1"].insert_entry("fwd_table", [1], "fwd_set_egress", [10])
     switches["s2"].insert_entry("fwd_table", [11], "fwd_set_egress", [10])
     switches["s3"].insert_entry("fwd_table", [11], "fwd_set_egress", [1])
-    net = Network(topo, switches, obs=obs, batched=True)
+    net = Network(topo, switches, obs=obs)
     assert net.hops is obs.hops and net._eager
     packet = _packet()
     net.host("h1").send(packet)
@@ -178,7 +178,7 @@ def test_traced_fig12_arm_exports_and_meters():
 
     obs = Observability.enabled()
     run = run_rtt_experiment(ALL_CHECKERS, "traced",
-                             Fig12Config(duration_s=0.02, batched=True),
+                             Fig12Config(duration_s=0.02),
                              obs=obs)
     assert run.rtts_ms
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments import fig12
 from repro.experiments.fig12 import Fig12Config, run_rtt_experiment
-from repro.experiments.throughput import run_replay
+from repro.experiments.throughput import ReplayFeed
 from repro.net.packet import ip, make_udp
 from repro.net.simulator import Network
 from repro.net.topology import Endpoint, Link, Topology, linear, single_switch
@@ -411,7 +411,7 @@ def test_template_memo_does_not_leak_across_networks():
     for label, out_port in (("a", 2), ("b", 3)):
         bmv2 = Bmv2Switch(l2_port_forwarding(), name="s1")
         bmv2.insert_entry("fwd_table", [1], "fwd_set_egress", [out_port])
-        network = Network(single_switch(3), {"s1": bmv2}, batched=True)
+        network = Network(single_switch(3), {"s1": bmv2})
         network.attach_source("h1", iter(emissions))
         network.run()
         networks[label] = network
@@ -456,17 +456,25 @@ def test_fig12_rtt_series_bit_identical_under_batched_mode(checkers,
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_campus_replay_matches_event_mode(engine):
-    """The throughput experiment itself: a campus trace replayed h1->h3
+    """The throughput experiment's replay: a campus trace replayed h1->h3
     across the fig12 fabric delivers the same packets, bytes and final
     arrival in both network modes, under either engine."""
-    event, batched = (
-        run_replay(None, "arm", rate_pps=50_000, duration_s=0.02,
-                   engine=engine, batched=batched)
-        for batched in (False, True))
-    assert event.offered_packets > 0
-    # Past the trace's end, duration_s is the sink's last arrival.
-    assert event.duration_s > 0.02
-    assert event == batched
+    runs = []
+    for batched in (False, True):
+        network, _ = fig12.build_fabric(None, Fig12Config(
+            link_bandwidth_bps=10e9, engine=engine, batched=batched))
+        hosts = network.topology.hosts
+        feed = ReplayFeed(CampusTraceGenerator(seed=5, reuse_packets=True),
+                          hosts["h1"].ipv4, hosts["h3"].ipv4,
+                          rate_pps=50_000, duration_s=0.02)
+        network.attach_source("h1", feed.emissions())
+        network.run()
+        runs.append((feed.offered, _snapshot(network)))
+    offered, event = runs[0]
+    assert offered > 0 and event["hosts"]["h3"]["rx"] == offered
+    # The last arrival lands past the trace's end.
+    assert event["hosts"]["h3"]["last_rx"] > 0.02
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_aether_replay_passes_leave_the_heap_flat():
     sessions, count = 400, CAPACITY + 4     # uplink deliveries a pass
     tb = AetherTestbed(capacity=AetherCapacity(max_sessions=sessions,
                                                rules_per_session=2),
-                       engine="codegen", batched=True)
+                       engine="codegen")
     server = tb.topology.hosts[SERVER_HOST].ipv4
     tb.provision_slice("slice0", [
         FilterRule(priority=20, ip_prefix=(server, 32), proto=17,

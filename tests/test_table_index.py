@@ -496,8 +496,8 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
                 for side in "ab"}
     # A batched network per side: its generation moves on every
     # control-plane change of its switch.
-    networks = {side: Network(single_switch(1), {"s1": switches[side][0]},
-                              batched=True) for side in "ab"}
+    networks = {side: Network(single_switch(1), {"s1": switches[side][0]})
+                for side in "ab"}
     installed = {"a": [], "b": []}
     deleted = {"a": [], "b": []}  # objects a side removed, in order
     serial = itertools.count(1)  # every row's action data: who won
@@ -818,7 +818,7 @@ def test_an_empty_batch_writes_nothing():
     from repro.p4.programs import ipv4_lpm_forwarding
 
     sw = Bmv2Switch(ipv4_lpm_forwarding(), name="s1")
-    net = Network(single_switch(2), {"s1": sw}, batched=True)
+    net = Network(single_switch(2), {"s1": sw})
     sw.insert_entries("ipv4_lpm", [([(ip(10, 0, 1, 2), 32)], "ipv4_forward",
                                     [0xAA, 2], 0)])
     sw.process(make_udp(ip(10, 0, 1, 1), ip(10, 0, 1, 2), 1, 2), 1)

@@ -100,7 +100,7 @@ def test_host_attachment():
     # The batched walk's wire table sends every host out of that link
     # (a host's row is keyed on port 0) and delivers to its real port.
     network = Network(topo, {name: Bmv2Switch(l2_port_forwarding(), name=name)
-                             for name in topo.switches}, batched=True)
+                             for name in topo.switches})
     network._wire_rows()
     rows = network._wire
     assert ("lonely", 0) not in rows

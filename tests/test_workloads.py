@@ -414,13 +414,29 @@ def _drawn_load(network, a, b, rate_bps, packet_len, seed, duration_s,
     return sent
 
 
+@pytest.mark.parametrize("rate_bps, packet_len",
+                         [(-5e6, 1400), (0.0, 1400), (float("inf"), 1400),
+                          (40e6, 0)])
+def test_load_generator_refuses_a_rate_or_size_that_never_ends(rate_bps,
+                                                               packet_len):
+    """A non-positive rate or size, or an infinite rate, draws gaps of
+    zero or less, which would keep ``schedule`` below its duration for
+    ever."""
+    network, _ = build_fabric(None, Fig12Config())
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        UdpLoadGenerator(network, "h1", "h3", rate_bps,
+                         packet_len=packet_len)
+
+
 @pytest.mark.parametrize("start", [0.0, 0.01])
 def test_load_generator_sends_each_direction_its_drawn_datagrams(start):
     """A jittered, bursty load on the Figure 12 fabric sends, per
     direction, exactly the datagrams its draws name: the sending host's
     addresses and port, at ``sim.now`` when scheduled plus the drawn
     offset."""
-    config = Fig12Config(duration_s=0.02)
+    # Event mode: the tap wraps ``transmit_from_host``, which a batched
+    # drain's fast-forward never calls.
+    config = Fig12Config(duration_s=0.02, batched=False)
     network, _ = build_fabric(None, config)
     network.run(until=start)
     sent = _load_transmits(network)
