@@ -6,9 +6,9 @@ event mode with forwarding installed one ``insert_entry`` at a time;
 ``codegen`` runs the build we ship: uninstrumented (unless the caller
 passed a registry), on the batched traffic plane, with forwarding
 installed by ``insert_entries``.  Each network records a
-:class:`~repro.net.simulator.HopRecord` per pipeline run
-(:meth:`~repro.net.simulator.Network.record_hops`): the hop-by-hop
-context each packet actually experienced.  The reference's hops replay
+:class:`~repro.net.simulator.HopRecord` per pipeline run into the hop
+ring its handle carries: the hop-by-hop context each packet actually
+experienced.  The reference's hops replay
 through the :class:`~repro.indus.interp.Monitor` via
 :func:`repro.runtime.tracecheck.run_trace` (whose per-hop telemetry
 snapshots feed the telemetry comparison), and the oracle asserts that
@@ -40,7 +40,7 @@ from ..indus import ast, check, parse
 from ..net.packet import Packet, ip, make_tcp, make_udp
 from ..net.simulator import HopRecord
 from ..obs import Observability
-from ..p4 import ENGINES, ir
+from ..p4 import ENGINES, BoundedLog, ir
 from ..p4.programs import l2_port_forwarding
 from ..runtime.deployment import HydraDeployment
 from ..runtime.tracecheck import run_trace
@@ -250,12 +250,12 @@ def build_scenario_deployment(scenario: Scenario,
 
 def _run_engine(scenario: Scenario, compiled: CompiledChecker,
                 engine: str, registry=None) -> _EngineRun:
-    obs = None if registry is None else Observability(registry=registry)
-    dep = build_scenario_deployment(scenario, compiled, engine=engine,
-                                    obs=obs)
+    hops = BoundedLog()
+    dep = build_scenario_deployment(
+        scenario, compiled, engine=engine,
+        obs=Observability(registry=registry, hops=hops))
     topology = dep.topology
     network = dep.network
-    hops = network.record_hops()
     bindings = _header_bindings(compiled)
 
     run = _EngineRun()

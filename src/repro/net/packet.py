@@ -260,21 +260,6 @@ class Packet:
             meta=dict(self.meta),
         )
 
-    def copy_shared(self) -> "Packet":
-        """A new packet shell sharing this packet's Header instances.
-
-        Only safe when the consumer provably never mutates headers (the
-        interpreter's :func:`repro.p4.ir.mutates_headers` rule); the
-        header *list* is fresh, so reordering/appending on the copy never
-        affects the original.
-        """
-        return Packet(
-            headers=list(self.headers),
-            payload_len=self.payload_len,
-            packet_id=self.packet_id,
-            meta=dict(self.meta),
-        )
-
     @classmethod
     def shell(cls, headers: List[Header], payload_len: int,
               packet_id: int, meta: Dict[str, Any]) -> "Packet":

@@ -40,8 +40,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     NamedTuple, Optional, Tuple)
 
 from ..obs import NULL_OBS, Observability
-from ..p4.bmv2 import (DEFAULT_LOG_CAPACITY, Bmv2Switch, BoundedLog,
-                       drop_reason)
+from ..p4.bmv2 import Bmv2Switch, BoundedLog, drop_reason
 from .fastforward import stateless_program
 from .packet import Packet
 from .topology import Endpoint, Link, Topology
@@ -78,8 +77,9 @@ class Simulator:
         self._seq = itertools.count()
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
+        # ``not >=``: a NaN delay is refused by the same compare.
+        if not delay >= 0:
+            raise ValueError(f"cannot schedule after a delay of {delay!r}")
         self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: float,
@@ -89,7 +89,11 @@ class Simulator:
         Times at or before ``now`` are legal and fire next, ordered by
         ``(time, seq)`` like every other event — the batched network
         uses this for continuation events anchored to virtual times.
+        A NaN time is refused (``ValueError``): it would compare neither
+        before nor after any other and break the heap's order.
         """
+        if time != time:
+            raise ValueError("cannot schedule at a NaN time")
         heapq.heappush(self._heap, (time, next(self._seq), callback))
 
     def peek_next_time(self) -> Optional[float]:
@@ -101,8 +105,8 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run events in order; with ``until``, only those at or before
         it, and leave the clock at ``until``, which may not precede
-        ``now``."""
-        if until is not None and until < self.now:
+        ``now`` (nor be NaN)."""
+        if until is not None and not until >= self.now:
             raise ValueError(f"cannot run back to {until!r}: "
                              f"the clock is at {self.now!r}")
         prev_until = self.run_until
@@ -195,8 +199,9 @@ class SwitchDevice:
 class _LazySource:
     """A lazily-consumed ``(time, packet)`` emission stream for a host.
 
-    Emission times must be non-decreasing (``ValueError`` at the pull
-    that breaks it: deliveries made stand, nothing later is sent).  The
+    Emission times must be non-decreasing, so never NaN (``ValueError``
+    at the pull that breaks it: deliveries made stand, nothing later is
+    sent).  Each check is ``not later >= earlier``, which a NaN fails.  The
     network pulls one emission at a time, so paper-rate traces are
     never materialized.
     """
@@ -215,7 +220,7 @@ class _LazySource:
         head = self.head
         self.head = None
         pulled = next(self._iter, None)
-        if pulled is not None and pulled[0] < head[0]:
+        if pulled is not None and not pulled[0] >= head[0]:
             raise self.unordered(pulled[0], head[0])
         self.head = pulled
         return head
@@ -230,7 +235,7 @@ _EXHAUSTED = _LazySource("", ())
 
 
 class HopRecord(NamedTuple):
-    """One pipeline run, as :meth:`Network.record_hops` keeps it.
+    """One pipeline run, as a :class:`Network`'s hop ring keeps it.
 
     Assembled at the call site from what the engine already returns:
     ``packet`` is the engine's argument, the pre-pipeline packet (both
@@ -266,10 +271,10 @@ class Network:
     and unmetered) with timing identical to ``batched=False``'s event
     mode, the reference, whatever ``obs`` carries.
 
-    :meth:`record_hops` keeps a :class:`HopRecord` per pipeline run on
-    ``hops``; both modes record the same hops (batched mode does not
-    fast-forward flows while recording).  A network built on a handle
-    with a ring (``obs.hops``) records into that ring from the start.
+    A network built on a handle with a ring (``obs.hops``) keeps a
+    :class:`HopRecord` per pipeline run in it (``hops``, fixed at
+    construction); both modes record the same hops (batched mode does
+    not fast-forward flows while recording).
 
     Every NIC and output-port FIFO is unbounded (a backlog waits); the
     network-layer drop is ``no_route``.
@@ -311,8 +316,7 @@ class Network:
             )
         self.packets_delivered = 0
         self.packets_lost = 0
-        #: The recent :class:`HopRecord`s: the handle's ring, else None
-        #: until :meth:`record_hops`.
+        #: The recent :class:`HopRecord`s: the handle's ring, or None.
         self.hops: Optional[BoundedLog] = self.obs.hops
         # -- batched-mode state --------------------------------------------
         #: Whether the eager machinery runs at all (see class docstring).
@@ -337,16 +341,6 @@ class Network:
         return lambda count: self.obs.registry.counter(
             "log_evictions_total", "entries evicted from bounded ring logs",
             labels=("log", "node")).labels(log, node).inc(count)
-
-    def record_hops(self) -> BoundedLog:
-        """Keep a :class:`HopRecord` per pipeline run from now on: the
-        recent ones on ``self.hops`` (returned).  While it is attached,
-        flow fast-forwarding declines (a replay skips pipeline runs), so
-        batched mode walks every packet."""
-        self.hops = BoundedLog(DEFAULT_LOG_CAPACITY)
-        # Replays already in flight go stale, so they re-walk and record.
-        self._cache_gen = next(_GENERATIONS)
-        return self.hops
 
     def _process_recorded(self, device: SwitchDevice, packet: Packet,
                           port: int, t: float) -> List[Tuple[int, Packet]]:
@@ -489,8 +483,8 @@ class Network:
         Works in both modes: event mode self-schedules one emission at
         a time (O(1) memory, unlike pre-materializing ``Host.send``
         calls); batched mode drains every due emission per wakeup.
-        Emission times must be non-decreasing and the first may not
-        precede ``sim.now`` (else ``ValueError``; a refused source
+        Emission times must be non-decreasing (never NaN) and the first
+        may not precede ``sim.now`` (else ``ValueError``; a refused source
         schedules nothing).
         """
         if host_name not in self.hosts:
@@ -498,7 +492,7 @@ class Network:
         source = _LazySource(host_name, emissions)
         if source.head is None:
             return
-        if source.head[0] < self.sim.now:
+        if not source.head[0] >= self.sim.now:
             raise ValueError(f"source on {host_name!r}: emission at "
                              f"{source.head[0]!r} precedes the clock at "
                              f"{self.sim.now!r}")
@@ -913,7 +907,7 @@ class Network:
                     except BaseException as exc:
                         fault = exc
                         break
-                    if head is not None and head[0] < t:
+                    if head is not None and not head[0] >= t:
                         fault = source.unordered(head[0], t)
                         break
                     owner = False

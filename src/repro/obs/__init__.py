@@ -19,9 +19,8 @@ handle to the constructors::
         ...
 
 A network built on a handle with a ring records every pipeline run into
-it (:meth:`~repro.net.simulator.Network.record_hops`'s
-:class:`~repro.net.simulator.HopRecord`); the ring instruments no switch
-and leaves the network on its own loop, batched or not.
+it (a :class:`~repro.net.simulator.HopRecord` each); the ring instruments
+no switch and leaves the network on its own loop, batched or not.
 
 CLI surfaces: ``python -m repro metrics`` and ``python -m repro trace``.
 """

@@ -309,10 +309,6 @@ class Bmv2Switch:
         # Statistics for the evaluation harness.
         self.packets_processed = 0
         self.packets_dropped = 0
-        # Copy elision for the interpreter: a program that provably never
-        # mutates headers can run on a packet shell sharing the original
-        # Header instances (the codegen engine copies on first write).
-        self._share_headers = not ir.mutates_headers(program)
         self.obs = obs if obs is not None else NULL_OBS
         self._obs_live = self.obs.registry.live
         if self._obs_live:
@@ -419,27 +415,17 @@ class Bmv2Switch:
 
     def delete_entry(self, table_name: str, entry: ir.TableEntry) -> None:
         """Remove ``entry`` if it is itself installed, else the first
-        installed entry equal to it."""
+        installed entry equal to it: ``delete_entries`` of one object."""
         self._table(table_name)
-        if self._vouched(table_name, [entry], {id(entry): 1}, refuse=False):
-            self._defer(table_name, [entry])
-            return
-        installed = self._live(table_name)
-        # The engine's index drops entries by identity: hand it the
-        # installed object.  A handle usually is one, so look for it
-        # before an equal (``__eq__`` is a Python call per row passed).
-        at = next((i for i, e in enumerate(installed) if e is entry), -1)
         try:
-            entry = installed.pop(at if at >= 0 else installed.index(entry))
-        except ValueError as exc:
-            raise P4RuntimeError("entry not installed") from exc
-        if self._engine is not None:
-            if any(other is entry for other in installed):
-                # One object installed twice: by identity both would go.
-                self._engine.invalidate_table(table_name)
-            else:
-                self._engine.entries_removed(table_name, [entry])
-        self._scanned(table_name, installed)
+            self.delete_entries(table_name, [entry])
+        except P4RuntimeError:
+            # Not installed itself: the first equal live row, if any.
+            equal = next((e for e in self._live(table_name) if e == entry),
+                         None)
+            if equal is None:
+                raise
+            self.delete_entries(table_name, [equal])
 
     def delete_entries(self, table_name: str,
                        entries: Sequence[ir.TableEntry]) -> None:
@@ -447,8 +433,9 @@ class Bmv2Switch:
         and one config notification for the whole batch.
 
         Each mention removes one installed occurrence of that very
-        object (the first), as ``delete_entry`` does; a batch naming an
-        object more times than it is installed is refused whole.
+        object (the first); a batch naming an object more times than it
+        is installed is refused whole (:class:`P4RuntimeError`, nothing
+        changed).
 
         It costs the rows it names when the codegen engine's index
         vouches that each named object is installed exactly as often
@@ -464,7 +451,7 @@ class Bmv2Switch:
         if not entries:
             return
         mentions: Dict[int, int] = Counter(map(id, entries))
-        if self._vouched(table_name, entries, mentions, refuse=True):
+        if self._vouched(table_name, entries, mentions):
             self._defer(table_name, entries)
             return
         installed = self._live(table_name)
@@ -495,11 +482,10 @@ class Bmv2Switch:
         self._scanned(table_name, kept)
 
     def _vouched(self, table_name: str, entries: Sequence[ir.TableEntry],
-                 mentions: Dict[int, int], refuse: bool) -> bool:
+                 mentions: Dict[int, int]) -> bool:
         """Whether the engine's index says every named object is
-        installed exactly as often as ``mentions`` names it.  With
-        ``refuse``, fewer times is a refusal (:class:`P4RuntimeError`,
-        nothing changed); without, the scan decides that too."""
+        installed exactly as often as ``mentions`` names it.  Fewer
+        times is a refusal (:class:`P4RuntimeError`, nothing changed)."""
         index = (None if self._engine is None
                  else self._engine.tables.get(table_name))
         if index is None:
@@ -509,7 +495,7 @@ class Bmv2Switch:
             count = installed_count(entry)
             named = mentions[id(entry)]
             if count != named:
-                if refuse and count is not None and count < named:
+                if count is not None and count < named:
                     raise P4RuntimeError("entry not installed")
                 return False
         return True
@@ -704,8 +690,7 @@ class Bmv2Switch:
     def _process_interp(self, packet: Packet,
                         ingress_port: int) -> List[Tuple[int, Packet]]:
         self.packets_processed += 1
-        work = (packet.copy_shared() if self._share_headers
-                else packet.copy())
+        work = packet.copy()
         standard = StandardMetadata(ingress_port=ingress_port,
                                     packet_length=work.length)
         ctx = PacketContext(self.program, work, standard)

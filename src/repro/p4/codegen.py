@@ -275,8 +275,8 @@ class CodegenEngine:
             self.run_clears += 1
 
     def invalidate_table(self, name: str) -> None:
-        """``clear_table`` hook (and ``delete_entry`` of one object
-        installed twice): the next lookup rebuilds the index."""
+        """``clear_table`` hook (and a delete that leaves a removed
+        object installed): the next lookup rebuilds the index."""
         self._clear_runs(name)
         index = self.tables.get(name)
         if index is not None:

@@ -876,16 +876,3 @@ def check_externs(program: P4Program) -> None:
                             f"extern {stmt.name!r}: malformed argument "
                             f"{node!r}")
 
-
-def mutates_headers(program: P4Program) -> bool:
-    """Whether any reachable statement can modify a header instance.
-
-    Used for copy elision in the reference engine: a program that
-    provably never writes header fields or validity bits can process a
-    packet that *shares* its ``Header`` objects with the original (only
-    the packet shell is copied), skipping the per-header deep copy.
-    Mutating one is defining a location under ``hdr.``: a field, a
-    validity bit, a source-route slot.
-    """
-    return any(loc.startswith("hdr.") for body in program_bodies(program)
-               for stmt in walk_stmts(body) for loc in stmt_defs(stmt))

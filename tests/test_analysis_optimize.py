@@ -276,7 +276,6 @@ def test_optimized_program_still_renders_and_runs():
 # The contract: optimized == unoptimized under the three-level oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.difftest
 def test_oracle_verdicts_identical_with_and_without_optimizer():
     # The full ≥200-seed campaign runs in CI / by hand; this in-suite
     # slice keeps the contract pinned on every test run.
@@ -290,7 +289,6 @@ def test_oracle_verdicts_identical_with_and_without_optimizer():
         assert plain.reports_checked == opt.reports_checked
 
 
-@pytest.mark.difftest
 def test_oracle_still_catches_mutations_on_optimized_programs():
     # The optimizer must not eat the oracle's bug-finding power: an
     # injected mutation on an optimized checker is still caught.

@@ -4,9 +4,9 @@ registers, digests, header stacks, and the control API."""
 import pytest
 
 from repro.aether.upf import upf_program
-from repro.net.packet import (ETH_TYPE_IPV4, ETHERNET, IPV4, SOURCE_ROUTE,
-                              UDP, ip, make_source_routed, make_udp)
-from repro.p4 import ENGINES, ir
+from repro.net.packet import (ETH_TYPE_IPV4, ETH_TYPE_VLAN, ETHERNET, IPV4,
+                              VLAN, ip, make_source_routed, make_udp)
+from repro.p4 import ENGINES, ir, programs
 from repro.p4.bmv2 import Bmv2Switch, P4RuntimeError
 from repro.p4.programs import (ecmp_fabric, ipv4_lpm_forwarding,
                                l2_port_forwarding, source_routing,
@@ -44,6 +44,63 @@ def test_processing_does_not_mutate_input_packet():
     out = sw.process(packet, 1)
     assert packet.find("ipv4").get("ttl") == 64     # original untouched
     assert out[0][1].find("ipv4").get("ttl") == 63  # output decremented
+
+
+def _vlan_tagged():
+    packet = make_udp(1, 2, 3, 4)
+    packet.insert_after("ethernet", VLAN(vid=42, eth_type=ETH_TYPE_IPV4))
+    packet.find("ethernet").set("eth_type", ETH_TYPE_VLAN)
+    return packet
+
+
+#: Program -> (its entries, a packet it forwards): every program in
+#: ``repro.p4.programs``, and the Aether fabric-upf baseline.
+FORWARDED = {
+    "l2_port_forwarding": (
+        [("fwd_table", [1], "fwd_set_egress", [2])],
+        lambda: make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)),
+    "vlan_l2_forwarding": (
+        [("fwd_table", [1], "fwd_set_egress", [2])], _vlan_tagged),
+    "ipv4_lpm_forwarding": (
+        [("ipv4_lpm", [(ip(2, 2, 2, 2), 32)], "ipv4_forward", [0xAABB, 3])],
+        lambda: make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)),
+    "source_routing": (
+        [], lambda: make_source_routed(
+            [4, 7], make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2))),
+    "ecmp_fabric": (
+        [("routes", [(0, 0)], "route_ecmp", [2]),
+         ("ecmp_table", [0], "ecmp_set_port", [3]),
+         ("ecmp_table", [1], "ecmp_set_port", [4])],
+        lambda: make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)),
+    "upf_program": (
+        [("upf_routes", [(ip(2, 2, 2, 2), 32)], "upf_route", [2])],
+        lambda: make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2)),
+}
+
+
+def test_forwarded_cases_cover_every_bundled_program():
+    assert {name for name, value in vars(programs).items()
+            if callable(value) and not name.startswith("_")
+            and value.__module__ == programs.__name__} \
+        == FORWARDED.keys() - {"upf_program"}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARDED))
+def test_interp_outputs_share_no_header_with_the_input(name):
+    """The reference engine is the plain reading of the IR: it copies
+    the packet it is handed, so no output shares a ``Header`` with the
+    input, whether or not the program writes one."""
+    build = upf_program if name == "upf_program" else getattr(programs, name)
+    entries, make_packet = FORWARDED[name]
+    sw = Bmv2Switch(build(), name="s1", engine="interp")
+    for entry in entries:
+        sw.insert_entry(*entry)
+    packet = make_packet()
+    outputs = sw.process(packet, 1)
+    assert outputs
+    inputs = {id(header) for header in packet.headers}
+    for _, out in outputs:
+        assert not inputs & {id(header) for header in out.headers}
 
 
 def test_lpm_longest_prefix_wins():

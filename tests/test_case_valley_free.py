@@ -16,6 +16,8 @@ def testbed():
 
 
 def test_all_valley_free_paths_delivered(testbed):
+    # One valley-free path per spine of the 2x2 fabric.
+    assert len(testbed.valley_free_node_paths("h1", "h3")) == 2
     for src, dst in (("h1", "h3"), ("h1", "h4"), ("h2", "h3")):
         for path in testbed.valley_free_node_paths(src, dst):
             ports = testbed.route_for(path, dst)

@@ -17,8 +17,6 @@ from repro.difftest import (Minimizer, Scenario, dump_reproducer,
                             gen_scenario, inject_mutation, run_difftest,
                             run_scenario)
 
-pytestmark = pytest.mark.difftest
-
 
 # ---------------------------------------------------------------------------
 # Scenario generation

@@ -148,6 +148,7 @@ def test_instrumented_engine_outputs_match_plain(engine):
         packet_b = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1000 + i, 53)
         out_a = plain.process(packet_a, 1)
         out_b = metered.process(packet_b, 1)
+        assert out_a  # forwarded, not dropped
         assert [(p, [h.to_bits() for h in pkt.headers if h.valid])
                 for p, pkt in out_a] == \
             [(p, [h.to_bits() for h in pkt.headers if h.valid])

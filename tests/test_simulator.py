@@ -62,6 +62,23 @@ def test_run_until_refuses_to_rewind_the_clock():
     assert fired == [1.0, 2.1, 3.0]
 
 
+@pytest.mark.parametrize("call", [
+    lambda sim: sim.schedule(float("nan"), lambda: None),
+    lambda sim: sim.schedule_at(float("nan"), lambda: None),
+    lambda sim: sim.run(until=float("nan")),
+], ids=["schedule", "schedule_at", "run"])
+def test_a_nan_time_is_refused(call):
+    """A NaN compares neither before nor after any time, so every check
+    is ``not later >= earlier``: a NaN delay, time or bound raises and
+    changes nothing (no event queued, the clock where it was)."""
+    sim = Simulator()
+    sim.schedule_at(1.0, lambda: None)
+    sim.run(until=0.5)
+    with pytest.raises(ValueError):
+        call(sim)
+    assert sim.now == 0.5 and sim.pending == 1
+
+
 class _SortedReference:
     """The scheduler's specification: the pending event with the least
     ``(time, insertion)`` runs next."""

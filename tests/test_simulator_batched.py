@@ -20,7 +20,7 @@ from repro.net.simulator import Network
 from repro.net.topology import Endpoint, Link, Topology, linear, single_switch
 from repro.obs import MetricsRegistry, Observability
 from repro.p4 import ENGINES
-from repro.p4.bmv2 import Bmv2Switch
+from repro.p4.bmv2 import Bmv2Switch, BoundedLog
 from repro.p4.programs import l2_port_forwarding
 from repro.workloads.campus import CampusTraceGenerator
 from tests.test_codegen_engine import TIMING_METRICS
@@ -141,16 +141,14 @@ def _run_both(attach, hosts=2, until=None, make=_make_network, **kwargs):
     flow fast-forward free to skip pipelines, had it not to decline).
     Their hop rings and metrics must be event mode's."""
     snaps, hops, dumps = [], [], []
-    for batched, record, obs in (
-            (False, False, Observability.enabled()),
-            (True, True, None),
-            (True, False, None),
-            (True, False, Observability.enabled()),
-            (True, False, Observability(registry=MetricsRegistry()))):
+    for batched, obs in (
+            (False, Observability.enabled()),
+            (True, Observability(hops=BoundedLog())),
+            (True, None),
+            (True, Observability.enabled()),
+            (True, Observability(registry=MetricsRegistry()))):
         topo, network, bmv2, entries = make(batched, hosts, obs=obs,
                                             **kwargs)
-        if record:
-            network.record_hops()
         attach(topo, network, bmv2, entries)
         if until is not None:
             network.run(until=until)
@@ -158,7 +156,7 @@ def _run_both(attach, hosts=2, until=None, make=_make_network, **kwargs):
         snaps.append(_snapshot(network))
         if network.hops is not None:
             hops.append(_hops(network))
-        if obs is not None:
+        if obs is not None and obs.registry.live:
             dumps.append({name: metric for name, metric
                           in obs.registry.to_dict().items()
                           if name not in TIMING_METRICS})
@@ -288,6 +286,41 @@ def test_a_source_may_not_start_before_the_clock(batched):
     assert network.sim.now == 1.0
     assert network.host("h2").last_rx_time is None
     assert network.host("h1").tx_count == 0
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_nan_send_or_first_emission_is_refused(batched):
+    """A NaN send delay or first emission raises and schedules nothing;
+    nothing is sent."""
+    topo, network, _, _ = _make_network(batched)
+    packet = _template_stream(topo, 1, 0.0)[0][1]
+    with pytest.raises(ValueError):
+        network.host("h1").send(packet, delay=float("nan"))
+    with pytest.raises(ValueError, match="nan"):
+        network.attach_source("h1", [(float("nan"), packet)])
+    assert network.sim.pending == 0
+    network.run()
+    assert network.sim.now == 0.0
+    assert network.host("h1").tx_count == network.host("h2").rx_count == 0
+
+
+@pytest.mark.parametrize("templates_differ", [True, False])
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_nan_emission_ends_its_source(batched, templates_differ):
+    """A NaN emission fails the order check at the pull that reveals
+    it, in both modes and in the drain's fast tier (one template):
+    neither it nor the emission before it is sent, earlier deliveries
+    stand, and nothing is left scheduled."""
+    topo, network, _, _ = _make_network(batched)
+    first = _template_stream(topo, 1, 0.0)[0][1]
+    times = [0.0, 1e-5, 2e-5, 3e-5, float("nan"), 5e-5]
+    network.attach_source("h1", [
+        (t, first.copy() if templates_differ else first) for t in times])
+    with pytest.raises(ValueError, match="nan"):
+        network.run()
+    network.run()
+    assert network.sim.pending == 0
+    assert network.host("h1").tx_count == network.host("h2").rx_count == 3
 
 
 def test_same_template_from_two_hosts_replays_each_hosts_path():
@@ -509,12 +542,14 @@ def test_last_rx_time_survives_consuming_callbacks():
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_a_hop_record_is_what_the_pipeline_was_handed_and_returned(batched):
-    """No recorder by default; once attached, one record per pipeline
-    run: the time it ran, the packet handed in (by reference), what came
-    out, and a drop's reason."""
-    topo, network, bmv2, entries = _make_network(batched)
-    assert network.hops is None
-    hops = network.record_hops()
+    """No recorder by default; on a handle with a ring, one record per
+    pipeline run: the time it ran, the packet handed in (by reference),
+    what came out, and a drop's reason."""
+    assert _make_network(batched)[1].hops is None
+    hops = BoundedLog()
+    topo, network, bmv2, entries = _make_network(
+        batched, obs=Observability(hops=hops))
+    assert network.hops is hops
     bmv2.delete_entry("fwd_table", entries[1])      # h2's port: a miss
     h1, h2 = topo.hosts["h1"].ipv4, topo.hosts["h2"].ipv4
     sent = [make_udp(h1, h2, 1, 2), make_udp(h2, h1, 3, 4),

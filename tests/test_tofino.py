@@ -1,5 +1,6 @@
 """Tofino resource model tests: PHV container packing and stage
-dependency analysis."""
+dependency analysis.  Table 1's per-checker stage and PHV claims are
+tests/test_table1.py's."""
 
 import pytest
 
@@ -169,46 +170,6 @@ def test_raw_stage_depths_are_pinned():
 def test_pipeline_depth_is_max_of_both_halves():
     program = l2_port_forwarding()
     assert pipeline_depth(program) >= 1
-
-
-# ---------------------------------------------------------------------------
-# Anchored Table-1 reporting
-# ---------------------------------------------------------------------------
-
-def test_checkers_do_not_increase_stage_count():
-    """The headline Table 1 claim: every checker linked with the
-    fabric-upf baseline stays within the baseline's 12 stages."""
-    baseline = upf_program()
-    for name in ("multi_tenancy", "loops", "application_filtering",
-                 "source_routing_validation"):
-        compiled = compile_property(name)
-        linked = link(baseline, compiled)
-        report = analyze_linked(name, linked, baseline)
-        assert report.stages == PAPER_BASELINE_STAGES
-
-
-def test_phv_anchored_at_baseline():
-    baseline = upf_program()
-    compiled = compile_property("multi_tenancy")
-    linked = link(baseline, compiled)
-    report = analyze_linked("multi_tenancy", linked, baseline)
-    assert report.phv_pct > PAPER_BASELINE_PHV_PCT
-    assert report.phv_pct < PAPER_BASELINE_PHV_PCT + 15
-
-
-def test_phv_ordering_matches_telemetry_volume():
-    """Checkers carrying more telemetry must cost more PHV — the
-    ordering the paper reports (app filtering and source-route
-    validation highest)."""
-    baseline = upf_program()
-
-    def delta(name):
-        linked = link(baseline, compile_property(name))
-        return analyze_linked(name, linked, baseline).phv_delta_bits
-
-    assert delta("source_routing_validation") > delta("waypointing")
-    assert delta("application_filtering") > delta("egress_port_validity")
-    assert delta("loops") > delta("waypointing")
 
 
 # ---------------------------------------------------------------------------
