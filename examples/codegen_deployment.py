@@ -5,8 +5,11 @@ topology file -> switch-specific P4 code.
 This example writes a topology file for the Figure 8 fabric, runs the
 compiler driver to produce one P4 source per switch (edge switches get
 init/telemetry/checker, core switches telemetry only), and prints the
-deployment manifest the control plane consumes (edge ports for the
-inject/strip tables, control-variable tables, report layout).
+deployment manifest the control plane consumes (each switch's writes:
+the inject/strip entries on its edge ports and its switch-id default;
+control-variable tables; report layout).  It then writes the loop
+checker, which reads the switch id, and checks that each switch's
+manifest default carries that switch's own id.
 
 Equivalent CLI:
 
@@ -52,9 +55,12 @@ def main():
     manifest = json.load(open(manifest_path))
     print(f"   telemetry header: {manifest['telemetry_header']['bits']} "
           f"bits, EtherType 0x{manifest['telemetry_header']['eth_type']:X}")
-    for switch, entry in manifest["edge_entries"].items():
-        print(f"   {switch}: inject/strip entries on ports "
-              f"{entry['ports']}")
+    for switch, writes in manifest["writes"].items():
+        entries = ", ".join(f"{e['table']}{e['match']}"
+                            for e in writes["entries"]) or "none"
+        defaults = ", ".join(f"{d['table']} = {d['action']}{d['args']}"
+                             for d in writes["defaults"]) or "none"
+        print(f"   {switch}: entries {entries}; defaults {defaults}")
     print(f"   control tables: {manifest['control_tables']}")
 
     print("\n4. A core switch's program differs from an edge switch's:")
@@ -65,6 +71,18 @@ def main():
     print(f"   spine1.p4: {len(core_text.splitlines()):4d} lines "
           "(telemetry only)")
     assert "mark_to_drop" in edge_text
+
+    print("\n5. The loop checker reads the switch id: each switch's "
+          "manifest sets its own")
+    loops = compile_program(load_source("loops"), name="loops")
+    written = write_deployment(loops, topology,
+                               os.path.join(workdir, "loops"))
+    manifest = json.load(open(written["__manifest__"]))
+    for switch, writes in manifest["writes"].items():
+        (default,) = writes["defaults"]
+        assert default["table"] == loops.switch_id_table
+        assert default["args"] == [topology.switches[switch].switch_id]
+        print(f"   {switch:8s} {default['action']}{default['args']}")
     print(f"\nOutput left in {workdir}")
 
 

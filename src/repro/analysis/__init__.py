@@ -16,7 +16,7 @@ solver (:mod:`~repro.analysis.dataflow`) — feeds two consumers:
 
 from .cfg import (CFG, CFGNode, PlacementView, always_extracted,
                   build_cfg, checker_placements)
-from .dataflow import (Effects, UNINIT, expr_uses, liveness,
+from .dataflow import (Effects, UNINIT, liveness,
                        reaching_definitions, worklist_solve)
 from .diagnostics import (Diagnostic, Severity, max_severity,
                           render_json, sort_diagnostics)
@@ -28,7 +28,7 @@ from .unit import AnalysisUnit
 __all__ = [
     "AnalysisUnit", "CFG", "CFGNode", "Diagnostic", "Effects",
     "OptimizeStats", "PlacementView", "REGISTRY", "Severity", "UNINIT",
-    "always_extracted", "build_cfg", "checker_placements", "expr_uses",
+    "always_extracted", "build_cfg", "checker_placements",
     "lint_compiled", "lint_pass", "liveness", "max_severity",
     "optimize_compiled", "reaching_definitions", "render_json",
     "run_passes", "sort_diagnostics", "worklist_solve",

@@ -2,18 +2,18 @@
 
 The analysis framework sees a compiled checker the way the hardware
 does: as a handful of *placements* — the virtual linear pipelines a
-switch of a given role actually executes (mirroring
-:func:`repro.compiler.linker.link` exactly, but **sharing** the
-fragment statement objects instead of deep-copying them, so dataflow
-facts computed on a placement attach to the very statements the
-optimizer rewrites).
+switch of a given role actually executes, read from the linker's own
+table (:func:`repro.compiler.linker.placement`) but **sharing** the
+fragment statement objects instead of cloning them, so dataflow facts
+computed on a placement attach to the very statements the optimizer
+rewrites.
 
 A :class:`CFG` is built per placement (and per action body): structured
-``IfStmt``/``ApplyTable`` statements become branch nodes whose bodies
-chain to a common successor.  ``MarkToDrop`` is deliberately *not* a
-terminator — in this substrate (as on bmv2) it sets the drop flag and
-execution continues to the end of the pipeline, which is exactly why
-the post-drop lint rule exists.
+statements (conditionals and table applies) become branch nodes whose
+bodies chain to a common successor.  ``mark_to_drop()`` is
+deliberately *not* a terminator — in this substrate (as on bmv2) it
+sets the drop flag and execution continues to the end of the pipeline,
+which is exactly why the post-drop lint rule exists.
 
 Parser coverage: :func:`always_extracted` computes the header binds
 guaranteed to be extracted on every path from the parse-graph start
@@ -40,8 +40,8 @@ class CFGNode:
 
     ``stmt`` is the IR statement the node evaluates (``None`` for the
     synthetic entry/exit nodes).  A structured statement contributes its
-    *shallow* part only — an ``IfStmt`` node evaluates the condition, an
-    ``ApplyTable`` node the key match and action — while the nested
+    *shallow* part only — a conditional's node evaluates the condition,
+    a table apply's node the key match and action — while the nested
     bodies become separate nodes downstream.
     """
 
@@ -115,7 +115,8 @@ def build_cfg(stmts: Sequence[ir.P4Stmt]) -> CFG:
 # Placements: the virtual pipelines a compiled checker runs in
 # ---------------------------------------------------------------------------
 
-from ..compiler.linker import LAST_HOP, PER_HOP  # noqa: E402  (cycle-free)
+from ..compiler.linker import (LAST_HOP, PER_HOP,  # noqa: E402  (cycle-free)
+                               placement)
 
 
 @dataclass
@@ -123,10 +124,9 @@ class PlacementView:
     """One (role, check-mode) linearization of a compiled checker.
 
     ``stmts`` is the ingress+egress pipeline body a switch of ``role``
-    executes under ``check_mode``, built from the *same* statement
-    objects as the compiled fragments — wrapper ``IfStmt`` nodes mirror
-    the conditions the linker synthesizes at link time (telemetry
-    validity guards, the last-hop gate, per-hop reject enforcement).
+    executes under ``check_mode``: :func:`repro.compiler.linker.placement`'s
+    phases concatenated, so the statements are the compiled fragments'
+    own objects, and the guards around them the ones the linker places.
     """
 
     name: str
@@ -136,27 +136,6 @@ class PlacementView:
     cfg: CFG
 
 
-def _wrap_valid(compiled, body: List[ir.P4Stmt]) -> ir.IfStmt:
-    return ir.IfStmt(cond=ir.ValidRef(compiled.hydra_name), then_body=body)
-
-
-def _enforce_reject(compiled) -> ir.IfStmt:
-    return ir.IfStmt(
-        cond=ir.BinExpr("==", ir.FieldRef(f"meta.{compiled.reject_meta}"),
-                        ir.Const(1, 1)),
-        then_body=[ir.MarkToDrop()],
-    )
-
-
-def _last_hop_gate(compiled, body: List[ir.P4Stmt]) -> ir.IfStmt:
-    is_last = ir.BinExpr("==", ir.FieldRef(f"meta.{compiled.last_hop_meta}"),
-                         ir.Const(1, 1))
-    return ir.IfStmt(
-        cond=ir.BinExpr("&&", ir.ValidRef(compiled.hydra_name), is_last),
-        then_body=body,
-    )
-
-
 def checker_placements(compiled) -> List[PlacementView]:
     """The four placements a compiled checker can execute in.
 
@@ -164,37 +143,13 @@ def checker_placements(compiled) -> List[PlacementView]:
     that contains it — the optimizer and the lint passes both quantify
     over this list rather than assuming a particular deployment.
     """
-    core_prologue = [s for s in compiled.egress_prologue
-                     if not (isinstance(s, ir.ApplyTable)
-                             and s.table == compiled.inject_table)]
     views: List[PlacementView] = []
-
-    def add(name: str, role: str, mode: str,
-            stmts: List[ir.P4Stmt]) -> None:
-        views.append(PlacementView(name=name, role=role, check_mode=mode,
-                                   stmts=stmts, cfg=build_cfg(stmts)))
-
-    add("edge-last_hop", EDGE, LAST_HOP,
-        list(compiled.ingress_prologue) + list(compiled.init_stmts)
-        + list(compiled.egress_prologue)
-        + [_wrap_valid(compiled, compiled.tele_stmts),
-           _last_hop_gate(compiled, (list(compiled.check_stmts)
-                                     + list(compiled.strip_stmts)))])
-    add("edge-per_hop", EDGE, PER_HOP,
-        list(compiled.ingress_prologue) + list(compiled.init_stmts)
-        + list(compiled.egress_prologue)
-        + [_wrap_valid(compiled, compiled.tele_stmts),
-           _wrap_valid(compiled, (list(compiled.check_stmts)
-                                  + [_enforce_reject(compiled)])),
-           _last_hop_gate(compiled, list(compiled.strip_stmts))])
-    add("core-last_hop", CORE, LAST_HOP,
-        list(core_prologue)
-        + [_wrap_valid(compiled, compiled.tele_stmts)])
-    add("core-per_hop", CORE, PER_HOP,
-        list(core_prologue)
-        + [_wrap_valid(compiled, compiled.tele_stmts),
-           _wrap_valid(compiled, (list(compiled.check_stmts)
-                                  + [_enforce_reject(compiled)]))])
+    for role in (EDGE, CORE):
+        for mode in (LAST_HOP, PER_HOP):
+            stmts = placement(compiled, role, mode).stmts()
+            views.append(PlacementView(name=f"{role}-{mode}", role=role,
+                                       check_mode=mode, stmts=stmts,
+                                       cfg=build_cfg(stmts)))
     return views
 
 

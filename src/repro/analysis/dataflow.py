@@ -37,11 +37,6 @@ from .cfg import CFG
 UNINIT = -1
 
 
-#: Every location an expression reads (the analysis plane's name for
-#: :func:`repro.p4.ir.expr_reads`).
-expr_uses = ir.expr_reads
-
-
 @dataclass(frozen=True)
 class Effects:
     """Shallow read/write behavior of one CFG node.
@@ -249,7 +244,7 @@ def reaching_definitions(cfg: CFG, effects: Dict[int, Effects],
 
 
 __all__ = [
-    "Effects", "UNINIT", "action_effects", "cfg_effects", "expr_uses",
+    "Effects", "UNINIT", "action_effects", "cfg_effects",
     "liveness", "reaching_definitions", "stmt_effects", "table_effects",
     "worklist_solve",
 ]

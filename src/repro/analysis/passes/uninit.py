@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from ...p4 import ir
-from ..dataflow import UNINIT, expr_uses
+from ..dataflow import UNINIT
 from ..diagnostics import Diagnostic, Severity
 from ..unit import AnalysisUnit
 from . import lint_pass
@@ -93,7 +93,7 @@ def uninit_read(unit: AnalysisUnit) -> List[Diagnostic]:
     for label, stmt in fragment_stmts:
         uses: Set[str] = set()
         for expr in ir.stmt_exprs(stmt):
-            uses |= expr_uses(expr)
+            uses |= ir.expr_reads(expr)
         for use in sorted(uses):
             if not use.startswith("hdr.") or use.endswith(".$valid"):
                 continue

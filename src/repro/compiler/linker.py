@@ -5,6 +5,10 @@ ingress pipeline on first-hop switches, the telemetry block into the
 egress pipeline on every switch, and the checker block at the end of the
 egress pipeline on last-hop switches.  Edge switches run all three
 blocks; non-edge (core) switches run only the telemetry block.
+:func:`placement` decides this once, for one checker on one switch:
+:func:`link` clones what it returns into the forwarding program, and
+the analysis views (:func:`repro.analysis.cfg.checker_placements`) read
+it as is.
 
 Multiple checkers can be linked into one program (the "all checkers"
 configuration of Figure 12).  Each checker owns a telemetry header with
@@ -12,16 +16,18 @@ its own EtherType; on the wire the headers chain:
 
     ethernet(ET_1) / hydra_1(next=ET_2) / ... / hydra_n(next=orig) / ...
 
-Injection at the first hop therefore runs the checkers' init fragments
-in *reverse* order (each saves the current EtherType into its header and
-claims the Ethernet EtherType), while stripping at the last hop runs in
-*forward* order (each restores the EtherType it saved).
+:func:`link` lays the checkers out phase-major: each phase of every
+checker before the next phase of any.  Injection at the first hop runs
+the checkers' init fragments in *reverse* order (each saves the current
+EtherType into its header and claims the Ethernet EtherType), while
+stripping at the last hop runs in *forward* order (each restores the
+EtherType it saved).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 from ..indus.errors import CompileError
 from ..net.topology import CORE, EDGE
@@ -38,6 +44,72 @@ LAST_HOP = "last_hop"
 PER_HOP = "per_hop"
 
 
+class Placement(NamedTuple):
+    """One checker's statements on one switch, phase by phase in
+    pipeline order: the first two phases run at the start of ingress,
+    the other four at the end of egress.  Each list holds the compiled
+    fragments' own statement objects (and the guards placing them);
+    :func:`link` clones them, the analysis views do not."""
+
+    ingress_prologue: List[ir.P4Stmt]
+    init: List[ir.P4Stmt]
+    egress_prologue: List[ir.P4Stmt]
+    telemetry: List[ir.P4Stmt]
+    per_hop_check: List[ir.P4Stmt]
+    last_hop: List[ir.P4Stmt]
+
+    def stmts(self) -> List[ir.P4Stmt]:
+        """The phases concatenated: the pipeline a single-checker
+        switch runs around its forwarding code."""
+        return [stmt for phase in self for stmt in phase]
+
+
+def placement(compiled: CompiledChecker, role: str = EDGE,
+              check_mode: str = LAST_HOP) -> Placement:
+    """Where Section 4.2 puts ``compiled`` on a switch of ``role``.
+
+    Edge switches run the prologues and init in ingress, then
+    telemetry, the checker and the strip in egress.  Core switches run
+    telemetry only, after the egress prologue (the scalar control
+    values telemetry may read, the strip probe, the switch id).
+    Telemetry and checks are guarded on the telemetry header being
+    valid, and the last-hop check and strip on the last-hop flag too.
+    Under per-hop checking (Section 4.3) every switch runs the checker
+    block after its telemetry block and drops on ``reject`` at once;
+    the header is still stripped only at the last hop.
+    """
+    if role not in (EDGE, CORE):
+        raise CompileError(f"unknown switch role {role!r}")
+    if check_mode not in (LAST_HOP, PER_HOP):
+        raise CompileError(f"unknown check mode {check_mode!r}")
+    edge = role == EDGE
+    valid = ir.ValidRef(compiled.hydra_name)
+
+    def flag(meta: str) -> ir.BinExpr:
+        return ir.BinExpr("==", ir.FieldRef(f"meta.{meta}"), ir.Const(1, 1))
+
+    per_hop: List[ir.P4Stmt] = []
+    if check_mode == PER_HOP:
+        drop = ir.IfStmt(cond=flag(compiled.reject_meta),
+                         then_body=[ir.MarkToDrop()])
+        per_hop.append(ir.IfStmt(
+            cond=valid, then_body=list(compiled.check_stmts) + [drop]))
+    last_hop: List[ir.P4Stmt] = []
+    if edge:
+        checks = list(compiled.check_stmts) if check_mode == LAST_HOP else []
+        last_hop.append(ir.IfStmt(
+            cond=ir.BinExpr("&&", valid, flag(compiled.last_hop_meta)),
+            then_body=checks + list(compiled.strip_stmts)))
+    return Placement(
+        ingress_prologue=list(compiled.ingress_prologue) if edge else [],
+        init=list(compiled.init_stmts) if edge else [],
+        egress_prologue=list(compiled.egress_prologue),
+        telemetry=[ir.IfStmt(cond=valid, then_body=list(compiled.tele_stmts))],
+        per_hop_check=per_hop,
+        last_hop=last_hop,
+    )
+
+
 def link(forwarding: ir.P4Program,
          compiled: Union[CompiledChecker, Sequence[CompiledChecker]],
          role: str = EDGE, check_mode: str = LAST_HOP) -> ir.P4Program:
@@ -45,24 +117,19 @@ def link(forwarding: ir.P4Program,
     switch of ``role``.  Returns a new program; inputs are unmodified.
 
     ``check_mode`` selects last-hop checking (the paper's default) or
-    per-hop checking (its Section 4.3 extension).  Under per-hop
-    checking every switch evaluates the checker block after its
-    telemetry block and enforces ``reject`` immediately; the telemetry
-    header is still stripped only at the last hop.  Note per-hop
-    checking changes the observable semantics of programs whose checker
-    reads last-hop-only state (e.g. the egress port of the final
-    switch); it is sound for checkers over accumulated telemetry, like
-    the loop and valley-free properties.
+    per-hop checking (its Section 4.3 extension); :func:`placement`
+    says what each checker contributes.  Note per-hop checking changes
+    the observable semantics of programs whose checker reads
+    last-hop-only state (e.g. the egress port of the final switch); it
+    is sound for checkers over accumulated telemetry, like the loop and
+    valley-free properties.
     """
-    if role not in (EDGE, CORE):
-        raise CompileError(f"unknown switch role {role!r}")
-    if check_mode not in (LAST_HOP, PER_HOP):
-        raise CompileError(f"unknown check mode {check_mode!r}")
     compileds: List[CompiledChecker] = (
         [compiled] if isinstance(compiled, CompiledChecker) else list(compiled)
     )
     if not compileds:
         raise CompileError("link requires at least one compiled checker")
+    placements = [placement(c, role, check_mode) for c in compileds]
     _check_distinct(compileds)
 
     program = _clone(forwarding)
@@ -77,78 +144,19 @@ def link(forwarding: ir.P4Program,
     for c in reversed(compileds):
         _extend_parser(program, c)
 
-    if role == EDGE:
-        ingress_fragments: List[ir.P4Stmt] = []
-        for c in compileds:
-            ingress_fragments.extend(ir.clone_stmts(c.ingress_prologue))
-        # Injection in reverse order builds the header chain correctly.
-        for c in reversed(compileds):
-            ingress_fragments.extend(ir.clone_stmts(c.init_stmts))
-        program.ingress = ingress_fragments + program.ingress
+    # Phase-major across checkers.  Injection runs in reverse order to
+    # build the header chain; the strips run forward (outer to inner)
+    # so each restores the EtherType it saved.
+    def across(phase: str, order: Sequence[Placement] = placements
+               ) -> List[ir.P4Stmt]:
+        return [s for p in order for s in getattr(p, phase)]
 
-        egress_fragments: List[ir.P4Stmt] = []
-        for c in compileds:
-            egress_fragments.extend(ir.clone_stmts(c.egress_prologue))
-        for c in compileds:
-            egress_fragments.append(ir.IfStmt(
-                cond=ir.ValidRef(c.hydra_name),
-                then_body=ir.clone_stmts(c.tele_stmts),
-            ))
-        if check_mode == PER_HOP:
-            for c in compileds:
-                egress_fragments.append(ir.IfStmt(
-                    cond=ir.ValidRef(c.hydra_name),
-                    then_body=(ir.clone_stmts(c.check_stmts)
-                               + _enforce_reject(c)),
-                ))
-        # Last-hop checks (skipped per checker under per-hop mode), then
-        # strips in forward (outer-to-inner) order so each restores the
-        # EtherType it saved.
-        for c in compileds:
-            is_last = ir.BinExpr("==", ir.FieldRef(f"meta.{c.last_hop_meta}"),
-                                 ir.Const(1, 1))
-            body: List[ir.P4Stmt] = []
-            if check_mode == LAST_HOP:
-                body.extend(ir.clone_stmts(c.check_stmts))
-            body.extend(ir.clone_stmts(c.strip_stmts))
-            egress_fragments.append(ir.IfStmt(
-                cond=ir.BinExpr("&&", ir.ValidRef(c.hydra_name), is_last),
-                then_body=body,
-            ))
-        program.egress = program.egress + egress_fragments
-    else:
-        # Core switches: telemetry only (plus the prologue that loads the
-        # scalar control values telemetry may read), and — under per-hop
-        # checking — the checker block with immediate enforcement.
-        egress_fragments = []
-        for c in compileds:
-            prologue = [s for s in c.egress_prologue
-                        if not (isinstance(s, ir.ApplyTable)
-                                and s.table == c.inject_table)]
-            egress_fragments.extend(ir.clone_stmts(prologue))
-        for c in compileds:
-            egress_fragments.append(ir.IfStmt(
-                cond=ir.ValidRef(c.hydra_name),
-                then_body=ir.clone_stmts(c.tele_stmts),
-            ))
-        if check_mode == PER_HOP:
-            for c in compileds:
-                egress_fragments.append(ir.IfStmt(
-                    cond=ir.ValidRef(c.hydra_name),
-                    then_body=(ir.clone_stmts(c.check_stmts)
-                               + _enforce_reject(c)),
-                ))
-        program.egress = program.egress + egress_fragments
+    program.ingress = (ir.clone_stmts(across("ingress_prologue")
+                                      + across("init", placements[::-1]))
+                       + program.ingress)
+    program.egress = program.egress + ir.clone_stmts(
+        [s for phase in Placement._fields[2:] for s in across(phase)])
     return program
-
-
-def _enforce_reject(compiled: CompiledChecker) -> List[ir.P4Stmt]:
-    """Drop immediately when the reject flag is set (per-hop mode)."""
-    return [ir.IfStmt(
-        cond=ir.BinExpr("==", ir.FieldRef(f"meta.{compiled.reject_meta}"),
-                        ir.Const(1, 1)),
-        then_body=[ir.MarkToDrop()],
-    )]
 
 
 def _check_distinct(compileds: List[CompiledChecker]) -> None:

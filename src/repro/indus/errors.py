@@ -58,15 +58,9 @@ class ParseError(IndusError):
     """Raised when the parser cannot build an AST from the token stream."""
 
 
-class TypeError_(IndusError):
-    """Raised by the type checker.
-
-    Named with a trailing underscore to avoid shadowing the builtin
-    :class:`TypeError`; exported as ``IndusTypeError``.
-    """
-
-
-IndusTypeError = TypeError_
+class IndusTypeError(IndusError):
+    """Raised by the type checker (prefixed so as not to shadow the
+    builtin :class:`TypeError`)."""
 
 
 class EvalError(IndusError):

@@ -24,7 +24,8 @@ validation, so deployments can be described declaratively::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Union
+import math
+from typing import Any, Callable, Dict, Union
 
 from .packet import format_ip, ip
 from .topology import CORE, EDGE, Topology
@@ -35,58 +36,104 @@ class TopologyFormatError(ValueError):
 
 
 def _parse_ipv4(value: Union[str, int]) -> int:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
+        if not 0 <= value < 1 << 32:
+            raise ValueError(f"bad IPv4 address {value!r}")
         return value
-    parts = value.split(".")
+    parts = value.split(".") if isinstance(value, str) else []
     if len(parts) != 4:
-        raise TopologyFormatError(f"bad IPv4 address {value!r}")
+        raise ValueError(f"bad IPv4 address {value!r}")
     try:
         octets = [int(p) for p in parts]
     except ValueError as exc:
-        raise TopologyFormatError(f"bad IPv4 address {value!r}") from exc
+        raise ValueError(f"bad IPv4 address {value!r}") from exc
     if any(not 0 <= o <= 255 for o in octets):
-        raise TopologyFormatError(f"bad IPv4 address {value!r}")
+        raise ValueError(f"bad IPv4 address {value!r}")
     return ip(*octets)
 
 
+def _port(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"port must be an integer, got {value!r}")
+    return value
+
+
+def _number(entry: Dict[str, Any], key: str, default: float,
+            zero_ok: bool) -> float:
+    """A finite link attribute, at least zero (``zero_ok``) or above it."""
+    value = float(entry.get(key, default))
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ValueError(f"'{key}' must be finite and {bound}, got {value!r}")
+    return value
+
+
+def _each(data: Dict[str, Any], key: str, kind: str,
+          add: Callable[[Dict[str, Any]], None]) -> None:
+    """``add`` each entry of the document's ``key`` list; a
+    ``ValueError`` or ``TypeError`` it raises becomes a
+    :class:`TopologyFormatError` naming the ``kind`` entry."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise TopologyFormatError(f"'{key}' must be a list, got {entries!r}")
+    for entry in entries:
+        try:
+            if not isinstance(entry, dict):
+                raise ValueError("must be an object")
+            add(entry)
+        except (TypeError, ValueError) as exc:
+            raise TopologyFormatError(f"{kind} {entry!r}: {exc}") from exc
+
+
+def _name(entry: Dict[str, Any], kind: str) -> str:
+    name = entry.get("name")
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"{kind} entries need a 'name'")
+    return name
+
+
 def topology_from_dict(data: Dict[str, Any]) -> Topology:
-    """Build a :class:`Topology` from a parsed topology document."""
+    """Build a :class:`Topology` from a parsed topology document.
+
+    Anything malformed raises :class:`TopologyFormatError` naming the
+    entry at fault: a missing name, an unknown role, a bad address, a
+    non-integer port, a link to an unknown node, a duplicate name, a
+    port wired twice, a negative or non-finite latency, a bandwidth
+    that is not positive and finite.
+    """
     if not isinstance(data, dict):
         raise TopologyFormatError("topology document must be an object")
     topo = Topology(name=data.get("name", "topology"))
-    for entry in data.get("switches", []):
-        name = entry.get("name")
-        if not name:
-            raise TopologyFormatError("switch entries need a 'name'")
+
+    def add_switch(entry: Dict[str, Any]) -> None:
         role = entry.get("role", CORE)
         if role not in (EDGE, CORE):
-            raise TopologyFormatError(
-                f"switch {name!r}: role must be 'edge' or 'core', "
-                f"got {role!r}"
-            )
-        topo.add_switch(name, role=role,
+            raise ValueError(f"role must be 'edge' or 'core', got {role!r}")
+        topo.add_switch(_name(entry, "switch"), role=role,
                         is_spine=bool(entry.get("is_spine", False)),
                         is_leaf=bool(entry.get("is_leaf", False)))
-    for entry in data.get("hosts", []):
-        name = entry.get("name")
-        if not name:
-            raise TopologyFormatError("host entries need a 'name'")
-        ipv4 = _parse_ipv4(entry.get("ipv4", 0))
-        mac = entry.get("mac")
-        topo.add_host(name, ipv4=ipv4, mac=mac)
-    for entry in data.get("links", []):
+
+    def add_host(entry: Dict[str, Any]) -> None:
+        topo.add_host(_name(entry, "host"),
+                      ipv4=_parse_ipv4(entry.get("ipv4", 0)),
+                      mac=entry.get("mac"))
+
+    def add_link(entry: Dict[str, Any]) -> None:
         try:
             (node_a, port_a), (node_b, port_b) = entry["a"], entry["b"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise TopologyFormatError(
-                f"link entries need 'a': [node, port] and 'b': "
-                f"[node, port]; got {entry!r}"
-            ) from exc
+            raise ValueError("link entries need 'a': [node, port] and "
+                             "'b': [node, port]") from exc
         topo.add_link(
-            node_a, int(port_a), node_b, int(port_b),
-            latency_s=float(entry.get("latency_us", 1)) * 1e-6,
-            bandwidth_bps=float(entry.get("bandwidth_gbps", 10)) * 1e9,
+            node_a, _port(port_a), node_b, _port(port_b),
+            latency_s=_number(entry, "latency_us", 1, zero_ok=True) * 1e-6,
+            bandwidth_bps=_number(entry, "bandwidth_gbps", 10,
+                                  zero_ok=False) * 1e9,
         )
+
+    _each(data, "switches", "switch", add_switch)
+    _each(data, "hosts", "host", add_host)
+    _each(data, "links", "link", add_link)
     return topo
 
 

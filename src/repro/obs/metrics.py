@@ -146,15 +146,9 @@ class _GaugeChild:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
 
 class Gauge(_Metric):
-    """A value that can go up and down."""
+    """A value set to its latest reading (``set``)."""
 
     kind = "gauge"
 
@@ -171,12 +165,6 @@ class Gauge(_Metric):
 
     def set(self, value: float) -> None:
         self._self_child.set(value)
-
-    def inc(self, amount: float = 1) -> None:
-        self._self_child.inc(amount)
-
-    def dec(self, amount: float = 1) -> None:
-        self._self_child.dec(amount)
 
     @property
     def value(self) -> float:
@@ -377,9 +365,6 @@ class _NullInstrument:
         return self
 
     def inc(self, _amount: int = 1) -> None:
-        pass
-
-    def dec(self, _amount: float = 1) -> None:
         pass
 
     def set(self, _value: float) -> None:

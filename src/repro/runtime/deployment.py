@@ -2,24 +2,29 @@
 
 :class:`HydraDeployment` takes a topology, a forwarding program for
 each switch (usually one object for all of them), and one or more
-compiled checkers; it links the checkers into each distinct program
-once per switch role (edge switches run init/telemetry/checker, core
-switches run telemetry only), instantiates behavioral switches,
-installs the inject/strip edge-port entries the compiler-generated
-tables expect, and exposes the control-plane API for Indus ``control``
-variables (scalars, dicts, sets).
+compiled checkers.  It links and wires them the way the compiler
+driver describes a deployment (:mod:`repro.compiler.driver`):
+:func:`~repro.compiler.driver.link_switches` links each distinct
+program once per switch role (edge switches run init/telemetry/checker,
+core switches telemetry only), and the writes of
+:func:`~repro.compiler.driver.switch_writes` — the inject/strip
+edge-port entries, then the switch-id defaults — are applied to the
+behavioral switches, so a control plane that follows the manifest
+``repro codegen`` writes builds the same switches.  It also exposes the
+control-plane API for Indus ``control`` variables (scalars, dicts,
+sets).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..compiler.driver import link_switches, switch_writes
 from ..compiler.lower import CompiledChecker
-from ..compiler.linker import link
 from ..indus import ast
 from ..indus.types import DictType, SetType
 from ..net.simulator import Network
-from ..net.topology import EDGE, Topology
+from ..net.topology import Topology
 from ..obs import NULL_OBS, Observability, profiled
 from ..p4 import ir
 from ..p4.bmv2 import Bmv2Switch
@@ -80,21 +85,9 @@ class HydraDeployment:
             self.collector.subscribe(
                 lambda r: violations.labels(r.checker, r.switch_name).inc())
         self.switches: Dict[str, Bmv2Switch] = {}
-        self.linked: Dict[str, ir.P4Program] = {}
-        # One link per (forwarding program object, role): switches that
-        # share both run the same linked program, and so one compile()
-        # of each text their engines generate (``ir.P4Program.code``).
-        by_role: Dict[Tuple[int, str], ir.P4Program] = {}
         with profiled(self.obs.registry, "link"):
-            for name, spec in topology.switches.items():
-                if name not in forwarding:
-                    raise ValueError(
-                        f"no forwarding program for switch {name!r}")
-                key = (id(forwarding[name]), spec.role)
-                if key not in by_role:
-                    by_role[key] = link(forwarding[name], self.compileds,
-                                        role=spec.role, check_mode=check_mode)
-                self.linked[name] = by_role[key]
+            self.linked: Dict[str, ir.P4Program] = link_switches(
+                topology, self.compileds, forwarding, check_mode)
         with profiled(self.obs.registry, "deploy"):
             for name, spec in topology.switches.items():
                 bmv2 = Bmv2Switch(self.linked[name], name=name,
@@ -102,8 +95,16 @@ class HydraDeployment:
                                   obs=self.obs)
                 bmv2.on_digest(self.collector.on_digest)
                 self.switches[name] = bmv2
-            self._install_edge_entries()
-            self._install_switch_ids()
+            writes = switch_writes(self.compileds, topology)
+            for name, write in writes.items():
+                for entry in write["entries"]:
+                    self.switches[name].insert_entry(
+                        entry["table"], entry["match"], entry["action"])
+            for name, write in writes.items():
+                for default in write["defaults"]:
+                    self.switches[name].set_default_action(
+                        default["table"], default["action"],
+                        default["args"])
             self.network = Network(topology, self.switches,
                                    serialize_on_wire=serialize_on_wire,
                                    obs=self.obs, batched=batched)
@@ -112,30 +113,6 @@ class HydraDeployment:
     def compiled(self) -> CompiledChecker:
         """The first (or only) deployed checker."""
         return self.compileds[0]
-
-    # -- wiring helpers ------------------------------------------------------
-
-    def _install_edge_entries(self) -> None:
-        for name, spec in self.topology.switches.items():
-            if spec.role != EDGE:
-                continue
-            bmv2 = self.switches[name]
-            for c in self.compileds:
-                for port in spec.edge_ports:
-                    bmv2.insert_entry(c.inject_table, [port],
-                                      c.mark_first_action)
-                    bmv2.insert_entry(c.strip_table, [port],
-                                      c.mark_last_action)
-
-    def _install_switch_ids(self) -> None:
-        for c in self.compileds:
-            if c.switch_id_table not in c.tables:
-                continue
-            for name, spec in self.topology.switches.items():
-                self.switches[name].set_default_action(
-                    c.switch_id_table, c.set_switch_id_action,
-                    [spec.switch_id]
-                )
 
     # -- control-variable resolution ---------------------------------------------
 

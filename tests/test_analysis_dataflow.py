@@ -6,9 +6,10 @@ consume, so they get direct unit coverage on hand-built IR.
 
 from repro import api
 from repro.analysis import (AnalysisUnit, UNINIT, build_cfg,
-                            checker_placements, expr_uses, liveness,
+                            checker_placements, liveness,
                             reaching_definitions)
 from repro.analysis.dataflow import cfg_effects, stmt_effects, table_effects
+from repro.compiler.linker import placement
 from repro.p4 import ir
 
 
@@ -72,7 +73,7 @@ def test_cfg_mark_to_drop_is_not_a_terminator():
 def test_expr_uses_collects_fields_and_validity():
     expr = ir.BinExpr("&&", ir.ValidRef("tcp"),
                       ir.BinExpr("==", F("meta.a"), F("hdr.ipv4.ttl"), 1), 1)
-    assert expr_uses(expr) == {"hdr.tcp.$valid", "meta.a", "hdr.ipv4.ttl"}
+    assert ir.expr_reads(expr) == {"hdr.tcp.$valid", "meta.a", "hdr.ipv4.ttl"}
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +213,21 @@ def test_checker_placements_cover_roles_and_modes():
     for view in views:
         view_ids = {id(n.stmt) for n in view.cfg.stmt_nodes()}
         assert tele_ids <= view_ids, view.name
+
+
+def test_placement_views_are_the_linkers_placements_uncloned():
+    compiled = api.compile_indus("loops")
+    views = checker_placements(compiled)
+    assert [v.name for v in views] == [
+        "edge-last_hop", "edge-per_hop", "core-last_hop", "core-per_hop"]
+    fragment_ids = {id(s) for stmts in compiled.fragments().values()
+                    for s in ir.walk_stmts(stmts)}
+    for view in views:
+        assert view.stmts == placement(compiled, view.role,
+                                       view.check_mode).stmts()
+        if view.role == "edge":
+            view_ids = {id(s) for s in ir.walk_stmts(view.stmts)}
+            assert fragment_ids <= view_ids, view.name
 
 
 def test_core_placements_omit_init_and_inject():

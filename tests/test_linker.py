@@ -4,6 +4,7 @@ EtherType write redirection, and multi-checker chaining."""
 import pytest
 
 from repro.compiler import compile_program, link, standalone_program
+from repro.compiler.linker import LAST_HOP, PER_HOP, placement
 from repro.indus.errors import CompileError
 from repro.net.packet import (ETH_TYPE_HYDRA, ETH_TYPE_IPV4, ip,
                               make_source_routed, make_udp)
@@ -202,6 +203,30 @@ def test_core_role_has_no_init_or_checker():
     core_text = repr(core.egress)
     assert compiled.reject_meta in edge_text
     assert compiled.reject_meta not in core_text
+
+
+@pytest.mark.parametrize("role", [EDGE, CORE])
+@pytest.mark.parametrize("mode", [LAST_HOP, PER_HOP])
+def test_link_lays_out_the_placements_phase_major(role, mode):
+    """Each phase of every checker before the next phase of any, init
+    in reverse; the linked statements are clones of the placements'."""
+    a = compile_program("tele bit<8> x = 1;\n{ } { x = x + 1; } { reject; }",
+                        name="a", namespace="a", eth_type=0x88B5)
+    b = compile_program("tele bit<8> y = 2;\n{ } { y = y + 1; } { }",
+                        name="b", namespace="b", eth_type=0x88B6)
+    forwarding = l2_port_forwarding()
+    program = link(forwarding, [a, b], role=role, check_mode=mode)
+    pa, pb = placement(a, role, mode), placement(b, role, mode)
+    ingress = (pa.ingress_prologue + pb.ingress_prologue
+               + pb.init + pa.init)
+    egress = [s for phase in zip(pa[2:], pb[2:]) for p in phase for s in p]
+    assert program.ingress == ingress + forwarding.ingress
+    assert program.egress == forwarding.egress + egress
+    assert not {id(s) for s in ir.walk_stmts(program.egress)} & {
+        id(s) for s in ir.walk_stmts(egress)}
+    if role == CORE:
+        assert not pa.init and not pa.last_hop
+    assert bool(pa.per_hop_check) == (mode == PER_HOP)
 
 
 def test_unknown_role_rejected():
