@@ -78,16 +78,25 @@ class HydraControlApp:
         if refresh:
             self.on_detach_many(refresh)
         by_table: List[List[ir.TableEntry]] = [[] for _ in self._tables]
+        # Per rule set (the core hands every client of a slice the same
+        # one), its rules' non-UE match specs, args and priorities,
+        # built once: a UE's rows own only their ``(ue, ue)`` pair.
+        shared: Dict[int, List[Tuple]] = {}
         for ue_ip, rules in latest.items():
-            specs = [(((ue_ip, ue_ip), rule.proto_range(), rule.addr_range(),
-                       tuple(rule.l4_port)),
-                      (DENY_ACTION if rule.action == DENY else ALLOW_ACTION,),
-                      rule.priority) for rule in rules]
+            parts = shared.get(id(rules))  # ``latest`` keeps it alive
+            if parts is None:
+                parts = shared[id(rules)] = [
+                    (rule.proto_range(), rule.addr_range(),
+                     tuple(rule.l4_port),
+                     (DENY_ACTION if rule.action == DENY else ALLOW_ACTION,),
+                     rule.priority) for rule in rules]
+            ue = (ue_ip, ue_ip)
             own: List[ir.TableEntry] = []
             for table, rows in zip(self._tables, by_table):
                 action = self._hit_actions[table]
-                mine = [ir.TableEntry(match, action, args, priority)
-                        for match, args, priority in specs]
+                mine = [ir.TableEntry((ue, proto, addr, port), action, args,
+                                      priority)
+                        for proto, addr, port, args, priority in parts]
                 rows.extend(mine)
                 own.extend(mine)
             self._installed[ue_ip] = tuple(own)
@@ -140,16 +149,24 @@ class MobileCore:
         control-plane operation per table.
         """
         specs: List[AttachSpec] = []
+        # Each slice's rules are read once per batch, and every client
+        # of it is handed that one tuple: a snapshot, so a later portal
+        # edit reaches only later attaches.
+        rules_of: Dict[str, Tuple[FilterRule, ...]] = {}
         for uplink_teid, (imsi, ue_ip) in enumerate(requests,
                                                     self._next_teid):
             slice_name = self.portal.slice_of(imsi)
             if slice_name is None:
                 raise ValueError(
                     f"IMSI {imsi} is not provisioned in any slice")
+            rules = rules_of.get(slice_name)
+            if rules is None:
+                rules = rules_of[slice_name] = tuple(
+                    self.portal.slices[slice_name].rules)
             specs.append(AttachSpec(
                 imsi=imsi, slice_name=slice_name, ue_ip=ue_ip,
                 uplink_teid=uplink_teid, downlink_teid=uplink_teid + 1000,
-                rules=tuple(self.portal.rules_for(imsi))))
+                rules=rules))
         # ONOS validates the whole batch before it changes anything, so
         # a refused batch has consumed no TEID either.
         records = self.onos.handle_attach_many(specs)

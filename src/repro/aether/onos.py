@@ -144,30 +144,37 @@ class OnosController:
                                  Dict[AppKey, Tuple[int, FilterRule]]]:
         """Resolve every rule of every spec to an app id, changing
         nothing: the ids per spec, and the patterns that need a fresh
-        id (with the rule to install for it).  A batch the 8-bit id
-        space cannot hold is refused here, before anything is
-        installed."""
+        id (with the rule to install for it).  Each distinct (slice,
+        rules) pair is resolved once, and its specs share one ids
+        tuple.  A batch the 8-bit id space cannot hold is refused here,
+        before anything is installed."""
         fresh: Dict[AppKey, Tuple[int, FilterRule]] = {}
         next_id = self._next_app_id
+        # ``specs`` keeps every rules tuple alive: its id is stable.
+        resolved: Dict[Tuple[str, int], Tuple[int, ...]] = {}
         planned: List[Tuple[int, ...]] = []
         for spec in specs:
-            ids = []
-            for rule in spec.rules:
-                key = self._app_key(spec.slice_name, rule)
-                app_id = self._app_ids.get(key)
-                if app_id is None and key in fresh:
-                    app_id = fresh[key][0]
-                if app_id is None:
-                    if next_id > MAX_APP_IDS:
-                        raise CapacityError(
-                            f"app-id space exhausted ({MAX_APP_IDS} "
-                            "distinct rule patterns; app_id is an 8-bit "
-                            "field)")
-                    app_id = next_id
-                    next_id += 1
-                    fresh[key] = (app_id, rule)
-                ids.append(app_id)
-            planned.append(tuple(ids))
+            group = (spec.slice_name, id(spec.rules))
+            ids = resolved.get(group)
+            if ids is None:
+                found = []
+                for rule in spec.rules:
+                    key = self._app_key(spec.slice_name, rule)
+                    app_id = self._app_ids.get(key)
+                    if app_id is None and key in fresh:
+                        app_id = fresh[key][0]
+                    if app_id is None:
+                        if next_id > MAX_APP_IDS:
+                            raise CapacityError(
+                                f"app-id space exhausted ({MAX_APP_IDS} "
+                                "distinct rule patterns; app_id is an "
+                                "8-bit field)")
+                        app_id = next_id
+                        next_id += 1
+                        fresh[key] = (app_id, rule)
+                    found.append(app_id)
+                ids = resolved[group] = tuple(found)
+            planned.append(ids)
         return planned, fresh
 
     def _install_app_id(self, key: AppKey, app_id: int,

@@ -27,6 +27,9 @@ class FilterRule:
 
     ``ip_prefix`` is (address, prefix_len); ``proto`` is an IP protocol
     number or None for any; ``l4_port`` is an inclusive (lo, hi) range.
+    Each must fit the key it is installed under (a 32-bit address, an
+    8-bit protocol, 16-bit ports), or the rule is refused here, before
+    any attach can half-apply it.
     """
 
     priority: int
@@ -38,8 +41,13 @@ class FilterRule:
     def __post_init__(self) -> None:
         if self.action not in (ALLOW, DENY):
             raise ValueError(f"bad action {self.action!r}")
+        addr, plen = self.ip_prefix
+        if not (0 <= addr <= 0xFFFFFFFF and 0 <= plen <= 32):
+            raise ValueError(f"bad IPv4 prefix {self.ip_prefix}")
+        if self.proto is not None and not 0 <= self.proto <= 0xFF:
+            raise ValueError(f"bad IP protocol {self.proto}")
         lo, hi = self.l4_port
-        if lo > hi:
+        if not 0 <= lo <= hi <= 0xFFFF:
             raise ValueError(f"bad port range {self.l4_port}")
 
     def addr_range(self) -> Tuple[int, int]:

@@ -560,7 +560,7 @@ class Bmv2Switch:
         self._entries[table_name].clear()
         self._pending.pop(table_name, None)
         if self._engine is not None:
-            self._engine.invalidate_table(table_name)
+            self._engine.table_cleared(table_name)
         self._notify_config(table_name)
 
     def set_default_action(self, table_name: str, action: str,

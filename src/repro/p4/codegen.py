@@ -275,12 +275,19 @@ class CodegenEngine:
             self.run_clears += 1
 
     def invalidate_table(self, name: str) -> None:
-        """``clear_table`` hook (and a delete that leaves a removed
-        object installed): the next lookup rebuilds the index."""
+        """Hook for a delete that leaves a removed object installed:
+        the next lookup rebuilds the index."""
         self._clear_runs(name)
         index = self.tables.get(name)
         if index is not None:
             index.invalidate()
+
+    def table_cleared(self, name: str) -> None:
+        """``clear_table`` hook: the index is empty and clean."""
+        self._clear_runs(name)
+        index = self.tables.get(name)
+        if index is not None:
+            index.clear()
 
     def entries_inserted(self, name: str, new_entries) -> None:
         """Insert hook (one entry or a batch): fold the appended entries

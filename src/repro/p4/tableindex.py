@@ -19,10 +19,13 @@ forgets:
   after a write costs a packet.  A scan-mode index re-chooses its layout
   while folding — at ``_RBUCKET_MIN`` entries, then each time the scan
   doubles — not on the next lookup.
-* The index is rebuilt lazily, by the next lookup, only after
-  ``clear_table``, after a fold that could not keep the reference win
-  order (a duplicate exact or LPM key), or when it was created over a
-  non-empty table (an engine recompile).
+* ``clear_table`` puts the index back to its empty layout, clean
+  (:meth:`clear`): the next lookup rebuilds nothing.
+* The index is rebuilt lazily, by the next lookup, only after a fold
+  that could not keep the reference win order (a duplicate exact or
+  LPM key), after a delete of an object installed more often than
+  named, or when it was created over a non-empty table (an engine
+  recompile).
 * A clean index vouches for deletes: :meth:`installed_count` says how
   often an entry object itself is installed — one hash probe for the
   exact and LPM layouts without a duplicate key, one bucket for the
@@ -34,9 +37,9 @@ forgets:
 * ``memo`` maps a looked-up key tuple to what :meth:`lookup` returned
   for it (``None``: a miss).  The generated non-exact apply sites probe
   it first and fill it, up to ``_MEMO_CAP`` keys (a full memo stops
-  filling, it never evicts); ``invalidate``, ``fold_inserts`` and
-  ``fold_deletes`` — every way the layout changes — empty it first, so
-  it only ever holds answers of the installed entries.
+  filling, it never evicts); ``invalidate``, ``clear``, ``fold_inserts``
+  and ``fold_deletes`` — every way the layout changes — empty it first,
+  so it only ever holds answers of the installed entries.
 
 ``rebuilds`` and ``folds`` count the two outcomes, ``memo_fills`` and
 ``memo_clears`` the memo's (nothing is counted on a hit).
@@ -59,7 +62,8 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from . import ir
 
@@ -144,14 +148,18 @@ class _TableIndex:
             self._mode = "lpm"
         else:
             self._mode = "scan"
-        # Behind the entry list?  Not over an empty table: there is
-        # nothing to index, and the first bulk write can fold.
-        self._dirty = bool(engine.switch.entries[name])
         self.rebuilds = 0
         self.folds = 0
         self.memo: Dict[Tuple, Optional[ir.TableEntry]] = {}
         self.memo_fills = 0
         self.memo_clears = 0
+        self._empty_layout()
+        # Behind the entry list?  Not over an empty table: there is
+        # nothing to index, and the first bulk write can fold.
+        self._dirty = bool(engine.switch.entries[name])
+
+    def _empty_layout(self) -> None:
+        """The layout of an empty table (the memo is not part of it)."""
         self._exact_map: Dict[Tuple, ir.TableEntry] = {}
         self._exact_dups = False
         self._buckets: Dict[int, Dict[Tuple, ir.TableEntry]] = {}
@@ -179,6 +187,13 @@ class _TableIndex:
         self._forget()
         self._dirty = True
 
+    def clear(self) -> None:
+        """``clear_table``: the empty layout, clean, in place; the memo
+        the generated module bound is emptied, not replaced."""
+        self._forget()
+        self._empty_layout()
+        self._dirty = False
+
     def _forget(self) -> None:
         """Empty the lookup memo: first thing in every method that
         changes what :meth:`lookup` returns."""
@@ -186,22 +201,26 @@ class _TableIndex:
             self.memo.clear()
             self.memo_clears += 1
 
-    def _row(self, seq: int, entry: ir.TableEntry) -> Tuple:
-        """An entry's scan row: its reference sort key, then itself."""
-        if self._lpm_index is not None:
-            plen = entry.match[self._lpm_index][1]  # type: ignore[index]
-        else:
-            plen = 0
-        return (-plen, -entry.priority, seq, entry)
+    def _rows(self, first: int, entries: Iterable[ir.TableEntry]
+              ) -> Iterator[Tuple]:
+        """The scan rows of ``entries``, seqs counted from ``first``:
+        each its reference sort key, then the entry itself."""
+        lpm_i = self._lpm_index
+        if lpm_i is None:
+            return ((0, -entry.priority, seq, entry)
+                    for seq, entry in enumerate(entries, first))
+        return ((-entry.match[lpm_i][1], -entry.priority, seq, entry)
+                for seq, entry in enumerate(entries, first))
 
-    def _bucket_key(self, col: int, spec: Any) -> Optional[Any]:
-        """The hash key a spec contributes on a bucketable column, or
-        None when the spec needs the residual scan (wide range)."""
-        kind = self._kinds[col]
-        if kind is ir.MatchKind.EXACT:
-            return spec
-        lo, hi = spec  # RANGE
-        return lo if lo == hi else None
+    def _bucket_keys(self, col: int, entries: Iterable[ir.TableEntry]
+                     ) -> List[Optional[Any]]:
+        """Per entry, the hash key its spec contributes on bucketable
+        column ``col``, or None when the spec needs the residual scan
+        (a wide range)."""
+        specs = [entry.match[col] for entry in entries]
+        if self._kinds[col] is ir.MatchKind.EXACT:
+            return specs
+        return [lo if lo == hi else None for lo, hi in specs]  # RANGE
 
     def _pick_bucket_column(self, rows: List[Tuple]) -> Optional[int]:
         """The key column to hash scan entries on, if one qualifies:
@@ -214,23 +233,19 @@ class _TableIndex:
         for col, kind in enumerate(self._kinds):
             if kind not in (ir.MatchKind.EXACT, ir.MatchKind.RANGE):
                 continue
-            keys = set()
-            bucketable = 0
-            for row in rows:
-                key = self._bucket_key(col, row[3].match[col])
-                if key is not None:
-                    bucketable += 1
-                    keys.add(key)
-            if bucketable * 2 < n or len(keys) < 8:
+            keys = self._bucket_keys(col, (row[3] for row in rows))
+            bucketable = n - keys.count(None)
+            distinct = len(set(keys) - {None})
+            if bucketable * 2 < n or distinct < 8:
                 continue
-            if best is None or len(keys) > best[0]:
-                best = (len(keys), col)
+            if best is None or distinct > best[0]:
+                best = (distinct, col)
         return None if best is None else best[1]
 
     def _rebuild(self) -> None:
         entries = self.engine.switch.entries[self.name]
         # A seq is unique, so sorting rows never compares two entries.
-        ranked = sorted(self._row(i, e) for i, e in enumerate(entries))
+        ranked = sorted(self._rows(0, entries))
         if self._mode == "exact":
             table_map: Dict[Tuple, ir.TableEntry] = {}
             dups = False
@@ -282,8 +297,8 @@ class _TableIndex:
             self._scan = rows
         else:
             self._scan = []
-            for row in rows:
-                key = self._bucket_key(col, row[3].match[col])
+            keys = self._bucket_keys(col, (row[3] for row in rows))
+            for key, row in zip(keys, rows):
                 if key is None:
                     residual.append(row)
                 else:
@@ -350,8 +365,8 @@ class _TableIndex:
                 held = self._buckets.get(plen, {}).get(tuple(probe))
                 return 1 if held is entry else 0
             col = self._rb_col
-            key = None if col is None else self._bucket_key(
-                col, entry.match[col])
+            key = None if col is None else self._bucket_keys(
+                col, (entry,))[0]
             bucket = None if key is None else self._rb_buckets.get(key, ())
         except (AttributeError, IndexError, TypeError, ValueError):
             return 0  # a shape no fold could have installed
@@ -404,18 +419,17 @@ class _TableIndex:
             first = self._rank_counter
             self._rank_counter += len(new_entries)
             col = self._rb_col
+            rows = self._rows(first, new_entries)
             if col is None:
                 scan = self._scan
-                scan.extend(self._row(first + i, entry)
-                            for i, entry in enumerate(new_entries))
+                scan.extend(rows)
                 scan.sort()  # two sorted runs: one merge
                 if len(scan) >= self._rb_next:
                     self._layout_scan(scan)
             else:
                 buckets = self._rb_buckets
-                for i, entry in enumerate(new_entries):
-                    key = self._bucket_key(col, entry.match[col])
-                    row = self._row(first + i, entry)
+                for key, row in zip(self._bucket_keys(col, new_entries),
+                                    rows):
                     if key is None:
                         bisect.insort(self._rb_residual, row)
                         continue
@@ -458,8 +472,7 @@ class _TableIndex:
         elif self._rb_col is not None:
             col = self._rb_col
             residual_ids = set()
-            for entry in removed:
-                key = self._bucket_key(col, entry.match[col])
+            for key, entry in zip(self._bucket_keys(col, removed), removed):
                 if key is None:
                     residual_ids.add(id(entry))
                     continue

@@ -353,8 +353,10 @@ def test_session_state_is_flat_for_the_collector():
     session (15 while a range bucket was a list of row tuples), rows
     held as values (no ``(switch, table, entry)`` handles), nothing
     inside a row that the collector tracks — and the engine's index
-    holding each row itself, not a restatement of it, which is what a
-    session's traced bytes pin (2,723 on CPython 3.11; 2,977 with list
+    holding each row itself, not a restatement of it, and every client
+    of a slice sharing what the slice shares, which is what a session's
+    traced bytes pin (2,317 on CPython 3.11; 2,723 while each client's
+    checker rows and app ids were its own copies, 2,977 with list
     buckets, 3,874 when the index kept a payload and a rank tuple per
     row)."""
     tb, _ = _soak_testbed()
@@ -369,7 +371,7 @@ def test_session_state_is_flat_for_the_collector():
     gc.collect()
     grown = len(gc.get_objects()) - before
     assert grown / SESSIONS < 11.1, grown / SESSIONS
-    assert traced / SESSIONS < 3100, traced / SESSIONS
+    assert traced / SESSIONS < 2400, traced / SESSIONS
 
     record = tb.onos.client("ue7")
     rows = record.entries + tb.hydra_app._installed[record.ue_ip]
@@ -397,6 +399,20 @@ def test_session_state_is_flat_for_the_collector():
         bucket = indexes[checker]._rb_buckets[record.ue_ip]
         assert type(bucket) is tuple and len(bucket) == 8
         assert all(held is row for held, row in zip(bucket[3::4], rows[4:]))
+    # A client of the same slice, attached in the same batch, shares by
+    # identity everything slice-level: its app ids, and its checker
+    # rows' non-UE match specs and args.  A UE's rows own one (ue, ue)
+    # pair between them.
+    sibling = tb.onos.client("ue3")
+    assert sibling.slice_name == record.slice_name
+    assert sibling.app_ids is record.app_ids
+    mine = tb.hydra_app._installed[record.ue_ip]
+    theirs = tb.hydra_app._installed[sibling.ue_ip]
+    assert len({id(row.match[0]) for row in mine}) == 1
+    assert mine[0].match[0] is not theirs[0].match[0]
+    for row, other in zip(mine, theirs):
+        assert all(a is b for a, b in zip(row.match[1:], other.match[1:]))
+        assert row.args is other.args
 
 
 # -- capacity model ---------------------------------------------------------

@@ -43,6 +43,35 @@ def test_rule_validation():
         FilterRule(priority=1, l4_port=(10, 5))
 
 
+@pytest.mark.parametrize("fields, error", [
+    # A /40 once passed the constructor and provision_slice, then made
+    # the next attach_many raise mid-install ("negative shift count"),
+    # after ONOS had interned its pattern and taken an app id.
+    ({"ip_prefix": (ip(10, 0, 0, 1), 40)}, "prefix"),
+    ({"ip_prefix": (ip(10, 0, 0, 1), -1)}, "prefix"),
+    ({"ip_prefix": (1 << 33, 32)}, "prefix"),  # was silently 0.0.0.0/32
+    ({"ip_prefix": (-1, 0)}, "prefix"),
+    ({"proto": 300}, "protocol"),  # no 8-bit protocol could match it
+    ({"proto": -1}, "protocol"),
+    ({"l4_port": (0, 70000)}, "port"),  # wider than its 16-bit key
+    ({"l4_port": (-1, 80)}, "port"),
+], ids=["prefix-len-40", "prefix-len-negative", "addr-33-bits",
+        "addr-negative", "proto-300", "proto-negative", "port-70000",
+        "port-negative"])
+def test_rule_refuses_what_its_keys_cannot_hold(fields, error):
+    with pytest.raises(ValueError, match=error):
+        FilterRule(priority=20, action=ALLOW, **fields)
+
+
+def test_rule_accepts_the_edges_of_its_keys():
+    for edge in (0, 0xFF):
+        FilterRule(priority=1, proto=edge)
+    for prefix in ((0, 0), (0xFFFFFFFF, 32)):
+        FilterRule(priority=1, ip_prefix=prefix)
+    for ports in ((0, 0), (0xFFFF, 0xFFFF)):
+        FilterRule(priority=1, l4_port=ports)
+
+
 def test_slice_decide_priority_order():
     portal = OperatorPortal()
     portal.create_slice("s", [

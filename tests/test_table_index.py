@@ -411,7 +411,8 @@ _MEMO_NOTES = frozenset(
     ("delete_entries", "a", [0]),
     ("clear_table", "a"),
     ("insert_entries", "a", [((5,), 0)]),
-]), must=frozenset({"duplicate-key bail-out"}), cap=_MEMO_CAP)
+]), must=frozenset({"duplicate-key bail-out", "cleared clean"}),
+    cap=_MEMO_CAP)
 @example(script=("lpm", [
     ("insert_entries", "both", [(((0x0A000000, 8), 0), 0),
                                 (((0x0A000100, 24), 0), 0)]),
@@ -581,7 +582,9 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
         was = {side: (bool(memos(side)), any(memos(side)), written(side))
                for side in "ab"}
         was_warm = {side: bool(index(side).memo) for side in "ab"}
-        folded = []  # (side, rebuilds before) of clean single writes
+        # (side, rebuilds before, note) of clean single writes and of
+        # clears: the lookups after them rebuild nothing.
+        folded = []
         if op in ("insert_entries", "insert_entry"):
             rows = [(match, "set_out", [next(serial)], priority)
                     for match, priority in step[2]]
@@ -607,7 +610,7 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
                 if rows and was_clean and index(side)._dirty:
                     seen.add("duplicate-key bail-out")
                 elif op == "insert_entry" and was_clean:
-                    folded.append((side, rebuilds))
+                    folded.append((side, rebuilds, "single write folded"))
         elif op == "reinsert":
             side = step[1]
             back = gone(side) + installed[side]  # a held one: twice
@@ -674,13 +677,17 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
             assert 2 * dead < len(codegen._entries["t"]) or not dead
             if op == "delete_entry" and was_clean \
                     and not index(side)._dirty:
-                folded.append((side, rebuilds))
+                folded.append((side, rebuilds, "single write folded"))
             if not index(side)._dirty and \
                     len(index(side)._rb_buckets) < buckets:
                 seen.add("emptied a bucket")
         elif op == "clear_table":
+            rebuilds = index(step[1]).rebuilds
             for sw in switches[step[1]]:
                 sw.clear_table("t")
+            # The empty layout, in place: clean, the bound memo emptied.
+            assert not index(step[1])._dirty and not index(step[1]).memo
+            folded.append((step[1], rebuilds, "cleared clean"))
             deleted[step[1]].extend(installed[step[1]])
             installed[step[1]].clear()
             assert not pending(step[1])
@@ -728,18 +735,18 @@ def _interleaved_writes_match_the_reference_scan(script, must, cap):
                     seen.add("wrote a non-member beside a run")
             if member != bool(memos(side)):
                 seen.add("left the run" if member else "joined the run")
-        for side, rebuilds in folded:
-            check()  # a folded single write parks no rebuild
+        for side, rebuilds, note in folded:
+            check()  # a folded single write or a clear parks no rebuild
             assert index(side).rebuilds == rebuilds
-            seen.add("single write folded")
+            seen.add(note)
     assert must <= seen, must - seen
 
 
 def test_index_is_clean_from_empty_and_lazy_after_single_writes():
     """The rule of tableindex.py's docstring, as rebuild/fold counts
     (which survive an engine recompile): every write folds, a batch or
-    a single entry; only ``clear_table`` and a repeated key leave the
-    index behind, for one lazy rebuild."""
+    a single entry; ``clear_table`` leaves a clean empty index, and
+    only a repeated key leaves it behind, for one lazy rebuild."""
     program = make_program([ir.TableKey("hdr.h.a", ir.MatchKind.EXACT)])
     sw = Bmv2Switch(program)
     index = sw._engine.tables["t"]
@@ -770,18 +777,18 @@ def test_index_is_clean_from_empty_and_lazy_after_single_writes():
     assert [sw.process(_packet(5, 0), 1)[0][0] for _ in (1, 2)] == [103, 103]
     assert sw.index_counts() == counts(1, 5)
     sw.clear_table("t")
-    assert index._dirty
-    sw.insert_entry("t", [6], "set_out", [104])  # absorbed by the rebuild
+    assert not index._dirty  # empty and clean: nothing to rebuild
+    sw.insert_entry("t", [6], "set_out", [104])  # folded
     assert [sw.process(_packet(a, 0), 1)[0][0] for a in (5, 6)] == [0, 104]
-    assert sw.index_counts() == counts(2, 5)
+    assert sw.index_counts() == counts(1, 6)
     # A recompile makes a new index over a non-empty table: behind.
     sw.set_default_action("t", "set_out", [9])
     rebuilt = sw._engine.tables["t"]
     assert rebuilt is not index and rebuilt._dirty
-    assert sw.index_counts() == counts(2, 5)
+    assert sw.index_counts() == counts(1, 6)
     assert [sw.process(_packet(a, 0), 1)[0][0] for a in (5, 6, 7)] == [
         9, 104, 9]
-    assert sw.index_counts() == counts(3, 5)
+    assert sw.index_counts() == counts(2, 6)
     assert Bmv2Switch(program, engine="interp").index_counts() == {}
 
 
@@ -1040,8 +1047,9 @@ def test_compiled_matcher_in_every_scan_layout():
 @pytest.mark.parametrize("kind", [ir.MatchKind.EXACT, ir.MatchKind.LPM])
 def test_hash_layouts_answer_with_the_installed_entry(kind):
     """Exact maps and LPM buckets hold the installed objects: folded
-    in, ranked by the rebuild a repeated key forces, and rebuilt after
-    ``clear_table``, a lookup *is* the reference scan's winner."""
+    in, ranked by the rebuild a repeated key forces, and folded into
+    the empty layout ``clear_table`` leaves, a lookup *is* the
+    reference scan's winner."""
     program = make_program([ir.TableKey("hdr.h.a", kind)])
     sw = Bmv2Switch(program, engine="codegen")
     index = sw._engine.tables["t"]
@@ -1065,4 +1073,4 @@ def test_hash_layouts_answer_with_the_installed_entry(kind):
     assert check(1) == [None, (1,), (502,), (3,), None]
     sw.clear_table("t")
     sw.insert_entries("t", rows([4]))
-    assert check(2) == [None, None, None, None, (4,)]
+    assert check(1) == [None, None, None, None, (4,)]
