@@ -16,8 +16,8 @@ solver (:mod:`~repro.analysis.dataflow`) — feeds two consumers:
 
 from .cfg import (CFG, CFGNode, PlacementView, always_extracted,
                   build_cfg, checker_placements)
-from .dataflow import (Effects, UNINIT, liveness,
-                       reaching_definitions, worklist_solve)
+from .dataflow import (UNINIT, liveness, reaching_definitions,
+                       worklist_solve)
 from .diagnostics import (Diagnostic, Severity, max_severity,
                           render_json, sort_diagnostics)
 from .lint import lint_compiled
@@ -26,7 +26,7 @@ from .passes import REGISTRY, lint_pass, run_passes
 from .unit import AnalysisUnit
 
 __all__ = [
-    "AnalysisUnit", "CFG", "CFGNode", "Diagnostic", "Effects",
+    "AnalysisUnit", "CFG", "CFGNode", "Diagnostic",
     "OptimizeStats", "PlacementView", "REGISTRY", "Severity", "UNINIT",
     "always_extracted", "build_cfg", "checker_placements",
     "lint_compiled", "lint_pass", "liveness", "max_severity",

@@ -19,14 +19,13 @@ The tracked variable universe is user/compiler *metadata* (``meta.*``):
 header fields are wire-observable, standard metadata feeds the traffic
 manager, and registers persist across packets — all of them are roots
 the optimizer must preserve, so there is nothing to solve for them.
-Register *occurrences* still show up in :class:`Effects` (as
-``reg.<name>`` tokens) so the register-oriented lint passes can reuse
-the same extraction.
+Register *occurrences* still show up in each node's
+:class:`~repro.p4.ir.Effect` (as ``reg.<name>`` tokens) so the
+register-oriented lint passes can reuse the same extraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..p4 import ir
@@ -37,102 +36,27 @@ from .cfg import CFG
 UNINIT = -1
 
 
-@dataclass(frozen=True)
-class Effects:
-    """Shallow read/write behavior of one CFG node.
-
-    ``defs`` are may-defs; ``must_defs`` additionally hold on every
-    execution of the node.  ``side_effects`` marks work that is
-    observable beyond the tracked metadata (register writes, digests,
-    header/validity mutation, drops) — a node with side
-    effects is never a dead-code candidate no matter how dead its
-    written fields are.
-    """
-
-    uses: FrozenSet[str] = frozenset()
-    defs: FrozenSet[str] = frozenset()
-    must_defs: FrozenSet[str] = frozenset()
-    side_effects: bool = False
-
-
-def action_effects(action: ir.Action) -> Effects:
-    """Aggregate effects of an action body (``param.*`` reads excluded —
-    action data is immediate, not PHV state).  Writes inside an action
-    are may-defs from the caller's viewpoint unless the whole body is
-    straight-line, in which case they hold whenever the action runs."""
-    uses: Set[str] = set()
-    defs: Set[str] = set()
-    must: Set[str] = set()
-    side = False
-    straight = not any(ir.bodies(s) for s in action.body)  # no branching
-    for stmt in ir.walk_stmts(action.body):
-        eff = stmt_effects(stmt, tables={}, actions={})
-        uses |= {u for u in eff.uses if not u.startswith("param.")}
-        defs |= eff.defs
-        if straight:
-            must |= eff.must_defs
-        side = side or eff.side_effects
-    return Effects(uses=frozenset(uses), defs=frozenset(defs),
-                   must_defs=frozenset(must), side_effects=side)
-
-
-def table_effects(table: ir.Table,
-                  actions: Dict[str, ir.Action]) -> Effects:
-    """Effects of applying ``table``: key reads plus the union of the
-    effects of the actions it may run (:func:`repro.p4.ir.table_actions`).
-    Writes every action *and* the default action perform
-    unconditionally are must-defs (some action always runs when a
-    default is declared); without a default action a miss writes
-    nothing, so nothing is guaranteed."""
-    uses: Set[str] = {k.path for k in table.keys}
-    defs: Set[str] = set()
-    side = False
-    action_names = list(ir.table_actions(table, actions))
-    if table.default_action is not None:
-        action_names.append(table.default_action[0])
-    per_action_must: List[FrozenSet[str]] = []
-    for name in action_names:
-        action = actions.get(name)
-        if action is None:
-            continue
-        eff = action_effects(action)
-        uses |= eff.uses
-        defs |= eff.defs
-        per_action_must.append(eff.must_defs)
-        side = side or eff.side_effects
-    must: Set[str] = set()
-    if table.default_action is not None and per_action_must:
-        must = set(per_action_must[0])
-        for m in per_action_must[1:]:
-            must &= m
-    return Effects(uses=frozenset(uses), defs=frozenset(defs),
-                   must_defs=frozenset(must), side_effects=side)
-
-
-def stmt_effects(stmt: ir.P4Stmt, tables: Dict[str, ir.Table],
-                 actions: Dict[str, ir.Action]) -> Effects:
-    """Shallow effects of one statement (branch bodies excluded — they
-    are separate CFG nodes): an apply's are its table's, every other
-    kind's what :func:`repro.p4.ir.stmt_effect` declares, each def
-    unconditional and observable unless it is metadata."""
-    if isinstance(stmt, ir.ApplyTable):
-        table = tables.get(stmt.table)
-        if table is None:
-            return Effects(side_effects=True)  # unknown table: hands off
-        return table_effects(table, actions)
-    effect = ir.stmt_effect(stmt)
-    defs = frozenset(effect.defs)
-    return Effects(uses=effect.uses, defs=defs, must_defs=defs,
-                   side_effects=any(not d.startswith("meta.") for d in defs))
+#: A node that runs nothing (the CFG's entry and exit).
+_NOTHING = ir.Effect((), frozenset(), frozenset())
 
 
 def cfg_effects(cfg: CFG, tables: Dict[str, ir.Table],
-                actions: Dict[str, ir.Action]) -> Dict[int, Effects]:
-    """Per-node shallow effects for a whole CFG."""
-    out: Dict[int, Effects] = {}
+                actions: Dict[str, ir.Action]) -> Dict[int, ir.Effect]:
+    """Per-node shallow effects for a whole CFG (branch bodies are nodes
+    of their own): an apply's is :func:`repro.p4.ir.apply_effect` under
+    its table's declared default, every other statement's what
+    :func:`repro.p4.ir.stmt_effect` declares."""
+    out: Dict[int, ir.Effect] = {}
     for node in cfg.nodes:
-        out[node.index] = (stmt_effects(node.stmt, tables, actions)
-                           if node.stmt is not None else Effects())
+        stmt = node.stmt
+        if stmt is None:
+            effect = _NOTHING
+        elif isinstance(stmt, ir.ApplyTable):
+            table = tables[stmt.table]
+            effect = ir.apply_effect(table, actions, table.default_action)
+        else:
+            effect = ir.stmt_effect(stmt)
+        out[node.index] = effect
     return out
 
 
@@ -187,7 +111,7 @@ def _tracked(name: str) -> bool:
     return name.startswith("meta.")
 
 
-def liveness(cfg: CFG, effects: Dict[int, Effects]
+def liveness(cfg: CFG, effects: Dict[int, ir.Effect]
              ) -> Tuple[Dict[int, FrozenSet[str]], Dict[int, FrozenSet[str]]]:
     """Backward liveness of metadata fields.
 
@@ -199,14 +123,14 @@ def liveness(cfg: CFG, effects: Dict[int, Effects]
     def transfer(idx: int, live_out: FrozenSet[str]) -> FrozenSet[str]:
         eff = effects[idx]
         uses = frozenset(u for u in eff.uses if _tracked(u))
-        kills = frozenset(d for d in eff.must_defs if _tracked(d))
+        kills = frozenset(d for d in eff.must if _tracked(d))
         return uses | (live_out - kills)
 
     return worklist_solve(cfg, backward=True, transfer=transfer,
                           boundary=frozenset(), init=frozenset())
 
 
-def reaching_definitions(cfg: CFG, effects: Dict[int, Effects],
+def reaching_definitions(cfg: CFG, effects: Dict[int, ir.Effect],
                          fields: Iterable[str]
                          ) -> Dict[int, Dict[str, FrozenSet[int]]]:
     """Forward reaching definitions over metadata fields.
@@ -223,7 +147,7 @@ def reaching_definitions(cfg: CFG, effects: Dict[int, Effects],
         eff = effects[idx]
         out = set(reach_in)
         for f in universe:
-            if f in eff.must_defs:
+            if f in eff.must:
                 out -= {(f, s) for (g, s) in reach_in if g == f}
                 out.add((f, idx))
             elif f in eff.defs:
@@ -244,7 +168,6 @@ def reaching_definitions(cfg: CFG, effects: Dict[int, Effects],
 
 
 __all__ = [
-    "Effects", "UNINIT", "action_effects", "cfg_effects",
-    "liveness", "reaching_definitions", "stmt_effects", "table_effects",
+    "UNINIT", "cfg_effects", "liveness", "reaching_definitions",
     "worklist_solve",
 ]

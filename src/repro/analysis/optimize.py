@@ -172,12 +172,12 @@ def _dce_round(compiled: CompiledChecker, stats: OptimizeStats) -> bool:
             if stmt is None:
                 continue
             eff = effects[node.index]
+            live = not live_out[node.index].isdisjoint(eff.defs)
             if isinstance(stmt, (ir.AssignStmt, ir.RegisterRead)):
-                if eff.side_effects or eff.defs & live_out[node.index]:
+                if eff.side_effects or live:
                     needed.add(id(stmt))
             elif isinstance(stmt, ir.ApplyTable):
-                if (stmt.table in abi or eff.side_effects
-                        or eff.defs & live_out[node.index]):
+                if stmt.table in abi or eff.side_effects or live:
                     needed.add(id(stmt))
             elif isinstance(stmt, ir.IfStmt):
                 pass  # kept structurally iff a live statement survives inside
@@ -237,10 +237,8 @@ def _prune_structures(compiled: CompiledChecker,
 
     referenced_actions: Set[str] = set()
     for table in compiled.tables.values():
-        referenced_actions.update(
-            ir.table_actions(table, compiled.actions))
-        if table.default_action is not None:
-            referenced_actions.add(table.default_action[0])
+        referenced_actions.update(ir.apply_actions(
+            table, compiled.actions, table.default_action))
     dead_actions = [name for name in compiled.actions
                     if name not in referenced_actions]
     for name in dead_actions:
@@ -292,7 +290,7 @@ def _coalesce_fields(compiled: CompiledChecker,
         entry_live |= set(live_in[view.cfg.entry]) & cand_paths
         for node in view.cfg.nodes:
             eff = effects[node.index]
-            for d in eff.defs & cand_paths:
+            for d in cand_paths.intersection(eff.defs):
                 for alive in live_out[node.index] & cand_paths:
                     if alive != d:
                         interference[d].add(alive)

@@ -5,7 +5,7 @@ A unit wraps one :class:`~repro.compiler.lower.CompiledChecker`
 with:
 
 * the four :class:`~repro.analysis.cfg.PlacementView` linearizations and
-  their per-node :class:`~repro.analysis.dataflow.Effects`;
+  their per-node :class:`~repro.p4.ir.Effect`;
 * lazily solved liveness and reaching-definitions facts per placement;
 * the standalone linked program (checker + minimal L2 forwarding), which
   supplies the parser graph and the field-width map.
@@ -21,16 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..compiler.lower import CompiledChecker
 from ..p4 import ir
 from .cfg import PlacementView, checker_placements
-from .dataflow import (Effects, cfg_effects, liveness,
-                       reaching_definitions)
-
-# v1model standard metadata widths (mirrors repro.tofino.phv).
-STANDARD_METADATA_WIDTHS: Dict[str, int] = {
-    "standard_metadata.ingress_port": 9,
-    "standard_metadata.egress_spec": 9,
-    "standard_metadata.egress_port": 9,
-    "standard_metadata.packet_length": 32,
-}
+from .dataflow import cfg_effects, liveness, reaching_definitions
 
 
 class AnalysisUnit:
@@ -47,7 +38,7 @@ class AnalysisUnit:
         #: fragment statements, not this copy).
         self.program = program
         self.placements: List[PlacementView] = checker_placements(compiled)
-        self._effects: Dict[int, Dict[int, Effects]] = {}
+        self._effects: Dict[int, Dict[int, ir.Effect]] = {}
         self._liveness: Dict[int, Tuple[Dict[int, FrozenSet[str]],
                                         Dict[int, FrozenSet[str]]]] = {}
         self._reaching: Dict[int, Dict[int, Dict[str, FrozenSet[int]]]] = {}
@@ -61,7 +52,7 @@ class AnalysisUnit:
 
     # -- solved facts (cached per placement) ---------------------------
 
-    def effects(self, view: PlacementView) -> Dict[int, Effects]:
+    def effects(self, view: PlacementView) -> Dict[int, ir.Effect]:
         key = id(view)
         if key not in self._effects:
             self._effects[key] = cfg_effects(
@@ -88,17 +79,13 @@ class AnalysisUnit:
     # -- context -------------------------------------------------------
 
     def field_widths(self) -> Dict[str, int]:
-        """Declared width of every addressable field: checker metadata,
-        header fields of the linked program, standard metadata."""
+        """Declared width of every addressable field: the linked
+        program's (:meth:`~repro.p4.ir.P4Program.fields`), the checker's
+        own metadata declarations taking precedence."""
         if self._widths is None:
-            widths = dict(STANDARD_METADATA_WIDTHS)
-            for name, width in self.compiled.metadata:
-                widths[f"meta.{name}"] = width
-            for name, width in self.program.metadata:
-                widths.setdefault(f"meta.{name}", width)
-            for bind, htype in self.program.bind_types().items():
-                for fdef in htype.fields:
-                    widths[f"hdr.{bind}.{fdef.name}"] = fdef.width
+            widths = self.program.fields()
+            widths.update((f"meta.{name}", width)
+                          for name, width in self.compiled.metadata)
             self._widths = widths
         return self._widths
 
@@ -128,4 +115,4 @@ class AnalysisUnit:
         return applies
 
 
-__all__ = ["AnalysisUnit", "STANDARD_METADATA_WIDTHS"]
+__all__ = ["AnalysisUnit"]

@@ -9,9 +9,10 @@ Types are immutable values with structural equality:
 * ``dict<k, v>`` — dictionaries (compiled to match-action tables),
 * tuples      — used for dictionary keys and report payloads.
 
-Every type knows its serialized width in bits (``width_bits``), which the
-compiler uses to lay out the Hydra telemetry header and the Tofino model
-uses to account for PHV usage.
+A type carries no wire width of its own: the compiler's
+:class:`~repro.compiler.layout.HydraLayout` lays telemetry variables out
+as header fields (slot fields, validity bits and a count field), and the
+Tofino model counts the PHV bits of the fields it emits.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from typing import Tuple
 
 class Type:
     """Base class for Indus types."""
-
-    def width_bits(self) -> int:
-        """Serialized width of a value of this type, in bits."""
-        raise NotImplementedError
 
     def is_packable(self) -> bool:
         """Whether values of this type can travel on the packet (tele vars)."""
@@ -42,9 +39,6 @@ class BitType(Type):
         if self.width <= 0:
             raise ValueError(f"bit width must be positive, got {self.width}")
 
-    def width_bits(self) -> int:
-        return self.width
-
     def __str__(self) -> str:
         return f"bit<{self.width}>"
 
@@ -56,9 +50,6 @@ class BitType(Type):
 @dataclass(frozen=True)
 class BoolType(Type):
     """``bool`` — serialized as a single bit on the wire."""
-
-    def width_bits(self) -> int:
-        return 1
 
     def __str__(self) -> str:
         return "bool"
@@ -79,10 +70,6 @@ class ArrayType(Type):
         if self.capacity <= 0:
             raise ValueError(f"array capacity must be positive, got {self.capacity}")
 
-    def width_bits(self) -> int:
-        # One validity bit per slot mirrors P4 header-stack semantics.
-        return (self.element.width_bits() + 1) * self.capacity
-
     def __str__(self) -> str:
         return f"{self.element}[{self.capacity}]"
 
@@ -98,9 +85,6 @@ class SetType(Type):
     element: Type
     capacity: int = 64
 
-    def width_bits(self) -> int:
-        return (self.element.width_bits() + 1) * self.capacity
-
     def __str__(self) -> str:
         return f"set<{self.element}>"
 
@@ -111,10 +95,6 @@ class DictType(Type):
 
     key: Type
     value: Type
-
-    def width_bits(self) -> int:
-        # Dicts never travel on the packet; only a looked-up value does.
-        return self.value.width_bits()
 
     def is_packable(self) -> bool:
         return False
@@ -128,9 +108,6 @@ class TupleType(Type):
     """A product type, e.g. ``(bit<32>, bit<32>)`` used as a dict key."""
 
     elements: Tuple[Type, ...] = field(default_factory=tuple)
-
-    def width_bits(self) -> int:
-        return sum(e.width_bits() for e in self.elements)
 
     def __str__(self) -> str:
         inner = ", ".join(str(e) for e in self.elements)

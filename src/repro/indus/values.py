@@ -8,7 +8,7 @@ language (fixed capacities, push cursors mirroring P4 header stacks).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List
 
 from .types import (ArrayType, BitType, BoolType, DictType, SetType,
                     TupleType, Type)
@@ -183,88 +183,3 @@ class DictValue:
 
     def __repr__(self) -> str:
         return f"DictValue({self.entries!r})"
-
-
-def pack_value(ty: Type, value: Any) -> Tuple[int, int]:
-    """Serialize a packable value to (bits, width) for the wire.
-
-    Used by the telemetry header codec: values are packed big-endian,
-    arrays as [count-validity bits][slots].
-    """
-    if isinstance(ty, BitType):
-        return mask(int(value), ty.width), ty.width
-    if isinstance(ty, BoolType):
-        return (1 if value else 0), 1
-    if isinstance(ty, TupleType):
-        acc, total = 0, 0
-        for ety, item in zip(ty.elements, tuple(value)):
-            bits_, width = pack_value(ety, item)
-            acc = (acc << width) | bits_
-            total += width
-        return acc, total
-    if isinstance(ty, ArrayType):
-        arr = value if isinstance(value, ArrayValue) else ArrayValue(ty, value)
-        acc, total = 0, 0
-        for i in range(ty.capacity):
-            valid = 1 if i < arr.count else 0
-            acc = (acc << 1) | valid
-            total += 1
-            bits_, width = pack_value(ty.element, arr.slots[i])
-            acc = (acc << width) | bits_
-            total += width
-        return acc, total
-    if isinstance(ty, SetType):
-        items = value.valid_items() if isinstance(value, SetValue) else sorted(value)
-        acc, total = 0, 0
-        for i in range(ty.capacity):
-            valid = 1 if i < len(items) else 0
-            item = items[i] if i < len(items) else zero_value(ty.element)
-            acc = (acc << 1) | valid
-            total += 1
-            bits_, width = pack_value(ty.element, item)
-            acc = (acc << width) | bits_
-            total += width
-        return acc, total
-    raise ValueError(f"{ty} is not packable")
-
-
-def unpack_value(ty: Type, bits_: int, width: int) -> Any:
-    """Inverse of :func:`pack_value`."""
-    if isinstance(ty, BitType):
-        assert width == ty.width
-        return bits_
-    if isinstance(ty, BoolType):
-        return bool(bits_)
-    if isinstance(ty, TupleType):
-        items = []
-        remaining = width
-        for ety in ty.elements:
-            w = ety.width_bits()
-            remaining -= w
-            items.append(unpack_value(ety, (bits_ >> remaining) & ((1 << w) - 1), w))
-        return tuple(items)
-    if isinstance(ty, ArrayType):
-        arr = ArrayValue(ty)
-        remaining = width
-        elem_w = ty.element.width_bits()
-        for i in range(ty.capacity):
-            remaining -= 1
-            valid = (bits_ >> remaining) & 1
-            remaining -= elem_w
-            raw = (bits_ >> remaining) & ((1 << elem_w) - 1)
-            if valid:
-                arr.push(unpack_value(ty.element, raw, elem_w))
-        return arr
-    if isinstance(ty, SetType):
-        out = SetValue(ty)
-        remaining = width
-        elem_w = ty.element.width_bits()
-        for i in range(ty.capacity):
-            remaining -= 1
-            valid = (bits_ >> remaining) & 1
-            remaining -= elem_w
-            raw = (bits_ >> remaining) & ((1 << elem_w) - 1)
-            if valid:
-                out.add(unpack_value(ty.element, raw, elem_w))
-        return out
-    raise ValueError(f"{ty} is not packable")

@@ -212,6 +212,18 @@ def _pop_source_route(hdr: Dict[str, Header]) -> None:
     hdr[valid[-1]].valid = False
 
 
+def _lpm_spec_ok(spec: object) -> bool:
+    """Whether ``spec`` is an LPM ``(prefix, plen)`` both engines mask
+    alike: a prefix and a length within :data:`~repro.p4.ir.LPM_WIDTH`
+    bits."""
+    try:
+        prefix, plen = spec  # type: ignore[misc]
+    except (TypeError, ValueError):
+        return False
+    return (isinstance(prefix, int) and isinstance(plen, int)
+            and 0 <= plen <= ir.LPM_WIDTH and 0 <= prefix < 1 << ir.LPM_WIDTH)
+
+
 def drop_reason(packet: Packet) -> str:
     """Classify a pipeline drop for the observability plane.
 
@@ -270,7 +282,7 @@ class Bmv2Switch:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r} "
                              f"(expected one of {ENGINES})")
-        ir.check_externs(program)
+        ir.check_program(program)
         self.program = program
         self.name = name
         self.switch_id = switch_id
@@ -407,6 +419,16 @@ class Bmv2Switch:
             created.append(entry)
         if not created:
             return created
+        lpm = [i for i, key in enumerate(table.keys)
+               if key.kind is ir.MatchKind.LPM]
+        if lpm:  # only an LPM table pays a per-row check
+            for entry in created:
+                for i in lpm:
+                    if not _lpm_spec_ok(entry.match[i]):
+                        raise P4RuntimeError(
+                            f"table {table_name!r}: LPM spec "
+                            f"{entry.match[i]!r} is not a (prefix, plen) "
+                            f"within {ir.LPM_WIDTH} bits")
         self._entries[table_name].extend(created)
         if self._engine is not None:
             self._engine.entries_inserted(table_name, created)

@@ -128,8 +128,8 @@ other assignment.
 from __future__ import annotations
 
 import re
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from ..net.packet import Header, Packet
 from ..obs.profile import profiled
@@ -402,6 +402,8 @@ class CodegenEngine:
         #: Per table, the ``RUN<k>`` memos of the runs it is in.
         self._run_memos: Dict[str, Set[str]] = {}
         self._runs = 0
+        #: Per table, its apply's effect under the switch's default.
+        self._apply_effects: Dict[str, ir.Effect] = {}
         source = self._emit_module()
         bound = {name for name, _, _ in self._bindings}
         return source, _Plan(
@@ -423,20 +425,17 @@ class CodegenEngine:
 
     def _specialize(self) -> None:
         """What emission assumes of the switch's live control-plane
-        state: per table, the actions an apply can dispatch to (the
-        declaration's, or every action when it names none, plus a
-        default that goes beyond it) and the default's binding (its
-        arguments :meth:`on_default_change` rebinds)."""
-        switch = self.switch
-        self._assumed = {}
-        for name, table in self.program.tables.items():
-            assumed = set(ir.table_actions(table, self.program.actions))
-            default = switch.default_actions.get(name)
-            if default is not None:
-                assumed.add(default[0])
-            self._assumed[name] = assumed
+        state: per table, the actions an apply can dispatch to
+        (:func:`~repro.p4.ir.apply_actions` under the switch's default)
+        and the default's binding (its arguments
+        :meth:`on_default_change` rebinds)."""
+        defaults = self.switch.default_actions
+        self._assumed = {
+            name: set(ir.apply_actions(table, self.program.actions,
+                                       defaults.get(name)))
+            for name, table in self.program.tables.items()}
         self._default_bound = {name: self._default_binding(name)
-                               for name in switch.default_actions}
+                               for name in defaults}
 
     # ==================================================================
     # Source emission
@@ -959,19 +958,21 @@ class CodegenEngine:
         assumed = self._assumed.get(table, ())
         return [name for name in self.program.actions if name in assumed]
 
-    def _dests(self, stmts: Sequence[ir.P4Stmt]) -> Set[str]:
-        """Every path ``stmts`` may write, the actions their applies can
-        dispatch to included."""
-        out: Set[str] = set()
-        for stmt in ir.walk_stmts(stmts):
-            out.update(ir.stmt_defs(stmt))
-            if isinstance(stmt, ir.ApplyTable):
-                for name in self._arms(stmt.table):
-                    out |= self._dests(self.program.actions[name].body)
-        return out
+    def _apply_effect(self, stmt: ir.ApplyTable) -> ir.Effect:
+        """An apply's :func:`~repro.p4.ir.apply_effect` under the
+        switch's default, memoised per table for one emission (an
+        undeclared table's is nothing)."""
+        effect = self._apply_effects.get(stmt.table)
+        if effect is None:
+            table = self.program.tables.get(stmt.table)
+            effect = self._apply_effects[stmt.table] = (
+                ir.stmt_effect(stmt) if table is None else ir.apply_effect(
+                    table, self.program.actions,
+                    self.switch.default_actions.get(stmt.table)))
+        return effect
 
     def _pure(self, stmt: ir.P4Stmt
-              ) -> Optional[Tuple[Set[str], Set[str], Set[str]]]:
+              ) -> Optional[Tuple[Set[str], Set[str], FrozenSet[str]]]:
         """``(key operands, fields some arm writes, fields every path
         writes)`` of an apply that meets conditions 1-3, else ``None``."""
         table = (self.program.tables.get(stmt.table)
@@ -995,18 +996,15 @@ class CodegenEngine:
                         and s.value.path.startswith("param."))
                    for body in arms for s in body):
             return None
-        writes = [{loc for s in body for loc in ir.stmt_defs(s)}
-                  for body in arms]
-        always = (set.intersection(*writes) if writes and
-                  self._default_bound[stmt.table] is not None else set())
-        return {key.path for key in table.keys}, set().union(*writes), always
+        effect = self._apply_effect(stmt)
+        return {key.path for key in table.keys}, set(effect.defs), effect.must
 
     def _run_at(self, stmts: Sequence[ir.P4Stmt], start: int,
                 before: Set[str]) -> Tuple[int, Optional[str], List[str]]:
         """The pure apply run starting at ``stmts[start]``: its length
         (0: none), its key operand (``None``: keyless) and the fields it
         writes; ``before`` is every path written ahead of it."""
-        members: List[Tuple[Set[str], Set[str], Set[str]]] = []
+        members: List[Tuple[Set[str], Set[str], FrozenSet[str]]] = []
         operands: Set[str] = set()
         written: Set[str] = set()
         for stmt in stmts[start:]:
@@ -1056,7 +1054,10 @@ class CodegenEngine:
             else:
                 count = 1
                 self._emit_stmt(stmts[at], lines, 1, _NO_PARAMS, owned)
-            before |= self._dests(stmts[at:at + count])
+            for stmt in ir.walk_stmts(stmts[at:at + count]):
+                before.update(self._apply_effect(stmt).defs
+                              if isinstance(stmt, ir.ApplyTable)
+                              else ir.stmt_defs(stmt))
             at += count
 
     # -- field access --------------------------------------------------------

@@ -407,6 +407,11 @@ class Table:
 #   RANGE   -> (lo, hi)
 MatchSpec = Union[int, Tuple[int, int]]
 
+#: How wide an LPM key is, in both engines: a switch refuses an LPM key
+#: on a field of another width (:func:`check_program`) and an LPM spec
+#: outside it.
+LPM_WIDTH = 32
+
 
 _set_slot = object.__setattr__
 
@@ -468,8 +473,7 @@ class TableEntry:
                     return False
             elif key.kind is MatchKind.LPM:
                 prefix, plen = spec  # type: ignore[misc]
-                width = 32
-                mask = ((1 << plen) - 1) << (width - plen) if plen else 0
+                mask = ((1 << plen) - 1) << (LPM_WIDTH - plen) if plen else 0
                 if (value & mask) != (prefix & mask):
                     return False
             elif key.kind is MatchKind.RANGE:
@@ -550,6 +554,16 @@ class RegisterDef:
     size: int = 1
 
 
+#: The standard metadata every program carries in the PHV, by width:
+#: the ports and the packet length.
+STANDARD_METADATA: Dict[str, int] = {
+    "standard_metadata.ingress_port": 9,
+    "standard_metadata.egress_spec": 9,
+    "standard_metadata.egress_port": 9,
+    "standard_metadata.packet_length": 32,
+}
+
+
 @dataclass
 class P4Program:
     """A complete P4 program in IR form."""
@@ -609,6 +623,19 @@ class P4Program:
                         binds[f"{ex.bind}{i}"] = ex.htype
         return binds
 
+    def fields(self) -> Dict[str, int]:
+        """The one width declaration: path -> width of every header
+        bind's fields, every metadata field and the
+        :data:`STANDARD_METADATA` a v1model-style program carries."""
+        out: Dict[str, int] = {}
+        for bind, htype in self.bind_types().items():
+            prefix = f"hdr.{bind}."
+            for fdef in htype.fields:
+                out[prefix + fdef.name] = fdef.width
+        out.update((f"meta.{name}", width) for name, width in self.metadata)
+        out.update(STANDARD_METADATA)
+        return out
+
 
 #: The one shape declaration: per compound statement kind, a getter of
 #: its nested bodies in field order.  A kind not listed is a leaf.
@@ -639,9 +666,11 @@ def walk_stmts(stmts: Sequence[P4Stmt]):
 
 
 def table_actions(table: Table, actions: Collection[str]) -> Collection[str]:
-    """The actions ``table`` may run, of the program's ``actions``: the
-    ones it lists, or every one when it lists none (P4Runtime's rule;
-    :class:`~repro.p4.bmv2.Bmv2Switch` refuses an entry outside it)."""
+    """The actions an entry of ``table`` may run, of the program's
+    ``actions``: the ones it lists, or every one when it lists none
+    (P4Runtime's rule; :class:`~repro.p4.bmv2.Bmv2Switch` refuses an
+    entry outside it).  An apply can run its default too:
+    :func:`apply_actions`."""
     return table.actions or actions
 
 
@@ -725,8 +754,8 @@ _PURE = (_nothing, _nothing)
 #: ``has_side_effects``): per statement kind, the locations it defines
 #: and those it uses besides what its expressions read.  A kind not
 #: listed defines and uses nothing of its own: an ``IfStmt``'s effects
-#: are its arms', an ``ApplyTable``'s its table's actions' (the caller
-#: has the table).
+#: are its arms', an ``ApplyTable``'s its table's (:func:`apply_effect`:
+#: the caller has the table and the default in force).
 _EFFECTS: Dict[type, Tuple[Callable[[Any], Tuple[str, ...]],
                            Callable[[Any], Tuple[str, ...]]]] = {
     AssignStmt: (lambda stmt: (stmt.dest,), _nothing),
@@ -744,11 +773,14 @@ _EFFECTS: Dict[type, Tuple[Callable[[Any], Tuple[str, ...]],
 
 class Effect(NamedTuple):
     """One statement's declared effect: the locations it defines (in
-    declaration order) and every location it uses, expression reads
-    included; the flags are read off them."""
+    declaration order), every location it uses, expression reads
+    included, and the defs that hold on every execution (a leaf's are
+    all of them; an apply's: :func:`apply_effect`); the flags are read
+    off them."""
 
     defs: Tuple[str, ...]
     uses: FrozenSet[str]
+    must: FrozenSet[str]
 
     @property
     def reads_regs(self) -> bool:
@@ -761,6 +793,12 @@ class Effect(NamedTuple):
     @property
     def emits_digest(self) -> bool:
         return DIGEST in self.defs
+
+    @property
+    def side_effects(self) -> bool:
+        """Whether it defines anything observable beyond per-packet
+        metadata: a header, standard metadata, a register, a report."""
+        return any(not loc.startswith("meta.") for loc in self.defs)
 
 
 def stmt_defs(stmt: P4Stmt) -> Tuple[str, ...]:
@@ -775,7 +813,59 @@ def stmt_effect(stmt: P4Stmt) -> Effect:
     reads = set(uses(stmt))
     for expr in stmt_exprs(stmt):
         _add_reads(expr, reads)
-    return Effect(defs(stmt), frozenset(reads))
+    written = defs(stmt)
+    return Effect(written, frozenset(reads), frozenset(written))
+
+
+#: A table's default binding, ``(action, args)``: the declaration's
+#: ``default_action`` or a switch's runtime one (``None``: a miss runs
+#: nothing).
+Default = Optional[Tuple[str, Sequence[int]]]
+
+
+def apply_actions(table: Table, actions: Collection[str],
+                  default: Default) -> List[str]:
+    """What an apply of ``table`` can dispatch to, in order: the actions
+    :func:`table_actions` lets an entry run, then ``default``'s when it
+    is not among them."""
+    names = list(table_actions(table, actions))
+    if default is not None and default[0] not in names:
+        names.append(default[0])
+    return names
+
+
+def apply_effect(table: Table, actions: Dict[str, Action],
+                 default: Default) -> Effect:
+    """The one apply declaration: what an apply of ``table`` reads, may
+    write and always writes while ``default`` is in force.
+
+    Uses are the key paths plus every :func:`apply_actions` action's
+    uses (``param.*`` excluded: action data is immediate, not PHV
+    state); defs are the union of theirs.  Must-defs are the
+    intersection of theirs when a default exists (some action then runs
+    on every apply; without one a miss writes nothing); an action that
+    branches always writes nothing.
+    """
+    uses = {key.path for key in table.keys}
+    defs: Dict[str, None] = {}
+    must: Optional[FrozenSet[str]] = None
+    for name in apply_actions(table, actions, default):
+        action = actions.get(name)
+        if action is None:
+            continue
+        writes: Dict[str, None] = {}
+        for stmt in walk_stmts(action.body):
+            effect = stmt_effect(stmt)
+            uses.update(use for use in effect.uses
+                        if not use.startswith("param."))
+            writes.update(dict.fromkeys(effect.defs))
+        defs.update(writes)
+        always = (frozenset() if any(bodies(stmt) for stmt in action.body)
+                  else frozenset(writes))
+        must = always if must is None else must & always
+    if default is None or must is None:
+        must = frozenset()
+    return Effect(tuple(defs), frozenset(uses), must)
 
 
 def map_exprs(stmt: P4Stmt, fn: Callable[[P4Expr], P4Expr]) -> bool:
@@ -827,26 +917,36 @@ def program_bodies(program: P4Program) -> List[List[P4Stmt]]:
     return bodies
 
 
-def check_externs(program: P4Program) -> None:
-    """Reject a wrong extern declaration when a switch is built.
+def check_program(program: P4Program) -> None:
+    """Reject, when a switch is built, what the engines and analyses
+    compile against but could not run; other broken paths fail when
+    executed.
 
-    Every ``dest`` must be a ``meta.*`` or ``hdr.*`` field the program
-    declares (so its write mask is known) and every ``arg`` a
-    well-formed expression over declared paths.  Other broken paths
-    fail when executed; an extern's footprint is a contract the engines
-    and analyses compile against, so it fails here.
+    * An LPM key must be a field :meth:`P4Program.fields` gives as
+      :data:`LPM_WIDTH` bits wide: both engines mask it at that width.
+    * An extern's footprint: every ``dest`` must be a ``meta.*`` or
+      ``hdr.*`` field the program declares (so its write mask is known)
+      and every ``arg`` a well-formed expression over declared paths.
     """
-    meta = {name for name, _ in program.metadata}
+    lpm_keys = [(table.name, key.path) for table in program.tables.values()
+                for key in table.keys if key.kind is MatchKind.LPM]
+    externs = [stmt for body in program_bodies(program)
+               for stmt in walk_stmts(body) if isinstance(stmt, ExternCall)]
+    if not lpm_keys and not externs:
+        return
+    fields = program.fields()
     binds = program.bind_types()
+    for name, path in lpm_keys:
+        width = fields.get(path)
+        if width != LPM_WIDTH:
+            what = "undeclared" if width is None else f"{width} bits wide"
+            raise P4RuntimeError(
+                f"table {name!r}: LPM key {path!r} is {what}; "
+                f"an LPM key must be a {LPM_WIDTH}-bit field")
 
     def declared(path: object) -> bool:
-        if not isinstance(path, str):
-            return False
-        root, _, rest = path.partition(".")
-        if root == "hdr":
-            bind, _, fname = rest.partition(".")
-            return bind in binds and binds[bind].has_field(fname)
-        return root == "meta" and rest in meta
+        return (isinstance(path, str) and path.startswith(("hdr.", "meta."))
+                and path in fields)
 
     def well_formed(node: object) -> bool:
         if isinstance(node, FieldRef):
@@ -856,23 +956,17 @@ def check_externs(program: P4Program) -> None:
             return node.header in binds
         return isinstance(node, (Const, UnExpr, BinExpr))
 
-    for body in program_bodies(program):
-        for stmt in walk_stmts(body):
-            if not isinstance(stmt, ExternCall):
-                continue
-            if not callable(stmt.fn):
+    for stmt in externs:
+        if not callable(stmt.fn):
+            raise P4RuntimeError(f"extern {stmt.name!r}: fn is not callable")
+        for dest in stmt.dests:
+            if not declared(dest):
                 raise P4RuntimeError(
-                    f"extern {stmt.name!r}: fn is not callable")
-            for dest in stmt.dests:
-                if not declared(dest):
+                    f"extern {stmt.name!r}: dest {dest!r} is not a "
+                    f"declared meta or header field")
+        for arg in stmt.args:
+            nodes = walk_exprs(arg) if isinstance(arg, P4Expr) else [arg]
+            for node in nodes:
+                if not well_formed(node):
                     raise P4RuntimeError(
-                        f"extern {stmt.name!r}: dest {dest!r} is not a "
-                        f"declared meta or header field")
-            for arg in stmt.args:
-                nodes = walk_exprs(arg) if isinstance(arg, P4Expr) else [arg]
-                for node in nodes:
-                    if not well_formed(node):
-                        raise P4RuntimeError(
-                            f"extern {stmt.name!r}: malformed argument "
-                            f"{node!r}")
-
+                        f"extern {stmt.name!r}: malformed argument {node!r}")

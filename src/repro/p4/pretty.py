@@ -195,10 +195,9 @@ def _render_pipeline(w: _Writer, program: ir.P4Program, stage: str,
     }
     used_actions = set()
     for tname in sorted(used_tables):
-        used_actions.update(program.tables[tname].actions)
-        default = program.tables[tname].default_action
-        if default:
-            used_actions.add(default[0])
+        table = program.tables[tname]
+        used_actions.update(ir.apply_actions(table, program.actions,
+                                             table.default_action))
     for aname in sorted(used_actions):
         action = program.actions[aname]
         params = ", ".join(f"bit<{width}> {pname}"
@@ -215,7 +214,7 @@ def _render_pipeline(w: _Writer, program: ir.P4Program, stage: str,
             w.line(f"{key.path}: {key.kind.value};")
         w.close()
         w.open("actions =")
-        for aname in table.actions:
+        for aname in ir.table_actions(table, program.actions):
             w.line(f"{aname};")
         w.close()
         if table.default_action:

@@ -67,8 +67,6 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
 
 from . import ir
 
-_LPM_WIDTH = 32  # the reference engine's fixed LPM key width
-
 # Range/ternary tables normally fall back to a priority-ordered scan.
 # When at least this many entries are installed and one key column is
 # "bucketable" for most of them (an EXACT component, or a degenerate
@@ -103,7 +101,7 @@ def _matcher(kinds: Tuple[ir.MatchKind, ...]) -> Callable[[Sequence, Tuple],
             terms.append(f"s[{i}][0] <= k[{i}] <= s[{i}][1]")
         else:  # LPM: plen 0 masks to nothing and matches anything
             terms.append(f"not (k[{i}] ^ s[{i}][0]) & (((1 << s[{i}][1]) - 1)"
-                         f" << ({_LPM_WIDTH} - s[{i}][1]))")
+                         f" << ({ir.LPM_WIDTH} - s[{i}][1]))")
     return eval(f"lambda s, k: {' and '.join(terms) or 'True'}")
 
 
@@ -264,7 +262,7 @@ class _TableIndex:
             dups = False
             for *_, entry in ranked:
                 prefix, plen = entry.match[lpm_i]  # type: ignore[index,misc]
-                mask = ((((1 << plen) - 1) << (_LPM_WIDTH - plen))
+                mask = ((((1 << plen) - 1) << (ir.LPM_WIDTH - plen))
                         if plen else 0)
                 masks[plen] = mask
                 probe = list(entry.match)
@@ -400,7 +398,7 @@ class _TableIndex:
             lpm_i = self._lpm_index
             for entry in new_entries:
                 prefix, plen = entry.match[lpm_i]  # type: ignore[index,misc]
-                mask = ((((1 << plen) - 1) << (_LPM_WIDTH - plen))
+                mask = ((((1 << plen) - 1) << (ir.LPM_WIDTH - plen))
                         if plen else 0)
                 probe = list(entry.match)
                 probe[lpm_i] = prefix & mask

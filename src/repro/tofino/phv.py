@@ -38,25 +38,6 @@ class PhvAllocation:
                    for width, count in self.containers_used.items())
 
 
-def program_fields(program: ir.P4Program) -> List[Tuple[str, int]]:
-    """Every PHV-resident field of a program: header binds + metadata +
-    the intrinsic/standard metadata a v1model-style program always carries."""
-    fields: List[Tuple[str, int]] = []
-    for bind, htype in program.bind_types().items():
-        for fdef in htype.fields:
-            fields.append((f"hdr.{bind}.{fdef.name}", fdef.width))
-    for name, width in program.metadata:
-        fields.append((f"meta.{name}", width))
-    # Standard metadata (ports, packet length, drop, queue metadata).
-    fields.extend([
-        ("standard_metadata.ingress_port", 9),
-        ("standard_metadata.egress_spec", 9),
-        ("standard_metadata.egress_port", 9),
-        ("standard_metadata.packet_length", 32),
-    ])
-    return fields
-
-
 def allocate(fields: List[Tuple[str, int]]) -> PhvAllocation:
     """Pack fields into containers (first-fit decreasing).
 
@@ -102,5 +83,8 @@ def allocate(fields: List[Tuple[str, int]]) -> PhvAllocation:
 
 
 def phv_bits(program: ir.P4Program) -> int:
-    """Container bits a program occupies under the allocation model."""
-    return allocate(program_fields(program)).container_bits
+    """Container bits a program's fields
+    (:meth:`~repro.p4.ir.P4Program.fields`: header binds, metadata and
+    the standard metadata it always carries) occupy under the
+    allocation model."""
+    return allocate(list(program.fields().items())).container_bits

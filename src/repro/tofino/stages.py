@@ -17,7 +17,7 @@ equals the baseline depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set, Tuple
+from typing import List, Set
 
 from ..p4 import ir
 
@@ -32,28 +32,13 @@ class _Op:
     writes: Set[str] = field(default_factory=set)
 
 
-def _action_ops(program: ir.P4Program,
-                name: str) -> Tuple[Set[str], Set[str]]:
-    """Aggregate read/write sets of an action body (params excluded):
-    every statement's declared effect."""
-    action = program.actions.get(name)
-    reads: Set[str] = set()
-    writes: Set[str] = set()
-    if action is None:
-        return reads, writes
-    for stmt in ir.walk_stmts(action.body):
-        effect = ir.stmt_effect(stmt)
-        reads.update(r for r in effect.uses if not r.startswith("param."))
-        writes.update(effect.defs)
-    return reads, writes
-
-
 def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
                control_reads: Set[str]) -> List[_Op]:
     """Flatten a statement body into ops with control-dependency reads:
     a leaf is one op over its declared effect, a table apply one op
-    over its keys and actions; a compound statement's arms read its
-    condition (an apply's hit flag)."""
+    over :func:`~repro.p4.ir.apply_effect` that also writes its hit
+    flag; a compound statement's arms read its condition (an apply's
+    hit flag)."""
     ops: List[_Op] = []
     for stmt in stmts:
         if isinstance(stmt, ir.IfStmt):
@@ -62,16 +47,11 @@ def _linearize(program: ir.P4Program, stmts: List[ir.P4Stmt],
             table = program.tables.get(stmt.table)
             reads: Set[str] = set(control_reads)
             writes: Set[str] = set()
-            action_names = []
-            if table:
-                reads.update(k.path for k in table.keys)
-                action_names = list(ir.table_actions(table, program.actions))
-                if table.default_action:
-                    action_names.append(table.default_action[0])
-            for aname in action_names:
-                a_reads, a_writes = _action_ops(program, aname)
-                reads |= a_reads
-                writes |= a_writes
+            if table is not None:
+                effect = ir.apply_effect(table, program.actions,
+                                         table.default_action)
+                reads |= effect.uses
+                writes.update(effect.defs)
             hit_flag = f"table.{stmt.table}.$hit"
             writes.add(hit_flag)
             ops.append(_Op(reads=reads, writes=writes))

@@ -8,7 +8,7 @@ from repro import api
 from repro.analysis import (AnalysisUnit, UNINIT, build_cfg,
                             checker_placements, liveness,
                             reaching_definitions)
-from repro.analysis.dataflow import cfg_effects, stmt_effects, table_effects
+from repro.analysis.dataflow import cfg_effects
 from repro.compiler.linker import placement
 from repro.p4 import ir
 
@@ -157,44 +157,6 @@ def test_reaching_one_armed_write_keeps_uninit():
     effects = cfg_effects(cfg, tables={}, actions={})
     facts = reaching_definitions(cfg, effects, ["meta.a"])
     assert UNINIT in facts[cfg.exit]["meta.a"]
-
-
-# ---------------------------------------------------------------------------
-# Table effects
-# ---------------------------------------------------------------------------
-
-def test_table_apply_without_default_is_a_may_def():
-    action = ir.Action(name="set_a", params=[],
-                       body=[ir.AssignStmt("meta.a", C(1))])
-    table = ir.Table(name="t", keys=[ir.TableKey("meta.k")],
-                     actions=["set_a"])
-    apply_stmt = ir.ApplyTable("t")
-    eff = stmt_effects(apply_stmt, tables={"t": table},
-                       actions={"set_a": action})
-    assert "meta.a" in eff.defs
-    assert "meta.a" not in eff.must_defs
-    assert "meta.k" in eff.uses
-    # With a default action, some action always runs: must-def.
-    table.default_action = ("set_a", [])
-    eff = stmt_effects(apply_stmt, tables={"t": table},
-                       actions={"set_a": action})
-    assert "meta.a" in eff.must_defs
-
-
-def test_a_table_listing_no_actions_may_run_any():
-    set_x = ir.Action("set_x", body=[ir.AssignStmt("meta.x", C(1))])
-    table = ir.Table("t")
-    assert table_effects(table, {"set_x": set_x}).defs == {"meta.x"}
-
-
-def test_register_stmts_are_side_effecting():
-    write = ir.RegisterWrite("r", C(0), F("meta.a"))
-    eff = stmt_effects(write, tables={}, actions={})
-    assert eff.side_effects
-    assert "meta.a" in eff.uses
-    read = ir.RegisterRead("meta.b", "r", C(0))
-    eff = stmt_effects(read, tables={}, actions={})
-    assert "meta.b" in eff.defs
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,36 @@ def test_lpm_longest_prefix_wins():
     assert sw.process(packet, 1)[0][0] == 1
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_an_lpm_key_on_a_field_not_32_bits_wide_is_refused(engine):
+    """Both engines mask LPM keys at 32 bits: on a 16-bit key a
+    ``(0x1234, 16)`` entry would forward dst port 0x9999."""
+    program = programs.l2_port_forwarding()
+    program.tables["fwd_table"].keys = [
+        ir.TableKey("hdr.udp.dst_port", ir.MatchKind.LPM)]
+    with pytest.raises(P4RuntimeError, match="'hdr.udp.dst_port' is 16 bits"):
+        Bmv2Switch(program, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("spec", [(ip(10, 0, 0, 0), 40), (ip(10, 0, 0, 0), -1),
+                                  (1 << 32, 8), (-1, 8), 5,
+                                  (ip(10, 0, 0, 0), 8.0)],
+                         ids=["plen40", "plen-1", "prefix2**32", "prefix-1",
+                              "not-a-pair", "float-plen"])
+def test_an_lpm_spec_outside_32_bits_installs_nothing(engine, spec):
+    sw = Bmv2Switch(ipv4_lpm_forwarding(), name="s1", engine=engine)
+    good = ([(ip(10, 0, 0, 0), 8)], "ipv4_forward", [1, 1], 0)
+    bad = ([spec], "ipv4_forward", [2, 2], 0)
+    with pytest.raises(P4RuntimeError, match="LPM spec"):
+        sw.insert_entries("ipv4_lpm", [good, bad])
+    assert sw.entries["ipv4_lpm"] == []
+    packet = make_udp(ip(9, 9, 9, 9), ip(10, 0, 1, 5), 1, 2)
+    assert sw.process(packet, 1) == []  # the default drops it
+    sw.insert_entries("ipv4_lpm", [good])
+    assert sw.process(packet, 1)[0][0] == 1
+
+
 def test_range_priority_higher_wins():
     program = ir.P4Program(name="p", parser=ir.ParserSpec(states=[
         ir.ParserState("start", [ir.Extract("ethernet", ETHERNET)],

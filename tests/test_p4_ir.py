@@ -282,3 +282,70 @@ def test_header_types_deduplicated():
     ])
     names = [t.name for t in program.header_types()]
     assert names.count("ipv4") == 1
+
+
+# ---------------------------------------------------------------------------
+# The apply declarations: apply_actions, apply_effect
+# ---------------------------------------------------------------------------
+
+def assign(path, value=1):
+    return ir.AssignStmt(path, ir.Const(value, 8))
+
+
+def test_table_apply_without_default_is_a_may_def():
+    actions = {"set_a": ir.Action("set_a", body=[assign("meta.a")])}
+    table = ir.Table(name="t", keys=[ir.TableKey("meta.k")],
+                     actions=["set_a"])
+    effect = ir.apply_effect(table, actions, None)
+    assert effect.defs == ("meta.a",)
+    assert effect.must == frozenset()
+    assert effect.uses == {"meta.k"}
+    # With a default action, some action always runs: must-def.
+    effect = ir.apply_effect(table, actions, ("set_a", []))
+    assert effect.must == {"meta.a"}
+
+
+def test_a_table_listing_no_actions_may_run_any():
+    actions = {"set_x": ir.Action("set_x", body=[assign("meta.x")])}
+    table = ir.Table("t")
+    assert ir.apply_actions(table, actions, None) == ["set_x"]
+    assert ir.apply_effect(table, actions, None).defs == ("meta.x",)
+
+
+def test_a_runtime_default_outside_the_list_joins_dispatch_and_must_defs():
+    """A switch's default may name an action the table does not list
+    (the codegen run memos key on it): the apply can then dispatch to
+    it, and only what it writes too holds on every apply."""
+    actions = {
+        "set_ab": ir.Action("set_ab", body=[assign("meta.a"),
+                                            assign("meta.b")]),
+        "set_a": ir.Action("set_a", params=[("v", 8)], body=[
+            ir.AssignStmt("meta.a", ir.FieldRef("param.v"))]),
+        "branchy": ir.Action("branchy", body=[ir.IfStmt(
+            ir.FieldRef("meta.c"), then_body=[assign("meta.a")])]),
+    }
+    table = ir.Table("t", actions=["set_ab"])
+    assert ir.apply_actions(table, actions, None) == ["set_ab"]
+    assert ir.apply_actions(table, actions, ("set_ab", [])) == ["set_ab"]
+    assert ir.apply_actions(table, actions, ("set_a", [3])) == [
+        "set_ab", "set_a"]
+    effect = ir.apply_effect(table, actions, ("set_a", [3]))
+    assert effect.defs == ("meta.a", "meta.b")
+    assert effect.must == {"meta.a"}
+    assert effect.uses == frozenset()  # param.* is action data
+    # A branching action always writes nothing.
+    effect = ir.apply_effect(table, actions, ("branchy", []))
+    assert effect.defs == ("meta.a", "meta.b")
+    assert effect.uses == {"meta.c"}
+    assert effect.must == frozenset()
+
+
+def test_register_stmts_are_side_effecting():
+    write = ir.RegisterWrite("r", ir.Const(0, 8), ir.FieldRef("meta.a"))
+    effect = ir.stmt_effect(write)
+    assert effect.side_effects
+    assert "meta.a" in effect.uses
+    read = ir.RegisterRead("meta.b", "r", ir.Const(0, 8))
+    effect = ir.stmt_effect(read)
+    assert effect.defs == ("meta.b",) and effect.must == {"meta.b"}
+    assert not effect.side_effects

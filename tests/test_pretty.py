@@ -86,3 +86,17 @@ def test_registers_render_in_ingress():
     program.add_register(ir.RegisterDef("r0", 32, 8))
     text = render(program)
     assert "register<bit<32>>(8) r0;" in text
+
+
+def test_a_table_listing_no_actions_renders_every_action_it_can_run():
+    """A table that lists no actions may run every one (P4Runtime's
+    rule, ``ir.table_actions``; both engines dispatch to them), so the
+    rendered P4 lists and declares each: the text Table 1 counts is the
+    program the switches run."""
+    program = l2_port_forwarding()
+    program.tables["fwd_table"].actions = []
+    text = render(program)
+    listed = text[text.index("actions = {"):]
+    listed = listed[:listed.index("}")]
+    assert "fwd_set_egress;" in listed and "fwd_drop;" in listed
+    assert "action fwd_set_egress(bit<9> port)" in text

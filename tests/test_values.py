@@ -1,13 +1,11 @@
-"""Runtime value representation tests, including pack/unpack round-trips
-for the telemetry wire format (property-based)."""
+"""Runtime value representation tests."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.indus.types import (ArrayType, BitType, BoolType, DictType,
                                SetType, TupleType)
 from repro.indus.values import (ArrayValue, DictValue, SetValue, coerce,
-                                mask, pack_value, unpack_value, zero_value)
+                                mask, zero_value)
 
 
 # ---------------------------------------------------------------------------
@@ -112,54 +110,3 @@ def test_dict_remove():
     d.remove(1)
     assert d.get(1) == 0
     d.remove(1)  # idempotent
-
-
-# ---------------------------------------------------------------------------
-# Wire format round-trips
-# ---------------------------------------------------------------------------
-
-@given(st.integers(min_value=0, max_value=2**16 - 1))
-def test_pack_unpack_bits(value):
-    ty = BitType(16)
-    bits, width = pack_value(ty, value)
-    assert width == 16
-    assert unpack_value(ty, bits, width) == value
-
-
-@given(st.booleans())
-def test_pack_unpack_bool(value):
-    ty = BoolType()
-    bits, width = pack_value(ty, value)
-    assert unpack_value(ty, bits, width) == value
-
-
-@given(st.lists(st.integers(min_value=0, max_value=255), max_size=5))
-def test_pack_unpack_array(items):
-    ty = ArrayType(BitType(8), 5)
-    arr = ArrayValue(ty, items)
-    bits, width = pack_value(ty, arr)
-    assert width == ty.width_bits()
-    restored = unpack_value(ty, bits, width)
-    assert restored.valid_items() == arr.valid_items()
-
-
-@given(st.tuples(st.integers(min_value=0, max_value=255), st.booleans()))
-def test_pack_unpack_tuple(value):
-    ty = TupleType((BitType(8), BoolType()))
-    bits, width = pack_value(ty, value)
-    assert unpack_value(ty, bits, width) == value
-
-
-@given(st.sets(st.integers(min_value=0, max_value=255), max_size=6))
-def test_pack_unpack_set(items):
-    ty = SetType(BitType(8), 8)
-    s = SetValue(ty, items)
-    bits, width = pack_value(ty, s)
-    restored = unpack_value(ty, bits, width)
-    assert restored.valid_items() == s.valid_items()
-
-
-def test_dict_is_not_packable():
-    with pytest.raises(ValueError):
-        pack_value(DictType(BitType(8), BitType(8)), DictValue(
-            DictType(BitType(8), BitType(8))))
