@@ -148,8 +148,8 @@ def run_scenario(scenario: Union[int, Any] = None, *,
 
     Pass a :class:`~repro.difftest.scenario.Scenario` (or its seed as a
     plain int), or ``seed=`` alone.  ``engines`` names the engines
-    the oracle cross-checks, anchor first (default
-    :data:`repro.p4.ENGINES`).  Returns the
+    the oracle cross-checks, anchor first: two or more distinct names
+    (default :data:`repro.p4.ENGINES`; else ``ValueError``).  Returns the
     :class:`~repro.difftest.harness.ScenarioResult`; ``result.ok`` is
     the oracle verdict.
     """

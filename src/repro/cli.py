@@ -212,9 +212,11 @@ def cmd_difftest(args: argparse.Namespace) -> int:
     from .difftest import Minimizer, dump_reproducer
 
     engines = _parse_names(args.engine, ENGINES, "engine")
-    if engines is not None and len(engines) < 2:
+    if engines is not None and (len(engines) < 2
+                                or len(set(engines)) < len(engines)):
         raise SystemExit("error: the oracle cross-checks engines; give "
-                         "at least two (e.g. --engine interp,codegen)")
+                         "at least two distinct ones (e.g. --engine "
+                         "interp,codegen)")
     mode = "injected-bug validation" if args.inject_bug else "oracle"
     print(f"difftest ({mode}): seed {args.seed}, {args.iters} iteration(s)"
           + (f", engines {','.join(engines)}" if engines else ""))

@@ -330,17 +330,18 @@ def run_scenario(scenario: Scenario,
     the dataflow optimizer on the compiled checker before deployment —
     the campaign knob used to validate that optimization changes
     nothing observable.  ``engines`` names the engines the oracle
-    cross-checks (default :data:`repro.p4.ENGINES`); the first is the
-    comparison anchor, whose hops feed the monitor, and every other must
-    agree with it hop by hop and byte for byte.  Each engine's
+    cross-checks (default :data:`repro.p4.ENGINES`), two or more and
+    none twice; the first is the comparison anchor, whose hops feed the
+    monitor, and every other must agree with it hop by hop and byte for
+    byte.  Each engine's
     configuration follows its name, not its position (see
     :func:`build_scenario_deployment`): ``interp`` always runs the
     reference configuration.
     """
     engines = tuple(engines) if engines else ENGINES
-    if len(engines) < 2:
-        raise ValueError("the oracle needs at least two engines to "
-                         f"cross-check, got {engines!r}")
+    if len(engines) < 2 or len(set(engines)) < len(engines):
+        raise ValueError("the oracle needs at least two distinct engines "
+                         f"to cross-check, got {engines!r}")
     result = ScenarioResult(scenario=scenario)
 
     def fail(kind: str, message: str, packet_index: int = -1,

@@ -293,15 +293,9 @@ class Network:
         self._metrics = self.obs.registry.live
         if self._metrics:
             reg = self.obs.registry
-            self._m_qdrops = reg.counter(
-                "queue_drops_total",
-                "packets dropped by the network layer",
-                labels=("node", "reason"))
-            self._m_delivered = reg.counter(
-                "packets_delivered_total", "packets delivered to hosts",
-                labels=("host",))
-            self._g_simtime = reg.gauge(
-                "sim_time_seconds", "current simulator time")
+            self._m_qdrops = reg.metric("queue_drops_total")
+            self._m_delivered = reg.metric("packets_delivered_total")
+            self._g_simtime = reg.metric("sim_time_seconds").labels()
         self.hosts: Dict[str, Host] = {
             name: Host(name, self) for name in topology.hosts
         }
@@ -338,9 +332,8 @@ class Network:
         """A ring's ``on_evict``: no callback without a live registry."""
         if not self._metrics:
             return None
-        return lambda count: self.obs.registry.counter(
-            "log_evictions_total", "entries evicted from bounded ring logs",
-            labels=("log", "node")).labels(log, node).inc(count)
+        return lambda count: self.obs.registry.metric(
+            "log_evictions_total").labels(log, node).inc(count)
 
     def _process_recorded(self, device: SwitchDevice, packet: Packet,
                           port: int, t: float) -> List[Tuple[int, Packet]]:

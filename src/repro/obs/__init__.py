@@ -29,16 +29,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      NullRegistry, NULL_REGISTRY, DEFAULT_NS_BUCKETS,
-                      DEFAULT_SECONDS_BUCKETS)
-from .profile import PHASE_HISTOGRAM, profiled
+from .metrics import METRICS, MetricsRegistry, NULL_REGISTRY
+from .profile import profiled
 
-__all__ = [
-    "Counter", "DEFAULT_NS_BUCKETS", "DEFAULT_SECONDS_BUCKETS", "Gauge",
-    "Histogram", "MetricsRegistry", "NULL_OBS", "NULL_REGISTRY",
-    "NullRegistry", "Observability", "PHASE_HISTOGRAM", "profiled",
-]
+__all__ = ["METRICS", "MetricsRegistry", "NULL_OBS", "NULL_REGISTRY",
+           "Observability", "profiled"]
 
 
 class Observability:

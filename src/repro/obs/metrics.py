@@ -1,177 +1,106 @@
-"""Low-overhead metrics: counters, gauges, histograms with labels.
+"""Low-overhead metrics, every one declared once in :data:`METRICS`.
 
-Two registry implementations share one interface:
+:data:`METRICS` is the closed set of metric families the runtime
+exports: ``name -> (kind, help, label names, buckets)``.  A call site
+names only the metric and its label values::
 
-* :class:`MetricsRegistry` — the live registry.  Instruments are
-  created idempotently (``registry.counter(name, ...)`` returns the
-  same object every time) and label values select per-series children
-  (``counter.labels("s1", "hit").inc()``), mirroring the Prometheus
-  client model.  ``render_prometheus()`` emits the text exposition
-  format; ``to_dict()`` a JSON-safe dump.
-* :class:`NullRegistry` — the default everywhere.  Every method returns
-  a shared no-op instrument, so instrumented call sites cost one method
-  call at most — and the hot paths (``repro.p4.codegen``) specialize
-  at compile time on ``registry.live`` and pay **nothing** when
-  observability is off.  ``tests/test_codegen_engine.py`` holds that
-  line: the generated source carries no counter call under the null
-  handle.
+    registry.metric("table_lookups_total").labels("s1", "fwd", "hit").inc()
+    registry.metric("sim_time_seconds").labels().set(now)   # unlabelled
 
-Naming conventions (see docs/INTERNALS.md § observability):
+Two registries share that interface:
+
+* :class:`MetricsRegistry` — the live registry.  A family appears the
+  first time it is asked for, so an export lists what ran; its label
+  values select per-series children, a value child (``inc`` / ``set``)
+  for counters and gauges and a histogram child (``observe``).
+  ``to_dict()`` is the one series walk and ``render_prometheus()``
+  renders it in the text exposition format.
+* :class:`NullRegistry` — the default everywhere.  ``metric()`` returns
+  one shared no-op family, so an instrumented call site costs one
+  method call at most — and the hot paths (``repro.p4.codegen``)
+  specialize at compile time on ``registry.live`` and pay **nothing**
+  when observability is off.  ``tests/test_codegen_engine.py`` holds
+  that line: the generated source carries no counter call under the
+  null handle.
+
+Naming (see docs/INTERNALS.md § observability):
 ``<subsystem>_<thing>_total`` for counters, ``<thing>_seconds`` /
 ``<thing>_ns_per_packet`` for histograms, plain nouns for gauges.
+To add a metric, add a row to :data:`METRICS`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
-__all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
-    "NULL_REGISTRY", "DEFAULT_NS_BUCKETS", "DEFAULT_SECONDS_BUCKETS",
-]
+__all__ = ["METRICS", "MetricsRegistry", "NullRegistry", "NULL_REGISTRY"]
 
 #: Hard ceiling on distinct label-value combinations per metric; a
 #: runaway label (e.g. a packet id used as a label) raises instead of
 #: silently eating memory.
 MAX_LABEL_SETS = 4096
 
-#: Default buckets for per-packet latency histograms (nanoseconds).
-DEFAULT_NS_BUCKETS: Tuple[float, ...] = (
-    1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 1e7)
+_NS = (1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 1e7)
+_SECONDS = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 30.0)
 
-#: Default buckets for phase timers (seconds).
-DEFAULT_SECONDS_BUCKETS: Tuple[float, ...] = (
-    1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 30.0)
+#: Every exported metric: name -> (kind, help, label names, buckets).
+METRICS: Dict[str, Tuple[str, str, Tuple[str, ...], Tuple[float, ...]]] = {
+    # A switch's pipeline runs (``repro.p4.bmv2.observed``) and applies.
+    "switch_packets_total": (
+        "counter", "packets entering a pipeline", ("switch", "port"), ()),
+    "switch_packets_dropped_total": (
+        "counter", "packets discarded by a pipeline", ("switch", "reason"),
+        ()),
+    "table_lookups_total": (
+        "counter", "table applies by outcome",
+        ("switch", "table", "result"), ()),
+    "interp_ns_per_packet": (
+        "histogram", "interp engine nanoseconds per packet", (), _NS),
+    "codegen_ns_per_packet": (
+        "histogram", "codegen engine nanoseconds per packet", (), _NS),
+    # The traffic plane (``repro.net.simulator.Network``).
+    "queue_drops_total": (
+        "counter", "packets dropped by the network layer",
+        ("node", "reason"), ()),
+    "packets_delivered_total": (
+        "counter", "packets delivered to hosts", ("host",), ()),
+    "sim_time_seconds": ("gauge", "current simulator time", (), ()),
+    # A switch's digest ring and a host's ``received`` ring.
+    "log_evictions_total": (
+        "counter", "entries evicted from bounded logs", ("log", "node"), ()),
+    # The deployment's checkers and the phases timed by ``profiled``.
+    "checker_violations_total": (
+        "counter", "violation reports raised by deployed checkers",
+        ("checker", "switch"), ()),
+    "phase_seconds": (
+        "histogram", "wall-clock seconds per pipeline phase", ("phase",),
+        _SECONDS),
+}
 
 
 class MetricError(ValueError):
-    """Raised on inconsistent metric registration or label misuse."""
+    """Raised on an undeclared metric or label misuse."""
 
 
-def _format_labels(names: Sequence[str], values: Sequence[Any]) -> str:
-    if not names:
-        return ""
-    pairs = ",".join(f'{n}="{v}"' for n, v in zip(names, values))
-    return "{" + pairs + "}"
+class _Value:
+    """One counter or gauge series."""
 
-
-class _Metric:
-    """Shared child-series bookkeeping for labelled instruments."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str = "",
-                 label_names: Sequence[str] = ()):
-        self.name = name
-        self.help = help
-        self.label_names: Tuple[str, ...] = tuple(label_names)
-        self._children: Dict[Tuple, Any] = {}
-
-    def labels(self, *values: Any):
-        if len(values) != len(self.label_names):
-            raise MetricError(
-                f"metric {self.name!r} takes {len(self.label_names)} "
-                f"label value(s) {self.label_names}, got {len(values)}")
-        if not values:
-            return self._unlabelled()
-        key = tuple(str(v) for v in values)
-        child = self._children.get(key)
-        if child is None:
-            if len(self._children) >= MAX_LABEL_SETS:
-                raise MetricError(
-                    f"metric {self.name!r} exceeded {MAX_LABEL_SETS} "
-                    "label sets — an unbounded value is being used as "
-                    "a label")
-            child = self._new_child()
-            self._children[key] = child
-        return child
-
-    def _new_child(self):
-        raise NotImplementedError
-
-    def _series(self) -> Iterable[Tuple[Tuple, Any]]:
-        if self.label_names:
-            return self._children.items()
-        return [((), self._unlabelled())]
-
-    def _unlabelled(self):
-        raise NotImplementedError
-
-
-class _CounterChild:
     __slots__ = ("value",)
 
-    def __init__(self):
-        self.value = 0
+    def __init__(self, value: float):
+        self.value = value
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Counter(_Metric):
-    """A monotonically increasing counter (optionally labelled)."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "",
-                 label_names: Sequence[str] = ()):
-        super().__init__(name, help, label_names)
-        self._self_child = _CounterChild()
-
-    def _new_child(self) -> _CounterChild:
-        return _CounterChild()
-
-    def _unlabelled(self) -> _CounterChild:
-        return self._self_child
-
-    def inc(self, amount: int = 1) -> None:
-        if self.label_names:
-            raise MetricError(
-                f"metric {self.name!r} is labelled {self.label_names}; "
-                "use .labels(...).inc()")
-        self._self_child.inc(amount)
-
-    @property
-    def value(self) -> int:
-        return self._self_child.value
-
-
-class _GaugeChild:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
 
     def set(self, value: float) -> None:
         self.value = value
 
 
-class Gauge(_Metric):
-    """A value set to its latest reading (``set``)."""
+class _Histogram:
+    """One histogram series: cumulative buckets (Prometheus ``le``)."""
 
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "",
-                 label_names: Sequence[str] = ()):
-        super().__init__(name, help, label_names)
-        self._self_child = _GaugeChild()
-
-    def _new_child(self) -> _GaugeChild:
-        return _GaugeChild()
-
-    def _unlabelled(self) -> _GaugeChild:
-        return self._self_child
-
-    def set(self, value: float) -> None:
-        self._self_child.set(value)
-
-    @property
-    def value(self) -> float:
-        return self._self_child.value
-
-
-class _HistogramChild:
     __slots__ = ("buckets", "counts", "sum", "count")
 
     def __init__(self, buckets: Tuple[float, ...]):
@@ -187,181 +116,141 @@ class _HistogramChild:
             if value <= bound:
                 self.counts[i] += 1
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
 
+class _Family:
+    """One declared metric and its series, keyed by label values."""
 
-class Histogram(_Metric):
-    """Cumulative-bucket histogram (Prometheus ``le`` semantics)."""
+    __slots__ = ("name", "kind", "help", "label_names", "buckets",
+                 "_children")
 
-    kind = "histogram"
+    def __init__(self, name: str):
+        self.name = name
+        self.kind, self.help, self.label_names, self.buckets = METRICS[name]
+        self._children: Dict[Tuple[str, ...], Any] = {}
 
-    def __init__(self, name: str, help: str = "",
-                 label_names: Sequence[str] = (),
-                 buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS):
-        super().__init__(name, help, label_names)
-        if not buckets or list(buckets) != sorted(buckets):
+    def labels(self, *values: Any):
+        if len(values) != len(self.label_names):
             raise MetricError(
-                f"histogram {name!r} buckets must be sorted and non-empty")
-        self.buckets: Tuple[float, ...] = tuple(buckets)
-        self._self_child = _HistogramChild(self.buckets)
+                f"metric {self.name!r} takes {len(self.label_names)} "
+                f"label value(s) {self.label_names}, got {len(values)}")
+        key = tuple(str(v) for v in values)
+        child = self._children.get(key)
+        if child is None:
+            if len(self._children) >= MAX_LABEL_SETS:
+                raise MetricError(
+                    f"metric {self.name!r} exceeded {MAX_LABEL_SETS} "
+                    "label sets — an unbounded value is being used as "
+                    "a label")
+            if self.kind == "histogram":
+                child = _Histogram(self.buckets)
+            else:
+                child = _Value(0.0 if self.kind == "gauge" else 0)
+            self._children[key] = child
+        return child
 
-    def _new_child(self) -> _HistogramChild:
-        return _HistogramChild(self.buckets)
-
-    def _unlabelled(self) -> _HistogramChild:
-        return self._self_child
-
-    def observe(self, value: float) -> None:
-        if self.label_names:
-            raise MetricError(
-                f"metric {self.name!r} is labelled {self.label_names}; "
-                "use .labels(...).observe()")
-        self._self_child.observe(value)
-
-    @property
-    def count(self) -> int:
-        return self._self_child.count
-
-    @property
-    def sum(self) -> float:
-        return self._self_child.sum
+    def series(self) -> List[Tuple[Tuple[str, ...], Any]]:
+        """``(label values, child)`` per series, in export order."""
+        return sorted(self._children.items())
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+def _escape(value: str) -> str:
+    return (value.replace("\\", "\\\\").replace('"', '\\"')
+            .replace("\n", "\\n"))
+
+
+def _format_labels(labels: Dict[str, str]) -> str:
+    if not labels:
+        return ""
+    return "{" + ",".join(f'{n}="{_escape(v)}"'
+                          for n, v in labels.items()) + "}"
 
 
 class MetricsRegistry:
-    """The live registry: get-or-create instruments by name."""
+    """The live registry: one family per declared name, made on demand."""
 
     live = True
 
     def __init__(self):
-        self._metrics: Dict[str, _Metric] = {}
+        self._families: Dict[str, _Family] = {}
 
-    def _get(self, kind: str, name: str, help: str,
-             label_names: Sequence[str], **kwargs) -> Any:
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if existing.kind != kind:
-                raise MetricError(
-                    f"metric {name!r} already registered as "
-                    f"{existing.kind}, not {kind}")
-            if existing.label_names != tuple(label_names):
-                raise MetricError(
-                    f"metric {name!r} already registered with labels "
-                    f"{existing.label_names}, not {tuple(label_names)}")
-            return existing
-        metric = _KINDS[kind](name, help, label_names, **kwargs)
-        self._metrics[name] = metric
-        return metric
-
-    def counter(self, name: str, help: str = "",
-                labels: Sequence[str] = ()) -> Counter:
-        return self._get("counter", name, help, labels)
-
-    def gauge(self, name: str, help: str = "",
-              labels: Sequence[str] = ()) -> Gauge:
-        return self._get("gauge", name, help, labels)
-
-    def histogram(self, name: str, help: str = "",
-                  labels: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-                  ) -> Histogram:
-        return self._get("histogram", name, help, labels, buckets=buckets)
-
-    def get(self, name: str) -> Optional[_Metric]:
-        return self._metrics.get(name)
+    def metric(self, name: str) -> _Family:
+        family = self._families.get(name)
+        if family is None:
+            if name not in METRICS:
+                raise MetricError(f"metric {name!r} is not declared in "
+                                  "repro.obs.metrics.METRICS")
+            family = self._families[name] = _Family(name)
+        return family
 
     def value(self, name: str, *label_values: Any) -> Any:
         """Convenience reader: the current value of one series (0 for a
-        counter/gauge series that never incremented)."""
-        metric = self._metrics.get(name)
-        if metric is None:
+        series that never ran); a histogram series is its child."""
+        family = self._families.get(name)
+        key = tuple(str(v) for v in label_values)
+        child = None if family is None else family._children.get(key)
+        if child is None:
             return 0
-        if label_values:
-            key = tuple(str(v) for v in label_values)
-            child = metric._children.get(key)
-            if child is None:
-                return 0
-        else:
-            child = metric._unlabelled()
-        return child.value if hasattr(child, "value") else child
+        return child.value if isinstance(child, _Value) else child
 
     # -- export ----------------------------------------------------------
-
-    def render_prometheus(self) -> str:
-        """The Prometheus text exposition format."""
-        lines: List[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} {metric.kind}")
-            for key, child in sorted(metric._series()):
-                label_text = _format_labels(metric.label_names, key)
-                if metric.kind == "histogram":
-                    # observe() fills buckets cumulatively already.
-                    for bound, bucket_count in zip(child.buckets,
-                                                   child.counts):
-                        pairs = ",".join(
-                            f'{n}="{v}"' for n, v in zip(
-                                metric.label_names + ("le",),
-                                key + (float(bound),)))
-                        lines.append(
-                            f"{name}_bucket{{{pairs}}} {bucket_count}")
-                    pairs = ",".join(
-                        f'{n}="{v}"' for n, v in zip(
-                            metric.label_names + ("le",), key + ("+Inf",)))
-                    lines.append(f"{name}_bucket{{{pairs}}} {child.count}")
-                    lines.append(f"{name}_sum{label_text} {child.sum}")
-                    lines.append(f"{name}_count{label_text} {child.count}")
-                else:
-                    lines.append(f"{name}{label_text} {child.value}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe dump: {name: {kind, help, series: [...]}}."""
         out: Dict[str, Any] = {}
-        for name, metric in sorted(self._metrics.items()):
+        for name, family in sorted(self._families.items()):
             series = []
-            for key, child in sorted(metric._series()):
-                labels = dict(zip(metric.label_names, key))
-                if metric.kind == "histogram":
+            for key, child in family.series():
+                labels = dict(zip(family.label_names, key))
+                if family.kind == "histogram":
                     series.append({
                         "labels": labels,
                         "count": child.count,
                         "sum": child.sum,
-                        "mean": child.mean,
+                        "mean": child.sum / child.count if child.count
+                        else 0.0,
                         "buckets": {repr(float(b)): c for b, c in
                                     zip(child.buckets, child.counts)},
                     })
                 else:
                     series.append({"labels": labels, "value": child.value})
-            entry = {"kind": metric.kind, "help": metric.help,
-                     "label_names": list(metric.label_names),
+            entry = {"kind": family.kind, "help": family.help,
+                     "label_names": list(family.label_names),
                      "series": series}
-            if metric.kind == "histogram":
-                entry["buckets"] = [float(b) for b in metric.buckets]
+            if family.kind == "histogram":
+                entry["buckets"] = [float(b) for b in family.buckets]
             out[name] = entry
         return out
+
+    def render_prometheus(self) -> str:
+        """The Prometheus text exposition format of :meth:`to_dict`."""
+        lines: List[str] = []
+        for name, entry in self.to_dict().items():
+            lines.append(f"# HELP {name} {entry['help']}")
+            lines.append(f"# TYPE {name} {entry['kind']}")
+            for series in entry["series"]:
+                labels = _format_labels(series["labels"])
+                if "buckets" not in series:
+                    lines.append(f"{name}{labels} {series['value']}")
+                    continue
+                # observe() fills buckets cumulatively already.
+                for le, count in [*series["buckets"].items(),
+                                  ("+Inf", series["count"])]:
+                    bucket = _format_labels({**series["labels"], "le": le})
+                    lines.append(f"{name}_bucket{bucket} {count}")
+                lines.append(f"{name}_sum{labels} {series['sum']}")
+                lines.append(f"{name}_count{labels} {series['count']}")
+        return "\n".join(lines) + ("\n" if lines else "")
 
     def render_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-class _NullInstrument:
-    """One shared do-nothing instrument covering every metric kind."""
+class _NullFamily:
+    """One shared do-nothing family, its own every series."""
 
     __slots__ = ()
 
-    value = 0
-    count = 0
-    sum = 0.0
-    mean = 0.0
-
-    def labels(self, *_values: Any) -> "_NullInstrument":
+    def labels(self, *_values: Any) -> "_NullFamily":
         return self
 
     def inc(self, _amount: int = 1) -> None:
@@ -374,46 +263,21 @@ class _NullInstrument:
         pass
 
 
-_NULL_INSTRUMENT = _NullInstrument()
+_NULL_FAMILY = _NullFamily()
 
 
-class NullRegistry:
+class NullRegistry(MetricsRegistry):
     """The no-op registry: the default when observability is off.
 
-    Every factory returns one shared null instrument whose methods do
-    nothing; hot paths additionally specialize on ``live`` and skip the
-    call entirely.
+    ``metric()`` returns one shared null family whose methods do
+    nothing, so no family is ever made and every export is empty; hot
+    paths additionally specialize on ``live`` and skip the call.
     """
 
     live = False
 
-    def counter(self, name: str, help: str = "",
-                labels: Sequence[str] = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "",
-              labels: Sequence[str] = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "",
-                  labels: Sequence[str] = (),
-                  buckets: Sequence[float] = (),) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def get(self, name: str) -> None:
-        return None
-
-    def value(self, name: str, *label_values: Any) -> int:
-        return 0
-
-    def render_prometheus(self) -> str:
-        return ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {}
-
-    def render_json(self, indent: int = 2) -> str:
-        return "{}"
+    def metric(self, name: str) -> _NullFamily:
+        return _NULL_FAMILY
 
 
 #: The process-wide shared null registry (stateless, safe to share).

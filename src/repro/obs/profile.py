@@ -12,11 +12,7 @@ from __future__ import annotations
 import time
 from typing import Any, Optional
 
-from .metrics import DEFAULT_SECONDS_BUCKETS
-
-__all__ = ["profiled", "PHASE_HISTOGRAM"]
-
-PHASE_HISTOGRAM = "phase_seconds"
+__all__ = ["profiled"]
 
 
 class _NullTimer:
@@ -60,7 +56,4 @@ def profiled(registry: Optional[Any], phase: str):
     """
     if registry is None or not getattr(registry, "live", False):
         return _NULL_TIMER
-    child = registry.histogram(
-        PHASE_HISTOGRAM, "wall-clock seconds per pipeline phase",
-        labels=("phase",), buckets=DEFAULT_SECONDS_BUCKETS).labels(phase)
-    return _PhaseTimer(child)
+    return _PhaseTimer(registry.metric("phase_seconds").labels(phase))

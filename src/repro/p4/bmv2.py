@@ -24,7 +24,6 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..net.packet import Header, Packet
 from ..obs import NULL_OBS, Observability
-from ..obs.metrics import DEFAULT_NS_BUCKETS
 from . import ir
 from .ir import P4RuntimeError
 
@@ -335,28 +334,16 @@ class Bmv2Switch:
     # ==================================================================
 
     def _bind_metrics(self, registry) -> None:
-        self._m_packets = registry.counter(
-            "switch_packets_total", "packets entering a pipeline",
-            labels=("switch", "port"))
-        self._m_dropped = registry.counter(
-            "switch_packets_dropped_total",
-            "packets discarded by a pipeline",
-            labels=("switch", "reason"))
-        self._m_table = registry.counter(
-            "table_lookups_total", "table applies by outcome",
-            labels=("switch", "table", "result"))
-        self._m_ns = registry.histogram(
-            f"{self.engine}_ns_per_packet",
-            f"{self.engine} engine nanoseconds per packet",
-            buckets=DEFAULT_NS_BUCKETS)
+        self._m_packets = registry.metric("switch_packets_total")
+        self._m_dropped = registry.metric("switch_packets_dropped_total")
+        self._m_table = registry.metric("table_lookups_total")
+        self._m_ns = registry.metric(f"{self.engine}_ns_per_packet").labels()
         self._process_interp_obs = observed(self, self._process_interp)
 
     def _on_digest_evict(self, count: int) -> None:
         # Rare (ring overflow only): the null registry no-ops.
-        self.obs.registry.counter(
-            "log_evictions_total",
-            "entries rotated out of bounded message logs",
-            labels=("log", "node")).labels("digests", self.name).inc(count)
+        self.obs.registry.metric("log_evictions_total").labels(
+            "digests", self.name).inc(count)
 
     # ==================================================================
     # Control-plane (P4Runtime-like) API

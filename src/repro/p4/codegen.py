@@ -464,10 +464,8 @@ class CodegenEngine:
 
     def _lookup_counter(self, table: str, result: str):
         """This switch's ``table_lookups_total`` child for one outcome."""
-        return self.switch.obs.registry.counter(
-            "table_lookups_total", "table applies by outcome",
-            labels=("switch", "table", "result")).labels(
-                self.switch.name, table, result)
+        return self.switch.obs.registry.metric("table_lookups_total").labels(
+            self.switch.name, table, result)
 
     def _table_global(self, name: str) -> Tuple[str, _TableIndex]:
         gname = self._table_globals.get(name)

@@ -78,10 +78,7 @@ class HydraDeployment:
         )
         self.collector = ReportCollector(self.compileds)
         if self.obs.registry.live:
-            violations = self.obs.registry.counter(
-                "checker_violations_total",
-                "violation reports raised by deployed checkers",
-                labels=("checker", "switch"))
+            violations = self.obs.registry.metric("checker_violations_total")
             self.collector.subscribe(
                 lambda r: violations.labels(r.checker, r.switch_name).inc())
         self.switches: Dict[str, Bmv2Switch] = {}

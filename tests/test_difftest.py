@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro import api
 from repro.cli import main
 from repro.difftest import (Minimizer, Scenario, dump_reproducer,
                             gen_scenario, inject_mutation, run_difftest,
@@ -162,6 +163,24 @@ def test_engines_are_compared_hop_by_hop(monkeypatch):
     failure = run_scenario(gen_scenario(0)).failure
     assert failure is not None and failure.kind == "engine"
     assert failure.message.startswith("hops differ, hop 0 t: ")
+
+
+@pytest.mark.parametrize("engines", [("interp", "interp"),
+                                     ("codegen", "codegen"),
+                                     ("interp", "codegen", "codegen"),
+                                     ("codegen",)])
+def test_the_oracle_refuses_an_engine_named_twice(engines):
+    """An engine compared with itself checks nothing (``runs`` is keyed
+    by name): the oracle needs two or more distinct engines."""
+    with pytest.raises(ValueError, match="two distinct engines"):
+        api.run_scenario(seed=3, engines=engines)
+
+
+def test_cli_difftest_refuses_an_engine_named_twice(capsys):
+    with pytest.raises(SystemExit, match="two distinct"):
+        main(["difftest", "--seed", "0", "--iters", "3",
+              "--engine", "codegen,codegen"])
+    assert "all three levels agree" not in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ that the differential oracle's verdicts are identical with
 observability on.
 """
 
+import re
+
 import pytest
 
 from repro.net.packet import ip, make_udp
 from repro.net.simulator import Network
 from repro.net.topology import linear, single_switch
-from repro.obs import MetricsRegistry, Observability
-from repro.p4.bmv2 import Bmv2Switch
+from repro.obs import METRICS, MetricsRegistry, Observability
+from repro.p4 import ENGINES
+from repro.p4.bmv2 import DEFAULT_LOG_CAPACITY, Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
 from tests.test_codegen_engine import build_switch
 
@@ -167,6 +170,87 @@ def test_digest_log_eviction_metric():
     assert obs.registry.value("log_evictions_total", "digests", "s1") == 3
     assert "evicted=3" in repr(sw.digests)
     assert list(sw.digests) == [3, 4]
+
+
+def test_both_rings_share_one_declaration_in_either_order():
+    """A switch's digest ring and a host's ``received`` ring both count
+    into ``log_evictions_total``; whichever evicts first, the export
+    is the same and carries the one declared help text."""
+    texts = []
+    for order in (("digests", "received"), ("received", "digests")):
+        obs = Observability(registry=MetricsRegistry())
+        topo = single_switch(2)
+        switch = Bmv2Switch(l2_port_forwarding("l2_s1"), name="s1",
+                            digest_capacity=1, obs=obs)
+        net = Network(topo, {"s1": switch}, obs=obs)
+        rings = {"digests": (switch.digests, 2),
+                 "received": (net.host("h2").received,
+                              DEFAULT_LOG_CAPACITY + 1)}
+        for log in order:
+            ring, appends = rings[log]
+            for i in range(appends):
+                ring.append(i)
+        texts.append([line for line in
+                      obs.registry.render_prometheus().splitlines()
+                      if "log_evictions_total" in line])
+    assert texts[0] == texts[1] == [
+        f"# HELP log_evictions_total {METRICS['log_evictions_total'][1]}",
+        "# TYPE log_evictions_total counter",
+        'log_evictions_total{log="digests",node="s1"} 1',
+        'log_evictions_total{log="received",node="h2"} 1']
+
+
+def test_every_declared_metric_is_emitted():
+    """The metered interp and codegen runs of a checked scenario, one
+    eviction and the deployment's ``profiled`` phases emit exactly the
+    declared families: the table has no dead row."""
+    from repro.compiler import compile_program
+    from repro.difftest.harness import build_packet, \
+        build_scenario_deployment
+    from repro.difftest.scenario import gen_scenario
+
+    scenario = gen_scenario(3)
+    compiled = compile_program(scenario.source(), name="dt3")
+    emitted = set()
+    for engine in ENGINES:
+        obs = Observability(registry=MetricsRegistry())
+        dep = build_scenario_deployment(scenario, compiled, engine=engine,
+                                        obs=obs)
+        for spec in scenario.packets:
+            dep.network.host(scenario.src_host).send(build_packet(
+                spec, dep.topology, scenario.src_host, scenario.dst_host))
+            dep.network.run()
+        emitted |= set(obs.registry.to_dict())
+    obs = Observability(registry=MetricsRegistry())
+    switch = Bmv2Switch(l2_port_forwarding("l2_s1"), name="s1",
+                        digest_capacity=1, obs=obs)
+    switch.digests.append(0)
+    switch.digests.append(1)
+    emitted |= set(obs.registry.to_dict())
+    assert emitted == set(METRICS)
+
+
+#: One sample line of the text exposition format: a name, an optional
+#: label set whose values escape backslash, quote and newline, a value.
+SAMPLE = re.compile(r'[a-z_]+(\{[a-z_]+="(?:[^"\\\n]|\\[\\"n])*"'
+                    r'(?:,[a-z_]+="(?:[^"\\\n]|\\[\\"n])*")*\})? \S+')
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_switch_name_is_escaped_in_the_text_format(engine):
+    """A switch name is outside input (a topology file accepts any
+    non-empty string); the export stays valid exposition."""
+    obs = Observability.enabled()
+    switch = Bmv2Switch(l2_port_forwarding("l2_s1"), name='s"1',
+                        engine=engine, obs=obs)
+    switch.insert_entry("fwd_table", [1], "fwd_set_egress", [2])
+    assert switch.process(_packet(), 1)
+    lines = obs.registry.render_prometheus().splitlines()
+    assert 'switch_packets_total{switch="s\\"1",port="1"} 1' in lines
+    assert ('table_lookups_total{switch="s\\"1",table="fwd_table",'
+            'result="hit"} 1') in lines
+    for line in lines:
+        assert line.startswith("# ") or SAMPLE.fullmatch(line), line
 
 
 # ---------------------------------------------------------------------------

@@ -241,14 +241,14 @@ def assert_binds_its_own(switch, sibling):
     mine = {name: value for name, value in engine._globals.items()
             if PER_SWITCH.fullmatch(name)}
     assert mine["SW"] is switch and mine["EN"] is engine
-    lookups = switch.obs.registry.get("table_lookups_total")
     for name, value in mine.items():
         if name.startswith("RG"):
             assert any(value is values for values in switch.registers.values())
         elif name.startswith("T"):
             assert value.engine is engine
         elif name.startswith("C"):  # labelled with this switch's name
-            assert [labels[0] for labels, child in lookups._children.items()
+            lookups = switch.obs.registry.metric("table_lookups_total")
+            assert [labels[0] for labels, child in lookups.series()
                     if child is value] == [switch.name]
         elif name not in ("SW", "EN") and value is not None:  # DB, L, RUN
             assert value is not theirs.get(name), name
