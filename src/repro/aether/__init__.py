@@ -7,7 +7,7 @@ from .onos import AttachSpec, ClientRecord, OnosController
 from .portal import (ALLOW, ANY_PORT, ANY_PREFIX, ANY_PROTO, DENY,
                      FilterRule, OperatorPortal, SliceConfig)
 from .testbed import (AetherTestbed, CELL_HOST, INTERNET_HOST, SERVER_HOST,
-                      TrafficResult, ue_address)
+                      ue_address)
 from .upf import (APP_ID_UNKNOWN, DIRECTION_DOWNLINK, DIRECTION_UPLINK,
                   upf_program)
 
@@ -18,5 +18,5 @@ __all__ = [
     "DIRECTION_DOWNLINK", "DIRECTION_UPLINK", "FilterRule",
     "HydraControlApp", "INTERNET_HOST", "MAX_APP_IDS", "MAX_UE_INDEX",
     "MobileCore", "OnosController", "OperatorPortal", "SERVER_HOST",
-    "SliceConfig", "TrafficResult", "ue_address", "upf_program",
+    "SliceConfig", "ue_address", "upf_program",
 ]

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..net.topology import EDGE
-from ..p4 import ir
 from ..runtime.deployment import HydraDeployment
+# After runtime, which loads net: p4 first would cycle (p4.ir -> net ->
+# p4.bmv2 -> p4.ir).
+from ..p4 import ir
 from .onos import AttachSpec, ClientRecord, OnosController, check_detach
 from .portal import DENY, FilterRule, OperatorPortal
 
@@ -40,29 +41,25 @@ class HydraControlApp:
     app_ipv4_addr, app_l4_port) -> 1=deny / 2=allow.
 
     The app owns the rows it installs: each is built once, installed as
-    the same value on every switch the app programs, and remembered per
-    UE so detach removes exactly that UE's rows without scanning the
-    table.
-    ``edge_only=True`` (the scaled deployments) installs rows only on
-    edge switches — the checker evaluates at the last hop, which is
-    always an edge, so spine copies of the dictionary are dead weight.
+    the same value at every site of the dictionary — each table of it a
+    switch's linked program applies
+    (:meth:`~repro.runtime.deployment.HydraDeployment.control_sites`;
+    under last-hop checking, the edges' init lookup) — and remembered
+    per UE so detach removes exactly that UE's rows without scanning
+    the table.
     """
 
-    def __init__(self, deployment: HydraDeployment,
-                 edge_only: bool = False):
+    def __init__(self, deployment: HydraDeployment):
         self.deployment = deployment
-        self.edge_only = edge_only
-        compiled, decl = deployment._resolve_control("filtering_actions")
-        self._tables = list(compiled.control_tables[decl.name])
-        self._hit_actions = {table: compiled.dict_hit_action(decl.name,
-                                                             table)
-                             for table in self._tables}
-        self._switches = [
-            deployment.switches[name]
-            for name, spec in deployment.topology.switches.items()
-            if not edge_only or spec.role == EDGE]
+        self._sites = [(deployment.switches[switch], table, action)
+                       for switch, table, action
+                       in deployment.control_sites("filtering_actions")]
+        self._hit_actions = {table: action
+                             for _, table, action in self._sites}
+        self._tables = list(self._hit_actions)
         # Per UE, its rows table by table (``self._tables`` order, one
-        # per rule within each); every row is on every ``_switches``.
+        # per rule within each); every row is at each of its table's
+        # sites.
         self._installed: Dict[int, Tuple[ir.TableEntry, ...]] = {}
 
     def on_attach_many(self,
@@ -77,7 +74,8 @@ class HydraControlApp:
         refresh = [ue_ip for ue_ip in latest if ue_ip in self._installed]
         if refresh:
             self.on_detach_many(refresh)
-        by_table: List[List[ir.TableEntry]] = [[] for _ in self._tables]
+        by_table: Dict[str, List[ir.TableEntry]] = {
+            table: [] for table in self._tables}
         # Per rule set (the core hands every client of a slice the same
         # one), its rules' non-UE match specs, args and priorities,
         # built once: a UE's rows own only their ``(ue, ue)`` pair.
@@ -92,7 +90,7 @@ class HydraControlApp:
                      rule.priority) for rule in rules]
             ue = (ue_ip, ue_ip)
             own: List[ir.TableEntry] = []
-            for table, rows in zip(self._tables, by_table):
+            for table, rows in by_table.items():
                 action = self._hit_actions[table]
                 mine = [ir.TableEntry((ue, proto, addr, port), action, args,
                                       priority)
@@ -100,22 +98,21 @@ class HydraControlApp:
                 rows.extend(mine)
                 own.extend(mine)
             self._installed[ue_ip] = tuple(own)
-        for bmv2 in self._switches:
-            for table, rows in zip(self._tables, by_table):
-                if rows:
-                    bmv2.insert_entries(table, rows)
+        for bmv2, table, _ in self._sites:
+            if by_table[table]:
+                bmv2.insert_entries(table, by_table[table])
 
     def on_detach_many(self, ue_ips: Sequence[int]) -> None:
-        by_table: List[List[ir.TableEntry]] = [[] for _ in self._tables]
+        by_table: Dict[str, List[ir.TableEntry]] = {
+            table: [] for table in self._tables}
         for ue_ip in ue_ips:
             own = self._installed.pop(ue_ip, ())
             per_table = len(own) // len(by_table)
-            for i, rows in enumerate(by_table):
+            for i, rows in enumerate(by_table.values()):
                 rows.extend(own[i * per_table:(i + 1) * per_table])
-        for bmv2 in self._switches:
-            for table, rows in zip(self._tables, by_table):
-                if rows:
-                    bmv2.delete_entries(table, rows)
+        for bmv2, table, _ in self._sites:
+            if by_table[table]:
+                bmv2.delete_entries(table, by_table[table])
 
 
 class MobileCore:

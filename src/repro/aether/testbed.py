@@ -15,7 +15,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..net.packet import (Packet, ip, make_gtpu_encapsulated, make_udp,
@@ -23,7 +22,7 @@ from ..net.packet import (Packet, ip, make_gtpu_encapsulated, make_udp,
 from ..net.topology import Topology, leaf_spine
 from ..obs import Observability
 from ..properties import compile_property
-from ..runtime.deployment import HydraDeployment
+from ..runtime.deployment import HydraDeployment, SendResult
 from ..runtime.reports import HydraReport
 from .capacity import AetherCapacity, MAX_UE_INDEX, UE_PREFIX_LEN
 from .core import HydraControlApp, MobileCore
@@ -49,23 +48,14 @@ def ue_address(index: int) -> int:
     return UE_SUBNET | index
 
 
-@dataclass
-class TrafficResult:
-    """Outcome of one traffic exchange."""
-
-    delivered: bool
-    new_reports: List[HydraReport]
-
-
 class AetherTestbed:
     """A complete Aether deployment with Hydra application filtering.
 
     ``capacity`` opts into the scaled control plane: an explicit
     :class:`AetherCapacity` (or a plain session count) sizes the UPF
-    tables and the digest log window, bounds attaches, and keeps the
-    checker's dictionary rows off the spines.  ``engine`` / ``batched``
-    / ``obs`` pass through to the deployment: by default the shipped
-    build, codegen on the batched traffic plane.
+    tables and the digest log window and bounds attaches.  ``engine``
+    / ``batched`` / ``obs`` pass through to the deployment: by default
+    the shipped build, codegen on the batched traffic plane.
     """
 
     def __init__(self,
@@ -101,9 +91,7 @@ class AetherTestbed:
                         for name, spec in self.topology.switches.items()
                         if spec.is_leaf}
         self.onos = OnosController(upf_switches, capacity=capacity)
-        self.hydra_app = HydraControlApp(
-            self.deployment,
-            edge_only=capacity.edge_only_filtering if capacity else False)
+        self.hydra_app = HydraControlApp(self.deployment)
         self.core = MobileCore(self.portal, self.onos, self.hydra_app)
         self._ue_ips: Dict[str, int] = {}
         # ip -> host reverse index (maintained once; host sets are
@@ -209,38 +197,23 @@ class AetherTestbed:
 
     def send_uplink(self, imsi: str, app_ip: int, dport: int,
                     proto: str = "udp", payload_len: int = 100
-                    ) -> TrafficResult:
+                    ) -> SendResult:
         """A UE sends one uplink packet via its cell's GTP-U tunnel."""
         packet = self.uplink_packet(imsi, app_ip, dport, proto=proto,
                                     payload_len=payload_len)
-        return self._send(CELL_HOST, packet, app_ip)
+        return self.deployment.send(CELL_HOST, packet,
+                                    self._host_for_ip(app_ip))
 
     def send_downlink(self, src_ip: int, imsi: str, sport: int,
                       proto: str = "udp",
-                      payload_len: int = 100) -> TrafficResult:
+                      payload_len: int = 100) -> SendResult:
         """An application sends one downlink packet toward a UE."""
         src_host = self._host_for_ip(src_ip)
         if src_host is None:
             raise ValueError("downlink source must be a known host")
         packet = self.downlink_packet(src_ip, imsi, sport, proto=proto,
                                       payload_len=payload_len)
-        return self._send(src_host, packet, dest_is_ue=True)
-
-    def _send(self, src_host: str, packet: Packet,
-              dst_ip: Optional[int] = None,
-              dest_is_ue: bool = False) -> TrafficResult:
-        before = len(self.deployment.reports)
-        if dest_is_ue:
-            dest_host = CELL_HOST
-        else:
-            dest_host = self._host_for_ip(dst_ip) if dst_ip else None
-        dest = self.network.host(dest_host) if dest_host else None
-        rx_before = dest.rx_count if dest else 0
-        self.network.host(src_host).send(packet)
-        self.network.run()
-        delivered = bool(dest and dest.rx_count > rx_before)
-        new_reports = self.deployment.reports[before:]
-        return TrafficResult(delivered=delivered, new_reports=new_reports)
+        return self.deployment.send(src_host, packet, CELL_HOST)
 
     @property
     def reports(self) -> List[HydraReport]:

@@ -198,7 +198,9 @@ def ecmp_fabric(name: str = "fabric") -> ir.P4Program:
 
     Leaves install host routes as direct ports and the default route as
     an ECMP group over the spines; spines install one direct route per
-    leaf subnet.  This is the forwarding substrate for Figure 12.
+    leaf subnet.  ``repro codegen --forwarding fabric`` emits it;
+    Figure 12's fabric runs the UPF program instead
+    (:func:`repro.experiments.fig12.build_fabric`).
     """
     program = ir.P4Program(name=name, parser=_ipv4_parser())
     program.emit_order = ["ethernet", "ipv4", "udp", "tcp"]

@@ -12,17 +12,22 @@ edge-port entries, then the switch-id defaults — are applied to the
 behavioral switches, so a control plane that follows the manifest
 ``repro codegen`` writes builds the same switches.  It also exposes the
 control-plane API for Indus ``control`` variables (scalars, dicts,
-sets).
+sets), which writes each variable where it is read: into the tables of
+it that a switch's linked program applies
+(:meth:`HydraDeployment.control_sites`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..compiler.driver import link_switches, switch_writes
 from ..compiler.lower import CompiledChecker
 from ..indus import ast
 from ..indus.types import DictType, SetType
+from ..net.packet import Packet
 from ..net.simulator import Network
 from ..net.topology import Topology
 from ..obs import NULL_OBS, Observability, profiled
@@ -58,6 +63,43 @@ def _as_int(value: Any) -> int:
     return int(value)
 
 
+#: ``(switch, table, action)``: one table of a control variable that the
+#: switch's linked program applies, and the action a write installs.
+ControlSite = Tuple[str, str, str]
+
+
+def _kind(ty: Any) -> str:
+    if isinstance(ty, DictType):
+        return "dict"
+    if isinstance(ty, SetType):
+        return "set"
+    return "scalar"
+
+
+#: Per kind of control variable, the action its writes install in a
+#: table: a scalar's loader (a default action), a dict's or a set's hit.
+_SITE_ACTION: Dict[str, Callable[[CompiledChecker, str, str], str]] = {
+    "scalar": CompiledChecker.scalar_load_action,
+    "dict": CompiledChecker.dict_hit_action,
+    "set": CompiledChecker.set_hit_action,
+}
+
+
+def _applied_tables(program: ir.P4Program) -> FrozenSet[str]:
+    """The tables some pipeline or action body of ``program`` applies."""
+    return frozenset(stmt.table for body in ir.program_bodies(program)
+                     for stmt in ir.walk_stmts(body)
+                     if isinstance(stmt, ir.ApplyTable))
+
+
+@dataclass
+class SendResult:
+    """What one packet sent through a deployment did."""
+
+    delivered: bool
+    new_reports: List[HydraReport]
+
+
 class HydraDeployment:
     """Compiled checker(s) deployed across every switch of a topology."""
 
@@ -85,6 +127,14 @@ class HydraDeployment:
         with profiled(self.obs.registry, "link"):
             self.linked: Dict[str, ir.P4Program] = link_switches(
                 topology, self.compileds, forwarding, check_mode)
+            # Switch name -> the tables its linked program applies,
+            # walked once per distinct linked program.
+            by_program: Dict[int, FrozenSet[str]] = {}
+            self._applied: Dict[str, FrozenSet[str]] = {}
+            for name, program in self.linked.items():
+                if id(program) not in by_program:
+                    by_program[id(program)] = _applied_tables(program)
+                self._applied[name] = by_program[id(program)]
         with profiled(self.obs.registry, "deploy"):
             for name, spec in topology.switches.items():
                 bmv2 = Bmv2Switch(self.linked[name], name=name,
@@ -138,11 +188,39 @@ class HydraDeployment:
             )
         return owners[0]
 
-    def _target_switches(self,
-                         switch: Optional[str]) -> Iterable[Bmv2Switch]:
-        if switch is not None:
-            return [self.switches[switch]]
-        return self.switches.values()
+    def control_sites(self, name: str, switch: Optional[str] = None
+                      ) -> List[ControlSite]:
+        """Where control variable ``name`` lives: a ``(switch, table,
+        action)`` triple per table of it that the switch's linked program
+        applies (on every switch, or on ``switch`` alone), the action
+        being the one a write installs there.
+
+        The linked programs are the one answer: a scalar's ingress loader
+        is applied only at edges, and a dictionary looked up in the init
+        block only at edges too, while under per-hop checking a core
+        switch applies the checker's lookups as well.  A ``switch`` that
+        reads the variable nowhere raises ``ValueError``.
+        """
+        compiled, decl = self._resolve_control(name)
+        action = _SITE_ACTION[_kind(decl.ty)]
+        switches = self.switches if switch is None else [switch]
+        sites = [(sw, table, action(compiled, decl.name, table))
+                 for sw in switches
+                 for table in compiled.control_tables[decl.name]
+                 if table in self._applied.get(sw, ())]
+        if switch is not None and not sites:
+            raise ValueError(
+                f"control {name!r} is read by no table on switch {switch!r}")
+        return sites
+
+    def _sites_of(self, name: str, kind: str,
+                  switch: Optional[str]) -> List[ControlSite]:
+        """:meth:`control_sites`, once ``name`` is checked to be a
+        ``kind`` (scalar, dict or set) variable."""
+        _, decl = self._resolve_control(name)
+        if _kind(decl.ty) != kind:
+            raise ValueError(f"control {name!r} is a {decl.ty}, not a {kind}")
+        return self.control_sites(name, switch)
 
     # -- control-plane API ----------------------------------------------------
 
@@ -157,101 +235,81 @@ class HydraDeployment:
         argument into its live module (``Bmv2Switch.engine_counts()``
         shows a rebind, not a build).
         """
-        compiled, decl = self._resolve_control(name)
-        if isinstance(decl.ty, (DictType, SetType)):
-            raise ValueError(
-                f"control {name!r} is a {decl.ty}; use dict_put/set_add"
-            )
-        for bmv2 in self._target_switches(switch):
-            for table in compiled.control_tables[decl.name]:
-                bmv2.set_default_action(
-                    table, compiled.scalar_load_action(decl.name, table),
-                    [_as_int(value)]
-                )
+        for sw, table, action in self._sites_of(name, "scalar", switch):
+            self.switches[sw].set_default_action(table, action,
+                                                 [_as_int(value)])
 
     def dict_put(self, name: str, key: Any, value: Any,
                  switch: Optional[str] = None) -> None:
         """Insert (or update) one exact entry of a control dictionary."""
-        compiled, decl = self._resolve_control(name)
-        if not isinstance(decl.ty, DictType):
-            raise ValueError(f"control {name!r} is not a dict")
-        match = _exact_ranges(key)
-        for bmv2 in self._target_switches(switch):
-            for table in compiled.control_tables[decl.name]:
-                self._remove_matching(bmv2, table, match)
-                bmv2.insert_entry(table, match,
-                                  compiled.dict_hit_action(decl.name, table),
-                                  [_as_int(value)], priority=EXACT_PRIORITY)
+        self.dict_put_ranges(name, _exact_ranges(key), value,
+                             EXACT_PRIORITY, switch)
 
-    def dict_put_ranges(self, name: str, ranges: List[Tuple[int, int]],
+    def dict_put_ranges(self, name: str, ranges: Sequence[Tuple[int, int]],
                         value: Any, priority: int = 0,
                         switch: Optional[str] = None) -> None:
         """Insert a range/wildcard dictionary entry.
 
         ``ranges`` gives one inclusive [lo, hi] interval per flattened
-        key component (use ``(0, 2**w - 1)`` for "any").  The Aether
-        control app uses this to mirror slice filtering rules, whose
-        application patterns contain prefixes and port ranges.
+        key component (use ``(0, 2**w - 1)`` for "any"), as the
+        stateful-firewall permit-all of Figure 12's fabric does.
         """
-        compiled, decl = self._resolve_control(name)
-        if not isinstance(decl.ty, DictType):
-            raise ValueError(f"control {name!r} is not a dict")
         match = tuple((int(lo), int(hi)) for lo, hi in ranges)
-        for bmv2 in self._target_switches(switch):
-            for table in compiled.control_tables[decl.name]:
-                self._remove_matching(bmv2, table, match)
-                bmv2.insert_entry(table, match,
-                                  compiled.dict_hit_action(decl.name, table),
-                                  [_as_int(value)], priority=priority)
+        self._put(self._sites_of(name, "dict", switch), match,
+                  [_as_int(value)], priority)
 
     def dict_remove(self, name: str, key: Any,
                     switch: Optional[str] = None) -> None:
-        compiled, decl = self._resolve_control(name)
-        if not isinstance(decl.ty, DictType):
-            raise ValueError(f"control {name!r} is not a dict")
-        match = _exact_ranges(key)
-        for bmv2 in self._target_switches(switch):
-            for table in compiled.control_tables[decl.name]:
-                self._remove_matching(bmv2, table, match)
+        self._remove(self._sites_of(name, "dict", switch),
+                     _exact_ranges(key))
 
     def dict_clear(self, name: str, switch: Optional[str] = None) -> None:
         """Remove every entry of a control dictionary."""
-        compiled, decl = self._resolve_control(name)
-        if not isinstance(decl.ty, DictType):
-            raise ValueError(f"control {name!r} is not a dict")
-        for bmv2 in self._target_switches(switch):
-            for table in compiled.control_tables[decl.name]:
-                bmv2.clear_table(table)
+        for sw, table, _ in self._sites_of(name, "dict", switch):
+            self.switches[sw].clear_table(table)
 
     def set_add(self, name: str, item: Any,
                 switch: Optional[str] = None) -> None:
         """Add an element to a control set."""
-        compiled, decl = self._resolve_control(name)
-        if not isinstance(decl.ty, SetType):
-            raise ValueError(f"control {name!r} is not a set")
-        match = _exact_ranges(item)
-        for bmv2 in self._target_switches(switch):
-            for table in compiled.control_tables[decl.name]:
-                self._remove_matching(bmv2, table, match)
-                bmv2.insert_entry(table, match,
-                                  compiled.set_hit_action(decl.name, table),
-                                  priority=EXACT_PRIORITY)
+        self._put(self._sites_of(name, "set", switch), _exact_ranges(item),
+                  None, EXACT_PRIORITY)
 
     def set_remove(self, name: str, item: Any,
                    switch: Optional[str] = None) -> None:
-        compiled, decl = self._resolve_control(name)
-        if not isinstance(decl.ty, SetType):
-            raise ValueError(f"control {name!r} is not a set")
-        match = _exact_ranges(item)
-        for bmv2 in self._target_switches(switch):
-            for table in compiled.control_tables[decl.name]:
-                self._remove_matching(bmv2, table, match)
+        self._remove(self._sites_of(name, "set", switch),
+                     _exact_ranges(item))
 
-    @staticmethod
-    def _remove_matching(bmv2: Bmv2Switch, table: str,
-                         match: Tuple[Tuple[int, int], ...]) -> None:
-        bmv2.delete_entries(table, [e for e in bmv2.entries[table]
-                                    if e.match == match])
+    def _put(self, sites: List[ControlSite],
+             match: Tuple[Tuple[int, int], ...],
+             args: Optional[List[int]], priority: int) -> None:
+        """Replace the entry keyed ``match`` at every site."""
+        self._remove(sites, match)
+        for sw, table, action in sites:
+            self.switches[sw].insert_entry(table, match, action, args,
+                                           priority=priority)
+
+    def _remove(self, sites: List[ControlSite],
+                match: Tuple[Tuple[int, int], ...]) -> None:
+        for sw, table, _ in sites:
+            bmv2 = self.switches[sw]
+            bmv2.delete_entries(table, [e for e in bmv2.entries[table]
+                                        if e.match == match])
+
+    # -- traffic ---------------------------------------------------------------
+
+    def send(self, src_host: str, packet: Packet,
+             dst_host: Optional[str]) -> SendResult:
+        """Send ``packet`` from ``src_host`` and run the network until it
+        is idle: whether ``dst_host`` (``None``: no host) received a
+        packet meanwhile, and the reports raised."""
+        before = len(self.reports)
+        dest = self.network.host(dst_host) if dst_host is not None else None
+        rx_before = dest.rx_count if dest is not None else 0
+        self.network.host(src_host).send(packet)
+        self.network.run()
+        return SendResult(
+            delivered=dest is not None and dest.rx_count > rx_before,
+            new_reports=self.reports[before:])
 
     # -- reports ---------------------------------------------------------------
 

@@ -12,21 +12,14 @@ dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ..net.packet import Packet, make_source_routed, make_udp
+from ..net.packet import make_source_routed, make_udp
 from ..net.topology import Topology, leaf_spine
 from ..p4.programs import source_routing
 from ..properties import compile_property
-from ..runtime.deployment import HydraDeployment
+from ..runtime.deployment import HydraDeployment, SendResult
 from ..runtime.reports import HydraReport
-
-
-@dataclass
-class SendResult:
-    delivered: bool
-    new_reports: List[HydraReport]
 
 
 class SourceRoutingTestbed:
@@ -126,16 +119,8 @@ class SourceRoutingTestbed:
         dst_ip = self.topology.hosts[dst_host].ipv4
         inner = make_udp(src_ip, dst_ip, 5000, 6000,
                          payload_len=payload_len)
-        packet = make_source_routed(ports, inner)
-        before = len(self.deployment.reports)
-        dest = self.network.host(dst_host)
-        rx_before = dest.rx_count
-        self.network.host(src_host).send(packet)
-        self.network.run()
-        return SendResult(
-            delivered=dest.rx_count > rx_before,
-            new_reports=self.deployment.reports[before:],
-        )
+        return self.deployment.send(
+            src_host, make_source_routed(ports, inner), dst_host)
 
     @property
     def reports(self) -> List[HydraReport]:

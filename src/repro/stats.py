@@ -34,31 +34,36 @@ def variance(xs: Sequence[float]) -> float:
 
 
 def _student_t_sf(t: float, dof: float) -> float:
-    """Survival function of the t distribution.
-
-    Uses scipy when available; otherwise falls back to the regularized
-    incomplete beta function via a continued-fraction evaluation.
-    """
-    try:
-        from scipy.stats import t as t_dist
-
-        return float(t_dist.sf(t, dof))
-    except ImportError:  # pragma: no cover - scipy is installed in CI
-        x = dof / (dof + t * t)
-        return 0.5 * _reg_inc_beta(dof / 2.0, 0.5, x)
+    """Survival function of the t distribution, ``P(T > t)`` for
+    ``dof`` degrees of freedom, through the regularized incomplete
+    beta function."""
+    tail = 0.5 * _reg_inc_beta(dof / 2.0, 0.5, dof / (dof + t * t))
+    return tail if t >= 0 else 1.0 - tail
 
 
 def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) (Lentz continued fraction)."""
+    """Regularized incomplete beta I_x(a, b).
+
+    The continued fraction converges fast below ``(a+1)/(a+b+2)``;
+    above it, the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) moves the
+    evaluation there.
+    """
     if x <= 0:
         return 0.0
     if x >= 1:
         return 1.0
-    ln_beta = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-               + a * math.log(x) + b * math.log(1 - x))
-    front = math.exp(ln_beta) / a
+    if x < (a + 1) / (a + b + 2):
+        return _beta_cf(a, b, x)
+    return 1.0 - _beta_cf(b, a, 1.0 - x)
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """I_x(a, b) by its continued fraction (modified Lentz)."""
+    tiny = 1e-300
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x)) / a
     f, c, d = 1.0, 1.0, 0.0
-    for i in range(200):
+    for i in range(400):
         m = i // 2
         if i == 0:
             numerator = 1.0
@@ -68,15 +73,13 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
             numerator = -((a + m) * (a + b + m) * x /
                           ((a + 2 * m) * (a + 2 * m + 1)))
         d = 1.0 + numerator * d
-        d = 1.0 / d if abs(d) > 1e-30 else 1e30
-        c = 1.0 + numerator / c if abs(c) > 1e-30 else 1e-30
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + numerator / c
+        c = c if abs(c) > tiny else tiny
         f *= c * d
-        if abs(1.0 - c * d) < 1e-12:
+        if abs(1.0 - c * d) < 1e-15:
             break
-    result = front * (f - 1.0)
-    if x < (a + 1) / (a + b + 2):
-        return min(max(result, 0.0), 1.0)
-    return min(max(1.0 - result, 0.0), 1.0)
+    return min(max(front * (f - 1.0), 0.0), 1.0)
 
 
 def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:

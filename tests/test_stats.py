@@ -1,12 +1,13 @@
 """Statistics helper tests, cross-checked against scipy."""
 
 import random
+import sys
 
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.stats import (cdf_points, mean, percentile, student_t_test,
-                         variance, welch_t_test)
+from repro.stats import (_student_t_sf, cdf_points, mean, percentile,
+                         student_t_test, variance, welch_t_test)
 
 
 def test_mean_and_variance():
@@ -34,6 +35,20 @@ def test_student_matches_scipy():
     ref = scipy_stats.ttest_ind(a, b, equal_var=True)
     assert ours.statistic == pytest.approx(ref.statistic, rel=1e-9)
     assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-6)
+
+
+@pytest.mark.parametrize("dof", [1, 2.5, 4, 9.7, 30, 97.6, 400, 5000])
+def test_t_survival_function_matches_scipy(dof, monkeypatch):
+    """The in-repo survival function, as a plain install (no scipy)
+    runs it, across both branches of the incomplete beta: small |t|
+    (the upper one, whose p-values once came out as 1 - p) and the
+    tails."""
+    grid = [x / 8 for x in range(-64, 65)]
+    want = [scipy_stats.t.sf(t, dof) for t in grid]
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)
+    for t, sf in zip(grid, want):
+        assert _student_t_sf(t, dof) == pytest.approx(sf, abs=1e-9), t
 
 
 def test_identical_samples_not_significant():
