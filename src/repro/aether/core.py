@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..runtime.deployment import HydraDeployment
-# After runtime, which loads net: p4 first would cycle (p4.ir -> net ->
-# p4.bmv2 -> p4.ir).
 from ..p4 import ir
+from ..runtime.deployment import HydraDeployment
 from .onos import AttachSpec, ClientRecord, OnosController, check_detach
 from .portal import DENY, FilterRule, OperatorPortal
 

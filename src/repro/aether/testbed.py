@@ -77,13 +77,11 @@ class AetherTestbed:
                                           batched=batched, obs=obs)
         self.network = self.deployment.network
         if capacity is not None:
-            # Re-seat each switch's digest ring at the declared window:
-            # the sized buffer that keeps per-switch memory flat however
-            # many packets a soak replays.
-            from ..p4.bmv2 import BoundedLog
+            # Size each switch's digest ring at the declared window: the
+            # buffer that keeps per-switch memory flat however many
+            # packets a soak replays.
             for bmv2 in self.deployment.switches.values():
-                bmv2.digests = BoundedLog(capacity.digest_log_window,
-                                          on_evict=bmv2._on_digest_evict)
+                bmv2.digests.resize(capacity.digest_log_window)
         self._install_routes()
 
         self.portal = OperatorPortal()

@@ -231,7 +231,9 @@ def _redirect_ethertype_writes(program: ir.P4Program,
     innermost = compileds[-1]
     next_path = f"hdr.{innermost.hydra_name}.{NEXT_ETH_TYPE_FIELD}"
 
-    def fix_body(body: List[ir.P4Stmt]) -> None:
+    work = list(ir.program_bodies(program))  # private since _clone
+    while work:
+        body = work.pop()
         for i, stmt in enumerate(body):
             if isinstance(stmt, ir.AssignStmt) and stmt.dest == ether:
                 body[i] = ir.IfStmt(
@@ -239,11 +241,7 @@ def _redirect_ethertype_writes(program: ir.P4Program,
                     then_body=[ir.AssignStmt(next_path, stmt.value)],
                     else_body=[stmt],
                 )
-            for arm in ir.bodies(stmt):
-                fix_body(arm)
-
-    for body in ir.program_bodies(program):  # private since _clone
-        fix_body(body)
+            work.extend(ir.bodies(stmt))
 
 
 def _merge_decls(program: ir.P4Program, compiled: CompiledChecker) -> None:

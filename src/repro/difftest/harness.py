@@ -465,29 +465,31 @@ _OP_SWAP = {"+": "-", "-": "+", "*": "+", "&": "|", "|": "&", "^": "&",
             ">": ">=", ">=": ">", "&&": "||", "||": "&&"}
 
 
+def _mutable_points(expr, out: List[Tuple[Any, str]]) -> None:
+    """Append ``expr``'s mutation points to ``out``, operators before
+    their operands, left before right."""
+    if isinstance(expr, ir.BinExpr):
+        if expr.op in _OP_SWAP:
+            out.append((expr, "op"))
+        _mutable_points(expr.left, out)
+        _mutable_points(expr.right, out)
+    elif isinstance(expr, ir.UnExpr):
+        _mutable_points(expr.operand, out)
+    elif isinstance(expr, ir.Const) and expr.width == 16:
+        out.append((expr, "const"))
+
+
 def _collect_mutable(stmts: List[ir.P4Stmt]) -> List[Tuple[Any, str]]:
     """(node, kind) pairs of mutation points in a compiled block."""
     out: List[Tuple[Any, str]] = []
-
-    def walk_expr(expr) -> None:
-        if isinstance(expr, ir.BinExpr):
-            if expr.op in _OP_SWAP:
-                out.append((expr, "op"))
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, ir.UnExpr):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ir.Const) and expr.width == 16:
-            out.append((expr, "const"))
-
     for stmt in ir.walk_stmts(stmts):
         if isinstance(stmt, ir.AssignStmt):
-            walk_expr(stmt.value)
+            _mutable_points(stmt.value, out)
         elif isinstance(stmt, ir.IfStmt):
-            walk_expr(stmt.cond)
+            _mutable_points(stmt.cond, out)
         elif isinstance(stmt, ir.Digest):
             for fexpr in stmt.fields[1:]:   # skip the site-id constant
-                walk_expr(fexpr)
+                _mutable_points(fexpr, out)
     return out
 
 

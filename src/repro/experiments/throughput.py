@@ -55,11 +55,15 @@ class ReplayFeed:
     prefix-preserving anonymizer before replay.  We apply the same
     sanitization, then re-address onto our fabric endpoints, keeping
     packet sizes — the property that matters for throughput.  Each
-    campus flow gets a stable source port (hashed onto 1000 ports, like
-    the original replay's port cycling) and one shared template packet
-    per (port, size), counted as it is offered.  The feed reads the
-    trace's draws — ``(when, flow, wire size)`` — so these templates
-    are the only packets a replay ever builds.
+    campus flow gets a stable source port (slots numbered in
+    first-emission order, cycling over 1000 ports like the original
+    replay's port cycling) and one shared template packet per (port,
+    size), counted as it is offered.  The feed reads the trace's draws
+    — ``(when, flow, wire size)`` — so these templates are the only
+    packets a replay ever builds.  A flow's port rides on the live
+    :class:`~repro.workloads.campus.Flow` (``replay_sport``), so the
+    feed holds nothing per flow: its state is the templates, bounded
+    by ports × sizes, however long the replay.
     """
 
     def __init__(self, generator: CampusTraceGenerator, src_ip: int,
@@ -71,7 +75,7 @@ class ReplayFeed:
         self._rate_pps = rate_pps
         self._duration_s = duration_s
         self._templates: dict = {}
-        self._flow_ports: dict = {}
+        self._flows = 0
         self.offered = 0
         self.offered_bytes = 0
 
@@ -79,19 +83,17 @@ class ReplayFeed:
         timed = self._generator.timed_draws(self._rate_pps,
                                             self._duration_s)
         templates = self._templates
-        flow_ports = self._flow_ports
         anonymize = self._anonymizer.anonymize_ipv4
         for when, flow, size in timed:
-            flow_id = flow.flow_id
-            sport = flow_ports.get(flow_id)
+            sport = flow.replay_sport
             if sport is None:
                 # The ONTAS step: build the flow's prefix-preserving
                 # address mapping once (the anonymizer keeps the trie),
                 # then re-address onto the fabric endpoints.
                 anonymize(flow.src)
                 anonymize(flow.dst)
-                sport = 20000 + len(flow_ports) % 1000
-                flow_ports[flow_id] = sport
+                sport = flow.replay_sport = 20000 + self._flows % 1000
+                self._flows += 1
             # Templates dedup on wire content, not flow identity: the
             # port cycling folds the flow universe onto 1000 source
             # ports, so two flows sharing a port slot and size replay

@@ -260,6 +260,16 @@ class Packet:
             meta=dict(self.meta),
         )
 
+    def __getstate__(self) -> Dict[str, Any]:
+        """The packet's value, for ``copy.copy``, ``copy.deepcopy`` and
+        pickle: its fields, without the transit record a batched
+        network may have memoized on it (``_ff``).  The record belongs
+        to this template object and names hosts and switches of the
+        network that made it; a copy starts without one."""
+        state = self.__dict__.copy()
+        state.pop("_ff", None)
+        return state
+
     @classmethod
     def shell(cls, headers: List[Header], payload_len: int,
               packet_id: int, meta: Dict[str, Any]) -> "Packet":

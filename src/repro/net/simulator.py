@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+import weakref
+from typing import (Callable, Dict, Iterable, Iterator, List,
                     NamedTuple, Optional, Tuple)
 
 from ..obs import NULL_OBS, Observability
-from ..p4.bmv2 import Bmv2Switch, BoundedLog, drop_reason
+from ..p4.bmv2 import Bmv2Switch, BoundedLog, drop_reason, evict_counter
 from .fastforward import stateless_program
 from .packet import Packet
 from .topology import Endpoint, Link, Topology
@@ -53,6 +54,27 @@ DEFAULT_STAGES = 12               # the Aether fabric-upf baseline
 #: network, so a generation must never repeat across networks: drawing
 #: them all from one counter keeps the memo check a single int compare.
 _GENERATIONS = itertools.count(1)
+
+
+def _config_listener(network: "Network") -> Callable[[str], None]:
+    """A switch's control-plane listener for ``network``.
+
+    Any control-plane change voids every transit record (routes may
+    differ): memos, in-flight recordings and parked replays carry the
+    generation they were made under, so the listener draws a new one.
+    Program structure and a switch's ``obs`` are fixed at construction,
+    so the statelessness verdict stands.  The switch is the network's,
+    so the listener reaches the network weakly: a strong one would be a
+    cycle through every switch.
+    """
+    ref = weakref.ref(network)
+
+    def on_config(_name: str) -> None:
+        owner = ref()
+        if owner is not None:
+            owner._cache_gen = next(_GENERATIONS)
+
+    return on_config
 
 
 def _noop() -> None:
@@ -136,13 +158,18 @@ class Host:
 
     ``tx_count`` counts packets that actually started serializing onto
     the wire; a send still scheduled (``send`` with a future delay) is not.
+
+    The network owns its hosts: a host keeps the network's
+    :class:`Simulator` for the clock and reaches the network itself
+    weakly, to send.
     """
 
     def __init__(self, name: str, network: "Network"):
         self.name = name
-        self.network = network
+        self.sim = network.sim
+        self._network = weakref.ref(network)
         self.received: BoundedLog = BoundedLog(
-            on_evict=network._evict_counter("received", name))
+            on_evict=evict_counter(network.obs, "received", name))
         self.rx_callbacks: List[Callable[[float, Packet], None]] = []
         self.tx_count = 0
         self.rx_count = 0
@@ -163,14 +190,14 @@ class Host:
 
     def send(self, packet: Packet, delay: float = 0.0) -> None:
         """Transmit toward the attached switch after ``delay`` seconds."""
-        self.network.sim.schedule(
-            delay, lambda: self.network.transmit_from_host(self.name, packet)
-        )
+        network = self._network()
+        self.sim.schedule(
+            delay, lambda: network.transmit_from_host(self.name, packet))
 
     def deliver(self, packet: Packet, length: Optional[int] = None) -> None:
         self.rx_count += 1
         self.rx_bytes += packet.length if length is None else length
-        now = self.network.sim.now
+        now = self.sim.now
         self.last_rx_time = now
         if self.rx_callbacks:
             for callback in self.rx_callbacks:
@@ -325,15 +352,9 @@ class Network:
         self._wire: Dict[Tuple[str, int], tuple] = {}
         self._wired = 0
         if self._eager:
+            listener = _config_listener(self)
             for device in self.switches.values():
-                device.bmv2.on_config_change(self._on_switch_config)
-
-    def _evict_counter(self, log: str, node: str) -> Optional[Callable]:
-        """A ring's ``on_evict``: no callback without a live registry."""
-        if not self._metrics:
-            return None
-        return lambda count: self.obs.registry.metric(
-            "log_evictions_total").labels(log, node).inc(count)
+                device.bmv2.on_config_change(listener)
 
     def _process_recorded(self, device: SwitchDevice, packet: Packet,
                           port: int, t: float) -> List[Tuple[int, Packet]]:
@@ -540,14 +561,6 @@ class Network:
                 for device in self.switches.values())
         return self._stateless
 
-    def _on_switch_config(self, *_args: Any) -> None:
-        """Any control-plane change voids every transit record (routes
-        may differ): memos, in-flight recordings and parked replays
-        carry the generation they were made under.  Program structure
-        and a switch's ``obs`` are fixed at construction, so the
-        statelessness verdict stands."""
-        self._cache_gen = next(_GENERATIONS)
-
     def _wire_rows(self) -> None:
         """Derive the wire table: per sending ``(node, port)``, the row
         ``(bandwidth_bps, latency_s, sender, from_host, far node, far
@@ -590,7 +603,7 @@ class Network:
                 # nothing left to emit and this one replay to finish.
                 self._drain(_EXHAUSTED, [(t, 0, ff[1], 0, packet, gen)])
                 return
-            rec = [("gen", gen)]
+            rec = [(gen, packet)]
         self._walk("wire", host_name, 0, packet, t, cap, rec)
 
     def _defer_walk(self, phase: str, node: str, port: int, packet: Packet,
@@ -614,7 +627,10 @@ class Network:
         about to run at switch ``node``, ingress ``port``).  ``rec``
         accumulates a transit record to memoize; it survives deferrals
         (the continuation keeps recording) and is abandoned on routing
-        anomalies — only clean walks are worth replaying.
+        anomalies — only clean walks are worth replaying.  Its head is
+        ``(generation, template)``; a leg records the template itself
+        as ``None`` (the replayed emission is the template), so the
+        memo stored on the template does not point back at it.
         """
         sim = self.sim
         wire = self._wire
@@ -654,7 +670,7 @@ class Network:
                 ready = start + tx_time
                 if rec is not None:
                     rec.append(("hw" if from_host else "sw", node, port,
-                                tx_time, latency_s, plen, packet, sender))
+                                tx_time, latency_s, plen, sender))
                 if self.serialize_on_wire:
                     packet = self._wire_roundtrip(packet)
                 arrival = (ready - t) + latency_s + t
@@ -662,7 +678,9 @@ class Network:
                 port = far_port
                 if end is not None:
                     if rec is not None:
-                        rec.append(("dv", node, port, packet, plen, end, far))
+                        rec.append(("dv", node, port,
+                                    None if packet is rec[0][1] else packet,
+                                    plen, end, far))
                         self._store_record(rec)
                     self._deliver_walk(far, end, packet, arrival, horizon,
                                        until, plen)
@@ -671,8 +689,8 @@ class Network:
                 t = arrival + device.processing_delay_s
                 phase = "fw"
                 if rec is not None:
-                    rec.append(("fw", node, port,
-                                device.processing_delay_s, packet))
+                    rec.append(("fw", node, port, device.processing_delay_s,
+                                None if packet is rec[0][1] else packet))
                 continue
             # phase == "fw": the pipeline runs at forward time t.
             if self.hops is None:
@@ -691,9 +709,9 @@ class Network:
 
     def _store_record(self, rec: list) -> None:
         """Memoize a finished recording on the template it was made
-        from (the packet recorded at the NIC leg).
+        from.
 
-        ``rec[0]`` is the ``("gen", g)`` sentinel stamped when
+        ``rec[0]`` is ``(generation, template)``, stamped when
         recording began; a control-plane change mid-flight voids the
         record (its early legs reflect the old routes).  The memo is
 
@@ -703,20 +721,22 @@ class Network:
         drain's fast tier pays no per-emission shape test) and
         ``(gen, legs, host, None)`` for any other.  It names the
         emitting host because the same template sent from another
-        host takes another path: a mismatch re-walks.
+        host takes another path: a mismatch re-walks.  It does not
+        name the template it is stored on (see :meth:`_walk`), so a
+        template is freed by reference counting like any packet.
         """
-        gen = rec[0][1]
+        gen, template = rec[0]
         if gen != self._cache_gen:
             return
         legs = rec[1:]
         hw = legs[0]
         if (len(legs) == 4 and legs[1][0] == "fw" and legs[2][0] == "sw"
-                and legs[3][0] == "dv"):
+                and legs[3][0] == "dv" and legs[3][3] is not None):
             memo = (gen, legs, hw[1], hw, legs[1][3], legs[2], legs[3],
                     legs[3][6])
         else:
             memo = (gen, legs, hw[1], None)
-        hw[6]._ff = memo
+        template._ff = memo
 
     def _deliver_walk(self, host: Host, end: Endpoint, packet: Packet,
                       arrival: float, horizon: Optional[float],
@@ -737,34 +757,29 @@ class Network:
         self._arrive(end, packet, length)
 
     @staticmethod
-    def _replay_out(legs: list, leg: tuple, emission: Packet) -> Packet:
-        """The packet a replayed delivery hands the host.
-
-        When the emission *is* the recorded source template (the normal
-        case — sources reuse template packets), the recorded output
-        packet is delivered as-is: it is exactly what the event path
-        delivered when the record was made, and repeat traversals of a
-        stateless fabric reproduce it bit-for-bit.  A different
-        emission object (a copy that carried the memo along) gets a
-        fresh shell with its own id/meta.
-        """
+    def _replay_out(leg: tuple, emission: Packet) -> Packet:
+        """The packet a replayed ``dv`` leg hands the host: the recorded
+        one, exactly what the event path delivered when the record was
+        made (repeat traversals of a stateless fabric reproduce it
+        bit-for-bit), or the emission itself where that was the
+        template.  Only the template carries its memo (a copy of a
+        packet leaves ``_ff`` behind), so the emission is the template."""
         out = leg[3]
-        if emission is legs[0][6]:
-            return out
-        return Packet.shell(list(out.headers), out.payload_len,
-                            emission.packet_id, dict(emission.meta))
+        return emission if out is None else out
 
     def _replay_stale(self, legs: list, t: float, index: int,
-                      cap: Optional[float]) -> None:
+                      cap: Optional[float], emission: Packet) -> None:
         """The cache generation moved under a parked replay: the legs
         from ``index`` on may follow stale routes, so the rest is a
-        plain walk from the recorded in-flight packet (value-identical
-        for template emissions, since stateless pipelines are
-        deterministic functions of the packet).  A replay parks at
+        plain walk from the recorded in-flight packet (``emission``
+        where that was the template; value-identical for template
+        emissions, since stateless pipelines are deterministic
+        functions of the packet).  A replay parks at
         forward time, so the walk starts by re-running that pipeline
         (the ``fw`` leg before ``index``) on the new tables."""
         leg = legs[index - 1]
-        self._walk("fw", leg[1], leg[2], leg[4], t, cap, None)
+        self._walk("fw", leg[1], leg[2],
+                   emission if leg[4] is None else leg[4], t, cap, None)
 
     def _drain(self, source: _LazySource,
                heap: Optional[list] = None) -> None:
@@ -883,14 +898,14 @@ class Network:
                             break
                         dvhost = ff[7]
                         src_host = self.hosts[src_name]
-                        cdev = swleg[7]
+                        cdev = swleg[6]
                         cport = swleg[2]
                         nic_busy = src_host.nic_busy_until
                         pbusy = cdev.port_busy_until.get(cport, 0.0)
                         ntx = fwd_bytes = nrx = rx_bytes = 0
                         last_rx = dvhost.last_rx_time
                         received = dvhost.received.push
-                    elif (ff[7] is not dvhost or swleg[7] is not cdev
+                    elif (ff[7] is not dvhost or swleg[6] is not cdev
                           or swleg[2] != cport):
                         break
                     # A pull that fails is raised below, after the
@@ -930,8 +945,7 @@ class Network:
                     nrx += 1
                     rx_bytes += dvleg[4]
                     last_rx = t
-                    received((t, dvleg[3] if emission is hw[6] else
-                              self._replay_out(ff[1], dvleg, emission)))
+                    received((t, dvleg[3]))
                 if dvhost is not None:
                     # The one write-back of the fast tier's cached state.
                     src_host.nic_busy_until = nic_busy
@@ -986,7 +1000,7 @@ class Network:
                     if legs is None:
                         self._walk_from_host(src_name, emission, t, cap)
                     else:
-                        self._replay_stale(legs, t, index, cap)
+                        self._replay_stale(legs, t, index, cap, emission)
                     g = peek()
                     g_h = g if g is not None else inf
                     gen = self._cache_gen
@@ -995,7 +1009,7 @@ class Network:
                     leg = legs[index]
                     code = leg[0]
                     if code == "hw":
-                        host = leg[7]
+                        host = leg[6]
                         tx_time = leg[3]
                         busy = host.nic_busy_until
                         start = t if t > busy else busy
@@ -1003,7 +1017,7 @@ class Network:
                         host.tx_count += 1
                         t = (start + tx_time - t) + leg[4] + t
                     elif code == "sw":
-                        device = leg[7]
+                        device = leg[6]
                         port = leg[2]
                         tx_time = leg[3]
                         busy = device.port_busy_until.get(port, 0.0)
@@ -1018,8 +1032,7 @@ class Network:
                         sim.now = t
                         if t > now_hi:
                             now_hi = t
-                        self._arrive(leg[5],
-                                     self._replay_out(legs, leg, emission),
+                        self._arrive(leg[5], self._replay_out(leg, emission),
                                      leg[4])
                         g = peek()
                         g_h = g if g is not None else inf
@@ -1053,7 +1066,7 @@ class Network:
                     schedule_at(
                         item[0],
                         lambda i=item, leg=leg: self._arrive(
-                            leg[5], self._replay_out(i[2], leg, i[4]), leg[4]))
+                            leg[5], self._replay_out(leg, i[4]), leg[4]))
                 else:
                     schedule_at(item[0],
                                 lambda i=item: self._drain(_EXHAUSTED, [i]))

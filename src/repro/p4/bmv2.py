@@ -25,7 +25,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 from ..net.packet import Header, Packet
 from ..obs import NULL_OBS, Observability
 from . import ir
-from .ir import P4RuntimeError
+from .errors import P4RuntimeError
 
 DROP_PORT = 511
 
@@ -72,6 +72,17 @@ class BoundedLog:
     @property
     def dropped(self) -> int:
         return self.total - len(self._ring)
+
+    def resize(self, capacity: int) -> None:
+        """Give an empty log a ring of ``capacity``.  The log object
+        stays the same, so whatever bound it (a codegen module binds a
+        switch's digest ring) keeps writing to it."""
+        if self.total or capacity <= 0:
+            raise ValueError("only an empty log takes a new positive "
+                             "capacity")
+        self.capacity = capacity
+        self._ring = deque(maxlen=capacity)
+        self.push = self._ring.append
 
     def account(self, count: int) -> None:
         """Settle ``count`` pushes.  Only ``clear`` shrinks the ring, so
@@ -243,20 +254,49 @@ Pipeline = Callable[[Packet, int], List[Tuple[int, Packet]]]
 def observed(switch: "Bmv2Switch", run: Pipeline) -> Pipeline:
     """``run`` (one engine's pipeline) under ``switch``'s live registry:
     the packet counter, the ns histogram and the drop counter.  Both
-    engines bind it; their plain paths never do."""
+    engines bind it; their plain paths never do.  The closure keeps the
+    switch's metric handles and name, not the switch, so a switch that
+    holds it is no cycle."""
     name = switch.name
+    packets = switch._m_packets
+    ns = switch._m_ns
+    dropped = switch._m_dropped
 
     def process(packet: Packet,
                 ingress_port: int) -> List[Tuple[int, Packet]]:
-        switch._m_packets.labels(name, ingress_port).inc()
+        packets.labels(name, ingress_port).inc()
         start = time.perf_counter_ns()
         outputs = run(packet, ingress_port)
-        switch._m_ns.observe(time.perf_counter_ns() - start)
+        ns.observe(time.perf_counter_ns() - start)
         if not outputs:
-            switch._m_dropped.labels(name, drop_reason(packet)).inc()
+            dropped.labels(name, drop_reason(packet)).inc()
         return outputs
 
     return process
+
+
+def evict_counter(obs: Observability, log: str,
+                  node: str) -> Optional[Callable[[int], None]]:
+    """A ring's ``on_evict``: ``log_evictions_total{log, node}`` under a
+    live registry, else none.  It closes over the registry only, so
+    the ring's owner may hold it without a cycle."""
+    registry = obs.registry
+    if not registry.live:
+        return None
+    return lambda count: registry.metric("log_evictions_total").labels(
+        log, node).inc(count)
+
+
+class PipelineCounts:
+    """A switch's packet counters as one mutable record: the codegen
+    engine's module binds it (``COUNTS``) rather than the switch, since
+    a module global cannot alias an int attribute."""
+
+    __slots__ = ("processed", "dropped")
+
+    def __init__(self) -> None:
+        self.processed = 0
+        self.dropped = 0
 
 
 class Bmv2Switch:
@@ -315,12 +355,11 @@ class Bmv2Switch:
         # register mutation through this API (the batched network uses
         # this to flush cached transit records).
         self.config_listeners: List[Callable[[str], None]] = []
-        self.digests = BoundedLog(digest_capacity,
-                                  on_evict=self._on_digest_evict)
-        # Statistics for the evaluation harness.
-        self.packets_processed = 0
-        self.packets_dropped = 0
         self.obs = obs if obs is not None else NULL_OBS
+        self.digests = BoundedLog(
+            digest_capacity, on_evict=evict_counter(self.obs, "digests", name))
+        # Statistics for the evaluation harness.
+        self.counts = PipelineCounts()
         self._obs_live = self.obs.registry.live
         if self._obs_live:
             self._bind_metrics(self.obs.registry)
@@ -338,12 +377,14 @@ class Bmv2Switch:
         self._m_dropped = registry.metric("switch_packets_dropped_total")
         self._m_table = registry.metric("table_lookups_total")
         self._m_ns = registry.metric(f"{self.engine}_ns_per_packet").labels()
-        self._process_interp_obs = observed(self, self._process_interp)
 
-    def _on_digest_evict(self, count: int) -> None:
-        # Rare (ring overflow only): the null registry no-ops.
-        self.obs.registry.metric("log_evictions_total").labels(
-            "digests", self.name).inc(count)
+    @property
+    def packets_processed(self) -> int:
+        return self.counts.processed
+
+    @property
+    def packets_dropped(self) -> int:
+        return self.counts.dropped
 
     # ==================================================================
     # Control-plane (P4Runtime-like) API
@@ -682,7 +723,9 @@ class Bmv2Switch:
         if self._engine is not None:
             return self._engine.process(packet, ingress_port)
         if self._obs_live:
-            return self._process_interp_obs(packet, ingress_port)
+            # Built per call: kept on the switch, the closure over the
+            # bound method would be a cycle (the reference path's cost).
+            return observed(self, self._process_interp)(packet, ingress_port)
         return self._process_interp(packet, ingress_port)
 
     def process_batch(self, items) -> List[List[Tuple[int, Packet]]]:
@@ -698,7 +741,8 @@ class Bmv2Switch:
 
     def _process_interp(self, packet: Packet,
                         ingress_port: int) -> List[Tuple[int, Packet]]:
-        self.packets_processed += 1
+        counts = self.counts
+        counts.processed += 1
         work = packet.copy()
         standard = StandardMetadata(ingress_port=ingress_port,
                                     packet_length=work.length)
@@ -707,13 +751,13 @@ class Bmv2Switch:
 
         self._exec_body(self.program.ingress, ctx)
         if ctx.standard.drop or ctx.standard.egress_spec == DROP_PORT:
-            self.packets_dropped += 1
+            counts.dropped += 1
             return []
         ctx.standard.egress_port = ctx.standard.egress_spec
 
         self._exec_body(self.program.egress, ctx)
         if ctx.standard.drop:
-            self.packets_dropped += 1
+            counts.dropped += 1
             return []
 
         out = self._deparse(ctx)

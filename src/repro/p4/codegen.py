@@ -95,10 +95,12 @@ notifies the engine on entry inserts and default-action changes.
   own globals and ``exec``s the same code there (and runs its own byte
   copy of ``_process``'s code).  The plan holds the module's program
   constants (header types and blanks, select maps, externs, helpers)
-  by value and each per-switch global by its kind (``SW``, ``EN``,
-  ``RG*`` registers, ``T*`` table indexes and their ``L*`` lookup
-  memos, ``DB*`` defaults, ``RUN*`` memos, ``CH*``/``CM*`` counters:
-  :data:`_PER_SWITCH`), beside the name bookkeeping the hooks read.
+  by value and each per-switch global by its kind (the switch's
+  ``COUNTS``, ``DIGESTS``, ``DIGEST_LISTENERS`` and ``SWITCH_NAME``,
+  the engine's ``RUN_COUNTS``, ``RG*`` registers, ``T*`` table
+  indexes and their ``L*`` lookup memos, ``DB*`` defaults, ``RUN*``
+  memos, ``CH*``/``CM*`` counters: :data:`_PER_SWITCH`), beside the
+  name bookkeeping the hooks read.
   The memo dies with the program.
 * **What rebinds**: a default action's *arguments*.  Each apply site's
   miss path loads its default — a keyless ``TableEntry``, bound once
@@ -128,6 +130,7 @@ other assignment.
 from __future__ import annotations
 
 import re
+import weakref
 from typing import (Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
@@ -191,17 +194,36 @@ def _sanitize(name: str) -> str:
     return re.sub(r"\W", "_", name)
 
 
+def _postorder(name: str, by_name: Dict[str, ir.ParserState],
+               seen: Set[str], order: List[str]) -> None:
+    """Append the parse states reachable from ``name`` (and not yet
+    ``seen``) to ``order`` in depth-first postorder."""
+    seen.add(name)
+    state = by_name.get(name)
+    for tr in (state.transitions if state is not None else ()):
+        if tr.next_state not in seen:
+            _postorder(tr.next_state, by_name, seen, order)
+    order.append(name)
+
+
 #: ``param.*`` bindings outside any action: none.
 _NO_PARAMS: Dict[str, str] = {}
 
 
 #: A module's per-switch globals by kind: ``kind -> value(engine, arg)``,
 #: what a build of ``engine`` binds (``arg`` names which table or
-#: register): ``SW``, ``EN``, ``RG*``, ``T*``, ``L*``, ``DB*``,
-#: ``RUN*``, ``CH*`` and ``CM*`` respectively.
+#: register): ``COUNTS``, ``DIGESTS``, ``DIGEST_LISTENERS``,
+#: ``SWITCH_NAME``, ``RUN_COUNTS``, ``RG*``, ``T*``, ``L*``, ``DB*``,
+#: ``RUN*``, ``CH*`` and ``CM*`` respectively.  Each is a part of the
+#: switch or the engine, never either one itself: the engine holds the
+#: module, so a module global naming its switch or engine would close a
+#: reference cycle, and a dropped fabric would wait for the collector.
 _PER_SWITCH: Dict[str, Callable[[Any, Any], Any]] = {
-    "switch": lambda engine, _: engine.switch,
-    "engine": lambda engine, _: engine,
+    "counts": lambda engine, _: engine.switch.counts,
+    "digests": lambda engine, _: engine.switch.digests,
+    "digest_listeners": lambda engine, _: engine.switch.digest_listeners,
+    "switch_name": lambda engine, _: engine.switch.name,
+    "run_counts": lambda engine, _: engine._memo_counts,
     "registers": lambda engine, name: engine.switch.registers[name],
     "index": lambda engine, table: engine._new_index(table),
     "lookup_memo": lambda engine, table: engine.tables[table].memo,
@@ -231,16 +253,29 @@ class _Plan(NamedTuple):
     runs: int
 
 
+class _MemoCounts:
+    """Run memos filled (in the generated miss arm, as ``RUN_COUNTS``)
+    and emptied (in the hooks); nobody counts a hit."""
+
+    __slots__ = ("fills", "clears")
+
+    def __init__(self) -> None:
+        self.fills = 0
+        self.clears = 0
+
+
 class CodegenEngine:
     """One program compiled to generated Python source, for one switch.
 
     ``Bmv2Switch`` drives it through ``process`` and the control-plane
-    hooks below; ``source`` is the generated text.
+    hooks below; ``source`` is the generated text.  The switch owns the
+    engine, so the engine reaches it weakly (``switch``), and only when
+    it builds or binds: the packet path never does.
     """
 
     def __init__(self, program: ir.P4Program, switch):
         self.program = program
-        self.switch = switch
+        self._switch = weakref.ref(switch)
         self._instrumented = switch.obs.registry.live
         self._meta_width: Dict[str, int] = dict(program.metadata)
         self._bind_types = program.bind_types()
@@ -250,12 +285,18 @@ class CodegenEngine:
         self.builds: Dict[str, int] = {}
         self.compiles = 0
         self.rebinds = 0
-        #: Run memos filled (in the generated miss arm) and emptied (in
-        #: the hooks below); nobody counts a hit.
-        self.run_fills = 0
-        self.run_clears = 0
+        self._memo_counts = _MemoCounts()
         self.tables: Dict[str, _TableIndex] = {}
         self._build(INITIAL)
+
+    @property
+    def switch(self):
+        """The :class:`~repro.p4.bmv2.Bmv2Switch` this engine runs for."""
+        return self._switch()
+
+    @property
+    def run_fills(self) -> int:
+        return self._memo_counts.fills
 
     @property
     def recompiles(self) -> int:
@@ -272,7 +313,7 @@ class CodegenEngine:
         (to the next packet, or to the frame a digest listener is in)."""
         for memo in self._run_memos.get(name, ()):
             self._globals[memo].clear()
-            self.run_clears += 1
+            self._memo_counts.clears += 1
 
     def invalidate_table(self, name: str) -> None:
         """Hook for a delete that leaves a removed object installed:
@@ -344,8 +385,9 @@ class CodegenEngine:
     def run_counts(self) -> Dict[str, int]:
         """Memoised apply runs in the live module, memos filled and
         memos emptied (hits: ``packets_processed * sites - fills``)."""
-        return {"sites": self._runs, "fills": self.run_fills,
-                "clears": self.run_clears}
+        counts = self._memo_counts
+        return {"sites": self._runs, "fills": counts.fills,
+                "clears": counts.clears}
 
     # ==================================================================
     # Build
@@ -382,7 +424,9 @@ class CodegenEngine:
                     index.memo_fills = old.memo_fills
                     index.memo_clears = old.memo_clears
             exec(code, self._globals)
-            self._run = self._globals["_process"]
+            # Out of its own globals: a module dict holding the function
+            # that holds the dict would be a cycle.
+            self._run = self._globals.pop("_process")
             # CPython's inline caches sit in the function's code and
             # follow one globals dict: siblings running the very same
             # object evict each other's on every packet (5 % a hop).
@@ -458,7 +502,7 @@ class CodegenEngine:
 
     def _new_index(self, name: str) -> _TableIndex:
         """This engine's (empty) index over table ``name``."""
-        index = self.tables[name] = _TableIndex(self, name,
+        index = self.tables[name] = _TableIndex(self.switch, name,
                                                 self.program.tables[name])
         return index
 
@@ -502,8 +546,11 @@ class CodegenEngine:
                                        "registers", reg.name)
             for i, reg in enumerate(program.registers)}
         # Baseline globals.
-        self._per_switch("SW", "switch")
-        self._per_switch("EN", "engine")
+        self._per_switch("COUNTS", "counts")
+        self._per_switch("DIGESTS", "digests")
+        self._per_switch("DIGEST_LISTENERS", "digest_listeners")
+        self._per_switch("SWITCH_NAME", "switch_name")
+        self._per_switch("RUN_COUNTS", "run_counts")
         self._g("_DM", DigestMessage)
         self._g("_PKT", Packet.shell)
         self._g("_HDR", Header)
@@ -564,7 +611,7 @@ class CodegenEngine:
         ind = 1
         pad = "    " * ind
         emit = lines.append
-        emit(f"{pad}SW.packets_processed += 1")
+        emit(f"{pad}COUNTS.processed += 1")
         emit(f"{pad}sm_ingress_port = ingress_port")
         emit(f"{pad}sm_egress_spec = 0")
         emit(f"{pad}sm_egress_port = 0")
@@ -581,12 +628,12 @@ class CodegenEngine:
         before: Set[str] = set()  # paths written so far, for the runs
         self._emit_top(ingress, lines, owned, before)
         emit(f"{pad}if sm_drop or sm_egress_spec == {DROP_PORT}:")
-        emit(f"{pad}    SW.packets_dropped += 1")
+        emit(f"{pad}    COUNTS.dropped += 1")
         emit(f"{pad}    return []")
         emit(f"{pad}sm_egress_port = sm_egress_spec")
         self._emit_top(egress, lines, owned, before)
         emit(f"{pad}if sm_drop:")
-        emit(f"{pad}    SW.packets_dropped += 1")
+        emit(f"{pad}    COUNTS.dropped += 1")
         emit(f"{pad}    return []")
         emit(f"{pad}_emit = []")
         order = self.program.emit_order or list(self._bind_types)
@@ -659,17 +706,8 @@ class CodegenEngine:
         # the reference engine.
         order: List[str] = []
         seen = {ir.ACCEPT, ir.REJECT_STATE}
-
-        def visit(name: str) -> None:
-            seen.add(name)
-            state = by_name.get(name)
-            for tr in (state.transitions if state is not None else ()):
-                if tr.next_state not in seen:
-                    visit(tr.next_state)
-            order.append(name)
-
         if parser.start not in seen:
-            visit(parser.start)
+            _postorder(parser.start, by_name, seen, order)
         order.reverse()
         index = {name: i for i, name in enumerate(order)}
         cyclic = any(tr.next_state in index
@@ -830,9 +868,9 @@ class CodegenEngine:
         elif isinstance(stmt, ir.Digest):
             values = ", ".join(self._expr(e, params) for e in stmt.fields)
             emit(f"{pad}_dg = _DM(name={stmt.name!r}, values=[{values}], "
-                 f"switch_name=SW.name)")
-            emit(f"{pad}SW.digests.append(_dg)")
-            emit(f"{pad}for _ls in SW.digest_listeners:")
+                 f"switch_name=SWITCH_NAME)")
+            emit(f"{pad}DIGESTS.append(_dg)")
+            emit(f"{pad}for _ls in DIGEST_LISTENERS:")
             emit(f"{pad}    _ls(_dg)")
         elif isinstance(stmt, (ir.SetValid, ir.SetInvalid)):
             valid = isinstance(stmt, ir.SetValid)
@@ -1044,7 +1082,7 @@ class CodegenEngine:
                 for stmt in stmts[at:at + count]:
                     self._run_memos.setdefault(stmt.table, set()).add(memo)
                     self._emit_apply(stmt, lines, 2, _NO_PARAMS, owned)
-                emit("        EN.run_fills += 1")
+                emit("        RUN_COUNTS.fills += 1")
                 emit(f"        if len({memo}) < 512: "
                      f"{memo}[{key}] = ({names},)")
                 emit("    else:")

@@ -29,10 +29,7 @@ from typing import (Any, Callable, Collection, Dict, FrozenSet, List,
 
 from ..indus.errors import SourceSpan, UNKNOWN_SPAN
 from ..net.packet import HeaderType
-
-
-class P4RuntimeError(Exception):
-    """Raised on malformed control-plane operations or broken programs."""
+from .errors import P4RuntimeError
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +424,9 @@ class TableEntry:
     tuples) at its first collection and never stops tracking a list, so
     the representation — slots, no ``__dict__``, tuples — is what keeps
     an entry at one tracked object.  (Hand-written rather than
-    ``dataclass(slots=True)``, which needs Python 3.10.)
+    ``dataclass(frozen=True, slots=True)``, whose generated ``__init__``
+    stores the caller's sequences as given: this one makes them tuples
+    on the way in.)
     """
 
     __slots__ = ("match", "action", "args", "priority")

@@ -62,6 +62,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import weakref
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -128,8 +129,10 @@ class _TableIndex:
     then earliest insertion.
     """
 
-    def __init__(self, engine, name: str, table: ir.Table):
-        self.engine = engine
+    def __init__(self, switch, name: str, table: ir.Table):
+        # Weak: the switch owns the engine that owns this index.  Only
+        # a rebuild reads it, for the switch's entry list.
+        self._switch = weakref.ref(switch)
         self.name = name
         kinds = [k.kind for k in table.keys]
         self._kinds = kinds
@@ -154,7 +157,7 @@ class _TableIndex:
         self._empty_layout()
         # Behind the entry list?  Not over an empty table: there is
         # nothing to index, and the first bulk write can fold.
-        self._dirty = bool(engine.switch.entries[name])
+        self._dirty = bool(switch.entries[name])
 
     def _empty_layout(self) -> None:
         """The layout of an empty table (the memo is not part of it)."""
@@ -241,7 +244,7 @@ class _TableIndex:
         return None if best is None else best[1]
 
     def _rebuild(self) -> None:
-        entries = self.engine.switch.entries[self.name]
+        entries = self._switch().entries[self.name]
         # A seq is unique, so sorting rows never compares two entries.
         ranked = sorted(self._rows(0, entries))
         if self._mode == "exact":

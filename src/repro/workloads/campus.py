@@ -64,7 +64,10 @@ def payload_len(size: int) -> int:
 @dataclass
 class Flow:
     """One generated flow: a 5-tuple (also as the tuple ``flow_id``),
-    remaining packets, and — in reuse mode — its template per size."""
+    remaining packets, in reuse mode its template per size, and the
+    source port a replay re-addresses it to (``replay_sport``, set by
+    the replay at the flow's first emission): what a consumer keeps per
+    flow lives here, and dies with the flow."""
 
     src: int
     dst: int
@@ -74,6 +77,7 @@ class Flow:
     remaining: int
     flow_id: tuple
     templates: Dict[int, Packet] = field(default_factory=dict)
+    replay_sport: Optional[int] = None
 
 
 @dataclass

@@ -1,10 +1,16 @@
 """Traffic processes for the Figure 12 experiment: an iperf3-style UDP
 load generator (one lazy template source per direction, see
-``Network.attach_source``) and a fast-ping RTT probe."""
+``Network.attach_source``) and a fast-ping RTT probe.
+
+A process whose bound method sits in a host's ``rx_callbacks`` is owned
+by that host, so it reaches the network (or host) it talks to weakly:
+a strong reference would make every finished network cyclic garbage.
+"""
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -97,10 +103,11 @@ class EchoResponder:
     """Replies to echo requests by swapping addresses and ports."""
 
     def __init__(self, network: Network, host: str):
-        self.network = network
         self.host = host
         self.replies = 0
-        network.host(host).add_rx_callback(self._on_packet)
+        sink = network.host(host)
+        self._host = weakref.ref(sink)
+        sink.add_rx_callback(self._on_packet)
 
     def _on_packet(self, now: float, packet: Packet) -> None:
         udp = packet.find("udp")
@@ -112,7 +119,7 @@ class EchoResponder:
                          payload_len=packet.payload_len)
         reply.meta["echo_seq"] = packet.meta.get("echo_seq")
         self.replies += 1
-        self.network.host(self.host).send(reply)
+        self._host().send(reply)
 
 
 class Pinger:
@@ -120,7 +127,7 @@ class Pinger:
 
     def __init__(self, network: Network, src_host: str, dst_host: str,
                  interval_s: float = 0.2, payload_len: int = 56):
-        self.network = network
+        self._network = weakref.ref(network)
         self.src_host = src_host
         self.dst_host = dst_host
         self.interval_s = interval_s
@@ -132,8 +139,9 @@ class Pinger:
 
     def schedule(self, duration_s: float) -> int:
         """Schedule pings for the whole experiment; returns count."""
-        src = self.network.topology.hosts[self.src_host]
-        dst = self.network.topology.hosts[self.dst_host]
+        network = self._network()
+        src = network.topology.hosts[self.src_host]
+        dst = network.topology.hosts[self.dst_host]
         # Multiply rather than accumulate so float drift cannot drop the
         # final tick.
         total = int(round(duration_s / self.interval_s))
@@ -146,10 +154,10 @@ class Pinger:
             packet.meta["echo_seq"] = seq
 
             def send(pkt: Packet = packet, s: int = seq) -> None:
-                self._sent[s] = self.network.sim.now
-                self.network.transmit_from_host(self.src_host, pkt)
+                self._sent[s] = network.sim.now
+                network.transmit_from_host(self.src_host, pkt)
 
-            self.network.sim.schedule(when, send)
+            network.sim.schedule(when, send)
         return total
 
     def _on_packet(self, now: float, packet: Packet) -> None:

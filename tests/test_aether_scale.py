@@ -452,6 +452,8 @@ def test_capacity_sizes_tables_and_digest_window():
     tb = AetherTestbed(capacity=cap)
     for sw in tb.deployment.switches.values():
         assert sw.digests.capacity == 64
+        # The sized ring is the one the switch's generated module writes.
+        assert sw._engine._globals["DIGESTS"] is sw.digests
     program = upf_program(capacity=cap)
     sizes = {t.name: t.size for t in program.tables.values()}
     assert sizes["uplink_sessions"] >= 100

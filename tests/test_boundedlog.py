@@ -12,6 +12,20 @@ def test_capacity_must_be_positive():
         BoundedLog(-3)
 
 
+def test_only_an_empty_log_resizes():
+    """``resize`` keeps the log object (whoever bound it keeps writing
+    to it) and refuses a log that has taken entries."""
+    log = BoundedLog(8)
+    log.resize(2)
+    for i in range(3):
+        log.append(i)
+    assert log == [1, 2] and log.capacity == 2 and log.dropped == 1
+    with pytest.raises(ValueError):
+        log.resize(4)
+    with pytest.raises(ValueError):
+        BoundedLog().resize(0)
+
+
 def test_append_within_capacity():
     log = BoundedLog(4)
     for i in range(3):

@@ -8,7 +8,12 @@ engine lean on an analysis the reference engine does not run.
 """
 
 import ast
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -37,3 +42,23 @@ def test_substrate_imports_nothing_built_on_it():
     upward = {str(path.relative_to(SRC)): name for path in paths
               for name in imported_modules(path) if name.startswith(UPPER)}
     assert not upward
+
+
+@pytest.mark.parametrize("first", ["repro.p4.ir", "repro.p4", "repro.p4.bmv2",
+                                   "repro.net", "repro.net.simulator"])
+def test_the_substrate_imports_in_any_order(first):
+    """``repro.p4`` and ``repro.net`` import each other's modules, so
+    either may be imported first: under a bare ``repro`` package (none
+    of its ``__init__`` imports run), ``first`` loads on its own."""
+    code = textwrap.dedent(f"""
+        import sys, types
+        package = types.ModuleType("repro")
+        package.__path__ = [{str(SRC)!r}]
+        sys.modules["repro"] = package
+        import {first}
+        import repro.p4, repro.net
+        assert repro.p4.P4RuntimeError is repro.p4.ir.P4RuntimeError
+    """)
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

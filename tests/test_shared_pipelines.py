@@ -230,27 +230,36 @@ def test_one_compile_per_role(compiled):
 
 
 #: A module's per-switch globals (``codegen._Plan.bindings``).
-PER_SWITCH = re.compile(r"SW|EN|RG\d+_.*|T\d+_.*|LT\d+_.*|DB\d+|RUN\d+"
-                        r"|C[HM]\d+")
+PER_SWITCH = re.compile(r"COUNTS|DIGESTS|DIGEST_LISTENERS|SWITCH_NAME"
+                        r"|RUN_COUNTS|RG\d+_.*|T\d+_.*|LT\d+_.*|DB\d+"
+                        r"|RUN\d+|C[HM]\d+")
 
 
 def assert_binds_its_own(switch, sibling):
     """Every per-switch global of ``switch``'s module is its own
-    object, none of them ``sibling``'s."""
+    object, none of them ``sibling``'s; none is the switch or the
+    engine itself."""
     engine, theirs = switch._engine, sibling._engine._globals
     mine = {name: value for name, value in engine._globals.items()
             if PER_SWITCH.fullmatch(name)}
-    assert mine["SW"] is switch and mine["EN"] is engine
+    parts = {"COUNTS": switch.counts, "DIGESTS": switch.digests,
+             "DIGEST_LISTENERS": switch.digest_listeners,
+             "SWITCH_NAME": switch.name, "RUN_COUNTS": engine._memo_counts}
+    assert all(mine[name] is value for name, value in parts.items())
+    assert not any(value is switch or value is engine
+                   for value in engine._globals.values())
     for name, value in mine.items():
+        if name in parts:
+            continue
         if name.startswith("RG"):
             assert any(value is values for values in switch.registers.values())
         elif name.startswith("T"):
-            assert value.engine is engine
+            assert value._switch() is switch
         elif name.startswith("C"):  # labelled with this switch's name
             lookups = switch.obs.registry.metric("table_lookups_total")
             assert [labels[0] for labels, child in lookups.series()
                     if child is value] == [switch.name]
-        elif name not in ("SW", "EN") and value is not None:  # DB, L, RUN
+        elif value is not None:  # DB, L, RUN
             assert value is not theirs.get(name), name
 
 

@@ -996,13 +996,11 @@ def test_compiled_matcher_equals_reference_for_every_kinds_tuple():
         assert verdicts == {True, False}, kinds
 
 
-class _StubEngine:
-    """The one thing a _TableIndex asks of its engine."""
+class _StubSwitch:
+    """The one thing a _TableIndex asks of its switch."""
 
     def __init__(self, entries):
-        from types import SimpleNamespace
-
-        self.switch = SimpleNamespace(entries={"t": entries})
+        self.entries = {"t": entries}
 
 
 def _reference_winner(table, entries, key):
@@ -1032,7 +1030,8 @@ def test_compiled_matcher_in_every_scan_layout():
                 match=[_random_spec(rng, kind) for kind in kinds],
                 action=f"a{i}", priority=rng.randrange(3))
                 for i in range(n)]
-            index = _TableIndex(_StubEngine(entries), "t", table)
+            switch = _StubSwitch(entries)  # the index holds it weakly
+            index = _TableIndex(switch, "t", table)
             for _ in range(25):
                 key = tuple(rng.randrange(12) for _ in kinds)
                 assert index.lookup(key) is _reference_winner(

@@ -4,6 +4,7 @@ trace generator (determinism, heavy tail), traffic processes."""
 import gc
 import hashlib
 import random
+import weakref
 import zlib
 from itertools import combinations, islice
 
@@ -20,6 +21,8 @@ from repro.p4.programs import l2_port_forwarding
 from repro.workloads import (CAMPUS_SUBNET_A, CAMPUS_SUBNET_B, LOAD_PORT,
                              CampusTraceGenerator, EchoResponder, Pinger,
                              PrefixPreservingAnonymizer, UdpLoadGenerator)
+from repro.workloads.campus import (_PACKET_SIZES as PACKET_SIZES,
+                                    CONCURRENT_FLOWS, payload_len)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +267,57 @@ def emissions_crc(dst, rate_pps, duration_s):
 ])
 def test_replay_feed_emits_the_same_trace(dst, rate_pps, duration_s, crc):
     assert emissions_crc(dst, rate_pps, duration_s) == crc
+
+
+def _old_feed_mapping(generator, rate_pps, duration_s):
+    """``(when, source port, payload bytes)`` as the feed drew them when
+    it mapped each 5-tuple to its port in one dict, slots numbered in
+    first-emission order."""
+    ports = {}
+    for when, flow, size in generator.timed_draws(rate_pps, duration_s):
+        sport = ports.setdefault(flow.flow_id, 20000 + len(ports) % 1000)
+        yield when, sport, payload_len(size)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 9])
+def test_a_feed_emits_what_the_five_tuple_mapping_did(seed):
+    """Each flow's port slot rides on its live ``Flow``; the emissions
+    (time, source port, size) are bit-identical to the old mapping's."""
+    def feed_of(seed):
+        return ReplayFeed(CampusTraceGenerator(seed=seed, reuse_packets=True),
+                          src_ip=ip(10, 0, 1, 1), dst_ip=ip(10, 0, 2, 1),
+                          rate_pps=200_000.0, duration_s=0.1)
+
+    got = [(when, packet.find("udp").get("src_port"), packet.payload_len)
+           for when, packet in feed_of(seed).emissions()]
+    want = list(_old_feed_mapping(CampusTraceGenerator(seed=seed),
+                                  200_000.0, 0.1))
+    assert len(got) > 15_000 and got == want
+
+
+def test_a_long_feed_holds_only_its_live_flows(monkeypatch):
+    """Far into a replay, no ended ``Flow`` is alive and the feed holds
+    nothing per flow: its largest container is the templates, at most
+    one per (port slot, size)."""
+    generator, feed = replay_feed("h2", 400_000.0, 0.2)
+    made = []
+    new_flow = generator._new_flow
+
+    def tracked():
+        flow = new_flow()
+        made.append(weakref.ref(flow))
+        return flow
+
+    monkeypatch.setattr(generator, "_new_flow", tracked)
+    for _ in islice(feed.emissions(), 60_000):
+        pass
+    alive = [flow for flow in (ref() for ref in made) if flow is not None]
+    assert len(made) > 10_000
+    assert len(alive) <= CONCURRENT_FLOWS
+    assert all(flow.remaining > 0 for flow in alive)
+    held = [len(value) for value in vars(feed).values()
+            if isinstance(value, (dict, list, set))]
+    assert max(held) <= 1000 * len(PACKET_SIZES)
 
 
 def test_feed_stats_count_what_was_offered():
