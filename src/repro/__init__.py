@@ -23,7 +23,7 @@ uniform keyword-only ``engine=`` / ``obs=`` / ``seed=`` arguments::
 
     import repro
 
-    compiled = repro.compile_indus("loops", optimize=True)
+    compiled = repro.compile_indus("loops")
     diagnostics = repro.lint("loops")             # dataflow lint
     result = repro.run_scenario(seed=7)           # dual-engine oracle
     summary = repro.api.difftest(seed=0, iters=200)

@@ -2,16 +2,10 @@
 
 A shared substrate — per-placement control-flow graphs
 (:mod:`~repro.analysis.cfg`), def/use extraction and the worklist
-solver (:mod:`~repro.analysis.dataflow`) — feeds two consumers:
-
-* the **lint** passes (:mod:`~repro.analysis.passes`), which emit
-  structured :class:`~repro.analysis.diagnostics.Diagnostic` records
-  surfaced by ``python -m repro lint`` and :func:`repro.api.lint`;
-* the **optimizer** (:mod:`~repro.analysis.optimize`), a
-  liveness-driven dead-code/dead-table/dead-register eliminator with
-  constant folding and scratch-field coalescing, whose one invariant is
-  that it changes nothing observable: verdicts, reports, and register
-  state are bit-identical under the three-level difftest oracle.
+solver (:mod:`~repro.analysis.dataflow`) — feeds the **lint** passes
+(:mod:`~repro.analysis.passes`), which emit structured
+:class:`~repro.analysis.diagnostics.Diagnostic` records surfaced by
+``python -m repro lint`` and :func:`repro.api.lint`.
 """
 
 from .cfg import (CFG, CFGNode, PlacementView, always_extracted,
@@ -21,15 +15,14 @@ from .dataflow import (UNINIT, liveness, reaching_definitions,
 from .diagnostics import (Diagnostic, Severity, max_severity,
                           render_json, sort_diagnostics)
 from .lint import lint_compiled
-from .optimize import OptimizeStats, optimize_compiled
 from .passes import REGISTRY, lint_pass, run_passes
 from .unit import AnalysisUnit
 
 __all__ = [
     "AnalysisUnit", "CFG", "CFGNode", "Diagnostic",
-    "OptimizeStats", "PlacementView", "REGISTRY", "Severity", "UNINIT",
+    "PlacementView", "REGISTRY", "Severity", "UNINIT",
     "always_extracted", "build_cfg", "checker_placements",
     "lint_compiled", "lint_pass", "liveness", "max_severity",
-    "optimize_compiled", "reaching_definitions", "render_json",
+    "reaching_definitions", "render_json",
     "run_passes", "sort_diagnostics", "worklist_solve",
 ]

@@ -5,8 +5,8 @@ does: as a handful of *placements* — the virtual linear pipelines a
 switch of a given role actually executes, read from the linker's own
 table (:func:`repro.compiler.linker.placement`) but **sharing** the
 fragment statement objects instead of cloning them, so dataflow facts
-computed on a placement attach to the very statements the optimizer
-rewrites.
+computed on a placement attach to the very statements the compiled
+checker holds.
 
 A :class:`CFG` is built per placement (and per action body): structured
 statements (conditionals and table applies) become branch nodes whose
@@ -63,6 +63,15 @@ class CFG:
     def stmt_nodes(self) -> List[CFGNode]:
         return [n for n in self.nodes if n.stmt is not None]
 
+    def add_node(self, kind: str, stmt: Optional[ir.P4Stmt] = None) -> int:
+        node = CFGNode(index=len(self.nodes), kind=kind, stmt=stmt)
+        self.nodes.append(node)
+        return node.index
+
+    def add_edge(self, src: int, dst: int) -> None:
+        self.nodes[src].succs.append(dst)
+        self.nodes[dst].preds.append(src)
+
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -75,40 +84,32 @@ def build_cfg(stmts: Sequence[ir.P4Stmt]) -> CFG:
     body.  The returned graph always has ``entry -> ... -> exit``.
     """
     cfg = CFG()
-
-    def new_node(kind: str, stmt: Optional[ir.P4Stmt] = None) -> int:
-        node = CFGNode(index=len(cfg.nodes), kind=kind, stmt=stmt)
-        cfg.nodes.append(node)
-        return node.index
-
-    def edge(src: int, dst: int) -> None:
-        cfg.nodes[src].succs.append(dst)
-        cfg.nodes[dst].preds.append(src)
-
-    def chain(body: Sequence[ir.P4Stmt], frontier: List[int]) -> List[int]:
-        """Thread ``body`` after the ``frontier`` nodes; returns the new
-        frontier (the nodes falling through to whatever comes next)."""
-        for stmt in body:
-            node = new_node(STMT, stmt)
-            for prev in frontier:
-                edge(prev, node)
-            arms = ir.bodies(stmt)
-            if not arms:
-                frontier = [node]
-                continue
-            # An empty arm falls straight through the branch node.
-            arm_exits: List[int] = []
-            for arm in arms:
-                arm_exits.extend(chain(arm, [node]))
-            frontier = list(dict.fromkeys(arm_exits))
-        return frontier
-
-    cfg.entry = new_node(ENTRY)
-    exits = chain(stmts, [cfg.entry])
-    cfg.exit = new_node(EXIT)
+    cfg.entry = cfg.add_node(ENTRY)
+    exits = _chain(cfg, stmts, [cfg.entry])
+    cfg.exit = cfg.add_node(EXIT)
     for prev in exits:
-        edge(prev, cfg.exit)
+        cfg.add_edge(prev, cfg.exit)
     return cfg
+
+
+def _chain(cfg: CFG, body: Sequence[ir.P4Stmt],
+           frontier: List[int]) -> List[int]:
+    """Thread ``body`` after the ``frontier`` nodes; returns the new
+    frontier (the nodes falling through to whatever comes next)."""
+    for stmt in body:
+        node = cfg.add_node(STMT, stmt)
+        for prev in frontier:
+            cfg.add_edge(prev, node)
+        arms = ir.bodies(stmt)
+        if not arms:
+            frontier = [node]
+            continue
+        # An empty arm falls straight through the branch node.
+        arm_exits: List[int] = []
+        for arm in arms:
+            arm_exits.extend(_chain(cfg, arm, [node]))
+        frontier = list(dict.fromkeys(arm_exits))
+    return frontier
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +140,9 @@ class PlacementView:
 def checker_placements(compiled) -> List[PlacementView]:
     """The four placements a compiled checker can execute in.
 
-    A statement is safe to drop only if it is dead in *every* placement
-    that contains it — the optimizer and the lint passes both quantify
-    over this list rather than assuming a particular deployment.
+    A statement is dead only if it is dead in *every* placement that
+    contains it — the lint passes quantify over this list rather than
+    assuming a particular deployment.
     """
     views: List[PlacementView] = []
     for role in (EDGE, CORE):

@@ -17,8 +17,8 @@ instances of one generic worklist solver:
 
 The tracked variable universe is user/compiler *metadata* (``meta.*``):
 header fields are wire-observable, standard metadata feeds the traffic
-manager, and registers persist across packets — all of them are roots
-the optimizer must preserve, so there is nothing to solve for them.
+manager, and registers persist across packets — all of them are
+observable, so there is nothing to solve for them.
 Register *occurrences* still show up in each node's
 :class:`~repro.p4.ir.Effect` (as ``reg.<name>`` tokens) so the
 register-oriented lint passes can reuse the same extraction.

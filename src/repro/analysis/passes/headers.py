@@ -18,7 +18,7 @@ warning: the match silently degrades to matching on zero.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ...p4 import ir
 from ..cfg import always_extracted
@@ -30,52 +30,26 @@ from . import lint_pass
 def _valid_conjuncts(cond: ir.P4Expr) -> Set[str]:
     """Headers positively asserted valid by top-level ``&&`` conjuncts."""
     out: Set[str] = set()
-
-    def walk(expr: ir.P4Expr) -> None:
+    work = [cond]
+    while work:
+        expr = work.pop()
         if isinstance(expr, ir.BinExpr) and expr.op == "&&":
-            walk(expr.left)
-            walk(expr.right)
+            work += (expr.right, expr.left)
         elif isinstance(expr, ir.ValidRef):
             out.add(expr.header)
-
-    walk(cond)
     return out
 
 
-@lint_pass("IH005")
-def possibly_invalid_key(unit: AnalysisUnit) -> List[Diagnostic]:
-    diags: List[Diagnostic] = []
-    seen: Set[Tuple[str, str]] = set()
-    must_valid = always_extracted(unit.program.parser)
-    tables = unit.compiled.tables
+class _KeyScan:
+    """One unit's IH005 walk: the findings, in scan order, each
+    (table, header) pair reported once."""
 
-    def flag(table_name: str, key: ir.TableKey, bind: str,
-             block: str, site: ir.ApplyTable) -> None:
-        if (table_name, bind) in seen:
-            return
-        seen.add((table_name, bind))
-        diags.append(Diagnostic(
-            rule="IH005", severity=Severity.WARNING,
-            message=f"table {table_name!r} matches on {key.path!r} but "
-                    f"header {bind!r} may be invalid here; the key "
-                    f"silently reads 0 when it is",
-            span=site.span, path=key.path, block=block,
-            hint=f"guard the apply with hdr.{bind}.isValid(), or key "
-                 f"on metadata copied out under a validity check"))
+    def __init__(self, tables: Dict[str, ir.Table]):
+        self.tables = tables
+        self.seen: Set[Tuple[str, str]] = set()
+        self.diags: List[Diagnostic] = []
 
-    def check_apply(site: ir.ApplyTable, ctx: Set[str],
-                    block: str) -> None:
-        table = tables.get(site.table)
-        if table is None:
-            return
-        for key in table.keys:
-            if not key.path.startswith("hdr."):
-                continue
-            bind = key.path.split(".")[1]
-            if bind not in ctx:
-                flag(site.table, key, bind, block, site)
-
-    def scan(stmts: Sequence[ir.P4Stmt], ctx: Set[str],
+    def scan(self, stmts: Sequence[ir.P4Stmt], ctx: Set[str],
              block: str) -> None:
         ctx = set(ctx)
         for stmt in stmts:
@@ -84,16 +58,42 @@ def possibly_invalid_key(unit: AnalysisUnit) -> List[Diagnostic]:
             elif isinstance(stmt, ir.SetInvalid):
                 ctx.discard(stmt.header)
             elif isinstance(stmt, ir.IfStmt):
-                scan(stmt.then_body, ctx | _valid_conjuncts(stmt.cond),
-                     block)
-                scan(stmt.else_body, ctx, block)
+                self.scan(stmt.then_body,
+                          ctx | _valid_conjuncts(stmt.cond), block)
+                self.scan(stmt.else_body, ctx, block)
             elif isinstance(stmt, ir.ApplyTable):
-                check_apply(stmt, ctx, block)
-                scan(stmt.hit_body, ctx, block)
-                scan(stmt.miss_body, ctx, block)
+                self.check_apply(stmt, ctx, block)
+                self.scan(stmt.hit_body, ctx, block)
+                self.scan(stmt.miss_body, ctx, block)
 
+    def check_apply(self, site: ir.ApplyTable, ctx: Set[str],
+                    block: str) -> None:
+        table = self.tables.get(site.table)
+        if table is None:
+            return
+        for key in table.keys:
+            if not key.path.startswith("hdr."):
+                continue
+            bind = key.path.split(".")[1]
+            if bind in ctx or (site.table, bind) in self.seen:
+                continue
+            self.seen.add((site.table, bind))
+            self.diags.append(Diagnostic(
+                rule="IH005", severity=Severity.WARNING,
+                message=f"table {site.table!r} matches on {key.path!r} but "
+                        f"header {bind!r} may be invalid here; the key "
+                        f"silently reads 0 when it is",
+                span=site.span, path=key.path, block=block,
+                hint=f"guard the apply with hdr.{bind}.isValid(), or key "
+                     f"on metadata copied out under a validity check"))
+
+
+@lint_pass("IH005")
+def possibly_invalid_key(unit: AnalysisUnit) -> List[Diagnostic]:
+    must_valid = always_extracted(unit.program.parser)
+    walk = _KeyScan(unit.compiled.tables)
     for view in unit.placements:
-        scan(view.stmts, must_valid, view.name)
+        walk.scan(view.stmts, must_valid, view.name)
     for name, action in unit.compiled.actions.items():
-        scan(action.body, must_valid, f"action:{name}")
-    return diags
+        walk.scan(action.body, must_valid, f"action:{name}")
+    return walk.diags

@@ -3,9 +3,9 @@
 ``MarkToDrop`` on this substrate (as on bmv2) only sets the drop flag;
 execution continues to the end of the block, so trailing statements are
 not literally unreachable — register writes and digests still land.
-That is precisely why IH003 is a *lint* finding and never an optimizer
-target: the packet-visible work after the drop is wasted, and stateful
-work after the drop is more often an ordering accident than intent.
+That is precisely why IH003 is a *lint* finding and never a deletion:
+the packet-visible work after the drop is wasted, and stateful work
+after the drop is more often an ordering accident than intent.
 
 IH007 flags tables the compiled checker declares but never applies from
 any fragment or action body — dead configuration surface that still
@@ -72,6 +72,5 @@ def dead_table(unit: AnalysisUnit) -> List[Diagnostic]:
             message=f"table {name!r} is declared but never applied by "
                     f"any pipeline fragment or action",
             path=name,
-            hint="apply the table or delete it (the optimizer prunes "
-                 "unapplied tables under optimize=True)"))
+            hint="apply the table or delete it"))
     return diags

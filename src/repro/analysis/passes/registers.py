@@ -48,8 +48,7 @@ def dead_register(unit: AnalysisUnit) -> List[Diagnostic]:
                 message=f"register {reg.name!r} is never read or "
                         f"written",
                 path=reg.name,
-                hint="delete the declaration (the optimizer does this "
-                     "under optimize=True)"))
+                hint="delete the declaration"))
         elif writes:
             diags.append(Diagnostic(
                 rule="IH002", severity=Severity.WARNING,

@@ -25,7 +25,7 @@ from .dataflow import cfg_effects, liveness, reaching_definitions
 
 
 class AnalysisUnit:
-    """One compiled checker prepared for lint/optimize passes."""
+    """One compiled checker prepared for the lint passes."""
 
     def __init__(self, compiled: CompiledChecker,
                  program: Optional[ir.P4Program] = None):

@@ -58,16 +58,12 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def compile_indus(program: str, *, name: Optional[str] = None,
-                  optimize: bool = False) -> Any:
+def compile_indus(program: str, *, name: Optional[str] = None) -> Any:
     """Compile an Indus checker to P4.
 
     ``program`` may be a bundled property name (``"loops"``, see
     ``python -m repro properties``), a path to an ``.indus`` file, or
-    Indus source text itself.  ``optimize=True`` runs the dataflow
-    optimizer (dead code/table/register elimination, constant folding,
-    scratch-field coalescing — behaviorally identical, validated by the
-    differential oracle).  Returns the
+    Indus source text itself.  Returns the
     :class:`~repro.compiler.lower.CompiledChecker` that
     :func:`deploy` consumes.
     """
@@ -75,17 +71,14 @@ def compile_indus(program: str, *, name: Optional[str] = None,
     from .properties import PROPERTIES, load_source
 
     if program in PROPERTIES:
-        return compile_program(load_source(program),
-                               name=name or program, optimize=optimize)
+        return compile_program(load_source(program), name=name or program)
     if "\n" not in program and "{" not in program \
             and os.path.exists(program):
         with open(program) as handle:
             source = handle.read()
         default = os.path.splitext(os.path.basename(program))[0]
-        return compile_program(source, name=name or default,
-                               optimize=optimize)
-    return compile_program(program, name=name or "checker",
-                           optimize=optimize)
+        return compile_program(source, name=name or default)
+    return compile_program(program, name=name or "checker")
 
 
 def lint(program: Any, *, name: Optional[str] = None,
@@ -140,7 +133,6 @@ def deploy(compiled: Any, *, scenario: Any = None, topology: Any = None,
 
 def run_scenario(scenario: Union[int, Any] = None, *,
                  seed: Optional[int] = None, obs: Any = None,
-                 optimize: bool = False,
                  engines: Any = None) -> Any:
     """Run one differential-oracle scenario end to end: compile, deploy
     under both P4 engines, replay through the reference Indus monitor,
@@ -165,15 +157,14 @@ def run_scenario(scenario: Union[int, Any] = None, *,
     registry = None
     if obs is not None and obs.registry.live:
         registry = obs.registry
-    return _run(scenario, registry=registry, optimize=optimize,
-                engines=engines)
+    return _run(scenario, registry=registry, engines=engines)
 
 
 def difftest(*, seed: int = 0, iters: int = 100,
              inject_bug: bool = False, stop_on_failure: bool = True,
              obs: Any = None,
              progress: Optional[Callable[[str], None]] = None,
-             optimize: bool = False, engines: Any = None) -> Any:
+             engines: Any = None) -> Any:
     """Run a differential-oracle campaign over ``iters`` seeds starting
     at ``seed``, one scenario after another in this process.
 
@@ -186,13 +177,11 @@ def difftest(*, seed: int = 0, iters: int = 100,
 
     return run_difftest(seed=seed, iters=iters, inject_bug=inject_bug,
                         stop_on_failure=stop_on_failure,
-                        progress=progress, obs=obs,
-                        optimize=optimize, engines=engines)
+                        progress=progress, obs=obs, engines=engines)
 
 
 def generated_source(program: Union[int, str, Any], *,
-                     name: Optional[str] = None,
-                     optimize: bool = False) -> str:
+                     name: Optional[str] = None) -> str:
     """The codegen engine's generated Python source for a pipeline.
 
     ``program`` accepts everything :func:`compile_indus` does — a
@@ -212,12 +201,11 @@ def generated_source(program: Union[int, str, Any], *,
         from .difftest.scenario import gen_scenario
 
         source = gen_scenario(program).source()
-        compiled = compile_program(source, name=name or f"dt{program}",
-                                   optimize=optimize)
+        compiled = compile_program(source, name=name or f"dt{program}")
     elif isinstance(program, CompiledChecker):
         compiled = program
     else:
-        compiled = compile_indus(program, name=name, optimize=optimize)
+        compiled = compile_indus(program, name=name)
     switch = Bmv2Switch(standalone_program(compiled), name="dump",
                         switch_id=1, engine="codegen")
     return switch._engine.source

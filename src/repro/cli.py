@@ -149,7 +149,7 @@ def cmd_properties(_args: argparse.Namespace) -> int:
 def cmd_table1(args: argparse.Namespace) -> int:
     from .experiments import compute_table, format_table
 
-    print(format_table(compute_table(optimize=args.optimize)))
+    print(format_table(compute_table()))
     return 0
 
 
@@ -159,7 +159,7 @@ def cmd_fig12(args: argparse.Namespace) -> int:
 
     config = Fig12Config(duration_s=args.duration,
                          load_bps_per_pair=args.load * 1e6,
-                         engine=args.engine, optimize=args.optimize)
+                         engine=args.engine)
     checkers = _parse_names(args.checkers, PROPERTIES, "checker")
     print(f"running Figure 12 (duration {args.duration}s, "
           f"{args.load} Mb/s per pair, "
@@ -222,7 +222,7 @@ def cmd_difftest(args: argparse.Namespace) -> int:
           + (f", engines {','.join(engines)}" if engines else ""))
     summary = difftest(seed=args.seed, iters=args.iters,
                        inject_bug=args.inject_bug, progress=print,
-                       optimize=args.optimize, engines=engines)
+                       engines=engines)
     if args.inject_bug:
         print(f"mutations injected: {summary.mutations_injected}, "
               f"caught: {summary.mutations_caught}")
@@ -432,8 +432,7 @@ def cmd_dump_src(args: argparse.Namespace) -> int:
         name, _source = _load_program_text(target)
         program = target
     try:
-        source = generated_source(program, name=name,
-                                  optimize=args.optimize)
+        source = generated_source(program, name=name)
     except IndusError as exc:
         print(f"{name}: error: {exc}", file=sys.stderr)
         return 1
@@ -499,8 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_properties)
 
     p = sub.add_parser("table1", help="reproduce Table 1")
-    p.add_argument("--optimize", action="store_true",
-                   help="add dataflow-optimizer stage/PHV delta columns")
     p.set_defaults(fn=cmd_table1)
 
     p = sub.add_parser("fig12", help="run the Figure 12 RTT experiment")
@@ -513,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: all eleven Table-1 checkers)")
     p.add_argument("--engine", default="codegen", choices=ENGINES,
                    help="switch execution engine (default codegen)")
-    p.add_argument("--optimize", action="store_true",
-                   help="run the dataflow optimizer on every checker")
     p.set_defaults(fn=cmd_fig12)
 
     p = sub.add_parser(
@@ -535,10 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-bug", action="store_true",
                    help="mutate the compiled checker each iteration and "
                         "verify the oracle catches it")
-    p.add_argument("--optimize", action="store_true",
-                   help="run each scenario's checker through the "
-                        "dataflow optimizer first (the oracle then "
-                        "validates the optimizer itself)")
     p.set_defaults(fn=cmd_difftest)
 
     p = sub.add_parser(
@@ -607,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target",
                    help="bundled property name, .indus file, or a "
                         "difftest scenario seed (integer)")
-    p.add_argument("--optimize", action="store_true",
-                   help="run the dataflow optimizer first")
     p.set_defaults(fn=cmd_dump_src)
 
     p = sub.add_parser("ltl", help="compile an LTLf formula to Indus")

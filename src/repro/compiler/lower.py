@@ -1133,25 +1133,13 @@ class IndusCompiler:
 def compile_program(source_or_checked, name: str = "checker",
                     bindings: Optional[Dict[str, str]] = None,
                     namespace: str = "",
-                    eth_type: int = ETH_TYPE_HYDRA,
-                    optimize: bool = False) -> CompiledChecker:
-    """Compile Indus source text (or an already-checked program) to P4 IR.
-
-    ``optimize=True`` additionally runs the dataflow optimizer
-    (:func:`repro.analysis.optimize.optimize_compiled`): constant
-    folding, liveness-driven dead-code/table/register elimination, and
-    scratch-field coalescing — behaviorally identical by construction
-    and validated against the differential oracle.
-    """
+                    eth_type: int = ETH_TYPE_HYDRA) -> CompiledChecker:
+    """Compile Indus source text (or an already-checked program) to P4 IR."""
     if isinstance(source_or_checked, str):
         checked = check(parse(source_or_checked))
     elif isinstance(source_or_checked, CheckedProgram):
         checked = source_or_checked
     else:
         raise TypeError("expected Indus source text or a CheckedProgram")
-    compiled = IndusCompiler(checked, name=name, bindings=bindings,
-                             namespace=namespace, eth_type=eth_type).compile()
-    if optimize:
-        from ..analysis.optimize import optimize_compiled
-        optimize_compiled(compiled)
-    return compiled
+    return IndusCompiler(checked, name=name, bindings=bindings,
+                         namespace=namespace, eth_type=eth_type).compile()

@@ -65,8 +65,7 @@ class SeedOutcome:
 
 
 def run_seed(seed: int, inject_bug: bool = False,
-             registry: Any = None, optimize: bool = False,
-             engines: Any = None) -> SeedOutcome:
+             registry: Any = None, engines: Any = None) -> SeedOutcome:
     """Run the oracle on one seed — one iteration of
     :func:`run_difftest`'s loop.  ``engines`` names the engines the
     oracle cross-checks (default :data:`repro.p4.ENGINES`)."""
@@ -82,14 +81,13 @@ def run_seed(seed: int, inject_bug: bool = False,
                 notes.append(note)
 
         result = run_scenario(scenario, mutate=mutate, registry=registry,
-                              optimize=optimize, engines=engines)
+                              engines=engines)
         if notes:
             outcome.mutated = True
             outcome.mutation_note = notes[0]
             outcome.caught = result.failure is not None
         return outcome
-    result = run_scenario(scenario, registry=registry, optimize=optimize,
-                          engines=engines)
+    result = run_scenario(scenario, registry=registry, engines=engines)
     outcome.failure = result.failure
     outcome.packets_run = result.packets_run
     outcome.hops_checked = result.hops_checked
@@ -135,7 +133,6 @@ def run_difftest(seed: int = 0, iters: int = 100,
                  stop_on_failure: bool = True,
                  progress: Optional[Callable[[str], None]] = None,
                  obs: Any = None,
-                 optimize: bool = False,
                  engines: Any = None,
                  ) -> DifftestSummary:
     """Run ``iters`` oracle iterations starting at ``seed``.
@@ -158,8 +155,7 @@ def run_difftest(seed: int = 0, iters: int = 100,
     summary = DifftestSummary()
     for i in range(iters):
         outcome = run_seed(seed + i, inject_bug=inject_bug,
-                           registry=registry, optimize=optimize,
-                           engines=engines)
+                           registry=registry, engines=engines)
         summary.absorb(outcome)
         if progress and outcome.mutated and outcome.caught:
             progress(f"seed {seed + i}: mutation caught "

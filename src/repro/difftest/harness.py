@@ -318,7 +318,7 @@ def _build_trace(scenario: Scenario, topology,
 
 def run_scenario(scenario: Scenario,
                  mutate: Optional[Callable[[CompiledChecker], Any]] = None,
-                 registry=None, optimize: bool = False,
+                 registry=None,
                  engines: Optional[Tuple[str, ...]] = None) -> ScenarioResult:
     """Run one scenario through all three levels and compare.
 
@@ -326,14 +326,11 @@ def run_scenario(scenario: Scenario,
     deployment — the injected-bug hook used to validate that the oracle
     actually catches compiler defects.  ``registry``, when given, is a
     live metrics registry shared by both engine deployments (the
-    verdicts must be identical with or without it).  ``optimize`` runs
-    the dataflow optimizer on the compiled checker before deployment —
-    the campaign knob used to validate that optimization changes
-    nothing observable.  ``engines`` names the engines the oracle
-    cross-checks (default :data:`repro.p4.ENGINES`), two or more and
-    none twice; the first is the comparison anchor, whose hops feed the
-    monitor, and every other must agree with it hop by hop and byte for
-    byte.  Each engine's
+    verdicts must be identical with or without it).  ``engines`` names
+    the engines the oracle cross-checks (default
+    :data:`repro.p4.ENGINES`), two or more and none twice; the first is
+    the comparison anchor, whose hops feed the monitor, and every other
+    must agree with it hop by hop and byte for byte.  Each engine's
     configuration follows its name, not its position (see
     :func:`build_scenario_deployment`): ``interp`` always runs the
     reference configuration.
@@ -355,8 +352,7 @@ def run_scenario(scenario: Scenario,
     # the same checked AST, and neither writes it.
     try:
         checked = check(parse(scenario.source()))
-        compiled = compile_program(checked, name=f"dt{scenario.seed}",
-                                   optimize=optimize)
+        compiled = compile_program(checked, name=f"dt{scenario.seed}")
     except Exception as exc:
         return fail("compile", f"compiler rejected generated program: {exc}")
     if mutate is not None:

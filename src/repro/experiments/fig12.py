@@ -47,7 +47,6 @@ class Fig12Config:
     ping_interval_s: float = 0.002
     seed: int = 11
     engine: str = "codegen"  # Bmv2Switch execution engine for every switch
-    optimize: bool = False  # run the dataflow optimizer on every checker
     batched: bool = True  # False: event mode, the timing reference
 
 
@@ -90,7 +89,7 @@ def build_fabric(checkers: Optional[List[str]],
     deployment: Optional[HydraDeployment] = None
     if checkers:
         with profiled(obs.registry, "compile"):
-            compiled = compile_suite(checkers, optimize=config.optimize)
+            compiled = compile_suite(checkers)
         deployment = HydraDeployment(topology, compiled, forwarding,
                                      engine=config.engine, obs=obs,
                                      batched=config.batched)

@@ -42,28 +42,15 @@ class Table1Row:
     paper_p4_loc: Optional[int]
     paper_stages: Optional[int]
     paper_phv_pct: Optional[float]
-    #: Resources of the dataflow-optimized checker (``optimize=True``
-    #: rows only).  The optimizer is behaviorally identity — validated
-    #: by the differential oracle — so these are pure resource deltas.
-    opt_stages: Optional[int] = None
-    opt_phv_pct: Optional[float] = None
 
 
-def compute_row(name: str, optimize: bool = False) -> Table1Row:
+def compute_row(name: str) -> Table1Row:
     info = PROPERTIES[name]
     compiled = compile_program(load_checked(name), name=name)
     baseline = upf_program("fabric_upf")
     linked = link(baseline, compiled, role=EDGE)
     p4_loc = count_loc(render(linked)) - count_loc(render(baseline))
     resources = analyze_linked(name, linked, baseline)
-    opt_stages = opt_phv_pct = None
-    if optimize:
-        optimized = compile_program(load_checked(name), name=name,
-                                    optimize=True)
-        opt_linked = link(upf_program("fabric_upf"), optimized, role=EDGE)
-        opt_resources = analyze_linked(name, opt_linked, baseline)
-        opt_stages = opt_resources.stages
-        opt_phv_pct = opt_resources.phv_pct
     return Table1Row(
         name=name,
         description=info.description,
@@ -75,15 +62,11 @@ def compute_row(name: str, optimize: bool = False) -> Table1Row:
         paper_p4_loc=info.paper_p4_loc,
         paper_stages=info.paper_stages,
         paper_phv_pct=info.paper_phv_pct,
-        opt_stages=opt_stages,
-        opt_phv_pct=opt_phv_pct,
     )
 
 
-def compute_table(names: Optional[List[str]] = None,
-                  optimize: bool = False) -> List[Table1Row]:
-    return [compute_row(name, optimize=optimize)
-            for name in (names or TABLE1_ORDER)]
+def compute_table(names: Optional[List[str]] = None) -> List[Table1Row]:
+    return [compute_row(name) for name in (names or TABLE1_ORDER)]
 
 
 def format_table(rows: List[Table1Row]) -> str:
@@ -97,19 +80,12 @@ def format_table(rows: List[Table1Row]) -> str:
         f"{BASELINE_STAGES:>6d} {'(12)':>5s} "
         f"{BASELINE_PHV_PCT:>9.2f} {'(44.53)':>8s}",
     ]
-    optimized = any(row.opt_stages is not None for row in rows)
-    if optimized:
-        lines[1] += f" {'opt Δstage':>11s} {'opt ΔPHV %':>11s}"
     for row in rows:
-        line = (
+        lines.append(
             f"{row.name:28s} "
             f"{row.indus_loc:>5d} ({row.paper_indus_loc or '-':>4}) "
             f"{row.p4_loc:>5d} ({row.paper_p4_loc or '-':>4}) "
             f"{row.stages:>6d} ({row.paper_stages or '-':>3}) "
             f"{row.phv_pct:>9.2f} ({row.paper_phv_pct or '-':>6})"
         )
-        if row.opt_stages is not None:
-            line += (f" {row.opt_stages - row.stages:>+11d}"
-                     f" {row.opt_phv_pct - row.phv_pct:>+11.2f}")
-        lines.append(line)
     return "\n".join(lines)

@@ -15,7 +15,7 @@ Concrete syntax accepted by :func:`parse_formula`::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List
 
 
 class Formula:
@@ -117,20 +117,16 @@ def WeakNext(operand: Formula) -> Formula:  # noqa: N802
 def atoms_of(formula: Formula) -> List[str]:
     """Atom names appearing in a formula, in first-occurrence order."""
     out: List[str] = []
-
-    def walk(f: Formula) -> None:
+    work = [formula]
+    while work:
+        f = work.pop()
         if isinstance(f, Atom):
             if f.name not in out:
                 out.append(f.name)
-        elif isinstance(f, Not):
-            walk(f.operand)
-        elif isinstance(f, Next):
-            walk(f.operand)
+        elif isinstance(f, (Not, Next)):
+            work.append(f.operand)
         elif isinstance(f, (And, Until)):
-            walk(f.left)
-            walk(f.right)
-
-    walk(formula)
+            work += (f.right, f.left)
     return out
 
 

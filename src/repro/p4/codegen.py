@@ -62,10 +62,9 @@ with flat local variables:
   for the reason the run memo is, and kept by an instrumented build.
 
 The engine emits the linked program as given: it rewrites no statement,
-so it and the reference engine execute the same IR, and the one way to
-run an optimized checker on either is to compile it with ``optimize=``
-(:mod:`repro.analysis.optimize`).  The pipeline is emitted exactly
-once; a batch is ``Bmv2Switch.process_batch`` looping over ``process``.
+so it and the reference engine execute the same IR.  The pipeline is
+emitted exactly once; a batch is ``Bmv2Switch.process_batch`` looping
+over ``process``.
 
 Observability is a compile-time specialization, fixed when the switch
 is built: with a null registry the generated source carries zero

@@ -129,10 +129,10 @@ class Operator:
 
     ``fn`` is the reference semantics over unsigned operand values and
     the result width — ``fn(left, right, width)``, a unary operator's
-    ``fn(value, width)`` — that the interpreter and the constant folder
-    call; ``template`` spells the same computation as the emitter's
-    Python source (``{l}``/``{r}`` or ``{o}`` the operands, ``{m}`` the
-    result mask, ``{w}`` the width; ``_div``/``_mod``/``_absdiff`` are
+    ``fn(value, width)`` — that the interpreter calls; ``template``
+    spells the same computation as the emitter's Python source
+    (``{l}``/``{r}`` or ``{o}`` the operands, ``{m}`` the result mask,
+    ``{w}`` the width; ``_div``/``_mod``/``_absdiff`` are
     :data:`HELPERS`); ``p4`` is its P4-16 text.  ``&&``/``||`` are
     declared like the rest, but every evaluator short-circuits them.
     """
@@ -890,10 +890,10 @@ def clone_stmts(stmts: Sequence[P4Stmt]) -> List[P4Stmt]:
     """A private copy of a statement body: fresh statement nodes and
     fresh lists all the way down, expressions shared.
 
-    Expressions are frozen, and every rewrite (the optimizer, the
-    linker) replaces a statement's expression attribute rather than
-    editing the expression, so sharing them is safe and the clone costs
-    one shallow copy per statement.
+    Expressions are frozen, and a rewrite (the linker's) replaces a
+    statement's expression attribute rather than editing the
+    expression, so sharing them is safe and the clone costs one shallow
+    copy per statement.
     """
     out: List[P4Stmt] = []
     for stmt in stmts:

@@ -165,16 +165,14 @@ def load_monitor(name: str) -> Monitor:
 
 
 def compile_property(name: str,
-                     bindings: Optional[Dict[str, str]] = None,
-                     optimize: bool = False) -> CompiledChecker:
+                     bindings: Optional[Dict[str, str]] = None
+                     ) -> CompiledChecker:
     """Compile a property to P4 IR."""
-    return compile_program(load_checked(name), name=name, bindings=bindings,
-                           optimize=optimize)
+    return compile_program(load_checked(name), name=name, bindings=bindings)
 
 
 def compile_suite(names: Optional[List[str]] = None,
-                  base_eth_type: int = 0x88B5,
-                  optimize: bool = False) -> List[CompiledChecker]:
+                  base_eth_type: int = 0x88B5) -> List[CompiledChecker]:
     """Compile several properties for one multi-checker deployment.
 
     Each checker gets its own namespace (its property name) and a
@@ -186,7 +184,7 @@ def compile_suite(names: Optional[List[str]] = None,
     for i, name in enumerate(names):
         compiled.append(compile_program(
             load_checked(name), name=name, namespace=name,
-            eth_type=base_eth_type + i, optimize=optimize,
+            eth_type=base_eth_type + i,
         ))
     return compiled
 

@@ -1,7 +1,7 @@
 """The shared analysis substrate: CFG construction, the worklist
 solver, liveness, reaching definitions, placement views, and parser
-must-extraction.  These are the facts every lint pass and the optimizer
-consume, so they get direct unit coverage on hand-built IR.
+must-extraction.  These are the facts every lint pass consumes, so they
+get direct unit coverage on hand-built IR.
 """
 
 from repro import api
@@ -62,7 +62,7 @@ def test_cfg_empty_else_falls_through():
 def test_cfg_mark_to_drop_is_not_a_terminator():
     # bmv2 semantics: MarkToDrop sets a flag and execution continues —
     # the CFG must reflect that (this is what makes IH003 a lint rule
-    # rather than an optimizer opportunity).
+    # rather than a deletion).
     drop = ir.MarkToDrop()
     after = ir.AssignStmt("meta.a", C(1))
     cfg = build_cfg([drop, after])
@@ -170,7 +170,7 @@ def test_checker_placements_cover_roles_and_modes():
         ("edge", "last_hop"), ("edge", "per_hop"),
         ("core", "last_hop"), ("core", "per_hop")}
     # Placement views share the fragment statement objects (dataflow
-    # facts key by id(stmt), the optimizer rewrites in place).
+    # facts key by id(stmt)).
     tele_ids = {id(s) for s in compiled.tele_stmts}
     for view in views:
         view_ids = {id(n.stmt) for n in view.cfg.stmt_nodes()}

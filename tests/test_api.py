@@ -167,12 +167,6 @@ def test_lint_verb_only_filter():
     assert all(d.rule == "IH006" for d in diags)
 
 
-def test_compile_indus_optimize_flag():
-    plain = api.compile_indus("multi_tenancy")
-    opt = api.compile_indus("multi_tenancy", optimize=True)
-    assert len(opt.metadata) < len(plain.metadata)
-
-
 def test_difftest_verb_matches_run_difftest():
     from repro.difftest import run_difftest
 

@@ -31,10 +31,8 @@ BATCH_PROPS = ("loops", "valley_free", "stateful_firewall",
                "source_routing_validation", "load_balance_arrays")
 
 
-def build_switch(name="loops", engine="codegen", optimize=False,
-                 obs=None, entries=True):
-    compiled = compile_program(load_source(name), name=name,
-                               optimize=optimize)
+def build_switch(name="loops", engine="codegen", obs=None, entries=True):
+    compiled = compile_program(load_source(name), name=name)
     program = standalone_program(compiled)
     sw = Bmv2Switch(program, name="s1", switch_id=7, engine=engine,
                     obs=obs)
@@ -253,20 +251,6 @@ def test_a_memoised_lookup_follows_a_write_made_mid_packet():
     assert reported("codegen") == ([1, 7, 7], {
         "rebuilds": 0, "folds": 1, "memo_fills": 2, "memo_clears": 1,
         "vouched": 0, "scanned": 0, "cuts": 0})
-
-
-@pytest.mark.parametrize("name", ("loops", "valley_free"))
-def test_optimized_pipeline_parity(name):
-    """The dataflow-optimized IR through codegen still matches the
-    unoptimized interpreter packet for packet."""
-    switches = [build_switch(name, engine="interp"),
-                build_switch(name, optimize=True)]
-    rng = random.Random(99)
-    for packet in (random_packet(rng) for _ in range(20)):
-        outs = [serialize_outputs(sw.process(packet, 1))
-                for sw in switches]
-        assert outs[0] == outs[1]
-    assert switches[0].registers == switches[1].registers
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +630,7 @@ def test_dump_src_cli(capsys):
     assert code == 0
     assert "def _process(" in out
 
-    code = cli_main(["dump-src", "3", "--optimize"])
+    code = cli_main(["dump-src", "3"])
     out = capsys.readouterr().out
     assert code == 0
     assert "def _process(" in out

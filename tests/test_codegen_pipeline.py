@@ -196,23 +196,20 @@ def run_interleaved(switches, first, second, port):
 
 
 def checker_sources():
-    """Every bundled checker and every ``examples/*.indus`` file, plain
-    and through the optimizer (``+opt``)."""
+    """Every bundled checker and every ``examples/*.indus`` file."""
     sources = [(name, load_source(name)) for name in sorted(PROPERTIES)]
     examples = Path(__file__).resolve().parent.parent / "examples"
     sources += [(path.name, path.read_text())
                 for path in sorted(examples.glob("*.indus"))]
-    return [pytest.param(name, source, optimize,
-                         id=name + ("+opt" if optimize else ""))
-            for name, source in sources for optimize in (False, True)]
+    return [pytest.param(name, source, id=name) for name, source in sources]
 
 
-@pytest.mark.parametrize("name, source, optimize", checker_sources())
-def test_corpus_programs_never_write_through(name, source, optimize):
+@pytest.mark.parametrize("name, source", checker_sources())
+def test_corpus_programs_never_write_through(name, source):
     """Each checker as first hop (telemetry injected), mid-path
     (telemetry carried and updated) and last hop (checked, stripped):
     its generated source builds, and agrees with the reference."""
-    compiled = compile_program(source, name=name, optimize=optimize)
+    compiled = compile_program(source, name=name)
     program = standalone_program(compiled)
     first = make_udp(ip(10, 0, 0, 1), ip(10, 0, 1, 2), 4000, 53, ttl=9)
     second = make_tcp(ip(10, 1, 0, 7), ip(10, 0, 0, 1), 80, 4000, ttl=3)

@@ -235,7 +235,7 @@ def test_compiling_a_checked_program_is_compiling_its_source():
 
 def test_nothing_writes_the_ast_the_monitor_reads():
     """What keeps the reference independent with one front end: neither
-    the compiler (plain or optimizing) nor any injected mutation touches
+    the compiler nor any injected mutation touches
     the checked AST; they work on the IR compiled from it."""
     from repro.compiler import compile_program
     from repro.indus import ast_equal, check, parse
@@ -244,7 +244,7 @@ def test_nothing_writes_the_ast_the_monitor_reads():
     for seed in range(POOL):
         source = gen_scenario(seed).source()
         checked = check(parse(source))
-        compiled = [compile_program(checked, name=f"dt{seed}", optimize=True)]
+        compiled = [compile_program(checked, name=f"dt{seed}")]
         for kind in kinds:
             compiled.append(compile_program(checked, name=f"dt{seed}"))
             inject_mutation(compiled[-1], random.Random(seed), kinds=(kind,))

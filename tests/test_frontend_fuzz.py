@@ -113,51 +113,6 @@ def test_analyzer_never_crashes_and_is_deterministic(seed):
     assert first == second
 
 
-@given(seed=st.integers(0, 2**32))
-@settings(max_examples=30, deadline=None)
-def test_clean_programs_stay_clean_after_optimize(seed):
-    """lint -> optimize -> lint: the optimizer never *introduces* an
-    error-severity finding, and an error-clean program stays so."""
-    from repro.analysis import Severity, lint_compiled, optimize_compiled
-
-    def errors(compiled):
-        return sorted(d.rule for d in lint_compiled(compiled)
-                      if d.severity >= Severity.ERROR)
-
-    compiled = compile_program(gen_program(seed), name="fuzz")
-    before = errors(compiled)
-    optimize_compiled(compiled)
-    after = errors(compiled)
-    assert set(after) <= set(before), (before, after)
-
-
-@given(seed=st.integers(0, 2**32),
-       sport=st.integers(0, 65535), dport=st.integers(0, 65535))
-@settings(max_examples=30, deadline=None)
-def test_optimized_generated_programs_differential(seed, sport, dport):
-    """Generated programs keep the interpreter verdict after the
-    optimizer rewrites them — the oracle-equality contract quantified
-    over the fuzz program space."""
-    from repro.analysis import optimize_compiled
-
-    source = gen_program(seed)
-    checked = check(parse(source))
-    monitor = Monitor(checked)
-    ctx = HopContext(headers={"sport": sport, "dport": dport},
-                     first_hop=True, last_hop=True)
-    interp_ok = not monitor.run_path([ctx]).rejected
-
-    compiled = compile_program(checked, name="fuzz")
-    optimize_compiled(compiled)
-    sw = Bmv2Switch(standalone_program(compiled), name="s1")
-    sw.insert_entry("fwd_table", [1], "fwd_set_egress", [2])
-    sw.insert_entry(compiled.inject_table, [1], compiled.mark_first_action)
-    sw.insert_entry(compiled.strip_table, [2], compiled.mark_last_action)
-    packet = make_udp(ip(1, 1, 1, 1), ip(2, 2, 2, 2), sport, dport)
-    compiled_ok = len(sw.process(packet, 1)) == 1
-    assert interp_ok == compiled_ok, f"optimizer divergence on:\n{source}"
-
-
 @given(seed=st.integers(0, 2**32), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_generated_multihop_programs_differential(seed, data):

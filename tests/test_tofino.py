@@ -172,56 +172,15 @@ def test_pipeline_depth_is_max_of_both_halves():
     assert pipeline_depth(program) >= 1
 
 
-# ---------------------------------------------------------------------------
-# Dataflow optimizer: resource usage is monotone, baseline untouched
-# ---------------------------------------------------------------------------
-
-def test_optimizer_never_increases_stages_or_phv():
-    """The optimizer's resource contract, quantified over every Table-1
-    property in both standalone and linked form: optimized never uses
-    more pipeline stages or PHV bits than unoptimized."""
-    from repro.compiler import standalone_program
-    from repro.properties import TABLE1_ORDER
-
-    baseline = upf_program()
-    for name in TABLE1_ORDER:
-        plain = compile_property(name)
-        opt = compile_property(name, optimize=True)
-
-        plain_sa = standalone_program(plain)
-        opt_sa = standalone_program(opt)
-        assert pipeline_depth(opt_sa) <= pipeline_depth(plain_sa), name
-        assert phv_bits(opt_sa) <= phv_bits(plain_sa), name
-
-        plain_linked = analyze_linked(name, link(baseline, plain), baseline)
-        opt_linked = analyze_linked(name, link(baseline, opt), baseline)
-        assert opt_linked.stages <= plain_linked.stages, name
-        assert opt_linked.phv_pct <= plain_linked.phv_pct + 1e-9, name
-
-
-def test_optimizer_reduces_phv_on_some_property():
-    from repro.compiler import standalone_program
-
-    reduced = []
-    for name in ("multi_tenancy", "stateful_firewall",
-                 "application_filtering"):
-        plain = phv_bits(standalone_program(compile_property(name)))
-        opt = phv_bits(standalone_program(
-            compile_property(name, optimize=True)))
-        if opt < plain:
-            reduced.append(name)
-    assert reduced
-
-
-def test_fabric_upf_baseline_unchanged_without_optimize():
-    """optimize=False (the default) must keep the paper's anchored
-    baseline byte-for-byte: 12 stages, 44.53% PHV."""
+def test_fabric_upf_baseline_is_the_papers_anchor():
+    """A linked checker keeps the paper's anchored baseline
+    byte-for-byte: 12 stages, 44.53% PHV."""
     from repro.properties import BASELINE_PHV_PCT, BASELINE_STAGES
 
     assert BASELINE_STAGES == PAPER_BASELINE_STAGES == 12
     assert BASELINE_PHV_PCT == PAPER_BASELINE_PHV_PCT == 44.53
     baseline = upf_program()
-    compiled = compile_property("multi_tenancy")  # default: no optimizer
+    compiled = compile_property("multi_tenancy")
     report = analyze_linked("multi_tenancy", link(baseline, compiled),
                             baseline)
     # Anchoring intact: stages floor at the baseline, PHV percent is the
