@@ -30,8 +30,9 @@ deployment saw.
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..compiler import compile_program
@@ -489,18 +490,54 @@ def _collect_mutable(stmts: List[ir.P4Stmt]) -> List[Tuple[Any, str]]:
     return out
 
 
+def _sites(stmts: List[ir.P4Stmt]):
+    """Yield ``(body, index)`` for every statement in a block, nested
+    bodies included: ``body[index]`` is the statement."""
+    for index, stmt in enumerate(stmts):
+        yield stmts, index
+        for body in ir.bodies(stmt):
+            yield from _sites(body)
+
+
+def _replaced(expr, node, new):
+    """``expr`` with ``node`` (by identity) replaced by ``new``: the
+    nodes above it rebuilt, every other node shared."""
+    if expr is node:
+        return new
+    if isinstance(expr, ir.BinExpr):
+        left = _replaced(expr.left, node, new)
+        right = _replaced(expr.right, node, new)
+        if left is not expr.left or right is not expr.right:
+            return replace(expr, left=left, right=right)
+    elif isinstance(expr, ir.UnExpr):
+        operand = _replaced(expr.operand, node, new)
+        if operand is not expr.operand:
+            return replace(expr, operand=operand)
+    return expr
+
+
+def _substitute(compiled: CompiledChecker, node, mutant) -> None:
+    """Put ``mutant`` where ``node`` is in every statement of
+    ``compiled`` (its fragments and action bodies), each such statement
+    rebuilt in its own list.  A lowering may share one expression among
+    statements (a ``push`` writes each slot's assignment from one
+    expression); all of them take the mutant, and nothing outside the
+    checker does."""
+    blocks = list(compiled.fragments().values())
+    blocks += [action.body for action in compiled.actions.values()]
+    for block in blocks:
+        for body, index in _sites(block):
+            stmt = copy.copy(body[index])
+            if ir.map_exprs(stmt, lambda expr: _replaced(expr, node, mutant)):
+                body[index] = stmt
+
+
 def _find_stmt_site(stmts: List[ir.P4Stmt], pred
                     ) -> Optional[Tuple[List[ir.P4Stmt], int]]:
     """The (body list, index) of the first statement matching ``pred``,
     recursing into branches."""
-    for i, stmt in enumerate(stmts):
-        if pred(stmt):
-            return stmts, i
-        for body in ir.bodies(stmt):
-            found = _find_stmt_site(body, pred)
-            if found is not None:
-                return found
-    return None
+    return next(((body, index) for body, index in _sites(stmts)
+                 if pred(body[index])), None)
 
 
 def kill_register_write(compiled: CompiledChecker) -> Optional[str]:
@@ -571,12 +608,15 @@ def inject_mutation(compiled: CompiledChecker, rng: random.Random,
         return kill_register_write(compiled)
     if kind == "orphan":
         return orphan_table(compiled)
-    # IR nodes are frozen dataclasses; the mutation deliberately reaches
-    # around that to simulate the compiler having emitted the wrong node.
+    # Expressions are frozen and shared (a link clones statements, not
+    # their expressions), so the mutant is a new node in rebuilt
+    # statements of this checker: a program already linked from it
+    # keeps the original.
     if kind == "op":
-        old = node.op
-        object.__setattr__(node, "op", _OP_SWAP[old])
-        return f"{label}: swapped operator {old!r} -> {node.op!r}"
-    old_value = node.value
-    object.__setattr__(node, "value", (node.value + 1) & 0xFFFF)
-    return f"{label}: constant {old_value} -> {node.value}"
+        mutant = replace(node, op=_OP_SWAP[node.op])
+        note = f"{label}: swapped operator {node.op!r} -> {mutant.op!r}"
+    else:
+        mutant = replace(node, value=(node.value + 1) & 0xFFFF)
+        note = f"{label}: constant {node.value} -> {mutant.value}"
+    _substitute(compiled, node, mutant)
+    return note

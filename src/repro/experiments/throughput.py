@@ -8,8 +8,8 @@ Figure 12.  Delivered goodput is measured at the sink hosts; the
 checkers add only telemetry bytes inside the fabric (stripped before
 delivery), so goodput parity is the expected result.
 
-The replay is fully lazy: the campus trace is anonymized and
-re-addressed one draw at a time through ``Network.attach_source``, so
+The replay is fully lazy: the campus trace is re-addressed onto the
+fabric one draw at a time through ``Network.attach_source``, so
 paper-rate offered loads (350K+ pps) never materialize the whole trace
 as pre-scheduled ``Host.send`` events.  Each campus flow maps to one
 UDP template packet (stable source port per flow, sizes preserved),
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..net.packet import Packet, make_udp
-from ..workloads.anonymizer import PrefixPreservingAnonymizer
 from ..workloads.campus import CampusTraceGenerator, payload_len
 from .fig12 import Fig12Config, build_fabric
 
@@ -49,12 +48,14 @@ class ThroughputResult:
 
 
 class ReplayFeed:
-    """Lazily anonymize + re-address a campus trace onto the fabric.
+    """Lazily re-address a campus trace onto the fabric.
 
     The paper's pipeline: tapped traffic passes a line-rate
-    prefix-preserving anonymizer before replay.  We apply the same
-    sanitization, then re-address onto our fabric endpoints, keeping
-    packet sizes — the property that matters for throughput.  Each
+    prefix-preserving anonymizer before replay.  That step is a library
+    here (:class:`~repro.workloads.anonymizer.PrefixPreservingAnonymizer`),
+    not part of the feed: the feed re-addresses every packet onto our
+    fabric endpoints, so no anonymized address would reach the wire.  It
+    keeps packet sizes — the property that matters for throughput.  Each
     campus flow gets a stable source port (slots numbered in
     first-emission order, cycling over 1000 ports like the original
     replay's port cycling) and one shared template packet per (port,
@@ -69,7 +70,6 @@ class ReplayFeed:
     def __init__(self, generator: CampusTraceGenerator, src_ip: int,
                  dst_ip: int, rate_pps: float, duration_s: float):
         self._generator = generator
-        self._anonymizer = PrefixPreservingAnonymizer()
         self._src_ip = src_ip
         self._dst_ip = dst_ip
         self._rate_pps = rate_pps
@@ -83,15 +83,10 @@ class ReplayFeed:
         timed = self._generator.timed_draws(self._rate_pps,
                                             self._duration_s)
         templates = self._templates
-        anonymize = self._anonymizer.anonymize_ipv4
         for when, flow, size in timed:
             sport = flow.replay_sport
             if sport is None:
-                # The ONTAS step: build the flow's prefix-preserving
-                # address mapping once (the anonymizer keeps the trie),
-                # then re-address onto the fabric endpoints.
-                anonymize(flow.src)
-                anonymize(flow.dst)
+                # A flow's first emission assigns its port slot.
                 sport = flow.replay_sport = 20000 + self._flows % 1000
                 self._flows += 1
             # Templates dedup on wire content, not flow identity: the

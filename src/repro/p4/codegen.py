@@ -86,13 +86,14 @@ notifies the engine on entry inserts and default-action changes.
 * **Who owns the code**: the program.  ``program.code`` maps that key —
   ``(default-action name per table, instrumented)`` — to ``(source,
   code, plan)``.  The first engine to need a key emits the text and
-  calls ``compile()``, unless another key already emitted that very
-  text (a new default naming an action the table dispatches to
-  anyway): one text, one ``compile()``.  A sibling (a deployment links
-  once per role, so switches of one role run one program) emits
-  nothing: it binds its own values from the :class:`_Plan` into its
-  own globals and ``exec``s the same code there (and runs its own byte
-  copy of ``_process``'s code).  The plan holds the module's program
+  calls ``compile()``, unless a live program already compiled that
+  text past its first line (:data:`_COMPILED`; another key emitting
+  the same text, or another program whose text differs only in the
+  comment naming it): one text, one ``compile()``.  A sibling (a
+  deployment links once per role, so switches of one role run one
+  program) emits nothing: it binds its own values from the
+  :class:`_Plan` into its own globals and ``exec``s the same code
+  there (and runs its own byte copy of ``_process``'s code).  The plan holds the module's program
   constants (header types and blanks, select maps, externs, helpers)
   by value and each per-switch global by its kind (the switch's
   ``COUNTS``, ``DIGESTS``, ``DIGEST_LISTENERS`` and ``SWITCH_NAME``,
@@ -167,6 +168,14 @@ _UNSET = object()
 
 #: "Not in the lookup memo" (a memoised table miss is ``None``).
 _MISS = object()
+
+#: Compiled modules by their text past line 1 (the comment naming the
+#: program), so programs whose texts match there — a fabric's leaves,
+#: linked one program per switch — take one ``compile()``.  Weak: an
+#: entry lives while some program's ``code`` holds it, so a compile
+#: never outlives the deployments that run it.
+_COMPILED: "weakref.WeakValueDictionary[str, Any]" = \
+    weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +287,7 @@ class CodegenEngine:
         self._instrumented = switch.obs.registry.live
         self._meta_width: Dict[str, int] = dict(program.metadata)
         self._bind_types = program.bind_types()
+        self._filename = f"<codegen:{program.name}>"
         self.source: str = ""
         #: Modules built, by cause, and default bindings stored into the
         #: live module instead (control-plane events, nothing per packet).
@@ -403,14 +413,14 @@ class CodegenEngine:
             built = self.program.code.get(key)
             if built is None:  # the first switch of this program to ask
                 source, plan = self._emit()
-                # Two keys can emit one text (a new default naming an
-                # action the table already dispatches to): one compile().
-                code = next((code for text, code, _ in
-                             self.program.code.values() if text == source),
-                            None)
+                # One compile() per distinct text past line 1, across
+                # programs and keys (a new default naming an action the
+                # table already dispatches to emits the old text).
+                body = source.partition("\n")[2]
+                code = _COMPILED.get(body)
                 if code is None:
-                    code = compile(source, f"<codegen:{self.program.name}>",
-                                   "exec")
+                    code = _COMPILED[body] = compile(
+                        source, self._filename, "exec")
                     self.compiles += 1
                 built = self.program.code[key] = source, code, plan
             else:
@@ -429,8 +439,10 @@ class CodegenEngine:
             # CPython's inline caches sit in the function's code and
             # follow one globals dict: siblings running the very same
             # object evict each other's on every packet (5 % a hop).
-            # A byte copy costs microseconds, not a compile().
-            self._run.__code__ = self._run.__code__.replace()
+            # A byte copy costs microseconds, not a compile(); it names
+            # this program, whichever one compiled the text.
+            self._run.__code__ = self._run.__code__.replace(
+                co_filename=self._filename)
         self.process = (observed(self.switch, self._run) if self._instrumented
                         else self._run)
 

@@ -468,8 +468,8 @@ def test_source_route_pop_owns_the_slots_it_rewrites():
 
 
 def campus_slice(topology):
-    """The head of ``fabric_checked``'s replay: the campus trace,
-    anonymized and re-addressed h1 -> h3 (~100 packets)."""
+    """The head of ``fabric_checked``'s replay: the campus trace
+    re-addressed h1 -> h3 (~100 packets)."""
     from repro.experiments.throughput import ReplayFeed
     from repro.workloads.campus import CampusTraceGenerator
     hosts = topology.hosts

@@ -267,6 +267,26 @@ def _mutating_check(seed):
     return check
 
 
+def test_a_mutation_lands_only_in_the_checker_it_is_injected_into():
+    """A link clones statements and shares their expressions, so a
+    mutation must rebuild the checker's statements rather than edit an
+    expression node: a program linked before the injection keeps the
+    original, one linked after carries the mutant."""
+    from repro.compiler import compile_program, link
+    from repro.indus import check, parse
+    from repro.p4.pretty import render
+    from repro.p4.programs import l2_port_forwarding
+
+    for seed in range(5):
+        compiled = compile_program(check(parse(gen_scenario(seed).source())),
+                                   name=f"dt{seed}")
+        linked = link(l2_port_forwarding(), compiled)
+        before = render(linked)
+        assert inject_mutation(compiled, random.Random(seed)) is not None
+        assert render(linked) == before, seed
+        assert render(link(l2_port_forwarding(), compiled)) != before, seed
+
+
 def test_injected_mutation_caught_and_shrunk(tmp_path):
     # Seed 0 injects a checker operator swap the oracle catches (see
     # ``repro difftest --inject-bug``); shrink it with the mutation held

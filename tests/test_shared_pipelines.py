@@ -16,6 +16,7 @@ register and counter of every switch must match it.
 
 import dataclasses
 import re
+import weakref
 
 import pytest
 
@@ -195,29 +196,44 @@ def test_a_rebuilt_text_is_shared_again(compiled):
     assert len(deployment.linked["leaf1"].code) == 2
 
 
-def test_deployments_share_nothing(compiled):
-    """The scope rule: what one deployment built is not reachable from
-    another one made of the same compiled checkers and the same
-    forwarding object — the second starts cold."""
+def test_deployments_share_only_a_live_compile(compiled):
+    """The scope rule: of what one deployment built, another one made of
+    the same compiled checkers and the same forwarding object reaches
+    only the compiled code, and only while the first one lives; a
+    deployment built once both are dropped compiles again."""
     topology = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
     forwarding = dict.fromkeys(topology.switches, upf_program("fabric_upf"))
-    first, second = (HydraDeployment(topology, compiled, forwarding)
-                     for _ in range(2))
+
+    def deploy():
+        return HydraDeployment(topology, compiled, forwarding)
+
+    def compiles(deployment):
+        return sum(s.engine_counts()["compiles"]
+                   for s in deployment.switches.values())
+
+    first, second = deploy(), deploy()
+    codes = []
     for name in topology.switches:
         mine, theirs = first.linked[name], second.linked[name]
         assert mine is not theirs and len(mine.code) == len(theirs.code) == 1
-        assert not {id(code) for _, code, _ in mine.code.values()} & \
-            {id(code) for _, code, _ in theirs.code.values()}
+        (_, code, plan), = mine.code.values()
+        (_, their_code, their_plan), = theirs.code.values()
+        assert code is their_code and plan is not their_plan
+        assert (first.switches[name]._engine._globals
+                is not second.switches[name]._engine._globals)
+        codes.append(weakref.ref(code))
     assert not forwarding["leaf1"].code
-    for deployment in (first, second):
-        assert sum(s.engine_counts()["compiles"]
-                   for s in deployment.switches.values()) == 2
+    assert (compiles(first), compiles(second)) == (2, 0)
+    del first, second, mine, theirs, code, their_code
+    assert all(ref() is None for ref in codes)
+    assert compiles(deploy()) == 2
 
 
 def test_one_compile_per_role(compiled):
     """Countable: 4 builds, 2 of them compiled, on the all-checkers
     fabric and on the Aether testbed; a per-switch forwarding dict (the
-    old way) compiles all 4."""
+    old way) links 4 programs, whose texts differ only in the comment
+    naming the program, so it compiles 2 too."""
     def counts(deployment):
         engines = [entry["engine"]
                    for entry in deployment.stats()["switches"].values()]
@@ -226,7 +242,30 @@ def test_one_compile_per_role(compiled):
 
     assert counts(build_fabric(compiled, "codegen", shared=True)) == (4, 2)
     assert counts(AetherTestbed().deployment) == (4, 2)
-    assert counts(build_fabric(compiled, "codegen", shared=False)) == (4, 4)
+    assert counts(build_fabric(compiled, "codegen", shared=False)) == (4, 2)
+
+
+def test_one_compile_per_distinct_text(compiled):
+    """A fabric linked one program per switch (``bench/wl_fabric.py``'s
+    way) compiles each distinct text once: 2 on the all-checkers fabric
+    (leaf, spine), 1 on the bare one (four equal texts).  Each engine's
+    code still names its own program, so a traceback does."""
+    topology = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
+    checked = build_fabric(compiled, "codegen", shared=False).switches
+    bare = {name: Bmv2Switch(upf_program(f"fabric_upf_{name}"), name=name,
+                             switch_id=spec.switch_id, engine="codegen")
+            for name, spec in topology.switches.items()}
+    for switches, distinct in ((checked, 2), (bare, 1)):
+        assert sum(s.engine_counts()["compiles"]
+                   for s in switches.values()) == distinct
+        assert len({s._engine.source.partition("\n")[2]
+                    for s in switches.values()}) == distinct
+        leaf2 = switches["leaf2"]
+        assert leaf2.engine_counts()["compiles"] == 0
+        with pytest.raises(AttributeError) as failure:
+            leaf2.process(None, 1)
+        assert failure.traceback[-1].frame.code.raw.co_filename \
+            == f"<codegen:{leaf2.program.name}>"
 
 
 #: A module's per-switch globals (``codegen._Plan.bindings``).

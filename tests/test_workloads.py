@@ -7,6 +7,7 @@ import random
 import weakref
 import zlib
 from itertools import combinations, islice
+from types import FunctionType, MethodType, ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,10 +296,41 @@ def test_a_feed_emits_what_the_five_tuple_mapping_did(seed):
     assert len(got) > 15_000 and got == want
 
 
+def reachable_containers(root, name):
+    """``(path, len)`` of every dict, list, set and tuple reachable from
+    ``root``: through container items (and keys) and through each
+    instance's ``__dict__`` and ``__slots__``, however deep; each object
+    visited once.  Classes, modules and functions are not entered."""
+    seen, found, stack = set(), [], [(name, root)]
+    while stack:
+        path, obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType,
+                                               FunctionType, MethodType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            found.append((path, len(obj)))
+            for key, value in obj.items():
+                stack += [(f"{path} key", key), (f"{path}[{key!r}]", value)]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            found.append((path, len(obj)))
+            stack += [(f"{path}[{i}]", item) for i, item in enumerate(obj)]
+        else:
+            state = dict(getattr(obj, "__dict__", {}))
+            for cls in type(obj).__mro__:
+                slots = cls.__dict__.get("__slots__", ())
+                for slot in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(obj, slot):
+                        state[slot] = getattr(obj, slot)
+            stack += [(f"{path}.{attr}", value)
+                      for attr, value in state.items()]
+    return found
+
+
 def test_a_long_feed_holds_only_its_live_flows(monkeypatch):
     """Far into a replay, no ended ``Flow`` is alive and the feed holds
-    nothing per flow: its largest container is the templates, at most
-    one per (port slot, size)."""
+    nothing per flow, however deep: the largest container reachable from
+    it is the templates, at most one per (port slot, size)."""
     generator, feed = replay_feed("h2", 400_000.0, 0.2)
     made = []
     new_flow = generator._new_flow
@@ -315,9 +347,9 @@ def test_a_long_feed_holds_only_its_live_flows(monkeypatch):
     assert len(made) > 10_000
     assert len(alive) <= CONCURRENT_FLOWS
     assert all(flow.remaining > 0 for flow in alive)
-    held = [len(value) for value in vars(feed).values()
-            if isinstance(value, (dict, list, set))]
-    assert max(held) <= 1000 * len(PACKET_SIZES)
+    path, size = max(reachable_containers(feed, "feed"),
+                     key=lambda held: held[1])
+    assert size <= 1000 * len(PACKET_SIZES), f"{path} holds {size} items"
 
 
 def test_feed_stats_count_what_was_offered():
