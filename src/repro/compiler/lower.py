@@ -38,7 +38,7 @@ from ..indus.interp import _eval_const
 from ..indus.parser import parse
 from ..indus.typechecker import CheckedProgram, check
 from ..indus.types import (ArrayType, BitType, BoolType, DictType, SetType,
-                           TupleType, Type)
+                           TupleType, width_of)
 from ..net.packet import ETH_TYPE_HYDRA
 from ..p4 import ir
 from .layout import (HOP_COUNT_FIELD, HydraLayout, NEXT_ETH_TYPE_FIELD,
@@ -523,10 +523,8 @@ class IndusCompiler:
             return self._stmt_assign(stmt.target, self._expr(stmt.value))
         if isinstance(stmt, ast.AugAssign):
             current = self._expr(stmt.target)
-            width = stmt.target.ty.width \
-                if isinstance(stmt.target.ty, BitType) else 32
-            op = "+" if stmt.op is ast.BinaryOp.ADD else "-"
-            value = ir.BinExpr(op, current, self._expr(stmt.value), width)
+            value = ir.BinExpr(stmt.op.value, current, self._expr(stmt.value),
+                               width_of(stmt.target.ty))
             return self._stmt_assign(stmt.target, value)
         if isinstance(stmt, ast.Push):
             return self._stmt_push(stmt)
@@ -793,15 +791,14 @@ class IndusCompiler:
 
     def _expr_lowered(self, expr: ast.Expr) -> ir.P4Expr:
         if isinstance(expr, ast.IntLit):
-            width = expr.ty.width if isinstance(expr.ty, BitType) else 32
-            return ir.Const(expr.value, width)
+            return ir.Const(expr.value, width_of(expr.ty))
         if isinstance(expr, ast.BoolLit):
             return ir.Const(1 if expr.value else 0, 1)
         if isinstance(expr, ast.Var):
             return self._expr_var(expr)
         if isinstance(expr, ast.Unary):
-            op = {"!": "!", "~": "~", "-": "-"}[expr.op.value]
-            width = expr.ty.width if isinstance(expr.ty, BitType) else 32
+            op = expr.op.value
+            width = width_of(expr.ty)
             operand = self._expr(expr.operand)
             if op == "-":
                 return ir.BinExpr("-", ir.Const(0, width), operand, width)
@@ -905,10 +902,9 @@ class IndusCompiler:
                 conj = term if conj is None else ir.BinExpr("&&", conj, term)
             assert conj is not None
             return ir.UnExpr("!", conj) if op is ast.BinaryOp.NEQ else conj
-        width = expr.ty.width if isinstance(expr.ty, BitType) else 32
         left = self._expr(expr.left)
         right = self._expr(expr.right)
-        return ir.BinExpr(op.value, left, right, width)
+        return ir.BinExpr(op.value, left, right, width_of(expr.ty))
 
     def _expr_index(self, expr: ast.Index) -> ir.P4Expr:
         base_ty = expr.base.ty
@@ -1019,7 +1015,7 @@ class IndusCompiler:
     def _expr_call(self, expr: ast.Call) -> ir.P4Expr:
         if expr.func == "abs":
             arg = expr.args[0]
-            width = arg.ty.width if isinstance(arg.ty, BitType) else 32
+            width = width_of(arg.ty)
             if isinstance(arg, ast.Binary) and arg.op is ast.BinaryOp.SUB:
                 return ir.BinExpr("absdiff", self._expr(arg.left),
                                   self._expr(arg.right), width)
@@ -1035,9 +1031,8 @@ class IndusCompiler:
             raise CompileError("length() requires a tele or sensor array",
                                expr.span)
         if expr.func in ("max", "min"):
-            width = expr.ty.width if isinstance(expr.ty, BitType) else 32
             return ir.BinExpr(expr.func, self._expr(expr.args[0]),
-                              self._expr(expr.args[1]), width)
+                              self._expr(expr.args[1]), width_of(expr.ty))
         raise CompileError(f"unknown function {expr.func!r}", expr.span)
 
     # ==================================================================

@@ -17,14 +17,14 @@ from .interp import (BLOCK_CHECKER, BLOCK_INIT, BLOCK_TELEMETRY, ControlStore,
                      HopContext, Monitor, MonitorState, Report, SensorStore)
 from .lexer import tokenize
 from .parser import parse, parse_expression
-from .printer import ast_equal, format_program
+from .printer import format_program
 from .typechecker import BUILTIN_TYPES, CheckedProgram, Symbol, check
 from .types import (ArrayType, BitType, BoolType, DictType, SetType,
                     TupleType, Type, bits, BOOL)
 from .values import ArrayValue, DictValue, SetValue, mask, zero_value
 
 __all__ = [
-    "ArrayType", "ArrayValue", "ast_equal", "format_program", "BLOCK_CHECKER", "BLOCK_INIT",
+    "ArrayType", "ArrayValue", "format_program", "BLOCK_CHECKER", "BLOCK_INIT",
     "BLOCK_TELEMETRY", "BOOL", "BUILTIN_TYPES", "BinaryOp", "BitType",
     "BoolType", "CheckedProgram", "CompileError", "ControlStore", "Decl",
     "DictType", "DictValue", "EvalError", "HopContext", "IndusError",

@@ -4,13 +4,16 @@ prototype extensions the paper mentions: multi-variable ``for`` loops,
 
 Nodes are plain dataclasses.  The type checker decorates expression nodes
 with an inferred ``ty`` attribute (left as ``None`` until checking runs).
+``==`` is structural equality: source spans, inferred types and a
+program's source text are not compared.  Each operator is one row of
+:class:`BinaryOp` / :class:`UnaryOp`, which every phase reads.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .errors import SourceSpan, UNKNOWN_SPAN
 from .types import Type
@@ -39,40 +42,83 @@ class VarKind(enum.Enum):
         return self in (VarKind.HEADER, VarKind.CONTROL)
 
 
-class UnaryOp(enum.Enum):
-    NEG = "-"
-    BNOT = "~"
-    NOT = "!"
+class OpKind(enum.Enum):
+    """What an operator takes and gives, which the type checker reads."""
+
+    LOGICAL = "logical"    # bool operands, bool result
+    EQUALITY = "equality"  # comparable operands (tuples too), bool result
+    ORDER = "order"        # bit<n> operands, bool result
+    ARITH = "arith"        # bit<n> operands, bit<n> result
 
 
-class BinaryOp(enum.Enum):
-    ADD = "+"
-    SUB = "-"
-    MUL = "*"
-    DIV = "/"
-    MOD = "%"
-    BAND = "&"
-    BOR = "|"
-    BXOR = "^"
-    SHL = "<<"
-    SHR = ">>"
-    EQ = "=="
-    NEQ = "!="
-    LT = "<"
-    LE = "<="
-    GT = ">"
-    GE = ">="
-    AND = "&&"
-    OR = "||"
+def _flat(value: Any) -> Any:
+    """Normalize bool vs int before equality (bool is 0/1 on the wire)."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, tuple):
+        return tuple(_flat(v) for v in value)
+    return value
 
-    @property
-    def is_comparison(self) -> bool:
-        return self in (BinaryOp.EQ, BinaryOp.NEQ, BinaryOp.LT,
-                        BinaryOp.LE, BinaryOp.GT, BinaryOp.GE)
 
-    @property
-    def is_logical(self) -> bool:
-        return self in (BinaryOp.AND, BinaryOp.OR)
+class _Operator(enum.Enum):
+    """An operator declared once, as one row: its spelling (the enum
+    value, also its ``TokenKind`` and ``ir.BINARY_OPS`` / ``ir.UNARY_OPS``
+    key), its precedence ``level`` (higher binds tighter; every binary
+    level is left-associative), its :class:`OpKind`, and its Indus
+    evaluation ``eval`` over the operand values and the result width.
+
+    The evaluation is the reference monitor's own arithmetic: the oracle
+    checks the compiled pipeline against it, so it must not share P4's
+    (``tests/test_indus_operators.py`` holds the two equal instead).
+    """
+
+    def __new__(cls, spelling: str, level: int, kind: OpKind,
+                evaluate: Callable[..., Any]):
+        op = object.__new__(cls)
+        op._value_ = spelling
+        op.level = level
+        op.kind = kind
+        op.eval = evaluate
+        return op
+
+
+class UnaryOp(_Operator):
+    """``eval(value, width)``; every unary operator binds tighter than
+    any binary one."""
+
+    NEG = "-", 10, OpKind.ARITH, lambda v, w: -v & ((1 << w) - 1)
+    BNOT = "~", 10, OpKind.ARITH, lambda v, w: ~v & ((1 << w) - 1)
+    NOT = "!", 10, OpKind.LOGICAL, lambda v, w: not v
+
+
+class BinaryOp(_Operator):
+    """``eval(left, right, width)``.  Division and modulo by zero yield 0
+    and a shift amount is taken mod the width, as in the compiled
+    pipeline; ``&&`` / ``||`` are evaluated here like the rest, but the
+    interpreter short-circuits them."""
+
+    ADD = "+", 8, OpKind.ARITH, lambda l, r, w: (l + r) & ((1 << w) - 1)
+    SUB = "-", 8, OpKind.ARITH, lambda l, r, w: (l - r) & ((1 << w) - 1)
+    MUL = "*", 9, OpKind.ARITH, lambda l, r, w: (l * r) & ((1 << w) - 1)
+    DIV = "/", 9, OpKind.ARITH, \
+        lambda l, r, w: (l // r) & ((1 << w) - 1) if r else 0
+    MOD = "%", 9, OpKind.ARITH, \
+        lambda l, r, w: (l % r) & ((1 << w) - 1) if r else 0
+    BAND = "&", 6, OpKind.ARITH, lambda l, r, w: l & r & ((1 << w) - 1)
+    BOR = "|", 4, OpKind.ARITH, lambda l, r, w: (l | r) & ((1 << w) - 1)
+    BXOR = "^", 5, OpKind.ARITH, lambda l, r, w: (l ^ r) & ((1 << w) - 1)
+    SHL = "<<", 7, OpKind.ARITH, \
+        lambda l, r, w: (l << (r % w)) & ((1 << w) - 1)
+    SHR = ">>", 7, OpKind.ARITH, \
+        lambda l, r, w: (l >> (r % w)) & ((1 << w) - 1)
+    EQ = "==", 3, OpKind.EQUALITY, lambda l, r, w: _flat(l) == _flat(r)
+    NEQ = "!=", 3, OpKind.EQUALITY, lambda l, r, w: _flat(l) != _flat(r)
+    LT = "<", 3, OpKind.ORDER, lambda l, r, w: l < r
+    LE = "<=", 3, OpKind.ORDER, lambda l, r, w: l <= r
+    GT = ">", 3, OpKind.ORDER, lambda l, r, w: l > r
+    GE = ">=", 3, OpKind.ORDER, lambda l, r, w: l >= r
+    AND = "&&", 2, OpKind.LOGICAL, lambda l, r, w: bool(l) and bool(r)
+    OR = "||", 1, OpKind.LOGICAL, lambda l, r, w: bool(l) or bool(r)
 
 
 # --------------------------------------------------------------------------
@@ -83,7 +129,8 @@ class BinaryOp(enum.Enum):
 class Expr:
     """Base class for expressions; ``ty`` is filled in by the type checker."""
 
-    span: SourceSpan = field(default=UNKNOWN_SPAN, kw_only=True)
+    span: SourceSpan = field(default=UNKNOWN_SPAN, kw_only=True,
+                             compare=False)
     ty: Optional[Type] = field(default=None, kw_only=True, compare=False)
 
 
@@ -150,7 +197,8 @@ class Call(Expr):
 
 @dataclass
 class Stmt:
-    span: SourceSpan = field(default=UNKNOWN_SPAN, kw_only=True)
+    span: SourceSpan = field(default=UNKNOWN_SPAN, kw_only=True,
+                             compare=False)
 
 
 @dataclass
@@ -235,7 +283,7 @@ class Decl:
     name: str
     init: Optional[Expr] = None
     annotation: Optional[str] = None
-    span: SourceSpan = UNKNOWN_SPAN
+    span: SourceSpan = field(default=UNKNOWN_SPAN, compare=False)
 
 
 @dataclass
@@ -246,7 +294,7 @@ class Program:
     init_block: List[Stmt] = field(default_factory=list)
     tele_block: List[Stmt] = field(default_factory=list)
     check_block: List[Stmt] = field(default_factory=list)
-    source: str = ""
+    source: str = field(default="", compare=False)
 
     def decl(self, name: str) -> Optional[Decl]:
         """Look up a declaration by name, or ``None``."""
@@ -266,8 +314,3 @@ class Program:
             ("checker", self.check_block),
         ]
 
-
-# Builtin read-only names available in every Indus program without
-# declaration.  ``last_hop`` appears in Figure 3; the rest round out the
-# obvious per-hop context a monitor needs.
-BUILTIN_HEADERS = ("last_hop", "first_hop", "packet_length", "hop_count", "switch_id")

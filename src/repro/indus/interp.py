@@ -21,12 +21,12 @@ delivered to the control plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from . import ast
 from .errors import EvalError
 from .typechecker import BUILTIN_TYPES, CheckedProgram, check
-from .types import ArrayType, BitType, BoolType, DictType, SetType, TupleType
+from .types import BitType, DictType, SetType, width_of
 from .values import (ArrayValue, DictValue, SetValue, coerce, mask,
                      zero_value)
 
@@ -157,17 +157,13 @@ class HopContext:
     switch_id: int = 0
 
     def builtin(self, name: str) -> Any:
-        if name == "last_hop":
-            return self.last_hop
-        if name == "first_hop":
-            return self.first_hop
-        if name == "packet_length":
-            return mask(self.packet_length, 32)
-        if name == "hop_count":
-            return mask(self.hop_count, 8)
-        if name == "switch_id":
-            return mask(self.switch_id, 32)
-        raise EvalError(f"unknown builtin {name!r}")
+        """A builtin's value, masked to the width ``BUILTIN_TYPES``
+        declares for it."""
+        ty = BUILTIN_TYPES.get(name)
+        if ty is None:
+            raise EvalError(f"unknown builtin {name!r}")
+        value = getattr(self, name)
+        return mask(value, ty.width) if isinstance(ty, BitType) else value
 
 
 class _BlockScope:
@@ -328,11 +324,7 @@ class Monitor:
         if isinstance(stmt, ast.AugAssign):
             current = self._eval(stmt.target, scope)
             operand = self._eval(stmt.value, scope)
-            width = stmt.target.ty.width if isinstance(stmt.target.ty, BitType) else 32
-            if stmt.op is ast.BinaryOp.ADD:
-                result = mask(current + operand, width)
-            else:
-                result = mask(current - operand, width)
+            result = stmt.op.eval(current, operand, width_of(stmt.target.ty))
             self._exec_assign(stmt.target, result, scope)
             return
         if isinstance(stmt, ast.Push):
@@ -394,8 +386,7 @@ class Monitor:
 
     def _eval(self, expr: ast.Expr, scope: _BlockScope) -> Any:
         if isinstance(expr, ast.IntLit):
-            width = expr.ty.width if isinstance(expr.ty, BitType) else 32
-            return mask(expr.value, width)
+            return mask(expr.value, width_of(expr.ty))
         if isinstance(expr, ast.BoolLit):
             return expr.value
         if isinstance(expr, ast.Var):
@@ -423,13 +414,7 @@ class Monitor:
         raise EvalError(f"unknown expression {type(expr).__name__}", expr.span)
 
     def _eval_unary(self, expr: ast.Unary, scope: _BlockScope) -> Any:
-        operand = self._eval(expr.operand, scope)
-        if expr.op is ast.UnaryOp.NOT:
-            return not operand
-        width = expr.ty.width if isinstance(expr.ty, BitType) else 32
-        if expr.op is ast.UnaryOp.NEG:
-            return mask(-operand, width)
-        return mask(~operand, width)
+        return expr.op.eval(self._eval(expr.operand, scope), width_of(expr.ty))
 
     def _eval_binary(self, expr: ast.Binary, scope: _BlockScope) -> Any:
         op = expr.op
@@ -441,51 +426,14 @@ class Monitor:
                 bool(self._eval(expr.right, scope))
         left = self._eval(expr.left, scope)
         right = self._eval(expr.right, scope)
-        if op is ast.BinaryOp.EQ:
-            return _flat(left) == _flat(right)
-        if op is ast.BinaryOp.NEQ:
-            return _flat(left) != _flat(right)
-        if op is ast.BinaryOp.LT:
-            return left < right
-        if op is ast.BinaryOp.LE:
-            return left <= right
-        if op is ast.BinaryOp.GT:
-            return left > right
-        if op is ast.BinaryOp.GE:
-            return left >= right
-        width = expr.ty.width if isinstance(expr.ty, BitType) else 32
-        if op is ast.BinaryOp.ADD:
-            return mask(left + right, width)
-        if op is ast.BinaryOp.SUB:
-            return mask(left - right, width)
-        if op is ast.BinaryOp.MUL:
-            return mask(left * right, width)
-        if op is ast.BinaryOp.DIV:
-            # Division by zero yields zero in both the interpreter and the
-            # compiled pipeline, so the two semantics agree.
-            return mask(left // right, width) if right else 0
-        if op is ast.BinaryOp.MOD:
-            return mask(left % right, width) if right else 0
-        if op is ast.BinaryOp.BAND:
-            return mask(left & right, width)
-        if op is ast.BinaryOp.BOR:
-            return mask(left | right, width)
-        if op is ast.BinaryOp.BXOR:
-            return mask(left ^ right, width)
-        if op is ast.BinaryOp.SHL:
-            return mask(left << (right % width), width)
-        if op is ast.BinaryOp.SHR:
-            return mask(left >> (right % width), width)
-        raise EvalError(f"unknown operator {op.value}", expr.span)
+        return op.eval(left, right, width_of(expr.ty))
 
     def _eval_call(self, expr: ast.Call, scope: _BlockScope) -> Any:
         if expr.func == "abs":
             # Absolute value over bit<n> interpreted as two's complement:
             # ``abs(a - b)`` recovers |a - b| whenever it fits in n-1 bits.
             value = self._eval(expr.args[0], scope)
-            width = (expr.args[0].ty.width
-                     if isinstance(expr.args[0].ty, BitType) else 32)
-            return min(value, mask(-value, width))
+            return min(value, mask(-value, width_of(expr.args[0].ty)))
         if expr.func == "length":
             return len(self._eval(expr.args[0], scope))
         if expr.func == "max":
@@ -495,15 +443,6 @@ class Monitor:
             return min(self._eval(expr.args[0], scope),
                        self._eval(expr.args[1], scope))
         raise EvalError(f"unknown function {expr.func!r}", expr.span)
-
-
-def _flat(value: Any) -> Any:
-    """Normalize bool vs int before equality (bool is 0/1 on the wire)."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, tuple):
-        return tuple(_flat(v) for v in value)
-    return value
 
 
 def _eval_const(expr: ast.Expr) -> Any:

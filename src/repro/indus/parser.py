@@ -12,40 +12,19 @@ from __future__ import annotations
 from typing import List, Optional
 
 from . import ast
-from .errors import ParseError, SourceSpan
+from .errors import ParseError
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 from .types import (ArrayType, BitType, BoolType, DictType, SetType,
                     TupleType, Type)
 
-# Binary operator precedence, low to high.  ``in`` sits with comparisons.
-_PRECEDENCE = [
-    {TokenKind.OR: ast.BinaryOp.OR},
-    {TokenKind.AND: ast.BinaryOp.AND},
-    {
-        TokenKind.EQ: ast.BinaryOp.EQ,
-        TokenKind.NEQ: ast.BinaryOp.NEQ,
-        TokenKind.LT: ast.BinaryOp.LT,
-        TokenKind.LE: ast.BinaryOp.LE,
-        TokenKind.GT: ast.BinaryOp.GT,
-        TokenKind.GE: ast.BinaryOp.GE,
-        TokenKind.IN: None,  # handled specially: builds InExpr
-    },
-    {TokenKind.PIPE: ast.BinaryOp.BOR},
-    {TokenKind.CARET: ast.BinaryOp.BXOR},
-    {TokenKind.AMP: ast.BinaryOp.BAND},
-    {TokenKind.SHL: ast.BinaryOp.SHL, TokenKind.SHR: ast.BinaryOp.SHR},
-    {TokenKind.PLUS: ast.BinaryOp.ADD, TokenKind.MINUS: ast.BinaryOp.SUB},
-    {
-        TokenKind.STAR: ast.BinaryOp.MUL,
-        TokenKind.SLASH: ast.BinaryOp.DIV,
-        TokenKind.PERCENT: ast.BinaryOp.MOD,
-    },
-]
+#: Token kind -> (precedence level, operator), for the climb: each
+#: operator row's own level.  ``in`` sits with the comparisons and builds
+#: an ``InExpr``, not a ``Binary``.
+_BINARY = {TokenKind(op.value): (op.level, op) for op in ast.BinaryOp}
+_BINARY[TokenKind.IN] = (ast.BinaryOp.EQ.level, None)
 
-#: Token kind -> (level in ``_PRECEDENCE``, operator), for the climb.
-_BINARY = {kind: (level, op) for level, table in enumerate(_PRECEDENCE)
-           for kind, op in table.items()}
+_UNARY = {TokenKind(op.value): op for op in ast.UnaryOp}
 
 _DECL_KINDS = {
     TokenKind.TELE: ast.VarKind.TELE,
@@ -223,22 +202,13 @@ class Parser:
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
-        if token.kind is TokenKind.NOT:
-            self._advance()
-            operand = self._parse_unary()
-            return ast.Unary(op=ast.UnaryOp.NOT, operand=operand,
-                             span=token.span.merge(operand.span))
-        if token.kind is TokenKind.TILDE:
-            self._advance()
-            operand = self._parse_unary()
-            return ast.Unary(op=ast.UnaryOp.BNOT, operand=operand,
-                             span=token.span.merge(operand.span))
-        if token.kind is TokenKind.MINUS:
-            self._advance()
-            operand = self._parse_unary()
-            return ast.Unary(op=ast.UnaryOp.NEG, operand=operand,
-                             span=token.span.merge(operand.span))
-        return self._parse_postfix()
+        op = _UNARY.get(token.kind)
+        if op is None:
+            return self._parse_postfix()
+        self._advance()
+        operand = self._parse_unary()
+        return ast.Unary(op=op, operand=operand,
+                         span=token.span.merge(operand.span))
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
@@ -372,6 +342,10 @@ class Parser:
                 f"{len(iterables)} collections",
                 start.span,
             )
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ParseError(f"for loop binds {repeated[0]!r} more than once",
+                             start.span)
         return ast.For(names=names, iterables=iterables, body=body, span=start.span)
 
     def _parse_simple_stmt(self) -> ast.Stmt:
@@ -395,8 +369,7 @@ class Parser:
             return ast.Assign(target=target, value=value, span=target.span)
         if token.kind in (TokenKind.PLUS_ASSIGN, TokenKind.MINUS_ASSIGN):
             self._advance()
-            op = (ast.BinaryOp.ADD if token.kind is TokenKind.PLUS_ASSIGN
-                  else ast.BinaryOp.SUB)
+            op = ast.BinaryOp(token.kind.value[:-1])  # "+=" -> "+"
             value = self.parse_expr()
             self._expect(TokenKind.SEMI, "augmented assignment")
             return ast.AugAssign(target=target, op=op, value=value,

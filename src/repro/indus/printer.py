@@ -1,9 +1,9 @@
 """Pretty-printer for Indus ASTs.
 
 Renders a parsed program back to canonical Indus source.  The printer
-round-trips: ``parse(format_program(parse(src)))`` is structurally equal
-to ``parse(src)`` (see :func:`ast_equal`), which the test suite checks
-for every bundled property and for fuzz-generated programs.
+round-trips: ``parse(format_program(parse(src))) == parse(src)`` (AST
+``==`` ignores source spans and inferred types), which the test suite
+checks for every bundled property and for fuzz-generated programs.
 """
 
 from __future__ import annotations
@@ -13,21 +13,10 @@ from typing import List
 from . import ast
 from .types import Type
 
-# Operator precedence levels used to parenthesize minimally.
-_LEVELS = {
-    ast.BinaryOp.OR: 1,
-    ast.BinaryOp.AND: 2,
-    ast.BinaryOp.EQ: 3, ast.BinaryOp.NEQ: 3, ast.BinaryOp.LT: 3,
-    ast.BinaryOp.LE: 3, ast.BinaryOp.GT: 3, ast.BinaryOp.GE: 3,
-    ast.BinaryOp.BOR: 4,
-    ast.BinaryOp.BXOR: 5,
-    ast.BinaryOp.BAND: 6,
-    ast.BinaryOp.SHL: 7, ast.BinaryOp.SHR: 7,
-    ast.BinaryOp.ADD: 8, ast.BinaryOp.SUB: 8,
-    ast.BinaryOp.MUL: 9, ast.BinaryOp.DIV: 9, ast.BinaryOp.MOD: 9,
-}
-_IN_LEVEL = 3
-_UNARY_LEVEL = 10
+# Precedence levels, for minimal parentheses, are the operator rows' own;
+# ``in`` sits with the comparisons and an atom binds tighter than all.
+_IN_LEVEL = ast.BinaryOp.EQ.level
+_ATOM_LEVEL = ast.UnaryOp.NOT.level + 1
 
 
 def format_type(ty: Type) -> str:
@@ -43,34 +32,34 @@ def format_expr(expr: ast.Expr, parent_level: int = 0) -> str:
 
 def _expr(expr: ast.Expr):
     if isinstance(expr, ast.IntLit):
-        return str(expr.value), _UNARY_LEVEL + 1
+        return str(expr.value), _ATOM_LEVEL
     if isinstance(expr, ast.BoolLit):
-        return ("true" if expr.value else "false"), _UNARY_LEVEL + 1
+        return ("true" if expr.value else "false"), _ATOM_LEVEL
     if isinstance(expr, ast.Var):
-        return expr.name, _UNARY_LEVEL + 1
+        return expr.name, _ATOM_LEVEL
     if isinstance(expr, ast.TupleExpr):
         inner = ", ".join(format_expr(item) for item in expr.items)
-        return f"({inner})", _UNARY_LEVEL + 1
+        return f"({inner})", _ATOM_LEVEL
     if isinstance(expr, ast.Unary):
-        operand = format_expr(expr.operand, _UNARY_LEVEL)
-        return f"{expr.op.value}{operand}", _UNARY_LEVEL
+        operand = format_expr(expr.operand, expr.op.level)
+        return f"{expr.op.value}{operand}", expr.op.level
     if isinstance(expr, ast.Binary):
-        level = _LEVELS[expr.op]
+        level = expr.op.level
         left = format_expr(expr.left, level)
         # Right operand needs a strictly higher level to preserve
         # left-associativity on reparse.
         right = format_expr(expr.right, level + 1)
         return f"{left} {expr.op.value} {right}", level
     if isinstance(expr, ast.Index):
-        base = format_expr(expr.base, _UNARY_LEVEL + 1)
-        return f"{base}[{format_expr(expr.index)}]", _UNARY_LEVEL + 1
+        base = format_expr(expr.base, _ATOM_LEVEL)
+        return f"{base}[{format_expr(expr.index)}]", _ATOM_LEVEL
     if isinstance(expr, ast.InExpr):
         item = format_expr(expr.item, _IN_LEVEL + 1)
         container = format_expr(expr.container, _IN_LEVEL + 1)
         return f"{item} in {container}", _IN_LEVEL
     if isinstance(expr, ast.Call):
         args = ", ".join(format_expr(a) for a in expr.args)
-        return f"{expr.func}({args})", _UNARY_LEVEL + 1
+        return f"{expr.func}({args})", _ATOM_LEVEL
     raise TypeError(f"cannot format {type(expr).__name__}")
 
 
@@ -89,8 +78,7 @@ def _format_stmt(stmt: ast.Stmt, depth: int, out: List[str]) -> None:
         out.append(f"{pad}{format_expr(stmt.target)} = "
                    f"{format_expr(stmt.value)};")
     elif isinstance(stmt, ast.AugAssign):
-        op = "+=" if stmt.op is ast.BinaryOp.ADD else "-="
-        out.append(f"{pad}{format_expr(stmt.target)} {op} "
+        out.append(f"{pad}{format_expr(stmt.target)} {stmt.op.value}= "
                    f"{format_expr(stmt.value)};")
     elif isinstance(stmt, ast.Push):
         out.append(f"{pad}{format_expr(stmt.target)}.push("
@@ -140,78 +128,3 @@ def format_program(program: ast.Program) -> str:
         lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Structural equality (ignoring spans and inferred types)
-# ---------------------------------------------------------------------------
-
-def ast_equal(a, b) -> bool:
-    """Structural AST equality, ignoring source spans and inferred types."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ast.Program):
-        return (len(a.decls) == len(b.decls)
-                and all(ast_equal(x, y) for x, y in zip(a.decls, b.decls))
-                and _blocks_equal(a, b))
-    if isinstance(a, ast.Decl):
-        return (a.kind is b.kind and a.ty == b.ty and a.name == b.name
-                and a.annotation == b.annotation
-                and _opt_equal(a.init, b.init))
-    if isinstance(a, list):
-        return (len(a) == len(b)
-                and all(ast_equal(x, y) for x, y in zip(a, b)))
-    if isinstance(a, ast.If):
-        if len(a.arms) != len(b.arms):
-            return False
-        for (ca, ba), (cb, bb) in zip(a.arms, b.arms):
-            if not ast_equal(ca, cb) or not ast_equal(ba, bb):
-                return False
-        return ast_equal(a.orelse, b.orelse)
-    if isinstance(a, ast.For):
-        return (a.names == b.names
-                and ast_equal(a.iterables, b.iterables)
-                and ast_equal(a.body, b.body))
-    if isinstance(a, (ast.Pass, ast.Reject)):
-        return True
-    if isinstance(a, ast.Report):
-        return _opt_equal(a.payload, b.payload)
-    if isinstance(a, ast.Assign):
-        return ast_equal(a.target, b.target) and ast_equal(a.value, b.value)
-    if isinstance(a, ast.AugAssign):
-        return (a.op is b.op and ast_equal(a.target, b.target)
-                and ast_equal(a.value, b.value))
-    if isinstance(a, ast.Push):
-        return ast_equal(a.target, b.target) and ast_equal(a.value, b.value)
-    if isinstance(a, ast.Var):
-        return a.name == b.name
-    if isinstance(a, ast.IntLit):
-        return a.value == b.value
-    if isinstance(a, ast.BoolLit):
-        return a.value == b.value
-    if isinstance(a, ast.TupleExpr):
-        return ast_equal(a.items, b.items)
-    if isinstance(a, ast.Unary):
-        return a.op is b.op and ast_equal(a.operand, b.operand)
-    if isinstance(a, ast.Binary):
-        return (a.op is b.op and ast_equal(a.left, b.left)
-                and ast_equal(a.right, b.right))
-    if isinstance(a, ast.Index):
-        return ast_equal(a.base, b.base) and ast_equal(a.index, b.index)
-    if isinstance(a, ast.InExpr):
-        return (ast_equal(a.item, b.item)
-                and ast_equal(a.container, b.container))
-    if isinstance(a, ast.Call):
-        return a.func == b.func and ast_equal(a.args, b.args)
-    raise TypeError(f"cannot compare {type(a).__name__}")
-
-
-def _opt_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return ast_equal(a, b)
-
-
-def _blocks_equal(a: ast.Program, b: ast.Program) -> bool:
-    return (ast_equal(a.init_block, b.init_block)
-            and ast_equal(a.tele_block, b.tele_block)
-            and ast_equal(a.check_block, b.check_block))

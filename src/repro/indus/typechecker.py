@@ -256,7 +256,7 @@ class TypeChecker:
         # loop body the name resolves to the (read-only) loop variable.
         shadowed: Dict[str, Optional[Symbol]] = {}
         for name, elem_ty in zip(stmt.names, elem_types):
-            shadowed[name] = self.loop_vars.get(name)
+            shadowed.setdefault(name, self.loop_vars.get(name))
             sym = Symbol(name, elem_ty, ast.VarKind.LOCAL, is_loop_var=True)
             self.loop_vars[name] = sym
         try:
@@ -378,10 +378,12 @@ class TypeChecker:
         raise IndusTypeError(f"unknown expression {type(expr).__name__}", expr.span)
 
     def _infer_unary(self, expr: ast.Unary, expected: Optional[Type]) -> Type:
-        if expr.op is ast.UnaryOp.NOT:
+        if expr.op.kind is ast.OpKind.LOGICAL:
             operand_ty = self._check_expr(expr.operand, expected=BOOL)
             if not isinstance(operand_ty, BoolType):
-                raise IndusTypeError(f"! requires bool, got {operand_ty}", expr.span)
+                raise IndusTypeError(
+                    f"{expr.op.value} requires bool, got {operand_ty}", expr.span
+                )
             return BOOL
         operand_ty = self._check_expr(
             expr.operand,
@@ -396,7 +398,7 @@ class TypeChecker:
     def _infer_binary(self, expr: ast.Binary,
                       expected: Optional[Type] = None) -> Type:
         op = expr.op
-        if op.is_logical:
+        if op.kind is ast.OpKind.LOGICAL:
             left = self._check_expr(expr.left, expected=BOOL)
             right = self._check_expr(expr.right, expected=BOOL)
             if not isinstance(left, BoolType) or not isinstance(right, BoolType):
@@ -405,30 +407,24 @@ class TypeChecker:
                     expr.span,
                 )
             return BOOL
-        if op.is_comparison:
-            left, right = self._infer_operand_pair(expr)
-            if op in (ast.BinaryOp.EQ, ast.BinaryOp.NEQ):
-                if not self._comparable(left, right):
-                    raise IndusTypeError(
-                        f"cannot compare {left} with {right}", expr.span
-                    )
-            else:
-                if not isinstance(left, BitType) or not isinstance(right, BitType):
-                    raise IndusTypeError(
-                        f"{op.value} requires bit<n> operands, got {left} and "
-                        f"{right}",
-                        expr.span,
-                    )
+        # A surrounding context (e.g. the target of an assignment) narrows
+        # purely-literal arithmetic so that ``bit<8> x = 12 & 10;`` works;
+        # a comparison's bool result gives its operands no width.
+        left, right = self._infer_operand_pair(
+            expr, expected if op.kind is ast.OpKind.ARITH else None)
+        if op.kind is ast.OpKind.EQUALITY:
+            if not self._comparable(left, right):
+                raise IndusTypeError(
+                    f"cannot compare {left} with {right}", expr.span
+                )
             return BOOL
-        # Arithmetic / bitwise: both sides bit<n>.  A surrounding context
-        # (e.g. the target of an assignment) narrows purely-literal
-        # expressions so that ``bit<8> x = 12 & 10;`` works.
-        left, right = self._infer_operand_pair(expr, expected)
         if not isinstance(left, BitType) or not isinstance(right, BitType):
             raise IndusTypeError(
                 f"{op.value} requires bit<n> operands, got {left} and {right}",
                 expr.span,
             )
+        if op.kind is ast.OpKind.ORDER:
+            return BOOL
         return BitType(max(left.width, right.width))
 
     def _infer_operand_pair(self, expr: ast.Binary,

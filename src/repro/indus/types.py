@@ -18,7 +18,7 @@ Tofino model counts the PHV bits of the fields it emits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 
 class Type:
@@ -120,3 +120,8 @@ BOOL = BoolType()
 def bits(width: int) -> BitType:
     """Shorthand constructor for ``bit<width>``."""
     return BitType(width)
+
+
+def width_of(ty: Optional[Type]) -> int:
+    """``n`` for ``bit<n>``; 32 for anything else (a bool, an untyped node)."""
+    return ty.width if isinstance(ty, BitType) else 32

@@ -238,7 +238,7 @@ def test_nothing_writes_the_ast_the_monitor_reads():
     the compiler nor any injected mutation touches
     the checked AST; they work on the IR compiled from it."""
     from repro.compiler import compile_program
-    from repro.indus import ast_equal, check, parse
+    from repro.indus import check, parse
 
     kinds = ("op", "const", "kill_write", "orphan")
     for seed in range(POOL):
@@ -249,7 +249,7 @@ def test_nothing_writes_the_ast_the_monitor_reads():
             compiled.append(compile_program(checked, name=f"dt{seed}"))
             inject_mutation(compiled[-1], random.Random(seed), kinds=(kind,))
         assert all(c.checked is checked for c in compiled)
-        assert ast_equal(checked.program, parse(source)), seed
+        assert checked.program == parse(source), seed
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,17 @@ def test_augmented_assignment_with_packet_length():
     assert final_tele(src, "seen", packet_length=123) == 123
 
 
+def test_a_builtin_reads_masked_to_its_declared_width():
+    # bit<64> targets, so only the builtin's own width can mask.
+    src = ("tele bit<64> hops = 0;\ntele bit<64> sw = 0;\n"
+           "tele bit<64> size = 0;\n"
+           "{ } { hops = hop_count; sw = switch_id; size = packet_length; }"
+           " { }")
+    tele = run_once(src, hop_count=300, switch_id=2**32 + 5,
+                    packet_length=2**32 + 1).tele
+    assert (tele["hops"], tele["sw"], tele["size"]) == (44, 5, 1)
+
+
 # ---------------------------------------------------------------------------
 # Verdicts: reject / report accumulate (Figure 9 runs both)
 # ---------------------------------------------------------------------------

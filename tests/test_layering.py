@@ -44,6 +44,19 @@ def test_substrate_imports_nothing_built_on_it():
     assert not upward
 
 
+def test_the_indus_reference_imports_nothing_it_is_checked_against():
+    """The oracle's reference level is the Indus interpreter; it is
+    independent of the compiled pipeline only while ``repro.indus``
+    shares none of that pipeline's code, its operator arithmetic above
+    all (``tests/test_indus_operators.py`` holds the two equal)."""
+    compiled = ("repro.p4", "repro.compiler", "repro.net", "repro.runtime")
+    paths = sorted(SRC.glob("indus/*.py"))
+    assert len(paths) > 5
+    shared = {str(path.relative_to(SRC)): name for path in paths
+              for name in imported_modules(path) if name.startswith(compiled)}
+    assert not shared
+
+
 @pytest.mark.parametrize("first", ["repro.p4.ir", "repro.p4", "repro.p4.bmv2",
                                    "repro.net", "repro.net.simulator"])
 def test_the_substrate_imports_in_any_order(first):

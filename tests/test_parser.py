@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.indus import ast
 from repro.indus.errors import ParseError
-from repro.indus.parser import (_PRECEDENCE, BUILTIN_FUNCTIONS, parse,
-                                parse_expression)
-from repro.indus.printer import ast_equal, format_expr
+from repro.indus.parser import BUILTIN_FUNCTIONS, parse, parse_expression
+from repro.indus.printer import format_expr
 from repro.indus.types import (ArrayType, BitType, BoolType, DictType,
                                SetType, TupleType)
 
@@ -181,6 +180,19 @@ def test_for_loop_arity_mismatch():
         parse("tele bit<8>[4] a;\n{ for (u, v in a) { } } { } { }")
 
 
+@pytest.mark.parametrize("block", [
+    "for (a, a in xs, xs) { pass; } a = 7;",   # 'a' is a tele scalar
+    "for (b, b in xs, xs) { pass; } a = b;",   # 'b' is declared nowhere
+])
+def test_a_for_loop_binding_one_name_twice_is_refused(block):
+    """Binding a name twice left it bound past the loop in the checker,
+    which accepted what both back ends then refused."""
+    source = f"tele bit<8>[4] xs;\ntele bit<8> a;\n{{ {block} }} {{ }} {{ }}"
+    with pytest.raises(ParseError, match="binds .* more than once") as err:
+        parse(source)
+    assert (err.value.span.line, err.value.span.column) == (3, 3)
+
+
 def test_missing_semicolon():
     with pytest.raises(ParseError):
         first_init_stmt("x = 4")
@@ -334,14 +346,9 @@ def parenthesised(expr):
     return f"{expr.func}({', '.join(map(parenthesised, expr.args))})"
 
 
-def test_every_binary_level_is_generated():
-    assert set(ast.BinaryOp) == {op for level in _PRECEDENCE
-                                 for op in level.values() if op}
-
-
 def assert_round_trips(expr):
     for text in (parenthesised(expr), format_expr(expr)):
-        assert ast_equal(parse_expression(text), expr), text
+        assert parse_expression(text) == expr, text
 
 
 @pytest.mark.parametrize("outer", _BINARY, ids=str)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.difftest.genprog import gen_program
 from repro.indus import check, parse
-from repro.indus.printer import ast_equal, format_expr, format_program
+from repro.indus.printer import format_expr, format_program
 from repro.indus.parser import parse_expression
 from repro.properties import load_source, property_names
 
@@ -14,7 +14,7 @@ def roundtrips(source):
     original = parse(source)
     printed = format_program(original)
     reparsed = parse(printed)
-    return ast_equal(original, reparsed), printed
+    return original == reparsed, printed
 
 
 @pytest.mark.parametrize("name", property_names())
@@ -39,10 +39,10 @@ def test_expr_precedence_minimal_parens():
 def test_left_associativity_preserved():
     expr = parse_expression("a - b - c")
     text = format_expr(expr)
-    assert ast_equal(parse_expression(text), expr)
+    assert parse_expression(text) == expr
     expr = parse_expression("a - (b - c)")
     text = format_expr(expr)
-    assert ast_equal(parse_expression(text), expr)
+    assert parse_expression(text) == expr
     assert "(" in text
 
 
@@ -50,7 +50,7 @@ def test_logical_and_comparison_mix():
     for source in ("a == b && c != d", "!(a && b) || c",
                    "x in xs && y in ys", "a < b == (c > d)"):
         expr = parse_expression(source)
-        assert ast_equal(parse_expression(format_expr(expr)), expr), source
+        assert parse_expression(format_expr(expr)) == expr, source
 
 
 def test_format_decl_forms():
