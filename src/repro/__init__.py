@@ -15,7 +15,8 @@ Subpackages:
   mobile core) and the Section-5.2 case study.
 * :mod:`repro.ltl`        — LTLf toolchain for Theorem 3.1.
 * :mod:`repro.tofino`     — pipeline resource model (stages, PHV).
-* :mod:`repro.workloads`  — campus traces, anonymizer, load/ping.
+* :mod:`repro.workloads`  — synthetic campus traces (no real addresses,
+  so nothing to anonymize), load/ping.
 * :mod:`repro.experiments`— table/figure reproduction harnesses.
 
 The stable public surface is :mod:`repro.api` — six verbs with
@@ -24,7 +25,7 @@ uniform keyword-only ``engine=`` / ``obs=`` / ``seed=`` arguments::
     import repro
 
     compiled = repro.compile_indus("loops")
-    diagnostics = repro.lint("loops")             # dataflow lint
+    diagnostics = repro.lint("loops")             # lint the compiled IR
     result = repro.run_scenario(seed=7)           # dual-engine oracle
     summary = repro.api.difftest(seed=0, iters=200)
 

@@ -10,7 +10,7 @@ the precondition for the bug Hydra catches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 ALLOW = "allow"

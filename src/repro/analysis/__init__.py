@@ -1,28 +1,21 @@
-"""Dataflow analysis over compiled checker IR.
+"""Lint over compiled checker IR.
 
-A shared substrate — per-placement control-flow graphs
-(:mod:`~repro.analysis.cfg`), def/use extraction and the worklist
-solver (:mod:`~repro.analysis.dataflow`) — feeds the **lint** passes
-(:mod:`~repro.analysis.passes`), which emit structured
-:class:`~repro.analysis.diagnostics.Diagnostic` records surfaced by
-``python -m repro lint`` and :func:`repro.api.lint`.
+A compiled checker is loop-free, structured P4 control code, so every
+pass walks its statements directly (:func:`repro.p4.ir.bodies`), no
+graph and no fixpoint: an :class:`~repro.analysis.unit.AnalysisUnit`
+holds the checker, its four placement views and each statement's
+effect; the rules of :data:`~repro.analysis.passes.REGISTRY` emit
+structured :class:`~repro.analysis.diagnostics.Diagnostic` records,
+surfaced by ``python -m repro lint`` and :func:`repro.api.lint`.
 """
 
-from .cfg import (CFG, CFGNode, PlacementView, always_extracted,
-                  build_cfg, checker_placements)
-from .dataflow import (UNINIT, liveness, reaching_definitions,
-                       worklist_solve)
 from .diagnostics import (Diagnostic, Severity, max_severity,
                           render_json, sort_diagnostics)
-from .lint import lint_compiled
-from .passes import REGISTRY, lint_pass, run_passes
-from .unit import AnalysisUnit
+from .passes import REGISTRY, lint_compiled
+from .unit import AnalysisUnit, PlacementView, checker_placements
 
 __all__ = [
-    "AnalysisUnit", "CFG", "CFGNode", "Diagnostic",
-    "PlacementView", "REGISTRY", "Severity", "UNINIT",
-    "always_extracted", "build_cfg", "checker_placements",
-    "lint_compiled", "lint_pass", "liveness", "max_severity",
-    "reaching_definitions", "render_json",
-    "run_passes", "sort_diagnostics", "worklist_solve",
+    "AnalysisUnit", "Diagnostic", "PlacementView", "REGISTRY", "Severity",
+    "checker_placements", "lint_compiled", "max_severity", "render_json",
+    "sort_diagnostics",
 ]

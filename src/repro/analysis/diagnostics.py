@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..indus.errors import SourceSpan, UNKNOWN_SPAN

@@ -1,44 +1,44 @@
-"""Lint pass registry.
+"""The lint rules, one table.
 
-A pass is a function ``(AnalysisUnit) -> List[Diagnostic]`` registered
-under its stable rule id with the :func:`lint_pass` decorator:
-
-    @lint_pass("IH001")
-    def uninit_read(unit): ...
-
-:func:`run_passes` runs every registered pass (or a subset) and returns
-the merged, deterministically ordered diagnostic list.  Registration is
-import-time and ordered, so the framework stays open for future passes
-(e.g. a cross-switch checker-state race detector) without touching the
-driver: drop a module next to these, import it here, done.
+A pass is a function ``(AnalysisUnit) -> List[Diagnostic]``;
+:data:`REGISTRY` maps each stable rule id to its pass, in rule order.
+:func:`lint_compiled` runs them (or a subset) over one compiled checker.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
+from ...compiler.lower import CompiledChecker
 from ..diagnostics import Diagnostic, sort_diagnostics
 from ..unit import AnalysisUnit
+from .headers import possibly_invalid_key
+from .reachability import after_drop, dead_table
+from .registers import dead_register, register_write_conflict
+from .uninit import uninit_read
+from .widths import width_truncation
 
 LintPass = Callable[[AnalysisUnit], List[Diagnostic]]
 
-#: rule id -> pass function, in registration order.
-REGISTRY: Dict[str, LintPass] = {}
+#: rule id -> pass function.
+REGISTRY: Dict[str, LintPass] = {
+    "IH001": uninit_read,
+    "IH002": dead_register,
+    "IH003": after_drop,
+    "IH004": register_write_conflict,
+    "IH005": possibly_invalid_key,
+    "IH006": width_truncation,
+    "IH007": dead_table,
+}
 
 
-def lint_pass(rule_id: str) -> Callable[[LintPass], LintPass]:
-    def register(fn: LintPass) -> LintPass:
-        if rule_id in REGISTRY:
-            raise ValueError(f"lint pass {rule_id!r} registered twice")
-        REGISTRY[rule_id] = fn
-        return fn
-    return register
-
-
-def run_passes(unit: AnalysisUnit,
-               only: Optional[Iterable[str]] = None) -> List[Diagnostic]:
-    """Run registered passes over ``unit``; ``only`` restricts to the
-    given rule ids.  Output order is deterministic."""
+def lint_compiled(compiled: CompiledChecker,
+                  only: Optional[Iterable[str]] = None
+                  ) -> List[Diagnostic]:
+    """Run every lint pass over a compiled checker, linked against the
+    minimal standalone L2 program; ``only`` restricts to a subset of
+    rule ids.  The result is deterministically ordered."""
+    unit = AnalysisUnit(compiled)
     selected = list(REGISTRY) if only is None else list(only)
     diags: List[Diagnostic] = []
     for rule_id in selected:
@@ -51,11 +51,4 @@ def run_passes(unit: AnalysisUnit,
     return sort_diagnostics(diags)
 
 
-# Import-time registration of the built-in rules (order = rule id order).
-from . import uninit      # noqa: E402,F401  IH001
-from . import registers   # noqa: E402,F401  IH002 + IH004
-from . import reachability  # noqa: E402,F401  IH003 + IH007
-from . import headers     # noqa: E402,F401  IH005
-from . import widths      # noqa: E402,F401  IH006
-
-__all__ = ["LintPass", "REGISTRY", "lint_pass", "run_passes"]
+__all__ = ["LintPass", "REGISTRY", "lint_compiled"]

@@ -4,7 +4,7 @@ A match key of the form ``hdr.<bind>.<field>`` reads a header that may
 not be valid at apply time unless one of three things guarantees it:
 
 * the parser extracts ``bind`` on **every** start→accept path
-  (:func:`~repro.analysis.cfg.always_extracted`);
+  (:func:`always_extracted`);
 * an earlier ``SetValid`` in the same straight-line context;
 * an enclosing ``if`` whose condition carries a positive
   ``hdr.<bind>.isValid()`` conjunct.
@@ -18,13 +18,54 @@ warning: the match silently degrades to matching on zero.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...p4 import ir
-from ..cfg import always_extracted
 from ..diagnostics import Diagnostic, Severity
 from ..unit import AnalysisUnit
-from . import lint_pass
+
+
+def always_extracted(parser: ir.ParserSpec) -> Set[str]:
+    """Header binds extracted on *every* path from the start state to
+    ``accept`` — the binds a table key may reference without a validity
+    guard.  Stack extracts are excluded (their depth is data-dependent).
+    Computed as a forward must-analysis over the parse graph, which
+    (unlike control code) may loop, so it iterates to a fixpoint."""
+    states = {s.name: s for s in parser.states}
+    if parser.start not in states:
+        return set()
+
+    def state_binds(state: ir.ParserState) -> Set[str]:
+        return {ex.bind for ex in state.extracts
+                if isinstance(ex, ir.Extract)}
+
+    # must_in[state] = intersection over predecessors of must_out;
+    # union lattice complement, so iterate to a fixpoint from TOP.
+    all_binds: Set[str] = set()
+    for s in parser.states:
+        all_binds |= state_binds(s)
+    must_in: Dict[str, Set[str]] = {name: set(all_binds) for name in states}
+    must_in[parser.start] = set()
+    accept_in: Optional[Set[str]] = None
+    changed = True
+    while changed:
+        changed = False
+        accept_in = None
+        for name, state in states.items():
+            out = must_in[name] | state_binds(state)
+            for tr in state.transitions:
+                target = tr.next_state
+                if target == ir.ACCEPT or target == ir.REJECT_STATE:
+                    if target == ir.ACCEPT:
+                        accept_in = (set(out) if accept_in is None
+                                     else accept_in & out)
+                    continue
+                if target in states and not must_in[target] <= out:
+                    narrowed = must_in[target] & out
+                    if narrowed != must_in[target]:
+                        must_in[target] = narrowed
+                        changed = True
+    return accept_in if accept_in is not None else set()
 
 
 def _valid_conjuncts(cond: ir.P4Expr) -> Set[str]:
@@ -88,7 +129,6 @@ class _KeyScan:
                      f"on metadata copied out under a validity check"))
 
 
-@lint_pass("IH005")
 def possibly_invalid_key(unit: AnalysisUnit) -> List[Diagnostic]:
     must_valid = always_extracted(unit.program.parser)
     walk = _KeyScan(unit.compiled.tables)

@@ -19,7 +19,6 @@ from typing import List, Sequence
 from ...p4 import ir
 from ..diagnostics import Diagnostic, Severity
 from ..unit import AnalysisUnit
-from . import lint_pass
 
 
 def _drop_sites(stmts: Sequence[ir.P4Stmt]):
@@ -32,7 +31,6 @@ def _drop_sites(stmts: Sequence[ir.P4Stmt]):
             yield from _drop_sites(body)
 
 
-@lint_pass("IH003")
 def after_drop(unit: AnalysisUnit) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
 
@@ -60,7 +58,6 @@ def after_drop(unit: AnalysisUnit) -> List[Diagnostic]:
     return diags
 
 
-@lint_pass("IH007")
 def dead_table(unit: AnalysisUnit) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     applied = unit.applied_tables()

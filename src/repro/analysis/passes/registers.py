@@ -21,7 +21,6 @@ from ...indus.errors import UNKNOWN_SPAN
 from ...p4 import ir
 from ..diagnostics import Diagnostic, Severity
 from ..unit import AnalysisUnit
-from . import lint_pass
 
 
 def _first_span(stmts: List[ir.P4Stmt]):
@@ -31,7 +30,6 @@ def _first_span(stmts: List[ir.P4Stmt]):
     return UNKNOWN_SPAN
 
 
-@lint_pass("IH002")
 def dead_register(unit: AnalysisUnit) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     occ = unit.register_occurrences()
@@ -68,7 +66,6 @@ def dead_register(unit: AnalysisUnit) -> List[Diagnostic]:
     return diags
 
 
-@lint_pass("IH004")
 def register_write_conflict(unit: AnalysisUnit) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     occ = unit.register_occurrences()

@@ -1,13 +1,16 @@
 """IH001 — uninitialized header/metadata field read.
 
-Metadata half: a read whose *only* reaching definition (over every
-placement the statement executes in) is the synthetic pipeline-entry
-:data:`~repro.analysis.dataflow.UNINIT` site — no execution path ever
-wrote the field, so the read always observes the zero-initialized
-value.  Table applies count as (may-)definitions, so a field a table
-action *might* load is not flagged; this keeps the rule quiet on the
-intentional read-the-default patterns the compiler emits (first/last-hop
-marks) while still catching fields nothing can ever write.
+Metadata half: a read of a ``meta.*`` field that no statement before it
+writes, on any path, in every placement the read executes in — the read
+always observes the zero-initialized value.  One forward walk per
+placement carries the fields that may have been written so far; after a
+statement with arms it is the union of what each arm's walk returns (an
+empty arm falls through).  Table applies count as writes of whatever
+their actions write, so a field a table action *might* load is not
+flagged; this keeps the rule quiet on the intentional read-the-default
+patterns the compiler emits (first/last-hop marks) while still catching
+fields nothing can ever write.  A field read unwritten in several places
+is reported once, at its first read in placement walk order.
 
 Header half: a read of ``hdr.<bind>.<field>`` where ``bind`` is neither
 extracted by any parser state nor ever made valid with ``SetValid`` —
@@ -16,13 +19,11 @@ the read unconditionally yields 0 on this substrate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ...p4 import ir
-from ..dataflow import UNINIT
 from ..diagnostics import Diagnostic, Severity
 from ..unit import AnalysisUnit
-from . import lint_pass
 
 RULE = "IH001"
 
@@ -39,42 +40,46 @@ def _managed_fields(unit: AnalysisUnit) -> Set[str]:
     return {f"meta.{name}" for name in managed}
 
 
-@lint_pass(RULE)
+def _walk(unit: AnalysisUnit, stmts: Sequence[ir.P4Stmt],
+          written: FrozenSet[str],
+          reads: List[Tuple[str, ir.P4Stmt, bool]]) -> FrozenSet[str]:
+    """Walk ``stmts`` forward from ``written`` (the fields some path may
+    have written so far), appending ``(field, stmt, written before)``
+    for every read in walk order; returns the fields written after."""
+    for stmt in stmts:
+        effect = unit.effect(stmt)
+        reads.extend((use, stmt, use in written) for use in effect.uses)
+        written = written.union(effect.defs)
+        arms = ir.bodies(stmt)
+        if arms:
+            written = frozenset().union(
+                *(_walk(unit, arm, written, reads) for arm in arms))
+    return written
+
+
 def uninit_read(unit: AnalysisUnit) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
-    seen: Set[tuple] = set()
     managed = _managed_fields(unit)
+    tracked = {f"meta.{name}" for name, _ in unit.compiled.metadata}
 
-    # --- metadata: reaching definitions per placement -----------------
+    # --- metadata: one forward walk per placement ----------------------
     # (field, stmt) is flagged if every placement containing the read
-    # sees only the UNINIT definition.
-    verdict: Dict[tuple, bool] = {}
-    stmt_of: Dict[tuple, ir.P4Stmt] = {}
+    # has it unwritten before it; keys keep walk order.
+    verdict: Dict[Tuple[str, int], Tuple[ir.P4Stmt, bool]] = {}
     for view in unit.placements:
-        effects = unit.effects(view)
-        reaching = unit.reaching(view)
-        for node in view.cfg.nodes:
-            if node.stmt is None:
+        reads: List[Tuple[str, ir.P4Stmt, bool]] = []
+        _walk(unit, view.stmts, frozenset(), reads)
+        for use, stmt, written in reads:
+            if use not in tracked or use in managed:
                 continue
-            for use in effects[node.index].uses:
-                if use in managed:
-                    continue
-                sites = reaching[node.index].get(use)
-                if sites is None:      # not a tracked metadata field
-                    continue
-                key = (use, id(node.stmt))
-                stmt_of[key] = node.stmt
-                only_uninit = sites == frozenset({UNINIT})
-                verdict[key] = verdict.get(key, True) and only_uninit
-    for (use, _), always_uninit in sorted(
-            verdict.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        if not always_uninit:
-            continue
-        stmt = stmt_of[(use, _)]
-        dedup = (use,)
-        if dedup in seen:
-            continue
-        seen.add(dedup)
+            key = (use, id(stmt))
+            unwritten = verdict.get(key, (stmt, True))[1] and not written
+            verdict[key] = (stmt, unwritten)
+    first: Dict[str, ir.P4Stmt] = {}
+    for (use, _), (stmt, unwritten) in verdict.items():
+        if unwritten:
+            first.setdefault(use, stmt)
+    for use, stmt in first.items():
         diags.append(Diagnostic(
             rule=RULE, severity=Severity.ERROR,
             message=f"read of metadata field {use!r} which no execution "
@@ -90,6 +95,7 @@ def uninit_read(unit: AnalysisUnit) -> List[Diagnostic]:
                       for stmt in ir.walk_stmts(stmts)]
     made_valid = {stmt.header for _, stmt in fragment_stmts
                   if isinstance(stmt, ir.SetValid)}
+    reported: Set[str] = set()
     for label, stmt in fragment_stmts:
         uses: Set[str] = set()
         for expr in ir.stmt_exprs(stmt):
@@ -98,11 +104,9 @@ def uninit_read(unit: AnalysisUnit) -> List[Diagnostic]:
             if not use.startswith("hdr.") or use.endswith(".$valid"):
                 continue
             bind = use.split(".")[1]
-            if bind in known_binds or bind in made_valid:
+            if bind in known_binds or bind in made_valid or bind in reported:
                 continue
-            if ("hdr", bind) in seen:
-                continue
-            seen.add(("hdr", bind))
+            reported.add(bind)
             diags.append(Diagnostic(
                 rule=RULE, severity=Severity.WARNING,
                 message=f"read of {use!r}: header {bind!r} is never "

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ...p4 import ir
 from ..diagnostics import Diagnostic, Severity
 from ..unit import AnalysisUnit
-from . import lint_pass
+
 
 def expr_width(expr: ir.P4Expr,
                widths: Dict[str, int]) -> Optional[int]:
@@ -50,7 +50,6 @@ def expr_width(expr: ir.P4Expr,
     return None
 
 
-@lint_pass("IH006")
 def width_truncation(unit: AnalysisUnit) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     widths = unit.field_widths()

@@ -4,44 +4,66 @@ A unit wraps one :class:`~repro.compiler.lower.CompiledChecker`
 (whose ``fragments()`` are the blocks lint findings are attributed to)
 with:
 
-* the four :class:`~repro.analysis.cfg.PlacementView` linearizations and
-  their per-node :class:`~repro.p4.ir.Effect`;
-* lazily solved liveness and reaching-definitions facts per placement;
+* the four :class:`PlacementView` linearizations a switch can run;
+* each statement's shallow :class:`~repro.p4.ir.Effect`
+  (:meth:`AnalysisUnit.effect`);
 * the standalone linked program (checker + minimal L2 forwarding), which
   supplies the parser graph and the field-width map.
 
-Facts are cached per unit; build a fresh unit after mutating the
-compiled checker.
+The checker IR is loop-free and structured, so a pass that needs
+ordering walks a view's ``stmts`` with :func:`repro.p4.ir.bodies`: no
+graph is built.  The width map is cached per unit; build a fresh unit
+after mutating the compiled checker.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from ..compiler.linker import (LAST_HOP, PER_HOP, placement,
+                               standalone_program)
 from ..compiler.lower import CompiledChecker
+from ..net.topology import CORE, EDGE
 from ..p4 import ir
-from .cfg import PlacementView, checker_placements
-from .dataflow import cfg_effects, liveness, reaching_definitions
+
+
+class PlacementView(NamedTuple):
+    """One (role, check-mode) linearization of a compiled checker.
+
+    ``stmts`` is the ingress+egress pipeline body a switch of ``role``
+    executes under ``check_mode``: :func:`repro.compiler.linker.placement`'s
+    phases concatenated, so the statements are the compiled fragments'
+    own objects, and the guards around them the ones the linker places.
+    """
+
+    name: str
+    role: str
+    check_mode: str
+    stmts: List[ir.P4Stmt]
+
+
+def checker_placements(compiled: CompiledChecker) -> List[PlacementView]:
+    """The four placements a compiled checker can execute in.
+
+    A statement is dead only if it is dead in *every* placement that
+    contains it — the lint passes quantify over this list rather than
+    assuming a particular deployment.
+    """
+    return [PlacementView(f"{role}-{mode}", role, mode,
+                          placement(compiled, role, mode).stmts())
+            for role in (EDGE, CORE) for mode in (LAST_HOP, PER_HOP)]
 
 
 class AnalysisUnit:
     """One compiled checker prepared for the lint passes."""
 
-    def __init__(self, compiled: CompiledChecker,
-                 program: Optional[ir.P4Program] = None):
+    def __init__(self, compiled: CompiledChecker):
         self.compiled = compiled
-        if program is None:
-            from ..compiler.linker import standalone_program
-            program = standalone_program(compiled)
         #: The checker linked into a minimal forwarding program — parser
         #: and header-width context (placement analyses use the shared
         #: fragment statements, not this copy).
-        self.program = program
+        self.program = standalone_program(compiled)
         self.placements: List[PlacementView] = checker_placements(compiled)
-        self._effects: Dict[int, Dict[int, ir.Effect]] = {}
-        self._liveness: Dict[int, Tuple[Dict[int, FrozenSet[str]],
-                                        Dict[int, FrozenSet[str]]]] = {}
-        self._reaching: Dict[int, Dict[int, Dict[str, FrozenSet[int]]]] = {}
         self._widths: Optional[Dict[str, int]] = None
 
     # -- structure -----------------------------------------------------
@@ -50,31 +72,16 @@ class AnalysisUnit:
     def name(self) -> str:
         return self.compiled.name
 
-    # -- solved facts (cached per placement) ---------------------------
-
-    def effects(self, view: PlacementView) -> Dict[int, ir.Effect]:
-        key = id(view)
-        if key not in self._effects:
-            self._effects[key] = cfg_effects(
-                view.cfg, self.compiled.tables, self.compiled.actions)
-        return self._effects[key]
-
-    def liveness(self, view: PlacementView
-                 ) -> Tuple[Dict[int, FrozenSet[str]],
-                            Dict[int, FrozenSet[str]]]:
-        key = id(view)
-        if key not in self._liveness:
-            self._liveness[key] = liveness(view.cfg, self.effects(view))
-        return self._liveness[key]
-
-    def reaching(self, view: PlacementView
-                 ) -> Dict[int, Dict[str, FrozenSet[int]]]:
-        key = id(view)
-        if key not in self._reaching:
-            fields = [f"meta.{name}" for name, _ in self.compiled.metadata]
-            self._reaching[key] = reaching_definitions(
-                view.cfg, self.effects(view), fields)
-        return self._reaching[key]
+    def effect(self, stmt: ir.P4Stmt) -> ir.Effect:
+        """``stmt``'s shallow effect (a nested body's statements have
+        their own): an apply's is :func:`repro.p4.ir.apply_effect` under
+        its table's declared default, every other statement's what
+        :func:`repro.p4.ir.stmt_effect` declares."""
+        if isinstance(stmt, ir.ApplyTable):
+            table = self.compiled.tables[stmt.table]
+            return ir.apply_effect(table, self.compiled.actions,
+                                   table.default_action)
+        return ir.stmt_effect(stmt)
 
     # -- context -------------------------------------------------------
 
@@ -115,4 +122,4 @@ class AnalysisUnit:
         return applies
 
 
-__all__ = ["AnalysisUnit"]
+__all__ = ["AnalysisUnit", "PlacementView", "checker_placements"]

@@ -7,8 +7,8 @@ egress pipeline on last-hop switches.  Edge switches run all three
 blocks; non-edge (core) switches run only the telemetry block.
 :func:`placement` decides this once, for one checker on one switch:
 :func:`link` clones what it returns into the forwarding program, and
-the analysis views (:func:`repro.analysis.cfg.checker_placements`) read
-it as is.
+the analysis views (:func:`repro.analysis.unit.checker_placements`)
+read it as is.
 
 Multiple checkers can be linked into one program (the "all checkers"
 configuration of Figure 12).  Each checker owns a telemetry header with

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Union
 
 VARS = ["v0", "v1", "v2"]
 HDRS = ["sport", "dport"]

@@ -50,12 +50,11 @@ class ThroughputResult:
 class ReplayFeed:
     """Lazily re-address a campus trace onto the fabric.
 
-    The paper's pipeline: tapped traffic passes a line-rate
-    prefix-preserving anonymizer before replay.  That step is a library
-    here (:class:`~repro.workloads.anonymizer.PrefixPreservingAnonymizer`),
-    not part of the feed: the feed re-addresses every packet onto our
-    fabric endpoints, so no anonymized address would reach the wire.  It
-    keeps packet sizes — the property that matters for throughput.  Each
+    The paper's pipeline passes tapped traffic through a line-rate
+    prefix-preserving anonymizer before replay.  That step has no
+    counterpart here: the trace is synthetic and carries no real
+    addresses, and the feed re-addresses every packet onto our fabric
+    endpoints anyway.  It keeps packet sizes — the property that matters for throughput.  Each
     campus flow gets a stable source port (slots numbered in
     first-emission order, cycling over 1000 ports like the original
     replay's port cycling) and one shared template packet per (port,

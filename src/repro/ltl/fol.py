@@ -19,7 +19,7 @@ verdict), which the test suite checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Sequence, Set
 
 from .ast import And, Atom, FalseF, Formula, Next, Not, TrueF, Until
 

@@ -15,7 +15,7 @@ bindings) supplies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import List, Sequence, Set
 
 from ..indus import HopContext, Monitor, check, parse
 from ..indus.typechecker import CheckedProgram

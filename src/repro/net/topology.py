@@ -10,7 +10,7 @@ control variables of the Table-1 checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 EDGE = "edge"
 CORE = "core"

@@ -23,7 +23,6 @@ EXPERIMENTS.md.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..p4 import ir
 from .phv import TOTAL_PHV_BITS, phv_bits

@@ -1,7 +1,10 @@
-"""Workloads: synthetic campus traces, prefix-preserving anonymization,
-and the iperf/ping traffic processes of the Figure 12 experiment."""
+"""Workloads: synthetic campus traces and the iperf/ping traffic
+processes of the Figure 12 experiment.
 
-from .anonymizer import PrefixPreservingAnonymizer
+The trace is synthetic and the replay re-addresses every packet onto the
+fabric, so it carries no real addresses: the paper's prefix-preserving
+anonymizing step (ONTAS) has no counterpart here."""
+
 from .campus import (CAMPUS_SUBNET_A, CAMPUS_SUBNET_B, CampusTraceGenerator,
                      Flow, TraceStats)
 from .traffic import (ECHO_PORT, EchoResponder, LOAD_PORT, Pinger, RttSample,
@@ -10,6 +13,6 @@ from .traffic import (ECHO_PORT, EchoResponder, LOAD_PORT, Pinger, RttSample,
 __all__ = [
     "CAMPUS_SUBNET_A", "CAMPUS_SUBNET_B", "CampusTraceGenerator",
     "ECHO_PORT", "EchoResponder", "Flow", "LOAD_PORT", "Pinger",
-    "PrefixPreservingAnonymizer", "RttSample", "TraceStats",
+    "RttSample", "TraceStats",
     "UdpLoadGenerator",
 ]

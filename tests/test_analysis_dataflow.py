@@ -1,16 +1,20 @@
-"""The shared analysis substrate: CFG construction, the worklist
-solver, liveness, reaching definitions, placement views, and parser
-must-extraction.  These are the facts every lint pass consumes, so they
-get direct unit coverage on hand-built IR.
+"""The structural walks the lint passes share: placement views, the
+per-statement effect, and IH001's metadata half — one forward walk per
+placement carrying the fields some path may have written so far.
+
+The metadata-half cases run on hand-built IR appended to a compiled
+checker's fragments (the bundled corpus never makes that half fire).
 """
 
+import pytest
+
 from repro import api
-from repro.analysis import (AnalysisUnit, UNINIT, build_cfg,
-                            checker_placements, liveness,
-                            reaching_definitions)
-from repro.analysis.dataflow import cfg_effects
+from repro.analysis import AnalysisUnit, checker_placements, lint_compiled
 from repro.compiler.linker import placement
+from repro.indus.errors import SourceSpan
 from repro.p4 import ir
+
+PROBE = "meta.ih_probe"
 
 
 def C(v, w=8):
@@ -21,142 +25,105 @@ def F(path):
     return ir.FieldRef(path)
 
 
-# ---------------------------------------------------------------------------
-# CFG construction
-# ---------------------------------------------------------------------------
-
-def test_cfg_straight_line():
-    stmts = [ir.AssignStmt("meta.a", C(1)), ir.AssignStmt("meta.b", C(2))]
-    cfg = build_cfg(stmts)
-    assert len(cfg.stmt_nodes()) == 2
-    entry, exit_ = cfg.nodes[cfg.entry], cfg.nodes[cfg.exit]
-    assert entry.succs and exit_.preds
-    # Linear chain: every stmt node has one successor.
-    for node in cfg.stmt_nodes():
-        assert len(node.succs) == 1
+def probed_checker():
+    """``loops`` with one extra metadata field nothing writes."""
+    compiled = api.compile_indus("loops")
+    compiled.metadata.append(("ih_probe", 8))
+    return compiled
 
 
-def test_cfg_if_arms_rejoin():
-    branch = ir.IfStmt(cond=F("meta.c"),
-                       then_body=[ir.AssignStmt("meta.a", C(1))],
-                       else_body=[ir.AssignStmt("meta.a", C(2))])
-    tail = ir.AssignStmt("meta.b", F("meta.a"))
-    cfg = build_cfg([branch, tail])
-    nodes = {id(n.stmt): n for n in cfg.stmt_nodes()}
-    branch_node = nodes[id(branch)]
-    tail_node = nodes[id(tail)]
-    assert len(branch_node.succs) == 2
-    assert len(tail_node.preds) == 2  # both arms rejoin here
+def write(line=0):
+    return ir.AssignStmt(PROBE, C(1), span=SourceSpan(line, 3))
 
 
-def test_cfg_empty_else_falls_through():
-    branch = ir.IfStmt(cond=F("meta.c"),
-                       then_body=[ir.AssignStmt("meta.a", C(1))])
-    tail = ir.AssignStmt("meta.b", C(2))
-    cfg = build_cfg([branch, tail])
-    nodes = {id(n.stmt): n for n in cfg.stmt_nodes()}
-    # Tail is reachable both through the arm and directly from the branch.
-    assert len(nodes[id(tail)].preds) == 2
+def read(line=0):
+    return ir.AssignStmt("hdr.ethernet.ether_type", F(PROBE),
+                         span=SourceSpan(line, 3))
 
 
-def test_cfg_mark_to_drop_is_not_a_terminator():
-    # bmv2 semantics: MarkToDrop sets a flag and execution continues —
-    # the CFG must reflect that (this is what makes IH003 a lint rule
-    # rather than a deletion).
-    drop = ir.MarkToDrop()
-    after = ir.AssignStmt("meta.a", C(1))
-    cfg = build_cfg([drop, after])
-    nodes = {id(n.stmt): n for n in cfg.stmt_nodes()}
-    assert nodes[id(after)].index in nodes[id(drop)].succs
-
-
-def test_expr_uses_collects_fields_and_validity():
-    expr = ir.BinExpr("&&", ir.ValidRef("tcp"),
-                      ir.BinExpr("==", F("meta.a"), F("hdr.ipv4.ttl"), 1), 1)
-    assert ir.expr_reads(expr) == {"hdr.tcp.$valid", "meta.a", "hdr.ipv4.ttl"}
+def uninit(compiled):
+    return [d for d in lint_compiled(compiled, only=["IH001"])
+            if d.path == PROBE]
 
 
 # ---------------------------------------------------------------------------
-# Liveness
+# IH001's metadata half
 # ---------------------------------------------------------------------------
 
-def _solve(stmts):
-    cfg = build_cfg(stmts)
-    effects = cfg_effects(cfg, tables={}, actions={})
-    return cfg, effects
+def test_ih001_read_before_any_write_is_flagged():
+    compiled = probed_checker()
+    compiled.tele_stmts += [read(7), write(8)]
+    found = uninit(compiled)
+    assert len(found) == 1
+    assert found[0].span.line == 7
+    assert "no execution path ever writes" in found[0].message
 
 
-def test_liveness_read_after_write_keeps_the_def_live():
-    w = ir.AssignStmt("meta.a", C(1))
-    r = ir.AssignStmt("hdr.hydra.x", F("meta.a"))
-    cfg, effects = _solve([w, r])
-    live_in, live_out = liveness(cfg, effects)
-    nodes = {id(n.stmt): n.index for n in cfg.stmt_nodes()}
-    assert "meta.a" in live_out[nodes[id(w)]]
-    assert "meta.a" not in live_out[nodes[id(r)]]
+def test_ih001_a_statement_reads_before_it_writes():
+    compiled = probed_checker()
+    bump = ir.AssignStmt(PROBE, ir.BinExpr("+", F(PROBE), C(1), 8),
+                         span=SourceSpan(5, 3))
+    compiled.tele_stmts.append(bump)
+    assert [d.span.line for d in uninit(compiled)] == [5]
 
 
-def test_liveness_overwritten_def_is_dead():
-    first = ir.AssignStmt("meta.a", C(1))
-    second = ir.AssignStmt("meta.a", C(2))
-    read = ir.AssignStmt("hdr.hydra.x", F("meta.a"))
-    cfg, effects = _solve([first, second, read])
-    live_in, live_out = liveness(cfg, effects)
-    nodes = {id(n.stmt): n.index for n in cfg.stmt_nodes()}
-    # The first write's value never survives to a read.
-    assert "meta.a" not in live_out[nodes[id(first)]]
-    assert "meta.a" in live_out[nodes[id(second)]]
+def test_ih001_write_then_read_is_clean():
+    compiled = probed_checker()
+    compiled.tele_stmts += [write(), read()]
+    assert not uninit(compiled)
 
 
-def test_liveness_through_one_branch_arm():
-    w = ir.AssignStmt("meta.a", C(1))
-    branch = ir.IfStmt(cond=F("meta.c"),
-                       then_body=[ir.AssignStmt("hdr.hydra.x", F("meta.a"))])
-    cfg, effects = _solve([w, branch])
-    live_in, live_out = liveness(cfg, effects)
-    nodes = {id(n.stmt): n.index for n in cfg.stmt_nodes()}
-    assert "meta.a" in live_out[nodes[id(w)]]
+def test_ih001_write_in_one_arm_then_read_after_the_if_is_clean():
+    # Some path writes the field, so the read may see the write.
+    compiled = probed_checker()
+    compiled.tele_stmts += [
+        ir.IfStmt(cond=F("meta.ih_looped"), then_body=[write()]),
+        read()]
+    assert not uninit(compiled)
 
 
-# ---------------------------------------------------------------------------
-# Reaching definitions
-# ---------------------------------------------------------------------------
-
-def test_reaching_uninit_at_entry_and_kill_by_write():
-    w = ir.AssignStmt("meta.a", C(1))
-    cfg = build_cfg([w])
-    effects = cfg_effects(cfg, tables={}, actions={})
-    facts = reaching_definitions(cfg, effects, ["meta.a", "meta.b"])
-    nodes = {id(n.stmt): n.index for n in cfg.stmt_nodes()}
-    at_w = facts[nodes[id(w)]]
-    # Before the write, only the synthetic zero-init site reaches.
-    assert at_w["meta.a"] == frozenset({UNINIT})
-    # At exit, the write killed UNINIT for a but not for b.
-    at_exit = facts[cfg.exit]
-    assert UNINIT not in at_exit["meta.a"]
-    assert at_exit["meta.b"] == frozenset({UNINIT})
+def test_ih001_write_inside_an_arm_does_not_reach_a_read_before_it():
+    compiled = probed_checker()
+    compiled.tele_stmts += [
+        ir.IfStmt(cond=F("meta.ih_looped"), then_body=[read(9)],
+                  else_body=[write()])]
+    assert [d.span.line for d in uninit(compiled)] == [9]
 
 
-def test_reaching_merge_keeps_both_branch_defs():
-    branch = ir.IfStmt(cond=F("meta.c"),
-                       then_body=[ir.AssignStmt("meta.a", C(1))],
-                       else_body=[ir.AssignStmt("meta.a", C(2))])
-    cfg = build_cfg([branch])
-    effects = cfg_effects(cfg, tables={}, actions={})
-    facts = reaching_definitions(cfg, effects, ["meta.a"])
-    at_exit = facts[cfg.exit]
-    # Both arm writes reach the join; the entry zero-init does not.
-    assert len(at_exit["meta.a"]) == 2
-    assert UNINIT not in at_exit["meta.a"]
+def test_ih001_mark_to_drop_does_not_stop_the_walk():
+    # bmv2 semantics: mark_to_drop() sets a flag and execution carries on.
+    compiled = probed_checker()
+    compiled.tele_stmts += [write(), ir.MarkToDrop(), read()]
+    assert not uninit(compiled)
 
 
-def test_reaching_one_armed_write_keeps_uninit():
-    branch = ir.IfStmt(cond=F("meta.c"),
-                       then_body=[ir.AssignStmt("meta.a", C(1))])
-    cfg = build_cfg([branch])
-    effects = cfg_effects(cfg, tables={}, actions={})
-    facts = reaching_definitions(cfg, effects, ["meta.a"])
-    assert UNINIT in facts[cfg.exit]["meta.a"]
+@pytest.mark.parametrize("default", [None, ("ih_probe_set", [])])
+def test_ih001_an_apply_whose_action_writes_counts_as_a_write(default):
+    compiled = probed_checker()
+    compiled.actions["ih_probe_set"] = ir.Action(
+        "ih_probe_set", body=[write()])
+    compiled.tables["ih_probe_tbl"] = ir.Table(
+        name="ih_probe_tbl", keys=[ir.TableKey("meta.ih_looped")],
+        actions=["ih_probe_set"], default_action=default)
+    compiled.tele_stmts += [ir.ApplyTable("ih_probe_tbl"), read()]
+    assert not uninit(compiled)
+
+
+def test_ih001_a_read_written_in_another_placement_is_not_flagged():
+    # init runs on edge switches only: core placements see the read
+    # unwritten, edge placements written, so it is not always zero.
+    compiled = probed_checker()
+    compiled.init_stmts.append(write())
+    compiled.tele_stmts.append(read())
+    assert not uninit(compiled)
+
+
+def test_ih001_reports_the_first_read_in_walk_order():
+    compiled = probed_checker()
+    later, earlier = read(12), read(11)
+    compiled.tele_stmts += [earlier, later]
+    found = uninit(compiled)
+    assert [d.span.line for d in found] == [11]
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +136,11 @@ def test_checker_placements_cover_roles_and_modes():
     assert {(v.role, v.check_mode) for v in views} == {
         ("edge", "last_hop"), ("edge", "per_hop"),
         ("core", "last_hop"), ("core", "per_hop")}
-    # Placement views share the fragment statement objects (dataflow
-    # facts key by id(stmt)).
+    # Placement views share the fragment statement objects (a pass's
+    # verdicts key by id(stmt)).
     tele_ids = {id(s) for s in compiled.tele_stmts}
     for view in views:
-        view_ids = {id(n.stmt) for n in view.cfg.stmt_nodes()}
+        view_ids = {id(s) for s in ir.walk_stmts(view.stmts)}
         assert tele_ids <= view_ids, view.name
 
 
@@ -197,24 +164,23 @@ def test_core_placements_omit_init_and_inject():
     views = {v.name: v for v in checker_placements(compiled)}
     init_ids = {id(s) for s in compiled.init_stmts}
     for name in ("core-last_hop", "core-per_hop"):
-        view_ids = {id(n.stmt) for n in views[name].cfg.stmt_nodes()}
-        assert not (init_ids & view_ids), name
-        applies = [n.stmt.table for n in views[name].cfg.stmt_nodes()
-                   if isinstance(n.stmt, ir.ApplyTable)]
+        stmts = list(ir.walk_stmts(views[name].stmts))
+        assert not (init_ids & {id(s) for s in stmts}), name
+        applies = [s.table for s in stmts if isinstance(s, ir.ApplyTable)]
         assert compiled.inject_table not in applies
 
 
 def test_analysis_unit_caches_and_exposes_facts():
     unit = AnalysisUnit(api.compile_indus("loops"))
-    view = unit.placements[0]
-    assert unit.effects(view) is unit.effects(view)
-    live_in, live_out = unit.liveness(view)
-    assert cfgkeys(live_in) == {n.index for n in view.cfg.nodes}
     widths = unit.field_widths()
+    assert unit.field_widths() is widths
     assert widths["standard_metadata.egress_port"] == 9
     assert any(k.startswith("meta.") for k in widths)
     assert any(k.startswith("hdr.") for k in widths)
-
-
-def cfgkeys(mapping):
-    return set(mapping)
+    # An apply's effect is its actions' under the declared default.
+    compiled = unit.compiled
+    site = ir.ApplyTable(compiled.inject_table)
+    table = compiled.tables[compiled.inject_table]
+    assert unit.effect(site) == ir.apply_effect(
+        table, compiled.actions, table.default_action)
+    assert unit.effect(write()) == ir.stmt_effect(write())

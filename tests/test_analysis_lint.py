@@ -1,4 +1,4 @@
-"""The lint side of the dataflow-analysis framework.
+"""The lint rules over compiled checker IR.
 
 Covers every rule category with a crafted fixture (asserting the rule
 fires *and* points at the right source line), the structured-diagnostic
@@ -14,9 +14,8 @@ import random
 import pytest
 
 from repro import api
-from repro.analysis import (Diagnostic, Severity, lint_compiled,
-                            max_severity, render_json, run_passes,
-                            sort_diagnostics)
+from repro.analysis import (REGISTRY, Diagnostic, Severity, lint_compiled,
+                            max_severity, render_json, sort_diagnostics)
 from repro.cli import main
 from repro.difftest import inject_mutation, kill_register_write, orphan_table
 from repro.p4 import ir
@@ -220,7 +219,9 @@ def test_only_filter_restricts_rules():
         ir.AssignStmt("meta.ih_looped", ir.Const(1, 1)))
     diags = lint_compiled(compiled, only=["IH003"])
     assert diags and rules(diags) == {"IH003"}
-    assert run_passes.__module__.startswith("repro.analysis")
+    assert list(REGISTRY) == sorted(REGISTRY)
+    with pytest.raises(ValueError, match="IH001, IH002"):
+        lint_compiled(compiled, only=["IH999"])
 
 
 def test_bundled_properties_have_no_errors():

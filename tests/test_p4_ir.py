@@ -127,6 +127,13 @@ def test_walk_exprs():
     assert len(nodes) == 4
 
 
+def test_expr_uses_collects_fields_and_validity():
+    expr = ir.BinExpr("&&", ir.ValidRef("tcp"),
+                      ir.BinExpr("==", ir.FieldRef("meta.a"),
+                                 ir.FieldRef("hdr.ipv4.ttl"), 1), 1)
+    assert ir.expr_reads(expr) == {"hdr.tcp.$valid", "meta.a", "hdr.ipv4.ttl"}
+
+
 # ---------------------------------------------------------------------------
 # One operator table: the emitter computes what the reference computes
 # ---------------------------------------------------------------------------

@@ -1,16 +1,14 @@
-"""Workload tests: anonymizer (prefix preservation, one-wayness), campus
-trace generator (determinism, heavy tail), traffic processes."""
+"""Workload tests: campus trace generator (determinism, heavy tail),
+the replay feed, traffic processes."""
 
 import gc
-import hashlib
 import random
 import weakref
 import zlib
-from itertools import combinations, islice
+from itertools import islice
 from types import FunctionType, MethodType, ModuleType
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.experiments.fig12 import Fig12Config, build_fabric
 from repro.experiments.throughput import ReplayFeed
@@ -19,138 +17,10 @@ from repro.net.simulator import Network
 from repro.net.topology import leaf_spine, single_switch
 from repro.p4.bmv2 import Bmv2Switch
 from repro.p4.programs import l2_port_forwarding
-from repro.workloads import (CAMPUS_SUBNET_A, CAMPUS_SUBNET_B, LOAD_PORT,
-                             CampusTraceGenerator, EchoResponder, Pinger,
-                             PrefixPreservingAnonymizer, UdpLoadGenerator)
+from repro.workloads import (LOAD_PORT, CampusTraceGenerator,
+                             EchoResponder, Pinger, UdpLoadGenerator)
 from repro.workloads.campus import (_PACKET_SIZES as PACKET_SIZES,
                                     CONCURRENT_FLOWS, payload_len)
-
-
-# ---------------------------------------------------------------------------
-# Anonymizer
-# ---------------------------------------------------------------------------
-
-def common_prefix_len(a, b):
-    for i in range(32, -1, -1):
-        if i == 0 or (a >> (32 - i)) == (b >> (32 - i)):
-            return i
-    return 0
-
-
-@given(a=st.integers(min_value=0, max_value=2**32 - 1),
-       b=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_prefix_preservation(a, b):
-    anon = PrefixPreservingAnonymizer()
-    pa, pb = anon.anonymize_ipv4(a), anon.anonymize_ipv4(b)
-    assert common_prefix_len(pa, pb) == common_prefix_len(a, b)
-
-
-def test_anonymization_is_deterministic_per_salt():
-    a1 = PrefixPreservingAnonymizer(salt=b"one")
-    a2 = PrefixPreservingAnonymizer(salt=b"one")
-    a3 = PrefixPreservingAnonymizer(salt=b"two")
-    addr = ip(128, 112, 5, 9)
-    assert a1.anonymize_ipv4(addr) == a2.anonymize_ipv4(addr)
-    assert a1.anonymize_ipv4(addr) != a3.anonymize_ipv4(addr)
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_anonymization_is_injective_in_practice(addr):
-    anon = PrefixPreservingAnonymizer()
-    other = addr ^ 1  # differs in the last bit
-    assert anon.anonymize_ipv4(addr) != anon.anonymize_ipv4(other)
-
-
-def test_mac_anonymization_is_local_unicast():
-    anon = PrefixPreservingAnonymizer()
-    mac = anon.anonymize_mac(0x001122334455)
-    assert mac & 0x020000000000           # locally administered
-    assert not (mac & 0x010000000000)     # unicast
-
-
-def test_packet_anonymization_changes_addresses_keeps_sizes():
-    anon = PrefixPreservingAnonymizer()
-    packet = make_udp(ip(128, 112, 1, 1), ip(93, 184, 0, 5), 1234, 80,
-                      payload_len=100)
-    packet.meta["flow_id"] = ("sensitive",)
-    out = anon.anonymize_packet(packet)
-    assert (out.find("ipv4").get("src_addr")
-            != packet.find("ipv4").get("src_addr"))
-    assert out.length == packet.length
-    assert "flow_id" not in out.meta
-    # Original untouched.
-    assert packet.find("ipv4").get("src_addr") == ip(128, 112, 1, 1)
-
-
-def reference_anonymize(salt, addr):
-    """The definition, straight-line: bit i of the output is bit i of
-    the address XOR a salted hash of the address's i-bit prefix."""
-    out = 0
-    for i in range(32):
-        prefix = addr >> (32 - i) if i else 0
-        flip = hashlib.sha256(salt + i.to_bytes(1, "big")
-                              + prefix.to_bytes(5, "big")).digest()[0] & 1
-        out = (out << 1) | (((addr >> (31 - i)) & 1) ^ flip)
-    return out
-
-
-def count_prf(anon):
-    """Wrap ``anon._prf_bit``; the returned list grows by one per call."""
-    calls, prf = [], anon._prf_bit
-
-    def counting(prefix_bits, length):
-        calls.append((length, prefix_bits))
-        return prf(prefix_bits, length)
-
-    anon._prf_bit = counting
-    return calls
-
-
-_ADDRESSES = st.one_of(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.builds(int.__or__,
-              st.sampled_from([CAMPUS_SUBNET_A, CAMPUS_SUBNET_B,
-                               ip(93, 184, 0, 0)]),
-              st.integers(min_value=0, max_value=2**16 - 1)))
-
-
-@given(st.lists(_ADDRESSES, min_size=1, max_size=24))
-@settings(max_examples=40, deadline=None)
-def test_memoised_anonymizer_is_its_definition_at_one_prf_per_node(addrs):
-    anon = PrefixPreservingAnonymizer(salt=b"one")
-    calls = count_prf(anon)
-    seen, images = [], {}
-    for addr in addrs:
-        before = len(calls)
-        images[addr] = anon.anonymize_ipv4(addr)
-        assert images[addr] == reference_anonymize(b"one", addr)
-        # Only the nodes below the longest known prefix are new; a
-        # repeat (k = 32) evaluates nothing.
-        known = max((anon.shares_prefix(addr, s) for s in seen), default=0)
-        assert len(calls) - before <= 32 - known
-        seen.append(addr)
-    assert len(calls) <= len(anon._cache) - 1     # one per new node
-    for p, q in combinations(images, 2):
-        assert (anon.shares_prefix(images[p], images[q])
-                == anon.shares_prefix(p, q))
-    other = PrefixPreservingAnonymizer(salt=b"two")
-    assert [other.anonymize_ipv4(a) for a in addrs] \
-        == [reference_anonymize(b"two", a) for a in addrs]
-    assert anon._cache != other._cache
-
-
-@pytest.mark.parametrize("addr", [-1, 1 << 32, (1 << 32) | ip(10, 0, 0, 1),
-                                  1 << 40])
-def test_anonymizer_refuses_what_it_cannot_key(addr):
-    """An out-of-range address would alias another trie node's key."""
-    anon = PrefixPreservingAnonymizer()
-    anon.anonymize_ipv4(ip(10, 0, 0, 1))
-    before = dict(anon._cache)
-    with pytest.raises(ValueError):
-        anon.anonymize_ipv4(addr)
-    assert anon._cache == before
 
 
 # ---------------------------------------------------------------------------
