@@ -90,6 +90,61 @@ def test_ih001_write_inside_an_arm_does_not_reach_a_read_before_it():
     assert [d.span.line for d in uninit(compiled)] == [9]
 
 
+def test_cfg_if_arms_rejoin():
+    # The statement after an if/else is walked once, after both arms:
+    # a write in either arm reaches it, and with none it is flagged.
+    for then_body, else_body, flagged in (
+            ([], [], [9]), ([write()], [], []), ([], [write()], [])):
+        compiled = probed_checker()
+        compiled.tele_stmts += [
+            ir.IfStmt(cond=F("meta.ih_looped"), then_body=then_body,
+                      else_body=else_body),
+            read(9)]
+        assert [d.span.line for d in uninit(compiled)] == flagged
+
+
+def test_cfg_empty_else_falls_through():
+    # A one-armed if neither ends the walk nor drops what was written
+    # before it: the empty arm carries the write to the read.
+    compiled = probed_checker()
+    compiled.tele_stmts += [
+        ir.IfStmt(cond=F("meta.ih_looped"), then_body=[ir.MarkToDrop()]),
+        read(9)]
+    assert [d.span.line for d in uninit(compiled)] == [9]
+    compiled = probed_checker()
+    compiled.tele_stmts += [
+        write(),
+        ir.IfStmt(cond=F("meta.ih_looped"), then_body=[ir.MarkToDrop()]),
+        read(9)]
+    assert not uninit(compiled)
+
+
+def test_reaching_merge_keeps_both_branch_defs():
+    # Each arm writes a different field; both writes survive the join.
+    compiled = probed_checker()
+    compiled.metadata.append(("ih_probe_b", 8))
+    compiled.tele_stmts += [
+        ir.IfStmt(cond=F("meta.ih_looped"), then_body=[write()],
+                  else_body=[ir.AssignStmt("meta.ih_probe_b", C(2))]),
+        ir.AssignStmt("hdr.ethernet.ether_type",
+                      ir.BinExpr("+", F(PROBE), F("meta.ih_probe_b"), 8),
+                      span=SourceSpan(9, 3))]
+    found = [d for d in lint_compiled(compiled, only=["IH001"])
+             if d.path in (PROBE, "meta.ih_probe_b")]
+    assert not found
+
+
+def test_reaching_one_armed_write_keeps_uninit():
+    # The if's own condition still sees the entry value: a write in the
+    # arm it guards does not reach back to it.
+    compiled = probed_checker()
+    compiled.tele_stmts += [
+        ir.IfStmt(cond=ir.BinExpr("==", F(PROBE), C(0), 1),
+                  then_body=[write()], span=SourceSpan(6, 3)),
+        read(9)]
+    assert [d.span.line for d in uninit(compiled)] == [6]
+
+
 def test_ih001_mark_to_drop_does_not_stop_the_walk():
     # bmv2 semantics: mark_to_drop() sets a flag and execution carries on.
     compiled = probed_checker()
